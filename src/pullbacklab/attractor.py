@@ -12,8 +12,8 @@ The module provides
   :func:`upper_semicontinuity_sweep` -- finite-ensemble attractor snapshots
   and their behaviour as the noise intensity is driven to zero,
 * :func:`tail_profile` -- mass of the pullback state outside centred balls,
-* :func:`truncation_diagnostic` -- the damped superlevel integral that
-  controls how much of the solution lives above a threshold,
+* :func:`truncation_diagnostics` -- the damped superlevel integral that
+  controls how much of the solution lives above each threshold of a ladder,
 * :func:`window_regularity_report` / :func:`absorbing_radius` -- observed
   energy quantities paired with the forcing-memory integrals that bound
   them, packaged as :class:`BoundWitness` records with fitted constants.
@@ -43,7 +43,16 @@ from .field import (
     tail_norm,
 )
 from .model import ProblemSpec, forcing_norm_sq
-from .noise import Path, flat_path, sample_path, shift, z_factor, z_series, z_window_bounds
+from .noise import (
+    _SNAP,
+    Path,
+    flat_path,
+    sample_path,
+    shift,
+    z_factor,
+    z_series,
+    z_window_bounds,
+)
 from .solver import (
     SolverConfig,
     difference_history,
@@ -52,9 +61,7 @@ from .solver import (
     iterate_states,
     steps_between,
 )
-from .cocycle import pullback_state
-
-_SNAP = 1e-6
+from .cocycle import _check_lattice, pullback_state, pullback_states
 
 
 def _require_contractive(spec: ProblemSpec, what: str) -> float:
@@ -64,14 +71,6 @@ def _require_contractive(spec: ProblemSpec, what: str) -> float:
             f"{what} needs lambda > alpha3 (gap {gap!r} is not positive)"
         )
     return gap
-
-
-def _check_lattice(value: float, dt: float, name: str) -> None:
-    ratio = value / dt
-    if abs(ratio - round(ratio)) > _SNAP:
-        raise ConfigurationError(
-            f"{name}={value!r} does not sit on the dt={dt!r} lattice"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +240,34 @@ def approximate_attractor(
     ensemble: Sequence[Field],
     horizon: float,
 ) -> AttractorSample:
-    """Pull every ensemble member back over ``horizon`` and collect the images."""
+    """Pull every ensemble member back over ``horizon`` and collect the images.
+
+    The members are marched together as one stack.
+    """
+    _check_ensemble(ensemble)
+    k = len(ensemble)
+    members = pullback_states(
+        horizon, tau, (path,) * k, (epsilon,) * k, ensemble, spec, cfg
+    )
+    return _attractor_sample(tau, epsilon, getattr(path, "seed", None), horizon, members)
+
+
+def _check_ensemble(ensemble: Sequence[Field]) -> None:
     if not ensemble:
         raise ConfigurationError("ensemble must not be empty")
     grid = ensemble[0].grid
     for member in ensemble[1:]:
         if member.grid != grid:
             raise GridMismatchError("ensemble members live on different grids")
-    members = tuple(
-        pullback_state(horizon, tau, path, epsilon, u0, spec, cfg) for u0 in ensemble
-    )
+
+
+def _attractor_sample(
+    tau: float,
+    epsilon: float,
+    seed: int | None,
+    horizon: float,
+    members: tuple[Field, ...],
+) -> AttractorSample:
     diameter = 0.0
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
@@ -261,7 +278,7 @@ def approximate_attractor(
     return AttractorSample(
         tau=tau,
         epsilon=epsilon,
-        seed=getattr(path, "seed", None),
+        seed=seed,
         horizon=horizon,
         members=members,
         diameter=diameter,
@@ -337,7 +354,9 @@ def upper_semicontinuity_sweep(
 
     One path per seed serves every intensity, so the ladder comparison is
     against a common noise realisation.  Aggregation is a plain mean in seed
-    order, so reruns reproduce byte-identical results.
+    order, so reruns reproduce byte-identical results.  All pullbacks, the
+    zero-noise reference included, are marched together as one stack; a
+    divergence anywhere raises at the first time some column diverges.
     """
     ladder = [float(e) for e in epsilon_ladder]
     if not ladder:
@@ -349,12 +368,29 @@ def upper_semicontinuity_sweep(
     if not seeds:
         raise ConfigurationError("seeds must not be empty")
 
+    _check_ensemble(ensemble)
+
     lo = min(-horizon, -tau, 0.0)
     hi = max(0.0, -tau)
-    reference = approximate_attractor(
-        tau, flat_path(lo, hi, cfg.dt), 0.0, spec, cfg, ensemble, horizon
-    )
     paths = {seed: sample_path(seed, lo, hi, cfg.dt) for seed in seeds}
+    # one cell per attractor sample: the zero-noise reference first
+    cells = [(flat_path(lo, hi, cfg.dt), 0.0)]
+    cells += [(paths[seed], eps) for eps in ladder for seed in seeds]
+    k = len(ensemble)
+    members = pullback_states(
+        horizon,
+        tau,
+        [path for path, _ in cells for _ in range(k)],
+        [eps for _, eps in cells for _ in range(k)],
+        list(ensemble) * len(cells),
+        spec,
+        cfg,
+    )
+    samples = (
+        _attractor_sample(tau, eps, path.seed, horizon, members[i * k : (i + 1) * k])
+        for i, (path, eps) in enumerate(cells)
+    )
+    reference = next(samples)
 
     rows: list[SweepRow] = []
     mean_l2: list[float] = []
@@ -363,9 +399,7 @@ def upper_semicontinuity_sweep(
         dists_l2 = []
         dists_h1 = []
         for seed in seeds:
-            sample = approximate_attractor(
-                tau, paths[seed], eps, spec, cfg, ensemble, horizon
-            )
+            sample = next(samples)
             d2 = hausdorff_semidistance(sample, reference, "l2")
             d1 = hausdorff_semidistance(sample, reference, "h1")
             rows.append(SweepRow(epsilon=eps, seed=seed, dist_l2=d2, dist_h1=d1))
@@ -502,7 +536,7 @@ def truncation_rate(
     )
 
 
-def truncation_diagnostic(
+def truncation_diagnostics(
     tau: float,
     path: Path,
     epsilon: float,
@@ -510,19 +544,20 @@ def truncation_diagnostic(
     cfg: SolverConfig,
     u0: Field,
     horizon: float,
-    level: float,
-) -> TruncationDiagnostic:
-    """Evaluate the truncation integral for one threshold ``level``.
+    levels: Sequence[float],
+) -> tuple[TruncationDiagnostic, ...]:
+    """Evaluate the truncation integral for every threshold in ``levels``.
 
     The conjugated run covers [tau - horizon, tau]; only the final unit
     window enters the integral, the earlier part just burns in the state.
-    Needs ``horizon >= 1``.
+    The run does not depend on the level, so it is marched once and every
+    level is read off the same window.  Needs ``horizon >= 1``.
     """
     if horizon < 1.0 - _SNAP * cfg.dt:
         raise ConfigurationError(
             f"horizon must cover the unit window, got {horizon!r}"
         )
-    rho = truncation_rate(path, epsilon, spec, tau, level)
+    rhos = [truncation_rate(path, epsilon, spec, tau, level) for level in levels]
     spec_eps = replace(spec, epsilon=epsilon)
     w = shift(path, -tau)
     v0 = u0.with_values(u0.values * z_factor(w, epsilon, tau - horizon))
@@ -537,18 +572,40 @@ def truncation_diagnostic(
     traj = integrate(v_burn, burn_end, tau, w, spec_eps, window_cfg)
     p = spec.nonlinearity.p
     times = np.asarray(traj.times)
-    integrand = np.array(
-        [
-            math.exp(rho * (s - tau))
-            * superlevel_measure_integrand(state, level, 2.0 * p - 4.0)
-            for s, state in zip(times, traj.states)
-        ]
-    )
-    value = float(np.trapezoid(integrand, times))
     window_max = max(float(np.max(np.abs(state.values))) for state in traj.states)
-    return TruncationDiagnostic(
-        level=level, rho=rho, value=value, window_max_abs=window_max
-    )
+    diags = []
+    for level, rho in zip(levels, rhos):
+        integrand = np.array(
+            [
+                math.exp(rho * (s - tau))
+                * superlevel_measure_integrand(state, level, 2.0 * p - 4.0)
+                for s, state in zip(times, traj.states)
+            ]
+        )
+        value = float(np.trapezoid(integrand, times))
+        diags.append(
+            TruncationDiagnostic(
+                level=level, rho=rho, value=value, window_max_abs=window_max
+            )
+        )
+    return tuple(diags)
+
+
+def truncation_diagnostic(
+    tau: float,
+    path: Path,
+    epsilon: float,
+    spec: ProblemSpec,
+    cfg: SolverConfig,
+    u0: Field,
+    horizon: float,
+    level: float,
+) -> TruncationDiagnostic:
+    """The truncation integral for one threshold ``level``; the one-level
+    case of :func:`truncation_diagnostics`."""
+    return truncation_diagnostics(
+        tau, path, epsilon, spec, cfg, u0, horizon, (level,)
+    )[0]
 
 
 # ---------------------------------------------------------------------------

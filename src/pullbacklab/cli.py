@@ -41,7 +41,7 @@ from .attractor import (
     fit_decay_rate,
     sweep_shrinks,
     tail_profile,
-    truncation_diagnostic,
+    truncation_diagnostics,
     upper_semicontinuity_sweep,
 )
 from .cocycle import pullback_state, verify_cocycle_property
@@ -74,10 +74,8 @@ from .model import (
     grid_for,
     spec_from_config,
 )
-from .noise import Path, flat_path, refine, sample_path, shift, z_factor
+from .noise import _SNAP, Path, flat_path, refine, sample_path, shift, z_factor
 from .solver import SolverConfig, integrate
-
-_SNAP = 1e-6
 
 EXPERIMENTS = (
     "simulate",
@@ -588,12 +586,9 @@ def _exec_tail(plan: _Plan, path: Path):
 def _exec_truncation(plan: _Plan, path: Path):
     b = plan.block
     spec, cfg = plan.spec, plan.cfg
-    diags = [
-        truncation_diagnostic(
-            b["tau"], path, spec.epsilon, spec, cfg, b["initial"], b["horizon"], level
-        )
-        for level in b["levels"]
-    ]
+    diags = truncation_diagnostics(
+        b["tau"], path, spec.epsilon, spec, cfg, b["initial"], b["horizon"], b["levels"]
+    )
     values = [d.value for d in diags]
     decreasing = all(v2 < v1 for v1, v2 in zip(values, values[1:]))
     final_small = values[-1] <= b["final_bound"]

@@ -23,16 +23,15 @@ phi(t, tau - t, shift(omega, -t), u0) equals the direct right-hand evaluation
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .field import Field, l2_norm
 from .model import ProblemSpec
-from .noise import Path, shift, z_factor
-from .solver import SolverConfig, final_state, steps_between
-
-_SNAP = 1e-6
+from .noise import _SNAP, Path, shift, z_factor
+from .solver import SolverConfig, final_state, final_states, steps_between
 
 
 def _check_lattice(value: float, dt: float, name: str) -> None:
@@ -79,6 +78,43 @@ def phi(q: CocycleQuery) -> Field:
     return v_end.with_values(v_end.values / z_end)
 
 
+def pullback_states(
+    t: float,
+    tau: float,
+    paths: Sequence[Path],
+    epsilons: Sequence[float],
+    u0s: Sequence[Field],
+    spec: ProblemSpec,
+    cfg: SolverConfig,
+) -> tuple[Field, ...]:
+    """:func:`pullback_state` for many columns at once, marched as one stack.
+
+    Column i pulls ``u0s[i]`` back over the horizon ``t`` to time ``tau``
+    along ``paths[i]`` at intensity ``epsilons[i]``.  Every column equals its
+    own :func:`pullback_state` bit for bit; a divergence in any column
+    raises at the first time some column diverges.
+    """
+    if not len(paths) == len(epsilons) == len(u0s):
+        raise ConfigurationError("need one path and one intensity per initial state")
+    if t < 0.0:
+        raise ConfigurationError(f"horizon t must be nonnegative, got {t!r}")
+    _check_lattice(t, cfg.dt, "t")
+    _check_lattice(tau, cfg.dt, "tau")
+    n = steps_between(0.0, t, cfg.dt)
+    if n == 0:
+        return tuple(u0s)
+    ws = [shift(path, -tau) for path in paths]
+    v0s = [
+        u0.with_values(u0.values * z_factor(w, eps, tau - t))
+        for u0, w, eps in zip(u0s, ws, epsilons)
+    ]
+    ends = final_states(v0s, tau - t, tau, ws, epsilons, spec, cfg)
+    return tuple(
+        v_end.with_values(v_end.values / z_factor(w, eps, tau))
+        for v_end, w, eps in zip(ends, ws, epsilons)
+    )
+
+
 def pullback_state(
     t: float,
     tau: float,
@@ -94,21 +130,9 @@ def pullback_state(
     This is the pullback evaluation phi(t, tau - t, shift(path, -t), u0),
     written directly against the right-hand side so no intermediate path
     objects are created; both routes agree bitwise and a test holds them to
-    that.
+    that.  The one-column case of :func:`pullback_states`.
     """
-    if t < 0.0:
-        raise ConfigurationError(f"horizon t must be nonnegative, got {t!r}")
-    _check_lattice(t, cfg.dt, "t")
-    _check_lattice(tau, cfg.dt, "tau")
-    n = steps_between(0.0, t, cfg.dt)
-    if n == 0:
-        return u0
-    spec = replace(spec, epsilon=epsilon)
-    w = shift(path, -tau)
-    v0 = u0.with_values(u0.values * z_factor(w, epsilon, tau - t))
-    v_end = final_state(v0, tau - t, tau, w, spec, cfg)
-    z_end = z_factor(w, epsilon, tau)
-    return v_end.with_values(v_end.values / z_end)
+    return pullback_states(t, tau, (path,), (epsilon,), (u0,), spec, cfg)[0]
 
 
 def verify_cocycle_property(

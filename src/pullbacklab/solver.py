@@ -10,19 +10,35 @@ endpoint:
 
     (I + dt (lam - Laplace_h)) v_next = v + dt [z f(x, v/z) + z g(t, x)].
 
-In one dimension the implicit system is solved by a direct banded solve; in
-two dimensions by conjugate gradients to the configured residual, warm
-started from the current state.  Everything is deterministic: same inputs,
+One private kernel, :func:`_march`, takes every such step.  It advances a
+C-contiguous stack of shape ``(k, *grid.shape)``: k runs that share the grid,
+the problem data (except the noise intensity), dt and the start time, each
+column with its own z series.  Per step it evaluates the reaction once on the
+flattened stack and the forcing once, then solves for every column at once:
+in one dimension with a tridiagonal LU factored once per march (LAPACK
+``dgttrf``) and applied to all k right-hand sides (``dgttrs``); in two
+dimensions by conjugate gradients to the configured residual, once per
+column, warm started from the current state.  Columns never mix, so a column
+of a stack equals the same run marched alone, bit for bit.  :func:`integrate`,
+:func:`final_state`, :func:`final_states`, :func:`iterate_states`,
+:func:`difference_history` and :func:`energy_audit` are reductions over it.
+
+:func:`integrate_deterministic` marches the original, unconjugated equation
+with its own step and a banded solve; it is the independent zero-noise
+oracle the kernel is held to.  Everything is deterministic: same inputs,
 same bits.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -34,9 +50,8 @@ from .errors import (
 )
 from .field import Field, Grid, Trajectory, field_from_function, l2_norm
 from .model import ProblemSpec, forcing_norm_sq
-from .noise import Path, refine, z_factor, z_series
+from .noise import _SNAP, Path, refine, z_factor, z_series
 
-_SNAP = 1e-6  # lattice alignment slack, in units of dt
 _BOUNDARY_TRUST = 1e-8
 
 
@@ -72,7 +87,7 @@ def steps_between(t_start: float, t_end: float, dt: float) -> int:
 
 
 class _Context:
-    """Per-run precomputation: grid geometry, implicit solve, data evaluators."""
+    """Per-march precomputation: grid geometry, implicit solves, data evaluators."""
 
     def __init__(self, grid: Grid, spec: ProblemSpec, cfg: SolverConfig):
         if grid.dimension != spec.dimension:
@@ -95,6 +110,10 @@ class _Context:
             ab[1, :] = diag
             ab[2, :-1] = off
             self._ab = ab
+            bands = ab[2, :-1], ab[1], ab[0, 1:]
+            *self._lu, info = scipy.linalg.lapack.dgttrf(*bands)
+            if info != 0:
+                raise LinearSolveError(f"tridiagonal factorisation failed, info={info}")
         else:
             lap1 = scipy.sparse.diags_array(
                 [np.full(n_int - 1, off), np.full(n_int, 0.0), np.full(n_int - 1, off)],
@@ -106,6 +125,7 @@ class _Context:
             self._A = (diag * scipy.sparse.eye_array(n_int**2, format="csr") + cross).tocsr()
 
     def solve_implicit(self, rhs_interior: np.ndarray, x0: np.ndarray) -> np.ndarray:
+        """One interior solve: banded in 1D, conjugate gradients in 2D."""
         if self.grid.dimension == 1:
             return scipy.linalg.solve_banded((1, 1), self._ab, rhs_interior)
         sol, info = scipy.sparse.linalg.cg(
@@ -123,11 +143,17 @@ class _Context:
             )
         return sol.reshape(rhs_interior.shape)
 
-    def reaction(self, v: np.ndarray, z: float) -> np.ndarray:
-        u = v.ravel() / z
-        return np.asarray(self.spec.nonlinearity.f(self.pts, u), dtype=float).reshape(
-            v.shape
-        )
+    def solve_stack(
+        self, rhs_interior: np.ndarray, x0: np.ndarray, out: np.ndarray
+    ) -> None:
+        """Interior solves for a (k, ...) stack of right-hand sides, into ``out``."""
+        if self.grid.dimension == 1:
+            # dgttrs takes the k right-hand sides as the columns of (m-2, k)
+            sol, _ = scipy.linalg.lapack.dgttrs(*self._lu, rhs_interior.T)
+            out[...] = sol.T
+        else:
+            for r, x, o in zip(rhs_interior, x0, out):
+                o[...] = self.solve_implicit(r, x)
 
     def forcing_values(self, t: float) -> np.ndarray:
         g = np.asarray(self.spec.forcing.g(t, self.pts), dtype=float)
@@ -138,19 +164,32 @@ def _interior(v: np.ndarray) -> np.ndarray:
     return v[1:-1] if v.ndim == 1 else v[1:-1, 1:-1]
 
 
-def _advance(v: np.ndarray, t: float, z: float, ctx: _Context) -> np.ndarray:
+def _march(ctx: _Context, v0: np.ndarray, t_start: float, zs: np.ndarray):
+    """Advance the stack ``v0`` of shape (k, *grid.shape) by len(zs) steps.
+
+    ``zs[j, i]`` is z of column i at the left end of step j.  Yields the new
+    stack after every step.  Every operation acts on each column alone, so a
+    column's bits do not depend on what else is in the stack.
+    """
     dt = ctx.cfg.dt
-    rhs = v + dt * (z * ctx.reaction(v, z) + z * ctx.forcing_values(t))
-    # an overflowing reaction term must surface as a divergence, not as a
-    # deep linear-algebra error from the implicit solve
-    _check_finite(rhs, t + dt)
-    out = np.zeros_like(v)
-    sol = ctx.solve_implicit(_interior(rhs), _interior(v))
-    if v.ndim == 1:
-        out[1:-1] = sol
-    else:
-        out[1:-1, 1:-1] = sol
-    return out
+    f = ctx.spec.nonlinearity.f
+    k = v0.shape[0]
+    pts = np.tile(ctx.pts, (k, 1))
+    zcols = zs.reshape(zs.shape + (1,) * ctx.grid.dimension)
+    inner = (slice(None),) + (slice(1, -1),) * ctx.grid.dimension
+    v = v0
+    for j, z in enumerate(zcols):
+        t = t_start + j * dt
+        reaction = np.asarray(f(pts, (v / z).ravel()), dtype=float).reshape(v.shape)
+        rhs = v + dt * (z * reaction + z * ctx.forcing_values(t))
+        # an overflowing reaction term must surface as a divergence, not as a
+        # deep linear-algebra error from the implicit solve
+        _check_finite(rhs, t + dt)
+        out = np.zeros_like(v)
+        ctx.solve_stack(rhs[inner], v[inner], out[inner])
+        _check_finite(out, t_start + (j + 1) * dt)
+        v = out
+        yield v
 
 
 def _advance_plain(v: np.ndarray, t: float, ctx: _Context) -> np.ndarray:
@@ -160,7 +199,7 @@ def _advance_plain(v: np.ndarray, t: float, ctx: _Context) -> np.ndarray:
         ctx.spec.nonlinearity.f(ctx.pts, v.ravel()), dtype=float
     ).reshape(v.shape)
     rhs = v + dt * (fv + ctx.forcing_values(t))
-    _check_finite(rhs, t + dt)
+    _check_finite(rhs[np.newaxis], t + dt)
     out = np.zeros_like(v)
     sol = ctx.solve_implicit(_interior(rhs), _interior(v))
     if v.ndim == 1:
@@ -171,37 +210,85 @@ def _advance_plain(v: np.ndarray, t: float, ctx: _Context) -> np.ndarray:
 
 
 def _check_finite(v: np.ndarray, t: float) -> None:
-    s = float(np.dot(v.ravel(), v.ravel()))
-    if not np.isfinite(s):
-        raise DivergenceError(t)
+    """Raise DivergenceError when a column of the stack ``v`` has a
+    non-finite squared norm (an overflowing one included).
+
+    One reduction covers the whole stack; only when it is not finite are the
+    columns looked at one by one, so a sum that overflows only across
+    columns flags nothing.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = v.ravel()
+        if math.isfinite(np.dot(flat, flat)):
+            return
+        for col in v.reshape(len(v), -1):
+            if not math.isfinite(np.dot(col, col)):
+                raise DivergenceError(t)
 
 
 def _warn_boundary_leak(v: np.ndarray) -> None:
-    if v.ndim == 1:
-        ring = max(abs(float(v[1])), abs(float(v[-2])))
-    else:
-        ring = max(
-            float(np.abs(v[1, :]).max()),
-            float(np.abs(v[-2, :]).max()),
-            float(np.abs(v[:, 1]).max()),
-            float(np.abs(v[:, -2]).max()),
+    """Warn once for every column of the stack ``v`` that leaks."""
+    for col in v:
+        if col.ndim == 1:
+            ring = max(abs(float(col[1])), abs(float(col[-2])))
+        else:
+            ring = max(
+                float(np.abs(col[1, :]).max()),
+                float(np.abs(col[-2, :]).max()),
+                float(np.abs(col[:, 1]).max()),
+                float(np.abs(col[:, -2]).max()),
+            )
+        if ring > _BOUNDARY_TRUST:
+            warnings.warn(
+                f"solution magnitude {ring:.3e} adjacent to the artificial boundary "
+                f"exceeds {_BOUNDARY_TRUST:.0e}; enlarge the domain radius",
+                BoundaryLeakWarning,
+                stacklevel=3,
+            )
+
+
+def _validate_window(path: Path, t_start: float, t_end: float) -> None:
+    slack = _SNAP * path.dt
+    if t_start < path.t_min - slack or t_end > path.t_max + slack:
+        from .errors import OutOfWindowError
+
+        raise OutOfWindowError(
+            f"run [{t_start}, {t_end}] leaves the path window "
+            f"[{path.t_min}, {path.t_max}]"
         )
-    if ring > _BOUNDARY_TRUST:
-        warnings.warn(
-            f"solution magnitude {ring:.3e} adjacent to the artificial boundary "
-            f"exceeds {_BOUNDARY_TRUST:.0e}; enlarge the domain radius",
-            BoundaryLeakWarning,
-            stacklevel=3,
-        )
+
+
+def _setup(
+    grid: Grid,
+    t_start: float,
+    t_end: float,
+    paths: Sequence[Path],
+    spec: ProblemSpec,
+    cfg: SolverConfig,
+) -> tuple[int, _Context]:
+    """Step count and context of a march, after checking every path window."""
+    n = steps_between(t_start, t_end, cfg.dt)
+    for path in paths:
+        _validate_window(path, t_start, t_end)
+    return n, _Context(grid, spec, cfg)
+
+
+def _z_table(
+    paths: Sequence[Path], epsilons: Sequence[float], t_start: float, n: int, dt: float
+) -> np.ndarray:
+    """z per step (rows) and column (columns), shape (n, k)."""
+    zs = np.empty((n, len(paths)))
+    for i, (path, eps) in enumerate(zip(paths, epsilons)):
+        zs[:, i] = z_series(path, eps, t_start, n, dt)
+    return zs
 
 
 def step(v: Field, t: float, path: Path, spec: ProblemSpec, cfg: SolverConfig) -> Field:
     """One semi-implicit step from time t to t + dt."""
     ctx = _Context(v.grid, spec, cfg)
-    z = z_factor(path, spec.epsilon, t)
-    out = _advance(v.values, t, z, ctx)
-    _check_finite(out, t + cfg.dt)
-    return Field(v.grid, out)
+    zs = np.array([[z_factor(path, spec.epsilon, t)]])
+    out = next(_march(ctx, v.values[np.newaxis], t, zs))
+    return Field(v.grid, out[0])
 
 
 def integrate(
@@ -219,19 +306,16 @@ def integrate(
     the final one; stored time stamps are exact multiples of dt from
     t_start.
     """
-    n = steps_between(t_start, t_end, cfg.dt)
-    _validate_window(path, t_start, t_end)
-    ctx = _Context(v0.grid, spec, cfg)
-    zs = z_series(path, spec.epsilon, t_start, max(n, 1), cfg.dt) if n else None
-    v = v0.values
+    n, ctx = _setup(v0.grid, t_start, t_end, (path,), spec, cfg)
+    v = v0.values[np.newaxis]
     times = [t_start]
     states = [v0]
-    for k in range(n):
-        v = _advance(v, t_start + k * cfg.dt, float(zs[k]), ctx)
-        _check_finite(v, t_start + (k + 1) * cfg.dt)
-        if (k + 1) % cfg.store_stride == 0 or k + 1 == n:
-            times.append(t_start + (k + 1) * cfg.dt)
-            states.append(Field(v0.grid, v))
+    if n:
+        zs = _z_table((path,), (spec.epsilon,), t_start, n, cfg.dt)
+        for j, v in enumerate(_march(ctx, v, t_start, zs)):
+            if (j + 1) % cfg.store_stride == 0 or j + 1 == n:
+                times.append(t_start + (j + 1) * cfg.dt)
+                states.append(Field(v0.grid, v[0]))
     _warn_boundary_leak(v)
     return Trajectory(times=np.array(times), states=tuple(states), stride=cfg.store_stride)
 
@@ -242,7 +326,8 @@ def integrate_deterministic(
     """Noise-free march of the original equation (no conjugation anywhere).
 
     This is the zero-intensity reference: with eps = 0 the conjugated
-    stepper must reproduce it bit for bit.
+    stepper must reproduce it bit for bit.  It keeps its own step and the
+    banded solve so that the comparison is with independent code.
     """
     n = steps_between(t_start, t_end, cfg.dt)
     ctx = _Context(u0.grid, spec, cfg)
@@ -251,23 +336,46 @@ def integrate_deterministic(
     states = [u0]
     for k in range(n):
         v = _advance_plain(v, t_start + k * cfg.dt, ctx)
-        _check_finite(v, t_start + (k + 1) * cfg.dt)
+        _check_finite(v[np.newaxis], t_start + (k + 1) * cfg.dt)
         if (k + 1) % cfg.store_stride == 0 or k + 1 == n:
             times.append(t_start + (k + 1) * cfg.dt)
             states.append(Field(u0.grid, v))
-    _warn_boundary_leak(v)
+    _warn_boundary_leak(v[np.newaxis])
     return Trajectory(times=np.array(times), states=tuple(states), stride=cfg.store_stride)
 
 
-def _validate_window(path: Path, t_start: float, t_end: float) -> None:
-    slack = _SNAP * path.dt
-    if t_start < path.t_min - slack or t_end > path.t_max + slack:
-        from .errors import OutOfWindowError
+def final_states(
+    v0s: Sequence[Field],
+    t_start: float,
+    t_end: float,
+    paths: Sequence[Path],
+    epsilons: Sequence[float],
+    spec: ProblemSpec,
+    cfg: SolverConfig,
+) -> tuple[Field, ...]:
+    """Endpoints of one march per column, advanced together as one stack.
 
-        raise OutOfWindowError(
-            f"run [{t_start}, {t_end}] leaves the path window "
-            f"[{path.t_min}, {path.t_max}]"
+    Column i starts from ``v0s[i]`` and is driven along ``paths[i]`` at
+    intensity ``epsilons[i]``; everything else is shared, and ``spec``'s own
+    epsilon is ignored.  Each endpoint equals :func:`final_state` of that
+    column alone, bit for bit.  A divergence in any column raises at the
+    first time some column diverges.
+    """
+    if not v0s or not len(v0s) == len(paths) == len(epsilons):
+        raise ConfigurationError(
+            "need one path and one intensity per initial state, and at least one state"
         )
+    grid = v0s[0].grid
+    if any(v.grid != grid for v in v0s[1:]):
+        raise ConfigurationError("all initial states must live on one grid")
+    n, ctx = _setup(grid, t_start, t_end, paths, spec, cfg)
+    if n == 0:
+        return tuple(v0s)
+    zs = _z_table(paths, epsilons, t_start, n, cfg.dt)
+    for v in _march(ctx, np.stack([v0.values for v0 in v0s]), t_start, zs):
+        pass
+    _warn_boundary_leak(v)
+    return tuple(Field(grid, col) for col in v)
 
 
 def final_state(
@@ -280,20 +388,10 @@ def final_state(
 ) -> Field:
     """Endpoint of :func:`integrate` without storing the trajectory.
 
-    Same step sequence, same bits, constant memory.
+    Same step sequence, same bits, constant memory; the one-column case of
+    :func:`final_states`.
     """
-    n = steps_between(t_start, t_end, cfg.dt)
-    _validate_window(path, t_start, t_end)
-    ctx = _Context(v0.grid, spec, cfg)
-    if n == 0:
-        return v0
-    zs = z_series(path, spec.epsilon, t_start, n, cfg.dt)
-    v = v0.values
-    for k in range(n):
-        v = _advance(v, t_start + k * cfg.dt, float(zs[k]), ctx)
-        _check_finite(v, t_start + (k + 1) * cfg.dt)
-    _warn_boundary_leak(v)
-    return Field(v0.grid, v)
+    return final_states((v0,), t_start, t_end, (path,), (spec.epsilon,), spec, cfg)[0]
 
 
 def iterate_states(
@@ -310,18 +408,13 @@ def iterate_states(
     one :func:`integrate` and :func:`final_state` walk, bit for bit.  Useful
     for streaming reductions over long runs at constant memory.
     """
-    n = steps_between(t_start, t_end, cfg.dt)
-    _validate_window(path, t_start, t_end)
-    ctx = _Context(v0.grid, spec, cfg)
+    n, ctx = _setup(v0.grid, t_start, t_end, (path,), spec, cfg)
     yield t_start, v0
     if n == 0:
         return
-    zs = z_series(path, spec.epsilon, t_start, n, cfg.dt)
-    v = v0.values
-    for k in range(n):
-        v = _advance(v, t_start + k * cfg.dt, float(zs[k]), ctx)
-        _check_finite(v, t_start + (k + 1) * cfg.dt)
-        yield t_start + (k + 1) * cfg.dt, Field(v0.grid, v)
+    zs = _z_table((path,), (spec.epsilon,), t_start, n, cfg.dt)
+    for j, v in enumerate(_march(ctx, v0.values[np.newaxis], t_start, zs)):
+        yield t_start + (j + 1) * cfg.dt, Field(v0.grid, v[0])
 
 
 def difference_history(
@@ -342,25 +435,17 @@ def difference_history(
     """
     if v0_a.grid != v0_b.grid:
         raise ConfigurationError("both initial states must live on one grid")
-    n = steps_between(t_start, t_end, cfg.dt)
-    _validate_window(path, t_start, t_end)
-    ctx = _Context(v0_a.grid, spec, cfg)
-    zs = z_series(path, spec.epsilon, t_start, max(n, 1), cfg.dt) if n else None
-    va = v0_a.values
-    vb = v0_b.values
+    n, ctx = _setup(v0_a.grid, t_start, t_end, (path,), spec, cfg)
     vol = v0_a.grid.cell_volume
     times = [t_start]
-    norms = [vol * float(np.sum((va - vb) ** 2))]
-    for k in range(n):
-        t = t_start + k * cfg.dt
-        z = float(zs[k])
-        va = _advance(va, t, z, ctx)
-        vb = _advance(vb, t, z, ctx)
-        _check_finite(va, t + cfg.dt)
-        _check_finite(vb, t + cfg.dt)
-        if (k + 1) % sample_stride == 0 or k + 1 == n:
-            times.append(t_start + (k + 1) * cfg.dt)
-            norms.append(vol * float(np.sum((va - vb) ** 2)))
+    norms = [vol * float(np.sum((v0_a.values - v0_b.values) ** 2))]
+    if n:
+        z = z_series(path, spec.epsilon, t_start, n, cfg.dt)
+        stack = np.stack([v0_a.values, v0_b.values])
+        for j, v in enumerate(_march(ctx, stack, t_start, np.stack([z, z], axis=1))):
+            if (j + 1) % sample_stride == 0 or j + 1 == n:
+                times.append(t_start + (j + 1) * cfg.dt)
+                norms.append(vol * float(np.sum((v[0] - v[1]) ** 2)))
     return np.array(times), np.array(norms)
 
 
@@ -497,26 +582,23 @@ def energy_audit(
     spec: ProblemSpec,
     cfg: SolverConfig,
 ) -> EnergyAudit:
-    n = steps_between(t_start, t_end, cfg.dt)
-    _validate_window(path, t_start, t_end)
-    ctx = _Context(v0.grid, spec, cfg)
-    zs = z_series(path, spec.epsilon, t_start, max(n, 1), cfg.dt) if n else None
+    n, ctx = _setup(v0.grid, t_start, t_end, (path,), spec, cfg)
     vol = v0.grid.cell_volume
     psi1_mass = float(vol * np.sum(spec.nonlinearity.psi1(v0.grid.points)))
     c = 2.0 * max(1.0, 1.0 / spec.lam)
-    v = v0.values
-    norm_sq = vol * float(np.sum(v**2))
+    norm_sq = vol * float(np.sum(v0.values**2))
     out = np.empty(n)
-    for k in range(n):
-        t = t_start + k * cfg.dt
-        z = float(zs[k])
-        v_next = _advance(v, t, z, ctx)
-        _check_finite(v_next, t + cfg.dt)
-        next_sq = vol * float(np.sum(v_next**2))
-        allowance = c * cfg.dt * z**2 * (forcing_norm_sq(spec.forcing, v0.grid, t) + psi1_mass)
-        out[k] = next_sq - norm_sq + cfg.dt * spec.lam * next_sq - allowance
-        v = v_next
-        norm_sq = next_sq
+    if n:
+        zs = _z_table((path,), (spec.epsilon,), t_start, n, cfg.dt)
+        for j, v in enumerate(_march(ctx, v0.values[np.newaxis], t_start, zs)):
+            t = t_start + j * cfg.dt
+            z = float(zs[j, 0])
+            next_sq = vol * float(np.sum(v[0] ** 2))
+            allowance = c * cfg.dt * z**2 * (
+                forcing_norm_sq(spec.forcing, v0.grid, t) + psi1_mass
+            )
+            out[j] = next_sq - norm_sq + cfg.dt * spec.lam * next_sq - allowance
+            norm_sq = next_sq
     return EnergyAudit(
         violations=out,
         max_violation=float(out.max()) if n else 0.0,

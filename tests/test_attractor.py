@@ -23,6 +23,7 @@ from pullbacklab.attractor import (
     sweep_shrinks,
     tail_profile,
     truncation_diagnostic,
+    truncation_diagnostics,
     truncation_rate,
     upper_semicontinuity_sweep,
     window_regularity_report,
@@ -346,6 +347,20 @@ def test_truncation_diagnostic_falls_with_the_level(desk_spec, desk_grid, desk_p
         values.append(diag.value)
     assert all(v > 0.0 for v in values)
     assert all(b < a for a, b in zip(values, values[1:]))
+
+
+def test_truncation_ladder_marches_once_and_matches_each_level(
+    desk_spec, desk_grid, desk_path, cfg
+):
+    u0 = gaussian_bump(desk_grid, 1.0, 1.5)
+    levels = (0.02, 0.05, 0.1, 1e6)
+    ladder = truncation_diagnostics(0.5, desk_path, 0.5, desk_spec, cfg, u0, 1.5, levels)
+    assert [d.level for d in ladder] == list(levels)
+    for diag in ladder:
+        alone = truncation_diagnostic(
+            0.5, desk_path, 0.5, desk_spec, cfg, u0, 1.5, diag.level
+        )
+        assert diag == alone
 
 
 def test_truncation_diagnostic_vanishes_above_the_amplitude(
