@@ -111,7 +111,12 @@ def compute_equilibrium(
 
     Each horizon starts the run from the same ``u0``, pushed further into
     the past; the contraction of the conjugated equation makes the states
-    at time ``tau`` a Cauchy sequence.  Requires ``lambda > alpha3``.
+    at time ``tau`` a Cauchy sequence.  All horizons share the path and the
+    end time, so they are marched as one staggered stack
+    (:func:`~pullbacklab.cocycle.pullback_states`): the schedule costs the
+    steps of its longest horizon, and every state equals its own
+    :func:`~pullbacklab.cocycle.pullback_state` bit for bit.  Requires
+    ``lambda > alpha3``.
     """
     _require_contractive(spec, "compute_equilibrium")
     horizons = [float(t) for t in t_schedule]
@@ -122,25 +127,27 @@ def compute_equilibrium(
     if tol <= 0.0:
         raise ConfigurationError(f"tol must be positive, got {tol!r}")
 
-    prev = pullback_state(horizons[0], tau, path, epsilon, u0, spec, cfg)
+    k = len(horizons)
+    states = pullback_states(
+        horizons, tau, (path,) * k, (epsilon,) * k, (u0,) * k, spec, cfg
+    )
     history: list[tuple[float, float]] = []
-    for t_n in horizons[1:]:
-        cur = pullback_state(t_n, tau, path, epsilon, u0, spec, cfg)
+    for t_n, prev, cur in zip(horizons[1:], states, states[1:]):
         gap = l2_norm(cur.with_values(cur.values - prev.values))
         history.append((t_n, gap / (1.0 + l2_norm(cur))))
-        prev = cur
+    state = states[-1]
     converged = history[-1][1] <= tol
     p = spec.nonlinearity.p
     return EquilibriumResult(
-        state=prev,
+        state=state,
         tau=tau,
         epsilon=epsilon,
         history=tuple(history),
         converged=converged,
         tolerance=tol,
-        l2=l2_norm(prev),
-        h1=h1_norm(prev),
-        lp=lp_norm(prev, p),
+        l2=l2_norm(state),
+        h1=h1_norm(state),
+        lp=lp_norm(state, p),
     )
 
 
@@ -247,7 +254,7 @@ def approximate_attractor(
     _check_ensemble(ensemble)
     k = len(ensemble)
     members = pullback_states(
-        horizon, tau, (path,) * k, (epsilon,) * k, ensemble, spec, cfg
+        (horizon,) * k, tau, (path,) * k, (epsilon,) * k, ensemble, spec, cfg
     )
     return _attractor_sample(tau, epsilon, getattr(path, "seed", None), horizon, members)
 
@@ -378,7 +385,7 @@ def upper_semicontinuity_sweep(
     cells += [(paths[seed], eps) for eps in ladder for seed in seeds]
     k = len(ensemble)
     members = pullback_states(
-        horizon,
+        (horizon,) * (k * len(cells)),
         tau,
         [path for path, _ in cells for _ in range(k)],
         [eps for _, eps in cells for _ in range(k)],

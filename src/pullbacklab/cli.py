@@ -44,7 +44,7 @@ from .attractor import (
     truncation_diagnostics,
     upper_semicontinuity_sweep,
 )
-from .cocycle import pullback_state, verify_cocycle_property
+from .cocycle import pullback_state, pullback_states, verify_cocycle_property
 from .errors import (
     ConfigurationError,
     DivergenceError,
@@ -674,8 +674,12 @@ def _exec_absorbing(plan: _Plan, path: Path):
     eps = spec.epsilon
     tau = b["tau"]
     t1 = b["pullback_horizon"]
-    obs1 = l2_norm(pullback_state(t1, tau, path, eps, b["initial"], spec, cfg))
-    obs2 = l2_norm(pullback_state(2.0 * t1, tau, path, eps, b["initial"], spec, cfg))
+    # both pullbacks end at tau along one path, so they march as one stack
+    u0 = b["initial"]
+    near, far = pullback_states(
+        (t1, 2.0 * t1), tau, (path, path), (eps, eps), (u0, u0), spec, cfg
+    )
+    obs1, obs2 = l2_norm(near), l2_norm(far)
     h1_q = b["quadrature_horizon"]
     w1 = absorbing_radius(tau, path, eps, spec, grid, h1_q, observed_norm=obs1)
     w2 = absorbing_radius(tau, path, eps, spec, grid, 2.0 * h1_q, observed_norm=obs2)

@@ -79,7 +79,7 @@ def phi(q: CocycleQuery) -> Field:
 
 
 def pullback_states(
-    t: float,
+    ts: Sequence[float],
     tau: float,
     paths: Sequence[Path],
     epsilons: Sequence[float],
@@ -89,30 +89,44 @@ def pullback_states(
 ) -> tuple[Field, ...]:
     """:func:`pullback_state` for many columns at once, marched as one stack.
 
-    Column i pulls ``u0s[i]`` back over the horizon ``t`` to time ``tau``
-    along ``paths[i]`` at intensity ``epsilons[i]``.  Every column equals its
-    own :func:`pullback_state` bit for bit; a divergence in any column
-    raises at the first time some column diverges.
+    Column i pulls ``u0s[i]`` back over its own horizon ``ts[i]`` to the
+    shared time ``tau`` along ``paths[i]`` at intensity ``epsilons[i]``.
+    All columns end at ``tau``, so a column joins the stack when its own
+    start time ``tau - ts[i]`` comes (:func:`~pullbacklab.solver.final_states`);
+    a column with a zero horizon hands its data back untouched.  Every
+    column equals its own :func:`pullback_state` bit for bit; a divergence
+    raises at the own time of the first column to diverge.
     """
-    if not len(paths) == len(epsilons) == len(u0s):
-        raise ConfigurationError("need one path and one intensity per initial state")
-    if t < 0.0:
-        raise ConfigurationError(f"horizon t must be nonnegative, got {t!r}")
-    _check_lattice(t, cfg.dt, "t")
+    if not len(ts) == len(paths) == len(epsilons) == len(u0s):
+        raise ConfigurationError(
+            "need one horizon, one path and one intensity per initial state"
+        )
+    for t in ts:
+        if t < 0.0:
+            raise ConfigurationError(f"horizon t must be nonnegative, got {t!r}")
+        _check_lattice(t, cfg.dt, "t")
     _check_lattice(tau, cfg.dt, "tau")
-    n = steps_between(0.0, t, cfg.dt)
-    if n == 0:
+    marched = [i for i, t in enumerate(ts) if steps_between(0.0, t, cfg.dt)]
+    if not marched:
         return tuple(u0s)
-    ws = [shift(path, -tau) for path in paths]
+    ws = {i: shift(paths[i], -tau) for i in marched}
     v0s = [
-        u0.with_values(u0.values * z_factor(w, eps, tau - t))
-        for u0, w, eps in zip(u0s, ws, epsilons)
+        u0s[i].with_values(u0s[i].values * z_factor(ws[i], epsilons[i], tau - ts[i]))
+        for i in marched
     ]
-    ends = final_states(v0s, tau - t, tau, ws, epsilons, spec, cfg)
-    return tuple(
-        v_end.with_values(v_end.values / z_factor(w, eps, tau))
-        for v_end, w, eps in zip(ends, ws, epsilons)
+    ends = final_states(
+        v0s,
+        [tau - ts[i] for i in marched],
+        tau,
+        [ws[i] for i in marched],
+        [epsilons[i] for i in marched],
+        spec,
+        cfg,
     )
+    out = list(u0s)
+    for i, v_end in zip(marched, ends):
+        out[i] = v_end.with_values(v_end.values / z_factor(ws[i], epsilons[i], tau))
+    return tuple(out)
 
 
 def pullback_state(
@@ -132,7 +146,7 @@ def pullback_state(
     objects are created; both routes agree bitwise and a test holds them to
     that.  The one-column case of :func:`pullback_states`.
     """
-    return pullback_states(t, tau, (path,), (epsilon,), (u0,), spec, cfg)[0]
+    return pullback_states((t,), tau, (path,), (epsilon,), (u0,), spec, cfg)[0]
 
 
 def verify_cocycle_property(

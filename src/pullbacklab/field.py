@@ -45,7 +45,9 @@ class Grid:
 
     @cached_property
     def axis(self) -> np.ndarray:
-        ax = np.linspace(-self.radius, self.radius, self.points_per_axis)
+        # a copy owns its memory, so no writable array sits under the
+        # read-only axis and the points built from it
+        ax = np.linspace(-self.radius, self.radius, self.points_per_axis).copy()
         ax.setflags(write=False)
         return ax
 

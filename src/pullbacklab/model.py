@@ -61,9 +61,12 @@ class Nonlinearity:
 class Forcing:
     """Deterministic forcing g(t, x) with its exponential memory weight delta.
 
-    ``g(t, points)`` is vectorized over points of shape (n, dim).  delta
-    controls the weight exp(delta * s) under which the forcing's past must be
-    integrable; it is validated against the damping at spec assembly.
+    ``g(t, points)`` is vectorized over points of shape (n, dim).  ``t`` is a
+    scalar or, when the solver marches a stack of runs, a ``(k, 1)`` array
+    of per-run times; g then returns shape (k, n), or shape (n,) if it does
+    not depend on t.  delta controls the weight exp(delta * s) under which
+    the forcing's past must be integrable; it is validated against the
+    damping at spec assembly.
     """
 
     g: Callable[[float, np.ndarray], np.ndarray]
@@ -140,12 +143,26 @@ def canonical_cubic(alpha3: float, scale: float = 1.0) -> Nonlinearity:
     )
 
 
+def _frozen(a: np.ndarray) -> bool:
+    """True when neither ``a`` nor any array it views can be written, so
+    its values cannot change under a reader."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return True
+
+
 def canonical_forcing(amplitude: float, delta: float, width: float = 1.0) -> Forcing:
     """Localized forcing that switches on around t = 0:
 
     g(t, x) = amplitude * (1 + tanh t)/2 * exp(-|x|^2 / width^2).
 
     Bounded in time, decaying into the far past, spatially concentrated.
+    ``t`` may be a ``(k, 1)`` array of times, giving one row per time.  The
+    spatial profile of the last read-only points array (such as
+    :attr:`Grid.points`) is kept and reused; any other points array is
+    evaluated afresh on every call.
     """
     if width <= 0.0:
         raise ConfigurationError("width must be positive")
@@ -153,15 +170,28 @@ def canonical_forcing(amplitude: float, delta: float, width: float = 1.0) -> For
         raise ConfigurationError("delta must be nonnegative")
     amp = float(amplitude)
     w2 = float(width) ** 2
+    kept: list = [None, None]  # the last read-only points array, its profile
 
-    def g(t: float, pts: np.ndarray) -> np.ndarray:
-        return amp * (0.5 * (1.0 + np.tanh(t))) * np.exp(-(pts**2).sum(axis=1) / w2)
+    def profile(pts: np.ndarray) -> np.ndarray:
+        frozen = _frozen(pts)
+        if frozen and pts is kept[0]:
+            return kept[1]
+        values = np.exp(-(pts**2).sum(axis=1) / w2)
+        if frozen:
+            kept[:] = pts, values
+        return values
+
+    def g(t, pts: np.ndarray) -> np.ndarray:
+        return amp * (0.5 * (1.0 + np.tanh(t))) * profile(pts)
 
     return Forcing(g=g, delta=float(delta))
 
 
 def zero_forcing(delta: float = 0.0) -> Forcing:
-    return Forcing(g=lambda t, pts: np.zeros(len(pts)), delta=float(delta))
+    return Forcing(
+        g=lambda t, pts: np.zeros(np.broadcast_shapes(np.shape(t), (len(pts),))),
+        delta=float(delta),
+    )
 
 
 # -- quadrature helpers -----------------------------------------------------

@@ -12,16 +12,21 @@ endpoint:
 
 One private kernel, :func:`_march`, takes every such step.  It advances a
 C-contiguous stack of shape ``(k, *grid.shape)``: k runs that share the grid,
-the problem data (except the noise intensity), dt and the start time, each
-column with its own z series.  Per step it evaluates the reaction once on the
-flattened stack and the forcing once, then solves for every column at once:
-in one dimension with a tridiagonal LU factored once per march (LAPACK
-``dgttrf``) and applied to all k right-hand sides (``dgttrs``); in two
-dimensions by conjugate gradients to the configured residual, once per
-column, warm started from the current state.  Columns never mix, so a column
-of a stack equals the same run marched alone, bit for bit.  :func:`integrate`,
-:func:`final_state`, :func:`final_states`, :func:`iterate_states`,
-:func:`difference_history` and :func:`energy_audit` are reductions over it.
+the problem data (except the noise intensity), dt and the end step, each
+column with its own z series, its own start time and its own initial state.
+A column joins the stack at its own start step and from then on keeps its
+own clock, ``t_start_i + j*dt`` with j counting its own steps, so runs with
+different horizons toward one end time share every step they have in common.
+Per step the kernel evaluates the reaction once on the flattened stack and
+the forcing once, at the admitted columns' times as a ``(k, 1)`` array, then
+solves for every column at once: in one dimension with a tridiagonal LU
+factored once per march (LAPACK ``dgttrf``) and applied to all k right-hand
+sides (``dgttrs``); in two dimensions by conjugate gradients to the
+configured residual, once per column, warm started from the current state.
+Columns never mix, so a column of a stack equals the same run marched alone,
+bit for bit.  :func:`integrate`, :func:`final_state`, :func:`final_states`,
+:func:`iterate_states`, :func:`difference_history` and :func:`energy_audit`
+are reductions over it.
 
 :func:`integrate_deterministic` marches the original, unconjugated equation
 with its own step and a banded solve; it is the independent zero-noise
@@ -38,6 +43,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
@@ -53,6 +59,7 @@ from .model import ProblemSpec, forcing_norm_sq
 from .noise import _SNAP, Path, refine, z_factor, z_series
 
 _BOUNDARY_TRUST = 1e-8
+_ddot = scipy.linalg.blas.ddot
 
 
 @dataclass(frozen=True)
@@ -155,39 +162,71 @@ class _Context:
             for r, x, o in zip(rhs_interior, x0, out):
                 o[...] = self.solve_implicit(r, x)
 
-    def forcing_values(self, t: float) -> np.ndarray:
+    def forcing_values(self, t: float | np.ndarray) -> np.ndarray:
+        """g at time t shaped like a field; a ``(k, 1)`` array of times gives
+        a ``(k, *grid.shape)`` stack, or one field if g ignores t's shape."""
         g = np.asarray(self.spec.forcing.g(t, self.pts), dtype=float)
-        return g.reshape(self.grid.shape)
+        return g.reshape(g.shape[:-1] + self.grid.shape)
 
 
 def _interior(v: np.ndarray) -> np.ndarray:
     return v[1:-1] if v.ndim == 1 else v[1:-1, 1:-1]
 
 
-def _march(ctx: _Context, v0: np.ndarray, t_start: float, zs: np.ndarray):
-    """Advance the stack ``v0`` of shape (k, *grid.shape) by len(zs) steps.
+def _march(
+    ctx: _Context,
+    v0: np.ndarray,
+    t_start: float | Sequence[float],
+    zs: np.ndarray,
+    admit: int | Sequence[int] = 0,
+):
+    """Advance the stack ``v0`` of shape (k, *grid.shape) to the end of
+    len(zs) steps.
 
-    ``zs[j, i]`` is z of column i at the left end of step j.  Yields the new
-    stack after every step.  Every operation acts on each column alone, so a
-    column's bits do not depend on what else is in the stack.
+    Column i joins the stack at step ``admit[i]`` (nondecreasing from 0)
+    and then steps on its own clock ``t_start[i] + j*dt``, j counting its
+    own steps; a scalar ``t_start`` or ``admit`` is shared by every column.
+    ``zs[j, i]`` is z of column i at the left end of step j.  Yields the
+    stack of the columns admitted so far after every step.  Every operation
+    acts on each column alone, so a column's bits do not depend on what else
+    is in the stack or on when it joined.
     """
     dt = ctx.cfg.dt
     f = ctx.spec.nonlinearity.f
     k = v0.shape[0]
+    starts = np.broadcast_to(np.asarray(t_start, dtype=float), (k,))
+    admit = np.broadcast_to(np.asarray(admit, dtype=int), (k,))
+    # every column's own clock, t_start[i] + (j - admit[i])*dt at step j: the
+    # same bits as the sum a run marched alone forms; built in place, so the
+    # march holds one table of times next to the table of z
+    clocks = np.arange(len(zs), dtype=float)[:, None] - admit
+    clocks *= dt
+    clocks += starts
+    npts = len(ctx.pts)
     pts = np.tile(ctx.pts, (k, 1))
-    zcols = zs.reshape(zs.shape + (1,) * ctx.grid.dimension)
+    zshape = (1,) * ctx.grid.dimension
     inner = (slice(None),) + (slice(1, -1),) * ctx.grid.dimension
-    v = v0
-    for j, z in enumerate(zcols):
-        t = t_start + j * dt
-        reaction = np.asarray(f(pts, (v / z).ravel()), dtype=float).reshape(v.shape)
-        rhs = v + dt * (z * reaction + z * ctx.forcing_values(t))
+    a = 0
+    v = v0[:0]
+    for j, (zrow, trow) in enumerate(zip(zs, clocks)):
+        if a < k and admit[a] == j:
+            b = int(np.searchsorted(admit, j, side="right"))
+            v = np.concatenate([v, v0[a:b]])
+            a = b
+        z = zrow[:a].reshape((a,) + zshape)
+        t = trow[:a, None]
+        reaction = np.asarray(f(pts[: a * npts], (v / z).ravel()), dtype=float)
+        rhs = v + dt * (z * reaction.reshape(v.shape) + z * ctx.forcing_values(t))
         # an overflowing reaction term must surface as a divergence, not as a
         # deep linear-algebra error from the implicit solve
-        _check_finite(rhs, t + dt)
+        bad = _nonfinite_column(rhs)
+        if bad is not None:
+            raise DivergenceError(float(t[bad, 0]) + dt)
         out = np.zeros_like(v)
         ctx.solve_stack(rhs[inner], v[inner], out[inner])
-        _check_finite(out, t_start + (j + 1) * dt)
+        bad = _nonfinite_column(out)
+        if bad is not None:
+            raise DivergenceError(float(starts[bad]) + int(j - admit[bad] + 1) * dt)
         v = out
         yield v
 
@@ -209,21 +248,30 @@ def _advance_plain(v: np.ndarray, t: float, ctx: _Context) -> np.ndarray:
     return out
 
 
-def _check_finite(v: np.ndarray, t: float) -> None:
-    """Raise DivergenceError when a column of the stack ``v`` has a
-    non-finite squared norm (an overflowing one included).
+def _nonfinite_column(v: np.ndarray) -> int | None:
+    """Index of the first column of the stack ``v`` whose squared norm is
+    not finite (an overflowing one included), or None.
 
     One reduction covers the whole stack; only when it is not finite are the
     columns looked at one by one, so a sum that overflows only across
-    columns flags nothing.
+    columns flags nothing.  The squared norms come from BLAS ``ddot``, which
+    numpy's floating-point error state does not watch, so an overflow here
+    raises no warning.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        flat = v.ravel()
-        if math.isfinite(np.dot(flat, flat)):
-            return
-        for col in v.reshape(len(v), -1):
-            if not math.isfinite(np.dot(col, col)):
-                raise DivergenceError(t)
+    flat = v.ravel()
+    if math.isfinite(_ddot(flat, flat)):
+        return None
+    for i, col in enumerate(v.reshape(len(v), -1)):
+        if not math.isfinite(_ddot(col, col)):
+            return i
+    return None
+
+
+def _check_finite(v: np.ndarray, t: float) -> None:
+    """Raise DivergenceError at time t when a column of the stack ``v`` has
+    a non-finite squared norm."""
+    if _nonfinite_column(v) is not None:
+        raise DivergenceError(t)
 
 
 def _warn_boundary_leak(v: np.ndarray) -> None:
@@ -274,12 +322,25 @@ def _setup(
 
 
 def _z_table(
-    paths: Sequence[Path], epsilons: Sequence[float], t_start: float, n: int, dt: float
+    paths: Sequence[Path],
+    epsilons: Sequence[float],
+    t_start: float | Sequence[float],
+    n: int | Sequence[int],
+    dt: float,
 ) -> np.ndarray:
-    """z per step (rows) and column (columns), shape (n, k)."""
-    zs = np.empty((n, len(paths)))
-    for i, (path, eps) in enumerate(zip(paths, epsilons)):
-        zs[:, i] = z_series(path, eps, t_start, n, dt)
+    """z per step (rows) and column (columns), shape (max n, k).
+
+    Column i runs ``n[i]`` steps from ``t_start[i]`` and fills the last
+    ``n[i]`` rows, so every column ends on the last row; the rows before it
+    joins hold NaN.  A scalar ``t_start`` or ``n`` is shared by every column.
+    """
+    k = len(paths)
+    starts = np.broadcast_to(np.asarray(t_start, dtype=float), (k,))
+    counts = np.broadcast_to(np.asarray(n, dtype=int), (k,))
+    total = int(counts.max()) if k else 0
+    zs = np.full((total, k), np.nan)
+    for i, (path, eps, t0, n_i) in enumerate(zip(paths, epsilons, starts, counts)):
+        zs[total - n_i :, i] = z_series(path, eps, float(t0), int(n_i), dt)
     return zs
 
 
@@ -346,7 +407,7 @@ def integrate_deterministic(
 
 def final_states(
     v0s: Sequence[Field],
-    t_start: float,
+    t_starts: Sequence[float],
     t_end: float,
     paths: Sequence[Path],
     epsilons: Sequence[float],
@@ -355,27 +416,45 @@ def final_states(
 ) -> tuple[Field, ...]:
     """Endpoints of one march per column, advanced together as one stack.
 
-    Column i starts from ``v0s[i]`` and is driven along ``paths[i]`` at
-    intensity ``epsilons[i]``; everything else is shared, and ``spec``'s own
-    epsilon is ignored.  Each endpoint equals :func:`final_state` of that
-    column alone, bit for bit.  A divergence in any column raises at the
-    first time some column diverges.
+    Column i starts from ``v0s[i]`` at ``t_starts[i]`` and is driven along
+    ``paths[i]`` at intensity ``epsilons[i]`` up to the shared ``t_end``;
+    everything else is shared, and ``spec``'s own epsilon is ignored.  The
+    columns are admitted longest first, each at the step where its own run
+    begins, and a column with nothing to march comes back as given.  Each
+    endpoint equals :func:`final_state` of that column alone, bit for bit.
+    A divergence raises at the own time of the first column to diverge,
+    counted in steps of the stack (columns that diverge on the same step
+    are taken longest first).
     """
-    if not v0s or not len(v0s) == len(paths) == len(epsilons):
+    if not v0s or not len(v0s) == len(t_starts) == len(paths) == len(epsilons):
         raise ConfigurationError(
-            "need one path and one intensity per initial state, and at least one state"
+            "need one start time, one path and one intensity per initial state, "
+            "and at least one state"
         )
     grid = v0s[0].grid
     if any(v.grid != grid for v in v0s[1:]):
         raise ConfigurationError("all initial states must live on one grid")
-    n, ctx = _setup(grid, t_start, t_end, paths, spec, cfg)
-    if n == 0:
+    counts = [steps_between(t0, t_end, cfg.dt) for t0 in t_starts]
+    for path, t0 in zip(paths, t_starts):
+        _validate_window(path, t0, t_end)
+    ctx = _Context(grid, spec, cfg)
+    # longest march first, so the admitted columns are always a prefix
+    order = sorted((i for i, n in enumerate(counts) if n), key=lambda i: -counts[i])
+    if not order:
         return tuple(v0s)
-    zs = _z_table(paths, epsilons, t_start, n, cfg.dt)
-    for v in _march(ctx, np.stack([v0.values for v0 in v0s]), t_start, zs):
+    starts = [t_starts[i] for i in order]
+    steps = [counts[i] for i in order]
+    zs = _z_table(
+        [paths[i] for i in order], [epsilons[i] for i in order], starts, steps, cfg.dt
+    )
+    stack = np.stack([v0s[i].values for i in order])
+    for v in _march(ctx, stack, starts, zs, [steps[0] - n for n in steps]):
         pass
     _warn_boundary_leak(v)
-    return tuple(Field(grid, col) for col in v)
+    ends = list(v0s)
+    for i, col in zip(order, v):
+        ends[i] = Field(grid, col)
+    return tuple(ends)
 
 
 def final_state(
@@ -391,7 +470,7 @@ def final_state(
     Same step sequence, same bits, constant memory; the one-column case of
     :func:`final_states`.
     """
-    return final_states((v0,), t_start, t_end, (path,), (spec.epsilon,), spec, cfg)[0]
+    return final_states((v0,), (t_start,), t_end, (path,), (spec.epsilon,), spec, cfg)[0]
 
 
 def iterate_states(

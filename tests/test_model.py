@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pullbacklab.errors import ConfigurationError
-from pullbacklab.field import Grid
+from pullbacklab.field import Grid, gaussian_bump
 from pullbacklab.model import (
     Forcing,
     Nonlinearity,
@@ -25,6 +25,8 @@ from pullbacklab.model import (
     spec_from_config,
     zero_forcing,
 )
+from pullbacklab.noise import flat_path
+from pullbacklab.solver import SolverConfig, final_state, final_states
 
 
 def test_canonical_cubic_pointwise_values():
@@ -152,6 +154,71 @@ def test_canonical_forcing_gate_and_profile():
     assert future[1] == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
     # at t=0 the gate is exactly one half
     assert forcing.g(0.0, pts)[0] == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("dimension, m", [(1, 129), (2, 33)])
+def test_canonical_forcing_on_a_stack_of_times_equals_scalar_calls(dimension, m):
+    forcing = canonical_forcing(amplitude=0.5, delta=0.5, width=1.0)
+    pts = Grid(dimension, 8.0, m).points
+    # times off any lattice, around the gate's switch and deep in its tails
+    times = np.concatenate([np.linspace(-24.0, 1.0, 997), [-0.0, 0.0, 1e-300, 40.0]])
+    stacked = forcing.g(times[:, None], pts)
+    assert stacked.shape == (len(times), len(pts))
+    for row, t in zip(stacked, times):
+        assert np.array_equal(row, forcing.g(float(t), pts))
+
+
+@pytest.mark.parametrize("dimension, m", [(1, 129), (2, 33)])
+def test_canonical_forcing_profile_is_kept_for_read_only_points(dimension, m):
+    forcing = canonical_forcing(amplitude=0.5, delta=0.5, width=1.5)
+    pts = Grid(dimension, 8.0, m).points
+    assert not pts.flags.writeable
+    fresh = 0.5 * (0.5 * (1.0 + np.tanh(0.3))) * np.exp(-(pts**2).sum(axis=1) / 1.5**2)
+    first = forcing.g(0.3, pts)
+    again = forcing.g(0.3, pts)  # served from the kept profile
+    assert np.array_equal(first, fresh) and np.array_equal(again, fresh)
+    # a writable copy with the same values gives the same bits
+    assert np.array_equal(forcing.g(0.3, np.array(pts)), fresh)
+
+
+def test_canonical_forcing_rereads_writable_points():
+    forcing = canonical_forcing(amplitude=1.0, delta=0.5, width=1.0)
+    pts = np.array([[0.0], [1.0], [2.0]])
+    before = forcing.g(50.0, pts)
+    pts[1, 0] = 0.0  # changed in place between calls
+    after = forcing.g(50.0, pts)
+    assert after[1] == after[0] != before[1]
+    # a read-only view of a writable array is read afresh as well
+    view = pts[:]
+    view.setflags(write=False)
+    forcing.g(50.0, view)
+    pts[2, 0] = 0.0
+    assert forcing.g(50.0, view)[2] == after[0]
+
+
+@pytest.mark.filterwarnings("ignore::pullbacklab.errors.BoundaryLeakWarning")
+def test_zero_and_constant_forcings_broadcast_over_a_stack():
+    grid = Grid(1, 2.0, 9)
+    times = np.array([[-1.0], [0.0], [2.5]])
+    zeros = zero_forcing().g(times, grid.points)
+    assert zeros.shape == (3, 9) and not zeros.any()
+    assert zero_forcing().g(0.0, grid.points).shape == (9,)
+    # forcings that ignore t's shape, like the constant ones in the tests,
+    # march a staggered stack column by column
+    spec = ProblemSpec(
+        lam=2.0,
+        epsilon=0.0,
+        dimension=1,
+        domain_radius=2.0,
+        nonlinearity=canonical_cubic(1.0),
+        forcing=Forcing(g=lambda t, pts: np.full(len(pts), 3.0), delta=0.0),
+    )
+    cfg = SolverConfig(dt=0.01)
+    path = flat_path(-1.0, 1.0, 0.01)
+    v0s = [gaussian_bump(grid, 0.2, 0.5), gaussian_bump(grid, 0.4, 1.0)]
+    ends = final_states(v0s, [-0.5, -0.2], 0.0, [path] * 2, [0.0] * 2, spec, cfg)
+    for v0, t0, end in zip(v0s, [-0.5, -0.2], ends):
+        assert np.array_equal(end.values, final_state(v0, t0, 0.0, path, spec, cfg).values)
 
 
 def test_problem_spec_validation():
