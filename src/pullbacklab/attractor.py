@@ -573,9 +573,7 @@ def truncation_diagnostics(
         v_burn = final_state(v0, tau - horizon, burn_end, w, spec_eps, cfg)
     else:
         v_burn = v0
-    window_cfg = SolverConfig(
-        dt=cfg.dt, linear_solver_tol=cfg.linear_solver_tol, store_stride=1
-    )
+    window_cfg = replace(cfg, store_stride=1)
     traj = integrate(v_burn, burn_end, tau, w, spec_eps, window_cfg)
     p = spec.nonlinearity.p
     times = np.asarray(traj.times)

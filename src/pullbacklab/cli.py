@@ -49,7 +49,6 @@ from .errors import (
     ConfigurationError,
     DivergenceError,
     GridMismatchError,
-    LinearSolveError,
     OutOfWindowError,
 )
 from .field import (
@@ -124,7 +123,6 @@ class _Plan:
             "grid": {"points_per_axis": self.grid.points_per_axis},
             "solver": {
                 "dt": self.cfg.dt,
-                "linear_solver_tol": self.cfg.linear_solver_tol,
                 "store_stride": self.cfg.store_stride,
             },
             "output": {"directory": self.out_dir, "formats": list(self.formats)},
@@ -279,15 +277,17 @@ def _resolve(raw, out_dir_override: str | None) -> _Plan:
     grid = grid_for(spec, m)
 
     solver_section = _require(raw, "solver", "config")
-    _reject_unknown(solver_section, {"dt", "linear_solver_tol", "store_stride"}, "solver")
+    if "linear_solver_tol" in solver_section:
+        raise ConfigurationError(
+            "solver.linear_solver_tol was removed: both implicit solves are now "
+            "direct, so there is no tolerance to set; delete the key"
+        )
+    _reject_unknown(solver_section, {"dt", "store_stride"}, "solver")
     stride = solver_section.get("store_stride", 1)
     if not isinstance(stride, int):
         raise ConfigurationError("solver.store_stride must be an integer")
     cfg = SolverConfig(
         dt=_number(_require(solver_section, "dt", "solver"), "solver.dt"),
-        linear_solver_tol=_number(
-            solver_section.get("linear_solver_tol", 1e-10), "solver.linear_solver_tol"
-        ),
         store_stride=stride,
     )
 
@@ -905,7 +905,7 @@ def run(config_path: str, output_dir: str | None = None, quiet: bool = False) ->
     except (ConfigurationError, OutOfWindowError, GridMismatchError) as exc:
         print(f"config: {exc}", file=sys.stderr)
         return 2
-    except (DivergenceError, LinearSolveError) as exc:
+    except DivergenceError as exc:
         results = {"error": str(exc)}
         checks = {"completed": False}
         tables = {}

@@ -24,10 +24,6 @@ class DivergenceError(RuntimeError):
         super().__init__(message or f"state became non-finite at t={t!r}")
 
 
-class LinearSolveError(RuntimeError):
-    """An implicit linear solve did not reach the requested residual."""
-
-
 class BoundaryLeakWarning(UserWarning):
     """Solution mass near the artificial boundary exceeds the trust threshold.
 

@@ -19,19 +19,20 @@ own clock, ``t_start_i + j*dt`` with j counting its own steps, so runs with
 different horizons toward one end time share every step they have in common.
 Per step the kernel evaluates the reaction once on the flattened stack and
 the forcing once, at the admitted columns' times as a ``(k, 1)`` array, then
-solves for every column at once: in one dimension with a tridiagonal LU
-factored once per march (LAPACK ``dgttrf``) and applied to all k right-hand
-sides (``dgttrs``); in two dimensions by conjugate gradients to the
-configured residual, once per column, warm started from the current state.
-Columns never mix, so a column of a stack equals the same run marched alone,
-bit for bit.  :func:`integrate`, :func:`final_state`, :func:`final_states`,
+solves for every column at once, directly and exactly up to rounding: in
+one dimension with a tridiagonal LU factored once per march (LAPACK
+``dgttrf``) and applied to all k right-hand sides (``dgttrs``); in two
+dimensions by fast diagonalisation, the orthonormal DST-I matrix applied on
+both sides of the whole stack as dense matrix products.  Columns never mix,
+so a column of a stack equals the same run marched alone, bit for bit.
+:func:`integrate`, :func:`final_state`, :func:`final_states`,
 :func:`iterate_states`, :func:`difference_history` and :func:`energy_audit`
 are reductions over it.
 
 :func:`integrate_deterministic` marches the original, unconjugated equation
-with its own step and a banded solve; it is the independent zero-noise
-oracle the kernel is held to.  Everything is deterministic: same inputs,
-same bits.
+with its own step and a one-column solve (banded in 1D, the same fast
+diagonalisation in 2D); it is the independent zero-noise oracle the kernel
+is held to.  Everything is deterministic: same inputs, same bits.
 """
 
 from __future__ import annotations
@@ -45,15 +46,8 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
 import scipy.linalg.lapack
-import scipy.sparse
-import scipy.sparse.linalg
 
-from .errors import (
-    BoundaryLeakWarning,
-    ConfigurationError,
-    DivergenceError,
-    LinearSolveError,
-)
+from .errors import BoundaryLeakWarning, ConfigurationError, DivergenceError
 from .field import Field, Grid, Trajectory, field_from_function, l2_norm
 from .model import ProblemSpec, forcing_norm_sq
 from .noise import _SNAP, Path, refine, z_factor, z_series
@@ -65,16 +59,11 @@ _ddot = scipy.linalg.blas.ddot
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float
-    linear_solver_tol: float = 1e-10
     store_stride: int = 1
 
     def __post_init__(self):
         if not (self.dt > 0.0 and np.isfinite(self.dt)):
             raise ConfigurationError(f"dt must be positive, got {self.dt!r}")
-        if not (self.linear_solver_tol > 0.0):
-            raise ConfigurationError(
-                f"linear_solver_tol must be positive, got {self.linear_solver_tol!r}"
-            )
         if not (isinstance(self.store_stride, int) and self.store_stride >= 1):
             raise ConfigurationError(
                 f"store_stride must be a positive integer, got {self.store_stride!r}"
@@ -94,7 +83,15 @@ def steps_between(t_start: float, t_end: float, dt: float) -> int:
 
 
 class _Context:
-    """Per-march precomputation: grid geometry, implicit solves, data evaluators."""
+    """Per-march precomputation: grid geometry, implicit solves, data evaluators.
+
+    Both interior solves are direct.  In 1D the tridiagonal is factored once
+    (LAPACK ``dgttrf``).  In 2D the operator is the Kronecker sum of two
+    identical tridiagonals, diagonalised by the orthonormal DST-I matrix Q
+    (symmetric, its own inverse): a solve is ``Q ((Q R Q) * inv) Q`` with
+    ``inv`` the reciprocal eigenvalues, four dense matrix products per right-
+    hand side (fast diagonalisation; Lynch, Rice & Thomas 1964).
+    """
 
     def __init__(self, grid: Grid, spec: ProblemSpec, cfg: SolverConfig):
         if grid.dimension != spec.dimension:
@@ -108,59 +105,47 @@ class _Context:
         m = grid.points_per_axis
         h2 = grid.spacing**2
         dt = cfg.dt
-        n_int = m - 2
-        diag = 1.0 + dt * spec.lam + 2.0 * grid.dimension * dt / h2
-        off = -dt / h2
         if grid.dimension == 1:
-            ab = np.zeros((3, n_int))
+            diag = 1.0 + dt * spec.lam + 2.0 * dt / h2
+            off = -dt / h2
+            ab = np.zeros((3, m - 2))
             ab[0, 1:] = off
             ab[1, :] = diag
             ab[2, :-1] = off
             self._ab = ab
             bands = ab[2, :-1], ab[1], ab[0, 1:]
             *self._lu, info = scipy.linalg.lapack.dgttrf(*bands)
+            # lam > 0 makes the matrix strictly diagonally dominant, so this
+            # cannot fail short of a LAPACK fault
             if info != 0:
-                raise LinearSolveError(f"tridiagonal factorisation failed, info={info}")
+                raise RuntimeError(f"tridiagonal factorisation failed, info={info}")
         else:
-            lap1 = scipy.sparse.diags_array(
-                [np.full(n_int - 1, off), np.full(n_int, 0.0), np.full(n_int - 1, off)],
-                offsets=[-1, 0, 1],
-                format="csr",
-            )
-            eye = scipy.sparse.eye_array(n_int, format="csr")
-            cross = scipy.sparse.kron(eye, lap1) + scipy.sparse.kron(lap1, eye)
-            self._A = (diag * scipy.sparse.eye_array(n_int**2, format="csr") + cross).tocsr()
+            idx = np.arange(1, m - 1)
+            self._q = math.sqrt(2.0 / (m - 1)) * np.sin(np.pi * np.outer(idx, idx) / (m - 1))
+            mu = (dt / h2) * (2.0 - 2.0 * np.cos(np.pi * idx / (m - 1)))
+            self._inv = 1.0 / ((1.0 + dt * spec.lam) + mu[:, None] + mu[None, :])
 
-    def solve_implicit(self, rhs_interior: np.ndarray, x0: np.ndarray) -> np.ndarray:
-        """One interior solve: banded in 1D, conjugate gradients in 2D."""
+    def solve_implicit(self, rhs_interior: np.ndarray) -> np.ndarray:
+        """One interior solve: banded in 1D, fast diagonalisation in 2D."""
         if self.grid.dimension == 1:
             return scipy.linalg.solve_banded((1, 1), self._ab, rhs_interior)
-        sol, info = scipy.sparse.linalg.cg(
-            self._A,
-            rhs_interior.ravel(),
-            x0=x0.ravel(),
-            rtol=0.0,
-            atol=self.cfg.linear_solver_tol,
-            maxiter=5000,
-        )
-        if info != 0:
-            raise LinearSolveError(
-                f"conjugate gradients stopped with info={info} before reaching "
-                f"residual {self.cfg.linear_solver_tol}"
-            )
-        return sol.reshape(rhs_interior.shape)
+        return self._diagonalised(rhs_interior)
 
-    def solve_stack(
-        self, rhs_interior: np.ndarray, x0: np.ndarray, out: np.ndarray
-    ) -> None:
-        """Interior solves for a (k, ...) stack of right-hand sides, into ``out``."""
+    def solve_stack(self, rhs_interior: np.ndarray, out: np.ndarray) -> None:
+        """Interior solves for a (k, ...) stack of right-hand sides, into
+        ``out``; each column gets the bits :meth:`solve_implicit` gives it."""
         if self.grid.dimension == 1:
             # dgttrs takes the k right-hand sides as the columns of (m-2, k)
             sol, _ = scipy.linalg.lapack.dgttrs(*self._lu, rhs_interior.T)
             out[...] = sol.T
         else:
-            for r, x, o in zip(rhs_interior, x0, out):
-                o[...] = self.solve_implicit(r, x)
+            out[...] = self._diagonalised(rhs_interior)
+
+    def _diagonalised(self, rhs: np.ndarray) -> np.ndarray:
+        """The 2D solve of one interior field or of a stack of them; matmul
+        takes a stack one field at a time, so the bits do not depend on k."""
+        q = self._q
+        return q @ ((q @ rhs @ q) * self._inv) @ q
 
     def forcing_values(self, t: float | np.ndarray) -> np.ndarray:
         """g at time t shaped like a field; a ``(k, 1)`` array of times gives
@@ -223,7 +208,7 @@ def _march(
         if bad is not None:
             raise DivergenceError(float(t[bad, 0]) + dt)
         out = np.zeros_like(v)
-        ctx.solve_stack(rhs[inner], v[inner], out[inner])
+        ctx.solve_stack(rhs[inner], out[inner])
         bad = _nonfinite_column(out)
         if bad is not None:
             raise DivergenceError(float(starts[bad]) + int(j - admit[bad] + 1) * dt)
@@ -240,7 +225,7 @@ def _advance_plain(v: np.ndarray, t: float, ctx: _Context) -> np.ndarray:
     rhs = v + dt * (fv + ctx.forcing_values(t))
     _check_finite(rhs[np.newaxis], t + dt)
     out = np.zeros_like(v)
-    sol = ctx.solve_implicit(_interior(rhs), _interior(v))
+    sol = ctx.solve_implicit(_interior(rhs))
     if v.ndim == 1:
         out[1:-1] = sol
     else:
@@ -388,7 +373,8 @@ def integrate_deterministic(
 
     This is the zero-intensity reference: with eps = 0 the conjugated
     stepper must reproduce it bit for bit.  It keeps its own step and the
-    banded solve so that the comparison is with independent code.
+    one-column solve (banded in 1D) so that the comparison is with
+    independent code.
     """
     n = steps_between(t_start, t_end, cfg.dt)
     ctx = _Context(u0.grid, spec, cfg)
@@ -547,7 +533,6 @@ def self_convergence(
     path: Path,
     spec: ProblemSpec,
     dt_ladder: list[float],
-    linear_solver_tol: float = 1e-10,
 ) -> ConvergenceReport:
     """Temporal self-convergence along a halving dt ladder on one path.
 
@@ -565,7 +550,7 @@ def self_convergence(
         path = refine(path)
     finals = []
     for dt in dt_ladder:
-        cfg = SolverConfig(dt=dt, linear_solver_tol=linear_solver_tol, store_stride=10**9)
+        cfg = SolverConfig(dt=dt, store_stride=10**9)
         finals.append(final_state(v0, 0.0, horizon, path, spec, cfg))
     diffs = [
         l2_norm(Field(v0.grid, a.values - b.values))

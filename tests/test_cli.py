@@ -6,9 +6,12 @@ config under configs/ gets one full run to keep it honest.
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import pullbacklab
 from pullbacklab import cli
 
 pytestmark = pytest.mark.filterwarnings("ignore::pullbacklab.errors.BoundaryLeakWarning")
@@ -270,3 +273,31 @@ def test_main_quiet_run_prints_nothing(tmp_path, capsys):
     assert code == 0
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == ""
+
+
+def test_removed_linear_solver_tol_key_exits_two(tmp_path, capsys):
+    cfg = base_config()
+    cfg["solver"]["linear_solver_tol"] = 1e-10
+    code, out = run_into(tmp_path, cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "solver.linear_solver_tol was removed" in err
+    assert "direct" in err
+    assert not out.exists()
+
+
+def test_cli_import_loads_neither_scipy_sparse_nor_scipy_fft():
+    # the program needs neither; scipy.fft adds about 0.1 s to every start and
+    # scipy.sparse about 4 MB of resident memory
+    src = os.path.dirname(os.path.dirname(pullbacklab.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    probe = (
+        "import sys, pullbacklab.cli; "
+        "print([m for m in ('scipy.sparse', 'scipy.fft') if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

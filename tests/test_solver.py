@@ -8,8 +8,12 @@ exact factor 1/(1 + dt*(lam + mu)) per step, where mu is the hand-computed
 eigenvalue.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pullbacklab.errors import (
     BoundaryLeakWarning,
@@ -21,6 +25,7 @@ from pullbacklab.model import Nonlinearity, ProblemSpec, canonical_cubic, zero_f
 from pullbacklab.noise import flat_path, sample_path
 from pullbacklab.solver import (
     SolverConfig,
+    _Context,
     difference_history,
     energy_audit,
     final_state,
@@ -96,6 +101,27 @@ def test_eigenmode_recurrence_oracle_2d():
     got = integrate_deterministic(v0, 0.0, steps * dt, spec, cfg).final
     # iterative linear solves, so the tolerance is the solver's, not epsilon
     assert np.max(np.abs(got.values - expected)) < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(min_value=2, max_value=20).map(lambda h: 2 * h + 1),
+    dt=st.floats(1e-4, 0.1),
+    lam=st.floats(0.05, 20.0),
+    seed=st.integers(0, 2**16),
+)
+def test_direct_2d_solve_residual_property(m, dt, lam, seed):
+    # the solve is direct, so it meets the 5-point operator, applied here by
+    # slicing, to rounding whatever the data
+    grid = Grid(2, 6.0, m)
+    ctx = _Context(grid, replace(linear_spec(2, 6.0), lam=lam), SolverConfig(dt=dt))
+    rhs = np.random.default_rng(seed).standard_normal((m - 2, m - 2))
+    x = np.zeros(grid.shape)
+    x[1:-1, 1:-1] = ctx.solve_implicit(rhs)
+    c = x[1:-1, 1:-1]
+    lap = (x[2:, 1:-1] + x[:-2, 1:-1] + x[1:-1, 2:] + x[1:-1, :-2] - 4.0 * c) / grid.spacing**2
+    residual = c + dt * (lam * c - lap) - rhs
+    assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(rhs))
 
 
 def test_zero_step_integration_returns_input_bitwise(desk_spec, desk_path, desk_cfg):
@@ -278,5 +304,3 @@ def test_solver_config_validation():
         SolverConfig(dt=0.0)
     with pytest.raises(ConfigurationError):
         SolverConfig(dt=1e-3, store_stride=0)
-    with pytest.raises(ConfigurationError):
-        SolverConfig(dt=1e-3, linear_solver_tol=-1.0)

@@ -25,6 +25,7 @@ from pullbacklab.noise import flat_path, sample_path
 from pullbacklab.solver import (
     SolverConfig,
     _check_finite,
+    _Context,
     _march,
     _setup,
     _z_table,
@@ -115,6 +116,21 @@ def test_zero_noise_column_matches_the_deterministic_oracle(dimension):
     assert len(oracle.states) == len(stacks)
     for got, want in zip(stacks, oracle.states):
         assert np.array_equal(got[i], want.values)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_stack_solve_equals_each_column_solved_alone_bitwise(dimension, k):
+    grid = Grid(dimension, 8.0, 65)
+    ctx = _Context(grid, spec_for(dimension), SolverConfig(dt=2e-3))
+    full = np.random.default_rng(k).standard_normal((k,) + grid.shape)
+    # the strided interior view that _march passes, not a contiguous copy
+    inner = (slice(None),) + (slice(1, -1),) * dimension
+    out = np.zeros_like(full)
+    ctx.solve_stack(full[inner], out[inner])
+    for col, got in zip(full[inner], out[inner]):
+        assert np.array_equal(got, ctx.solve_implicit(col))
+        assert np.array_equal(got, ctx.solve_implicit(col.copy()))
 
 
 def test_one_diverging_column_raises_at_its_own_time():
