@@ -8,7 +8,10 @@ checkout's ``src``); an existing tree is taken as it is.  Per config the
 script reports whether the CSV files are byte-identical and whether the
 summaries are equal once ``metadata`` (the timestamp) and
 ``config.output.directory`` are dropped, since those two differ between
-identical runs.
+identical runs.  For a config that differs it also reports the largest
+relative difference, |a - b| / max(|a|, |b|), over the numbers that both
+trees hold at the same place (CSV cells, summary numbers) and where it
+occurs, so a change that moves bits can say by how much.
 
 Usage:
     python3 scripts/compare_outputs.py DIR_A DIR_B
@@ -22,8 +25,10 @@ tree with.
 from __future__ import annotations
 
 import argparse
+import csv
 import glob
 import json
+import math
 import os
 import subprocess
 import sys
@@ -67,10 +72,85 @@ def comparable(summary: dict) -> dict:
     return summary
 
 
+def _listing(directory: str) -> list[str]:
+    """The sorted file names in ``directory``; none when it does not exist."""
+    return sorted(os.listdir(directory)) if os.path.isdir(directory) else []
+
+
+def relative_difference(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|): 0 for equal numbers (two NaNs included), inf
+    when only one of them is finite or NaN."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def json_pairs(a, b, where: str = ""):
+    """(place, a, b) for every number that two JSON values hold at the same
+    place; parts whose structure differs are skipped."""
+    if _is_number(a) and _is_number(b):
+        yield where, float(a), float(b)
+    elif isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() & b.keys()):
+            yield from json_pairs(a[key], b[key], f"{where}.{key}" if where else key)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (item_a, item_b) in enumerate(zip(a, b)):
+            yield from json_pairs(item_a, item_b, f"{where}[{i}]")
+
+
+def _float(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def csv_pairs(path_a: str, path_b: str):
+    """(place, a, b) for every cell that parses as a number in both files at
+    the same line and column; the place names the line and the header."""
+    with open(path_a, newline="") as fa, open(path_b, newline="") as fb:
+        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
+    header = rows_a[0] if rows_a else []
+    for line, (row_a, row_b) in enumerate(zip(rows_a, rows_b), start=1):
+        for col, (cell_a, cell_b) in enumerate(zip(row_a, row_b)):
+            a, b = _float(cell_a), _float(cell_b)
+            if a is not None and b is not None:
+                name = header[col] if col < len(header) else str(col + 1)
+                yield f"line {line}, column {name}", a, b
+
+
+def largest_difference(dir_a: str, dir_b: str) -> tuple[float, str] | None:
+    """The largest relative difference over the numbers of the files both
+    directories hold, and where it is with the two numbers; None when no
+    number differs."""
+    names = set(_listing(dir_a)) & set(_listing(dir_b))
+    worst = None
+    for name in sorted(names):
+        path_a, path_b = os.path.join(dir_a, name), os.path.join(dir_b, name)
+        if name.endswith(".csv"):
+            pairs = csv_pairs(path_a, path_b)
+        elif name.endswith("_summary.json"):
+            with open(path_a) as fa, open(path_b) as fb:
+                pairs = json_pairs(comparable(json.load(fa)), comparable(json.load(fb)))
+        else:
+            continue
+        for where, a, b in pairs:
+            rel = relative_difference(a, b)
+            if rel > 0.0 and (worst is None or rel > worst[0]):
+                worst = (rel, f"{name}: {where} ({a!r} vs {b!r})")
+    return worst
+
+
 def compare(dir_a: str, dir_b: str) -> list[str]:
     """Differences between the outputs of one config in two trees."""
-    names_a = sorted(os.listdir(dir_a)) if os.path.isdir(dir_a) else []
-    names_b = sorted(os.listdir(dir_b)) if os.path.isdir(dir_b) else []
+    names_a = _listing(dir_a)
+    names_b = _listing(dir_b)
     problems = []
     if names_a != names_b:
         problems.append(f"file lists differ: {names_a} vs {names_b}")
@@ -119,6 +199,12 @@ def main(argv: list[str] | None = None) -> int:
         if problems:
             differing += 1
             print(f"{stem}: DIFFERENT: " + "; ".join(problems))
+            worst = largest_difference(os.path.join(args.dir_a, stem),
+                                       os.path.join(args.dir_b, stem))
+            if worst is None:
+                print(f"{stem}: no number differs")
+            else:
+                print(f"{stem}: largest relative difference {worst[0]:.2g} in {worst[1]}")
         else:
             print(f"{stem}: CSVs byte-identical, summaries equal outside metadata")
     print(f"{len(configs) - differing} of {len(configs)} configs match")

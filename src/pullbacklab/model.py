@@ -128,7 +128,9 @@ def canonical_cubic(alpha3: float, scale: float = 1.0) -> Nonlinearity:
     a3 = float(alpha3)
     sc = float(scale)
     return Nonlinearity(
-        f=lambda pts, s: a3 * s - sc * s**3,
+        # s*s*s, not s**3: numpy hands a cube to libm's pow, about 85 times
+        # slower on negative values
+        f=lambda pts, s: a3 * s - sc * (s * s * s),
         df_ds=lambda pts, s: a3 - 3.0 * sc * s**2,
         df_dx=lambda pts, s: np.zeros_like(pts),
         alpha1=sc / 2.0,

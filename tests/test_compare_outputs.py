@@ -1,0 +1,60 @@
+"""scripts/compare_outputs.py on two planted result trees."""
+
+import importlib.util
+import json
+import os
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_script():
+    path = os.path.join(REPO_ROOT, "scripts", "compare_outputs.py")
+    spec = importlib.util.spec_from_file_location("compare_outputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def plant(tree, stem, csv_text, results, timestamp):
+    out = tree / stem
+    out.mkdir(parents=True)
+    (out / f"{stem}_state.csv").write_text(csv_text)
+    summary = {"metadata": {"timestamp": timestamp}, "passed": True, "results": results}
+    (out / f"{stem}_summary.json").write_text(json.dumps(summary))
+
+
+def test_report_names_the_largest_relative_difference(tmp_path, capsys):
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    for stem in ("gone", "moved", "same"):
+        (configs / f"{stem}.json").write_text("{}")
+    csv_a = "x,value\n-1.0,0.5\n1.0,2.0\n"
+    csv_b = "x,value\n-1.0,0.5\n1.0,2.000000000002\n"  # 1e-12 relative
+    results_a = {"norms": {"l2": 1.0, "h1": [3.0, 4.0]}, "label": "a"}
+    results_b = {"norms": {"l2": 1.0, "h1": [3.0, 4.000000001]}, "label": "a"}
+    plant(tmp_path / "a", "moved", csv_a, results_a, "t0")
+    plant(tmp_path / "b", "moved", csv_b, results_b, "t1")
+    plant(tmp_path / "a", "gone", csv_a, results_a, "t0")  # missing from tree b
+    plant(tmp_path / "a", "same", csv_a, results_a, "t0")
+    plant(tmp_path / "b", "same", csv_a, results_a, "t1")
+
+    script = load_script()
+    code = script.main([str(tmp_path / "a"), str(tmp_path / "b"), "--configs", str(configs)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines == [
+        "gone: DIFFERENT: file lists differ: ['gone_state.csv', 'gone_summary.json'] vs []",
+        "gone: no number differs",
+        "moved: DIFFERENT: moved_state.csv differs; moved_summary.json differs outside metadata",
+        "moved: largest relative difference 2.5e-10 in moved_summary.json: results.norms.h1[1] (4.0 vs 4.000000001)",
+        "same: CSVs byte-identical, summaries equal outside metadata",
+        "1 of 3 configs match",
+    ]
+    assert script.largest_difference(str(tmp_path / "a" / "same"), str(tmp_path / "b" / "same")) is None
+    csv_only = list(script.csv_pairs(str(tmp_path / "a" / "moved" / "moved_state.csv"),
+                                     str(tmp_path / "b" / "moved" / "moved_state.csv")))
+    where, a, b = csv_only[-1]
+    assert where == "line 3, column value"
+    assert script.relative_difference(a, b) == abs(a - b) / b
+    assert script.relative_difference(float("nan"), float("nan")) == 0.0
+    assert script.relative_difference(1.0, float("inf")) == float("inf")
