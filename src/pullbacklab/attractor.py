@@ -42,7 +42,7 @@ from .field import (
     superlevel_measure_integrand,
     tail_norm,
 )
-from .model import ProblemSpec, forcing_norm_sq
+from .model import ProblemSpec, forcing_norms_sq
 from .noise import (
     _SNAP,
     Path,
@@ -646,9 +646,7 @@ def _memory_integral(
     s_nodes = -horizon + dt * np.arange(n + 1)
     s_nodes[-1] = 0.0
     zs = z_series(path, epsilon, -horizon, n + 1, dt)
-    g_sq = np.array(
-        [forcing_norm_sq(spec.forcing, grid, float(s + tau)) for s in s_nodes]
-    )
+    g_sq = forcing_norms_sq(spec.forcing, grid, s_nodes + tau)
     integrand = np.exp(spec.lam * s_nodes) * zs**2 * (g_sq + 1.0)
     value = float(np.trapezoid(integrand, s_nodes))
     w_tau = path.value_at(-tau)

@@ -93,12 +93,15 @@ class WienerPath:
         return float((1.0 - w) * self.values[j0] + w * self.values[j0 + 1])
 
     def sample_series(self, t_start: float, n: int, step: float) -> np.ndarray:
-        """Values at ``t_start + k*step`` for k in range(n).
+        """Values at ``t_start + k*step`` for k in range(n), bitwise
+        identical to n calls of :meth:`value_at`.
 
-        Fast path: when the requested times sit on the sample grid the series
-        is a strided view of the stored samples, bitwise identical to n calls
-        of :meth:`value_at`.
+        Fast path: when the requested times sit on the sample grid the
+        series is a strided view of the stored samples.
         """
+        if n <= 0:
+            # no times to read; the aligned slice's stop would wrap below 0
+            return np.empty(0)
         pos0 = self._position(t_start)
         j0 = int(round(pos0))
         stride = step / self.dt

@@ -17,14 +17,18 @@ column with its own z series, its own start time and its own initial state.
 A column joins the stack at its own start step and from then on keeps its
 own clock, ``t_start_i + j*dt`` with j counting its own steps, so runs with
 different horizons toward one end time share every step they have in common.
-Per step the kernel evaluates the reaction once on the flattened stack and
-the forcing once, at the admitted columns' times as a ``(k, 1)`` array, then
-solves for every column at once, directly and exactly up to rounding: in
-one dimension with the inverse of the tridiagonal, formed once per march and
-applied to the stack as one matrix-vector product per column; in two
-dimensions by fast diagonalisation, the orthonormal DST-I matrix applied on
-both sides of the whole stack as dense matrix products.  Columns never mix,
-so a column of a stack equals the same run marched alone, bit for bit.
+Per step the kernel evaluates the reaction once on the flattened stack, adds
+the step's row of z*g, then solves for every column at once, directly and
+exactly up to rounding: in one dimension with the inverse of the
+tridiagonal, formed once per march and applied to the stack as one
+matrix-vector product per column; in two dimensions by fast
+diagonalisation, the orthonormal DST-I matrix applied on both sides of the
+whole stack as dense matrix products.  The forcing is not called per step:
+z*g is formed for a block of coming steps from one call of g on the block's
+clocks.  A step allocates no array of its own; the march writes into two
+ping-pong state buffers and one buffer each for the right-hand side and
+v/z, so a stack it yields is valid only until the next step.  Columns never
+mix, so a column of a stack equals the same run marched alone, bit for bit.
 :func:`integrate`, :func:`final_state`, :func:`final_states`,
 :func:`iterate_states`, :func:`difference_history` and :func:`energy_audit`
 are reductions over it.
@@ -47,7 +51,7 @@ import numpy as np
 
 from .errors import BoundaryLeakWarning, ConfigurationError, DivergenceError
 from .field import Field, Grid, Trajectory, field_from_function, l2_norm
-from .model import ProblemSpec, forcing_norm_sq
+from .model import _FORCING_BLOCK, ProblemSpec, forcing_norms_sq
 from .noise import _SNAP, Path, refine, z_factor, z_series
 
 _BOUNDARY_TRUST = 1e-8
@@ -141,10 +145,15 @@ class _Context:
         return q @ ((q @ rhs @ q) * self._inv) @ q
 
     def forcing_values(self, t: float | np.ndarray) -> np.ndarray:
-        """g at time t shaped like a field; a ``(k, 1)`` array of times gives
-        a ``(k, *grid.shape)`` stack, or one field if g ignores t's shape."""
+        """g at time t shaped like a field.  An array of times gives one
+        field per time, stacked in t's shape, from one call of g on the
+        times as a ``(t.size, 1)`` array; a g that ignores t's shape gives
+        one field."""
+        shape = np.shape(t)
+        if shape:
+            t = np.reshape(t, (-1, 1))
         g = np.asarray(self.spec.forcing.g(t, self.pts), dtype=float)
-        return g.reshape(g.shape[:-1] + self.grid.shape)
+        return g.reshape((shape if g.ndim > 1 else ()) + self.grid.shape)
 
 
 def _tridiagonal_inverse(diag: float, off: float, n: int) -> np.ndarray:
@@ -189,51 +198,84 @@ def _march(
     Column i joins the stack at step ``admit[i]`` (nondecreasing from 0)
     and then steps on its own clock ``t_start[i] + j*dt``, j counting its
     own steps; a scalar ``t_start`` or ``admit`` is shared by every column.
-    ``zs[j, i]`` is z of column i at the left end of step j.  Yields the
-    stack of the columns admitted so far after every step.  Every operation
-    acts on each column alone, so a column's bits do not depend on what else
-    is in the stack or on when it joined.
+    ``zs[j, i]`` is z of column i at the left end of step j.  Only the
+    interior of ``v0`` is read: every state the march makes has a zero
+    boundary.  Yields the stack of the columns admitted so far after every
+    step.  Every operation acts on each column alone, so a column's bits do
+    not depend on what else is in the stack or on when it joined.
+
+    A step allocates no array of its own (the reaction and the 2D solve's
+    matrix products make their temporaries).  The march keeps two
+    ping-pong state buffers of the stack's shape, whose boundaries stay
+    zero, one right-hand-side buffer and one for v/z, and takes new views
+    of the admitted prefix only when a column joins.  The forcing is not
+    called per step: z*g is formed for a block of coming steps, with one
+    call of g on the block's clocks as a ``(steps * columns, 1)`` array of
+    at most about ``_FORCING_BLOCK`` values, and each step adds its own
+    row.  A block ends where the next column joins.  A yielded stack is a
+    view of a buffer that later steps overwrite: it is valid only until the
+    next step, so a caller that keeps a state copies it (a :class:`Field`
+    does).
     """
     dt = ctx.cfg.dt
     f = ctx.spec.nonlinearity.f
+    n = len(zs)
     k = v0.shape[0]
     starts = np.broadcast_to(np.asarray(t_start, dtype=float), (k,))
     admit = np.broadcast_to(np.asarray(admit, dtype=int), (k,))
     # every column's own clock, t_start[i] + (j - admit[i])*dt at step j: the
     # same bits as the sum a run marched alone forms; built in place, so the
     # march holds one table of times next to the table of z
-    clocks = np.arange(len(zs), dtype=float)[:, None] - admit
+    clocks = np.arange(n, dtype=float)[:, None] - admit
     clocks *= dt
     clocks += starts
     npts = len(ctx.pts)
     pts = np.tile(ctx.pts, (k, 1))
-    zshape = (1,) * ctx.grid.dimension
+    zcol = zs.reshape(zs.shape + (1,) * ctx.grid.dimension)
     inner = (slice(None),) + (slice(1, -1),) * ctx.grid.dimension
+    # step j reads the state from buffer j % 2 and writes the next one into
+    # the other; only interiors are ever written, so boundaries stay zero
+    bufs = (np.zeros(v0.shape), np.zeros(v0.shape))
+    rhs_buf = np.empty(v0.shape)
+    vz_buf = np.empty(v0.shape)
+    zg_buf = np.empty(min(max(_FORCING_BLOCK, k * npts), n * k * npts))
     a = 0
-    v = v0[:0]
-    for j, (zrow, trow) in enumerate(zip(zs, clocks)):
+    block_end = 0
+    for j in range(n):
         if a < k and admit[a] == j:
             b = int(np.searchsorted(admit, j, side="right"))
-            v = np.concatenate([v, v0[a:b]])
+            bufs[j % 2][a:b][inner] = v0[a:b][inner]
             a = b
-        z = zrow[:a].reshape((a,) + zshape)
-        t = trow[:a, None]
-        reaction = np.asarray(f(pts[: a * npts], (v / z).ravel()), dtype=float)
+            views = [(buf[:a], buf[:a][inner]) for buf in bufs]
+            rhs, vz = rhs_buf[:a], vz_buf[:a]
+            rhs_in, vz_flat, pts_a = rhs[inner], vz.ravel(), pts[: a * npts]
+            block_end = j
+        if j == block_end:
+            # z*g for the steps up to the next admission, at most a block
+            block_start = j
+            steps = max(1, _FORCING_BLOCK // (a * npts))
+            block_end = min(n, j + steps, int(admit[a]) if a < k else n)
+            zg = zg_buf[: (block_end - j) * a * npts].reshape((-1,) + rhs.shape)
+            g = ctx.forcing_values(clocks[j:block_end, :a])
+            np.multiply(zcol[j:block_end, :a], g, out=zg)
+        v = views[j % 2][0]
+        v_next, v_next_in = views[1 - j % 2]
+        z = zcol[j, :a]
         # v + dt*(z*reaction + z*g), formed in place in that order so the
         # bits are those of the expression
-        rhs = z * reaction.reshape(v.shape)
-        rhs += z * ctx.forcing_values(t)
+        np.divide(v, z, out=vz)
+        reaction = np.asarray(f(pts_a, vz_flat), dtype=float)
+        np.multiply(z, reaction.reshape(v.shape), out=rhs)
+        rhs += zg[j - block_start]
         rhs *= dt
         rhs += v
         # an overflowing reaction term must surface as a divergence; the
         # solve is a contraction, so its result needs no check of its own
         bad = _nonfinite_column(rhs)
         if bad is not None:
-            raise DivergenceError(float(t[bad, 0]) + dt)
-        out = np.zeros_like(v)
-        ctx.solve_stack(rhs[inner], out[inner])
-        v = out
-        yield v
+            raise DivergenceError(float(clocks[j, bad]) + dt)
+        ctx.solve_stack(rhs_in, v_next_in)
+        yield v_next
 
 
 def _advance_plain(v: np.ndarray, t: float, ctx: _Context) -> np.ndarray:
@@ -673,13 +715,11 @@ def energy_audit(
     out = np.empty(n)
     if n:
         zs = _z_table((path,), (spec.epsilon,), t_start, n, cfg.dt)
+        g_sq = forcing_norms_sq(spec.forcing, v0.grid, t_start + np.arange(n) * cfg.dt)
         for j, v in enumerate(_march(ctx, v0.values[np.newaxis], t_start, zs)):
-            t = t_start + j * cfg.dt
             z = float(zs[j, 0])
             next_sq = vol * float(np.sum(v[0] ** 2))
-            allowance = c * cfg.dt * z**2 * (
-                forcing_norm_sq(spec.forcing, v0.grid, t) + psi1_mass
-            )
+            allowance = c * cfg.dt * z**2 * (float(g_sq[j]) + psi1_mass)
             out[j] = next_sq - norm_sq + cfg.dt * spec.lam * next_sq - allowance
             norm_sq = next_sq
     return EnergyAudit(

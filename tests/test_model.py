@@ -20,6 +20,7 @@ from pullbacklab.model import (
     forcing_from_config,
     forcing_memory_integral,
     forcing_norm_sq,
+    forcing_norms_sq,
     grid_for,
     nonlinearity_from_config,
     spec_from_config,
@@ -169,13 +170,13 @@ def test_canonical_forcing_on_a_stack_of_times_equals_scalar_calls(dimension, m)
 
 
 @pytest.mark.parametrize("dimension, m", [(1, 129), (2, 33)])
-def test_canonical_forcing_profile_is_kept_for_read_only_points(dimension, m):
+def test_canonical_forcing_profile_is_recomputed_for_read_only_points(dimension, m):
     forcing = canonical_forcing(amplitude=0.5, delta=0.5, width=1.5)
     pts = Grid(dimension, 8.0, m).points
     assert not pts.flags.writeable
     fresh = 0.5 * (0.5 * (1.0 + np.tanh(0.3))) * np.exp(-(pts**2).sum(axis=1) / 1.5**2)
     first = forcing.g(0.3, pts)
-    again = forcing.g(0.3, pts)  # served from the kept profile
+    again = forcing.g(0.3, pts)  # the profile is computed afresh each call
     assert np.array_equal(first, fresh) and np.array_equal(again, fresh)
     # a writable copy with the same values gives the same bits
     assert np.array_equal(forcing.g(0.3, np.array(pts)), fresh)
@@ -256,6 +257,21 @@ def test_forcing_memory_integral_closed_form():
     # integrand e^s * 5 (five unit points, h=1) over [-H, 0]
     value = forcing_memory_integral(forcing, g, tau=0.0, horizon=30.0, nodes=30001)
     assert value == pytest.approx(5.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("dimension, m", [(1, 129), (2, 65)])
+def test_blocked_forcing_norms_equal_per_node_quadrature_bitwise(dimension, m):
+    grid = Grid(dimension, 8.0, m)
+    times = np.linspace(-30.0, 1.0, 2001)
+    constant = Forcing(g=lambda t, pts: np.full(len(pts), 3.0), delta=0.0)
+    for forcing in (canonical_forcing(0.5, 0.5, 1.0), zero_forcing(), constant):
+        per_node = [forcing_norm_sq(forcing, grid, float(t)) for t in times]
+        assert np.array_equal(forcing_norms_sq(forcing, grid, times), per_node)
+    forcing = canonical_forcing(0.5, 0.5, 1.0)
+    s = np.linspace(-30.0, 0.0, 2001)
+    per_node = [np.exp(forcing.delta * si) * forcing_norm_sq(forcing, grid, si) for si in s]
+    value = forcing_memory_integral(forcing, grid, tau=0.0, horizon=30.0)
+    assert value == float(np.trapezoid(per_node, s))
 
 
 def test_spec_from_config_roundtrip():

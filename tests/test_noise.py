@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -101,6 +101,52 @@ def test_sample_series_equals_pointwise_values():
     series = path.sample_series(-0.5, 40, DT)
     expected = np.array([path.value_at(-0.5 + i * DT) for i in range(40)])
     assert np.array_equal(series, expected)
+
+
+def _pointwise(path, t_start, n, step):
+    """The series as n calls of value_at; a shifted path's series reads its
+    base from the shifted start, as ShiftedPath.sample_series does."""
+    if isinstance(path, ShiftedPath):
+        return _pointwise(path.base, t_start + path.shift_s, n, step) - path.offset
+    return np.array([path.value_at(t_start + k * step) for k in range(n)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    start=st.integers(min_value=-120, max_value=110),
+    # on the lattice, inside the snap slack, and between samples
+    start_frac=st.sampled_from([0.0, 3e-7, -4e-7, 0.25, 0.5, 0.73]),
+    # half steps alternate snapped and midpoint times; 1 + 3e-6 leaves the
+    # aligned fast path and drifts from snapped to interpolated times
+    step_frac=st.sampled_from([0.5, 0.25, 0.37, 1.0 + 3e-6, 1.5, 2.0]),
+    n=st.integers(min_value=0, max_value=60),
+    shift_steps=st.one_of(st.none(), st.integers(min_value=-50, max_value=50)),
+    shift_frac=st.sampled_from([0.0, 0.5, 0.21]),
+)
+# times within the snap slack outside either end of the window snap into it
+@example(0, -100, -4e-7, 0.5, 5, None, 0.0)
+@example(0, 100, 3e-7, 0.5, 1, None, 0.0)
+@example(0, 99, 0.0, 0.5, 3, None, 0.0)
+# an empty series is empty, also where its start lies outside the window
+@example(0, -100, 0.0, 2.0, 0, None, 0.0)
+@example(0, -101, 0.0, 2.0, 0, None, 0.0)
+def test_sample_series_equals_value_at_on_and_off_the_lattice(
+    seed, start, start_frac, step_frac, n, shift_steps, shift_frac
+):
+    dt = 0.01
+    path = sample_path(seed, -1.0, 1.0, dt)
+    if shift_steps is not None:
+        path = shift(path, (shift_steps + shift_frac) * dt)
+    t_start = (start + start_frac) * dt
+    step = step_frac * dt
+    try:
+        expected = _pointwise(path, t_start, n, step)
+    except OutOfWindowError:
+        with pytest.raises(OutOfWindowError):
+            path.sample_series(t_start, n, step)
+        return
+    assert np.array_equal(path.sample_series(t_start, n, step), expected)
 
 
 def test_sample_series_with_stride_is_a_view_of_the_lattice():

@@ -9,6 +9,7 @@ kernel that stepped a late column on the stack's clock, or admitted it a
 step early or late, would fail here too.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,8 +21,15 @@ from pullbacklab.attractor import compute_equilibrium
 from pullbacklab.cocycle import pullback_state, pullback_states
 from pullbacklab.errors import ConfigurationError, DivergenceError
 from pullbacklab.field import Grid, eigenmode, gaussian_bump, l2_norm, zero_field
-from pullbacklab.model import ProblemSpec, canonical_cubic, canonical_forcing, zero_forcing
-from pullbacklab.noise import flat_path, sample_path
+from pullbacklab.model import (
+    _FORCING_BLOCK,
+    Forcing,
+    ProblemSpec,
+    canonical_cubic,
+    canonical_forcing,
+    zero_forcing,
+)
+from pullbacklab.noise import flat_path, sample_path, z_series
 from pullbacklab.solver import (
     SolverConfig,
     _check_finite,
@@ -349,3 +357,95 @@ def test_staggered_columns_equal_single_pullbacks_property(m, draws):
     for state, t, path, eps, u0 in zip(got, horizons, paths, epsilons, u0s):
         want = pullback_state(t, TAU, path, eps, u0, spec, cfg)
         assert np.array_equal(state.values, want.values)
+
+
+# -- the lean step: reused buffers and forcing blocks -------------------------
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_reused_buffers_never_leak_into_results(dimension):
+    grid, dt, steps = CASES[dimension]
+    spec = spec_for(dimension)
+    path = sample_path(4, -1.0, 1.0, dt)
+    v0 = gaussian_bump(grid, 1.0, 1.5)
+    cfg = SolverConfig(dt=dt)
+    t0, t1 = -0.25, -0.25 + steps * dt
+    traj = integrate(v0, t0, t1, path, spec, cfg)
+    # every yielded Field is kept until the march is over
+    yielded = list(iterate_states(v0, t0, t1, path, spec, cfg))
+    assert len(traj.states) == len(yielded) == steps + 1
+    for j, (stored, (t, state)) in enumerate(zip(traj.states, yielded)):
+        assert t == traj.times[j]
+        fresh = final_state(v0, t0, t, path, spec, cfg)
+        assert np.array_equal(stored.values, fresh.values)
+        assert np.array_equal(state.values, fresh.values)
+
+
+def counted(forcing):
+    """The forcing with g wrapped to record the shape of every t it gets."""
+    shapes = []
+
+    def g(t, pts):
+        shapes.append(np.shape(t))
+        return forcing.g(t, pts)
+
+    return replace(forcing, g=g), shapes
+
+
+def hand_march(v0, t_start, n, path, eps, spec, cfg):
+    """The conjugated step written out for one column, g called per step."""
+    ctx = _Context(v0.grid, spec, cfg)
+    pts = v0.grid.points
+    zs = z_series(path, eps, t_start, n, cfg.dt)
+    v = v0.values
+    for j, z in enumerate(zs):
+        g = spec.forcing.g(t_start + j * cfg.dt, pts)
+        rhs = v + cfg.dt * (z * spec.nonlinearity.f(pts, v / z) + z * g)
+        v = np.zeros_like(v)
+        v[1:-1] = ctx.solve_implicit(rhs[1:-1])
+    return v
+
+
+def test_forcing_is_called_per_block_not_per_step():
+    grid = Grid(1, 8.0, 129)
+    cfg = SolverConfig(dt=1e-3)
+    forcing, shapes = counted(canonical_forcing(0.5, 0.5, 1.0))
+    spec = replace(spec_for(1), forcing=forcing)
+    path = sample_path(4, -1.5, 0.5, cfg.dt)
+    v0 = gaussian_bump(grid, 1.0, 1.5)
+    n = 1000
+    end = final_state(v0, -1.0, 0.0, path, spec, cfg)
+    block = _FORCING_BLOCK // len(grid.points)
+    assert len(shapes) <= math.ceil(n / block) + 1
+    # one row per step, none twice, every call on a (steps, 1) clock array
+    assert sum(s[0] for s in shapes) == n and all(s[1:] == (1,) for s in shapes)
+    shapes.clear()
+    want = hand_march(v0, -1.0, n, path, spec.epsilon, spec, cfg)
+    assert len(shapes) == n
+    assert np.array_equal(end.values, want)
+
+    # a staggered stack: each admission starts a block of its own
+    shapes.clear()
+    counts, epsilons = [1000, 600, 300], [0.5, 0.25, 1.0]
+    starts = [-c * cfg.dt for c in counts]
+    v0s = [gaussian_bump(grid, a, 1.5) for a in (1.0, 0.6, 0.3)]
+    ends = final_states(v0s, starts, 0.0, [path] * 3, epsilons, spec, cfg)
+    widest = _FORCING_BLOCK // (len(counts) * len(grid.points))
+    assert len(shapes) <= math.ceil(n / widest) + len(counts)
+    assert sum(s[0] for s in shapes) == sum(counts)
+    for end, u0, t0, c, eps in zip(ends, v0s, starts, counts, epsilons):
+        assert np.array_equal(end.values, hand_march(u0, t0, c, path, eps, spec, cfg))
+
+
+def test_forcing_that_ignores_the_shape_of_t_marches_like_the_hand_loop():
+    grid = Grid(1, 8.0, 129)
+    cfg = SolverConfig(dt=1e-3)
+    constant = Forcing(g=lambda t, pts: np.full(len(pts), 0.3), delta=0.0)
+    spec = replace(spec_for(1), forcing=constant)
+    path = sample_path(5, -1.5, 0.5, cfg.dt)
+    v0 = gaussian_bump(grid, 1.0, 1.5)
+    end = final_state(v0, -1.0, 0.0, path, spec, cfg)
+    assert np.array_equal(end.values, hand_march(v0, -1.0, 1000, path, 0.5, spec, cfg))
+    ends = final_states([v0, v0], [-1.0, -0.4], 0.0, [path] * 2, [0.5, 0.0], spec, cfg)
+    assert np.array_equal(ends[0].values, end.values)
+    assert np.array_equal(ends[1].values, hand_march(v0, -0.4, 400, path, 0.0, spec, cfg))
