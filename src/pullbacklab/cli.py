@@ -9,14 +9,17 @@ The config carries the problem (spec), discretisation (grid, solver), noise
 realisation (noise) and one experiment block named after the experiment.
 Every time in the config is snapped onto the solver's dt lattice; snaps are
 logged into the summary.  Summaries embed the resolved config, the seed and
-the package version; the timestamp lives in a separate "metadata" key so two
-runs of the same config are byte-identical outside it.  Files are written to
-a temp name and renamed into place.
+the package version; the timestamp and the number of processes a march
+could split across (``solver.worker_count``) live in a separate "metadata"
+key so two runs of the same config are byte-identical outside it.  Files
+are written to a temp name and renamed into place.
 
 Exit codes: 0 all named checks passed, 1 some check failed (including a run
 that diverged after the single dt-halving retry), 2 configuration problem.
 
-Sweep cells run serially in seed order; nothing here is timing-dependent.
+Sweep cells are assembled in seed order.  A large 1D endpoint march may be
+split across forked workers (``solver.final_states``), but no output depends
+on timing or on the number of workers.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ from .model import (
     spec_from_config,
 )
 from .noise import _SNAP, Path, flat_path, refine, sample_path, shift, z_factor
-from .solver import SolverConfig, integrate
+from .solver import SolverConfig, integrate, worker_count
 
 EXPERIMENTS = (
     "simulate",
@@ -788,7 +791,8 @@ def _emit(plan: _Plan, results, checks, tables, retried, say) -> str:
         "checks": checks,
         "passed": all(checks.values()),
         "metadata": {
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()
+            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "workers": worker_count(),
         },
     }
     target = os.path.join(plan.out_dir, f"{stem}_summary.json")

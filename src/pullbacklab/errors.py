@@ -23,6 +23,17 @@ class DivergenceError(RuntimeError):
         self.t = t
         super().__init__(message or f"state became non-finite at t={t!r}")
 
+    def __reduce__(self):
+        # the default rebuilds from ``args``, the message alone, as ``t``
+        return type(self), (self.t, self.args[0])
+
+
+class WorkerError(RuntimeError):
+    """A forked march worker ended without sending its answer back.
+
+    The message names the worker's exit status or the signal that ended it.
+    """
+
 
 class BoundaryLeakWarning(UserWarning):
     """Solution mass near the artificial boundary exceeds the trust threshold.

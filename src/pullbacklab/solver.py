@@ -31,7 +31,10 @@ v/z, so a stack it yields is valid only until the next step.  Columns never
 mix, so a column of a stack equals the same run marched alone, bit for bit.
 :func:`integrate`, :func:`final_state`, :func:`final_states`,
 :func:`iterate_states`, :func:`difference_history` and :func:`energy_audit`
-are reductions over it.
+are reductions over it.  :func:`final_states`, which keeps only the
+endpoints, splits a large 1D stack into contiguous chunks of columns and
+marches all but the first in forked children, one per CPU; since columns
+never mix, the split changes no bit.
 
 :func:`integrate_deterministic` marches the original, unconjugated equation
 with its own step and a one-column solve (the same inverse in 1D, the same
@@ -42,19 +45,36 @@ Only numpy is needed at run time.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import pickle
+import threading
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
-from .errors import BoundaryLeakWarning, ConfigurationError, DivergenceError
+from .errors import (
+    BoundaryLeakWarning,
+    ConfigurationError,
+    DivergenceError,
+    WorkerError,
+)
 from .field import Field, Grid, Trajectory, field_from_function, l2_norm
 from .model import _FORCING_BLOCK, ProblemSpec, forcing_norms_sq
 from .noise import _SNAP, Path, refine, z_factor, z_series
 
 _BOUNDARY_TRUST = 1e-8
+# A 1D endpoint march smaller than this many point-steps (state-steps times
+# grid points) stays in-process.  A fork round trip (fork, pickle 10 endpoints
+# back, reap) took 3.0-10.5 ms over 200 trips, median 3.4 ms, in a numpy
+# process with 128 MB resident on a shared 2-core Xeon host, where a 1D
+# point-step at m=129 costs about 30 ns.  At the floor a march takes about
+# 31 ms, and the half that a second worker takes over saves more than the
+# slowest trip.
+_SPLIT_FLOOR = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -452,6 +472,188 @@ def integrate_deterministic(
     return Trajectory(times=np.array(times), states=tuple(states), stride=cfg.store_stride)
 
 
+# -- an endpoint march split across processes ---------------------------------
+
+
+def worker_count() -> int:
+    """How many processes an endpoint march may split across: the CPUs this
+    process may run on, or 1 where it cannot fork or runs a second Python
+    thread (a thread could hold a lock at the fork that the child then
+    needs)."""
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _cut(steps: Sequence[int], width: int) -> list[tuple[int, int]]:
+    """Bounds of ``width`` contiguous chunks of the longest-first ``steps``
+    that make the largest chunk cost least.  A chunk costs its stack-steps
+    (its first, longest count: the march's per-step work) plus its
+    state-steps (the sum of its counts: the per-column work)."""
+    below = [0, *itertools.accumulate(steps)]
+
+    def cost(a: int, b: int) -> int:
+        return steps[a] + below[b] - below[a]
+
+    # best[b]: the least largest cost, and its bounds, of steps[:b] in c chunks
+    best = {b: (cost(0, b), [(0, b)]) for b in range(1, len(steps) + 1)}
+    for c in range(2, width + 1):
+        best = {
+            b: min(
+                (max(best[a][0], cost(a, b)), best[a][1] + [(a, b)])
+                for a in range(c - 1, b)
+            )
+            for b in range(c, len(steps) + 1)
+        }
+    return best[len(steps)][1]
+
+
+def _march_chunk(
+    ctx: _Context,
+    stack: np.ndarray,
+    starts: Sequence[float],
+    zs: np.ndarray,
+    admit: np.ndarray,
+    a: int,
+    b: int,
+) -> tuple[np.ndarray | None, tuple | None]:
+    """March columns ``a:b`` of a longest-first staggered stack on their own,
+    as a stack whose admissions count from its first column's.
+
+    Returns ``(endpoints, None)``, or ``(None, (step, a, exception))`` where
+    the march failed: ``step`` is the failing step counted in the whole
+    stack's steps, and ``a`` the chunk's first place in the stack.
+    """
+    first = int(admit[a])
+    j = -1
+    try:
+        for j, v in enumerate(
+            _march(ctx, stack[a:b], starts[a:b], zs[first:, a:b], admit[a:b] - first)
+        ):
+            pass
+    except Exception as exc:
+        return None, (first + j + 1, a, exc)
+    return v, None
+
+
+def _fork() -> int:
+    with warnings.catch_warnings():
+        # Python 3.12 and later warn when a process with several OS threads
+        # forks.  Those threads are OpenBLAS's workers, which OpenBLAS's own
+        # fork handler stops around the fork; a fork never happens with a
+        # second Python thread alive (worker_count).  Untested on 3.12.
+        warnings.filterwarnings(
+            "ignore",
+            r"This process .* is multi-threaded, use of fork\(\)",
+            DeprecationWarning,
+        )
+        return os.fork()
+
+
+def _answer_and_exit(fd: int, march: Callable[[], tuple]) -> NoReturn:
+    """The forked child's whole life: run ``march``, send its answer down
+    the pipe ``fd`` as one pickle, and leave without running any of the
+    parent's clean-up.  The answer carries the warnings the march raised."""
+    status = 1
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            ends, failure = march()
+        raised = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        answer = pickle.dumps((ends, failure, raised), pickle.HIGHEST_PROTOCOL)
+        with open(fd, "wb") as pipe:
+            pipe.write(answer)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int) -> None:
+    """Kill the child ``pid`` unless it has ended, and reap it."""
+    import signal
+
+    try:
+        if os.waitpid(pid, os.WNOHANG)[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    except ChildProcessError:
+        pass  # reaped already
+
+
+def _answer(pid: int, fd: int):
+    """Read the child ``pid``'s answer from the pipe ``fd`` and reap it."""
+    with open(fd, "rb", closefd=False) as pipe:
+        data = pipe.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 0 and data:
+        return pickle.loads(data)
+    if code < 0:
+        import signal
+
+        ended = f"was killed by {signal.Signals(-code).name}"
+    else:
+        ended = f"exited with status {code}"
+    raise WorkerError(f"march worker {pid} {ended} without an answer")
+
+
+def _march_split(
+    ctx: _Context,
+    stack: np.ndarray,
+    starts: Sequence[float],
+    zs: np.ndarray,
+    admit: np.ndarray,
+    bounds: Sequence[tuple[int, int]],
+) -> np.ndarray:
+    """The endpoints of the longest-first staggered stack, marched in the
+    chunks ``bounds``: the first in this process, each other one in a
+    forked child that pipes its answer back.
+
+    Columns never mix, so every endpoint has the bits of the unsplit march.
+    The children's warnings are raised again here once all answers are in,
+    with no once-per-place registry: a warning the in-process march would
+    show once per place is shown once per split march.
+    If a chunk failed, the failure at the earliest step of the whole stack
+    is raised (the first chunk's on a tie), as the unsplit march would.
+    Every child is killed and reaped before this returns or raises.
+    """
+    children = {}  # pid: read end of its pipe, for every child not yet reaped
+    try:
+        for a, b in bounds[1:]:
+            read, write = os.pipe()
+            try:
+                pid = _fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                os.close(read)
+                _answer_and_exit(
+                    write, lambda: _march_chunk(ctx, stack, starts, zs, admit, a, b)
+                )
+            os.close(write)
+            children[pid] = read
+        ends, failure = _march_chunk(ctx, stack, starts, zs, admit, *bounds[0])
+        parts, failures, raised = [ends], [failure], []
+        for pid in list(children):
+            ends, failure, caught = _answer(pid, children[pid])
+            os.close(children.pop(pid))
+            parts.append(ends)
+            failures.append(failure)
+            raised.extend(caught)
+    finally:
+        for pid, fd in children.items():
+            os.close(fd)
+            _reap(pid)
+    for message, category, filename, lineno in raised:
+        warnings.warn_explicit(message, category, filename, lineno)
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[:2])[2]
+    return np.concatenate(parts)
+
+
 def final_states(
     v0s: Sequence[Field],
     t_starts: Sequence[float],
@@ -472,6 +674,19 @@ def final_states(
     A divergence raises at the own time of the first column to diverge,
     counted in steps of the stack (columns that diverge on the same step
     are taken longest first).
+
+    A large 1D stack is split across processes.  When :func:`worker_count`
+    and the number of columns both reach two or more, and the stack holds
+    at least ``_SPLIT_FLOOR`` point-steps (state-steps times grid points),
+    the longest-first columns are cut into one contiguous chunk per worker,
+    chosen so that the largest chunk's stack-steps plus state-steps is
+    least.  This process marches the first chunk; every other chunk is
+    marched in a forked child that pipes its endpoints back as a pickle.
+    Otherwise, as in 2D, without ``os.fork``, or with a second Python
+    thread alive, the whole stack is marched here.  Either way the endpoints, the
+    divergence time and the boundary-leak warnings are the same.  A child's
+    warnings are raised again here, its exception is raised here, and a
+    child that ends without an answer raises :class:`WorkerError`.
     """
     if not v0s or not len(v0s) == len(t_starts) == len(paths) == len(epsilons):
         raise ConfigurationError(
@@ -495,8 +710,16 @@ def final_states(
         [paths[i] for i in order], [epsilons[i] for i in order], starts, steps, cfg.dt
     )
     stack = np.stack([v0s[i].values for i in order])
-    for v in _march(ctx, stack, starts, zs, [steps[0] - n for n in steps]):
-        pass
+    admit = np.array([steps[0] - n for n in steps])
+    width = min(worker_count(), len(order))
+    # 2D stays here: its solve is a dense matrix product, which OpenBLAS
+    # runs on every CPU already, and two processes doing so oversubscribe
+    # them (a split stack of 8 columns on 65x65 took 3x as long)
+    if width > 1 and ctx.grid.dimension == 1 and sum(steps) * len(ctx.pts) >= _SPLIT_FLOOR:
+        v = _march_split(ctx, stack, starts, zs, admit, _cut(steps, width))
+    else:
+        for v in _march(ctx, stack, starts, zs, admit):
+            pass
     _warn_boundary_leak(v)
     ends = list(v0s)
     for i, col in zip(order, v):

@@ -4,7 +4,12 @@ The boundary-leak monitor fires by design on desk runs with mild damping
 (the state sits around 1e-7 next to the artificial boundary, above the 1e-8
 trust threshold).  Tests that exercise those runs filter the warning
 explicitly so an unexpected leak elsewhere still surfaces.
+
+Every test must leave no child process behind, reaped or running: a forked
+march worker that outlives its march is a leak.
 """
+
+import os
 
 import pytest
 
@@ -16,6 +21,15 @@ from pullbacklab.model import (
 )
 from pullbacklab.noise import sample_path
 from pullbacklab.solver import SolverConfig
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    yield
+    # waitpid(-1) raises only when this process has no child at all; a
+    # running child gives (0, 0), an unreaped one its pid
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

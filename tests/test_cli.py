@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import pullbacklab
-from pullbacklab import cli
+from pullbacklab import cli, solver
 
 pytestmark = pytest.mark.filterwarnings("ignore::pullbacklab.errors.BoundaryLeakWarning")
 
@@ -183,7 +183,7 @@ def test_reruns_are_identical_outside_the_timestamp(tmp_path):
     ts_a = sum_a.pop("metadata")
     ts_b = sum_b.pop("metadata")
     assert sum_a == sum_b
-    assert ts_a.keys() == ts_b.keys() == {"timestamp"}
+    assert ts_a.keys() == ts_b.keys() == {"timestamp", "workers"}
     assert csv_a == (out / "simulate_trajectory.csv").read_bytes()
 
 
@@ -315,3 +315,9 @@ def test_cli_loads_no_scipy_at_import_or_run(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["[]", "0", "0", "[]"]
+
+
+def test_metadata_names_the_march_workers(tmp_path):
+    code, out = run_into(tmp_path, base_config())
+    assert code == 0
+    assert load_summary(out, "simulate")["metadata"]["workers"] == solver.worker_count()
