@@ -49,10 +49,10 @@ def fill(tree: str, src: str, configs: list[str]) -> None:
             text=True,
             check=False,
         )
-        # exit 1 is a failed check, which the summary records; anything
-        # else means the run did not get that far
+        # exit 1 is also a failed check, which the summary records; a run
+        # that wrote no summary (a traceback exits 1 too) shows its stderr
         print(f"ran {stem_of(config)} into {tree} (exit {done.returncode})")
-        if done.returncode not in (0, 1):
+        if not any(name.endswith("_summary.json") for name in _listing(out)):
             print(done.stderr, file=sys.stderr)
 
 

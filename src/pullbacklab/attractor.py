@@ -44,9 +44,9 @@ from .field import (
 )
 from .model import ProblemSpec, forcing_norms_sq
 from .noise import (
-    _SNAP,
     Path,
     flat_path,
+    lattice_steps,
     sample_path,
     shift,
     z_factor,
@@ -61,7 +61,7 @@ from .solver import (
     iterate_states,
     steps_between,
 )
-from .cocycle import _check_lattice, pullback_state, pullback_states
+from .cocycle import pullback_state, pullback_states
 
 
 def _require_contractive(spec: ProblemSpec, what: str) -> float:
@@ -195,7 +195,7 @@ def fit_decay_rate(
         )
     if np.array_equal(u0_a.values, u0_b.values):
         raise ConfigurationError("u0_a and u0_b must differ somewhere")
-    _check_lattice(window, cfg.dt, "window")
+    first = lattice_steps(fit_start, cfg.dt, f"fit_start={fit_start!r}")
     spec = replace(spec, epsilon=epsilon)
     n = steps_between(tau, tau + window, cfg.dt)
     stride = max(1, n // 512)
@@ -210,7 +210,8 @@ def fit_decay_rate(
             times=tuple(float(t) for t in times),
             log_sq_gaps=(),
         )
-    mask = times >= tau + fit_start - _SNAP * cfg.dt
+    # the sample times are tau + k*dt, computed as this threshold is
+    mask = times >= tau + first * cfg.dt
     logs = np.log(sq[mask])
     slope = float(np.polyfit(times[mask], logs, 1)[0])
     return DecayFitResult(
@@ -560,7 +561,8 @@ def truncation_diagnostics(
     The run does not depend on the level, so it is marched once and every
     level is read off the same window.  Needs ``horizon >= 1``.
     """
-    if horizon < 1.0 - _SNAP * cfg.dt:
+    unit = lattice_steps(1.0, cfg.dt, "the unit window 1.0")
+    if lattice_steps(horizon, cfg.dt, f"horizon={horizon!r}") < unit:
         raise ConfigurationError(
             f"horizon must cover the unit window, got {horizon!r}"
         )
@@ -711,12 +713,12 @@ def window_regularity_report(
     rerunning with a deeper horizon or another path moves the observed and
     the integral together, not the constant's order of magnitude.
     """
-    if horizon <= 1.0 + _SNAP * cfg.dt:
+    unit = lattice_steps(1.0, cfg.dt, "the unit window 1.0")
+    if lattice_steps(horizon, cfg.dt, f"horizon={horizon!r}") <= unit:
         raise ConfigurationError(
             f"horizon must exceed the unit window, got {horizon!r}"
         )
-    _check_lattice(horizon, cfg.dt, "horizon")
-    _check_lattice(tau, cfg.dt, "tau")
+    lattice_steps(tau, cfg.dt, f"tau={tau!r}")
     spec_eps = replace(spec, epsilon=epsilon)
     w = shift(path, -tau)
     grid = u0.grid
@@ -754,7 +756,7 @@ def window_regularity_report(
             f, 2.0 * p - 2.0
         )
 
-    window_start = n - steps_between(0.0, 1.0, dt)  # first node of [tau-1, tau]
+    window_start = n - unit  # first node of [tau-1, tau]
 
     prev_values = v.values
     for k, (t_k, state) in enumerate(

@@ -69,6 +69,8 @@ from .field import (
 )
 from .model import (
     ProblemSpec,
+    _integer,
+    _mapping,
     _number,
     _reject_unknown,
     _require,
@@ -76,7 +78,16 @@ from .model import (
     grid_for,
     spec_from_config,
 )
-from .noise import _SNAP, Path, flat_path, refine, sample_path, shift, z_factor
+from .noise import (
+    Path,
+    flat_path,
+    lattice_steps,
+    refine,
+    refine_levels,
+    sample_path,
+    shift,
+    z_factor,
+)
 from .solver import SolverConfig, integrate, worker_count
 
 EXPERIMENTS = (
@@ -145,12 +156,7 @@ class _Plan:
 
 def _snap_time(plan: _Plan, value: float, where: str) -> float:
     dt = plan.cfg.dt
-    n = round(value / dt)
-    snapped = n * dt
-    if abs(value - snapped) > _SNAP * dt:
-        raise ConfigurationError(
-            f"{where}={value!r} is not a multiple of solver.dt={dt!r}"
-        )
+    snapped = lattice_steps(value, dt, f"{where}={value!r}") * dt
     if snapped != value:
         plan.snaps.append(f"{where}: {value!r} -> {snapped!r}")
     return snapped
@@ -170,8 +176,8 @@ def _initial_field(grid: Grid, section, where: str) -> Field:
         return gaussian_bump(grid, amp, width)
     if kind == "eigenmode":
         _reject_unknown(section, {"kind", "mode", "amplitude"}, where)
-        mode = _require(section, "mode", where)
-        if not isinstance(mode, int) or mode < 1:
+        mode = _integer(_require(section, "mode", where), f"{where}.mode")
+        if mode < 1:
             raise ConfigurationError(f"{where}.mode must be a positive integer")
         amp = _number(section.get("amplitude", 1.0), f"{where}.amplitude")
         base = eigenmode(grid, mode)
@@ -183,40 +189,36 @@ def _initial_field(grid: Grid, section, where: str) -> Field:
 
 def _parse_noise(section, plan: _Plan) -> dict:
     where = "noise"
-    if not isinstance(section, Mapping):
-        raise ConfigurationError("noise must be a mapping")
-    _reject_unknown(section, {"seed", "window", "dt"}, where)
+    _reject_unknown(_mapping(section, where), {"seed", "window", "dt"}, where)
     seed = _require(section, "seed", where)
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ConfigurationError(f"noise.seed must be an integer or null, got {seed!r}")
+    if seed is not None:
+        _integer(seed, "noise.seed")
     window = _require(section, "window", where)
-    if (
-        not isinstance(window, (list, tuple))
-        or len(window) != 2
-        or not all(isinstance(w, (int, float)) for w in window)
-    ):
+    if not isinstance(window, (list, tuple)) or len(window) != 2:
         raise ConfigurationError("noise.window must be [t_min, t_max]")
     dt = _number(_require(section, "dt", where), "noise.dt")
-    lo = _snap_time(plan, float(window[0]), "noise.window[0]")
-    hi = _snap_time(plan, float(window[1]), "noise.window[1]")
+    if dt <= 0.0:
+        raise ConfigurationError(f"noise.dt must be positive, got {dt!r}")
+    lo = _snap_time(plan, _number(window[0], "noise.window[0]"), "noise.window[0]")
+    hi = _snap_time(plan, _number(window[1], "noise.window[1]"), "noise.window[1]")
     if not lo < hi:
         raise ConfigurationError(f"noise.window must be increasing, got {window!r}")
     if not (lo <= 0.0 <= hi):
         raise ConfigurationError("noise.window must contain time 0")
+    # _make_path refines the path this many times; the summary says so
+    levels = refine_levels(dt, plan.cfg.dt)
+    if levels:
+        refined = dt / 2**levels
+        plan.snaps.append(f"noise.dt: {dt!r} -> {refined!r} by {levels} bridge refinements")
     return {"seed": seed, "window": [lo, hi], "dt": dt}
 
 
-def _make_path(plan: _Plan, retried: bool) -> Path:
-    noise = plan.noise
-    if noise is None:
-        raise ConfigurationError(
-            f"noise: required for experiment {plan.experiment!r}"
-        )
-    lo, hi = noise["window"]
-    if noise["seed"] is None:
-        return flat_path(lo, hi, noise["dt"] / (2.0 if retried else 1.0))
-    path = sample_path(noise["seed"], lo, hi, noise["dt"])
-    if retried:
+def _make_path(plan: _Plan) -> Path:
+    """The configured path, bridge-refined the fewest times that make its
+    step divide solver.dt, so the run reads samples only."""
+    seed, (lo, hi), dt = plan.noise["seed"], plan.noise["window"], plan.noise["dt"]
+    path = flat_path(lo, hi, dt) if seed is None else sample_path(seed, lo, hi, dt)
+    for _ in range(refine_levels(path.dt, plan.cfg.dt)):
         path = refine(path)
     return path
 
@@ -272,32 +274,32 @@ def _resolve(raw, out_dir_override: str | None) -> _Plan:
     spec_section = _require(raw, "spec", "config")
     spec = spec_from_config(spec_section)
 
-    grid_section = _require(raw, "grid", "config")
+    grid_section = _mapping(_require(raw, "grid", "config"), "grid")
     _reject_unknown(grid_section, {"points_per_axis"}, "grid")
-    m = _require(grid_section, "points_per_axis", "grid")
-    if not isinstance(m, int):
-        raise ConfigurationError("grid.points_per_axis must be an integer")
+    m = _integer(_require(grid_section, "points_per_axis", "grid"), "grid.points_per_axis")
     grid = grid_for(spec, m)
 
-    solver_section = _require(raw, "solver", "config")
+    solver_section = _mapping(_require(raw, "solver", "config"), "solver")
     if "linear_solver_tol" in solver_section:
         raise ConfigurationError(
             "solver.linear_solver_tol was removed: both implicit solves are now "
             "direct, so there is no tolerance to set; delete the key"
         )
     _reject_unknown(solver_section, {"dt", "store_stride"}, "solver")
-    stride = solver_section.get("store_stride", 1)
-    if not isinstance(stride, int):
-        raise ConfigurationError("solver.store_stride must be an integer")
     cfg = SolverConfig(
         dt=_number(_require(solver_section, "dt", "solver"), "solver.dt"),
-        store_stride=stride,
+        store_stride=_integer(solver_section.get("store_stride", 1), "solver.store_stride"),
     )
 
-    out_section = raw.get("output", {})
+    out_section = _mapping(raw.get("output", {}), "output")
     _reject_unknown(out_section, {"directory", "formats"}, "output")
     out_dir = out_section.get("directory", ".")
-    formats = tuple(out_section.get("formats", ["json", "csv"]))
+    if not isinstance(out_dir, str):
+        raise ConfigurationError(f"output.directory must be a string, got {out_dir!r}")
+    formats = out_section.get("formats", ["json", "csv"])
+    if not isinstance(formats, list):
+        raise ConfigurationError(f"output.formats must be a list, got {formats!r}")
+    formats = tuple(formats)
     for fmt in formats:
         if fmt not in ("json", "csv"):
             raise ConfigurationError(f"output.formats: unknown format {fmt!r}")
@@ -320,9 +322,7 @@ def _resolve(raw, out_dir_override: str | None) -> _Plan:
     elif experiment in _NEEDS_PATH:
         raise ConfigurationError(f"noise: required for experiment {experiment!r}")
 
-    block_raw = raw.get(experiment, {})
-    if not isinstance(block_raw, Mapping):
-        raise ConfigurationError(f"config.{experiment} must be a mapping")
+    block_raw = _mapping(raw.get(experiment, {}), f"config.{experiment}")
     _reject_unknown(block_raw, _BLOCK_KEYS[experiment], f"config.{experiment}")
     plan.block = _parse_block(experiment, block_raw, plan)
     plan.block["_nonlinearity_raw"] = dict(spec_section["nonlinearity"])
@@ -396,11 +396,9 @@ def _parse_block(experiment: str, b: Mapping, plan: _Plan) -> dict:
         out["tau"] = time_of("tau", 0.0)
         out["horizon"] = time_of("horizon")
         seeds = _require(b, "seeds", where)
-        if not isinstance(seeds, (list, tuple)) or not all(
-            isinstance(s, int) and not isinstance(s, bool) for s in seeds
-        ):
+        if not isinstance(seeds, (list, tuple)):
             raise ConfigurationError(f"{where}.seeds must be a list of integers")
-        out["seeds"] = list(seeds)
+        out["seeds"] = [_integer(s, f"{where}.seeds[{i}]") for i, s in enumerate(seeds)]
         ladder = _require(b, "epsilon_ladder", where)
         if not isinstance(ladder, (list, tuple)):
             raise ConfigurationError(f"{where}.epsilon_ladder must be a list")
@@ -412,10 +410,7 @@ def _parse_block(experiment: str, b: Mapping, plan: _Plan) -> dict:
             raise ConfigurationError(f"{where}.ensemble must be a non-empty list")
         out["ensemble"] = list(ensemble)
         out["ratio_bound"] = _number(b.get("ratio_bound", 0.2), f"{where}.ratio_bound")
-        max_inv = b.get("max_inversions", 1)
-        if not isinstance(max_inv, int):
-            raise ConfigurationError(f"{where}.max_inversions must be an integer")
-        out["max_inversions"] = max_inv
+        out["max_inversions"] = _integer(b.get("max_inversions", 1), f"{where}.max_inversions")
     elif experiment == "cocycle-test":
         out["tau"] = time_of("tau", 0.0)
         out["t"] = time_of("t")
@@ -425,10 +420,7 @@ def _parse_block(experiment: str, b: Mapping, plan: _Plan) -> dict:
         )
         out["initial"] = _require(b, "initial", where)
     elif experiment == "check-hypotheses":
-        n_samples = b.get("n_samples", 17)
-        if not isinstance(n_samples, int):
-            raise ConfigurationError(f"{where}.n_samples must be an integer")
-        out["n_samples"] = n_samples
+        out["n_samples"] = _integer(b.get("n_samples", 17), f"{where}.n_samples")
         out["s_range"] = _number(b.get("s_range", 5.0), f"{where}.s_range")
         out["tolerance"] = _number(b.get("tolerance", 1e-12), f"{where}.tolerance")
     elif experiment == "absorbing":
@@ -898,13 +890,13 @@ def run(config_path: str, output_dir: str | None = None, quiet: bool = False) ->
     retried = False
     try:
         try:
-            path = _make_path(plan, retried) if plan.experiment in _NEEDS_PATH else None
+            path = _make_path(plan) if plan.experiment in _NEEDS_PATH else None
             results, checks, tables = executor(plan, path)
         except DivergenceError as exc:
             say(f"run diverged at t={exc.t}; halving dt and retrying once")
             retried = True
             plan.cfg = replace(plan.cfg, dt=plan.cfg.dt / 2.0)
-            path = _make_path(plan, retried) if plan.experiment in _NEEDS_PATH else None
+            path = _make_path(plan) if plan.experiment in _NEEDS_PATH else None
             results, checks, tables = executor(plan, path)
     except (ConfigurationError, OutOfWindowError, GridMismatchError) as exc:
         print(f"config: {exc}", file=sys.stderr)

@@ -30,16 +30,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .field import Field, l2_norm
 from .model import ProblemSpec
-from .noise import _SNAP, Path, shift, z_factor
+from .noise import Path, lattice_steps, shift, z_factor
 from .solver import SolverConfig, final_state, final_states, steps_between
-
-
-def _check_lattice(value: float, dt: float, name: str) -> None:
-    ratio = value / dt
-    if abs(ratio - round(ratio)) > _SNAP:
-        raise ConfigurationError(
-            f"{name}={value!r} does not sit on the dt={dt!r} lattice"
-        )
 
 
 @dataclass(frozen=True)
@@ -61,8 +53,8 @@ class CocycleQuery:
             raise ConfigurationError(
                 f"epsilon must lie in [0, 1], got {self.epsilon!r}"
             )
-        _check_lattice(self.t, self.cfg.dt, "t")
-        _check_lattice(self.tau, self.cfg.dt, "tau")
+        lattice_steps(self.t, self.cfg.dt, f"t={self.t!r}")
+        lattice_steps(self.tau, self.cfg.dt, f"tau={self.tau!r}")
 
 
 def phi(q: CocycleQuery) -> Field:
@@ -101,11 +93,7 @@ def pullback_states(
         raise ConfigurationError(
             "need one horizon, one path and one intensity per initial state"
         )
-    for t in ts:
-        if t < 0.0:
-            raise ConfigurationError(f"horizon t must be nonnegative, got {t!r}")
-        _check_lattice(t, cfg.dt, "t")
-    _check_lattice(tau, cfg.dt, "tau")
+    lattice_steps(tau, cfg.dt, f"tau={tau!r}")
     marched = [i for i, t in enumerate(ts) if steps_between(0.0, t, cfg.dt)]
     if not marched:
         return tuple(u0s)
@@ -168,9 +156,8 @@ def verify_cocycle_property(
     """
     if t < 0.0 or s < 0.0:
         raise ConfigurationError("durations t and s must be nonnegative")
-    _check_lattice(t, cfg.dt, "t")
-    _check_lattice(s, cfg.dt, "s")
-    _check_lattice(tau, cfg.dt, "tau")
+    for name, value in (("t", t), ("s", s), ("tau", tau)):
+        lattice_steps(value, cfg.dt, f"{name}={value!r}")
     lhs = phi(CocycleQuery(t + s, tau, path, epsilon, u0, spec, cfg))
     mid = phi(CocycleQuery(s, tau, path, epsilon, u0, spec, cfg))
     rhs = phi(CocycleQuery(t, tau + s, shift(path, s), epsilon, mid, spec, cfg))

@@ -12,6 +12,7 @@ the structural growth/dissipativity conditions the estimates rely on.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -316,10 +317,26 @@ def _require(section: Mapping, key: str, where: str):
     return section[key]
 
 
+def _mapping(value, where: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ConfigurationError(f"{where} must be a mapping, got {value!r}")
+    return value
+
+
 def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{where} must be a number, got {value!r}")
+    """A finite number; JSON's NaN and Infinity, integers too large for a
+    float, and bools are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        not abs(value) <= sys.float_info.max  # false for NaN
+    ):
+        raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
 def nonlinearity_from_config(section: Mapping, where: str = "nonlinearity") -> Nonlinearity:
@@ -351,19 +368,15 @@ def forcing_from_config(section: Mapping, where: str = "forcing") -> Forcing:
 def spec_from_config(config: Mapping) -> ProblemSpec:
     """Assemble a ProblemSpec from a plain mapping; unknown keys are rejected."""
     allowed = {"lambda", "epsilon", "dimension", "domain_radius", "nonlinearity", "forcing"}
-    _reject_unknown(config, allowed, "spec")
+    _reject_unknown(_mapping(config, "spec"), allowed, "spec")
     lam = _number(_require(config, "lambda", "spec"), "spec.lambda")
     epsilon = _number(_require(config, "epsilon", "spec"), "spec.epsilon")
-    dimension = _require(config, "dimension", "spec")
+    dimension = _integer(_require(config, "dimension", "spec"), "spec.dimension")
     if dimension not in (1, 2):
         raise ConfigurationError(f"spec.dimension must be 1 or 2, got {dimension!r}")
     radius = _number(_require(config, "domain_radius", "spec"), "spec.domain_radius")
-    nl_section = _require(config, "nonlinearity", "spec")
-    if not isinstance(nl_section, Mapping):
-        raise ConfigurationError("spec.nonlinearity must be a mapping")
-    fc_section = _require(config, "forcing", "spec")
-    if not isinstance(fc_section, Mapping):
-        raise ConfigurationError("spec.forcing must be a mapping")
+    nl_section = _mapping(_require(config, "nonlinearity", "spec"), "spec.nonlinearity")
+    fc_section = _mapping(_require(config, "forcing", "spec"), "spec.forcing")
     return ProblemSpec(
         lam=lam,
         epsilon=epsilon,

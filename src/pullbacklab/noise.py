@@ -3,10 +3,10 @@
 A path is a table of samples ``omega(t_k)`` on a uniform grid that contains
 t = 0, with ``omega(0) = 0`` exactly.  The past and the future of the origin
 are generated from independent substreams of one seed, so a single integer
-reproduces the whole two-sided path bit for bit.  Evaluation between samples
-uses linear interpolation; requesting a finer grid refines the existing
-samples with a Brownian bridge instead of resampling, so coarse and fine
-grids describe the same path.
+reproduces the whole two-sided path bit for bit.  Only samples are read,
+at times on the sample lattice (:func:`lattice_steps`); a finer lattice
+refines the existing samples with a Brownian bridge (:func:`refine`)
+instead of resampling, so coarse and fine grids describe the same path.
 
 Time shifts act by ``(shift_s omega)(t) = omega(t + s) - omega(s)``.  They
 are represented lazily and compose additively, which keeps nested shifts
@@ -20,6 +20,7 @@ a whole intensity sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,20 @@ from .errors import ConfigurationError, OutOfWindowError
 # snapped to it; this is what keeps algebraically equal but differently
 # rounded times (e.g. shifts accumulated in different orders) on one lattice.
 _SNAP = 1e-6
+# refine_levels tries at most this many halvings; each doubles the samples
+_MAX_REFINEMENTS = 20
+
+
+def lattice_steps(value: float, dt: float, what: str) -> int:
+    """``value / dt`` as a whole number of steps, snapped when it lies within
+    ``_SNAP`` of one; any other value is off the lattice and raises
+    :class:`ConfigurationError`, whose message starts with ``what``.  This
+    is the one lattice rule: every time, duration and step is read by it.
+    """
+    ratio = value / dt
+    if not (math.isfinite(ratio) and abs(ratio - round(ratio)) <= _SNAP):
+        raise ConfigurationError(f"{what} is not a multiple of dt={dt!r}: off the lattice")
+    return int(round(ratio))
 
 
 def _check_positive_step(dt: float) -> None:
@@ -60,61 +75,48 @@ class WienerPath:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1:
             raise ConfigurationError("path values must be one-dimensional")
-        n_expected = int(round((self.t_max - self.t_min) / self.dt)) + 1
-        if len(vals) != n_expected:
+        steps = lattice_steps(self.t_max - self.t_min, self.dt, "the window length")
+        if len(vals) != steps + 1:
             raise ConfigurationError(
                 f"path holds {len(vals)} samples but the window "
-                f"[{self.t_min}, {self.t_max}] at dt={self.dt} needs {n_expected}"
+                f"[{self.t_min}, {self.t_max}] at dt={self.dt} needs {steps + 1}"
             )
         if not 0 <= self.origin_index < len(vals):
             raise ConfigurationError("origin_index outside the sample table")
 
     # -- evaluation ---------------------------------------------------------
 
-    def _position(self, t: float) -> float:
-        return (t - self.t_min) / self.dt
-
     def value_at(self, t: float) -> float:
-        """omega(t), snapped to the nearest sample when within tolerance."""
-        pos = self._position(t)
-        j = int(round(pos))
-        if abs(pos - j) <= _SNAP:
-            if j < 0 or j >= len(self.values):
-                raise OutOfWindowError(
-                    f"t={t!r} outside path window [{self.t_min}, {self.t_max}]"
-                )
-            return float(self.values[j])
-        if pos < 0.0 or pos > len(self.values) - 1:
-            raise OutOfWindowError(
-                f"t={t!r} outside path window [{self.t_min}, {self.t_max}]"
-            )
-        j0 = int(np.floor(pos))
-        w = pos - j0
-        return float((1.0 - w) * self.values[j0] + w * self.values[j0 + 1])
+        """omega(t) for a time on the sample lattice, snapped to the nearest
+        sample within the slack; any other time raises
+        :class:`ConfigurationError`."""
+        return float(self.sample_series(t, 1, self.dt)[0])
 
     def sample_series(self, t_start: float, n: int, step: float) -> np.ndarray:
-        """Values at ``t_start + k*step`` for k in range(n), bitwise
-        identical to n calls of :meth:`value_at`.
+        """Values at ``t_start + k*step`` for k in range(n): a strided view
+        of the stored samples, bitwise identical to n calls of
+        :meth:`value_at`.
 
-        Fast path: when the requested times sit on the sample grid the
-        series is a strided view of the stored samples.
+        ``t_start`` must sit on the sample lattice and ``step`` must be a
+        whole, positive number of path steps; otherwise
+        :class:`ConfigurationError`.  An empty series reads no time.
         """
         if n <= 0:
-            # no times to read; the aligned slice's stop would wrap below 0
+            # no times to read; the slice's stop would wrap below 0
             return np.empty(0)
-        pos0 = self._position(t_start)
-        j0 = int(round(pos0))
-        stride = step / self.dt
-        st = int(round(stride))
-        aligned = abs(pos0 - j0) <= _SNAP and abs(stride - st) <= _SNAP and st >= 1
-        if aligned:
-            j_last = j0 + (n - 1) * st
-            if j0 < 0 or j_last >= len(self.values):
-                raise OutOfWindowError(
-                    f"series [{t_start!r}, +{n}*{step!r}] leaves the path window"
-                )
-            return self.values[j0 : j_last + 1 : st]
-        return np.array([self.value_at(t_start + k * step) for k in range(n)])
+        j0 = lattice_steps(
+            t_start - self.t_min, self.dt, f"t={t_start!r} (from {self.t_min!r})"
+        )
+        st = lattice_steps(step, self.dt, f"the series step {step!r}")
+        if st < 1:
+            raise ConfigurationError(f"the series step must be positive, got {step!r}")
+        j_last = j0 + (n - 1) * st
+        if j0 < 0 or j_last >= len(self.values):
+            raise OutOfWindowError(
+                f"times {t_start!r} + k*{step!r}, k < {n}, leave the path window "
+                f"[{self.t_min}, {self.t_max}]"
+            )
+        return self.values[j0 : j_last + 1 : st]
 
     def grid_times(self) -> np.ndarray:
         return self.t_min + np.arange(len(self.values)) * self.dt
@@ -191,14 +193,8 @@ def sample_path(seed: int, t_min: float, t_max: float, dt: float) -> WienerPath:
         raise ConfigurationError(
             f"path window [{t_min}, {t_max}] must contain the origin"
         )
-    n_back = (-t_min) / dt
-    n_fwd = t_max / dt
-    if abs(n_back - round(n_back)) > _SNAP or abs(n_fwd - round(n_fwd)) > _SNAP:
-        raise ConfigurationError(
-            f"window endpoints [{t_min}, {t_max}] are not multiples of dt={dt}"
-        )
-    n_back = int(round(n_back))
-    n_fwd = int(round(n_fwd))
+    n_back = lattice_steps(-t_min, dt, f"the window start {t_min!r}")
+    n_fwd = lattice_steps(t_max, dt, f"the window end {t_max!r}")
     values = np.zeros(n_back + n_fwd + 1)
     scale = np.sqrt(dt)
     if n_fwd:
@@ -219,15 +215,11 @@ def flat_path(t_min: float, t_max: float, dt: float, value: float = 0.0) -> Wien
     constant breaks omega(0)=0 and is for probing formulas only.
     """
     _check_positive_step(dt)
-    n = int(round((t_max - t_min) / dt)) + 1
-    origin = int(round((-t_min) / dt))
+    origin = lattice_steps(-t_min, dt, f"the window start {t_min!r}")
+    n = lattice_steps(t_max - t_min, dt, "the window length") + 1
+    values = np.full(n, float(value))
     return WienerPath(
-        seed=None,
-        t_min=t_min,
-        t_max=t_max,
-        dt=dt,
-        values=np.full(n, float(value)),
-        origin_index=origin,
+        seed=None, t_min=t_min, t_max=t_max, dt=dt, values=values, origin_index=origin
     )
 
 
@@ -262,6 +254,25 @@ def refine(path: WienerPath) -> WienerPath:
         values=out,
         origin_index=2 * path.origin_index,
         level=path.level + 1,
+    )
+
+
+def refine_levels(dt: float, step: float) -> int:
+    """The fewest :func:`refine` calls after which a path sampled every
+    ``dt`` has a step that divides ``step``, so that a march with that step
+    reads samples only.  0 when ``dt`` divides ``step`` already.  Raises
+    :class:`ConfigurationError`, naming both steps, when no number of
+    halvings of ``dt`` divides ``step`` (0.01 against 0.001, say).
+    """
+    for level in range(_MAX_REFINEMENTS + 1):
+        try:
+            if lattice_steps(step, dt / 2**level, "") >= 1:
+                return level
+        except ConfigurationError:
+            pass
+    raise ConfigurationError(
+        f"noise step {dt!r} cannot be refined onto the step {step!r}: "
+        f"no halving of {dt!r} divides {step!r}"
     )
 
 
@@ -311,14 +322,8 @@ def z_window_bounds(path: Path, eps: float) -> tuple[float, float]:
     before the observation time.
     """
     _check_intensity(eps)
-    if path.t_min > -1.0 + _SNAP * path.dt or path.t_max < -_SNAP * path.dt:
-        raise OutOfWindowError(
-            f"window [-1, 0] not covered by path window [{path.t_min}, {path.t_max}]"
-        )
-    times = path.grid_times()
-    slack = _SNAP * path.dt
-    mask = (times >= -1.0 - slack) & (times <= slack)
-    z = np.exp(-eps * path.grid_values()[mask])
+    n = lattice_steps(1.0, path.dt, "the unit window 1.0")
+    z = np.exp(-eps * path.sample_series(-1.0, n + 1, path.dt))
     return float(z.min()), float(z.max())
 
 

@@ -60,11 +60,12 @@ from .errors import (
     BoundaryLeakWarning,
     ConfigurationError,
     DivergenceError,
+    OutOfWindowError,
     WorkerError,
 )
 from .field import Field, Grid, Trajectory, field_from_function, l2_norm
 from .model import _FORCING_BLOCK, ProblemSpec, forcing_norms_sq
-from .noise import _SNAP, Path, refine, z_factor, z_series
+from .noise import Path, lattice_steps, refine, refine_levels, z_factor, z_series
 
 _BOUNDARY_TRUST = 1e-8
 # A 1D endpoint march smaller than this many point-steps (state-steps times
@@ -93,13 +94,11 @@ class SolverConfig:
 
 def steps_between(t_start: float, t_end: float, dt: float) -> int:
     """Number of dt steps from t_start to t_end; the duration must sit on
-    the dt lattice (within snapping slack), off-lattice requests error."""
-    ratio = (t_end - t_start) / dt
-    n = int(round(ratio))
-    if n < 0 or abs(ratio - n) > _SNAP:
-        raise ConfigurationError(
-            f"duration {t_end - t_start!r} is not a nonnegative multiple of dt={dt!r}"
-        )
+    the dt lattice (:func:`~pullbacklab.noise.lattice_steps`) and must not
+    be negative."""
+    n = lattice_steps(t_end - t_start, dt, f"the duration {t_end - t_start!r}")
+    if n < 0:
+        raise ConfigurationError(f"the duration {t_end - t_start!r} is negative")
     return n
 
 
@@ -363,10 +362,10 @@ def _warn_boundary_leak(v: np.ndarray) -> None:
 
 
 def _validate_window(path: Path, t_start: float, t_end: float) -> None:
-    slack = _SNAP * path.dt
-    if t_start < path.t_min - slack or t_end > path.t_max + slack:
-        from .errors import OutOfWindowError
-
+    """Both ends of the run sit on the path's lattice and inside its window."""
+    before = lattice_steps(t_start - path.t_min, path.dt, f"the run start {t_start!r}")
+    after = lattice_steps(path.t_max - t_end, path.dt, f"the run end {t_end!r}")
+    if before < 0 or after < 0:
         raise OutOfWindowError(
             f"run [{t_start}, {t_end}] leaves the path window "
             f"[{path.t_min}, {path.t_max}]"
@@ -820,8 +819,9 @@ def self_convergence(
 ) -> ConvergenceReport:
     """Temporal self-convergence along a halving dt ladder on one path.
 
-    The path is bridge-refined to the finest rung so every run sees the same
-    noise; successive endpoint differences then witness the stepping order
+    The path is bridge-refined until its step divides the finest rung
+    (:func:`~pullbacklab.noise.refine_levels`), so every run reads the same
+    noise samples; successive endpoint differences then witness the stepping order
     (ratio 2 per halving for a first-order scheme).
     """
     if len(dt_ladder) < 3:
@@ -829,8 +829,7 @@ def self_convergence(
     for a, b in zip(dt_ladder, dt_ladder[1:]):
         if abs(a / b - 2.0) > 1e-9:
             raise ConfigurationError("dt ladder must halve at each rung")
-    finest = dt_ladder[-1]
-    while path.dt > finest * (1.0 + 1e-9):
+    for _ in range(refine_levels(path.dt, dt_ladder[-1])):
         path = refine(path)
     finals = []
     for dt in dt_ladder:

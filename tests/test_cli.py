@@ -4,6 +4,7 @@ Configs are written into tmp_path and outputs land there too; the seeded
 config under configs/ gets one full run to keep it honest.
 """
 
+import io
 import json
 import os
 import subprocess
@@ -13,6 +14,8 @@ import pytest
 
 import pullbacklab
 from pullbacklab import cli, solver
+from pullbacklab.field import write_trajectory_csv
+from pullbacklab.noise import refine, sample_path
 
 pytestmark = pytest.mark.filterwarnings("ignore::pullbacklab.errors.BoundaryLeakWarning")
 
@@ -138,6 +141,64 @@ def test_config_errors_name_the_offending_field(tmp_path, capsys):
     assert code == 2
     assert "unknown kind" in capsys.readouterr().err
 
+    # sections of the wrong type are configuration errors, not crashes
+    for section in ("spec", "grid", "solver", "output"):
+        code, _ = run_into(tmp_path, base_config(**{section: [1, 2]}))
+        assert code == 2
+        assert f"{section} must be a mapping" in capsys.readouterr().err
+    code, _ = run_into(tmp_path, base_config(output={"formats": 7}))
+    assert code == 2
+    assert "output.formats must be a list" in capsys.readouterr().err
+    code, _ = run_into(tmp_path, base_config(output={"directory": 7}))
+    assert code == 2
+    assert "output.directory must be a string" in capsys.readouterr().err
+
+
+def test_non_finite_numbers_exit_two(tmp_path, capsys):
+    # json reads NaN and Infinity (and 1e400 as infinity) as floats, and
+    # 10**400 written out as an integer that no float holds
+    for where, value in (
+        (("simulate", "horizon"), float("nan")),
+        (("simulate", "horizon"), float("inf")),
+        (("simulate", "horizon"), 10**400),
+        (("spec", "lambda"), float("-inf")),
+        (("solver", "dt"), float("nan")),
+        (("noise", "dt"), float("inf")),
+    ):
+        cfg = base_config()
+        cfg[where[0]][where[1]] = value
+        code, _ = run_into(tmp_path, cfg)
+        assert code == 2, where
+        assert f"{where[0]}.{where[1]} must be a finite number" in capsys.readouterr().err
+    cfg = base_config()
+    cfg["noise"]["window"] = [float("nan"), 1.0]
+    code, _ = run_into(tmp_path, cfg)
+    assert code == 2
+    assert "noise.window[0] must be a finite number" in capsys.readouterr().err
+
+
+def test_bools_are_not_integers(tmp_path, capsys):
+    cfg = base_config(solver={"dt": 0.001, "store_stride": True})
+    cfg_mode = base_config()
+    cfg_mode["simulate"]["initial"] = {"kind": "eigenmode", "mode": True}
+    cfg_grid = base_config(grid={"points_per_axis": True})
+    cfg_dim = base_config()
+    cfg_dim["spec"]["dimension"] = True
+    with open(os.path.join(REPO_ROOT, "configs", "upper_semi.json")) as handle:
+        cfg_semi = json.load(handle)
+    cfg_semi["upper-semi"]["max_inversions"] = True
+    cases = (
+        (cfg, "solver.store_stride"),
+        (cfg_mode, "config.simulate.initial.mode"),
+        (cfg_grid, "grid.points_per_axis"),
+        (cfg_dim, "spec.dimension"),
+        (cfg_semi, "config.upper-semi.max_inversions"),
+    )
+    for config, where in cases:
+        code, _ = run_into(tmp_path, config)
+        assert code == 2, where
+        assert f"{where} must be an integer, got True" in capsys.readouterr().err
+
 
 def test_noise_section_validation(tmp_path, capsys):
     cfg = base_config()
@@ -235,6 +296,34 @@ def test_divergence_triggers_one_halved_retry(tmp_path):
     assert summary["retried_after_divergence"] is True
     assert summary["checks"]["completed"] is True
     assert summary["config"]["solver"]["dt"] == 0.25
+
+
+def test_coarse_noise_is_bridge_refined_onto_the_solver_lattice(tmp_path, capsys):
+    with open(os.path.join(REPO_ROOT, "configs", "simulate.json")) as handle:
+        cfg = json.load(handle)
+    cfg["noise"]["dt"] = 0.008
+    code, out = run_into(tmp_path, cfg)
+    assert code == 0
+    summary = load_summary(out, "simulate")
+    assert summary["snapped"] == ["noise.dt: 0.008 -> 0.001 by 3 bridge refinements"]
+    assert summary["config"]["noise"]["dt"] == 0.008
+    # the run reads the sampled path refined three times, nothing else
+    plan = cli._resolve(cfg, str(tmp_path / "direct"))
+    path = refine(refine(refine(sample_path(1, -1.0, 3.0, 0.008))))
+    results, checks, tables = cli._exec_simulate(plan, path)
+    assert json.loads(json.dumps(cli._sanitize(results))) == summary["results"]
+    assert checks == summary["checks"]
+    buf = io.StringIO()
+    write_trajectory_csv(tables["trajectory"], buf, p=plan.spec.nonlinearity.p)
+    assert buf.getvalue().encode() == (out / "simulate_trajectory.csv").read_bytes()
+
+    # no number of halvings of 0.01 divides 0.001
+    cfg["noise"]["dt"] = 0.01
+    code, out = run_into(tmp_path, cfg, subdir="rejected")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "0.01" in err and "0.001" in err
+    assert not out.exists()
 
 
 def test_eigenmode_initial_data_runs(tmp_path):

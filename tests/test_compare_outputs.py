@@ -58,3 +58,30 @@ def test_report_names_the_largest_relative_difference(tmp_path, capsys):
     assert script.relative_difference(a, b) == abs(a - b) / b
     assert script.relative_difference(float("nan"), float("nan")) == 0.0
     assert script.relative_difference(1.0, float("inf")) == float("inf")
+
+
+FAKE_CLI = '''
+import os, sys
+config, out = sys.argv[sys.argv.index("--config") + 1], sys.argv[sys.argv.index("--output-dir") + 1]
+if config.endswith("crash.json"):
+    raise RuntimeError("traceback of the crashed run")
+os.makedirs(out)
+open(os.path.join(out, "failed_summary.json"), "w").write("{}")
+print("stderr of a run that wrote its summary", file=sys.stderr)
+sys.exit(1)
+'''
+
+
+def test_fill_shows_stderr_of_runs_that_wrote_no_summary(tmp_path, capsys):
+    # both runs exit 1: a traceback and a failed check look alike by the code
+    package = tmp_path / "src" / "pullbacklab"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(FAKE_CLI)
+    configs = [str(tmp_path / "crash.json"), str(tmp_path / "failed.json")]
+    load_script().fill(str(tmp_path / "tree"), str(tmp_path / "src"), configs)
+    captured = capsys.readouterr()
+    assert f"ran crash into {tmp_path / 'tree'} (exit 1)" in captured.out
+    assert f"ran failed into {tmp_path / 'tree'} (exit 1)" in captured.out
+    assert "RuntimeError: traceback of the crashed run" in captured.err
+    assert "wrote its summary" not in captured.err

@@ -1,6 +1,6 @@
 """Path sampling, refinement, shifting, and the conjugation factor.
 
-The identities here are exact by construction (interpolation on a shared
+The identities here are exact by construction (reads of a shared sample
 lattice, midpoint refinement, flattened shifts), so most assertions are
 bitwise rather than approximate.
 """
@@ -18,7 +18,9 @@ from pullbacklab.noise import (
     ShiftedPath,
     WienerPath,
     flat_path,
+    lattice_steps,
     refine,
+    refine_levels,
     sample_path,
     shift,
     sublinearity_report,
@@ -73,12 +75,14 @@ def test_value_at_grid_points_matches_grid_values():
         assert path.value_at(float(times[i])) == vals[i]
 
 
-def test_value_at_interpolates_linearly():
+def test_value_at_rejects_times_between_samples():
     path = sample_path(5, 0.0, 1.0, DT)
-    vals = path.grid_values()
-    t = 0.25 * DT
-    expected = 0.75 * vals[0] + 0.25 * vals[1]
-    assert path.value_at(t) == pytest.approx(expected, rel=1e-12)
+    # a quarter step, a half step, and just outside the snap slack of 1e-6
+    for t in (0.25 * DT, 137.5 * DT, (137 + 2e-6) * DT):
+        with pytest.raises(ConfigurationError, match="lattice"):
+            path.value_at(t)
+    with pytest.raises(ConfigurationError, match="lattice"):
+        shift(path, 0.5).value_at(0.25 * DT)
 
 
 def test_value_at_snaps_to_the_lattice():
@@ -111,35 +115,58 @@ def _pointwise(path, t_start, n, step):
     return np.array([path.value_at(t_start + k * step) for k in range(n)])
 
 
+# start fractions that snap onto the lattice, and step fractions that are a
+# whole number of path steps; every other choice reads between samples
+_SNAPPED = (0.0, 3e-7, -4e-7)
+_WHOLE = (1.0, 2.0)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     start=st.integers(min_value=-120, max_value=110),
     # on the lattice, inside the snap slack, and between samples
-    start_frac=st.sampled_from([0.0, 3e-7, -4e-7, 0.25, 0.5, 0.73]),
-    # half steps alternate snapped and midpoint times; 1 + 3e-6 leaves the
-    # aligned fast path and drifts from snapped to interpolated times
-    step_frac=st.sampled_from([0.5, 0.25, 0.37, 1.0 + 3e-6, 1.5, 2.0]),
+    start_frac=st.sampled_from([*_SNAPPED, 0.25, 0.5, 0.73]),
+    # whole steps, and steps that are not: 1 + 3e-6 lies outside the slack
+    step_frac=st.sampled_from([*_WHOLE, 0.5, 0.25, 0.37, 1.0 + 3e-6, 1.5]),
     n=st.integers(min_value=0, max_value=60),
     shift_steps=st.one_of(st.none(), st.integers(min_value=-50, max_value=50)),
     shift_frac=st.sampled_from([0.0, 0.5, 0.21]),
 )
 # times within the snap slack outside either end of the window snap into it
-@example(0, -100, -4e-7, 0.5, 5, None, 0.0)
-@example(0, 100, 3e-7, 0.5, 1, None, 0.0)
-@example(0, 99, 0.0, 0.5, 3, None, 0.0)
+@example(0, -100, -4e-7, 1.0, 5, None, 0.0)
+@example(0, 100, 3e-7, 1.0, 1, None, 0.0)
+@example(0, 98, 0.0, 1.0, 3, None, 0.0)
+# one step past the end leaves the window
+@example(0, 99, 0.0, 1.0, 3, None, 0.0)
 # an empty series is empty, also where its start lies outside the window
 @example(0, -100, 0.0, 2.0, 0, None, 0.0)
 @example(0, -101, 0.0, 2.0, 0, None, 0.0)
+# off the lattice: the start, the step, the shift
+@example(0, 0, 0.25, 1.0, 3, None, 0.0)
+@example(0, 0, 0.0, 0.5, 3, None, 0.0)
+@example(0, 0, 0.0, 1.0, 3, 5, 0.5)
 def test_sample_series_equals_value_at_on_and_off_the_lattice(
     seed, start, start_frac, step_frac, n, shift_steps, shift_frac
 ):
     dt = 0.01
     path = sample_path(seed, -1.0, 1.0, dt)
     if shift_steps is not None:
+        if shift_frac not in _SNAPPED:
+            # the shifted path reads its base between samples at its origin
+            with pytest.raises(ConfigurationError, match="lattice"):
+                shift(path, (shift_steps + shift_frac) * dt)
+            return
         path = shift(path, (shift_steps + shift_frac) * dt)
     t_start = (start + start_frac) * dt
     step = step_frac * dt
+    if n == 0:
+        assert path.sample_series(t_start, n, step).size == 0
+        return
+    if start_frac not in _SNAPPED or step_frac not in _WHOLE:
+        with pytest.raises(ConfigurationError, match="lattice"):
+            path.sample_series(t_start, n, step)
+        return
     try:
         expected = _pointwise(path, t_start, n, step)
     except OutOfWindowError:
@@ -147,6 +174,35 @@ def test_sample_series_equals_value_at_on_and_off_the_lattice(
             path.sample_series(t_start, n, step)
         return
     assert np.array_equal(path.sample_series(t_start, n, step), expected)
+
+
+def test_sample_series_step_error_names_both_steps():
+    path = sample_path(9, -1.0, 1.0, DT)
+    with pytest.raises(ConfigurationError, match=r"0\.0015.*dt=0\.001\b"):
+        path.sample_series(0.0, 3, 1.5 * DT)
+
+
+def test_lattice_steps_snaps_within_the_slack_and_rejects_the_rest():
+    assert lattice_steps(0.5, DT, "x") == 500
+    assert lattice_steps(-0.5 + 3e-7 * DT, DT, "x") == -500
+    for value in (0.5 + 2e-6 * DT, 0.0005, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="^x is not a multiple"):
+            lattice_steps(value, DT, "x")
+
+
+def test_refine_levels_takes_the_fewest_halvings():
+    assert refine_levels(0.008, 0.001) == 3
+    assert refine_levels(0.001, 0.001) == 0
+    assert refine_levels(0.0005, 0.001) == 0  # finer and dividing: no refinement
+    assert refine_levels(0.002, 0.003) == 1  # finer, but only its half divides
+    with pytest.raises(ConfigurationError, match=r"0\.01 .*0\.001"):
+        refine_levels(0.01, 0.001)
+    # a step within the snap slack of zero path steps is not a whole step
+    with pytest.raises(ConfigurationError):
+        refine_levels(1.0, 1e-7)
+    fine = refine(refine(refine(sample_path(4, -1.0, 1.0, 0.008))))
+    assert fine.dt == 0.008 / 2**3
+    assert lattice_steps(0.001, fine.dt, "solver step") == 1
 
 
 def test_sample_series_with_stride_is_a_view_of_the_lattice():

@@ -22,7 +22,7 @@ from pullbacklab.errors import (
 )
 from pullbacklab.field import Field, Grid, eigenmode, gaussian_bump, l2_norm, zero_field
 from pullbacklab.model import Nonlinearity, ProblemSpec, canonical_cubic, zero_forcing
-from pullbacklab.noise import flat_path, sample_path
+from pullbacklab.noise import flat_path, refine, sample_path
 from pullbacklab.solver import (
     SolverConfig,
     _Context,
@@ -284,8 +284,8 @@ def test_divergence_raises_with_the_failure_time():
     with pytest.raises(DivergenceError) as exc_info:
         integrate(v0, 0.0, 6.0, path, spec, cfg)
     assert 0.0 < exc_info.value.t <= 6.0
-    # halving dt stabilizes the same run
-    integrate(v0, 0.0, 6.0, path, spec, SolverConfig(dt=0.25))
+    # halving dt stabilizes the same run, read on the path refined to dt
+    integrate(v0, 0.0, 6.0, refine(path), spec, SolverConfig(dt=0.25))
 
 
 def test_energy_audit_inequality_holds(desk_spec, desk_path):
