@@ -128,10 +128,20 @@ def canonical_cubic(alpha3: float, scale: float = 1.0) -> Nonlinearity:
         raise ConfigurationError("alpha3 and scale must be positive")
     a3 = float(alpha3)
     sc = float(scale)
+
+    def f(pts, s):
+        # a3*s - sc*(s*s*s) in that order, in place on two fresh arrays, so
+        # the bits are those of the expression; s*s*s, not s**3: numpy hands
+        # a cube to libm's pow, about 85 times slower on negative values
+        c = s * s
+        c *= s
+        c *= sc
+        r = a3 * s
+        r -= c
+        return r
+
     return Nonlinearity(
-        # s*s*s, not s**3: numpy hands a cube to libm's pow, about 85 times
-        # slower on negative values
-        f=lambda pts, s: a3 * s - sc * (s * s * s),
+        f=f,
         df_ds=lambda pts, s: a3 - 3.0 * sc * s**2,
         df_dx=lambda pts, s: np.zeros_like(pts),
         alpha1=sc / 2.0,

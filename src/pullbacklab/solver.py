@@ -25,10 +25,15 @@ matrix-vector product per column; in two dimensions by fast
 diagonalisation, the orthonormal DST-I matrix applied on both sides of the
 whole stack as dense matrix products.  The forcing is not called per step:
 z*g is formed for a block of coming steps from one call of g on the block's
-clocks.  A step allocates no array of its own; the march writes into two
-ping-pong state buffers and one buffer each for the right-hand side and
-v/z, so a stack it yields is valid only until the next step.  Columns never
-mix, so a column of a stack equals the same run marched alone, bit for bit.
+clocks, next to a table of z spread out to every grid point, so each step's
+arithmetic is a few numpy calls on flat contiguous arrays with no
+broadcasting.  A step allocates no array of its own other than the
+reaction's result; the march writes into two ping-pong state buffers and
+one buffer each for the right-hand side and v/z, binds their views and the
+solves into them once per admitted column (the 2D solve runs through two
+reused scratch stacks), and a stack it yields is valid only until the next
+step.  Columns never mix, so a column of a stack equals the same run
+marched alone, bit for bit.
 :func:`integrate`, :func:`final_state`, :func:`final_states`,
 :func:`iterate_states`, :func:`difference_history` and :func:`energy_audit`
 are reductions over it.  :func:`final_states`, which keeps only the
@@ -146,16 +151,37 @@ class _Context:
             return self._ainv @ rhs_interior
         return self._diagonalised(rhs_interior)
 
-    def solve_stack(self, rhs_interior: np.ndarray, out: np.ndarray) -> None:
-        """Interior solves for a (k, ...) stack of right-hand sides, into
-        ``out``; each column gets the bits :meth:`solve_implicit` gives it."""
+    def stack_solver(self, src: np.ndarray, dst: np.ndarray) -> Callable[[], None]:
+        """The interior solve of the (k, ...) stack ``src`` into ``dst``, bound
+        once: each call solves for every column of ``src`` as it is then, so
+        a caller writes fresh right-hand sides into ``src`` and calls again.
+        Each column gets the bits :meth:`solve_implicit` gives it."""
         if self.grid.dimension == 1:
+            ainv = self._ainv
+            if len(src) == 1:
+                # one column's interiors are contiguous, so np.dot takes the
+                # product straight into dst: the BLAS matrix-vector call that
+                # matmul makes below, with the same bits
+                s, d = src[0], dst[0]
+                return lambda: np.dot(ainv, s, out=d)
             # a stack of (m-2, 1) columns makes matmul take one matrix-vector
             # product per column, as for one column alone; a (k, m-2) x
             # (m-2, m-2) matrix product would let the columns' bits depend on k
-            np.matmul(self._ainv, rhs_interior[:, :, None], out=out[:, :, None])
-        else:
-            out[...] = self._diagonalised(rhs_interior)
+            s, d = src[:, :, None], dst[:, :, None]
+            return lambda: np.matmul(ainv, s, out=d)
+        q, inv = self._q, self._inv
+        t1, t2 = np.empty(src.shape), np.empty(src.shape)
+
+        def solve() -> None:
+            # _diagonalised's products in its order, through two scratch
+            # stacks, the last one written straight into dst
+            np.matmul(q, src, out=t1)
+            np.matmul(t1, q, out=t2)
+            np.multiply(t2, inv, out=t2)
+            np.matmul(q, t2, out=t1)
+            np.matmul(t1, q, out=dst)
+
+        return solve
 
     def _diagonalised(self, rhs: np.ndarray) -> np.ndarray:
         """The 2D solve of one interior field or of a stack of them; matmul
@@ -223,18 +249,23 @@ def _march(
     step.  Every operation acts on each column alone, so a column's bits do
     not depend on what else is in the stack or on when it joined.
 
-    A step allocates no array of its own (the reaction and the 2D solve's
-    matrix products make their temporaries).  The march keeps two
-    ping-pong state buffers of the stack's shape, whose boundaries stay
-    zero, one right-hand-side buffer and one for v/z, and takes new views
-    of the admitted prefix only when a column joins.  The forcing is not
-    called per step: z*g is formed for a block of coming steps, with one
-    call of g on the block's clocks as a ``(steps * columns, 1)`` array of
-    at most about ``_FORCING_BLOCK`` values, and each step adds its own
-    row.  A block ends where the next column joins.  A yielded stack is a
-    view of a buffer that later steps overwrite: it is valid only until the
-    next step, so a caller that keeps a state copies it (a :class:`Field`
-    does).
+    A step allocates no array of its own (the reaction makes its result)
+    and makes few numpy calls, each on flat contiguous arrays.  The march
+    keeps two ping-pong state buffers of the stack's shape, whose
+    boundaries stay zero, one right-hand-side buffer and one for v/z.  When
+    a column joins it binds, once, flat views of the admitted prefix of
+    each and one solve per state buffer (:meth:`_Context.stack_solver`),
+    which reads the right-hand side and writes the next state's interior.
+    The march runs in blocks of steps that end where the next column joins.
+    For each block it calls the forcing once, on the block's clocks as a
+    ``(steps * columns, 1)`` array of at most about ``_FORCING_BLOCK``
+    values, and forms two tables of the block's rows: z spread out to every
+    grid point of its column, and z*g.  So dividing by z and multiplying by
+    z take no broadcasting.  Finiteness is one reduction over the stack;
+    :func:`_nonfinite_column` runs only when it fails.  A yielded stack is
+    a view of a buffer that later steps overwrite: it is valid only until
+    the next step, so a caller that keeps a state copies it (a
+    :class:`Field` does).
     """
     dt = ctx.cfg.dt
     f = ctx.spec.nonlinearity.f
@@ -250,51 +281,55 @@ def _march(
     clocks += starts
     npts = len(ctx.pts)
     pts = np.tile(ctx.pts, (k, 1))
-    zcol = zs.reshape(zs.shape + (1,) * ctx.grid.dimension)
     inner = (slice(None),) + (slice(1, -1),) * ctx.grid.dimension
     # step j reads the state from buffer j % 2 and writes the next one into
     # the other; only interiors are ever written, so boundaries stay zero
     bufs = (np.zeros(v0.shape), np.zeros(v0.shape))
     rhs_buf = np.empty(v0.shape)
-    vz_buf = np.empty(v0.shape)
-    zg_buf = np.empty(min(max(_FORCING_BLOCK, k * npts), n * k * npts))
+    vz_buf = np.empty(k * npts)
+    block_size = min(max(_FORCING_BLOCK, k * npts), n * k * npts)
+    z_buf, zg_buf = np.empty(block_size), np.empty(block_size)
     a = 0
-    block_end = 0
-    for j in range(n):
+    j = 0
+    while j < n:
         if a < k and admit[a] == j:
             b = int(np.searchsorted(admit, j, side="right"))
             bufs[j % 2][a:b][inner] = v0[a:b][inner]
             a = b
-            views = [(buf[:a], buf[:a][inner]) for buf in bufs]
-            rhs, vz = rhs_buf[:a], vz_buf[:a]
-            rhs_in, vz_flat, pts_a = rhs[inner], vz.ravel(), pts[: a * npts]
-            block_end = j
-        if j == block_end:
-            # z*g for the steps up to the next admission, at most a block
-            block_start = j
-            steps = max(1, _FORCING_BLOCK // (a * npts))
-            block_end = min(n, j + steps, int(admit[a]) if a < k else n)
-            zg = zg_buf[: (block_end - j) * a * npts].reshape((-1,) + rhs.shape)
-            g = ctx.forcing_values(clocks[j:block_end, :a])
-            np.multiply(zcol[j:block_end, :a], g, out=zg)
-        v = views[j % 2][0]
-        v_next, v_next_in = views[1 - j % 2]
-        z = zcol[j, :a]
-        # v + dt*(z*reaction + z*g), formed in place in that order so the
-        # bits are those of the expression
-        np.divide(v, z, out=vz)
-        reaction = np.asarray(f(pts_a, vz_flat), dtype=float)
-        np.multiply(z, reaction.reshape(v.shape), out=rhs)
-        rhs += zg[j - block_start]
-        rhs *= dt
-        rhs += v
-        # an overflowing reaction term must surface as a divergence; the
-        # solve is a contraction, so its result needs no check of its own
-        bad = _nonfinite_column(rhs)
-        if bad is not None:
-            raise DivergenceError(float(clocks[j, bad]) + dt)
-        ctx.solve_stack(rhs_in, v_next_in)
-        yield v_next
+            stacks = [buf[:a] for buf in bufs]
+            flats = [stack.ravel() for stack in stacks]
+            rhs = rhs_buf[:a]
+            rhs_flat, vz, pts_a = rhs.ravel(), vz_buf[: a * npts], pts[: a * npts]
+            solves = [ctx.stack_solver(rhs[inner], stack[inner]) for stack in stacks]
+        # the steps up to the next admission, at most a forcing block
+        end = min(n, j + max(1, _FORCING_BLOCK // (a * npts)), int(admit[a]) if a < k else n)
+        blocked = (end - j,) + rhs.shape
+        z_rows = z_buf[: (end - j) * a * npts].reshape(blocked)
+        z_rows[...] = zs[j:end, :a].reshape(blocked[:2] + (1,) * ctx.grid.dimension)
+        zg_rows = zg_buf[: z_rows.size].reshape(blocked)
+        np.multiply(z_rows, ctx.forcing_values(clocks[j:end, :a]), out=zg_rows)
+        for z, zg in zip(z_rows.reshape(end - j, -1), zg_rows.reshape(end - j, -1)):
+            v = flats[j % 2]
+            # v + dt*(z*reaction + z*g), formed in place in that order so the
+            # bits are those of the expression
+            np.divide(v, z, out=vz)
+            reaction = np.asarray(f(pts_a, vz), dtype=float)
+            if reaction.shape != vz.shape:
+                # a reaction of the wrong size raises here rather than broadcast
+                reaction = reaction.reshape(vz.shape)
+            np.multiply(z, reaction, out=rhs_flat)
+            rhs_flat += zg
+            rhs_flat *= dt
+            rhs_flat += v
+            # an overflowing reaction term must surface as a divergence; the
+            # solve is a contraction, so its result needs no check of its own
+            if not math.isfinite(np.vdot(rhs_flat, rhs_flat)):
+                bad = _nonfinite_column(rhs)
+                if bad is not None:
+                    raise DivergenceError(float(clocks[j, bad]) + dt)
+            solves[1 - j % 2]()
+            j += 1
+            yield stacks[j % 2]
 
 
 def _advance_plain(v: np.ndarray, t: float, ctx: _Context) -> np.ndarray:
@@ -711,9 +746,8 @@ def final_states(
     stack = np.stack([v0s[i].values for i in order])
     admit = np.array([steps[0] - n for n in steps])
     width = min(worker_count(), len(order))
-    # 2D stays here: its solve is a dense matrix product, which OpenBLAS
-    # runs on every CPU already, and two processes doing so oversubscribe
-    # them (a split stack of 8 columns on 65x65 took 3x as long)
+    # 2D stays here: on a 2-core host with two OpenBLAS threads per process,
+    # a split stack of 8 columns on 65x65 took about 3x as long as unsplit
     if width > 1 and ctx.grid.dimension == 1 and sum(steps) * len(ctx.pts) >= _SPLIT_FLOOR:
         v = _march_split(ctx, stack, starts, zs, admit, _cut(steps, width))
     else:

@@ -77,6 +77,31 @@ def test_check_hypotheses_passes_the_canonical_instance(desk_spec):
         assert len(point) == 2
 
 
+# the values where an in-place evaluation could part from the expression:
+# signed zeros, infinities, NaN, subnormals and values whose cube overflows
+_CUBIC_EDGES = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2e-308, 6e102, -1e103, 1e200]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha3=st.floats(min_value=1e-100, max_value=1e100),
+    scale=st.floats(min_value=1e-100, max_value=1e100),
+    s=st.lists(st.floats() | _CUBIC_EDGES, min_size=1, max_size=40),
+)
+def test_canonical_cubic_is_its_expression_bitwise(alpha3, scale, s):
+    values = np.array(s)
+    kept = values.copy()
+    with np.errstate(all="ignore"):
+        got = canonical_cubic(alpha3, scale).f(np.zeros((len(s), 1)), values)
+        want = alpha3 * values - scale * (values * values * values)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+    assert np.array_equal(values.view(np.uint64), kept.view(np.uint64))  # s untouched
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     alpha3=st.floats(min_value=0.1, max_value=5.0),

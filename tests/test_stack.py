@@ -131,14 +131,43 @@ def test_zero_noise_column_matches_the_deterministic_oracle(dimension):
 def test_stack_solve_equals_each_column_solved_alone_bitwise(dimension, k):
     grid = Grid(dimension, 8.0, 65)
     ctx = _Context(grid, spec_for(dimension), SolverConfig(dt=2e-3))
-    full = np.random.default_rng(k).standard_normal((k,) + grid.shape)
-    # the strided interior view that _march passes, not a contiguous copy
+    rng = np.random.default_rng(k)
+    # the strided interior views that _march binds, not contiguous copies
     inner = (slice(None),) + (slice(1, -1),) * dimension
+    full = np.empty((k,) + grid.shape)
     out = np.zeros_like(full)
-    ctx.solve_stack(full[inner], out[inner])
-    for col, got in zip(full[inner], out[inner]):
-        assert np.array_equal(got, ctx.solve_implicit(col))
-        assert np.array_equal(got, ctx.solve_implicit(col.copy()))
+    solve = ctx.stack_solver(full[inner], out[inner])
+    # the second call reads fresh right-hand sides through the same views; a
+    # solve that carried values over in its scratch stacks would fail it
+    for _ in range(2):
+        full[...] = rng.standard_normal(full.shape)
+        solve()
+        for col, got in zip(full[inner], out[inner]):
+            assert np.array_equal(got, ctx.solve_implicit(col))
+            assert np.array_equal(got, ctx.solve_implicit(col.copy()))
+        rim = out.copy()
+        rim[inner] = 0.0
+        assert not rim.any()  # only interiors are written
+
+
+@pytest.mark.parametrize(
+    "bad_f",
+    [lambda pts, s: 0.5, lambda pts, s: s[:1], lambda pts, s: s[:-1]],
+    ids=["scalar", "one-value", "short"],
+)
+def test_reaction_of_the_wrong_size_raises(bad_f):
+    # one reaction value per grid point of the stack, or a ValueError: a
+    # result that broadcasts would silently march a different equation
+    spec = spec_for(1)
+    spec = replace(spec, nonlinearity=replace(spec.nonlinearity, f=bad_f))
+    v0 = gaussian_bump(Grid(1, 8.0, 65), 0.5, 1.5)
+    path = flat_path(-1.0, 1.0, 0.01)
+    cfg = SolverConfig(dt=0.01)
+    with pytest.raises(ValueError) as alone:
+        final_state(v0, 0.0, 0.1, path, spec, cfg)
+    with pytest.raises(ValueError) as stacked:
+        final_states([v0, v0], [0.0, 0.05], 0.1, [path] * 2, [0.5, 0.0], spec, cfg)
+    assert alone.type is stacked.type is ValueError  # not a ConfigurationError
 
 
 def test_one_diverging_column_raises_at_its_own_time():
