@@ -531,17 +531,25 @@ def truncation_rate(
     E is the minimum of z over the unit window [-1, 0] of the underlying
     path, so the rate is a pathwise quantity, not a constant.
     """
-    if level <= 0.0:
-        raise ConfigurationError(f"level must be positive, got {level!r}")
+    return _truncation_rates(path, epsilon, spec, tau, [level])[0]
+
+
+def _truncation_rates(
+    path: Path, epsilon: float, spec: ProblemSpec, tau: float, levels: Sequence[float]
+) -> list[float]:
+    """:func:`truncation_rate` at each of ``levels``, bit for bit.  The window
+    scan for E and omega(-tau) do not depend on the level, so they and the
+    product's leading factors are computed once."""
+    for level in levels:
+        if level <= 0.0:
+            raise ConfigurationError(f"level must be positive, got {level!r}")
+    if len(levels) == 0:
+        return []
     nl = spec.nonlinearity
     z_min, _ = z_window_bounds(path, epsilon)
     w_tau = path.value_at(-tau)
-    return (
-        nl.alpha1
-        * z_min ** (2.0 - nl.p)
-        * math.exp(-(nl.p - 2.0) * abs(w_tau))
-        * level ** (nl.p - 2.0)
-    )
+    prefactor = nl.alpha1 * z_min ** (2.0 - nl.p) * math.exp(-(nl.p - 2.0) * abs(w_tau))
+    return [prefactor * level ** (nl.p - 2.0) for level in levels]
 
 
 def truncation_diagnostics(
@@ -566,7 +574,7 @@ def truncation_diagnostics(
         raise ConfigurationError(
             f"horizon must cover the unit window, got {horizon!r}"
         )
-    rhos = [truncation_rate(path, epsilon, spec, tau, level) for level in levels]
+    rhos = _truncation_rates(path, epsilon, spec, tau, levels)
     spec_eps = replace(spec, epsilon=epsilon)
     w = shift(path, -tau)
     v0 = u0.with_values(u0.values * z_factor(w, epsilon, tau - horizon))

@@ -38,6 +38,15 @@ class Nonlinearity:
     - slope bound:      d f/d s <= alpha3
     - space gradient:   |d f/d x| <= psi3(x)
     - slope growth:     |d f/d s| <= alpha4*|s|^(p-2) + psi4(x)
+
+    The marching kernel needs z*f(x, v/z) and looks for structure on ``f``
+    itself, once per march.  It first follows ``__wrapped__`` (set by
+    ``functools.wraps``) to the innermost callable.  If that is a
+    :class:`CubicReaction`, the kernel computes the conjugated form
+    a3*v - (sc/z^2)*v^3 directly and never calls ``f``, so a
+    ``functools.wraps`` wrapper must not change f's values.  Any other
+    ``f``, a plain wrapper of a :class:`CubicReaction` included, is called
+    on v/z at every step.
     """
 
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -68,6 +77,13 @@ class Forcing:
     returns shape (k, n), or shape (n,) if it does not depend on t.  delta
     controls the weight exp(delta * s) under which the forcing's past must
     be integrable; it is validated against the damping at spec assembly.
+
+    The marching kernel looks for structure on ``g`` as it does on
+    :attr:`Nonlinearity.f`: it follows ``__wrapped__`` to the innermost
+    callable, and if that is a :class:`TanhGaussian` it reads the profile
+    once per march and forms z*g as (z*amplitude(t))*profile, without
+    calling ``g``.  Any other ``g``, a plain wrapper included, is called
+    once per block of steps.
     """
 
     g: Callable[[float, np.ndarray], np.ndarray]
@@ -116,6 +132,56 @@ def _const(value: float) -> Pointwise:
     return lambda pts: np.full(len(pts), float(value))
 
 
+@dataclass(frozen=True)
+class CubicReaction:
+    """The reaction f(x, s) = a3*s - sc*s^3 of :func:`canonical_cubic`.
+
+    Called as ``f(pts, s)``.  Its conjugated form is
+    z*f(x, v/z) = a3*v - (sc/z^2)*v^3, which the marching kernel computes
+    without dividing by z (see :class:`Nonlinearity`).
+    """
+
+    a3: float
+    sc: float
+
+    def __call__(self, pts, s):
+        # a3*s - sc*(s*s*s) in that order, in place on two fresh arrays, so
+        # the bits are those of the expression; s*s*s, not s**3: numpy hands
+        # a cube to libm's pow, about 85 times slower on negative values
+        c = s * s
+        c *= s
+        c *= self.sc
+        r = self.a3 * s
+        r -= c
+        return r
+
+
+@dataclass(frozen=True)
+class TanhGaussian:
+    """The forcing g(t, x) = amplitude(t) * profile(x) of
+    :func:`canonical_forcing`, with amplitude(t) = amp * (1 + tanh t)/2 and
+    profile(x) = exp(-|x|^2 / w2).
+
+    Called as ``g(t, pts)``; ``t`` may be an array, whose shape the
+    amplitude keeps.  The marching kernel uses the two factors on their own
+    (see :class:`Forcing`).
+    """
+
+    amp: float
+    w2: float
+
+    def amplitude(self, t):
+        return self.amp * (0.5 * (1.0 + np.tanh(t)))
+
+    def profile(self, pts: np.ndarray) -> np.ndarray:
+        # |x|^2 summed coordinate by coordinate, the bits of a sum along
+        # axis 1, which numpy takes about ten times slower on short rows
+        return np.exp(-sum(pts.T**2) / self.w2)
+
+    def __call__(self, t, pts: np.ndarray) -> np.ndarray:
+        return self.amplitude(t) * self.profile(pts)
+
+
 def canonical_cubic(alpha3: float, scale: float = 1.0) -> Nonlinearity:
     """f(x, s) = alpha3*s - scale*s^3, x-independent, with sharp constants.
 
@@ -128,20 +194,8 @@ def canonical_cubic(alpha3: float, scale: float = 1.0) -> Nonlinearity:
         raise ConfigurationError("alpha3 and scale must be positive")
     a3 = float(alpha3)
     sc = float(scale)
-
-    def f(pts, s):
-        # a3*s - sc*(s*s*s) in that order, in place on two fresh arrays, so
-        # the bits are those of the expression; s*s*s, not s**3: numpy hands
-        # a cube to libm's pow, about 85 times slower on negative values
-        c = s * s
-        c *= s
-        c *= sc
-        r = a3 * s
-        r -= c
-        return r
-
     return Nonlinearity(
-        f=f,
+        f=CubicReaction(a3, sc),
         df_ds=lambda pts, s: a3 - 3.0 * sc * s**2,
         df_dx=lambda pts, s: np.zeros_like(pts),
         alpha1=sc / 2.0,
@@ -162,23 +216,16 @@ def canonical_forcing(amplitude: float, delta: float, width: float = 1.0) -> For
     g(t, x) = amplitude * (1 + tanh t)/2 * exp(-|x|^2 / width^2).
 
     Bounded in time, decaying into the far past, spatially concentrated.
-    ``t`` may be a ``(k, 1)`` array of times, giving one row per time.  The
-    spatial profile is computed afresh on every call, so a points array
-    changed in place between calls is read as it is now.
+    ``t`` may be a ``(k, 1)`` array of times, giving one row per time.  A
+    call of g computes the spatial profile afresh, so a points array changed
+    in place between calls is read as it is now; the marching kernel reads
+    the profile once per march instead (:class:`Forcing`).
     """
     if width <= 0.0:
         raise ConfigurationError("width must be positive")
     if delta < 0.0:
         raise ConfigurationError("delta must be nonnegative")
-    amp = float(amplitude)
-    w2 = float(width) ** 2
-
-    def g(t, pts: np.ndarray) -> np.ndarray:
-        # |x|^2 summed coordinate by coordinate, the bits of a sum along
-        # axis 1, which numpy takes about ten times slower on short rows
-        return amp * (0.5 * (1.0 + np.tanh(t))) * np.exp(-sum(pts.T**2) / w2)
-
-    return Forcing(g=g, delta=float(delta))
+    return Forcing(g=TanhGaussian(float(amplitude), float(width) ** 2), delta=float(delta))
 
 
 def zero_forcing(delta: float = 0.0) -> Forcing:

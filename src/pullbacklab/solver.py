@@ -17,23 +17,29 @@ column with its own z series, its own start time and its own initial state.
 A column joins the stack at its own start step and from then on keeps its
 own clock, ``t_start_i + j*dt`` with j counting its own steps, so runs with
 different horizons toward one end time share every step they have in common.
-Per step the kernel evaluates the reaction once on the flattened stack, adds
-the step's row of z*g, then solves for every column at once, directly and
-exactly up to rounding: in one dimension with the inverse of the
-tridiagonal, formed once per march and applied to the stack as one
+Per step the kernel forms the reaction term z*f(v/z) once on the flattened
+stack, adds the step's row of z*g, then solves for every column at once,
+directly and exactly up to rounding: in one dimension with the inverse of
+the tridiagonal, formed once per march and applied to the stack as one
 matrix-vector product per column; in two dimensions by fast
 diagonalisation, the orthonormal DST-I matrix applied on both sides of the
-whole stack as dense matrix products.  The forcing is not called per step:
-z*g is formed for a block of coming steps from one call of g on the block's
-clocks, next to a table of z spread out to every grid point, so each step's
-arithmetic is a few numpy calls on flat contiguous arrays with no
-broadcasting.  A step allocates no array of its own other than the
-reaction's result; the march writes into two ping-pong state buffers and
-one buffer each for the right-hand side and v/z, binds their views and the
-solves into them once per admitted column (the 2D solve runs through two
-reused scratch stacks), and a stack it yields is valid only until the next
-step.  Columns never mix, so a column of a stack equals the same run
-marched alone, bit for bit.
+whole stack as dense matrix products.  The kernel uses the canonical model's
+structure where the callables carry it (looked up once per march, through
+``__wrapped__``): for the canonical cubic the reaction term is
+a3*v - (sc/z^2)*v^3, with no divide by z and no call of f, and for the
+canonical forcing z*g is (z*a(t))*p(x), with the profile p read once per
+march and no call of g.  Any other f is called on v/z every step, and any
+other g once per block of coming steps on the block's clocks.  z*g and a
+table of the reaction term's per-point factor (sc/z^2 or z) are formed
+per block, so each step's arithmetic is a few explicit ``out=`` ufunc
+calls on flat contiguous arrays with no broadcasting.  At z = 1 the
+structured forms have the general forms' bits.  A step allocates no array
+of its own other than a general reaction's result; the march writes into
+two ping-pong state buffers, one right-hand-side buffer and one work
+buffer, binds their views and the solves into them once per admitted
+column (the 2D solve runs through two reused scratch stacks), and a stack
+it yields is valid only until the next step.  Columns never mix, so a
+column of a stack equals the same run marched alone, bit for bit.
 :func:`integrate`, :func:`final_state`, :func:`final_states`,
 :func:`iterate_states`, :func:`difference_history` and :func:`energy_audit`
 are reductions over it.  :func:`final_states`, which keeps only the
@@ -44,8 +50,9 @@ never mix, the split changes no bit.
 :func:`integrate_deterministic` marches the original, unconjugated equation
 with its own step and a one-column solve (the same inverse in 1D, the same
 fast diagonalisation in 2D); it is the independent zero-noise oracle the
-kernel is held to.  Everything is deterministic: same inputs, same bits.
-Only numpy is needed at run time.
+kernel is held to; it calls the plain f and g, so at zero noise it also
+checks the structured forms' algebra.  Everything is deterministic: same
+inputs, same bits.  Only numpy is needed at run time.
 """
 
 from __future__ import annotations
@@ -69,7 +76,13 @@ from .errors import (
     WorkerError,
 )
 from .field import Field, Grid, Trajectory, field_from_function, l2_norm
-from .model import _FORCING_BLOCK, ProblemSpec, forcing_norms_sq
+from .model import (
+    _FORCING_BLOCK,
+    CubicReaction,
+    ProblemSpec,
+    TanhGaussian,
+    forcing_norms_sq,
+)
 from .noise import Path, lattice_steps, refine, refine_levels, z_factor, z_series
 
 _BOUNDARY_TRUST = 1e-8
@@ -230,6 +243,15 @@ def _interior(v: np.ndarray) -> np.ndarray:
     return v[1:-1] if v.ndim == 1 else v[1:-1, 1:-1]
 
 
+def _structure(fn: Callable, kind: type):
+    """The innermost callable under ``fn``'s ``__wrapped__`` chain if it is
+    a ``kind``, else None.  A wrapper without ``__wrapped__`` hides it."""
+    import inspect
+
+    inner = inspect.unwrap(fn)
+    return inner if isinstance(inner, kind) else None
+
+
 def _march(
     ctx: _Context,
     v0: np.ndarray,
@@ -249,26 +271,37 @@ def _march(
     step.  Every operation acts on each column alone, so a column's bits do
     not depend on what else is in the stack or on when it joined.
 
-    A step allocates no array of its own (the reaction makes its result)
-    and makes few numpy calls, each on flat contiguous arrays.  The march
-    keeps two ping-pong state buffers of the stack's shape, whose
-    boundaries stay zero, one right-hand-side buffer and one for v/z.  When
-    a column joins it binds, once, flat views of the admitted prefix of
-    each and one solve per state buffer (:meth:`_Context.stack_solver`),
-    which reads the right-hand side and writes the next state's interior.
-    The march runs in blocks of steps that end where the next column joins.
-    For each block it calls the forcing once, on the block's clocks as a
-    ``(steps * columns, 1)`` array of at most about ``_FORCING_BLOCK``
-    values, and forms two tables of the block's rows: z spread out to every
-    grid point of its column, and z*g.  So dividing by z and multiplying by
-    z take no broadcasting.  Finiteness is one reduction over the stack;
-    :func:`_nonfinite_column` runs only when it fails.  A yielded stack is
-    a view of a buffer that later steps overwrite: it is valid only until
-    the next step, so a caller that keeps a state copies it (a
-    :class:`Field` does).
+    The model's structure is looked up once per march, on the callables
+    themselves after following ``__wrapped__``.  When f is a
+    :class:`~pullbacklab.model.CubicReaction`, the reaction term
+    z*f(v/z) is formed as a3*v - q*v^3 with q = sc/z^2, so no step divides
+    by z or calls f; otherwise f is called on v/z and its result multiplied
+    by z.  When g is a :class:`~pullbacklab.model.TanhGaussian`, its
+    profile is read once and z*g is (z*amplitude(t))*profile, so g is never
+    called; otherwise g is called once per block of steps.  At z = 1 both
+    forms have the bits of the general ones.
+
+    A step allocates no array of its own (a general reaction makes its
+    result) and makes few numpy calls, each on flat contiguous arrays.  The
+    march keeps two ping-pong state buffers of the stack's shape, whose
+    boundaries stay zero, one right-hand-side buffer and one work buffer
+    (v/z or the cubic term).  When a column joins it binds, once, flat
+    views of the admitted prefix of each and one solve per state buffer
+    (:meth:`_Context.stack_solver`), which reads the right-hand side and
+    writes the next state's interior.  The march runs in blocks of steps
+    that end where the next column joins, at most about ``_FORCING_BLOCK``
+    values each.  For each block it forms two tables of the block's rows:
+    z*g, and the per-point factor of the reaction term (q or z) spread out
+    to every grid point of its column, so no step broadcasts.  Finiteness
+    is one reduction over the stack; :func:`_nonfinite_column` runs only
+    when it fails.  A yielded stack is a view of a buffer that later steps
+    overwrite: it is valid only until the next step, so a caller that keeps
+    a state copies it (a :class:`Field` does).
     """
     dt = ctx.cfg.dt
     f = ctx.spec.nonlinearity.f
+    cubic = _structure(f, CubicReaction)
+    separable = _structure(ctx.spec.forcing.g, TanhGaussian)
     n = len(zs)
     k = v0.shape[0]
     starts = np.broadcast_to(np.asarray(t_start, dtype=float), (k,))
@@ -281,14 +314,20 @@ def _march(
     clocks += starts
     npts = len(ctx.pts)
     pts = np.tile(ctx.pts, (k, 1))
+    profile = None if separable is None else separable.profile(ctx.pts).reshape(ctx.grid.shape)
+    # scalar operands as 0-d arrays: a ufunc converts a Python float on every
+    # call, 0.64 against 0.50 us per multiply at m=129 (x *= dt took 0.71)
+    dt0 = np.array(dt)
+    a3 = None if cubic is None else np.array(cubic.a3)
     inner = (slice(None),) + (slice(1, -1),) * ctx.grid.dimension
+    spread = (1,) * ctx.grid.dimension
     # step j reads the state from buffer j % 2 and writes the next one into
     # the other; only interiors are ever written, so boundaries stay zero
     bufs = (np.zeros(v0.shape), np.zeros(v0.shape))
     rhs_buf = np.empty(v0.shape)
-    vz_buf = np.empty(k * npts)
+    work_buf = np.empty(k * npts)
     block_size = min(max(_FORCING_BLOCK, k * npts), n * k * npts)
-    z_buf, zg_buf = np.empty(block_size), np.empty(block_size)
+    w_buf, zg_buf = np.empty(block_size), np.empty(block_size)
     a = 0
     j = 0
     while j < n:
@@ -299,28 +338,43 @@ def _march(
             stacks = [buf[:a] for buf in bufs]
             flats = [stack.ravel() for stack in stacks]
             rhs = rhs_buf[:a]
-            rhs_flat, vz, pts_a = rhs.ravel(), vz_buf[: a * npts], pts[: a * npts]
+            rhs_flat, work, pts_a = rhs.ravel(), work_buf[: a * npts], pts[: a * npts]
             solves = [ctx.stack_solver(rhs[inner], stack[inner]) for stack in stacks]
         # the steps up to the next admission, at most a forcing block
         end = min(n, j + max(1, _FORCING_BLOCK // (a * npts)), int(admit[a]) if a < k else n)
         blocked = (end - j,) + rhs.shape
-        z_rows = z_buf[: (end - j) * a * npts].reshape(blocked)
-        z_rows[...] = zs[j:end, :a].reshape(blocked[:2] + (1,) * ctx.grid.dimension)
-        zg_rows = zg_buf[: z_rows.size].reshape(blocked)
-        np.multiply(z_rows, ctx.forcing_values(clocks[j:end, :a]), out=zg_rows)
-        for z, zg in zip(z_rows.reshape(end - j, -1), zg_rows.reshape(end - j, -1)):
+        z = zs[j:end, :a]
+        # the reaction term's factor per point: q = sc/z^2, or z itself
+        w_rows = w_buf[: (end - j) * a * npts].reshape(blocked)
+        w_rows[...] = (z if cubic is None else cubic.sc / (z * z)).reshape(blocked[:2] + spread)
+        zg_rows = zg_buf[: w_rows.size].reshape(blocked)
+        if separable is None:
+            g = ctx.forcing_values(clocks[j:end, :a])
+            np.multiply(z.reshape(blocked[:2] + spread), g, out=zg_rows)
+        else:
+            za = z * separable.amplitude(clocks[j:end, :a])
+            np.multiply(za.reshape(blocked[:2] + spread), profile, out=zg_rows)
+        for w, zg in zip(w_rows.reshape(end - j, -1), zg_rows.reshape(end - j, -1)):
             v = flats[j % 2]
-            # v + dt*(z*reaction + z*g), formed in place in that order so the
+            # v + dt*(z*f(v/z) + z*g), formed in place in that order so the
             # bits are those of the expression
-            np.divide(v, z, out=vz)
-            reaction = np.asarray(f(pts_a, vz), dtype=float)
-            if reaction.shape != vz.shape:
-                # a reaction of the wrong size raises here rather than broadcast
-                reaction = reaction.reshape(vz.shape)
-            np.multiply(z, reaction, out=rhs_flat)
-            rhs_flat += zg
-            rhs_flat *= dt
-            rhs_flat += v
+            if cubic is None:
+                np.divide(v, w, out=work)
+                reaction = np.asarray(f(pts_a, work), dtype=float)
+                if reaction.shape != work.shape:
+                    # a reaction of the wrong size raises here rather than broadcast
+                    reaction = reaction.reshape(work.shape)
+                np.multiply(w, reaction, out=rhs_flat)
+            else:
+                # z*f(v/z) = a3*v - q*(v*v*v)
+                np.multiply(v, v, out=work)
+                np.multiply(work, v, out=work)
+                np.multiply(work, w, out=work)
+                np.multiply(a3, v, out=rhs_flat)
+                np.subtract(rhs_flat, work, out=rhs_flat)
+            np.add(rhs_flat, zg, out=rhs_flat)
+            np.multiply(rhs_flat, dt0, out=rhs_flat)
+            np.add(rhs_flat, v, out=rhs_flat)
             # an overflowing reaction term must surface as a divergence; the
             # solve is a contraction, so its result needs no check of its own
             if not math.isfinite(np.vdot(rhs_flat, rhs_flat)):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pullbacklab import attractor
 from pullbacklab.attractor import (
     SweepResult,
     absorbing_radius,
@@ -38,7 +39,7 @@ from pullbacklab.model import (
     canonical_forcing,
     zero_forcing,
 )
-from pullbacklab.noise import flat_path, sample_path
+from pullbacklab.noise import flat_path, sample_path, z_window_bounds
 from pullbacklab.solver import SolverConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore::pullbacklab.errors.BoundaryLeakWarning")
@@ -350,17 +351,26 @@ def test_truncation_diagnostic_falls_with_the_level(desk_spec, desk_grid, desk_p
 
 
 def test_truncation_ladder_marches_once_and_matches_each_level(
-    desk_spec, desk_grid, desk_path, cfg
+    desk_spec, desk_grid, desk_path, cfg, monkeypatch
 ):
     u0 = gaussian_bump(desk_grid, 1.0, 1.5)
     levels = (0.02, 0.05, 0.1, 1e6)
+    scans = []
+
+    def counted_bounds(path, eps):
+        scans.append(eps)
+        return z_window_bounds(path, eps)
+
+    monkeypatch.setattr(attractor, "z_window_bounds", counted_bounds)
     ladder = truncation_diagnostics(0.5, desk_path, 0.5, desk_spec, cfg, u0, 1.5, levels)
+    assert len(scans) == 1  # the window's bounds do not depend on the level
     assert [d.level for d in ladder] == list(levels)
     for diag in ladder:
         alone = truncation_diagnostic(
             0.5, desk_path, 0.5, desk_spec, cfg, u0, 1.5, diag.level
         )
         assert diag == alone
+        assert diag.rho == truncation_rate(desk_path, 0.5, desk_spec, 0.5, diag.level)
 
 
 def test_truncation_diagnostic_vanishes_above_the_amplitude(

@@ -102,6 +102,33 @@ def test_canonical_cubic_is_its_expression_bitwise(alpha3, scale, s):
     assert np.array_equal(values.view(np.uint64), kept.view(np.uint64))  # s untouched
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    amplitude=st.floats(min_value=-1e100, max_value=1e100),
+    width=st.floats(min_value=1e-3, max_value=1e3),
+    t=st.lists(
+        st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+        min_size=1,
+        max_size=10,
+    ),
+    x=st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2, max_size=40),
+    dimension=st.sampled_from([1, 2]),
+)
+def test_canonical_forcing_is_its_expression_bitwise(amplitude, width, t, x, dimension):
+    g = canonical_forcing(amplitude, 0.5, width).g
+    pts = np.array(x[: len(x) // dimension * dimension]).reshape(-1, dimension)
+    times = np.array(t)
+    w2 = width**2
+    for when in (times[:, None], float(times[0])):
+        with np.errstate(all="ignore"):
+            got = g(when, pts)
+            want = amplitude * (0.5 * (1.0 + np.tanh(when))) * np.exp(-sum(pts.T**2) / w2)
+        assert got.shape == want.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     alpha3=st.floats(min_value=0.1, max_value=5.0),

@@ -9,6 +9,7 @@ kernel that stepped a late column on the stack's clock, or admitted it a
 step early or late, would fail here too.
 """
 
+import functools
 import math
 from dataclasses import replace
 
@@ -23,8 +24,10 @@ from pullbacklab.errors import ConfigurationError, DivergenceError
 from pullbacklab.field import Grid, eigenmode, gaussian_bump, l2_norm, zero_field
 from pullbacklab.model import (
     _FORCING_BLOCK,
+    CubicReaction,
     Forcing,
     ProblemSpec,
+    TanhGaussian,
     canonical_cubic,
     canonical_forcing,
     zero_forcing,
@@ -66,7 +69,8 @@ def march_stack(v0s, t_start, t_end, paths, epsilons, spec, cfg):
     return [stack] + [v.copy() for v in _march(ctx, stack, t_start, zs)]
 
 
-# (grid, dt, steps) per dimension; 2D stays small because CG runs per column
+# (grid, dt, steps) per dimension; 2D stays small because every column is
+# also marched alone and by the oracle
 CASES = {1: (Grid(1, 8.0, 129), 1e-3, 40), 2: (Grid(2, 8.0, 17), 2e-3, 12)}
 
 
@@ -421,18 +425,38 @@ def counted(forcing):
     return replace(forcing, g=g), shapes
 
 
+def reaction_term(f, pts, v, z):
+    """z*f(v/z) as the kernel forms it: the conjugated form of a bare
+    CubicReaction, else the general form."""
+    if isinstance(f, CubicReaction):
+        return f.a3 * v - (f.sc / (z * z)) * (v * v * v)
+    return z * f(pts, v / z)
+
+
+def forcing_term(g, t, pts, z):
+    """z*g(t) as the kernel forms it: (z*amplitude)*profile for a bare
+    TanhGaussian, else the general form."""
+    if isinstance(g, TanhGaussian):
+        return (z * g.amplitude(t)) * g.profile(pts)
+    return z * g(t, pts)
+
+
 def hand_march(v0, t_start, n, path, eps, spec, cfg):
-    """The conjugated step written out for one column, g called per step."""
+    """The conjugated step written out for one column, g called per step
+    unless it is a bare TanhGaussian."""
     ctx = _Context(v0.grid, spec, cfg)
     pts = v0.grid.points
+    inner = (slice(1, -1),) * v0.grid.dimension
+    f, g = spec.nonlinearity.f, spec.forcing.g
     zs = z_series(path, eps, t_start, n, cfg.dt)
-    v = v0.values
+    v = v0.values.ravel()
     for j, z in enumerate(zs):
-        g = spec.forcing.g(t_start + j * cfg.dt, pts)
-        rhs = v + cfg.dt * (z * spec.nonlinearity.f(pts, v / z) + z * g)
-        v = np.zeros_like(v)
-        v[1:-1] = ctx.solve_implicit(rhs[1:-1])
-    return v
+        zg = forcing_term(g, t_start + j * cfg.dt, pts, z)
+        rhs = (v + cfg.dt * (reaction_term(f, pts, v, z) + zg)).reshape(v0.grid.shape)
+        nxt = np.zeros(v0.grid.shape)
+        nxt[inner] = ctx.solve_implicit(rhs[inner])
+        v = nxt.ravel()
+    return v.reshape(v0.grid.shape)
 
 
 def test_forcing_is_called_per_block_not_per_step():
@@ -478,3 +502,158 @@ def test_forcing_that_ignores_the_shape_of_t_marches_like_the_hand_loop():
     ends = final_states([v0, v0], [-1.0, -0.4], 0.0, [path] * 2, [0.5, 0.0], spec, cfg)
     assert np.array_equal(ends[0].values, end.values)
     assert np.array_equal(ends[1].values, hand_march(v0, -0.4, 400, path, 0.0, spec, cfg))
+
+
+# -- the structured model: conjugated forms and the lookup rule ----------------
+
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).smallest_subnormal
+# signed zeros, subnormals and the largest values whose cubes, over z and
+# times sc, stay finite; closer to overflow the two forms can disagree on
+# whether the cube overflows, and the step's finiteness check catches either
+_VALUES = st.floats(-1e100, 1e100) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2e-308, -1e-103, 1e100, -1e100]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a3=st.floats(0.1, 10.0),
+    sc=st.floats(0.05, 10.0),
+    z=st.just(1.0) | st.floats(0.05, 20.0),
+    v=st.lists(_VALUES, min_size=1, max_size=30),
+)
+def test_conjugated_cubic_agrees_with_the_general_form(a3, sc, z, v):
+    f = canonical_cubic(a3, sc).f
+    assert isinstance(f, CubicReaction)
+    v = np.array(v)
+    pts = np.zeros((len(v), 1))
+    got = reaction_term(f, pts, v, z)
+    want = z * f(pts, v / z)
+    # each form rounds at most 8 times, so they part by under 7 ulps of the
+    # two terms' magnitudes; underflow adds a few subnormals, scaled by z
+    scale = np.abs(a3 * v) + np.abs(sc * (v * v * v) / (z * z))
+    floor = 4 * _TINY * (1.0 + a3 + sc) * (1.0 + z + 1.0 / (z * z))
+    assert np.all(np.abs(got - want) <= 8 * _EPS * scale + floor)
+    if z == 1.0:
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    amplitude=st.floats(-10.0, 10.0),
+    width=st.floats(0.1, 10.0),
+    t=st.floats(-50.0, 50.0) | st.sampled_from([0.0, -0.0]),
+    z=st.just(1.0) | st.floats(0.05, 20.0),
+    x=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=30),
+)
+def test_separable_forcing_agrees_with_the_general_form(amplitude, width, t, z, x):
+    g = canonical_forcing(amplitude, 0.5, width).g
+    assert isinstance(g, TanhGaussian)
+    pts = np.array(x)[:, None]
+    got = forcing_term(g, t, pts, z)
+    want = z * g(t, pts)
+    # two roundings each: under 2 ulps of |z*a*p|, plus subnormal rounding
+    assert np.all(np.abs(got - want) <= 4 * _EPS * np.abs(want) + 4 * _TINY * (1.0 + z))
+    if z == 1.0:
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class UncalledCubic(CubicReaction):
+    def __call__(self, pts, s):
+        raise AssertionError("the kernel called a structured f")
+
+
+class UncalledForcing(TanhGaussian):
+    def __call__(self, t, pts):
+        raise AssertionError("the kernel called a structured g")
+
+
+def with_callables(spec, f=None, g=None):
+    """``spec`` with f and g replaced where given."""
+    nl = spec.nonlinearity if f is None else replace(spec.nonlinearity, f=f)
+    forcing = spec.forcing if g is None else replace(spec.forcing, g=g)
+    return replace(spec, nonlinearity=nl, forcing=forcing)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_structured_march_is_the_written_out_algebra_without_calls(dimension):
+    grid, dt, steps = CASES[dimension]
+    spec = spec_for(dimension)
+    f, g = spec.nonlinearity.f, spec.forcing.g
+    uncalled = with_callables(
+        spec, UncalledCubic(f.a3, f.sc), UncalledForcing(g.amp, g.w2)
+    )
+    v0s, paths, epsilons = columns(grid)
+    cfg = SolverConfig(dt=dt)
+    t0, t1 = -0.25, -0.25 + steps * dt
+    want = march_stack(v0s, t0, t1, paths, epsilons, spec, cfg)
+    got = march_stack(v0s, t0, t1, paths, epsilons, uncalled, cfg)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    # every column has the bits of the written-out algebra; the one from zero
+    # data holds dt*z*g alone after its first step, so the forcing's order
+    # of products shows in its bits
+    for i, (v0, path, eps) in enumerate(zip(v0s, paths, epsilons)):
+        assert np.array_equal(got[-1][i], hand_march(v0, t0, steps, path, eps, spec, cfg))
+    # a large state on a coarse step, where the cubic term dominates the
+    # step, so the order of the cubic's products shows in the bits
+    big, coarse = gaussian_bump(grid, 3.0, 1.5), SolverConfig(dt=0.01)
+    end = final_state(big, -0.1, 0.0, paths[0], uncalled, coarse)
+    assert np.array_equal(end.values, hand_march(big, -0.1, 10, paths[0], 0.5, spec, coarse))
+
+
+def test_the_kernel_looks_through_functools_wraps_only():
+    grid = Grid(1, 8.0, 65)
+    cfg = SolverConfig(dt=1e-3)
+    path = sample_path(4, -1.5, 0.5, cfg.dt)
+    v0 = gaussian_bump(grid, 1.0, 1.5)
+    bare = spec_for(1)
+    f, g = bare.nonlinearity.f, bare.forcing.g
+    calls = []
+
+    def plain_f(pts, s):
+        calls.append("f")
+        return f(pts, s)
+
+    def plain_g(t, pts):
+        calls.append("g")
+        return g(t, pts)
+
+    structured = final_state(v0, -0.3, 0.0, path, bare, cfg).values
+    assert np.array_equal(structured, hand_march(v0, -0.3, 300, path, 0.5, bare, cfg))
+    # a plain wrapper is called, and the march takes the general form
+    for spec, called in (
+        (with_callables(bare, f=plain_f), {"f"}),
+        (with_callables(bare, g=plain_g), {"g"}),
+        (with_callables(bare, plain_f, plain_g), {"f", "g"}),
+    ):
+        calls.clear()
+        got = final_state(v0, -0.3, 0.0, path, spec, cfg).values
+        assert set(calls) == called
+        assert np.array_equal(got, hand_march(v0, -0.3, 300, path, 0.5, spec, cfg))
+        if "f" in called:
+            # z != 1 moves bits; the forcing's one-ulp moves happen to
+            # round away on this run
+            assert not np.array_equal(got, structured)
+    # a functools.wraps wrapper, even two deep, keeps the structured path
+
+    @functools.wraps(f)
+    def wrapped_f(pts, s):
+        calls.append("f")
+        return f(pts, s)
+
+    @functools.wraps(g)
+    def inner_g(t, pts):
+        calls.append("g")
+        return g(t, pts)
+
+    @functools.wraps(inner_g)
+    def wrapped_g(t, pts):
+        calls.append("g")
+        return inner_g(t, pts)
+
+    calls.clear()
+    got = final_state(v0, -0.3, 0.0, path, with_callables(bare, wrapped_f, wrapped_g), cfg)
+    assert not calls
+    assert np.array_equal(got.values, structured)
