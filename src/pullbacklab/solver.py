@@ -20,8 +20,9 @@ different horizons toward one end time share every step they have in common.
 Per step the kernel forms the reaction term z*f(v/z) once on the flattened
 stack, adds the step's row of z*g, then solves for every column at once,
 directly and exactly up to rounding: in one dimension with the inverse of
-the tridiagonal, formed once per march and applied to the stack as one
-matrix-vector product per column; in two dimensions by fast
+the tridiagonal, formed once per march and applied to the stack in groups
+of ``_LANES`` columns, one matrix-matrix product per group, a lone column
+beside a zero lane; in two dimensions by fast
 diagonalisation, the orthonormal DST-I matrix applied on both sides of the
 whole stack as dense matrix products.  The kernel uses the canonical model's
 structure where the callables carry it (looked up once per march, through
@@ -38,8 +39,10 @@ of its own other than a general reaction's result; the march writes into
 two ping-pong state buffers, one right-hand-side buffer and one work
 buffer, binds their views and the solves into them once per admitted
 column (the 2D solve runs through two reused scratch stacks), and a stack
-it yields is valid only until the next step.  Columns never mix, so a
-column of a stack equals the same run marched alone, bit for bit.
+it yields is valid only until the next step.  Columns never mix, and a
+1D group's product has a fixed width, so a column's bits do not depend on
+its lane or its neighbours: a column of a stack equals the same run
+marched alone, bit for bit.
 :func:`integrate`, :func:`final_state`, :func:`final_states`,
 :func:`iterate_states`, :func:`difference_history` and :func:`energy_audit`
 are reductions over it.  :func:`final_states`, which keeps only the
@@ -48,11 +51,11 @@ marches all but the first in forked children, one per CPU; since columns
 never mix, the split changes no bit.
 
 :func:`integrate_deterministic` marches the original, unconjugated equation
-with its own step and a one-column solve (the same inverse in 1D, the same
-fast diagonalisation in 2D); it is the independent zero-noise oracle the
-kernel is held to; it calls the plain f and g, so at zero noise it also
-checks the structured forms' algebra.  Everything is deterministic: same
-inputs, same bits.  Only numpy is needed at run time.
+with its own step and a one-column solve (the same two-lane product in 1D,
+the same fast diagonalisation in 2D); it is the independent zero-noise
+oracle the kernel is held to; it calls the plain f and g, so at zero noise
+it also checks the structured forms' algebra.  Everything is deterministic:
+same inputs, same bits.  Only numpy is needed at run time.
 """
 
 from __future__ import annotations
@@ -87,13 +90,34 @@ from .noise import Path, lattice_steps, refine, refine_levels, z_factor, z_serie
 
 _BOUNDARY_TRUST = 1e-8
 # A 1D endpoint march smaller than this many point-steps (state-steps times
-# grid points) stays in-process.  A fork round trip (fork, pickle 10 endpoints
-# back, reap) took 3.0-10.5 ms over 200 trips, median 3.4 ms, in a numpy
-# process with 128 MB resident on a shared 2-core Xeon host, where a 1D
-# point-step at m=129 costs about 30 ns.  At the floor a march takes about
-# 31 ms, and the half that a second worker takes over saves more than the
-# slowest trip.
+# grid points) stays in-process.  On a shared 2-core Xeon host with two
+# OpenBLAS threads, a fork round trip (fork, march and pickle 10 endpoints
+# back, reap) took 3.4-25 ms over 5 x 200 trips, median 4.5-5.7 ms and
+# 10.3-11.9 ms at most in four of the five, in a numpy process with 131 MB
+# resident.  A 1D point-step with the grouped solve cost 27-28 ns at m=129
+# and k=10 (39-41 ns with one matrix-vector product per column).  At the
+# floor a march takes about 28 ms, and the half that a second worker takes
+# over saves about 14 ms: more than every trip but one outlier.
 _SPLIT_FLOOR = 1 << 20
+# A 1D solve is one (g, _LANES, m-2) @ (m-2, m-2) matrix product: g groups
+# of this many right-hand sides, the last padded with zero lanes.  With
+# OpenBLAS 0.3.31's SkylakeX (AVX-512) kernels, on 1 or 2 threads, every
+# column of a W-row product had the same bits in every lane, beside any
+# neighbours and at any g (W in {2, 4, 8} for m from 65 to 513, and W = 2
+# for m from 17 to 1025), but a plain (k, m-2) product's bits depend on k
+# at some sizes (m = 35 among them), so the width is fixed.  Two lanes cost
+# a lone column least: about 1 us more per step than one matrix-vector
+# product at m=129, where four lanes slowed a lone march.
+_LANES = 2
+
+
+def _grouped(rows: np.ndarray) -> np.ndarray:
+    """The (k, n) array ``rows`` viewed as (k / _LANES, _LANES, n).  The
+    shape is assigned, not reshaped, so a view that would need a copy
+    raises instead of leaving a product's ``out=`` writing into the copy."""
+    view = rows.view()
+    view.shape = (-1, _LANES, rows.shape[-1])
+    return view
 
 
 @dataclass(frozen=True)
@@ -125,8 +149,10 @@ class _Context:
 
     Both interior solves are direct.  In 1D the constant tridiagonal is
     inverted once (:func:`_tridiagonal_inverse`); its inverse has positive
-    entries and row sums at most 1/(1 + dt*lam), and a solve is one
-    matrix-vector product per right-hand side.  In 2D the operator is the
+    entries and row sums at most 1/(1 + dt*lam).  Only its transpose, a
+    C-contiguous view, is kept: right-hand sides are rows, and a solve is one
+    matrix-matrix product per group of ``_LANES`` rows, ``rows @ inv.T``
+    (:meth:`solve_rows` counts the padded rows).  In 2D the operator is the
     Kronecker sum of two identical tridiagonals, diagonalised by the
     orthonormal DST-I matrix Q (symmetric, its own inverse): a solve is
     ``Q ((Q R Q) * inv) Q`` with ``inv`` the reciprocal eigenvalues, four
@@ -150,38 +176,47 @@ class _Context:
         if grid.dimension == 1:
             diag = 1.0 + dt * spec.lam + 2.0 * dt / h2
             off = -dt / h2
-            self._ainv = _tridiagonal_inverse(diag, off, m - 2)
+            self._ainv_t = _tridiagonal_inverse(diag, off, m - 2).T
         else:
             idx = np.arange(1, m - 1)
             self._q = math.sqrt(2.0 / (m - 1)) * np.sin(np.pi * np.outer(idx, idx) / (m - 1))
             mu = (dt / h2) * (2.0 - 2.0 * np.cos(np.pi * idx / (m - 1)))
             self._inv = 1.0 / ((1.0 + dt * spec.lam) + mu[:, None] + mu[None, :])
 
+    def solve_rows(self, k: int) -> int:
+        """Rows a bound solve of k columns covers: k padded to whole groups
+        of ``_LANES`` in 1D, k in 2D."""
+        return -(-k // _LANES) * _LANES if self.grid.dimension == 1 else k
+
     def solve_implicit(self, rhs_interior: np.ndarray) -> np.ndarray:
-        """One interior solve: the inverse's matrix-vector product in 1D,
-        fast diagonalisation in 2D."""
-        if self.grid.dimension == 1:
-            return self._ainv @ rhs_interior
-        return self._diagonalised(rhs_interior)
+        """The interior solve of one right-hand side or of a stack of them.
+
+        In 1D ``rhs_interior`` is one vector or a (k, m-2) stack of rows,
+        solved in groups of ``_LANES`` rows (a lone row beside a zero lane),
+        the product :meth:`stack_solver` makes; in 2D it is one field or a
+        stack of them, solved by fast diagonalisation."""
+        if self.grid.dimension == 2:
+            return self._diagonalised(rhs_interior)
+        rows = np.atleast_2d(rhs_interior)
+        k, n = rows.shape
+        lanes = np.zeros((self.solve_rows(k), n))
+        lanes[:k] = rows
+        sol = np.matmul(_grouped(lanes), self._ainv_t).reshape(-1, n)[:k]
+        return sol if np.ndim(rhs_interior) == 2 else sol[0]
 
     def stack_solver(self, src: np.ndarray, dst: np.ndarray) -> Callable[[], None]:
         """The interior solve of the (k, ...) stack ``src`` into ``dst``, bound
         once: each call solves for every column of ``src`` as it is then, so
         a caller writes fresh right-hand sides into ``src`` and calls again.
-        Each column gets the bits :meth:`solve_implicit` gives it."""
+        Each column gets the bits :meth:`solve_implicit` gives it.
+
+        In 1D k must be a multiple of ``_LANES`` (:meth:`solve_rows`): a
+        call is one matrix product of the (k/_LANES, _LANES, m-2) views,
+        written straight into ``dst``, and a zero row of ``src`` solves to a
+        zero row."""
         if self.grid.dimension == 1:
-            ainv = self._ainv
-            if len(src) == 1:
-                # one column's interiors are contiguous, so np.dot takes the
-                # product straight into dst: the BLAS matrix-vector call that
-                # matmul makes below, with the same bits
-                s, d = src[0], dst[0]
-                return lambda: np.dot(ainv, s, out=d)
-            # a stack of (m-2, 1) columns makes matmul take one matrix-vector
-            # product per column, as for one column alone; a (k, m-2) x
-            # (m-2, m-2) matrix product would let the columns' bits depend on k
-            s, d = src[:, :, None], dst[:, :, None]
-            return lambda: np.matmul(ainv, s, out=d)
+            ainv_t, s, d = self._ainv_t, _grouped(src), _grouped(dst)
+            return lambda: np.matmul(s, ainv_t, out=d)
         q, inv = self._q, self._inv
         t1, t2 = np.empty(src.shape), np.empty(src.shape)
 
@@ -225,11 +260,14 @@ def _tridiagonal_inverse(diag: float, off: float, n: int) -> np.ndarray:
     ``np.linalg.inv``: at n = 127, on a shared 2-core Xeon host with two
     OpenBLAS threads, LAPACK's threaded factorisation took 0.7 to 128 ms per
     call (over 85 ms in 6 of 11 calls), against 0.5 ms here.
+
+    The result is in Fortran order, so its transpose, which the 1D solve
+    multiplies by, is C-contiguous with no copy.  The order changes no bit.
     """
     u = [diag]  # the diagonal of U in A = LU
     for _ in range(n - 1):
         u.append(diag - off * off / u[-1])
-    x = np.eye(n)
+    x = np.eye(n).T
     for i in range(1, n):
         x[i] -= (off / u[i - 1]) * x[i - 1]
     x[-1] /= u[-1]
@@ -283,14 +321,19 @@ def _march(
 
     A step allocates no array of its own (a general reaction makes its
     result) and makes few numpy calls, each on flat contiguous arrays.  The
-    march keeps two ping-pong state buffers of the stack's shape, whose
-    boundaries stay zero, one right-hand-side buffer and one work buffer
-    (v/z or the cubic term).  When a column joins it binds, once, flat
-    views of the admitted prefix of each and one solve per state buffer
-    (:meth:`_Context.stack_solver`), which reads the right-hand side and
-    writes the next state's interior.  The march runs in blocks of steps
-    that end where the next column joins, at most about ``_FORCING_BLOCK``
-    values each.  For each block it forms two tables of the block's rows:
+    march keeps two ping-pong state buffers, whose boundaries stay zero, one
+    right-hand-side buffer and one work buffer (v/z or the cubic term).  In
+    1D the three stack buffers have ``solve_rows(k)`` rows, all zeroed, so
+    the pad row and the rows of columns not yet admitted hold zeros, never
+    uninitialised memory, when the solve reads them.  When a column joins
+    the march binds, once, flat views of the admitted prefix of each and one
+    solve per state buffer (:meth:`_Context.stack_solver`), which reads the
+    right-hand side and writes the next state's interior; in 1D the solve
+    covers the admitted prefix padded to whole groups of ``_LANES``.  The
+    step arithmetic, the finiteness check and the yielded stack cover the
+    admitted prefix alone.  The march runs in blocks of steps that end
+    where the next column joins, at most about ``_FORCING_BLOCK`` values
+    each.  For each block it forms two tables of the block's rows:
     z*g, and the per-point factor of the reaction term (q or z) spread out
     to every grid point of its column, so no step broadcasts.  Finiteness
     is one reduction over the stack; :func:`_nonfinite_column` runs only
@@ -322,9 +365,13 @@ def _march(
     inner = (slice(None),) + (slice(1, -1),) * ctx.grid.dimension
     spread = (1,) * ctx.grid.dimension
     # step j reads the state from buffer j % 2 and writes the next one into
-    # the other; only interiors are ever written, so boundaries stay zero
-    bufs = (np.zeros(v0.shape), np.zeros(v0.shape))
-    rhs_buf = np.empty(v0.shape)
+    # the other; only interiors are ever written, so boundaries stay zero.
+    # A 1D solve covers the admitted columns padded to whole lane groups:
+    # the arithmetic never writes a right-hand-side row past the admitted
+    # ones, so those rows stay zero and solve to zero
+    shape = (ctx.solve_rows(k),) + ctx.grid.shape
+    bufs = (np.zeros(shape), np.zeros(shape))
+    rhs_buf = np.zeros(shape)
     work_buf = np.empty(k * npts)
     block_size = min(max(_FORCING_BLOCK, k * npts), n * k * npts)
     w_buf, zg_buf = np.empty(block_size), np.empty(block_size)
@@ -339,7 +386,8 @@ def _march(
             flats = [stack.ravel() for stack in stacks]
             rhs = rhs_buf[:a]
             rhs_flat, work, pts_a = rhs.ravel(), work_buf[: a * npts], pts[: a * npts]
-            solves = [ctx.stack_solver(rhs[inner], stack[inner]) for stack in stacks]
+            c = ctx.solve_rows(a)
+            solves = [ctx.stack_solver(rhs_buf[:c][inner], buf[:c][inner]) for buf in bufs]
         # the steps up to the next admission, at most a forcing block
         end = min(n, j + max(1, _FORCING_BLOCK // (a * npts)), int(admit[a]) if a < k else n)
         blocked = (end - j,) + rhs.shape

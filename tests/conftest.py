@@ -23,6 +23,26 @@ from pullbacklab.noise import sample_path
 from pullbacklab.solver import SolverConfig
 
 
+def pytest_report_header(config):
+    """numpy, its BLAS and the CPU count: a 1D solve's bits, which the
+    stack-against-alone tests compare, come from the BLAS kernels.  A
+    DYNAMIC_ARCH OpenBLAS names the core it was built for; the CPU's SIMD
+    extensions decide which kernels it picks at run time."""
+    import numpy as np
+
+    try:
+        info = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        return f"numpy {np.__version__}; cpus {os.cpu_count()}"
+    blas = info.get("Build Dependencies", {}).get("blas", {})
+    simd = info.get("SIMD Extensions", {}).get("found", [])
+    return (
+        f"numpy {np.__version__}; blas {blas.get('name')} {blas.get('version')}"
+        f" (built as: {blas.get('openblas configuration', 'no core named')});"
+        f" simd {' '.join(simd) or 'baseline'}; cpus {os.cpu_count()}"
+    )
+
+
 @pytest.fixture(autouse=True)
 def no_child_left_behind():
     yield

@@ -144,7 +144,9 @@ def test_direct_1d_solve_residual_and_contraction_property(m, dt, lam, seed):
     lap = (x[2:] + x[:-2] - 2.0 * c) / grid.spacing**2
     residual = c + dt * (lam * c - lap) - rhs
     assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(rhs))
-    # solving for the identity gives the inverse itself
+    # solving for the identity's rows, as a (k, m-2) stack of right-hand
+    # sides, gives the inverse's columns as rows; the inverse is symmetric
+    # to rounding, so these are its rows too
     row_sums = np.abs(ctx.solve_implicit(np.eye(m - 2))).sum(axis=1)
     assert np.all(row_sums <= (1.0 + 1e-12) / (1.0 + dt * lam))
 

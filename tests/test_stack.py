@@ -131,27 +131,89 @@ def test_zero_noise_column_matches_the_deterministic_oracle(dimension):
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
-@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
 def test_stack_solve_equals_each_column_solved_alone_bitwise(dimension, k):
-    grid = Grid(dimension, 8.0, 65)
-    ctx = _Context(grid, spec_for(dimension), SolverConfig(dt=2e-3))
-    rng = np.random.default_rng(k)
-    # the strided interior views that _march binds, not contiguous copies
-    inner = (slice(None),) + (slice(1, -1),) * dimension
-    full = np.empty((k,) + grid.shape)
-    out = np.zeros_like(full)
-    solve = ctx.stack_solver(full[inner], out[inner])
-    # the second call reads fresh right-hand sides through the same views; a
-    # solve that carried values over in its scratch stacks would fail it
-    for _ in range(2):
-        full[...] = rng.standard_normal(full.shape)
-        solve()
-        for col, got in zip(full[inner], out[inner]):
-            assert np.array_equal(got, ctx.solve_implicit(col))
-            assert np.array_equal(got, ctx.solve_implicit(col.copy()))
-        rim = out.copy()
-        rim[inner] = 0.0
-        assert not rim.any()  # only interiors are written
+    # a 1D solve is one product per group of _LANES rows, so the bound
+    # stack is padded to whole groups; a column must get the bits it gets
+    # alone beside a zero lane, whatever its lane and its neighbours.  At
+    # m=35 one plain (k, m-2) product's bits hang on k with OpenBLAS's
+    # SkylakeX kernels, so a solve that dropped the groups fails there
+    for m in (17, 35, 65, 129, 257):
+        grid = Grid(dimension, 8.0, m)
+        ctx = _Context(grid, spec_for(dimension), SolverConfig(dt=2e-3))
+        rng = np.random.default_rng([k, m])
+        rows = ctx.solve_rows(k)
+        # the strided interior views that _march binds, not contiguous copies
+        inner = (slice(None),) + (slice(1, -1),) * dimension
+        full = np.zeros((rows,) + grid.shape)
+        out = np.zeros_like(full)
+        solve = ctx.stack_solver(full[inner], out[inner])
+        # the second call reads fresh right-hand sides through the same
+        # views, each column moved one row on, so into the other lane and
+        # beside another neighbour; a solve that carried values over in its
+        # scratch stacks, or whose bits hung on the lane, would fail it
+        cols = rng.standard_normal((k,) + grid.shape)
+        previous = None
+        for _ in range(2):
+            full[:k] = cols
+            solve()
+            for col, got in zip(full[:k][inner], out[:k][inner]):
+                assert np.array_equal(got, ctx.solve_implicit(col))
+                assert np.array_equal(got, ctx.solve_implicit(col.copy()))
+            if previous is not None:
+                assert np.array_equal(out[:k][inner], np.roll(previous, 1, axis=0))
+            # the whole stack through solve_implicit gives every column's bits
+            assert np.array_equal(ctx.solve_implicit(full[:k][inner]), out[:k][inner])
+            rim = out.copy()
+            rim[:k][inner] = 0.0
+            assert not rim.any()  # pad rows and boundaries stay exactly zero
+            previous = out[:k][inner].copy()
+            cols = np.roll(cols, 1, axis=0)
+
+
+def test_grouped_solve_rejects_a_stack_of_partial_groups():
+    # an unpadded stack cannot be viewed as whole groups: the bind raises
+    # rather than reshape into a copy that the product's out= would fill
+    grid = Grid(1, 8.0, 65)
+    ctx = _Context(grid, spec_for(1), SolverConfig(dt=2e-3))
+    src = np.zeros((3,) + grid.shape)
+    with pytest.raises(ValueError):
+        ctx.stack_solver(src[:, 1:-1], src.copy()[:, 1:-1])
+
+
+def test_odd_staggered_stack_equals_each_column_alone_bitwise():
+    # five columns that join at steps 0, 0, 4, 9 and 9: the admitted prefix
+    # is 2, 3 and then 5 columns, so a column sits beside a zero pad lane,
+    # beside a row that is not yet admitted, and in either lane.  The pad
+    # and not-yet-admitted rows of the state buffers must stay exactly zero
+    grid, dt, _ = CASES[1]
+    spec = spec_for(1)
+    cfg = SolverConfig(dt=dt)
+    ctx = _Context(grid, spec, cfg)
+    admit = np.array([0, 0, 4, 9, 9])
+    n = 20
+    starts = [-0.02 + a * dt for a in admit]
+    paths = [sample_path(seed, -1.0, 0.5, dt) for seed in (4, 5, 6, 4, 7)]
+    epsilons = [0.5, 0.0, 1.0, 0.25, 0.5]
+    v0 = np.stack(
+        [
+            gaussian_bump(grid, 1.0, 1.5).values,
+            gaussian_bump(grid, 0.7, 2.0).values,
+            eigenmode(grid, 2).values,
+            zero_field(grid).values,
+            gaussian_bump(grid, 0.5, 3.0).values,
+        ]
+    )
+    zs = _z_table(paths, epsilons, starts, n - admit, dt)
+    with np.errstate(invalid="raise"):
+        stacks = []
+        for v in _march(ctx, v0, starts, zs, admit):
+            assert not v.base[len(v) :].any()
+            stacks.append(v.copy())
+        for i in range(len(v0)):
+            alone = _march(ctx, v0[i : i + 1], starts[i], zs[admit[i] :, i : i + 1])
+            for got, want in zip(stacks[admit[i] :], alone, strict=True):
+                assert np.array_equal(got[i], want[0])
 
 
 @pytest.mark.parametrize(
