@@ -14,6 +14,10 @@ could split across (``solver.worker_count``) live in a separate "metadata"
 key so two runs of the same config are byte-identical outside it.  Files
 are written to a temp name and renamed into place.
 
+Each experiment is one ``Experiment`` record in ``EXPERIMENTS``.  Its parser
+reads each key of its block once, and a key it never read is unknown, so a
+bad block exits 2 before any march.
+
 Exit codes: 0 all named checks passed, 1 some check failed (including a run
 that diverged after the single dt-halving retry), 2 configuration problem.
 
@@ -90,23 +94,6 @@ from .noise import (
 )
 from .solver import SolverConfig, integrate, worker_count
 
-EXPERIMENTS = (
-    "simulate",
-    "pullback",
-    "equilibrium",
-    "decay-rate",
-    "tail",
-    "truncation",
-    "upper-semi",
-    "cocycle-test",
-    "check-hypotheses",
-    "absorbing",
-)
-
-# experiments that integrate along a configured noise path
-_NEEDS_PATH = frozenset(EXPERIMENTS) - {"upper-semi", "check-hypotheses"}
-
-
 # ---------------------------------------------------------------------------
 # config resolution
 
@@ -118,9 +105,11 @@ class _Plan:
     grid: Grid
     cfg: SolverConfig
     noise: dict | None
-    block: dict
+    raw_spec: Mapping
+    raw_block: Mapping
     out_dir: str
     formats: tuple[str, ...]
+    block: dict = field(default_factory=dict)
     snaps: list = field(default_factory=list)
 
     def resolved_config(self) -> dict:
@@ -131,8 +120,8 @@ class _Plan:
                 "epsilon": self.spec.epsilon,
                 "dimension": self.spec.dimension,
                 "domain_radius": self.spec.domain_radius,
-                "nonlinearity": self.block["_nonlinearity_raw"],
-                "forcing": self.block["_forcing_raw"],
+                "nonlinearity": self.raw_spec["nonlinearity"],
+                "forcing": self.raw_spec["forcing"],
             },
             "grid": {"points_per_axis": self.grid.points_per_axis},
             "solver": {
@@ -143,14 +132,14 @@ class _Plan:
         }
         if self.noise is not None:
             out["noise"] = dict(self.noise)
-        block: dict[str, Any] = {}
-        for k, v in self.block.items():
-            if k.startswith("_"):
-                continue
-            # initial-data entries were materialized into Field objects;
-            # embed the raw blocks they came from instead
-            block[k] = self.block.get(f"_{k}_raw", v)
-        out[self.experiment] = block
+        # initial data was materialized into Fields (an ensemble into a list
+        # of them); embed the raw entries they came from instead
+        out[self.experiment] = {
+            k: self.raw_block[k]
+            if isinstance(v, Field) or (isinstance(v, list) and v and isinstance(v[0], Field))
+            else v
+            for k, v in self.block.items()
+        }
         return out
 
 
@@ -213,9 +202,12 @@ def _parse_noise(section, plan: _Plan) -> dict:
     return {"seed": seed, "window": [lo, hi], "dt": dt}
 
 
-def _make_path(plan: _Plan) -> Path:
+def _make_path(plan: _Plan) -> Path | None:
     """The configured path, bridge-refined the fewest times that make its
-    step divide solver.dt, so the run reads samples only."""
+    step divide solver.dt, so the run reads samples only; None for an
+    experiment that reads no configured path."""
+    if plan.noise is None:
+        return None
     seed, (lo, hi), dt = plan.noise["seed"], plan.noise["window"], plan.noise["dt"]
     path = flat_path(lo, hi, dt) if seed is None else sample_path(seed, lo, hi, dt)
     for _ in range(refine_levels(path.dt, plan.cfg.dt)):
@@ -223,33 +215,58 @@ def _make_path(plan: _Plan) -> Path:
     return path
 
 
-_BLOCK_KEYS: dict[str, set[str]] = {
-    "simulate": {"tau", "horizon", "initial"},
-    "pullback": {"tau", "horizon", "initial"},
-    "equilibrium": {"tau", "t_schedule", "tol", "initial"},
-    "decay-rate": {"tau", "window", "fit_start", "initial_a", "initial_b", "tolerance"},
-    "tail": {"tau", "horizon", "radii", "initial", "fraction_bound", "fraction_radius"},
-    "truncation": {"tau", "horizon", "levels", "initial", "final_bound"},
-    "upper-semi": {
-        "tau",
-        "horizon",
-        "seeds",
-        "epsilon_ladder",
-        "ensemble",
-        "ratio_bound",
-        "max_inversions",
-    },
-    "cocycle-test": {"tau", "t", "s", "initial", "residual_bound"},
-    "check-hypotheses": {"n_samples", "s_range", "tolerance"},
-    "absorbing": {
-        "tau",
-        "quadrature_horizon",
-        "pullback_horizon",
-        "initial",
-        "stability_bound",
-        "constant_band",
-    },
-}
+class _Block:
+    """An experiment block, read key by key.  Each read checks its value
+    (a time is also snapped onto the dt lattice, initial data materialized
+    into a Field) and records the key, as does a membership test, so the
+    keys never asked for are the unknown ones."""
+
+    def __init__(self, raw: Mapping, plan: _Plan):
+        self.raw, self.plan = raw, plan
+        self.where = f"config.{plan.experiment}"
+        self.asked: set[str] = set()
+
+    def __contains__(self, key: str) -> bool:
+        self.asked.add(key)
+        return key in self.raw
+
+    def get(self, key: str, default=None):
+        """The key's raw value; without a default the key is required."""
+        self.asked.add(key)
+        if default is None or key in self.raw:
+            return _require(self.raw, key, self.where)
+        return default
+
+    def number(self, key: str, default: float | None = None) -> float:
+        return _number(self.get(key, default), f"{self.where}.{key}")
+
+    def integer(self, key: str, default: int | None = None) -> int:
+        return _integer(self.get(key, default), f"{self.where}.{key}")
+
+    def time(self, key: str, default: float | None = None) -> float:
+        return self.snapped(self.get(key, default), f"{self.where}.{key}")
+
+    def initial(self, key: str) -> Field:
+        return self.field(self.get(key), f"{self.where}.{key}")
+
+    def items(self, key: str, read: Callable, rule: str, least: int = 0) -> list:
+        """A list of at least ``least`` entries, each read by ``read(entry, where)``."""
+        entries = self.get(key)
+        if not isinstance(entries, (list, tuple)) or len(entries) < least:
+            raise ConfigurationError(f"{self.where}.{key} {rule}")
+        return [read(e, f"{self.where}.{key}[{i}]") for i, e in enumerate(entries)]
+
+    def increasing(self, key: str, rule: str, least: int) -> list[float]:
+        values = self.items(key, _number, rule, least)
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ConfigurationError(f"{self.where}.{key} must be strictly increasing")
+        return values
+
+    def snapped(self, value, where: str) -> float:
+        return _snap_time(self.plan, _number(value, where), where)
+
+    def field(self, value, where: str) -> Field:
+        return _initial_field(self.plan.grid, value, where)
 
 
 def _resolve(raw, out_dir_override: str | None) -> _Plan:
@@ -270,6 +287,7 @@ def _resolve(raw, out_dir_override: str | None) -> _Plan:
             raise ConfigurationError(
                 f"config.{name}: block present but experiment={experiment!r}"
             )
+    exp = EXPERIMENTS[experiment]
 
     spec_section = _require(raw, "spec", "config")
     spec = spec_from_config(spec_section)
@@ -312,145 +330,32 @@ def _resolve(raw, out_dir_override: str | None) -> _Plan:
         grid=grid,
         cfg=cfg,
         noise=None,
-        block={},
+        raw_spec=spec_section,
+        raw_block=_mapping(raw.get(experiment, {}), f"config.{experiment}"),
         out_dir=out_dir,
         formats=formats,
     )
 
-    if "noise" in raw:
+    if exp.needs_path:
+        if "noise" not in raw:
+            raise ConfigurationError(f"noise: required for experiment {experiment!r}")
         plan.noise = _parse_noise(raw["noise"], plan)
-    elif experiment in _NEEDS_PATH:
-        raise ConfigurationError(f"noise: required for experiment {experiment!r}")
+    elif "noise" in raw:
+        raise ConfigurationError(
+            f"noise: experiment {experiment!r} reads no configured noise path; "
+            "delete the section"
+        )
 
-    block_raw = _mapping(raw.get(experiment, {}), f"config.{experiment}")
-    _reject_unknown(block_raw, _BLOCK_KEYS[experiment], f"config.{experiment}")
-    plan.block = _parse_block(experiment, block_raw, plan)
-    plan.block["_nonlinearity_raw"] = dict(spec_section["nonlinearity"])
-    plan.block["_forcing_raw"] = dict(spec_section["forcing"])
+    # every key is read once, so a bad block fails before any integration
+    block = _Block(plan.raw_block, plan)
+    plan.block = exp.parse(block)
+    _reject_unknown(block.raw, block.asked, block.where)
     return plan
 
 
-def _parse_block(experiment: str, b: Mapping, plan: _Plan) -> dict:
-    where = f"config.{experiment}"
-    grid = plan.grid
-    out: dict[str, Any] = {}
-
-    def time_of(key: str, default=None) -> float:
-        if default is not None and key not in b:
-            value = default
-        else:
-            value = _number(_require(b, key, where), f"{where}.{key}")
-        return _snap_time(plan, float(value), f"{where}.{key}")
-
-    if experiment in ("simulate", "pullback"):
-        out["tau"] = time_of("tau", 0.0)
-        out["horizon"] = time_of("horizon")
-        if out["horizon"] < 0.0:
-            raise ConfigurationError(f"{where}.horizon must be nonnegative")
-        out["initial"] = _require(b, "initial", where)
-    elif experiment == "equilibrium":
-        out["tau"] = time_of("tau", 0.0)
-        sched = _require(b, "t_schedule", where)
-        if not isinstance(sched, (list, tuple)) or len(sched) < 2:
-            raise ConfigurationError(f"{where}.t_schedule must list at least two horizons")
-        out["t_schedule"] = [
-            _snap_time(plan, _number(t, f"{where}.t_schedule[{i}]"), f"{where}.t_schedule[{i}]")
-            for i, t in enumerate(sched)
-        ]
-        out["tol"] = _number(b.get("tol", 1e-6), f"{where}.tol")
-        out["initial"] = _require(b, "initial", where)
-    elif experiment == "decay-rate":
-        out["tau"] = time_of("tau", 0.0)
-        out["window"] = time_of("window")
-        out["fit_start"] = time_of("fit_start", 1.0)
-        out["tolerance"] = _number(b.get("tolerance", 0.1), f"{where}.tolerance")
-        out["initial_a"] = _require(b, "initial_a", where)
-        out["initial_b"] = _require(b, "initial_b", where)
-    elif experiment == "tail":
-        out["tau"] = time_of("tau", 0.0)
-        out["horizon"] = time_of("horizon")
-        radii = _require(b, "radii", where)
-        if not isinstance(radii, (list, tuple)) or not radii:
-            raise ConfigurationError(f"{where}.radii must be a non-empty list")
-        out["radii"] = [_number(r, f"{where}.radii[{i}]") for i, r in enumerate(radii)]
-        if any(r2 <= r1 for r1, r2 in zip(out["radii"], out["radii"][1:])):
-            raise ConfigurationError(f"{where}.radii must be strictly increasing")
-        out["initial"] = _require(b, "initial", where)
-        if "fraction_bound" in b:
-            out["fraction_bound"] = _number(b["fraction_bound"], f"{where}.fraction_bound")
-            out["fraction_radius"] = _number(
-                _require(b, "fraction_radius", where), f"{where}.fraction_radius"
-            )
-    elif experiment == "truncation":
-        out["tau"] = time_of("tau", 0.0)
-        out["horizon"] = time_of("horizon")
-        levels = _require(b, "levels", where)
-        if not isinstance(levels, (list, tuple)) or len(levels) < 2:
-            raise ConfigurationError(f"{where}.levels must list at least two levels")
-        out["levels"] = [_number(l, f"{where}.levels[{i}]") for i, l in enumerate(levels)]
-        if any(l2_ <= l1_ for l1_, l2_ in zip(out["levels"], out["levels"][1:])):
-            raise ConfigurationError(f"{where}.levels must be strictly increasing")
-        out["final_bound"] = _number(b.get("final_bound", 1e-8), f"{where}.final_bound")
-        out["initial"] = _require(b, "initial", where)
-    elif experiment == "upper-semi":
-        out["tau"] = time_of("tau", 0.0)
-        out["horizon"] = time_of("horizon")
-        seeds = _require(b, "seeds", where)
-        if not isinstance(seeds, (list, tuple)):
-            raise ConfigurationError(f"{where}.seeds must be a list of integers")
-        out["seeds"] = [_integer(s, f"{where}.seeds[{i}]") for i, s in enumerate(seeds)]
-        ladder = _require(b, "epsilon_ladder", where)
-        if not isinstance(ladder, (list, tuple)):
-            raise ConfigurationError(f"{where}.epsilon_ladder must be a list")
-        out["epsilon_ladder"] = [
-            _number(e, f"{where}.epsilon_ladder[{i}]") for i, e in enumerate(ladder)
-        ]
-        ensemble = _require(b, "ensemble", where)
-        if not isinstance(ensemble, (list, tuple)) or not ensemble:
-            raise ConfigurationError(f"{where}.ensemble must be a non-empty list")
-        out["ensemble"] = list(ensemble)
-        out["ratio_bound"] = _number(b.get("ratio_bound", 0.2), f"{where}.ratio_bound")
-        out["max_inversions"] = _integer(b.get("max_inversions", 1), f"{where}.max_inversions")
-    elif experiment == "cocycle-test":
-        out["tau"] = time_of("tau", 0.0)
-        out["t"] = time_of("t")
-        out["s"] = time_of("s")
-        out["residual_bound"] = _number(
-            b.get("residual_bound", 1e-10), f"{where}.residual_bound"
-        )
-        out["initial"] = _require(b, "initial", where)
-    elif experiment == "check-hypotheses":
-        out["n_samples"] = _integer(b.get("n_samples", 17), f"{where}.n_samples")
-        out["s_range"] = _number(b.get("s_range", 5.0), f"{where}.s_range")
-        out["tolerance"] = _number(b.get("tolerance", 1e-12), f"{where}.tolerance")
-    elif experiment == "absorbing":
-        out["tau"] = time_of("tau", 0.0)
-        out["quadrature_horizon"] = time_of("quadrature_horizon")
-        out["pullback_horizon"] = time_of("pullback_horizon")
-        out["stability_bound"] = _number(
-            b.get("stability_bound", 0.01), f"{where}.stability_bound"
-        )
-        out["constant_band"] = _number(b.get("constant_band", 0.2), f"{where}.constant_band")
-        out["initial"] = _require(b, "initial", where)
-
-    # materialize initial data now so bad blocks fail before any integration
-    for key in ("initial", "initial_a", "initial_b"):
-        if key in out:
-            out[key] = _initial_field(grid, out[key], f"{where}.{key}")
-            out[f"_{key}_raw"] = dict(b[key])
-    if "ensemble" in out:
-        fields = []
-        raws = []
-        for i, entry in enumerate(out["ensemble"]):
-            fields.append(_initial_field(grid, entry, f"{where}.ensemble[{i}]"))
-            raws.append(dict(entry))
-        out["ensemble"] = fields
-        out["_ensemble_raw"] = raws
-    return out
-
-
 # ---------------------------------------------------------------------------
-# experiment execution
+# experiments: each parser reads its block in the order its snaps are logged,
+# and each executor's docstring is its describe text
 
 
 def _norms(state: Field, p: float) -> dict:
@@ -461,7 +366,18 @@ def _norms(state: Field, p: float) -> dict:
     }
 
 
+def _parse_march(b: _Block) -> dict:
+    out = {"tau": b.time("tau", 0.0), "horizon": b.time("horizon")}
+    if out["horizon"] < 0.0:
+        raise ConfigurationError(f"{b.where}.horizon must be nonnegative")
+    out["initial"] = b.initial("initial")
+    return out
+
+
 def _exec_simulate(plan: _Plan, path: Path):
+    """simulate: march the equation forward from time tau over a horizon along one
+    noise path and record the state's norms.  Emits final and initial L2/H1/Lp
+    norms in the summary and a trajectory CSV (columns: t, l2, h1, l{p})."""
     b = plan.block
     spec, cfg = plan.spec, plan.cfg
     eps = spec.epsilon
@@ -486,6 +402,9 @@ def _exec_simulate(plan: _Plan, path: Path):
 
 
 def _exec_pullback(plan: _Plan, path: Path):
+    """pullback: start from time tau - horizon and observe at tau, driving with the
+    path re-based so the observation time is the origin.  Emits the observed
+    state's norms and a profile CSV (columns: coordinates, value)."""
     b = plan.block
     spec, cfg = plan.spec, plan.cfg
     state = pullback_state(
@@ -496,7 +415,20 @@ def _exec_pullback(plan: _Plan, path: Path):
     return results, {"completed": True}, {"state": state}
 
 
+def _parse_equilibrium(b: _Block) -> dict:
+    return {
+        "tau": b.time("tau", 0.0),
+        "t_schedule": b.items("t_schedule", b.snapped, "must list at least two horizons", 2),
+        "tol": b.number("tol", 1e-6),
+        "initial": b.initial("initial"),
+    }
+
+
 def _exec_equilibrium(plan: _Plan, path: Path):
+    """equilibrium: repeat the pullback over an increasing horizon schedule; the
+    runs converge to the unique random fixed point when lambda > alpha3.  Emits
+    converged flag, final norms, and a history CSV (columns: horizon,
+    relative_increment) whose tail must shrink monotonically."""
     b = plan.block
     spec, cfg = plan.spec, plan.cfg
     res = compute_equilibrium(
@@ -515,7 +447,22 @@ def _exec_equilibrium(plan: _Plan, path: Path):
     return results, {"converged": res.converged}, {"history": table, "state": res.state}
 
 
+def _parse_decay_rate(b: _Block) -> dict:
+    return {
+        "tau": b.time("tau", 0.0),
+        "window": b.time("window"),
+        "fit_start": b.time("fit_start", 1.0),
+        "tolerance": b.number("tolerance", 0.1),
+        "initial_a": b.initial("initial_a"),
+        "initial_b": b.initial("initial_b"),
+    }
+
+
 def _exec_decay_rate(plan: _Plan, path: Path):
+    """decay-rate: run two initial states in lockstep along one path and fit the
+    slope of log squared-gap against time.  The slope must not exceed
+    -(lambda - alpha3) plus the configured tolerance.  Emits slope, bound and a
+    fit-history CSV (columns: t, log_sq_gap)."""
     b = plan.block
     spec, cfg = plan.spec, plan.cfg
     fit = fit_decay_rate(
@@ -543,7 +490,27 @@ def _exec_decay_rate(plan: _Plan, path: Path):
     return results, {"slope_within_tolerance": ok}, {"history": table}
 
 
+def _parse_tail(b: _Block) -> dict:
+    out = {
+        "tau": b.time("tau", 0.0),
+        "horizon": b.time("horizon"),
+        "radii": b.increasing("radii", "must be a non-empty list", 1),
+        "initial": b.initial("initial"),
+    }
+    # the optional check at one radius takes both keys
+    if "fraction_bound" in b or "fraction_radius" in b:
+        out["fraction_bound"] = b.number("fraction_bound")
+        at = out["fraction_radius"] = b.number("fraction_radius")
+        if at not in out["radii"]:
+            raise ConfigurationError(f"{b.where}.fraction_radius={at!r} is not one of the radii")
+    return out
+
+
 def _exec_tail(plan: _Plan, path: Path):
+    """tail: pull back over a horizon, then measure the solution's L2/H1 mass
+    outside balls of the configured radii.  Fractions must not increase with
+    radius; an optional bound checks the fraction at one radius.  Emits a CSV
+    (columns: radius, tail_l2, tail_h1, frac_l2, frac_h1)."""
     b = plan.block
     spec, cfg = plan.spec, plan.cfg
     prof = tail_profile(
@@ -564,21 +531,30 @@ def _exec_tail(plan: _Plan, path: Path):
         "rows": rows,
     }
     if "fraction_bound" in b:
-        bound = b["fraction_bound"]
-        at = b["fraction_radius"]
-        match = [r for r in rows if r[0] == at]
-        if not match:
-            raise ConfigurationError(
-                f"config.tail.fraction_radius={at!r} is not one of the radii"
-            )
-        checks["tail_fraction_small"] = match[0][3] <= bound and match[0][4] <= bound
+        bound, at = b["fraction_bound"], b["fraction_radius"]
+        f2, f1 = next(row[3:] for row in rows if row[0] == at)
+        checks["tail_fraction_small"] = f2 <= bound and f1 <= bound
         results["fraction_bound"] = bound
         results["fraction_radius"] = at
     table = (["radius", "tail_l2", "tail_h1", "frac_l2", "frac_h1"], rows)
     return results, checks, {"tail": table, "state": prof.state}
 
 
+def _parse_truncation(b: _Block) -> dict:
+    return {
+        "tau": b.time("tau", 0.0),
+        "horizon": b.time("horizon"),
+        "levels": b.increasing("levels", "must list at least two levels", 2),
+        "final_bound": b.number("final_bound", 1e-8),
+        "initial": b.initial("initial"),
+    }
+
+
 def _exec_truncation(plan: _Plan, path: Path):
+    """truncation: evaluate the damped superlevel integral over the trailing unit
+    window for a ladder of thresholds.  Values must decrease strictly along the
+    ladder and the last must fall below final_bound.  Emits a CSV (columns:
+    level, rho, value)."""
     b = plan.block
     spec, cfg = plan.spec, plan.cfg
     diags = truncation_diagnostics(
@@ -602,7 +578,24 @@ def _exec_truncation(plan: _Plan, path: Path):
     return results, checks, {"truncation": table}
 
 
+def _parse_upper_semi(b: _Block) -> dict:
+    return {
+        "tau": b.time("tau", 0.0),
+        "horizon": b.time("horizon"),
+        "seeds": b.items("seeds", _integer, "must be a list of integers"),
+        "epsilon_ladder": b.items("epsilon_ladder", _number, "must be a list"),
+        "ensemble": b.items("ensemble", b.field, "must be a non-empty list", 1),
+        "ratio_bound": b.number("ratio_bound", 0.2),
+        "max_inversions": b.integer("max_inversions", 1),
+    }
+
+
 def _exec_upper_semi(plan: _Plan, path: Path | None):
+    """upper-semi: approximate the attractor by pulling an ensemble back at each
+    intensity of a decreasing ladder, one path per seed shared across the
+    ladder, and measure the one-sided Hausdorff distance to the zero-intensity
+    sample.  Per-intensity means must shrink toward zero.  Emits sweep and means
+    CSVs (columns: epsilon, seed, dist_l2, dist_h1 / epsilon, mean_l2, mean_h1)."""
     b = plan.block
     spec, cfg = plan.spec, plan.cfg
     res = upper_semicontinuity_sweep(
@@ -639,7 +632,20 @@ def _exec_upper_semi(plan: _Plan, path: Path | None):
     return results, checks, {"sweep": sweep_table, "means": means_table}
 
 
+def _parse_cocycle_test(b: _Block) -> dict:
+    return {
+        "tau": b.time("tau", 0.0),
+        "t": b.time("t"),
+        "s": b.time("s"),
+        "residual_bound": b.number("residual_bound", 1e-10),
+        "initial": b.initial("initial"),
+    }
+
+
 def _exec_cocycle_test(plan: _Plan, path: Path):
+    """cocycle-test: check the two-step composition law of the solution operator
+    against the one-shot run on the same path; the relative L2 residual must not
+    exceed residual_bound (0 exactly when t or s is 0)."""
     b = plan.block
     spec, cfg = plan.spec, plan.cfg
     residual = verify_cocycle_property(
@@ -649,7 +655,19 @@ def _exec_cocycle_test(plan: _Plan, path: Path):
     return results, {"residual_small": residual <= b["residual_bound"]}, {}
 
 
+def _parse_check_hypotheses(b: _Block) -> dict:
+    return {
+        "n_samples": b.integer("n_samples", 17),
+        "s_range": b.number("s_range", 5.0),
+        "tolerance": b.number("tolerance", 1e-12),
+    }
+
+
 def _exec_check_hypotheses(plan: _Plan, path: Path | None):
+    """check-hypotheses: scan the five structure conditions on the nonlinearity
+    (dissipativity, growth, slope bound, space gradient, slope growth) over a
+    deterministic lattice and report the worst slack of each; all must be
+    nonnegative up to the tolerance."""
     b = plan.block
     report = check_hypotheses(plan.spec, b["n_samples"], b["s_range"], b["tolerance"])
     checks = {
@@ -663,7 +681,23 @@ def _exec_check_hypotheses(plan: _Plan, path: Path | None):
     return results, checks, {}
 
 
+def _parse_absorbing(b: _Block) -> dict:
+    return {
+        "tau": b.time("tau", 0.0),
+        "quadrature_horizon": b.time("quadrature_horizon"),
+        "pullback_horizon": b.time("pullback_horizon"),
+        "stability_bound": b.number("stability_bound", 0.01),
+        "constant_band": b.number("constant_band", 0.2),
+        "initial": b.initial("initial"),
+    }
+
+
 def _exec_absorbing(plan: _Plan, path: Path):
+    """absorbing: evaluate the forcing-memory integral whose square root bounds
+    every sufficiently late pullback state, at the configured quadrature horizon
+    and at twice it, against observed pullback norms.  The integral must be
+    stable under doubling and the fitted constant must sit in the configured
+    band."""
     b = plan.block
     spec, cfg, grid = plan.spec, plan.cfg, plan.grid
     eps = spec.epsilon
@@ -701,17 +735,31 @@ def _exec_absorbing(plan: _Plan, path: Path):
     return results, checks, {}
 
 
-_EXECUTORS: dict[str, Callable] = {
-    "simulate": _exec_simulate,
-    "pullback": _exec_pullback,
-    "equilibrium": _exec_equilibrium,
-    "decay-rate": _exec_decay_rate,
-    "tail": _exec_tail,
-    "truncation": _exec_truncation,
-    "upper-semi": _exec_upper_semi,
-    "cocycle-test": _exec_cocycle_test,
-    "check-hypotheses": _exec_check_hypotheses,
-    "absorbing": _exec_absorbing,
+@dataclass(frozen=True)
+class Experiment:
+    """``parse`` reads the config block into ``plan.block``; ``execute(plan,
+    path)`` returns (results, checks, tables), and its docstring is the
+    ``describe`` text.  Only an experiment that ``needs_path`` marches along
+    the configured noise path, so only its config has a noise section."""
+
+    parse: Callable[[_Block], dict]
+    execute: Callable[[_Plan, Path | None], tuple]
+    needs_path: bool = True
+
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "simulate": Experiment(_parse_march, _exec_simulate),
+    "pullback": Experiment(_parse_march, _exec_pullback),
+    "equilibrium": Experiment(_parse_equilibrium, _exec_equilibrium),
+    "decay-rate": Experiment(_parse_decay_rate, _exec_decay_rate),
+    "tail": Experiment(_parse_tail, _exec_tail),
+    "truncation": Experiment(_parse_truncation, _exec_truncation),
+    "upper-semi": Experiment(_parse_upper_semi, _exec_upper_semi, needs_path=False),
+    "cocycle-test": Experiment(_parse_cocycle_test, _exec_cocycle_test),
+    "check-hypotheses": Experiment(
+        _parse_check_hypotheses, _exec_check_hypotheses, needs_path=False
+    ),
+    "absorbing": Experiment(_parse_absorbing, _exec_absorbing),
 }
 
 
@@ -797,63 +845,13 @@ def _emit(plan: _Plan, results, checks, tables, retried, say) -> str:
 # entry points
 
 
-_DESCRIPTIONS = {
-    "simulate": """\
-simulate: march the equation forward from time tau over a horizon along one
-noise path and record the state's norms.  Emits final and initial L2/H1/Lp
-norms in the summary and a trajectory CSV (columns: t, l2, h1, l{p}).""",
-    "pullback": """\
-pullback: start from time tau - horizon and observe at tau, driving with the
-path re-based so the observation time is the origin.  Emits the observed
-state's norms and a profile CSV (columns: coordinates, value).""",
-    "equilibrium": """\
-equilibrium: repeat the pullback over an increasing horizon schedule; the
-runs converge to the unique random fixed point when lambda > alpha3.  Emits
-converged flag, final norms, and a history CSV (columns: horizon,
-relative_increment) whose tail must shrink monotonically.""",
-    "decay-rate": """\
-decay-rate: run two initial states in lockstep along one path and fit the
-slope of log squared-gap against time.  The slope must not exceed
--(lambda - alpha3) plus the configured tolerance.  Emits slope, bound and a
-fit-history CSV (columns: t, log_sq_gap).""",
-    "tail": """\
-tail: pull back over a horizon, then measure the solution's L2/H1 mass
-outside balls of the configured radii.  Fractions must not increase with
-radius; an optional bound checks the fraction at one radius.  Emits a CSV
-(columns: radius, tail_l2, tail_h1, frac_l2, frac_h1).""",
-    "truncation": """\
-truncation: evaluate the damped superlevel integral over the trailing unit
-window for a ladder of thresholds.  Values must decrease strictly along the
-ladder and the last must fall below final_bound.  Emits a CSV (columns:
-level, rho, value).""",
-    "upper-semi": """\
-upper-semi: approximate the attractor by pulling an ensemble back at each
-intensity of a decreasing ladder, one path per seed shared across the
-ladder, and measure the one-sided Hausdorff distance to the zero-intensity
-sample.  Per-intensity means must shrink toward zero.  Emits sweep and means
-CSVs (columns: epsilon, seed, dist_l2, dist_h1 / epsilon, mean_l2, mean_h1).""",
-    "cocycle-test": """\
-cocycle-test: check the two-step composition law of the solution operator
-against the one-shot run on the same path; the relative L2 residual must not
-exceed residual_bound (0 exactly when t or s is 0).""",
-    "check-hypotheses": """\
-check-hypotheses: scan the five structure conditions on the nonlinearity
-(dissipativity, growth, slope bound, space gradient, slope growth) over a
-deterministic lattice and report the worst slack of each; all must be
-nonnegative up to the tolerance.""",
-    "absorbing": """\
-absorbing: evaluate the forcing-memory integral whose square root bounds
-every sufficiently late pullback state, at the configured quadrature horizon
-and at twice it, against observed pullback norms.  The integral must be
-stable under doubling and the fitted constant must sit in the configured
-band.""",
-}
-
-
 def describe(experiment_name: str) -> str:
-    """Plain-text description of an experiment and its emitted quantities."""
+    """Plain-text description of an experiment and its emitted quantities:
+    its executor's docstring."""
+    import inspect  # already loaded by dataclasses
+
     try:
-        return _DESCRIPTIONS[experiment_name]
+        return inspect.getdoc(EXPERIMENTS[experiment_name].execute)
     except KeyError:
         raise ConfigurationError(
             f"unknown experiment {experiment_name!r}; known: {list(EXPERIMENTS)}"
@@ -886,18 +884,16 @@ def run(config_path: str, output_dir: str | None = None, quiet: bool = False) ->
     for line in plan.snaps:
         say(f"snapped {line}")
 
-    executor = _EXECUTORS[plan.experiment]
+    execute = EXPERIMENTS[plan.experiment].execute
     retried = False
     try:
         try:
-            path = _make_path(plan) if plan.experiment in _NEEDS_PATH else None
-            results, checks, tables = executor(plan, path)
+            results, checks, tables = execute(plan, _make_path(plan))
         except DivergenceError as exc:
             say(f"run diverged at t={exc.t}; halving dt and retrying once")
             retried = True
             plan.cfg = replace(plan.cfg, dt=plan.cfg.dt / 2.0)
-            path = _make_path(plan) if plan.experiment in _NEEDS_PATH else None
-            results, checks, tables = executor(plan, path)
+            results, checks, tables = execute(plan, _make_path(plan))
     except (ConfigurationError, OutOfWindowError, GridMismatchError) as exc:
         print(f"config: {exc}", file=sys.stderr)
         return 2

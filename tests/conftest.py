@@ -23,11 +23,30 @@ from pullbacklab.noise import sample_path
 from pullbacklab.solver import SolverConfig
 
 
+def _openblas_core(np) -> str | None:
+    """The core a DYNAMIC_ARCH OpenBLAS picked at run time, asked of the
+    library numpy ships under ``numpy.libs``; None where that library or
+    its ``scipy_openblas_get_corename64_`` symbol is missing."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
 def pytest_report_header(config):
     """numpy, its BLAS and the CPU count: a 1D solve's bits, which the
     stack-against-alone tests compare, come from the BLAS kernels.  A
-    DYNAMIC_ARCH OpenBLAS names the core it was built for; the CPU's SIMD
-    extensions decide which kernels it picks at run time."""
+    DYNAMIC_ARCH OpenBLAS names the core it was built for in its build
+    configuration, but picks its kernels by the core it finds at run time,
+    so the header names both."""
     import numpy as np
 
     try:
@@ -38,7 +57,8 @@ def pytest_report_header(config):
     simd = info.get("SIMD Extensions", {}).get("found", [])
     return (
         f"numpy {np.__version__}; blas {blas.get('name')} {blas.get('version')}"
-        f" (built as: {blas.get('openblas configuration', 'no core named')});"
+        f" (built as: {blas.get('openblas configuration', 'no core named')};"
+        f" running: {_openblas_core(np) or 'core not reported'});"
         f" simd {' '.join(simd) or 'baseline'}; cpus {os.cpu_count()}"
     )
 

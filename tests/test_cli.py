@@ -4,6 +4,7 @@ Configs are written into tmp_path and outputs land there too; the seeded
 config under configs/ gets one full run to keep it honest.
 """
 
+import glob
 import io
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 
 import pullbacklab
 from pullbacklab import cli, solver
+from pullbacklab.errors import ConfigurationError
 from pullbacklab.field import write_trajectory_csv
 from pullbacklab.noise import refine, sample_path
 
@@ -410,3 +412,65 @@ def test_metadata_names_the_march_workers(tmp_path):
     code, out = run_into(tmp_path, base_config())
     assert code == 0
     assert load_summary(out, "simulate")["metadata"]["workers"] == solver.worker_count()
+
+
+SHIPPED = sorted(
+    os.path.splitext(os.path.basename(p))[0]
+    for p in glob.glob(os.path.join(REPO_ROOT, "configs", "*.json"))
+)
+
+
+def shipped(name):
+    with open(os.path.join(REPO_ROOT, "configs", f"{name}.json")) as handle:
+        return json.load(handle)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_config_rejects_an_unknown_block_key(tmp_path, capsys, name):
+    # rejected while parsing, so nothing marches and nothing is written
+    cfg = shipped(name)
+    cfg[cfg["experiment"]]["bogus"] = 1
+    code, out = run_into(tmp_path, cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"['bogus'] in config.{cfg['experiment']};" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_config_resolves_to_a_fixed_point(tmp_path, name):
+    # the resolved config holds only config values (initial data as given,
+    # not Fields), and resolving it again changes nothing
+    plan = cli._resolve(shipped(name), str(tmp_path))
+    resolved = json.loads(json.dumps(plan.resolved_config()))
+    assert cli._resolve(resolved, str(tmp_path)).resolved_config() == resolved
+
+
+def test_tail_fraction_radius_must_be_one_of_the_radii(tmp_path, capsys):
+    cfg = shipped("tail")
+    cfg["tail"]["fraction_radius"] = 3.0
+    with pytest.raises(ConfigurationError, match=r"fraction_radius=3.0 is not one of"):
+        cli._resolve(cfg, str(tmp_path))
+    code, _ = run_into(tmp_path, cfg)
+    assert code == 2
+    assert "config.tail.fraction_radius=3.0" in capsys.readouterr().err
+
+
+def test_tail_fraction_radius_needs_fraction_bound(tmp_path, capsys):
+    cfg = shipped("tail")
+    del cfg["tail"]["fraction_bound"]
+    with pytest.raises(ConfigurationError, match="missing key 'fraction_bound'"):
+        cli._resolve(cfg, str(tmp_path))
+    code, _ = run_into(tmp_path, cfg)
+    assert code == 2
+    assert "missing key 'fraction_bound' in config.tail" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["upper_semi", "check_hypotheses"])
+def test_noise_section_rejected_where_no_path_is_read(tmp_path, capsys, name):
+    cfg = shipped(name)
+    cfg["noise"] = {"seed": 1, "window": [-1.0, 1.0], "dt": 0.001}
+    code, out = run_into(tmp_path, cfg)
+    assert code == 2
+    assert "reads no configured noise path" in capsys.readouterr().err
+    assert not out.exists()
