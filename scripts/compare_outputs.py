@@ -4,8 +4,9 @@ Each tree holds one directory per config, named after the config file
 (``DIR/equilibrium/``, ``DIR/upper_semi/``, ...).  A tree that does not
 exist yet is first filled by running every ``configs/*.json`` into it with
 the package found under ``--src-a`` or ``--src-b`` (default: this
-checkout's ``src``); an existing tree is taken as it is.  Per config the
-script reports whether the CSV files are byte-identical and whether the
+checkout's ``src``), and each run's exit code and own peak RSS are
+printed; an existing tree is taken as it is.  Per config the script
+reports whether the CSV files are byte-identical and whether the
 summaries are equal once ``metadata`` (the timestamp) and
 ``config.output.directory`` are dropped, since those two differ between
 identical runs.  For a config that differs it also reports the largest
@@ -32,28 +33,44 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def fill(tree: str, src: str, configs: list[str]) -> None:
-    """Run every config into its own directory under ``tree``, one process each."""
+    """Run every config into its own directory under ``tree``, one process
+    each, and print each run's exit code and peak RSS."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     for config in configs:
         out = os.path.join(tree, stem_of(config))
-        done = subprocess.run(
+        code, stderr, peak_mb = run_measured(
             [sys.executable, "-m", "pullbacklab.cli", "run", "--config", config,
              "--output-dir", out, "--quiet"],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=False,
+            env,
         )
         # exit 1 is also a failed check, which the summary records; a run
         # that wrote no summary (a traceback exits 1 too) shows its stderr
-        print(f"ran {stem_of(config)} into {tree} (exit {done.returncode})")
+        print(f"ran {stem_of(config)} into {tree} (exit {code}), peak RSS {peak_mb:.1f} MB")
         if not any(name.endswith("_summary.json") for name in _listing(out)):
-            print(done.stderr, file=sys.stderr)
+            print(stderr, file=sys.stderr)
+
+
+def run_measured(argv: list[str], env: dict) -> tuple[int, str, float]:
+    """Run ``argv`` in a child process: its exit code, its stderr and its own
+    peak RSS in MB.  The peak comes from ``os.wait4`` on that child, not
+    from ``RUSAGE_CHILDREN``, which keeps only the largest peak of all the
+    children this process has reaped.  On Linux a child's peak is at least
+    what this process held when it started the child, which for this script
+    is far below any config's run."""
+    with tempfile.TemporaryFile("w+") as err:
+        child = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=err, text=True)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        # ru_maxrss counts kilobytes on Linux and bytes on macOS
+        unit = 1 if sys.platform == "darwin" else 1024
+        return child.returncode, err.read(), usage.ru_maxrss * unit / 2**20
 
 
 def stem_of(config: str) -> str:

@@ -57,9 +57,9 @@ from .solver import (
     SolverConfig,
     difference_history,
     final_state,
-    integrate,
     iterate_states,
     steps_between,
+    stored_states,
 )
 from .cocycle import pullback_state, pullback_states
 
@@ -567,7 +567,10 @@ def truncation_diagnostics(
     The conjugated run covers [tau - horizon, tau]; only the final unit
     window enters the integral, the earlier part just burns in the state.
     The run does not depend on the level, so it is marched once and every
-    level is read off the same window.  Needs ``horizon >= 1``.
+    level is read off the same window, state by state as
+    :func:`~pullbacklab.solver.stored_states` yields it: no state is kept,
+    only each level's integrand and the window's largest amplitude.  Needs
+    ``horizon >= 1``.
     """
     unit = lattice_steps(1.0, cfg.dt, "the unit window 1.0")
     if lattice_steps(horizon, cfg.dt, f"horizon={horizon!r}") < unit:
@@ -583,27 +586,25 @@ def truncation_diagnostics(
         v_burn = final_state(v0, tau - horizon, burn_end, w, spec_eps, cfg)
     else:
         v_burn = v0
-    window_cfg = replace(cfg, store_stride=1)
-    traj = integrate(v_burn, burn_end, tau, w, spec_eps, window_cfg)
-    p = spec.nonlinearity.p
-    times = np.asarray(traj.times)
-    window_max = max(float(np.max(np.abs(state.values))) for state in traj.states)
-    diags = []
-    for level, rho in zip(levels, rhos):
-        integrand = np.array(
-            [
-                math.exp(rho * (s - tau))
-                * superlevel_measure_integrand(state, level, 2.0 * p - 4.0)
-                for s, state in zip(times, traj.states)
-            ]
-        )
-        value = float(np.trapezoid(integrand, times))
-        diags.append(
-            TruncationDiagnostic(
-                level=level, rho=rho, value=value, window_max_abs=window_max
+    power = 2.0 * spec.nonlinearity.p - 4.0
+    times, integrands, window_max = [], [[] for _ in levels], 0.0
+    window = stored_states(v_burn, burn_end, tau, w, spec_eps, replace(cfg, store_stride=1))
+    for s, state in window:
+        times.append(s)
+        window_max = max(window_max, float(np.max(np.abs(state.values))))
+        for level, rho, integrand in zip(levels, rhos, integrands):
+            integrand.append(
+                math.exp(rho * (s - tau)) * superlevel_measure_integrand(state, level, power)
             )
+    return tuple(
+        TruncationDiagnostic(
+            level=level,
+            rho=rho,
+            value=float(np.trapezoid(np.array(integrand), np.array(times))),
+            window_max_abs=window_max,
         )
-    return tuple(diags)
+        for level, rho, integrand in zip(levels, rhos, integrands)
+    )
 
 
 def truncation_diagnostic(

@@ -61,12 +61,12 @@ from .errors import (
 from .field import (
     Field,
     Grid,
-    Trajectory,
     eigenmode,
     gaussian_bump,
     h1_norm,
     l2_norm,
     lp_norm,
+    trajectory_row,
     write_field_csv,
     write_trajectory_csv,
     zero_field,
@@ -92,7 +92,7 @@ from .noise import (
     shift,
     z_factor,
 )
-from .solver import SolverConfig, integrate, worker_count
+from .solver import SolverConfig, stored_states, worker_count
 
 # ---------------------------------------------------------------------------
 # config resolution
@@ -256,11 +256,16 @@ class _Block:
             raise ConfigurationError(f"{self.where}.{key} {rule}")
         return [read(e, f"{self.where}.{key}[{i}]") for i, e in enumerate(entries)]
 
-    def increasing(self, key: str, rule: str, least: int) -> list[float]:
-        values = self.items(key, _number, rule, least)
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ConfigurationError(f"{self.where}.{key} must be strictly increasing")
+    def increasing(self, key: str, rule: str, least: int, read: Callable = _number) -> list:
+        values = self.items(key, read, rule, least)
+        ok = all(a < b for a, b in zip(values, values[1:]))
+        self.check(ok, key, "must be strictly increasing")
         return values
+
+    def check(self, ok: bool, key: str, rule: str) -> None:
+        """Reject the block unless ``ok``: the value of ``key`` breaks ``rule``."""
+        if not ok:
+            raise ConfigurationError(f"{self.where}.{key} {rule}")
 
     def snapped(self, value, where: str) -> float:
         return _snap_time(self.plan, _number(value, where), where)
@@ -368,8 +373,7 @@ def _norms(state: Field, p: float) -> dict:
 
 def _parse_march(b: _Block) -> dict:
     out = {"tau": b.time("tau", 0.0), "horizon": b.time("horizon")}
-    if out["horizon"] < 0.0:
-        raise ConfigurationError(f"{b.where}.horizon must be nonnegative")
+    b.check(out["horizon"] >= 0.0, "horizon", "must be nonnegative")
     out["initial"] = b.initial("initial")
     return out
 
@@ -385,20 +389,19 @@ def _exec_simulate(plan: _Plan, path: Path):
     u0 = b["initial"]
     w = shift(path, -tau)
     v0 = u0.with_values(u0.values * z_factor(w, eps, tau))
-    traj = integrate(v0, tau, tau + horizon, w, spec, cfg)
-    u_states = tuple(
-        state.with_values(state.values / z_factor(w, eps, float(t)))
-        for t, state in zip(traj.times, traj.states)
-    )
-    u_traj = Trajectory(times=traj.times, states=u_states, stride=traj.stride)
     p = spec.nonlinearity.p
+    # each stored state is reduced to its CSV row as the march yields it
+    rows = [
+        trajectory_row(t, state.with_values(state.values / z_factor(w, eps, float(t))), p)
+        for t, state in stored_states(v0, tau, tau + horizon, w, spec, cfg)
+    ]
+    names = ("l2", "h1", f"l{p:g}")
     results = {
-        "initial_norms": _norms(u_states[0], p),
-        "final_norms": _norms(u_states[-1], p),
-        "stored_states": len(u_states),
+        "initial_norms": dict(zip(names, rows[0][1:])),
+        "final_norms": dict(zip(names, rows[-1][1:])),
+        "stored_states": len(rows),
     }
-    tables = {"trajectory": u_traj}
-    return results, {"completed": True}, tables
+    return results, {"completed": True}, {"trajectory": rows}
 
 
 def _exec_pullback(plan: _Plan, path: Path):
@@ -416,12 +419,15 @@ def _exec_pullback(plan: _Plan, path: Path):
 
 
 def _parse_equilibrium(b: _Block) -> dict:
-    return {
+    out = {
         "tau": b.time("tau", 0.0),
-        "t_schedule": b.items("t_schedule", b.snapped, "must list at least two horizons", 2),
+        "t_schedule": b.increasing("t_schedule", "must list at least two horizons", 2, b.snapped),
         "tol": b.number("tol", 1e-6),
         "initial": b.initial("initial"),
     }
+    b.check(out["t_schedule"][0] > 0.0, "t_schedule", "must hold positive horizons")
+    b.check(out["tol"] > 0.0, "tol", "must be positive")
+    return out
 
 
 def _exec_equilibrium(plan: _Plan, path: Path):
@@ -448,7 +454,7 @@ def _exec_equilibrium(plan: _Plan, path: Path):
 
 
 def _parse_decay_rate(b: _Block) -> dict:
-    return {
+    out = {
         "tau": b.time("tau", 0.0),
         "window": b.time("window"),
         "fit_start": b.time("fit_start", 1.0),
@@ -456,6 +462,9 @@ def _parse_decay_rate(b: _Block) -> dict:
         "initial_a": b.initial("initial_a"),
         "initial_b": b.initial("initial_b"),
     }
+    window = out["window"]
+    b.check(0.0 <= out["fit_start"] < window, "fit_start", f"must lie in [0, window={window!r})")
+    return out
 
 
 def _exec_decay_rate(plan: _Plan, path: Path):
@@ -579,15 +588,20 @@ def _exec_truncation(plan: _Plan, path: Path):
 
 
 def _parse_upper_semi(b: _Block) -> dict:
-    return {
+    out = {
         "tau": b.time("tau", 0.0),
         "horizon": b.time("horizon"),
-        "seeds": b.items("seeds", _integer, "must be a list of integers"),
-        "epsilon_ladder": b.items("epsilon_ladder", _number, "must be a list"),
+        "seeds": b.items("seeds", _integer, "must be a non-empty list of integers", 1),
+        "epsilon_ladder": b.items("epsilon_ladder", _number, "must be a non-empty list", 1),
         "ensemble": b.items("ensemble", b.field, "must be a non-empty list", 1),
         "ratio_bound": b.number("ratio_bound", 0.2),
         "max_inversions": b.integer("max_inversions", 1),
     }
+    ladder = out["epsilon_ladder"]
+    b.check(all(a > b for a, b in zip(ladder, ladder[1:])), "epsilon_ladder",
+            "must be strictly decreasing")
+    b.check(0.0 <= ladder[-1] and ladder[0] <= 1.0, "epsilon_ladder", "must stay inside [0, 1]")
+    return out
 
 
 def _exec_upper_semi(plan: _Plan, path: Path | None):
@@ -682,7 +696,7 @@ def _exec_check_hypotheses(plan: _Plan, path: Path | None):
 
 
 def _parse_absorbing(b: _Block) -> dict:
-    return {
+    out = {
         "tau": b.time("tau", 0.0),
         "quadrature_horizon": b.time("quadrature_horizon"),
         "pullback_horizon": b.time("pullback_horizon"),
@@ -690,6 +704,9 @@ def _parse_absorbing(b: _Block) -> dict:
         "constant_band": b.number("constant_band", 0.2),
         "initial": b.initial("initial"),
     }
+    for key in ("quadrature_horizon", "pullback_horizon"):
+        b.check(out[key] > 0.0, key, "must be positive")
+    return out
 
 
 def _exec_absorbing(plan: _Plan, path: Path):
@@ -739,8 +756,10 @@ def _exec_absorbing(plan: _Plan, path: Path):
 class Experiment:
     """``parse`` reads the config block into ``plan.block``; ``execute(plan,
     path)`` returns (results, checks, tables), and its docstring is the
-    ``describe`` text.  Only an experiment that ``needs_path`` marches along
-    the configured noise path, so only its config has a noise section."""
+    ``describe`` text.  A table is a (header, rows) pair, a Field or a
+    trajectory's norm rows (a list, see ``field.trajectory_row``).  Only an
+    experiment that ``needs_path`` marches along the configured noise path,
+    so only its config has a noise section."""
 
     parse: Callable[[_Block], dict]
     execute: Callable[[_Plan, Path | None], tuple]
@@ -806,17 +825,16 @@ def _emit(plan: _Plan, results, checks, tables, retried, say) -> str:
     if "csv" in plan.formats:
         for name, table in tables.items():
             target = os.path.join(plan.out_dir, f"{stem}_{name}.csv")
-            if isinstance(table, Trajectory):
-                buf = io.StringIO()
-                write_trajectory_csv(table, buf, p=plan.spec.nonlinearity.p)
-                _atomic_write(target, buf.getvalue())
-            elif isinstance(table, Field):
-                buf = io.StringIO()
-                write_field_csv(table, buf)
-                _atomic_write(target, buf.getvalue())
-            else:
+            if isinstance(table, tuple):
                 header, rows = table
                 _write_table_csv(target, header, rows)
+            else:
+                buf = io.StringIO()
+                if isinstance(table, Field):
+                    write_field_csv(table, buf)
+                else:
+                    write_trajectory_csv(table, buf, p=plan.spec.nonlinearity.p)
+                _atomic_write(target, buf.getvalue())
             say(f"wrote {target}")
     seed = plan.noise["seed"] if plan.noise is not None else None
     summary = {

@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -291,26 +291,24 @@ def write_field_csv(f: Field, fp: IO[str]) -> None:
             w.writerow([repr(float(x)), repr(float(y)), repr(float(v))])
 
 
-def write_trajectory_csv(
-    traj: Trajectory,
-    fp: IO[str],
-    p: float | None = None,
-    tail_radii: Iterable[float] = (),
-) -> None:
-    """One row per stored state: time, l2, h1, optional lp and tail norms."""
-    radii = list(tail_radii)
-    header = ["t", "l2", "h1"]
+def trajectory_row(t: float, state: Field, p: float | None = None) -> list[float]:
+    """One stored state's row of the trajectory CSV: t, l2, h1 and, given
+    p, the L^p norm."""
+    row = [float(t), l2_norm(state), h1_norm(state)]
     if p is not None:
-        header.append(f"l{p:g}")
-    for k in radii:
-        header.extend([f"tail_l2_{k:g}", f"tail_h1_{k:g}"])
+        row.append(lp_norm(state, p))
+    return row
+
+
+def write_trajectory_csv(
+    traj: Trajectory | Iterable[Sequence[float]], fp: IO[str], p: float | None = None
+) -> None:
+    """One row per stored state: time, l2, h1 and optional lp, each a repr.
+
+    ``traj`` is a :class:`Trajectory`, or the rows :func:`trajectory_row`
+    made (with the same p) from a stream of states that nothing kept."""
+    if isinstance(traj, Trajectory):
+        traj = (trajectory_row(t, state, p) for t, state in zip(traj.times, traj.states))
     w = csv.writer(fp)
-    w.writerow(header)
-    for t, state in zip(traj.times, traj.states):
-        row = [repr(float(t)), repr(l2_norm(state)), repr(h1_norm(state))]
-        if p is not None:
-            row.append(repr(lp_norm(state, p)))
-        for k in radii:
-            row.append(repr(tail_norm(state, k, "l2")))
-            row.append(repr(tail_norm(state, k, "h1")))
-        w.writerow(row)
+    w.writerow(["t", "l2", "h1"] + ([] if p is None else [f"l{p:g}"]))
+    w.writerows([repr(c) for c in row] for row in traj)

@@ -43,9 +43,14 @@ it yields is valid only until the next step.  Columns never mix, and a
 1D group's product has a fixed width, so a column's bits do not depend on
 its lane or its neighbours: a column of a stack equals the same run
 marched alone, bit for bit.
-:func:`integrate`, :func:`final_state`, :func:`final_states`,
+:func:`stored_states`, :func:`final_state`, :func:`final_states`,
 :func:`iterate_states`, :func:`difference_history` and :func:`energy_audit`
-are reductions over it.  :func:`final_states`, which keeps only the
+are reductions over it.  :func:`stored_states` is the one stream of the
+states a run stores (the initial one, every ``store_stride``-th step's and
+the final one) and keeps none of them; :func:`integrate` collects it into a
+:class:`Trajectory`, :func:`iterate_states` is the stream at a stride of 1,
+and a caller that needs only a reduction of each state consumes it at
+constant memory.  :func:`final_states`, which keeps only the
 endpoints, splits a large 1D stack into contiguous chunks of columns and
 marches all but the first in forked children, one per CPU; since columns
 never mix, the split changes no bit.
@@ -66,7 +71,7 @@ import os
 import pickle
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NoReturn, Sequence
 
 import numpy as np
@@ -555,6 +560,40 @@ def step(v: Field, t: float, path: Path, spec: ProblemSpec, cfg: SolverConfig) -
     return Field(v.grid, out[0])
 
 
+def stored_states(
+    v0: Field,
+    t_start: float,
+    t_end: float,
+    path: Path,
+    spec: ProblemSpec,
+    cfg: SolverConfig,
+):
+    """Yield (time, state) for every state a run stores, without keeping any.
+
+    The stored states are the initial one, every ``cfg.store_stride``-th
+    step's and the final one, each time stamp an exact multiple of dt from
+    t_start; this is the one place that rule lives.  The duration must be a
+    lattice multiple of cfg.dt and the path window must cover
+    [t_start, t_end]; both are checked at the first ``next``.  The final
+    state is checked for a boundary leak before it is yielded.  Each state
+    is a :class:`Field` of its own, so a consumer may keep any of them, and
+    one that keeps none runs at constant memory: a reduction over a long run
+    consumes the march, not a stored copy of it.
+    """
+    n, ctx = _setup(v0.grid, t_start, t_end, (path,), spec, cfg)
+    if n == 0:
+        _warn_boundary_leak(v0.values[np.newaxis])
+    yield t_start, v0
+    if n == 0:
+        return
+    zs = _z_table((path,), (spec.epsilon,), t_start, n, cfg.dt)
+    for j, v in enumerate(_march(ctx, v0.values[np.newaxis], t_start, zs), start=1):
+        if j == n:
+            _warn_boundary_leak(v)
+        if j % cfg.store_stride == 0 or j == n:
+            yield t_start + j * cfg.dt, Field(v0.grid, v[0])
+
+
 def integrate(
     v0: Field,
     t_start: float,
@@ -563,25 +602,15 @@ def integrate(
     spec: ProblemSpec,
     cfg: SolverConfig,
 ) -> Trajectory:
-    """March the conjugated state from t_start to t_end along the path.
+    """March the conjugated state from t_start to t_end along the path and
+    keep what :func:`stored_states` yields: every store_stride-th state plus
+    the initial and the final one.
 
     The duration must be a lattice multiple of cfg.dt and the path window
-    must cover [t_start, t_end].  Stores every store_stride-th state plus
-    the final one; stored time stamps are exact multiples of dt from
-    t_start.
+    must cover [t_start, t_end].
     """
-    n, ctx = _setup(v0.grid, t_start, t_end, (path,), spec, cfg)
-    v = v0.values[np.newaxis]
-    times = [t_start]
-    states = [v0]
-    if n:
-        zs = _z_table((path,), (spec.epsilon,), t_start, n, cfg.dt)
-        for j, v in enumerate(_march(ctx, v, t_start, zs)):
-            if (j + 1) % cfg.store_stride == 0 or j + 1 == n:
-                times.append(t_start + (j + 1) * cfg.dt)
-                states.append(Field(v0.grid, v[0]))
-    _warn_boundary_leak(v)
-    return Trajectory(times=np.array(times), states=tuple(states), stride=cfg.store_stride)
+    times, states = zip(*stored_states(v0, t_start, t_end, path, spec, cfg))
+    return Trajectory(times=np.array(times), states=states, stride=cfg.store_stride)
 
 
 def integrate_deterministic(
@@ -886,19 +915,13 @@ def iterate_states(
     spec: ProblemSpec,
     cfg: SolverConfig,
 ):
-    """Yield (time, state) after every step, without storing the run.
+    """Yield (time, state) after every step, without storing the run: the
+    :func:`stored_states` stream at a store stride of 1.
 
     The first yield is (t_start, v0) itself; the step sequence is the same
-    one :func:`integrate` and :func:`final_state` walk, bit for bit.  Useful
-    for streaming reductions over long runs at constant memory.
+    one :func:`integrate` and :func:`final_state` walk, bit for bit.
     """
-    n, ctx = _setup(v0.grid, t_start, t_end, (path,), spec, cfg)
-    yield t_start, v0
-    if n == 0:
-        return
-    zs = _z_table((path,), (spec.epsilon,), t_start, n, cfg.dt)
-    for j, v in enumerate(_march(ctx, v0.values[np.newaxis], t_start, zs)):
-        yield t_start + (j + 1) * cfg.dt, Field(v0.grid, v[0])
+    return stored_states(v0, t_start, t_end, path, spec, replace(cfg, store_stride=1))
 
 
 def difference_history(

@@ -7,6 +7,8 @@ brackets measured once on the fixed seeds, not exact values.
 """
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +33,15 @@ from pullbacklab.attractor import (
 )
 from pullbacklab.cocycle import pullback_state
 from pullbacklab.errors import ConfigurationError, GridMismatchError
-from pullbacklab.field import Field, Grid, gaussian_bump, h1_norm, l2_norm, zero_field
+from pullbacklab.field import (
+    Field,
+    Grid,
+    gaussian_bump,
+    h1_norm,
+    l2_norm,
+    superlevel_measure_integrand,
+    zero_field,
+)
 from pullbacklab.model import (
     Forcing,
     ProblemSpec,
@@ -39,8 +49,8 @@ from pullbacklab.model import (
     canonical_forcing,
     zero_forcing,
 )
-from pullbacklab.noise import flat_path, sample_path, z_window_bounds
-from pullbacklab.solver import SolverConfig
+from pullbacklab.noise import flat_path, sample_path, shift, z_factor, z_window_bounds
+from pullbacklab.solver import SolverConfig, integrate
 
 pytestmark = pytest.mark.filterwarnings("ignore::pullbacklab.errors.BoundaryLeakWarning")
 
@@ -382,6 +392,44 @@ def test_truncation_diagnostic_vanishes_above_the_amplitude(
     assert diag.window_max_abs < diag.level
     with pytest.raises(ConfigurationError, match="unit window"):
         truncation_diagnostic(0.5, desk_path, 0.5, desk_spec, cfg, u0, 0.5, 1.0)
+
+
+def test_truncation_window_is_reduced_as_it_is_marched(desk_spec, desk_grid):
+    # the burn-in and the unit window are streamed, so the peak grows neither
+    # with the horizon nor with the window's states: holding the window's
+    # 1001 or 2001 states on 129 points would take 1.0 or 2.1 MB
+    u0 = gaussian_bump(desk_grid, 1.0, 1.5)
+    peaks = []
+    for dt, horizon in ((1e-3, 1.0), (1e-3, 4.0), (5e-4, 1.0)):
+        cfg = SolverConfig(dt=dt)
+        path = sample_path(1, -4.0, 4.0, dt)
+        tracemalloc.start()
+        try:
+            truncation_diagnostics(0.5, path, 0.5, desk_spec, cfg, u0, horizon, (0.05,))
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) - min(peaks) < 0.2
+
+
+def test_truncation_values_equal_the_collected_window(desk_spec, desk_grid, desk_path, cfg):
+    # the integrals read off the stream have the bits of ones read off the
+    # window that integrate collects
+    u0 = gaussian_bump(desk_grid, 1.0, 1.5)
+    levels = (0.02, 0.05, 0.1)
+    streamed = truncation_diagnostics(0.5, desk_path, 0.5, desk_spec, cfg, u0, 1.0, levels)
+    w = shift(desk_path, -0.5)
+    v0 = u0.with_values(u0.values * z_factor(w, 0.5, -0.5))
+    traj = integrate(v0, -0.5, 0.5, w, replace(desk_spec, epsilon=0.5), cfg)
+    p = desk_spec.nonlinearity.p
+    for diag in streamed:
+        integrand = [
+            math.exp(diag.rho * (s - 0.5))
+            * superlevel_measure_integrand(state, diag.level, 2.0 * p - 4.0)
+            for s, state in zip(traj.times, traj.states)
+        ]
+        assert diag.value == float(np.trapezoid(np.array(integrand), traj.times))
+        assert diag.window_max_abs == max(float(np.max(np.abs(v.values))) for v in traj.states)
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import pullbacklab
 from pullbacklab import cli, solver
 from pullbacklab.errors import ConfigurationError
-from pullbacklab.field import write_trajectory_csv
-from pullbacklab.noise import refine, sample_path
+from pullbacklab.field import Trajectory, write_trajectory_csv
+from pullbacklab.noise import refine, sample_path, shift, z_factor
 
 pytestmark = pytest.mark.filterwarnings("ignore::pullbacklab.errors.BoundaryLeakWarning")
 
@@ -298,6 +299,12 @@ def test_divergence_triggers_one_halved_retry(tmp_path):
     assert summary["retried_after_divergence"] is True
     assert summary["checks"]["completed"] is True
     assert summary["config"]["solver"]["dt"] == 0.25
+    # the CSV holds the retried run's 25 states and nothing that the first
+    # attempt streamed before it diverged
+    lines = (out / "simulate_trajectory.csv").read_text().splitlines()
+    assert summary["results"]["stored_states"] == 25
+    assert len(lines) == 1 + summary["results"]["stored_states"]
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [0.25 * j for j in range(25)]
 
 
 def test_coarse_noise_is_bridge_refined_onto_the_solver_lattice(tmp_path, capsys):
@@ -474,3 +481,83 @@ def test_noise_section_rejected_where_no_path_is_read(tmp_path, capsys, name):
     assert code == 2
     assert "reads no configured noise path" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, key, value, rule",
+    [
+        ("absorbing", "pullback_horizon", 0.0, "must be positive"),
+        ("absorbing", "quadrature_horizon", -1.0, "must be positive"),
+        ("upper_semi", "seeds", [], "must be a non-empty list of integers"),
+        ("upper_semi", "epsilon_ladder", [0.1, 0.25, 0.5], "must be strictly decreasing"),
+        ("upper_semi", "epsilon_ladder", [1.5, 0.5], "must stay inside [0, 1]"),
+        ("equilibrium", "tol", 0.0, "must be positive"),
+        ("equilibrium", "t_schedule", [2.0, 1.0], "must be strictly increasing"),
+        ("equilibrium", "t_schedule", [0.0, 1.0], "must hold positive horizons"),
+        ("decay_rate", "fit_start", 6.0, "must lie in [0, window=6.0)"),
+        ("decay_rate", "fit_start", -0.5, "must lie in [0, window=6.0)"),
+    ],
+)
+def test_block_value_rules_name_the_key_before_any_march(
+    tmp_path, capsys, monkeypatch, name, key, value, rule
+):
+    def no_march(*args, **kwargs):
+        raise AssertionError("a rejected block must not march")
+
+    monkeypatch.setattr(solver, "_march", no_march)
+    cfg = shipped(name)
+    cfg[cfg["experiment"]][key] = value
+    code, out = run_into(tmp_path, cfg)
+    assert code == 2
+    assert f"config.{cfg['experiment']}.{key} {rule}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
+    # the 2D trajectory is reduced to its CSV rows as it is marched: holding
+    # the stored states grew the peak by 1.5 MB from horizon 1 to horizon 4
+    peaks = []
+    for horizon in (1.0, 4.0):
+        cfg = shipped("simulate_2d")
+        cfg["noise"]["window"] = [-1.0, 5.0]
+        cfg["simulate"]["horizon"] = horizon
+        plan = cli._resolve(cfg, str(tmp_path))
+        path = cli._make_path(plan)
+        tracemalloc.start()
+        try:
+            cli._exec_simulate(plan, path)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.2
+
+
+def _old_trajectory_csv(plan, path):
+    """The trajectory CSV and norms as written from a collected trajectory."""
+    b, spec = plan.block, plan.spec
+    eps, tau = spec.epsilon, b["tau"]
+    w = shift(path, -tau)
+    v0 = b["initial"].with_values(b["initial"].values * z_factor(w, eps, tau))
+    traj = solver.integrate(v0, tau, tau + b["horizon"], w, spec, plan.cfg)
+    states = tuple(
+        s.with_values(s.values / z_factor(w, eps, float(t)))
+        for t, s in zip(traj.times, traj.states)
+    )
+    buf = io.StringIO()
+    write_trajectory_csv(Trajectory(traj.times, states, traj.stride), buf, p=spec.nonlinearity.p)
+    return buf.getvalue(), states
+
+
+@pytest.mark.parametrize("name", ["simulate", "simulate_2d"])
+def test_streamed_trajectory_csv_equals_the_collected_one(tmp_path, name):
+    cfg = shipped(name)
+    code, out = run_into(tmp_path, cfg)
+    assert code == 0
+    plan = cli._resolve(cfg, str(tmp_path))
+    text, states = _old_trajectory_csv(plan, cli._make_path(plan))
+    assert (out / "simulate_trajectory.csv").read_bytes() == text.encode()
+    results = load_summary(out, "simulate")["results"]
+    p = plan.spec.nonlinearity.p
+    assert results["stored_states"] == len(states)
+    assert results["initial_norms"] == cli._norms(states[0], p)
+    assert results["final_norms"] == cli._norms(states[-1], p)

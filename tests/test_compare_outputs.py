@@ -1,8 +1,11 @@
 """scripts/compare_outputs.py on two planted result trees."""
 
+import ast
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -85,3 +88,28 @@ def test_fill_shows_stderr_of_runs_that_wrote_no_summary(tmp_path, capsys):
     assert f"ran failed into {tmp_path / 'tree'} (exit 1)" in captured.out
     assert "RuntimeError: traceback of the crashed run" in captured.err
     assert "wrote its summary" not in captured.err
+
+
+PEAKS_PROBE = """
+import importlib.util, os, sys
+spec = importlib.util.spec_from_file_location("compare_outputs", sys.argv[1])
+script = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(script)
+big = "import sys; block = b'x' * (64 << 20); sys.stderr.write('big')"
+print(script.run_measured([sys.executable, "-c", big], dict(os.environ)))
+print(script.run_measured([sys.executable, "-c", "pass"], dict(os.environ)))
+"""
+
+
+def test_each_run_reports_its_own_peak_rss():
+    # a small run after a large one reads its own peak, not the largest of
+    # all the children reaped so far.  Measured from a small process: on
+    # Linux a child's peak also counts what its parent held at the fork
+    path = os.path.join(REPO_ROOT, "scripts", "compare_outputs.py")
+    done = subprocess.run(
+        [sys.executable, "-c", PEAKS_PROBE, path], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    big, small = (ast.literal_eval(line) for line in done.stdout.splitlines())
+    assert big[:2] == (0, "big") and small[:2] == (0, "")
+    assert big[2] > small[2] + 48
