@@ -326,6 +326,11 @@ def _resolve(raw, out_dir_override: str | None) -> _Plan:
     for fmt in formats:
         if fmt not in ("json", "csv"):
             raise ConfigurationError(f"output.formats: unknown format {fmt!r}")
+    if "json" not in formats:
+        raise ConfigurationError(
+            f"output.formats must include \"json\", got {list(formats)!r}: "
+            "every run writes its summary"
+        )
     if out_dir_override is not None:
         out_dir = out_dir_override
 

@@ -13,7 +13,8 @@ endpoint:
 One private kernel, :func:`_march`, takes every such step.  It advances a
 C-contiguous stack of shape ``(k, *grid.shape)``: k runs that share the grid,
 the problem data (except the noise intensity), dt and the end step, each
-column with its own z series, its own start time and its own initial state.
+column with its own noise path and intensity, its own start time and its own
+initial state.
 A column joins the stack at its own start step and from then on keeps its
 own clock, ``t_start_i + j*dt`` with j counting its own steps, so runs with
 different horizons toward one end time share every step they have in common.
@@ -39,10 +40,14 @@ of its own other than a general reaction's result; the march writes into
 two ping-pong state buffers, one right-hand-side buffer and one work
 buffer, binds their views and the solves into them once per admitted
 column (the 2D solve runs through two reused scratch stacks), and a stack
-it yields is valid only until the next step.  Columns never mix, and a
-1D group's product has a fixed width, so a column's bits do not depend on
-its lane or its neighbours: a column of a stack equals the same run
-marched alone, bit for bit.
+it yields is valid only until the next step.  No array of a march grows
+with its number of steps: the kernel forms z one window of about
+``_Z_WINDOW`` values at a time, each column's share from one
+:func:`~pullbacklab.noise.z_series` call on its own stretch of its run (the
+bits of the whole run's series), and each block's clocks with the block.
+Columns never mix, and a 1D group's product has a fixed width, so a
+column's bits do not depend on its lane or its neighbours: a column of a
+stack equals the same run marched alone, bit for bit.
 :func:`stored_states`, :func:`final_state`, :func:`final_states`,
 :func:`iterate_states`, :func:`difference_history` and :func:`energy_audit`
 are reductions over it.  :func:`stored_states` is the one stream of the
@@ -52,8 +57,10 @@ the final one) and keeps none of them; :func:`integrate` collects it into a
 and a caller that needs only a reduction of each state consumes it at
 constant memory.  :func:`final_states`, which keeps only the
 endpoints, splits a large 1D stack into contiguous chunks of columns and
-marches all but the first in forked children, one per CPU; since columns
-never mix, the split changes no bit.
+marches all but the first in forked children, one per CPU, each forming its
+own columns' z; since columns never mix, the split changes no bit.
+:func:`energy_audit` alone keeps a per-step z series, as its result is per
+step.
 
 :func:`integrate_deterministic` marches the original, unconjugated equation
 with its own step and a one-column solve (the same two-lane product in 1D,
@@ -65,6 +72,7 @@ same inputs, same bits.  Only numpy is needed at run time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -91,7 +99,7 @@ from .model import (
     TanhGaussian,
     forcing_norms_sq,
 )
-from .noise import Path, lattice_steps, refine, refine_levels, z_factor, z_series
+from .noise import Path, lattice_steps, refine, refine_levels, z_series
 
 _BOUNDARY_TRUST = 1e-8
 # A 1D endpoint march smaller than this many point-steps (state-steps times
@@ -114,6 +122,11 @@ _SPLIT_FLOOR = 1 << 20
 # a lone column least: about 1 us more per step than one matrix-vector
 # product at m=129, where four lanes slowed a lone march.
 _LANES = 2
+# z is formed for a window of this many values (steps times columns) at a
+# time, so no table of a march grows with its number of steps.  A window is
+# 32 KB and costs one z_series call per column: a 6-column march makes one
+# call per column every 682 steps.
+_Z_WINDOW = 1 << 12
 
 
 def _grouped(rows: np.ndarray) -> np.ndarray:
@@ -299,16 +312,20 @@ def _march(
     ctx: _Context,
     v0: np.ndarray,
     t_start: float | Sequence[float],
-    zs: np.ndarray,
+    paths: Sequence[Path],
+    epsilons: Sequence[float],
+    n: int,
     admit: int | Sequence[int] = 0,
 ):
-    """Advance the stack ``v0`` of shape (k, *grid.shape) to the end of
-    len(zs) steps.
+    """Advance the stack ``v0`` of shape (k, *grid.shape) to the end of n
+    steps.
 
     Column i joins the stack at step ``admit[i]`` (nondecreasing from 0)
     and then steps on its own clock ``t_start[i] + j*dt``, j counting its
-    own steps; a scalar ``t_start`` or ``admit`` is shared by every column.
-    ``zs[j, i]`` is z of column i at the left end of step j.  Only the
+    own steps, driven by ``paths[i]`` at intensity ``epsilons[i]``; a
+    scalar ``t_start`` or ``admit`` is shared by every column.  z of column
+    i at the left end of its own step j is element j of
+    :func:`~pullbacklab.noise.z_series` over its whole run.  Only the
     interior of ``v0`` is read: every state the march makes has a zero
     boundary.  Yields the stack of the columns admitted so far after every
     step.  Every operation acts on each column alone, so a column's bits do
@@ -336,30 +353,35 @@ def _march(
     right-hand side and writes the next state's interior; in 1D the solve
     covers the admitted prefix padded to whole groups of ``_LANES``.  The
     step arithmetic, the finiteness check and the yielded stack cover the
-    admitted prefix alone.  The march runs in blocks of steps that end
-    where the next column joins, at most about ``_FORCING_BLOCK`` values
-    each.  For each block it forms two tables of the block's rows:
-    z*g, and the per-point factor of the reaction term (q or z) spread out
-    to every grid point of its column, so no step broadcasts.  Finiteness
-    is one reduction over the stack; :func:`_nonfinite_column` runs only
-    when it fails.  A yielded stack is a view of a buffer that later steps
-    overwrite: it is valid only until the next step, so a caller that keeps
-    a state copies it (a :class:`Field` does).
+    admitted prefix alone.
+
+    No array of the march grows with n.  z is formed one window of about
+    ``_Z_WINDOW`` values at a time, each column's rows from one
+    :func:`~pullbacklab.noise.z_series` call on its own stretch of the run,
+    which has the bits of that stretch of the whole run's series.  The
+    march runs in blocks of steps that end where the next column joins or
+    the window ends, at most about ``_FORCING_BLOCK`` values each.  For each
+    block it forms the block's clocks, ``(step - admit)*dt + t_start`` per
+    column, and two tables of the block's rows: z*g, and the per-point
+    factor of the reaction term (q or z) spread out to every grid point of
+    its column, so no step broadcasts.  Finiteness is one reduction over
+    the stack; :func:`_nonfinite_column` runs only when it fails, and a
+    divergence is raised at the failing column's clock after the step.  A
+    yielded stack is a view of a buffer that later steps overwrite: it is
+    valid only until the next step, so a caller that keeps a state copies it
+    (a :class:`Field` does).
     """
     dt = ctx.cfg.dt
     f = ctx.spec.nonlinearity.f
     cubic = _structure(f, CubicReaction)
     separable = _structure(ctx.spec.forcing.g, TanhGaussian)
-    n = len(zs)
     k = v0.shape[0]
     starts = np.broadcast_to(np.asarray(t_start, dtype=float), (k,))
     admit = np.broadcast_to(np.asarray(admit, dtype=int), (k,))
-    # every column's own clock, t_start[i] + (j - admit[i])*dt at step j: the
-    # same bits as the sum a run marched alone forms; built in place, so the
-    # march holds one table of times next to the table of z
-    clocks = np.arange(n, dtype=float)[:, None] - admit
-    clocks *= dt
-    clocks += starts
+    # every column's intensity is checked before the first step: an empty
+    # series checks it and reads no time
+    for path, eps in zip(paths, epsilons, strict=True):
+        z_series(path, eps, 0.0, 0, dt)
     npts = len(ctx.pts)
     pts = np.tile(ctx.pts, (k, 1))
     profile = None if separable is None else separable.profile(ctx.pts).reshape(ctx.grid.shape)
@@ -380,6 +402,10 @@ def _march(
     work_buf = np.empty(k * npts)
     block_size = min(max(_FORCING_BLOCK, k * npts), n * k * npts)
     w_buf, zg_buf = np.empty(block_size), np.empty(block_size)
+    # z of the steps [w_start, w_end), one column per column of the stack
+    window = max(1, _Z_WINDOW // k)
+    z_buf = np.empty((min(window, n), k))
+    w_start = w_end = 0
     a = 0
     j = 0
     while j < n:
@@ -393,21 +419,36 @@ def _march(
             rhs_flat, work, pts_a = rhs.ravel(), work_buf[: a * npts], pts[: a * npts]
             c = ctx.solve_rows(a)
             solves = [ctx.stack_solver(rhs_buf[:c][inner], buf[:c][inner]) for buf in bufs]
-        # the steps up to the next admission, at most a forcing block
-        end = min(n, j + max(1, _FORCING_BLOCK // (a * npts)), int(admit[a]) if a < k else n)
+        if j == w_end:
+            w_start, w_end = j, min(n, j + window)
+            # every column that joins before the window ends, from the
+            # later of the window's first step and its own first one
+            for i in range(int(np.searchsorted(admit, w_end))):
+                r = max(j, int(admit[i]))
+                t = (r - admit[i]) * dt + starts[i]
+                z_buf[r - j : w_end - j, i] = z_series(
+                    paths[i], epsilons[i], t, w_end - r, dt
+                )
+        # the steps up to the next admission or the window's end, at most a
+        # forcing block
+        end = min(w_end, j + max(1, _FORCING_BLOCK // (a * npts)), int(admit[a]) if a < k else n)
         blocked = (end - j,) + rhs.shape
-        z = zs[j:end, :a]
+        z = z_buf[j - w_start : end - w_start, :a]
+        # every admitted column's own clock at each step of the block: the
+        # same bits as the sum a run marched alone forms
+        clocks = (np.arange(j, end)[:, None] - admit[:a]) * dt + starts[:a]
         # the reaction term's factor per point: q = sc/z^2, or z itself
         w_rows = w_buf[: (end - j) * a * npts].reshape(blocked)
         w_rows[...] = (z if cubic is None else cubic.sc / (z * z)).reshape(blocked[:2] + spread)
         zg_rows = zg_buf[: w_rows.size].reshape(blocked)
         if separable is None:
-            g = ctx.forcing_values(clocks[j:end, :a])
+            g = ctx.forcing_values(clocks)
             np.multiply(z.reshape(blocked[:2] + spread), g, out=zg_rows)
         else:
-            za = z * separable.amplitude(clocks[j:end, :a])
+            za = z * separable.amplitude(clocks)
             np.multiply(za.reshape(blocked[:2] + spread), profile, out=zg_rows)
-        for w, zg in zip(w_rows.reshape(end - j, -1), zg_rows.reshape(end - j, -1)):
+        rows = zip(clocks, w_rows.reshape(end - j, -1), zg_rows.reshape(end - j, -1))
+        for clock, w, zg in rows:
             v = flats[j % 2]
             # v + dt*(z*f(v/z) + z*g), formed in place in that order so the
             # bits are those of the expression
@@ -433,7 +474,7 @@ def _march(
             if not math.isfinite(np.vdot(rhs_flat, rhs_flat)):
                 bad = _nonfinite_column(rhs)
                 if bad is not None:
-                    raise DivergenceError(float(clocks[j, bad]) + dt)
+                    raise DivergenceError(float(clock[bad]) + dt)
             solves[1 - j % 2]()
             j += 1
             yield stacks[j % 2]
@@ -529,34 +570,10 @@ def _setup(
     return n, _Context(grid, spec, cfg)
 
 
-def _z_table(
-    paths: Sequence[Path],
-    epsilons: Sequence[float],
-    t_start: float | Sequence[float],
-    n: int | Sequence[int],
-    dt: float,
-) -> np.ndarray:
-    """z per step (rows) and column (columns), shape (max n, k).
-
-    Column i runs ``n[i]`` steps from ``t_start[i]`` and fills the last
-    ``n[i]`` rows, so every column ends on the last row; the rows before it
-    joins hold NaN.  A scalar ``t_start`` or ``n`` is shared by every column.
-    """
-    k = len(paths)
-    starts = np.broadcast_to(np.asarray(t_start, dtype=float), (k,))
-    counts = np.broadcast_to(np.asarray(n, dtype=int), (k,))
-    total = int(counts.max()) if k else 0
-    zs = np.full((total, k), np.nan)
-    for i, (path, eps, t0, n_i) in enumerate(zip(paths, epsilons, starts, counts)):
-        zs[total - n_i :, i] = z_series(path, eps, float(t0), int(n_i), dt)
-    return zs
-
-
 def step(v: Field, t: float, path: Path, spec: ProblemSpec, cfg: SolverConfig) -> Field:
     """One semi-implicit step from time t to t + dt."""
     ctx = _Context(v.grid, spec, cfg)
-    zs = np.array([[z_factor(path, spec.epsilon, t)]])
-    out = next(_march(ctx, v.values[np.newaxis], t, zs))
+    out = next(_march(ctx, v.values[np.newaxis], t, (path,), (spec.epsilon,), 1))
     return Field(v.grid, out[0])
 
 
@@ -586,8 +603,8 @@ def stored_states(
     yield t_start, v0
     if n == 0:
         return
-    zs = _z_table((path,), (spec.epsilon,), t_start, n, cfg.dt)
-    for j, v in enumerate(_march(ctx, v0.values[np.newaxis], t_start, zs), start=1):
+    march = _march(ctx, v0.values[np.newaxis], t_start, (path,), (spec.epsilon,), n)
+    for j, v in enumerate(march, start=1):
         if j == n:
             _warn_boundary_leak(v)
         if j % cfg.store_stride == 0 or j == n:
@@ -679,13 +696,16 @@ def _march_chunk(
     ctx: _Context,
     stack: np.ndarray,
     starts: Sequence[float],
-    zs: np.ndarray,
+    paths: Sequence[Path],
+    epsilons: Sequence[float],
+    n: int,
     admit: np.ndarray,
     a: int,
     b: int,
 ) -> tuple[np.ndarray | None, tuple | None]:
-    """March columns ``a:b`` of a longest-first staggered stack on their own,
-    as a stack whose admissions count from its first column's.
+    """March columns ``a:b`` of a longest-first staggered stack of n steps
+    on their own, as a stack whose admissions count from its first
+    column's; the chunk forms the z of its own columns alone.
 
     Returns ``(endpoints, None)``, or ``(None, (step, a, exception))`` where
     the march failed: ``step`` is the failing step counted in the whole
@@ -693,10 +713,11 @@ def _march_chunk(
     """
     first = int(admit[a])
     j = -1
+    march = _march(
+        ctx, stack[a:b], starts[a:b], paths[a:b], epsilons[a:b], n - first, admit[a:b] - first
+    )
     try:
-        for j, v in enumerate(
-            _march(ctx, stack[a:b], starts[a:b], zs[first:, a:b], admit[a:b] - first)
-        ):
+        for j, v in enumerate(march):
             pass
     except Exception as exc:
         return None, (first + j + 1, a, exc)
@@ -763,16 +784,12 @@ def _answer(pid: int, fd: int):
 
 
 def _march_split(
-    ctx: _Context,
-    stack: np.ndarray,
-    starts: Sequence[float],
-    zs: np.ndarray,
-    admit: np.ndarray,
-    bounds: Sequence[tuple[int, int]],
+    chunk: Callable[[int, int], tuple], bounds: Sequence[tuple[int, int]]
 ) -> np.ndarray:
-    """The endpoints of the longest-first staggered stack, marched in the
-    chunks ``bounds``: the first in this process, each other one in a
-    forked child that pipes its answer back.
+    """The endpoints of a longest-first staggered stack, marched in the
+    chunks ``bounds``, ``chunk(a, b)`` marching columns a:b as
+    :func:`_march_chunk` does: the first in this process, each other one in
+    a forked child that forms its own columns' z and pipes its answer back.
 
     Columns never mix, so every endpoint has the bits of the unsplit march.
     The children's warnings are raised again here once all answers are in,
@@ -794,12 +811,10 @@ def _march_split(
                 raise
             if pid == 0:
                 os.close(read)
-                _answer_and_exit(
-                    write, lambda: _march_chunk(ctx, stack, starts, zs, admit, a, b)
-                )
+                _answer_and_exit(write, lambda: chunk(a, b))
             os.close(write)
             children[pid] = read
-        ends, failure = _march_chunk(ctx, stack, starts, zs, admit, *bounds[0])
+        ends, failure = chunk(*bounds[0])
         parts, failures, raised = [ends], [failure], []
         for pid in list(children):
             ends, failure, caught = _answer(pid, children[pid])
@@ -871,18 +886,17 @@ def final_states(
         return tuple(v0s)
     starts = [t_starts[i] for i in order]
     steps = [counts[i] for i in order]
-    zs = _z_table(
-        [paths[i] for i in order], [epsilons[i] for i in order], starts, steps, cfg.dt
-    )
+    columns = ([paths[i] for i in order], [epsilons[i] for i in order])
     stack = np.stack([v0s[i].values for i in order])
     admit = np.array([steps[0] - n for n in steps])
     width = min(worker_count(), len(order))
     # 2D stays here: on a 2-core host with two OpenBLAS threads per process,
     # a split stack of 8 columns on 65x65 took about 3x as long as unsplit
     if width > 1 and ctx.grid.dimension == 1 and sum(steps) * len(ctx.pts) >= _SPLIT_FLOOR:
-        v = _march_split(ctx, stack, starts, zs, admit, _cut(steps, width))
+        chunk = functools.partial(_march_chunk, ctx, stack, starts, *columns, steps[0], admit)
+        v = _march_split(chunk, _cut(steps, width))
     else:
-        for v in _march(ctx, stack, starts, zs, admit):
+        for v in _march(ctx, stack, starts, *columns, steps[0], admit):
             pass
     _warn_boundary_leak(v)
     ends = list(v0s)
@@ -947,9 +961,9 @@ def difference_history(
     times = [t_start]
     norms = [vol * float(np.sum((v0_a.values - v0_b.values) ** 2))]
     if n:
-        z = z_series(path, spec.epsilon, t_start, n, cfg.dt)
         stack = np.stack([v0_a.values, v0_b.values])
-        for j, v in enumerate(_march(ctx, stack, t_start, np.stack([z, z], axis=1))):
+        march = _march(ctx, stack, t_start, (path, path), (spec.epsilon,) * 2, n)
+        for j, v in enumerate(march):
             if (j + 1) % sample_stride == 0 or j + 1 == n:
                 times.append(t_start + (j + 1) * cfg.dt)
                 norms.append(vol * float(np.sum((v[0] - v[1]) ** 2)))
@@ -1095,10 +1109,12 @@ def energy_audit(
     norm_sq = vol * float(np.sum(v0.values**2))
     out = np.empty(n)
     if n:
-        zs = _z_table((path,), (spec.epsilon,), t_start, n, cfg.dt)
+        # the result is per step, so the z and forcing series are too
+        zs = z_series(path, spec.epsilon, t_start, n, cfg.dt)
         g_sq = forcing_norms_sq(spec.forcing, v0.grid, t_start + np.arange(n) * cfg.dt)
-        for j, v in enumerate(_march(ctx, v0.values[np.newaxis], t_start, zs)):
-            z = float(zs[j, 0])
+        march = _march(ctx, v0.values[np.newaxis], t_start, (path,), (spec.epsilon,), n)
+        for j, v in enumerate(march):
+            z = float(zs[j])
             next_sq = vol * float(np.sum(v[0] ** 2))
             allowance = c * cfg.dt * z**2 * (float(g_sq[j]) + psi1_mass)
             out[j] = next_sq - norm_sq + cfg.dt * spec.lam * next_sq - allowance

@@ -259,6 +259,16 @@ def test_json_only_output_writes_no_csv(tmp_path):
     assert names == ["simulate_summary.json"]
 
 
+@pytest.mark.parametrize("formats", [["csv"], []])
+def test_formats_without_json_exit_two_before_any_output(tmp_path, capsys, formats):
+    # the summary is always written, so a list that leaves "json" out would
+    # ask for an output the run cannot honour
+    code, out = run_into(tmp_path, base_config(output={"formats": formats}))
+    assert code == 2
+    assert 'output.formats must include "json"' in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_check_exits_one(tmp_path):
     cfg = base_config(
         experiment="tail",

@@ -11,6 +11,7 @@ step early or late, would fail here too.
 
 import functools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pullbacklab import solver
 from pullbacklab.attractor import compute_equilibrium
 from pullbacklab.cocycle import pullback_state, pullback_states
 from pullbacklab.errors import ConfigurationError, DivergenceError
@@ -39,12 +41,13 @@ from pullbacklab.solver import (
     _Context,
     _march,
     _setup,
-    _z_table,
+    difference_history,
     final_state,
     final_states,
     integrate,
     integrate_deterministic,
     iterate_states,
+    stored_states,
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore::pullbacklab.errors.BoundaryLeakWarning")
@@ -64,9 +67,8 @@ def spec_for(dimension: int, epsilon: float = 0.5) -> ProblemSpec:
 def march_stack(v0s, t_start, t_end, paths, epsilons, spec, cfg):
     """Every stack the kernel yields, with the stacked initial data first."""
     n, ctx = _setup(v0s[0].grid, t_start, t_end, paths, spec, cfg)
-    zs = _z_table(paths, epsilons, t_start, n, cfg.dt)
     stack = np.stack([v0.values for v0 in v0s])
-    return [stack] + [v.copy() for v in _march(ctx, stack, t_start, zs)]
+    return [stack] + [v.copy() for v in _march(ctx, stack, t_start, paths, epsilons, n)]
 
 
 # (grid, dt, steps) per dimension; 2D stays small because every column is
@@ -204,16 +206,105 @@ def test_odd_staggered_stack_equals_each_column_alone_bitwise():
             gaussian_bump(grid, 0.5, 3.0).values,
         ]
     )
-    zs = _z_table(paths, epsilons, starts, n - admit, dt)
     with np.errstate(invalid="raise"):
         stacks = []
-        for v in _march(ctx, v0, starts, zs, admit):
+        for v in _march(ctx, v0, starts, paths, epsilons, n, admit):
             assert not v.base[len(v) :].any()
             stacks.append(v.copy())
         for i in range(len(v0)):
-            alone = _march(ctx, v0[i : i + 1], starts[i], zs[admit[i] :, i : i + 1])
+            one = slice(i, i + 1)
+            alone = _march(ctx, v0[one], starts[i], paths[one], epsilons[one], n - admit[i])
             for got, want in zip(stacks[admit[i] :], alone, strict=True):
                 assert np.array_equal(got[i], want[0])
+
+
+def plain(spec):
+    """``spec`` with f and g behind plain wrappers: the general forms, with g
+    called once per block."""
+    f, g = spec.nonlinearity.f, spec.forcing.g
+    return with_callables(spec, lambda pts, s: f(pts, s), lambda t, pts: g(t, pts))
+
+
+@pytest.mark.parametrize("general", [False, True], ids=["structured", "general"])
+def test_z_windows_change_no_bit_of_a_staggered_stack(monkeypatch, general):
+    # windows of 1, 2, 3, 37 and 100 rows across five columns that join at
+    # steps 0, 100, 260, 260 and 299: windows end inside forcing blocks (a
+    # lone column's block is 254 rows) and at admissions (100 and 260); the
+    # default window covers the whole march
+    grid, dt, _ = CASES[1]
+    spec = plain(spec_for(1)) if general else spec_for(1)
+    cfg = SolverConfig(dt=dt)
+    ctx = _Context(grid, spec, cfg)
+    admit = np.array([0, 100, 260, 260, 299])
+    n = 600
+    starts = [-0.3 + a * dt for a in admit]
+    paths = [sample_path(seed, -1.0, 0.5, dt) for seed in (4, 5, 6, 4, 7)]
+    epsilons = [0.5, 0.0, 1.0, 0.25, 0.5]
+    v0s = [
+        gaussian_bump(grid, 1.0, 1.5),
+        gaussian_bump(grid, 0.7, 2.0),
+        eigenmode(grid, 2),
+        zero_field(grid),
+        gaussian_bump(grid, 0.5, 3.0),
+    ]
+    v0 = np.stack([u.values for u in v0s])
+
+    def run():
+        stacks = [v.copy() for v in _march(ctx, v0, starts, paths, epsilons, n, admit)]
+        ends = final_states(v0s, starts, 0.3, paths, epsilons, spec, cfg)
+        return stacks, [e.values for e in ends]
+
+    assert solver._Z_WINDOW // len(v0) >= n
+    want_stacks, want_ends = run()
+    for rows in (1, 2, 3, 37, 100):
+        monkeypatch.setattr(solver, "_Z_WINDOW", rows * len(v0))
+        stacks, ends = run()
+        for got, want in zip(stacks, want_stacks, strict=True):
+            assert np.array_equal(got, want)
+        for got, want, stack_end in zip(ends, want_ends, stacks[-1], strict=True):
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, stack_end)
+
+
+def traced_peak_mb(call) -> float:
+    """The tracemalloc peak, in MB, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("reduction", ["final_states", "stored_states", "difference_history"])
+def test_march_memory_does_not_grow_with_the_horizon(monkeypatch, reduction):
+    # z is formed a window at a time and the clocks a block at a time.  A
+    # table of each for the whole march, 16,000 steps x 6 columns x 8 bytes,
+    # grew the final_states peak from 1.17 MB at horizon 4 to 2.26 MB at
+    # horizon 16; the peaks of the other two grew by 0.18 and 0.46 MB.  The
+    # reductions keep one state or sample per 1000 steps, so their own
+    # results stay small
+    monkeypatch.setattr(solver, "_SPLIT_FLOOR", float("inf"))
+    grid = Grid(1, 8.0, 129)
+    spec = spec_for(1)
+    cfg = SolverConfig(dt=1e-3, store_stride=1000)
+    path = sample_path(3, -16.0, 0.0, cfg.dt)
+    v0s = [gaussian_bump(grid, a, 1.5) for a in (1.0, 0.8, 0.6, 0.4, 0.2, 0.1)]
+    epsilons = [0.5, 0.25, 0.5, 0.0, 0.5, 0.25]
+    fractions = (1.0, 0.75, 0.5, 0.25, 0.25, 0.125)
+
+    def march(horizon):
+        if reduction == "final_states":
+            starts = [-horizon * c for c in fractions]
+            final_states(v0s, starts, 0.0, [path] * 6, epsilons, spec, cfg)
+        elif reduction == "stored_states":
+            for _ in stored_states(v0s[0], -horizon, 0.0, path, spec, cfg):
+                pass
+        else:
+            difference_history(v0s[0], v0s[1], -horizon, 0.0, path, spec, cfg, 1000)
+
+    peaks = [traced_peak_mb(lambda: march(horizon)) for horizon in (4.0, 16.0)]
+    assert abs(peaks[1] - peaks[0]) < 0.1
 
 
 @pytest.mark.parametrize(
@@ -684,6 +775,14 @@ def test_the_kernel_looks_through_functools_wraps_only():
 
     structured = final_state(v0, -0.3, 0.0, path, bare, cfg).values
     assert np.array_equal(structured, hand_march(v0, -0.3, 300, path, 0.5, bare, cfg))
+    # the large bump of the test above on a coarser step, where the cubic
+    # term dominates each step: z != 1 moves the general form's bits at 36
+    # to 63 of the 63 interior points after 4 steps under OpenBLAS's
+    # SkylakeX, Haswell, Sandybridge and Nehalem kernels.  On the run above
+    # and at dt = 0.01, the contraction rounds the few moved bits away under
+    # some of those kernel sets
+    big, coarse = gaussian_bump(grid, 3.0, 1.5), SolverConfig(dt=0.25)
+    big_structured = final_state(big, -1.0, 0.0, path, bare, coarse).values
     # a plain wrapper is called, and the march takes the general form
     for spec, called in (
         (with_callables(bare, f=plain_f), {"f"}),
@@ -695,9 +794,9 @@ def test_the_kernel_looks_through_functools_wraps_only():
         assert set(calls) == called
         assert np.array_equal(got, hand_march(v0, -0.3, 300, path, 0.5, spec, cfg))
         if "f" in called:
-            # z != 1 moves bits; the forcing's one-ulp moves happen to
-            # round away on this run
-            assert not np.array_equal(got, structured)
+            got = final_state(big, -1.0, 0.0, path, spec, coarse).values
+            assert np.array_equal(got, hand_march(big, -1.0, 4, path, 0.5, spec, coarse))
+            assert not np.array_equal(got, big_structured)
     # a functools.wraps wrapper, even two deep, keeps the structured path
 
     @functools.wraps(f)
