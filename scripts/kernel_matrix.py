@@ -13,17 +13,14 @@ can die of an illegal instruction; that counts as a failure.
 
 Usage:
     python3 scripts/kernel_matrix.py
-    python3 scripts/kernel_matrix.py --cores SkylakeX Zen -- -k split
 
-Arguments after ``--`` go to every pytest run.  Prints one line per set
-(the forced set, the running core, passed and failed counts) and exits 1
-when a set did not take effect, a test failed or errored, or a run ended
-without a count; 0 otherwise.
+Prints one line per set (the forced set, the running core, passed and
+failed counts) and exits 1 when a set did not take effect, a test failed or
+errored, or a run ended without a count; 0 otherwise.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import subprocess
@@ -51,7 +48,7 @@ def counts(output: str) -> tuple[int, int] | None:
     return found.get("passed", 0), failed
 
 
-def run(core: str, extra: list[str]) -> tuple[str | None, tuple[int, int] | None, int]:
+def run(core: str) -> tuple[str | None, tuple[int, int] | None, int]:
     """Run the suites with ``core`` forced: the running core the header
     names, the counts and the exit code."""
     path = os.environ.get("PYTHONPATH")
@@ -60,23 +57,17 @@ def run(core: str, extra: list[str]) -> tuple[str | None, tuple[int, int] | None
         OPENBLAS_CORETYPE=core,
         PYTHONPATH=os.path.join(ROOT, "src") + (os.pathsep + path if path else ""),
     )
-    argv = [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", *SUITES, *extra]
+    argv = [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", *SUITES]
     done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
     output = done.stdout + done.stderr
     return running_core(output), counts(output), done.returncode
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--cores", nargs="+", default=list(CORES),
-                        help="OPENBLAS_CORETYPE values to run under")
-    parser.add_argument("pytest_args", nargs="*", help="passed on to pytest after --")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     bad = 0
     print(f"{'forced':<12} {'running':<14} {'passed':>6} {'failed':>6}  verdict")
-    for core in args.cores:
-        running, got, code = run(core, args.pytest_args)
+    for core in CORES:
+        running, got, code = run(core)
         passed, failed = got or (0, 0)
         if running is None or running.lower() != core.lower():
             verdict = "NOT IN EFFECT"

@@ -41,10 +41,9 @@ two ping-pong state buffers, one right-hand-side buffer and one work
 buffer, binds their views and the solves into them once per admitted
 column (the 2D solve runs through two reused scratch stacks), and a stack
 it yields is valid only until the next step.  No array of a march grows
-with its number of steps: the kernel forms z one window of about
-``_Z_WINDOW`` values at a time, each column's share from one
-:func:`~pullbacklab.noise.z_series` call on its own stretch of its run (the
-bits of the whole run's series), and each block's clocks with the block.
+with its number of steps: the kernel forms each block's clocks and z with
+the block, each column's z from one :func:`~pullbacklab.noise.z_series`
+call on its own stretch of its run (the bits of the whole run's series).
 Columns never mix, and a 1D group's product has a fixed width, so a
 column's bits do not depend on its lane or its neighbours: a column of a
 stack equals the same run marched alone, bit for bit.
@@ -122,11 +121,6 @@ _SPLIT_FLOOR = 1 << 20
 # a lone column least: about 1 us more per step than one matrix-vector
 # product at m=129, where four lanes slowed a lone march.
 _LANES = 2
-# z is formed for a window of this many values (steps times columns) at a
-# time, so no table of a march grows with its number of steps.  A window is
-# 32 KB and costs one z_series call per column: a 6-column march makes one
-# call per column every 682 steps.
-_Z_WINDOW = 1 << 12
 
 
 def _grouped(rows: np.ndarray) -> np.ndarray:
@@ -308,6 +302,19 @@ def _structure(fn: Callable, kind: type):
     return inner if isinstance(inner, kind) else None
 
 
+def _check_columns(
+    paths: Sequence[Path],
+    epsilons: Sequence[float],
+    starts: Sequence[float],
+    n: int,
+    dt: float,
+) -> None:
+    """Check each column's intensity, start and step lattice before a
+    march's first step, by a series of one value at its own start."""
+    for path, eps, t in zip(paths, epsilons, starts, strict=True):
+        z_series(path, eps, t, min(n, 1), dt)
+
+
 def _march(
     ctx: _Context,
     v0: np.ndarray,
@@ -355,14 +362,13 @@ def _march(
     step arithmetic, the finiteness check and the yielded stack cover the
     admitted prefix alone.
 
-    No array of the march grows with n.  z is formed one window of about
-    ``_Z_WINDOW`` values at a time, each column's rows from one
-    :func:`~pullbacklab.noise.z_series` call on its own stretch of the run,
-    which has the bits of that stretch of the whole run's series.  The
-    march runs in blocks of steps that end where the next column joins or
-    the window ends, at most about ``_FORCING_BLOCK`` values each.  For each
-    block it forms the block's clocks, ``(step - admit)*dt + t_start`` per
-    column, and two tables of the block's rows: z*g, and the per-point
+    No array of the march grows with n.  The march runs in blocks of
+    steps that end where the next column joins, at most about
+    ``_FORCING_BLOCK`` values each.  For each block it forms the block's
+    clocks, ``(step - admit)*dt + t_start`` per column; each column's z,
+    from one :func:`~pullbacklab.noise.z_series` call on its own stretch of
+    the run, which has the bits of that stretch of the whole run's series;
+    and two tables of the block's rows: z*g, and the per-point
     factor of the reaction term (q or z) spread out to every grid point of
     its column, so no step broadcasts.  Finiteness is one reduction over
     the stack; :func:`_nonfinite_column` runs only when it fails, and a
@@ -378,10 +384,7 @@ def _march(
     k = v0.shape[0]
     starts = np.broadcast_to(np.asarray(t_start, dtype=float), (k,))
     admit = np.broadcast_to(np.asarray(admit, dtype=int), (k,))
-    # every column's intensity is checked before the first step: an empty
-    # series checks it and reads no time
-    for path, eps in zip(paths, epsilons, strict=True):
-        z_series(path, eps, 0.0, 0, dt)
+    _check_columns(paths, epsilons, starts, n, dt)
     npts = len(ctx.pts)
     pts = np.tile(ctx.pts, (k, 1))
     profile = None if separable is None else separable.profile(ctx.pts).reshape(ctx.grid.shape)
@@ -402,10 +405,8 @@ def _march(
     work_buf = np.empty(k * npts)
     block_size = min(max(_FORCING_BLOCK, k * npts), n * k * npts)
     w_buf, zg_buf = np.empty(block_size), np.empty(block_size)
-    # z of the steps [w_start, w_end), one column per column of the stack
-    window = max(1, _Z_WINDOW // k)
-    z_buf = np.empty((min(window, n), k))
-    w_start = w_end = 0
+    # z of a block's steps, one column per column of the stack
+    z_buf = np.empty((min(max(1, _FORCING_BLOCK // npts), n), k))
     a = 0
     j = 0
     while j < n:
@@ -419,24 +420,19 @@ def _march(
             rhs_flat, work, pts_a = rhs.ravel(), work_buf[: a * npts], pts[: a * npts]
             c = ctx.solve_rows(a)
             solves = [ctx.stack_solver(rhs_buf[:c][inner], buf[:c][inner]) for buf in bufs]
-        if j == w_end:
-            w_start, w_end = j, min(n, j + window)
-            # every column that joins before the window ends, from the
-            # later of the window's first step and its own first one
-            for i in range(int(np.searchsorted(admit, w_end))):
-                r = max(j, int(admit[i]))
-                t = (r - admit[i]) * dt + starts[i]
-                z_buf[r - j : w_end - j, i] = z_series(
-                    paths[i], epsilons[i], t, w_end - r, dt
-                )
-        # the steps up to the next admission or the window's end, at most a
-        # forcing block
-        end = min(w_end, j + max(1, _FORCING_BLOCK // (a * npts)), int(admit[a]) if a < k else n)
+        # the steps up to the next admission, at most a forcing block
+        end = min(n, j + max(1, _FORCING_BLOCK // (a * npts)), int(admit[a]) if a < k else n)
         blocked = (end - j,) + rhs.shape
-        z = z_buf[j - w_start : end - w_start, :a]
         # every admitted column's own clock at each step of the block: the
         # same bits as the sum a run marched alone forms
         clocks = (np.arange(j, end)[:, None] - admit[:a]) * dt + starts[:a]
+        # z of each column from its own clock at the block's first step: that
+        # stretch of its whole run's series.  The clocks go in as Python
+        # floats; a numpy scalar doubles a z_series call's cost (10 against
+        # 4.4 us)
+        z = z_buf[: end - j, :a]
+        for i, t in enumerate(clocks[0].tolist()):
+            z[:, i] = z_series(paths[i], epsilons[i], t, end - j, dt)
         # the reaction term's factor per point: q = sc/z^2, or z itself
         w_rows = w_buf[: (end - j) * a * npts].reshape(blocked)
         w_rows[...] = (z if cubic is None else cubic.sc / (z * z)).reshape(blocked[:2] + spread)
@@ -893,6 +889,9 @@ def final_states(
     # 2D stays here: on a 2-core host with two OpenBLAS threads per process,
     # a split stack of 8 columns on 65x65 took about 3x as long as unsplit
     if width > 1 and ctx.grid.dimension == 1 and sum(steps) * len(ctx.pts) >= _SPLIT_FLOOR:
+        # every column is checked here, as the unsplit march checks it,
+        # before any chunk takes a step
+        _check_columns(*columns, starts, steps[0], cfg.dt)
         chunk = functools.partial(_march_chunk, ctx, stack, starts, *columns, steps[0], admit)
         v = _march_split(chunk, _cut(steps, width))
     else:

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pullbacklab import solver
-from pullbacklab.errors import DivergenceError, WorkerError
+from pullbacklab.errors import ConfigurationError, DivergenceError, WorkerError
 from pullbacklab.field import Grid, eigenmode, gaussian_bump, zero_field
 from pullbacklab.model import ProblemSpec, canonical_cubic, canonical_forcing, zero_forcing
 from pullbacklab.noise import flat_path, sample_path
@@ -170,6 +170,17 @@ def test_split_divergence_raises_at_the_in_process_time(amplitudes, split):
     assert split
     assert got.t == want.t
     assert str(got) == str(want)  # the summary's results.error
+
+
+def test_a_coarse_path_in_a_late_chunk_is_refused_before_any_fork(split):
+    # the wild column, alone in the first chunk, overflows within a few
+    # steps; the second chunk's column joins at 2.4 on a path of step 0.2,
+    # a lattice both its ends sit on but not the march's step of 0.1
+    v0s = [gaussian_bump(GRID, 8.0, 1.5), gaussian_bump(GRID, 0.5, 1.5)]
+    paths = [flat_path(-1.0, 8.0, DT), flat_path(-1.0, 8.0, 2 * DT)]
+    with pytest.raises(ConfigurationError, match="series step"):
+        final_states(v0s, [0.0, 2.4], 6.0, paths, [0.0] * 2, DIVERGING, SolverConfig(DT))
+    assert not split
 
 
 def test_divergence_error_survives_a_pickle_round_trip():

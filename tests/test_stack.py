@@ -226,11 +226,11 @@ def plain(spec):
 
 
 @pytest.mark.parametrize("general", [False, True], ids=["structured", "general"])
-def test_z_windows_change_no_bit_of_a_staggered_stack(monkeypatch, general):
-    # windows of 1, 2, 3, 37 and 100 rows across five columns that join at
-    # steps 0, 100, 260, 260 and 299: windows end inside forcing blocks (a
-    # lone column's block is 254 rows) and at admissions (100 and 260); the
-    # default window covers the whole march
+def test_blocks_change_no_bit_of_a_staggered_stack(monkeypatch, general):
+    # blocks of 1, 2, 3, 37 and 100 rows for a lone column (fewer for more
+    # columns) across five columns that join at steps 0, 100, 260, 260 and
+    # 299, against the default blocks of 254 rows for a lone column: each
+    # block forms its own clocks and z, and blocks end at admissions
     grid, dt, _ = CASES[1]
     spec = plain(spec_for(1)) if general else spec_for(1)
     cfg = SolverConfig(dt=dt)
@@ -254,10 +254,11 @@ def test_z_windows_change_no_bit_of_a_staggered_stack(monkeypatch, general):
         ends = final_states(v0s, starts, 0.3, paths, epsilons, spec, cfg)
         return stacks, [e.values for e in ends]
 
-    assert solver._Z_WINDOW // len(v0) >= n
+    npts = len(grid.points)
+    assert _FORCING_BLOCK // npts == 254
     want_stacks, want_ends = run()
     for rows in (1, 2, 3, 37, 100):
-        monkeypatch.setattr(solver, "_Z_WINDOW", rows * len(v0))
+        monkeypatch.setattr(solver, "_FORCING_BLOCK", rows * npts)
         stacks, ends = run()
         for got, want in zip(stacks, want_stacks, strict=True):
             assert np.array_equal(got, want)
@@ -278,12 +279,12 @@ def traced_peak_mb(call) -> float:
 
 @pytest.mark.parametrize("reduction", ["final_states", "stored_states", "difference_history"])
 def test_march_memory_does_not_grow_with_the_horizon(monkeypatch, reduction):
-    # z is formed a window at a time and the clocks a block at a time.  A
-    # table of each for the whole march, 16,000 steps x 6 columns x 8 bytes,
-    # grew the final_states peak from 1.17 MB at horizon 4 to 2.26 MB at
-    # horizon 16; the peaks of the other two grew by 0.18 and 0.46 MB.  The
-    # reductions keep one state or sample per 1000 steps, so their own
-    # results stay small
+    # z and the clocks are formed a block at a time.  A table of each for
+    # the whole march, 16,000 steps x 6 columns x 8 bytes, grew the
+    # final_states peak from 1.17 MB at horizon 4 to 2.26 MB at horizon 16;
+    # the peaks of the other two grew by 0.18 and 0.46 MB.  The reductions
+    # keep one state or sample per 1000 steps, so their own results stay
+    # small
     monkeypatch.setattr(solver, "_SPLIT_FLOOR", float("inf"))
     grid = Grid(1, 8.0, 129)
     spec = spec_for(1)
@@ -514,6 +515,30 @@ def test_late_column_diverges_at_its_own_time():
     # the stack's clock from 0.0 names that step with other bits
     step = round(alone.value.t / cfg.dt)
     assert 0.0 + step * cfg.dt != alone.value.t
+
+
+def test_a_late_column_on_a_coarse_path_is_refused_before_the_first_step(monkeypatch):
+    # the wild column overflows within a few steps; the late one joins at
+    # 2.4 on a path of step 0.2, a lattice both its ends sit on but not the
+    # march's step of 0.1.  Its path is refused before any step, so the
+    # divergence is never reached
+    monkeypatch.setattr(solver, "_SPLIT_FLOOR", float("inf"))
+    spec = ProblemSpec(
+        lam=2.0,
+        epsilon=0.0,
+        dimension=1,
+        domain_radius=8.0,
+        nonlinearity=canonical_cubic(1.0),
+        forcing=zero_forcing(),
+    )
+    grid = Grid(1, 8.0, 129)
+    calm, wild = gaussian_bump(grid, 0.5, 1.5), gaussian_bump(grid, 8.0, 1.5)
+    fine, coarse = flat_path(-1.0, 8.0, 0.1), flat_path(-1.0, 8.0, 0.2)
+    cfg = SolverConfig(dt=0.1)
+    with pytest.raises(DivergenceError):
+        final_states([wild, calm], [0.0, 2.4], 6.0, [fine, fine], [0.0] * 2, spec, cfg)
+    with pytest.raises(ConfigurationError, match="series step"):
+        final_states([wild, calm], [0.0, 2.4], 6.0, [fine, coarse], [0.0] * 2, spec, cfg)
 
 
 @settings(max_examples=20, deadline=None)
