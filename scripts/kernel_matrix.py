@@ -28,7 +28,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SUITES = ("tests/test_stack.py", "tests/test_split.py", "tests/test_acceptance.py")
-CORES = ("SkylakeX", "Haswell", "Sandybridge", "Nehalem")
+CORES = ("SkylakeX", "Haswell", "Sandybridge", "Nehalem", "Katmai")
 
 
 def running_core(output: str) -> str | None:

@@ -21,9 +21,11 @@ different horizons toward one end time share every step they have in common.
 Per step the kernel forms the reaction term z*f(v/z) once on the flattened
 stack, adds the step's row of z*g, then solves for every column at once,
 directly and exactly up to rounding: in one dimension with the inverse of
-the tridiagonal, formed once per march and applied to the stack in groups
-of ``_LANES`` columns, one matrix-matrix product per group, a lone column
-beside a zero lane; in two dimensions by fast
+the tridiagonal, formed once per march, in one matrix product whose every
+BLAS call takes ``_LANES`` columns (a lone column beside a zero lane) and
+which multiplies only the inverse's numerical band where it has one, each
+block of the solution from the three neighbouring blocks of the right-hand
+side, read in place; in two dimensions by fast
 diagonalisation, the orthonormal DST-I matrix applied on both sides of the
 whole stack as dense matrix products.  The kernel uses the canonical model's
 structure where the callables carry it (looked up once per march, through
@@ -44,9 +46,9 @@ it yields is valid only until the next step.  No array of a march grows
 with its number of steps: the kernel forms each block's clocks and z with
 the block, each column's z from one :func:`~pullbacklab.noise.z_series`
 call on its own stretch of its run (the bits of the whole run's series).
-Columns never mix, and a 1D group's product has a fixed width, so a
-column's bits do not depend on its lane or its neighbours: a column of a
-stack equals the same run marched alone, bit for bit.
+Columns never mix, and every BLAS call of a 1D product has a fixed width,
+so a column's bits do not depend on its lane or its neighbours: a column of
+a stack equals the same run marched alone, bit for bit.
 :func:`stored_states`, :func:`final_state`, :func:`final_states`,
 :func:`iterate_states`, :func:`difference_history` and :func:`energy_audit`
 are reductions over it.  :func:`stored_states` is the one stream of the
@@ -62,8 +64,8 @@ own columns' z; since columns never mix, the split changes no bit.
 step.
 
 :func:`integrate_deterministic` marches the original, unconjugated equation
-with its own step and a one-column solve (the same two-lane product in 1D,
-the same fast diagonalisation in 2D); it is the independent zero-noise
+with its own step and a one-column solve (the same banded two-lane product
+in 1D, the same fast diagonalisation in 2D); it is the independent zero-noise
 oracle the kernel is held to; it calls the plain f and g, so at zero noise
 it also checks the structured forms' algebra.  Everything is deterministic:
 same inputs, same bits.  Only numpy is needed at run time.
@@ -103,23 +105,27 @@ from .noise import Path, lattice_steps, refine, refine_levels, z_series
 _BOUNDARY_TRUST = 1e-8
 # A 1D endpoint march smaller than this many point-steps (state-steps times
 # grid points) stays in-process.  On a shared 2-core Xeon host with two
-# OpenBLAS threads, a fork round trip (fork, march and pickle 10 endpoints
-# back, reap) took 3.4-25 ms over 5 x 200 trips, median 4.5-5.7 ms and
-# 10.3-11.9 ms at most in four of the five, in a numpy process with 131 MB
-# resident.  A 1D point-step with the grouped solve cost 27-28 ns at m=129
-# and k=10 (39-41 ns with one matrix-vector product per column).  At the
-# floor a march takes about 28 ms, and the half that a second worker takes
-# over saves about 14 ms: more than every trip but one outlier.
+# OpenBLAS threads, a fork round trip (fork, pickle 5 endpoints back, reap)
+# took 2.4-26 ms over 5 x 200 trips, median 3.5-3.8 ms and 6.6-7.6 ms at
+# most in four of the five, in a numpy process with 132 MB resident.  A 1D
+# point-step with the banded solve cost 18-25 ns at m=129 and k=10 (25-32
+# ns with the dense grouped solve).  At the floor a march takes about 24
+# ms, and the half that a second worker takes over saves about 12 ms: more
+# than every trip but one outlier.
 _SPLIT_FLOOR = 1 << 20
-# A 1D solve is one (g, _LANES, m-2) @ (m-2, m-2) matrix product: g groups
-# of this many right-hand sides, the last padded with zero lanes.  With
+# Every BLAS call of a 1D solve takes this many right-hand sides: the stack
+# is solved as g groups of them, the last padded with zero lanes.  With
 # OpenBLAS 0.3.31's SkylakeX (AVX-512) kernels, on 1 or 2 threads, every
-# column of a W-row product had the same bits in every lane, beside any
-# neighbours and at any g (W in {2, 4, 8} for m from 65 to 513, and W = 2
-# for m from 17 to 1025), but a plain (k, m-2) product's bits depend on k
-# at some sizes (m = 35 among them), so the width is fixed.  Two lanes cost
-# a lone column least: about 1 us more per step than one matrix-vector
-# product at m=129, where four lanes slowed a lone march.
+# column of a dense W-row product had the same bits in every lane, beside
+# any neighbours and at any g (W in {2, 4, 8} for m from 65 to 513, and
+# W = 2 for m from 17 to 1025), but a plain (k, m-2) product's bits depend
+# on k at some sizes (m = 35 among them), so the width is fixed.  The
+# banded product kept every column's bits beside 0 to 5 random neighbours
+# at each odd m from 67 to 1025 that takes it (155 cases over two
+# spacings), under the SkylakeX, Haswell, Sandybridge, Nehalem and Katmai
+# kernels.  Two lanes cost a lone column least: about 1 us more per step
+# than one matrix-vector product at m=129, where four lanes slowed a lone
+# march.
 _LANES = 2
 
 
@@ -130,6 +136,50 @@ def _grouped(rows: np.ndarray) -> np.ndarray:
     view = rows.view()
     view.shape = (-1, _LANES, rows.shape[-1])
     return view
+
+
+def _band_blocks(ainv_t: np.ndarray) -> np.ndarray | None:
+    """The numerical band of the 1D inverse as (nb, 1, 3b, b) blocks, or
+    None where the dense product is kept.
+
+    Entries of the inverse decay as rho^|i-j|.  The kept diagonals reach
+    past the last one that holds an entry >= eps*max/n, so every dropped
+    entry is below that and a row drops less than eps*max*|x|_inf.  The
+    block width b is the smallest multiple of 8 above that diagonal whose
+    nb blocks tile the n-point interior, ending on it or one cell past it,
+    onto the right boundary; with 3 blocks or fewer, or no such width, the
+    product stays dense.  Block i holds the transpose's rows (i-1)b to
+    (i+2)b and columns ib to (i+1)b, zero outside the interior: output
+    block i takes its three neighbouring input blocks.
+    """
+    n = len(ainv_t)
+    kept = ainv_t >= np.finfo(float).eps * ainv_t.max() / n
+    # the entries decay away from the diagonal, so the last diagonal holding
+    # a kept entry is the farthest first or last kept column of a row
+    rows = np.arange(n)
+    right = n - 1 - np.argmax(kept[:, ::-1], axis=1) - rows
+    last = int(max(right.max(), (rows - np.argmax(kept, axis=1)).max()))
+    for b in range(last // 8 * 8 + 8, (n + 1) // 4 + 1, 8):
+        if n % b == 0 or (n + 1) % b == 0:
+            blocks = np.zeros((-(-n // b), 1, 3 * b, b))
+            for i, block in enumerate(blocks[:, 0]):
+                lo, hi = max(i - 1, 0) * b, min((i + 2) * b, n)
+                cols = ainv_t[lo:hi, i * b : (i + 1) * b]
+                block[lo - (i - 1) * b : hi - (i - 1) * b, : cols.shape[1]] = cols
+            return blocks
+    return None
+
+
+def _view(a: np.ndarray, start: int, shape: tuple, strides: tuple) -> np.ndarray:
+    """A strided view of the memory ``a`` views, from ``start`` elements
+    past a's first one (before it where negative), inside the bounds of the
+    array that owns that memory."""
+    owner = a if a.base is None else a.base
+    offset = a.__array_interface__["data"][0] - owner.__array_interface__["data"][0]
+    offset += start * a.itemsize
+    if offset < 0:  # numpy takes a negative offset unchecked
+        raise ValueError("the view begins before its memory")
+    return np.ndarray(shape, a.dtype, buffer=owner, offset=offset, strides=strides)
 
 
 @dataclass(frozen=True)
@@ -162,9 +212,12 @@ class _Context:
     Both interior solves are direct.  In 1D the constant tridiagonal is
     inverted once (:func:`_tridiagonal_inverse`); its inverse has positive
     entries and row sums at most 1/(1 + dt*lam).  Only its transpose, a
-    C-contiguous view, is kept: right-hand sides are rows, and a solve is one
-    matrix-matrix product per group of ``_LANES`` rows, ``rows @ inv.T``
-    (:meth:`solve_rows` counts the padded rows).  In 2D the operator is the
+    C-contiguous view, is kept: right-hand sides are rows, and a solve is
+    ``rows @ inv.T`` taken ``_LANES`` rows at a time (:meth:`solve_rows`
+    counts the padded rows).  The entries decay as rho^|i-j|, with
+    rho = (dt/h^2)/(1 + dt*lam + 2dt/h^2), so where the band allows the
+    product keeps only blocks about the diagonal (:func:`_band_blocks`),
+    each dropped entry below eps*max/(m-2).  In 2D the operator is the
     Kronecker sum of two identical tridiagonals, diagonalised by the
     orthonormal DST-I matrix Q (symmetric, its own inverse): a solve is
     ``Q ((Q R Q) * inv) Q`` with ``inv`` the reciprocal eigenvalues, four
@@ -189,6 +242,7 @@ class _Context:
             diag = 1.0 + dt * spec.lam + 2.0 * dt / h2
             off = -dt / h2
             self._ainv_t = _tridiagonal_inverse(diag, off, m - 2).T
+            self._band = _band_blocks(self._ainv_t)
         else:
             idx = np.arange(1, m - 1)
             self._q = math.sqrt(2.0 / (m - 1)) * np.sin(np.pi * np.outer(idx, idx) / (m - 1))
@@ -200,20 +254,30 @@ class _Context:
         of ``_LANES`` in 1D, k in 2D."""
         return -(-k // _LANES) * _LANES if self.grid.dimension == 1 else k
 
+    def solve_source(self, k: int) -> np.ndarray:
+        """A zeroed stack of ``solve_rows(k)`` states whose interiors a bound
+        solve may read.  In 1D it lies between two zero rows of its own
+        memory: the banded product's windows reach one block before the
+        first interior and past the last one."""
+        if self.grid.dimension == 2:
+            return np.zeros((k,) + self.grid.shape)
+        return np.zeros((self.solve_rows(k) + 2,) + self.grid.shape)[1:-1]
+
     def solve_implicit(self, rhs_interior: np.ndarray) -> np.ndarray:
         """The interior solve of one right-hand side or of a stack of them.
 
         In 1D ``rhs_interior`` is one vector or a (k, m-2) stack of rows,
-        solved in groups of ``_LANES`` rows (a lone row beside a zero lane),
-        the product :meth:`stack_solver` makes; in 2D it is one field or a
-        stack of them, solved by fast diagonalisation."""
+        copied into a :meth:`solve_source` stack and solved by the product
+        :meth:`stack_solver` makes (a lone row beside a zero lane); in 2D it
+        is one field or a stack of them, solved by fast diagonalisation."""
         if self.grid.dimension == 2:
             return self._diagonalised(rhs_interior)
         rows = np.atleast_2d(rhs_interior)
-        k, n = rows.shape
-        lanes = np.zeros((self.solve_rows(k), n))
-        lanes[:k] = rows
-        sol = np.matmul(_grouped(lanes), self._ainv_t).reshape(-1, n)[:k]
+        src = self.solve_source(len(rows))
+        dst = np.zeros(src.shape)
+        src[: len(rows), 1:-1] = rows
+        self.stack_solver(src[:, 1:-1], dst[:, 1:-1])()
+        sol = dst[: len(rows), 1:-1]
         return sol if np.ndim(rhs_interior) == 2 else sol[0]
 
     def stack_solver(self, src: np.ndarray, dst: np.ndarray) -> Callable[[], None]:
@@ -222,13 +286,31 @@ class _Context:
         a caller writes fresh right-hand sides into ``src`` and calls again.
         Each column gets the bits :meth:`solve_implicit` gives it.
 
-        In 1D k must be a multiple of ``_LANES`` (:meth:`solve_rows`): a
-        call is one matrix product of the (k/_LANES, _LANES, m-2) views,
-        written straight into ``dst``, and a zero row of ``src`` solves to a
-        zero row."""
+        In 1D k must be a multiple of ``_LANES`` (:meth:`solve_rows`), and
+        every call is one matrix product written straight into ``dst``, of
+        ``_LANES`` rows per BLAS call whatever k is.  Where the inverse has a
+        numerical band (:func:`_band_blocks`) the product is block-banded:
+        a (nb, k/_LANES, _LANES, 3b) view of windows of ``src``, each output
+        block's three neighbouring input blocks, times the (nb, 1, 3b, b)
+        blocks, into a (nb, k/_LANES, _LANES, b) view of ``dst``.  The
+        windows read a block before each row's interior and past it, which
+        the band's zeros multiply, so ``src`` must be the interior of a
+        :meth:`solve_source` stack, and the blocks write up to one cell
+        past each interior, onto a full state's boundary, as zero.  Other
+        stacks are one dense product of the (k/_LANES, _LANES, m-2) views.
+        A zero row of ``src`` solves to a zero row."""
         if self.grid.dimension == 1:
-            ainv_t, s, d = self._ainv_t, _grouped(src), _grouped(dst)
-            return lambda: np.matmul(s, ainv_t, out=d)
+            s, d = _grouped(src), _grouped(dst)
+            blocks = self._band
+            if blocks is None:
+                ainv_t = self._ainv_t
+                return lambda: np.matmul(s, ainv_t, out=d)
+            nb, b = len(blocks), blocks.shape[-1]
+            if nb * b * dst.itemsize > dst.strides[0]:
+                raise ValueError("the banded solve needs a full state's row for each interior")
+            windows = _view(src, -b, (nb, *s.shape[:2], 3 * b), (b * src.itemsize, *s.strides))
+            ends = _view(dst, 0, (nb, *d.shape[:2], b), (b * dst.itemsize, *d.strides))
+            return lambda: np.matmul(windows, blocks, out=ends)
         q, inv = self._q, self._inv
         t1, t2 = np.empty(src.shape), np.empty(src.shape)
 
@@ -354,13 +436,15 @@ def _march(
     right-hand-side buffer and one work buffer (v/z or the cubic term).  In
     1D the three stack buffers have ``solve_rows(k)`` rows, all zeroed, so
     the pad row and the rows of columns not yet admitted hold zeros, never
-    uninitialised memory, when the solve reads them.  When a column joins
-    the march binds, once, flat views of the admitted prefix of each and one
-    solve per state buffer (:meth:`_Context.stack_solver`), which reads the
-    right-hand side and writes the next state's interior; in 1D the solve
-    covers the admitted prefix padded to whole groups of ``_LANES``.  The
-    step arithmetic, the finiteness check and the yielded stack cover the
-    admitted prefix alone.
+    uninitialised memory, when the solve reads them; the right-hand side's
+    lie between two more zero rows (:meth:`_Context.solve_source`), which
+    the banded product's windows read beyond the first and last interior.
+    When a column joins the march binds, once, flat views of the admitted
+    prefix of each and one solve per state buffer
+    (:meth:`_Context.stack_solver`), which reads the right-hand side and
+    writes the next state's interior; in 1D the solve covers the admitted
+    prefix padded to whole groups of ``_LANES``.  The step arithmetic, the
+    finiteness check and the yielded stack cover the admitted prefix alone.
 
     No array of the march grows with n.  The march runs in blocks of
     steps that end where the next column joins, at most about
@@ -401,7 +485,7 @@ def _march(
     # ones, so those rows stay zero and solve to zero
     shape = (ctx.solve_rows(k),) + ctx.grid.shape
     bufs = (np.zeros(shape), np.zeros(shape))
-    rhs_buf = np.zeros(shape)
+    rhs_buf = ctx.solve_source(k)
     work_buf = np.empty(k * npts)
     block_size = min(max(_FORCING_BLOCK, k * npts), n * k * npts)
     w_buf, zg_buf = np.empty(block_size), np.empty(block_size)

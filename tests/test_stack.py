@@ -139,16 +139,21 @@ def test_stack_solve_equals_each_column_solved_alone_bitwise(dimension, k):
     # stack is padded to whole groups; a column must get the bits it gets
     # alone beside a zero lane, whatever its lane and its neighbours.  At
     # m=35 one plain (k, m-2) product's bits hang on k with OpenBLAS's
-    # SkylakeX kernels, so a solve that dropped the groups fails there
-    for m in (17, 35, 65, 129, 257):
+    # SkylakeX kernels, so a solve that dropped the groups fails there.
+    # m=17 and 35 take the dense product; from m=65 on the product is
+    # block-banded (blocks 16, 32, 32, 40 and 64 wide at this dt), and its
+    # windows read the neighbouring rows, times zero
+    for m in (17, 35, 65, 129, 257) + ((321, 513) if dimension == 1 else ()):
         grid = Grid(dimension, 8.0, m)
         ctx = _Context(grid, spec_for(dimension), SolverConfig(dt=2e-3))
+        if dimension == 1:
+            assert (ctx._band is None) == (m < 65)
         rng = np.random.default_rng([k, m])
-        rows = ctx.solve_rows(k)
         # the strided interior views that _march binds, not contiguous copies
         inner = (slice(None),) + (slice(1, -1),) * dimension
-        full = np.zeros((rows,) + grid.shape)
+        full = ctx.solve_source(k)
         out = np.zeros_like(full)
+        assert len(full) == ctx.solve_rows(k)
         solve = ctx.stack_solver(full[inner], out[inner])
         # the second call reads fresh right-hand sides through the same
         # views, each column moved one row on, so into the other lane and
@@ -181,6 +186,47 @@ def test_grouped_solve_rejects_a_stack_of_partial_groups():
     src = np.zeros((3,) + grid.shape)
     with pytest.raises(ValueError):
         ctx.stack_solver(src[:, 1:-1], src.copy()[:, 1:-1])
+
+
+@pytest.mark.parametrize("m", [129, 257, 321, 513])
+def test_banded_solve_stays_within_the_dropped_mass_of_the_dense_product(m):
+    # every entry the band drops is below eps*max/(m-2), so a row of the
+    # banded solve is within eps*max|A^-1|*|x|_inf of the dense inverse
+    # product, formed here in long double, plus the banded product's own
+    # rounding: a sum of 3b = 48 terms is off by at most gamma_48*sum|a*x|.
+    # Against a double dense product, whose own rounding differs with the
+    # kernel set, the gap reads up to about three times the dropped mass.
+    # The spacing is the shipped configs' 0.125, so the blocks are 16 wide.
+    # Rows whose scales span 30 orders of magnitude sit side by side in the
+    # lanes, and each is held to its own bound
+    radius = 8.0 * (m - 1) / 128
+    grid = Grid(1, radius, m)
+    ctx = _Context(grid, replace(spec_for(1), domain_radius=radius), SolverConfig(dt=1e-3))
+    assert ctx._band.shape == ((m - 1) // 16, 1, 48, 16)
+    inverse = ctx._ainv_t
+    rng = np.random.default_rng(m)
+    x = rng.standard_normal((7, m - 2)) * np.logspace(-15.0, 15.0, 7)[:, None]
+    dense = x.astype(np.longdouble) @ inverse.astype(np.longdouble)
+    eps = np.finfo(float).eps
+    dropped = eps * inverse.max() * np.abs(x).max(axis=1, keepdims=True)
+    gamma = 48 * (eps / 2) / (1 - 48 * (eps / 2))
+    rounding = gamma * (np.abs(x) @ inverse)
+    assert np.all(np.abs(ctx.solve_implicit(x) - dense) <= dropped + rounding)
+
+
+def test_banded_solve_refuses_stacks_without_room_for_its_windows():
+    # the windows read a block before the first interior, which a stack
+    # that does not come from solve_source lacks; and the blocks write one
+    # cell past each interior, which a stack of bare interiors lacks
+    grid = Grid(1, 8.0, 129)
+    ctx = _Context(grid, spec_for(1), SolverConfig(dt=1e-3))
+    assert ctx._band is not None
+    states = np.zeros((2,) + grid.shape)[:, 1:-1]
+    with pytest.raises(ValueError):
+        ctx.stack_solver(np.zeros((2,) + grid.shape)[:, 1:-1], states)
+    with pytest.raises(ValueError):
+        ctx.stack_solver(ctx.solve_source(2)[:, 1:-1], np.zeros((2, 127)))
+    ctx.stack_solver(ctx.solve_source(2)[:, 1:-1], states)
 
 
 def test_odd_staggered_stack_equals_each_column_alone_bitwise():
