@@ -16,7 +16,8 @@ are written to a temp name and renamed into place.
 
 Each experiment is one ``Experiment`` record in ``EXPERIMENTS``.  Its parser
 reads each key of its block once, and a key it never read is unknown, so a
-bad block exits 2 before any march.
+bad block exits 2 before any march.  Every other section is read the same
+way, through ``model.ConfigSection``.
 
 Exit codes: 0 all named checks passed, 1 some check failed (including a run
 that diverged after the single dt-halving retry), 2 configuration problem.
@@ -71,17 +72,7 @@ from .field import (
     write_trajectory_csv,
     zero_field,
 )
-from .model import (
-    ProblemSpec,
-    _integer,
-    _mapping,
-    _number,
-    _reject_unknown,
-    _require,
-    check_hypotheses,
-    grid_for,
-    spec_from_config,
-)
+from .model import ConfigSection, ProblemSpec, check_hypotheses, grid_for, spec_from_config
 from .noise import (
     Path,
     flat_path,
@@ -143,62 +134,23 @@ class _Plan:
         return out
 
 
-def _snap_time(plan: _Plan, value: float, where: str) -> float:
-    dt = plan.cfg.dt
-    snapped = lattice_steps(value, dt, f"{where}={value!r}") * dt
-    if snapped != value:
-        plan.snaps.append(f"{where}: {value!r} -> {snapped!r}")
-    return snapped
-
-
-def _initial_field(grid: Grid, section, where: str) -> Field:
-    if not isinstance(section, Mapping):
-        raise ConfigurationError(f"{where} must be a mapping with a 'kind'")
-    kind = _require(section, "kind", where)
-    if kind == "zero":
-        _reject_unknown(section, {"kind"}, where)
-        return zero_field(grid)
-    if kind == "gaussian_bump":
-        _reject_unknown(section, {"kind", "amplitude", "width"}, where)
-        amp = _number(_require(section, "amplitude", where), f"{where}.amplitude")
-        width = _number(section.get("width", 1.0), f"{where}.width")
-        return gaussian_bump(grid, amp, width)
-    if kind == "eigenmode":
-        _reject_unknown(section, {"kind", "mode", "amplitude"}, where)
-        mode = _integer(_require(section, "mode", where), f"{where}.mode")
-        if mode < 1:
-            raise ConfigurationError(f"{where}.mode must be a positive integer")
-        amp = _number(section.get("amplitude", 1.0), f"{where}.amplitude")
-        base = eigenmode(grid, mode)
-        return base.with_values(base.values * amp)
-    raise ConfigurationError(
-        f"{where}.kind: unknown kind {kind!r} (have: zero, gaussian_bump, eigenmode)"
-    )
-
-
-def _parse_noise(section, plan: _Plan) -> dict:
-    where = "noise"
-    _reject_unknown(_mapping(section, where), {"seed", "window", "dt"}, where)
-    seed = _require(section, "seed", where)
+def _parse_noise(b: _Block) -> dict:
+    seed = b.get("seed")
     if seed is not None:
-        _integer(seed, "noise.seed")
-    window = _require(section, "window", where)
-    if not isinstance(window, (list, tuple)) or len(window) != 2:
-        raise ConfigurationError("noise.window must be [t_min, t_max]")
-    dt = _number(_require(section, "dt", where), "noise.dt")
-    if dt <= 0.0:
-        raise ConfigurationError(f"noise.dt must be positive, got {dt!r}")
-    lo = _snap_time(plan, _number(window[0], "noise.window[0]"), "noise.window[0]")
-    hi = _snap_time(plan, _number(window[1], "noise.window[1]"), "noise.window[1]")
-    if not lo < hi:
-        raise ConfigurationError(f"noise.window must be increasing, got {window!r}")
-    if not (lo <= 0.0 <= hi):
-        raise ConfigurationError("noise.window must contain time 0")
+        seed = b.integer("seed", least=0)
+    window = b.get("window")
+    b.check(isinstance(window, (list, tuple)) and len(window) == 2, "window",
+            "must be [t_min, t_max]")
+    dt = b.number("dt")
+    b.check(dt > 0.0, "dt", f"must be positive, got {dt!r}")
+    lo, hi = (b.snapped(w, b.path(f"window[{i}]")) for i, w in enumerate(window))
+    b.check(lo < hi, "window", f"must be increasing, got {window!r}")
+    b.check(lo <= 0.0 <= hi, "window", "must contain time 0")
     # _make_path refines the path this many times; the summary says so
-    levels = refine_levels(dt, plan.cfg.dt)
+    levels = refine_levels(dt, b.plan.cfg.dt)
     if levels:
         refined = dt / 2**levels
-        plan.snaps.append(f"noise.dt: {dt!r} -> {refined!r} by {levels} bridge refinements")
+        b.plan.snaps.append(f"noise.dt: {dt!r} -> {refined!r} by {levels} bridge refinements")
     return {"seed": seed, "window": [lo, hi], "dt": dt}
 
 
@@ -215,151 +167,122 @@ def _make_path(plan: _Plan) -> Path | None:
     return path
 
 
-class _Block:
-    """An experiment block, read key by key.  Each read checks its value
-    (a time is also snapped onto the dt lattice, initial data materialized
-    into a Field) and records the key, as does a membership test, so the
-    keys never asked for are the unknown ones."""
+class _Block(ConfigSection):
+    """A config section that also reads what the plan gives meaning to:
+    times, snapped onto the dt lattice; initial data, materialized into
+    Fields; and lists of values, each entry named by its index."""
 
-    def __init__(self, raw: Mapping, plan: _Plan):
-        self.raw, self.plan = raw, plan
-        self.where = f"config.{plan.experiment}"
-        self.asked: set[str] = set()
-
-    def __contains__(self, key: str) -> bool:
-        self.asked.add(key)
-        return key in self.raw
-
-    def get(self, key: str, default=None):
-        """The key's raw value; without a default the key is required."""
-        self.asked.add(key)
-        if default is None or key in self.raw:
-            return _require(self.raw, key, self.where)
-        return default
-
-    def number(self, key: str, default: float | None = None) -> float:
-        return _number(self.get(key, default), f"{self.where}.{key}")
-
-    def integer(self, key: str, default: int | None = None) -> int:
-        return _integer(self.get(key, default), f"{self.where}.{key}")
+    def __init__(self, raw, plan: _Plan, where: str):
+        super().__init__(raw, where)
+        self.plan = plan
 
     def time(self, key: str, default: float | None = None) -> float:
-        return self.snapped(self.get(key, default), f"{self.where}.{key}")
+        return self.snapped(self.get(key, default), self.path(key))
 
     def initial(self, key: str) -> Field:
-        return self.field(self.get(key), f"{self.where}.{key}")
+        return self.field(self.get(key), self.path(key))
 
     def items(self, key: str, read: Callable, rule: str, least: int = 0) -> list:
         """A list of at least ``least`` entries, each read by ``read(entry, where)``."""
         entries = self.get(key)
-        if not isinstance(entries, (list, tuple)) or len(entries) < least:
-            raise ConfigurationError(f"{self.where}.{key} {rule}")
-        return [read(e, f"{self.where}.{key}[{i}]") for i, e in enumerate(entries)]
+        self.check(isinstance(entries, (list, tuple)) and len(entries) >= least, key, rule)
+        return [read(e, f"{self.path(key)}[{i}]") for i, e in enumerate(entries)]
 
-    def increasing(self, key: str, rule: str, least: int, read: Callable = _number) -> list:
+    def increasing(
+        self, key: str, rule: str, least: int, read: Callable = ConfigSection.as_number
+    ) -> list:
         values = self.items(key, read, rule, least)
         ok = all(a < b for a, b in zip(values, values[1:]))
         self.check(ok, key, "must be strictly increasing")
         return values
 
-    def check(self, ok: bool, key: str, rule: str) -> None:
-        """Reject the block unless ``ok``: the value of ``key`` breaks ``rule``."""
-        if not ok:
-            raise ConfigurationError(f"{self.where}.{key} {rule}")
-
     def snapped(self, value, where: str) -> float:
-        return _snap_time(self.plan, _number(value, where), where)
+        value = self.as_number(value, where)
+        dt = self.plan.cfg.dt
+        snapped = lattice_steps(value, dt, f"{where}={value!r}") * dt
+        if snapped != value:
+            self.plan.snaps.append(f"{where}: {value!r} -> {snapped!r}")
+        return snapped
 
     def field(self, value, where: str) -> Field:
-        return _initial_field(self.plan.grid, value, where)
+        grid = self.plan.grid
+        with ConfigSection(value, where) as r:
+            kind = r.kind("zero", "gaussian_bump", "eigenmode")
+            if kind == "zero":
+                return zero_field(grid)
+            if kind == "gaussian_bump":
+                return r.made(gaussian_bump, grid, r.number("amplitude"), r.number("width", 1.0))
+            mode, amp = r.integer("mode"), r.number("amplitude", 1.0)
+            base = r.made(eigenmode, grid, mode)
+            return base.with_values(base.values * amp)
 
 
 def _resolve(raw, out_dir_override: str | None) -> _Plan:
-    if not isinstance(raw, Mapping):
-        raise ConfigurationError("config root must be a JSON object")
-    allowed = {"experiment", "spec", "grid", "solver", "noise", "output"} | set(
-        EXPERIMENTS
-    )
-    _reject_unknown(raw, allowed, "config")
-    experiment = _require(raw, "experiment", "config")
-    if experiment not in EXPERIMENTS:
-        raise ConfigurationError(
-            f"config.experiment: unknown experiment {experiment!r}; "
-            f"known: {list(EXPERIMENTS)}"
-        )
-    for name in EXPERIMENTS:
-        if name in raw and name != experiment:
+    with ConfigSection(raw, "config") as root:
+        experiment = root.get("experiment")
+        if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
             raise ConfigurationError(
-                f"config.{name}: block present but experiment={experiment!r}"
+                f"config.experiment: unknown experiment {experiment!r}; "
+                f"known: {list(EXPERIMENTS)}"
             )
-    exp = EXPERIMENTS[experiment]
+        for name in EXPERIMENTS:
+            if name in root and name != experiment:
+                raise ConfigurationError(
+                    f"config.{name}: block present but experiment={experiment!r}"
+                )
+        exp = EXPERIMENTS[experiment]
 
-    spec_section = _require(raw, "spec", "config")
-    spec = spec_from_config(spec_section)
+        spec_section = root.get("spec")
+        spec = spec_from_config(spec_section)
 
-    grid_section = _mapping(_require(raw, "grid", "config"), "grid")
-    _reject_unknown(grid_section, {"points_per_axis"}, "grid")
-    m = _integer(_require(grid_section, "points_per_axis", "grid"), "grid.points_per_axis")
-    grid = grid_for(spec, m)
+        with ConfigSection(root.get("grid"), "grid") as r:
+            grid = r.made(grid_for, spec, r.integer("points_per_axis"))
 
-    solver_section = _mapping(_require(raw, "solver", "config"), "solver")
-    if "linear_solver_tol" in solver_section:
-        raise ConfigurationError(
-            "solver.linear_solver_tol was removed: both implicit solves are now "
-            "direct, so there is no tolerance to set; delete the key"
-        )
-    _reject_unknown(solver_section, {"dt", "store_stride"}, "solver")
-    cfg = SolverConfig(
-        dt=_number(_require(solver_section, "dt", "solver"), "solver.dt"),
-        store_stride=_integer(solver_section.get("store_stride", 1), "solver.store_stride"),
-    )
+        with ConfigSection(root.get("solver"), "solver") as r:
+            if "linear_solver_tol" in r.raw:
+                raise ConfigurationError(
+                    "solver.linear_solver_tol was removed: both implicit solves are now "
+                    "direct, so there is no tolerance to set; delete the key"
+                )
+            cfg = r.made(SolverConfig, r.number("dt"), r.integer("store_stride", 1))
 
-    out_section = _mapping(raw.get("output", {}), "output")
-    _reject_unknown(out_section, {"directory", "formats"}, "output")
-    out_dir = out_section.get("directory", ".")
-    if not isinstance(out_dir, str):
-        raise ConfigurationError(f"output.directory must be a string, got {out_dir!r}")
-    formats = out_section.get("formats", ["json", "csv"])
-    if not isinstance(formats, list):
-        raise ConfigurationError(f"output.formats must be a list, got {formats!r}")
-    formats = tuple(formats)
-    for fmt in formats:
-        if fmt not in ("json", "csv"):
-            raise ConfigurationError(f"output.formats: unknown format {fmt!r}")
-    if "json" not in formats:
-        raise ConfigurationError(
-            f"output.formats must include \"json\", got {list(formats)!r}: "
-            "every run writes its summary"
-        )
-    if out_dir_override is not None:
-        out_dir = out_dir_override
+        with ConfigSection(root.get("output", {}), "output") as r:
+            out_dir = r.get("directory", ".")
+            r.check(isinstance(out_dir, str), "directory", f"must be a string, got {out_dir!r}")
+            formats = r.get("formats", ["json", "csv"])
+            r.check(isinstance(formats, list), "formats", f"must be a list, got {formats!r}")
+            for fmt in formats:
+                if fmt not in ("json", "csv"):
+                    raise ConfigurationError(f"output.formats: unknown format {fmt!r}")
+            r.check("json" in formats, "formats",
+                    f"must include \"json\", got {formats!r}: every run writes its summary")
 
-    plan = _Plan(
-        experiment=experiment,
-        spec=spec,
-        grid=grid,
-        cfg=cfg,
-        noise=None,
-        raw_spec=spec_section,
-        raw_block=_mapping(raw.get(experiment, {}), f"config.{experiment}"),
-        out_dir=out_dir,
-        formats=formats,
-    )
-
-    if exp.needs_path:
-        if "noise" not in raw:
-            raise ConfigurationError(f"noise: required for experiment {experiment!r}")
-        plan.noise = _parse_noise(raw["noise"], plan)
-    elif "noise" in raw:
-        raise ConfigurationError(
-            f"noise: experiment {experiment!r} reads no configured noise path; "
-            "delete the section"
+        plan = _Plan(
+            experiment=experiment,
+            spec=spec,
+            grid=grid,
+            cfg=cfg,
+            noise=None,
+            raw_spec=spec_section,
+            raw_block=root.get(experiment, {}),
+            out_dir=out_dir if out_dir_override is None else out_dir_override,
+            formats=tuple(formats),
         )
 
-    # every key is read once, so a bad block fails before any integration
-    block = _Block(plan.raw_block, plan)
-    plan.block = exp.parse(block)
-    _reject_unknown(block.raw, block.asked, block.where)
+        if exp.needs_path:
+            if "noise" not in root:
+                raise ConfigurationError(f"noise: required for experiment {experiment!r}")
+            with _Block(root.get("noise"), plan, "noise") as b:
+                plan.noise = _parse_noise(b)
+        elif "noise" in root:
+            raise ConfigurationError(
+                f"noise: experiment {experiment!r} reads no configured noise path; "
+                "delete the section"
+            )
+
+        # every key is read once, so a bad block fails before any integration
+        with _Block(plan.raw_block, plan, f"config.{experiment}") as b:
+            plan.block = exp.parse(b)
     return plan
 
 
@@ -511,6 +434,8 @@ def _parse_tail(b: _Block) -> dict:
         "radii": b.increasing("radii", "must be a non-empty list", 1),
         "initial": b.initial("initial"),
     }
+    radius = b.plan.spec.domain_radius
+    b.check(out["radii"][-1] <= radius, "radii", f"must not exceed spec.domain_radius={radius!r}")
     # the optional check at one radius takes both keys
     if "fraction_bound" in b or "fraction_radius" in b:
         out["fraction_bound"] = b.number("fraction_bound")
@@ -592,18 +517,22 @@ def _exec_truncation(plan: _Plan, path: Path):
     return results, checks, {"truncation": table}
 
 
+def _seed(value, where: str) -> int:
+    return ConfigSection.as_integer(value, where, least=0)
+
+
 def _parse_upper_semi(b: _Block) -> dict:
     out = {
         "tau": b.time("tau", 0.0),
         "horizon": b.time("horizon"),
-        "seeds": b.items("seeds", _integer, "must be a non-empty list of integers", 1),
-        "epsilon_ladder": b.items("epsilon_ladder", _number, "must be a non-empty list", 1),
+        "seeds": b.items("seeds", _seed, "must be a non-empty list of integers", 1),
+        "epsilon_ladder": b.items("epsilon_ladder", b.as_number, "must be a non-empty list", 1),
         "ensemble": b.items("ensemble", b.field, "must be a non-empty list", 1),
         "ratio_bound": b.number("ratio_bound", 0.2),
         "max_inversions": b.integer("max_inversions", 1),
     }
     ladder = out["epsilon_ladder"]
-    b.check(all(a > b for a, b in zip(ladder, ladder[1:])), "epsilon_ladder",
+    b.check(all(hi > lo for hi, lo in zip(ladder, ladder[1:])), "epsilon_ladder",
             "must be strictly decreasing")
     b.check(0.0 <= ladder[-1] and ladder[0] <= 1.0, "epsilon_ladder", "must stay inside [0, 1]")
     return out

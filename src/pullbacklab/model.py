@@ -360,85 +360,119 @@ def check_hypotheses(
 # -- configuration parsing ---------------------------------------------------
 
 
-def _reject_unknown(section: Mapping, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigurationError(
-            f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}"
-        )
+class ConfigSection:
+    """A config section, read key by key.
 
+    Each read checks its value, names the key's path in any error and
+    records the key, as does a membership test.  Used as a context manager,
+    the section rejects the keys it was never asked for once it is read,
+    so the first bad key in reading order is reported, and an unknown key
+    only after every known one.
+    """
 
-def _require(section: Mapping, key: str, where: str):
-    if key not in section:
-        raise ConfigurationError(f"missing key '{key}' in {where}")
-    return section[key]
+    def __init__(self, raw, where: str):
+        if not isinstance(raw, Mapping):
+            raise ConfigurationError(f"{where} must be a mapping, got {raw!r}")
+        self.raw, self.where = raw, where
+        self.asked: set[str] = set()
 
+    def __enter__(self) -> ConfigSection:
+        return self
 
-def _mapping(value, where: str) -> Mapping:
-    if not isinstance(value, Mapping):
-        raise ConfigurationError(f"{where} must be a mapping, got {value!r}")
-    return value
+    def __exit__(self, exc_type, exc, tb) -> None:
+        unknown = set(self.raw) - self.asked
+        if exc_type is None and unknown:
+            raise ConfigurationError(
+                f"unknown key(s) {sorted(unknown)} in {self.where}; "
+                f"allowed: {sorted(self.asked)}"
+            )
 
+    def __contains__(self, key: str) -> bool:
+        self.asked.add(key)
+        return key in self.raw
 
-def _number(value, where: str) -> float:
-    """A finite number; JSON's NaN and Infinity, integers too large for a
-    float, and bools are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-        not abs(value) <= sys.float_info.max  # false for NaN
-    ):
-        raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
-    return float(value)
+    def path(self, key: str) -> str:
+        return f"{self.where}.{key}"
 
+    def get(self, key: str, default=None):
+        """The key's raw value; without a default the key is required."""
+        self.asked.add(key)
+        if key in self.raw:
+            return self.raw[key]
+        if default is None:
+            raise ConfigurationError(f"missing key '{key}' in {self.where}")
+        return default
 
-def _integer(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
-    return value
+    def number(self, key: str, default: float | None = None) -> float:
+        return self.as_number(self.get(key, default), self.path(key))
+
+    def integer(self, key: str, default: int | None = None, least: int | None = None) -> int:
+        return self.as_integer(self.get(key, default), self.path(key), least)
+
+    def kind(self, *kinds: str) -> str:
+        kind = self.get("kind")
+        if kind not in kinds:
+            raise ConfigurationError(
+                f"{self.path('kind')}: unknown kind {kind!r} (have: {', '.join(kinds)})"
+            )
+        return kind
+
+    def check(self, ok: bool, key: str, rule: str) -> None:
+        """Reject the section unless ``ok``: the value of ``key`` breaks ``rule``."""
+        if not ok:
+            raise ConfigurationError(f"{self.path(key)} {rule}")
+
+    def made(self, make: Callable, *args, **kwargs):
+        """``make(*args, **kwargs)``; a rule that ``make`` checks itself is
+        reported with this section's path in front."""
+        try:
+            return make(*args, **kwargs)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{self.where}: {exc}") from None
+
+    @staticmethod
+    def as_number(value, where: str) -> float:
+        """A finite number; JSON's NaN and Infinity, integers too large for a
+        float, and bools are rejected."""
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            not abs(value) <= sys.float_info.max  # false for NaN
+        ):
+            raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
+        return float(value)
+
+    @staticmethod
+    def as_integer(value, where: str, least: int | None = None) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+        if least is not None and value < least:
+            raise ConfigurationError(f"{where} must be an integer >= {least}, got {value!r}")
+        return value
 
 
 def nonlinearity_from_config(section: Mapping, where: str = "nonlinearity") -> Nonlinearity:
-    _reject_unknown(section, {"kind", "alpha3", "scale"}, where)
-    kind = _require(section, "kind", where)
-    if kind != "cubic":
-        raise ConfigurationError(f"{where}.kind: unknown kind {kind!r} (have: cubic)")
-    alpha3 = _number(_require(section, "alpha3", where), f"{where}.alpha3")
-    scale = _number(section.get("scale", 1.0), f"{where}.scale")
-    return canonical_cubic(alpha3, scale)
+    with ConfigSection(section, where) as r:
+        r.kind("cubic")
+        return r.made(canonical_cubic, r.number("alpha3"), r.number("scale", 1.0))
 
 
 def forcing_from_config(section: Mapping, where: str = "forcing") -> Forcing:
-    _reject_unknown(section, {"kind", "amplitude", "delta", "width"}, where)
-    kind = _require(section, "kind", where)
-    if kind == "zero":
-        _reject_unknown(section, {"kind", "delta"}, where)
-        return zero_forcing(_number(section.get("delta", 0.0), f"{where}.delta"))
-    if kind != "tanh_gaussian":
-        raise ConfigurationError(
-            f"{where}.kind: unknown kind {kind!r} (have: tanh_gaussian, zero)"
+    with ConfigSection(section, where) as r:
+        if r.kind("tanh_gaussian", "zero") == "zero":
+            return zero_forcing(r.number("delta", 0.0))
+        return r.made(
+            canonical_forcing, r.number("amplitude"), r.number("delta"), r.number("width", 1.0)
         )
-    amplitude = _number(_require(section, "amplitude", where), f"{where}.amplitude")
-    delta = _number(_require(section, "delta", where), f"{where}.delta")
-    width = _number(section.get("width", 1.0), f"{where}.width")
-    return canonical_forcing(amplitude, delta, width)
 
 
 def spec_from_config(config: Mapping) -> ProblemSpec:
     """Assemble a ProblemSpec from a plain mapping; unknown keys are rejected."""
-    allowed = {"lambda", "epsilon", "dimension", "domain_radius", "nonlinearity", "forcing"}
-    _reject_unknown(_mapping(config, "spec"), allowed, "spec")
-    lam = _number(_require(config, "lambda", "spec"), "spec.lambda")
-    epsilon = _number(_require(config, "epsilon", "spec"), "spec.epsilon")
-    dimension = _integer(_require(config, "dimension", "spec"), "spec.dimension")
-    if dimension not in (1, 2):
-        raise ConfigurationError(f"spec.dimension must be 1 or 2, got {dimension!r}")
-    radius = _number(_require(config, "domain_radius", "spec"), "spec.domain_radius")
-    nl_section = _mapping(_require(config, "nonlinearity", "spec"), "spec.nonlinearity")
-    fc_section = _mapping(_require(config, "forcing", "spec"), "spec.forcing")
-    return ProblemSpec(
-        lam=lam,
-        epsilon=epsilon,
-        dimension=dimension,
-        domain_radius=radius,
-        nonlinearity=nonlinearity_from_config(nl_section, "spec.nonlinearity"),
-        forcing=forcing_from_config(fc_section, "spec.forcing"),
-    )
+    with ConfigSection(config, "spec") as r:
+        return r.made(
+            ProblemSpec,
+            lam=r.number("lambda"),
+            epsilon=r.number("epsilon"),
+            dimension=r.integer("dimension"),
+            domain_radius=r.number("domain_radius"),
+            nonlinearity=nonlinearity_from_config(r.get("nonlinearity"), "spec.nonlinearity"),
+            forcing=forcing_from_config(r.get("forcing"), "spec.forcing"),
+        )

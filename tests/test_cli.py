@@ -132,6 +132,10 @@ def test_config_errors_name_the_offending_field(tmp_path, capsys):
     assert code == 2
     assert "config.simulate" in capsys.readouterr().err
 
+    code, _ = run_into(tmp_path, base_config(experiment=["simulate"]))
+    assert code == 2
+    assert "unknown experiment ['simulate']" in capsys.readouterr().err
+
     cfg = base_config()
     cfg["pullback"] = {"tau": 0.0}
     code, _ = run_into(tmp_path, cfg)
@@ -215,6 +219,14 @@ def test_noise_section_validation(tmp_path, capsys):
     code, _ = run_into(tmp_path, cfg)
     assert code == 2
     assert "noise.seed" in capsys.readouterr().err
+
+    # numpy's seed sequences take no negative entropy
+    cfg = base_config()
+    cfg["noise"]["seed"] = -1
+    code, out = run_into(tmp_path, cfg)
+    assert code == 2
+    assert "noise.seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_times_snap_onto_the_dt_lattice(tmp_path):
@@ -454,6 +466,44 @@ def test_shipped_config_rejects_an_unknown_block_key(tmp_path, capsys, name):
     assert not out.exists()
 
 
+def _put(section, key, value):
+    section[key] = value
+    return value
+
+
+@pytest.mark.parametrize(
+    "config, section, where",
+    [
+        ("simulate", lambda cfg: cfg, "config"),
+        ("simulate", lambda cfg: cfg["spec"], "spec"),
+        ("simulate", lambda cfg: cfg["spec"]["nonlinearity"], "spec.nonlinearity"),
+        ("simulate", lambda cfg: cfg["spec"]["forcing"], "spec.forcing"),
+        ("simulate", lambda cfg: _put(cfg["spec"], "forcing", {"kind": "zero"}), "spec.forcing"),
+        ("simulate", lambda cfg: cfg["grid"], "grid"),
+        ("simulate", lambda cfg: cfg["solver"], "solver"),
+        ("simulate", lambda cfg: cfg["noise"], "noise"),
+        ("simulate", lambda cfg: cfg["output"], "output"),
+        ("simulate", lambda cfg: cfg["simulate"], "config.simulate"),
+        ("simulate", lambda cfg: cfg["simulate"]["initial"], "config.simulate.initial"),
+        ("simulate", lambda cfg: _put(cfg["simulate"], "initial", {"kind": "zero"}),
+         "config.simulate.initial"),
+        ("simulate", lambda cfg: _put(cfg["simulate"], "initial", {"kind": "eigenmode", "mode": 2}),
+         "config.simulate.initial"),
+        ("upper_semi", lambda cfg: cfg["upper-semi"]["ensemble"][1],
+         "config.upper-semi.ensemble[1]"),
+    ],
+)
+def test_every_section_rejects_an_unknown_key(tmp_path, capsys, config, section, where):
+    # the root, the spec and its two sections, grid, solver, noise, output,
+    # the experiment block and each kind of initial data, in and out of a list
+    cfg = shipped(config)
+    section(cfg)["bogus"] = 1
+    code, out = run_into(tmp_path, cfg)
+    assert code == 2
+    assert f"['bogus'] in {where};" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_config_resolves_to_a_fixed_point(tmp_path, name):
     # the resolved config holds only config values (initial data as given,
@@ -506,6 +556,8 @@ def test_noise_section_rejected_where_no_path_is_read(tmp_path, capsys, name):
         ("equilibrium", "t_schedule", [0.0, 1.0], "must hold positive horizons"),
         ("decay_rate", "fit_start", 6.0, "must lie in [0, window=6.0)"),
         ("decay_rate", "fit_start", -0.5, "must lie in [0, window=6.0)"),
+        ("upper_semi", "seeds[1]", [0, -2], "must be an integer >= 0, got -2"),
+        ("tail", "radii", [0.0, 4.0, 100.0], "must not exceed spec.domain_radius=8.0"),
     ],
 )
 def test_block_value_rules_name_the_key_before_any_march(
@@ -516,10 +568,38 @@ def test_block_value_rules_name_the_key_before_any_march(
 
     monkeypatch.setattr(solver, "_march", no_march)
     cfg = shipped(name)
-    cfg[cfg["experiment"]][key] = value
+    # a key such as seeds[1] names one entry of the list it sets
+    cfg[cfg["experiment"]][key.partition("[")[0]] = value
     code, out = run_into(tmp_path, cfg)
     assert code == 2
     assert f"config.{cfg['experiment']}.{key} {rule}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        (("simulate", "initial"), "width", 0.0, "config.simulate.initial: width must be positive"),
+        (("spec", "forcing"), "width", 0.0, "spec.forcing: width must be positive"),
+        (("simulate",), "initial", {"kind": "eigenmode", "mode": 0},
+         "config.simulate.initial: mode must lie in [1, 127], got 0"),
+        (("spec", "nonlinearity"), "alpha3", -1.0,
+         "spec.nonlinearity: alpha3 and scale must be positive"),
+        ((), "grid", {"points_per_axis": 4}, "grid: points_per_axis must be odd"),
+        ((), "solver", {"dt": -0.001}, "solver: dt must be positive"),
+    ],
+)
+def test_library_value_rules_name_their_section(tmp_path, capsys, section, key, value, message):
+    # the constructors check these rules; the config reader says where the
+    # offending value sits
+    cfg = shipped("simulate")
+    target = cfg
+    for name in section:
+        target = target[name]
+    target[key] = value
+    code, out = run_into(tmp_path, cfg)
+    assert code == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
