@@ -137,9 +137,11 @@ def field_from_function(grid: Grid, fn) -> Field:
 def gaussian_bump(grid: Grid, amplitude: float = 1.0, width: float = 1.0) -> Field:
     if width <= 0.0:
         raise ConfigurationError("width must be positive")
-    return field_from_function(
-        grid, lambda pts: amplitude * np.exp(-(pts**2).sum(axis=1) / width**2)
-    )
+    try:
+        w2 = width**2
+    except OverflowError:  # a float power raises where a product gives inf
+        raise ConfigurationError(f"width is too large: width^2 overflows, got {width!r}") from None
+    return field_from_function(grid, lambda pts: amplitude * np.exp(-(pts**2).sum(axis=1) / w2))
 
 
 def eigenmode(grid: Grid, mode: int = 1) -> Field:

@@ -194,6 +194,14 @@ def canonical_cubic(alpha3: float, scale: float = 1.0) -> Nonlinearity:
         raise ConfigurationError("alpha3 and scale must be positive")
     a3 = float(alpha3)
     sc = float(scale)
+    try:
+        psi1, psi2 = a3**2 / (2.0 * sc), 2.0 * a3**1.5 / (3.0 * np.sqrt(3.0))
+    except OverflowError:  # a float power raises where a product gives inf
+        psi1 = psi2 = np.inf
+    if not (np.isfinite(psi1) and np.isfinite(psi2)):
+        raise ConfigurationError(
+            f"alpha3 is too large for scale {sc!r}: alpha3^2/(2*scale) overflows, got {alpha3!r}"
+        )
     return Nonlinearity(
         f=CubicReaction(a3, sc),
         df_ds=lambda pts, s: a3 - 3.0 * sc * s**2,
@@ -203,8 +211,8 @@ def canonical_cubic(alpha3: float, scale: float = 1.0) -> Nonlinearity:
         alpha3=a3,
         alpha4=3.0 * sc,
         p=4.0,
-        psi1=_const(a3**2 / (2.0 * sc)),
-        psi2=_const(2.0 * a3**1.5 / (3.0 * np.sqrt(3.0))),
+        psi1=_const(psi1),
+        psi2=_const(psi2),
         psi3=_const(0.0),
         psi4=_const(a3),
     )
@@ -225,7 +233,11 @@ def canonical_forcing(amplitude: float, delta: float, width: float = 1.0) -> For
         raise ConfigurationError("width must be positive")
     if delta < 0.0:
         raise ConfigurationError("delta must be nonnegative")
-    return Forcing(g=TanhGaussian(float(amplitude), float(width) ** 2), delta=float(delta))
+    try:
+        w2 = float(width) ** 2
+    except OverflowError:  # a float power raises where a product gives inf
+        raise ConfigurationError(f"width is too large: width^2 overflows, got {width!r}") from None
+    return Forcing(g=TanhGaussian(float(amplitude), w2), delta=float(delta))
 
 
 def zero_forcing(delta: float = 0.0) -> Forcing:

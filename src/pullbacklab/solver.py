@@ -43,9 +43,10 @@ two ping-pong state buffers, one right-hand-side buffer and one work
 buffer, binds their views and the solves into them once per admitted
 column (the 2D solve runs through two reused scratch stacks), and a stack
 it yields is valid only until the next step.  No array of a march grows
-with its number of steps: the kernel forms each block's clocks and z with
-the block, each column's z from one :func:`~pullbacklab.noise.z_series`
-call on its own stretch of its run (the bits of the whole run's series).
+with its number of steps: the kernel forms the clocks and z once per
+window of whole blocks, each column's z from one
+:func:`~pullbacklab.noise.z_series` call on its own stretch of its run
+(the bits of the whole run's series).
 Columns never mix, and every BLAS call of a 1D product has a fixed width,
 so a column's bits do not depend on its lane or its neighbours: a column of
 a stack equals the same run marched alone, bit for bit.
@@ -446,15 +447,17 @@ def _march(
     prefix padded to whole groups of ``_LANES``.  The step arithmetic, the
     finiteness check and the yielded stack cover the admitted prefix alone.
 
-    No array of the march grows with n.  The march runs in blocks of
-    steps that end where the next column joins, at most about
-    ``_FORCING_BLOCK`` values each.  For each block it forms the block's
+    No array of the march grows with n.  Its steps are prepared on two
+    levels.  A window, the rows of ``z_buf`` cut to whole blocks and ended
+    where the next column joins, forms small (steps, columns) arrays: the
     clocks, ``(step - admit)*dt + t_start`` per column; each column's z,
-    from one :func:`~pullbacklab.noise.z_series` call on its own stretch of
-    the run, which has the bits of that stretch of the whole run's series;
-    and two tables of the block's rows: z*g, and the per-point
-    factor of the reaction term (q or z) spread out to every grid point of
-    its column, so no step broadcasts.  Finiteness is one reduction over
+    from one :func:`~pullbacklab.noise.z_series` call on its own stretch
+    of the run (the bits of that stretch of the whole run's series); and
+    the per-column factors of the reaction term (q or z) and of z*g
+    (z*amplitude(t) or z).  A block, at most about ``_FORCING_BLOCK``
+    values, spreads slices of those rows into two tables, the reaction
+    factor at every grid point of its column and z*g, so no step
+    broadcasts.  Finiteness is one reduction over
     the stack; :func:`_nonfinite_column` runs only when it fails, and a
     divergence is raised at the failing column's clock after the step.  A
     yielded stack is a view of a buffer that later steps overwrite: it is
@@ -489,8 +492,9 @@ def _march(
     work_buf = np.empty(k * npts)
     block_size = min(max(_FORCING_BLOCK, k * npts), n * k * npts)
     w_buf, zg_buf = np.empty(block_size), np.empty(block_size)
-    # z of a block's steps, one column per column of the stack
-    z_buf = np.empty((min(max(1, _FORCING_BLOCK // npts), n), k))
+    # z of a window's steps, one column per column of the stack
+    height = max(1, _FORCING_BLOCK // npts)
+    z_buf = np.empty((min(height, n), k))
     a = 0
     j = 0
     while j < n:
@@ -504,60 +508,64 @@ def _march(
             rhs_flat, work, pts_a = rhs.ravel(), work_buf[: a * npts], pts[: a * npts]
             c = ctx.solve_rows(a)
             solves = [ctx.stack_solver(rhs_buf[:c][inner], buf[:c][inner]) for buf in bufs]
-        # the steps up to the next admission, at most a forcing block
-        end = min(n, j + max(1, _FORCING_BLOCK // (a * npts)), int(admit[a]) if a < k else n)
-        blocked = (end - j,) + rhs.shape
-        # every admitted column's own clock at each step of the block: the
+            # a block's steps: at most a forcing block of values
+            block = max(1, _FORCING_BLOCK // (a * npts))
+        # a window: the steps up to the next admission, at most as many
+        # whole blocks as z_buf has rows
+        span = min(n, j + height // block * block, int(admit[a]) if a < k else n) - j
+        # every admitted column's own clock at each step of the window: the
         # same bits as the sum a run marched alone forms
-        clocks = (np.arange(j, end)[:, None] - admit[:a]) * dt + starts[:a]
-        # z of each column from its own clock at the block's first step: that
+        clocks = (np.arange(j, j + span)[:, None] - admit[:a]) * dt + starts[:a]
+        # z of each column from its own clock at the window's first step: that
         # stretch of its whole run's series.  The clocks go in as Python
         # floats; a numpy scalar doubles a z_series call's cost (10 against
         # 4.4 us)
-        z = z_buf[: end - j, :a]
+        z = z_buf[:span, :a]
         for i, t in enumerate(clocks[0].tolist()):
-            z[:, i] = z_series(paths[i], epsilons[i], t, end - j, dt)
-        # the reaction term's factor per point: q = sc/z^2, or z itself
-        w_rows = w_buf[: (end - j) * a * npts].reshape(blocked)
-        w_rows[...] = (z if cubic is None else cubic.sc / (z * z)).reshape(blocked[:2] + spread)
-        zg_rows = zg_buf[: w_rows.size].reshape(blocked)
-        if separable is None:
-            g = ctx.forcing_values(clocks)
-            np.multiply(z.reshape(blocked[:2] + spread), g, out=zg_rows)
-        else:
-            za = z * separable.amplitude(clocks)
-            np.multiply(za.reshape(blocked[:2] + spread), profile, out=zg_rows)
-        rows = zip(clocks, w_rows.reshape(end - j, -1), zg_rows.reshape(end - j, -1))
-        for clock, w, zg in rows:
-            v = flats[j % 2]
-            # v + dt*(z*f(v/z) + z*g), formed in place in that order so the
-            # bits are those of the expression
-            if cubic is None:
-                np.divide(v, w, out=work)
-                reaction = np.asarray(f(pts_a, work), dtype=float)
-                if reaction.shape != work.shape:
-                    # a reaction of the wrong size raises here rather than broadcast
-                    reaction = reaction.reshape(work.shape)
-                np.multiply(w, reaction, out=rhs_flat)
-            else:
-                # z*f(v/z) = a3*v - q*(v*v*v)
-                np.multiply(v, v, out=work)
-                np.multiply(work, v, out=work)
-                np.multiply(work, w, out=work)
-                np.multiply(a3, v, out=rhs_flat)
-                np.subtract(rhs_flat, work, out=rhs_flat)
-            np.add(rhs_flat, zg, out=rhs_flat)
-            np.multiply(rhs_flat, dt0, out=rhs_flat)
-            np.add(rhs_flat, v, out=rhs_flat)
-            # an overflowing reaction term must surface as a divergence; the
-            # solve is a contraction, so its result needs no check of its own
-            if not math.isfinite(np.vdot(rhs_flat, rhs_flat)):
-                bad = _nonfinite_column(rhs)
-                if bad is not None:
-                    raise DivergenceError(float(clock[bad]) + dt)
-            solves[1 - j % 2]()
-            j += 1
-            yield stacks[j % 2]
+            z[:, i] = z_series(paths[i], epsilons[i], t, span, dt)
+        # per column, the reaction term's factor, q = sc/z^2 or z itself,
+        # and the forcing's, z*amplitude(t) or z
+        factor = z if cubic is None else cubic.sc / (z * z)
+        za = z if separable is None else z * separable.amplitude(clocks)
+        for lo in range(0, span, block):
+            hi = min(lo + block, span)
+            blocked = (hi - lo,) + rhs.shape
+            w_rows = w_buf[: (hi - lo) * a * npts].reshape(blocked)
+            w_rows[...] = factor[lo:hi].reshape(blocked[:2] + spread)
+            zg_rows = zg_buf[: w_rows.size].reshape(blocked)
+            g = profile if separable is not None else ctx.forcing_values(clocks[lo:hi])
+            np.multiply(za[lo:hi].reshape(blocked[:2] + spread), g, out=zg_rows)
+            rows = zip(clocks[lo:hi], w_rows.reshape(hi - lo, -1), zg_rows.reshape(hi - lo, -1))
+            for clock, w, zg in rows:
+                v = flats[j % 2]
+                # v + dt*(z*f(v/z) + z*g), formed in place in that order so the
+                # bits are those of the expression
+                if cubic is None:
+                    np.divide(v, w, out=work)
+                    reaction = np.asarray(f(pts_a, work), dtype=float)
+                    if reaction.shape != work.shape:
+                        # a reaction of the wrong size raises here rather than broadcast
+                        reaction = reaction.reshape(work.shape)
+                    np.multiply(w, reaction, out=rhs_flat)
+                else:
+                    # z*f(v/z) = a3*v - q*(v*v*v)
+                    np.multiply(v, v, out=work)
+                    np.multiply(work, v, out=work)
+                    np.multiply(work, w, out=work)
+                    np.multiply(a3, v, out=rhs_flat)
+                    np.subtract(rhs_flat, work, out=rhs_flat)
+                np.add(rhs_flat, zg, out=rhs_flat)
+                np.multiply(rhs_flat, dt0, out=rhs_flat)
+                np.add(rhs_flat, v, out=rhs_flat)
+                # an overflowing reaction term must surface as a divergence; the
+                # solve is a contraction, so its result needs no check of its own
+                if not math.isfinite(np.vdot(rhs_flat, rhs_flat)):
+                    bad = _nonfinite_column(rhs)
+                    if bad is not None:
+                        raise DivergenceError(float(clock[bad]) + dt)
+                solves[1 - j % 2]()
+                j += 1
+                yield stacks[j % 2]
 
 
 def _advance_plain(v: np.ndarray, t: float, ctx: _Context) -> np.ndarray:

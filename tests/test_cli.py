@@ -587,6 +587,13 @@ def test_block_value_rules_name_the_key_before_any_march(
          "spec.nonlinearity: alpha3 and scale must be positive"),
         ((), "grid", {"points_per_axis": 4}, "grid: points_per_axis must be odd"),
         ((), "solver", {"dt": -0.001}, "solver: dt must be positive"),
+        # a float power overflows where a product would give inf
+        (("spec", "nonlinearity"), "alpha3", 1e300, "spec.nonlinearity: alpha3 is too large"
+         " for scale 1.0: alpha3^2/(2*scale) overflows, got 1e+300"),
+        (("spec", "forcing"), "width", 1e300,
+         "spec.forcing: width is too large: width^2 overflows, got 1e+300"),
+        (("simulate", "initial"), "width", 1e300,
+         "config.simulate.initial: width is too large: width^2 overflows, got 1e+300"),
     ],
 )
 def test_library_value_rules_name_their_section(tmp_path, capsys, section, key, value, message):

@@ -273,10 +273,13 @@ def plain(spec):
 
 @pytest.mark.parametrize("general", [False, True], ids=["structured", "general"])
 def test_blocks_change_no_bit_of_a_staggered_stack(monkeypatch, general):
-    # blocks of 1, 2, 3, 37 and 100 rows for a lone column (fewer for more
-    # columns) across five columns that join at steps 0, 100, 260, 260 and
-    # 299, against the default blocks of 254 rows for a lone column: each
-    # block forms its own clocks and z, and blocks end at admissions
+    # windows of 1, 2, 3, 37 and 100 rows for a lone column across five
+    # columns that join at steps 0, 100, 260, 260 and 299, and across ten
+    # columns that all start at step 0 (the sweep's shape), against the
+    # default windows of 254 rows: each window forms its own clocks and z
+    # and ends at an admission, and its blocks (a tenth of the rows for ten
+    # columns, so 3 and 10 rows, and 25 by default) fill their tables from
+    # the window's rows
     grid, dt, _ = CASES[1]
     spec = plain(spec_for(1)) if general else spec_for(1)
     cfg = SolverConfig(dt=dt)
@@ -294,10 +297,16 @@ def test_blocks_change_no_bit_of_a_staggered_stack(monkeypatch, general):
         gaussian_bump(grid, 0.5, 3.0),
     ]
     v0 = np.stack([u.values for u in v0s])
+    even = [(paths[i], eps) for i in range(3) for eps in (0.5, 0.25, 0.1)] + [(paths[0], 0.0)]
+    even_v0s = [gaussian_bump(grid, 1.0 - 0.05 * i, 1.5) for i in range(10)]
+    even_v0 = np.stack([u.values for u in even_v0s])
+    even_paths, even_epsilons = zip(*even)
 
     def run():
         stacks = [v.copy() for v in _march(ctx, v0, starts, paths, epsilons, n, admit)]
         ends = final_states(v0s, starts, 0.3, paths, epsilons, spec, cfg)
+        stacks += [v.copy() for v in _march(ctx, even_v0, -0.3, even_paths, even_epsilons, n)]
+        ends += final_states(even_v0s, [-0.3] * 10, 0.3, even_paths, even_epsilons, spec, cfg)
         return stacks, [e.values for e in ends]
 
     npts = len(grid.points)
@@ -308,8 +317,9 @@ def test_blocks_change_no_bit_of_a_staggered_stack(monkeypatch, general):
         stacks, ends = run()
         for got, want in zip(stacks, want_stacks, strict=True):
             assert np.array_equal(got, want)
-        for got, want, stack_end in zip(ends, want_ends, stacks[-1], strict=True):
+        for got, want in zip(ends, want_ends, strict=True):
             assert np.array_equal(got, want)
+        for got, stack_end in zip(ends, [*stacks[n - 1], *stacks[-1]], strict=True):
             assert np.array_equal(got, stack_end)
 
 
@@ -712,6 +722,31 @@ def test_forcing_is_called_per_block_not_per_step():
     assert sum(s[0] for s in shapes) == sum(counts)
     for end, u0, t0, c, eps in zip(ends, v0s, starts, counts, epsilons):
         assert np.array_equal(end.values, hand_march(u0, t0, c, path, eps, spec, cfg))
+
+
+def test_z_is_formed_once_per_column_per_window(monkeypatch):
+    # the sweep's chunk: ten columns of 2,000 steps at m=129 take blocks of
+    # 25 steps but windows of 250 (whole blocks within the 254 rows of z's
+    # table), so z_series is called once per column for each of the 8
+    # windows and once more by the check before the first step, not once
+    # per 25-step block
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return z_series(*args)
+
+    monkeypatch.setattr(solver, "z_series", counted)
+    grid = Grid(1, 8.0, 129)
+    ctx = _Context(grid, spec_for(1), SolverConfig(dt=1e-3))
+    paths = [sample_path(seed, -2.0, 0.0, 1e-3) for seed in (1, 2, 3)]
+    runs = [(p, eps) for p in paths for eps in (0.5, 0.25, 0.1)] + [(paths[0], 0.0)]
+    v0 = np.stack([gaussian_bump(grid, 1.0, 1.5).values] * len(runs))
+    n = 2000
+    for _ in _march(ctx, v0, -2.0, *zip(*runs), n):
+        pass
+    windows = math.ceil(n / (_FORCING_BLOCK // len(grid.points)))
+    assert len(calls) <= len(runs) * (windows + 1) == 90
 
 
 def test_forcing_that_ignores_the_shape_of_t_marches_like_the_hand_loop():
