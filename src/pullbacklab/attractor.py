@@ -57,7 +57,6 @@ from .solver import (
     SolverConfig,
     difference_history,
     final_state,
-    iterate_states,
     steps_between,
     stored_states,
 )
@@ -257,25 +256,6 @@ def approximate_attractor(
     members = pullback_states(
         (horizon,) * k, tau, (path,) * k, (epsilon,) * k, ensemble, spec, cfg
     )
-    return _attractor_sample(tau, epsilon, getattr(path, "seed", None), horizon, members)
-
-
-def _check_ensemble(ensemble: Sequence[Field]) -> None:
-    if not ensemble:
-        raise ConfigurationError("ensemble must not be empty")
-    grid = ensemble[0].grid
-    for member in ensemble[1:]:
-        if member.grid != grid:
-            raise GridMismatchError("ensemble members live on different grids")
-
-
-def _attractor_sample(
-    tau: float,
-    epsilon: float,
-    seed: int | None,
-    horizon: float,
-    members: tuple[Field, ...],
-) -> AttractorSample:
     diameter = 0.0
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
@@ -286,11 +266,20 @@ def _attractor_sample(
     return AttractorSample(
         tau=tau,
         epsilon=epsilon,
-        seed=seed,
+        seed=getattr(path, "seed", None),
         horizon=horizon,
         members=members,
         diameter=diameter,
     )
+
+
+def _check_ensemble(ensemble: Sequence[Field]) -> None:
+    if not ensemble:
+        raise ConfigurationError("ensemble must not be empty")
+    grid = ensemble[0].grid
+    for member in ensemble[1:]:
+        if member.grid != grid:
+            raise GridMismatchError("ensemble members live on different grids")
 
 
 def _member_list(sample: AttractorSample | Sequence[Field]) -> Sequence[Field]:
@@ -394,10 +383,7 @@ def upper_semicontinuity_sweep(
         spec,
         cfg,
     )
-    samples = (
-        _attractor_sample(tau, eps, path.seed, horizon, members[i * k : (i + 1) * k])
-        for i, (path, eps) in enumerate(cells)
-    )
+    samples = (members[i : i + k] for i in range(0, len(members), k))
     reference = next(samples)
 
     rows: list[SweepRow] = []
@@ -769,7 +755,7 @@ def window_regularity_report(
 
     prev_values = v.values
     for k, (t_k, state) in enumerate(
-        iterate_states(v, tau - horizon, tau, w, spec_eps, cfg)
+        stored_states(v, tau - horizon, tau, w, spec_eps, replace(cfg, store_stride=1))
     ):
         weight = 0.5 * dt if k in (0, n) else dt
         dissipation += weight * dissipation_node(state, k)

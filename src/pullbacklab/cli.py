@@ -480,13 +480,19 @@ def _exec_tail(plan: _Plan, path: Path):
 
 
 def _parse_truncation(b: _Block) -> dict:
-    return {
+    out = {
         "tau": b.time("tau", 0.0),
         "horizon": b.time("horizon"),
         "levels": b.increasing("levels", "must list at least two levels", 2),
         "final_bound": b.number("final_bound", 1e-8),
         "initial": b.initial("initial"),
     }
+    # in steps, as truncation_diagnostics counts them: 49 * (1/49) < 1.0
+    dt = b.plan.cfg.dt
+    covers = round(out["horizon"] / dt) >= round(1.0 / dt)
+    b.check(covers, "horizon", "must cover the unit window: at least 1")
+    b.check(out["levels"][0] > 0.0, "levels", "must hold positive levels")
+    return out
 
 
 def _exec_truncation(plan: _Plan, path: Path):
@@ -581,13 +587,16 @@ def _exec_upper_semi(plan: _Plan, path: Path | None):
 
 
 def _parse_cocycle_test(b: _Block) -> dict:
-    return {
+    out = {
         "tau": b.time("tau", 0.0),
         "t": b.time("t"),
         "s": b.time("s"),
         "residual_bound": b.number("residual_bound", 1e-10),
         "initial": b.initial("initial"),
     }
+    for key in ("t", "s"):
+        b.check(out[key] >= 0.0, key, "must be nonnegative")
+    return out
 
 
 def _exec_cocycle_test(plan: _Plan, path: Path):
@@ -604,11 +613,13 @@ def _exec_cocycle_test(plan: _Plan, path: Path):
 
 
 def _parse_check_hypotheses(b: _Block) -> dict:
-    return {
-        "n_samples": b.integer("n_samples", 17),
+    out = {
+        "n_samples": b.integer("n_samples", 17, least=2),
         "s_range": b.number("s_range", 5.0),
         "tolerance": b.number("tolerance", 1e-12),
     }
+    b.check(out["s_range"] > 0.0, "s_range", "must be positive")
+    return out
 
 
 def _exec_check_hypotheses(plan: _Plan, path: Path | None):

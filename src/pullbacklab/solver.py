@@ -50,26 +50,33 @@ window of whole blocks, each column's z from one
 Columns never mix, and every BLAS call of a 1D product has a fixed width,
 so a column's bits do not depend on its lane or its neighbours: a column of
 a stack equals the same run marched alone, bit for bit.
-:func:`stored_states`, :func:`final_state`, :func:`final_states`,
-:func:`iterate_states`, :func:`difference_history` and :func:`energy_audit`
-are reductions over it.  :func:`stored_states` is the one stream of the
-states a run stores (the initial one, every ``store_stride``-th step's and
-the final one) and keeps none of them; :func:`integrate` collects it into a
-:class:`Trajectory`, :func:`iterate_states` is the stream at a stride of 1,
-and a caller that needs only a reduction of each state consumes it at
-constant memory.  :func:`final_states`, which keeps only the
-endpoints, splits a large 1D stack into contiguous chunks of columns and
-marches all but the first in forked children, one per CPU, each forming its
-own columns' z; since columns never mix, the split changes no bit.
+Every reduction over it enters it one way.  :func:`_setup` checks each
+column before any step: its duration on the dt lattice, both ends of its run
+on its path's lattice and inside the path's window, and its intensity and
+step by a z series of one value at its own start, a column with nothing to
+march included.  :func:`_strided` is the one stream of the states a run
+stores (the initial one, every ``store_stride``-th step's and the final
+one), and it alone holds that rule.  :func:`stored_states` wraps each
+streamed state in a :class:`Field`, keeps none of them and checks the final
+one for a boundary leak; :func:`integrate` collects it into a
+:class:`Trajectory`, and a caller that needs only a reduction of each state
+consumes it at constant memory.  :func:`difference_history` reduces the
+stream at its sample stride and :func:`energy_audit` at a stride of 1;
 :func:`energy_audit` alone keeps a per-step z series, as its result is per
-step.
+step.  :func:`final_states`, and so :func:`final_state`, keeps only the
+endpoints and has one driver, :func:`_march_split`: a large 1D stack is cut
+into contiguous chunks of columns, all but the first marched in forked
+children, one per CPU, each forming its own columns' z, and any other stack
+is one chunk marched in this process.  Since columns never mix, the split
+changes no bit.
 
 :func:`integrate_deterministic` marches the original, unconjugated equation
-with its own step and a one-column solve (the same banded two-lane product
-in 1D, the same fast diagonalisation in 2D); it is the independent zero-noise
-oracle the kernel is held to; it calls the plain f and g, so at zero noise
-it also checks the structured forms' algebra.  Everything is deterministic:
-same inputs, same bits.  Only numpy is needed at run time.
+with its own step, its own store loop and a one-column solve (the same
+banded two-lane product in 1D, the same fast diagonalisation in 2D); it is
+the independent zero-noise oracle the kernel is held to; it calls the
+plain f and g, so at zero noise it also checks the structured forms'
+algebra.  Everything is deterministic: same inputs, same bits.  Only numpy
+is needed at run time.
 """
 
 from __future__ import annotations
@@ -385,19 +392,6 @@ def _structure(fn: Callable, kind: type):
     return inner if isinstance(inner, kind) else None
 
 
-def _check_columns(
-    paths: Sequence[Path],
-    epsilons: Sequence[float],
-    starts: Sequence[float],
-    n: int,
-    dt: float,
-) -> None:
-    """Check each column's intensity, start and step lattice before a
-    march's first step, by a series of one value at its own start."""
-    for path, eps, t in zip(paths, epsilons, starts, strict=True):
-        z_series(path, eps, t, min(n, 1), dt)
-
-
 def _march(
     ctx: _Context,
     v0: np.ndarray,
@@ -419,7 +413,8 @@ def _march(
     interior of ``v0`` is read: every state the march makes has a zero
     boundary.  Yields the stack of the columns admitted so far after every
     step.  Every operation acts on each column alone, so a column's bits do
-    not depend on what else is in the stack or on when it joined.
+    not depend on what else is in the stack or on when it joined.  The
+    caller checks every column before the march (:func:`_setup`).
 
     The model's structure is looked up once per march, on the callables
     themselves after following ``__wrapped__``.  When f is a
@@ -471,7 +466,6 @@ def _march(
     k = v0.shape[0]
     starts = np.broadcast_to(np.asarray(t_start, dtype=float), (k,))
     admit = np.broadcast_to(np.asarray(admit, dtype=int), (k,))
-    _check_columns(paths, epsilons, starts, n, dt)
     npts = len(ctx.pts)
     pts = np.tile(ctx.pts, (k, 1))
     profile = None if separable is None else separable.profile(ctx.pts).reshape(ctx.grid.shape)
@@ -632,30 +626,57 @@ def _warn_boundary_leak(v: np.ndarray) -> None:
             )
 
 
-def _validate_window(path: Path, t_start: float, t_end: float) -> None:
-    """Both ends of the run sit on the path's lattice and inside its window."""
-    before = lattice_steps(t_start - path.t_min, path.dt, f"the run start {t_start!r}")
-    after = lattice_steps(path.t_max - t_end, path.dt, f"the run end {t_end!r}")
-    if before < 0 or after < 0:
-        raise OutOfWindowError(
-            f"run [{t_start}, {t_end}] leaves the path window "
-            f"[{path.t_min}, {path.t_max}]"
-        )
-
-
 def _setup(
     grid: Grid,
-    t_start: float,
+    t_starts: Sequence[float],
     t_end: float,
     paths: Sequence[Path],
+    epsilons: Sequence[float],
     spec: ProblemSpec,
     cfg: SolverConfig,
-) -> tuple[int, _Context]:
-    """Step count and context of a march, after checking every path window."""
-    n = steps_between(t_start, t_end, cfg.dt)
-    for path in paths:
-        _validate_window(path, t_start, t_end)
-    return n, _Context(grid, spec, cfg)
+) -> tuple[list[int], _Context]:
+    """Each column's step count and the march's context, after checking
+    every column before any step, one with nothing to march included.
+
+    Column i runs from ``t_starts[i]`` to ``t_end`` along ``paths[i]`` at
+    intensity ``epsilons[i]``.  Its duration must sit on the dt lattice,
+    both ends of its run on the path's lattice and inside the path's
+    window, and a z series of one value at its own start checks the
+    intensity and that dt is a whole number of path steps.
+    """
+    counts = []
+    for t_start, path, eps in zip(t_starts, paths, epsilons, strict=True):
+        n = steps_between(t_start, t_end, cfg.dt)
+        before = lattice_steps(t_start - path.t_min, path.dt, f"the run start {t_start!r}")
+        after = lattice_steps(path.t_max - t_end, path.dt, f"the run end {t_end!r}")
+        if before < 0 or after < 0:
+            raise OutOfWindowError(
+                f"run [{t_start}, {t_end}] leaves the path window "
+                f"[{path.t_min}, {path.t_max}]"
+            )
+        z_series(path, eps, t_start, min(n, 1), cfg.dt)
+        counts.append(n)
+    return counts, _Context(grid, spec, cfg)
+
+
+def _strided(
+    ctx: _Context,
+    stack: np.ndarray,
+    t_start: float,
+    paths: Sequence[Path],
+    epsilons: Sequence[float],
+    n: int,
+):
+    """Yield (time, stack) for every state a run of n steps stores: the
+    initial ``stack``, every ``ctx.cfg.store_stride``-th step's and the
+    final one, each time stamp an exact multiple of dt from t_start.  This
+    is the one place that rule lives.  A stack after the first is the
+    kernel's, valid only until the next step."""
+    dt, stride = ctx.cfg.dt, ctx.cfg.store_stride
+    yield t_start, stack
+    for j, v in enumerate(_march(ctx, stack, t_start, paths, epsilons, n), start=1):
+        if j % stride == 0 or j == n:
+            yield t_start + j * dt, v
 
 
 def step(v: Field, t: float, path: Path, spec: ProblemSpec, cfg: SolverConfig) -> Field:
@@ -675,28 +696,25 @@ def stored_states(
 ):
     """Yield (time, state) for every state a run stores, without keeping any.
 
-    The stored states are the initial one, every ``cfg.store_stride``-th
-    step's and the final one, each time stamp an exact multiple of dt from
-    t_start; this is the one place that rule lives.  The duration must be a
-    lattice multiple of cfg.dt and the path window must cover
-    [t_start, t_end]; both are checked at the first ``next``.  The final
-    state is checked for a boundary leak before it is yielded.  Each state
-    is a :class:`Field` of its own, so a consumer may keep any of them, and
-    one that keeps none runs at constant memory: a reduction over a long run
+    The stored states are those :func:`_strided` streams at
+    ``cfg.store_stride``: the initial one, every ``cfg.store_stride``-th
+    step's and the final one.  The run is checked (:func:`_setup`) at the
+    first ``next``.  The final state is checked for a boundary leak before
+    it is yielded.  The first state is ``v0`` itself and every later one a
+    :class:`Field` of its own, so a consumer may keep any of them, and one
+    that keeps none runs at constant memory: a reduction over a long run
     consumes the march, not a stored copy of it.
     """
-    n, ctx = _setup(v0.grid, t_start, t_end, (path,), spec, cfg)
-    if n == 0:
-        _warn_boundary_leak(v0.values[np.newaxis])
-    yield t_start, v0
-    if n == 0:
-        return
-    march = _march(ctx, v0.values[np.newaxis], t_start, (path,), (spec.epsilon,), n)
-    for j, v in enumerate(march, start=1):
-        if j == n:
-            _warn_boundary_leak(v)
-        if j % cfg.store_stride == 0 or j == n:
-            yield t_start + j * cfg.dt, Field(v0.grid, v[0])
+    (n,), ctx = _setup(v0.grid, (t_start,), t_end, (path,), (spec.epsilon,), spec, cfg)
+    states = _strided(ctx, v0.values[np.newaxis], t_start, (path,), (spec.epsilon,), n)
+    # the initial state is v0 itself, and each state is held back until the
+    # next one shows that it is not the final one
+    held = next(states)[0], v0
+    for t, v in states:
+        yield held
+        held = t, Field(v0.grid, v[0])
+    _warn_boundary_leak(held[1].values[np.newaxis])
+    yield held
 
 
 def integrate(
@@ -878,11 +896,12 @@ def _march_split(
     chunks ``bounds``, ``chunk(a, b)`` marching columns a:b as
     :func:`_march_chunk` does: the first in this process, each other one in
     a forked child that forms its own columns' z and pipes its answer back.
+    With one chunk nothing is forked.
 
     Columns never mix, so every endpoint has the bits of the unsplit march.
     The children's warnings are raised again here once all answers are in,
-    with no once-per-place registry: a warning the in-process march would
-    show once per place is shown once per split march.
+    with no once-per-place registry: a warning that one chunk marched here
+    would show once per place is shown once per split march.
     If a chunk failed, the failure at the earliest step of the whole stack
     is raised (the first chunk's on a tie), as the unsplit march would.
     Every child is killed and reaped before this returns or raises.
@@ -951,10 +970,12 @@ def final_states(
     least.  This process marches the first chunk; every other chunk is
     marched in a forked child that pipes its endpoints back as a pickle.
     Otherwise, as in 2D, without ``os.fork``, or with a second Python
-    thread alive, the whole stack is marched here.  Either way the endpoints, the
-    divergence time and the boundary-leak warnings are the same.  A child's
-    warnings are raised again here, its exception is raised here, and a
-    child that ends without an answer raises :class:`WorkerError`.
+    thread alive, the whole stack is one chunk, marched here.  Either way
+    :func:`_march_split` drives the chunks, and the endpoints, the
+    divergence time and the boundary-leak warnings are the same.  Every
+    column is checked (:func:`_setup`) before any chunk takes a step.  A
+    child's warnings are raised again here, its exception is raised here,
+    and a child that ends without an answer raises :class:`WorkerError`.
     """
     if not v0s or not len(v0s) == len(t_starts) == len(paths) == len(epsilons):
         raise ConfigurationError(
@@ -964,10 +985,7 @@ def final_states(
     grid = v0s[0].grid
     if any(v.grid != grid for v in v0s[1:]):
         raise ConfigurationError("all initial states must live on one grid")
-    counts = [steps_between(t0, t_end, cfg.dt) for t0 in t_starts]
-    for path, t0 in zip(paths, t_starts):
-        _validate_window(path, t0, t_end)
-    ctx = _Context(grid, spec, cfg)
+    counts, ctx = _setup(grid, t_starts, t_end, paths, epsilons, spec, cfg)
     # longest march first, so the admitted columns are always a prefix
     order = sorted((i for i, n in enumerate(counts) if n), key=lambda i: -counts[i])
     if not order:
@@ -977,18 +995,12 @@ def final_states(
     columns = ([paths[i] for i in order], [epsilons[i] for i in order])
     stack = np.stack([v0s[i].values for i in order])
     admit = np.array([steps[0] - n for n in steps])
-    width = min(worker_count(), len(order))
     # 2D stays here: on a 2-core host with two OpenBLAS threads per process,
     # a split stack of 8 columns on 65x65 took about 3x as long as unsplit
-    if width > 1 and ctx.grid.dimension == 1 and sum(steps) * len(ctx.pts) >= _SPLIT_FLOOR:
-        # every column is checked here, as the unsplit march checks it,
-        # before any chunk takes a step
-        _check_columns(*columns, starts, steps[0], cfg.dt)
-        chunk = functools.partial(_march_chunk, ctx, stack, starts, *columns, steps[0], admit)
-        v = _march_split(chunk, _cut(steps, width))
-    else:
-        for v in _march(ctx, stack, starts, *columns, steps[0], admit):
-            pass
+    split = ctx.grid.dimension == 1 and sum(steps) * len(ctx.pts) >= _SPLIT_FLOOR
+    width = min(worker_count(), len(order)) if split else 1
+    chunk = functools.partial(_march_chunk, ctx, stack, starts, *columns, steps[0], admit)
+    v = _march_split(chunk, _cut(steps, width))
     _warn_boundary_leak(v)
     ends = list(v0s)
     for i, col in zip(order, v):
@@ -1012,23 +1024,6 @@ def final_state(
     return final_states((v0,), (t_start,), t_end, (path,), (spec.epsilon,), spec, cfg)[0]
 
 
-def iterate_states(
-    v0: Field,
-    t_start: float,
-    t_end: float,
-    path: Path,
-    spec: ProblemSpec,
-    cfg: SolverConfig,
-):
-    """Yield (time, state) after every step, without storing the run: the
-    :func:`stored_states` stream at a store stride of 1.
-
-    The first yield is (t_start, v0) itself; the step sequence is the same
-    one :func:`integrate` and :func:`final_state` walk, bit for bit.
-    """
-    return stored_states(v0, t_start, t_end, path, spec, replace(cfg, store_stride=1))
-
-
 def difference_history(
     v0_a: Field,
     v0_b: Field,
@@ -1041,23 +1036,20 @@ def difference_history(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run two solutions in lockstep along one path; record ||difference||^2.
 
-    Returns (times, squared L2 norms of a - b), sampled every
-    ``sample_stride`` steps plus the endpoint.  This is the raw material for
-    contraction-rate fits.
+    Returns (times, squared L2 norms of a - b), sampled as :func:`_strided`
+    streams the states at a stride of ``sample_stride`` (a positive
+    integer): the initial pair, every ``sample_stride``-th step's and the
+    endpoint.  This is the raw material for contraction-rate fits.
     """
     if v0_a.grid != v0_b.grid:
         raise ConfigurationError("both initial states must live on one grid")
-    n, ctx = _setup(v0_a.grid, t_start, t_end, (path,), spec, cfg)
+    cfg = replace(cfg, store_stride=sample_stride)
+    paths, epsilons = (path, path), (spec.epsilon,) * 2
+    (n, _), ctx = _setup(v0_a.grid, (t_start,) * 2, t_end, paths, epsilons, spec, cfg)
     vol = v0_a.grid.cell_volume
-    times = [t_start]
-    norms = [vol * float(np.sum((v0_a.values - v0_b.values) ** 2))]
-    if n:
-        stack = np.stack([v0_a.values, v0_b.values])
-        march = _march(ctx, stack, t_start, (path, path), (spec.epsilon,) * 2, n)
-        for j, v in enumerate(march):
-            if (j + 1) % sample_stride == 0 or j + 1 == n:
-                times.append(t_start + (j + 1) * cfg.dt)
-                norms.append(vol * float(np.sum((v[0] - v[1]) ** 2)))
+    stack = np.stack([v0_a.values, v0_b.values])
+    samples = _strided(ctx, stack, t_start, paths, epsilons, n)
+    times, norms = zip(*((t, vol * float(np.sum((v[0] - v[1]) ** 2))) for t, v in samples))
     return np.array(times), np.array(norms)
 
 
@@ -1193,23 +1185,23 @@ def energy_audit(
     spec: ProblemSpec,
     cfg: SolverConfig,
 ) -> EnergyAudit:
-    n, ctx = _setup(v0.grid, t_start, t_end, (path,), spec, cfg)
+    cfg = replace(cfg, store_stride=1)
+    (n,), ctx = _setup(v0.grid, (t_start,), t_end, (path,), (spec.epsilon,), spec, cfg)
     vol = v0.grid.cell_volume
     psi1_mass = float(vol * np.sum(spec.nonlinearity.psi1(v0.grid.points)))
     c = 2.0 * max(1.0, 1.0 / spec.lam)
-    norm_sq = vol * float(np.sum(v0.values**2))
+    # the result is per step, so the z and forcing series are too
+    zs = z_series(path, spec.epsilon, t_start, n, cfg.dt)
+    g_sq = forcing_norms_sq(spec.forcing, v0.grid, t_start + np.arange(n) * cfg.dt)
+    states = _strided(ctx, v0.values[np.newaxis], t_start, (path,), (spec.epsilon,), n)
+    norms = (vol * float(np.sum(v[0] ** 2)) for _, v in states)
+    norm_sq = next(norms)
     out = np.empty(n)
-    if n:
-        # the result is per step, so the z and forcing series are too
-        zs = z_series(path, spec.epsilon, t_start, n, cfg.dt)
-        g_sq = forcing_norms_sq(spec.forcing, v0.grid, t_start + np.arange(n) * cfg.dt)
-        march = _march(ctx, v0.values[np.newaxis], t_start, (path,), (spec.epsilon,), n)
-        for j, v in enumerate(march):
-            z = float(zs[j])
-            next_sq = vol * float(np.sum(v[0] ** 2))
-            allowance = c * cfg.dt * z**2 * (float(g_sq[j]) + psi1_mass)
-            out[j] = next_sq - norm_sq + cfg.dt * spec.lam * next_sq - allowance
-            norm_sq = next_sq
+    for j, next_sq in enumerate(norms):
+        z = float(zs[j])
+        allowance = c * cfg.dt * z**2 * (float(g_sq[j]) + psi1_mass)
+        out[j] = next_sq - norm_sq + cfg.dt * spec.lam * next_sq - allowance
+        norm_sq = next_sq
     return EnergyAudit(
         violations=out,
         max_violation=float(out.max()) if n else 0.0,

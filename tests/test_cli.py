@@ -558,6 +558,12 @@ def test_noise_section_rejected_where_no_path_is_read(tmp_path, capsys, name):
         ("decay_rate", "fit_start", -0.5, "must lie in [0, window=6.0)"),
         ("upper_semi", "seeds[1]", [0, -2], "must be an integer >= 0, got -2"),
         ("tail", "radii", [0.0, 4.0, 100.0], "must not exceed spec.domain_radius=8.0"),
+        ("truncation", "levels", [-1.0, 2.0], "must hold positive levels"),
+        ("truncation", "horizon", 0.5, "must cover the unit window: at least 1"),
+        ("cocycle_test", "t", -0.5, "must be nonnegative"),
+        ("cocycle_test", "s", -0.5, "must be nonnegative"),
+        ("check_hypotheses", "n_samples", 1, "must be an integer >= 2, got 1"),
+        ("check_hypotheses", "s_range", 0.0, "must be positive"),
     ],
 )
 def test_block_value_rules_name_the_key_before_any_march(

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pullbacklab import solver
 from pullbacklab.errors import (
     BoundaryLeakWarning,
     ConfigurationError,
@@ -31,10 +32,10 @@ from pullbacklab.solver import (
     final_state,
     integrate,
     integrate_deterministic,
-    iterate_states,
     self_convergence,
     spatial_convergence,
     steps_between,
+    stored_states,
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore::pullbacklab.errors.BoundaryLeakWarning")
@@ -186,11 +187,12 @@ def test_store_stride_subsamples_the_full_trajectory(desk_spec, desk_path):
     assert strided.times[-1] == full.times[-1]
 
 
-def test_iterate_states_matches_integrate_bitwise(desk_spec, desk_path, desk_cfg):
+def test_stored_states_at_stride_one_matches_integrate_bitwise(desk_spec, desk_path, desk_cfg):
     grid = Grid(1, 8.0, 129)
     v0 = gaussian_bump(grid, 1.0, 1.5)
     traj = integrate(v0, 0.0, 0.05, desk_path, desk_spec, desk_cfg)
-    streamed = list(iterate_states(v0, 0.0, 0.05, desk_path, desk_spec, desk_cfg))
+    cfg = replace(desk_cfg, store_stride=1)
+    streamed = list(stored_states(v0, 0.0, 0.05, desk_path, desk_spec, cfg))
     assert len(streamed) == len(traj.states)
     for (t_s, state_s), (t_t, state_t) in zip(streamed, zip(traj.times, traj.states)):
         assert t_s == t_t
@@ -207,6 +209,22 @@ def test_difference_history_contracts(desk_spec, desk_path, desk_cfg):
     assert sq[-1] < sq[0]
     # effective damping lam - alpha3 = 1 forces at least e^{-2} over 2 units
     assert sq[-1] < sq[0] * np.exp(-1.0)
+
+
+@pytest.mark.parametrize("stride", [0, -1, 2.5])
+def test_difference_history_rejects_a_bad_sample_stride_before_any_step(
+    monkeypatch, desk_spec, desk_path, desk_cfg, stride
+):
+    # 0 divided by zero after the first step, -1 sampled every step and 2.5
+    # sampled by float modulo
+    def no_march(*args, **kwargs):
+        raise AssertionError("a rejected stride must not march")
+
+    monkeypatch.setattr(solver, "_march", no_march)
+    grid = Grid(1, 8.0, 129)
+    a, b = gaussian_bump(grid, 1.0, 1.5), zero_field(grid)
+    with pytest.raises(ConfigurationError, match="must be a positive integer"):
+        difference_history(a, b, 0.0, 0.01, desk_path, desk_spec, desk_cfg, stride)
 
 
 def test_temporal_self_convergence_is_first_order():

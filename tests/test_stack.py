@@ -46,7 +46,6 @@ from pullbacklab.solver import (
     final_states,
     integrate,
     integrate_deterministic,
-    iterate_states,
     stored_states,
 )
 
@@ -66,7 +65,7 @@ def spec_for(dimension: int, epsilon: float = 0.5) -> ProblemSpec:
 
 def march_stack(v0s, t_start, t_end, paths, epsilons, spec, cfg):
     """Every stack the kernel yields, with the stacked initial data first."""
-    n, ctx = _setup(v0s[0].grid, t_start, t_end, paths, spec, cfg)
+    (n, *_), ctx = _setup(v0s[0].grid, [t_start] * len(v0s), t_end, paths, epsilons, spec, cfg)
     stack = np.stack([v0.values for v0 in v0s])
     return [stack] + [v.copy() for v in _march(ctx, stack, t_start, paths, epsilons, n)]
 
@@ -97,12 +96,13 @@ def test_stack_columns_equal_single_runs_bitwise(dimension):
     v0s, paths, epsilons = columns(grid)
     t0, t1 = -0.25, -0.25 + steps * dt
     cfg = SolverConfig(dt=dt, store_stride=5)
+    every = replace(cfg, store_stride=1)
     stacks = march_stack(v0s, t0, t1, paths, epsilons, spec, cfg)
     assert len(stacks) == steps + 1
     ends = final_states(v0s, [t0] * len(v0s), t1, paths, epsilons, spec, cfg)
     for i, (v0, path, eps) in enumerate(zip(v0s, paths, epsilons)):
         spec_i = replace(spec, epsilon=eps)
-        alone = [s.values for _, s in iterate_states(v0, t0, t1, path, spec_i, cfg)]
+        alone = [s.values for _, s in stored_states(v0, t0, t1, path, spec_i, every)]
         assert len(alone) == len(stacks)
         for got, want in zip(stacks, alone):
             assert np.array_equal(got[i], want)
@@ -464,7 +464,8 @@ def test_stack_columns_equal_single_runs_property(m, draws):
     stacks = march_stack(v0s, -0.2, -0.185, paths, epsilons, spec, cfg)
     for i, (v0, path, eps) in enumerate(zip(v0s, paths, epsilons)):
         spec_i = replace(spec, epsilon=eps)
-        alone = [s.values for _, s in iterate_states(v0, -0.2, -0.185, path, spec_i, cfg)]
+        every = replace(cfg, store_stride=1)
+        alone = [s.values for _, s in stored_states(v0, -0.2, -0.185, path, spec_i, every)]
         for got, want in zip(stacks, alone):
             assert np.array_equal(got[i], want)
         traj = integrate(v0, -0.2, -0.185, path, spec_i, cfg)
@@ -597,6 +598,22 @@ def test_a_late_column_on_a_coarse_path_is_refused_before_the_first_step(monkeyp
         final_states([wild, calm], [0.0, 2.4], 6.0, [fine, coarse], [0.0] * 2, spec, cfg)
 
 
+@pytest.mark.parametrize("starts", [[6.0], [0.0, 6.0]], ids=["alone", "beside"])
+def test_a_column_with_nothing_to_march_is_checked_too(monkeypatch, starts):
+    # the last column starts at the end time, so it comes back as given;
+    # its intensity is still refused, alone and beside a marched column
+    def no_march(*args, **kwargs):
+        raise AssertionError("a rejected column must not march")
+
+    monkeypatch.setattr(solver, "_march", no_march)
+    grid = Grid(1, 8.0, 33)
+    k = len(starts)
+    v0s, paths = [gaussian_bump(grid, 0.5, 1.5)] * k, [flat_path(-1.0, 8.0, 0.1)] * k
+    epsilons = [0.5] * (k - 1) + [5.0]
+    with pytest.raises(ConfigurationError, match="intensity must lie in"):
+        final_states(v0s, starts, 6.0, paths, epsilons, spec_for(1), SolverConfig(dt=0.1))
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     m=st.integers(min_value=2, max_value=20).map(lambda h: 2 * h + 1),
@@ -639,7 +656,7 @@ def test_reused_buffers_never_leak_into_results(dimension):
     t0, t1 = -0.25, -0.25 + steps * dt
     traj = integrate(v0, t0, t1, path, spec, cfg)
     # every yielded Field is kept until the march is over
-    yielded = list(iterate_states(v0, t0, t1, path, spec, cfg))
+    yielded = list(stored_states(v0, t0, t1, path, spec, cfg))
     assert len(traj.states) == len(yielded) == steps + 1
     for j, (stored, (t, state)) in enumerate(zip(traj.states, yielded)):
         assert t == traj.times[j]
