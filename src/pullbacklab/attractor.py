@@ -35,10 +35,10 @@ from .errors import ConfigurationError, GridMismatchError
 from .field import (
     Field,
     Grid,
+    Quadrature,
     gradient_energy_density,
     h1_norm,
     l2_norm,
-    lp_norm,
     superlevel_measure_integrand,
     tail_norm,
 )
@@ -136,7 +136,7 @@ def compute_equilibrium(
         history.append((t_n, gap / (1.0 + l2_norm(cur))))
     state = states[-1]
     converged = history[-1][1] <= tol
-    p = spec.nonlinearity.p
+    l2, h1, lp = Quadrature(state.grid).norms(state.values, p=spec.nonlinearity.p)
     return EquilibriumResult(
         state=state,
         tau=tau,
@@ -144,9 +144,9 @@ def compute_equilibrium(
         history=tuple(history),
         converged=converged,
         tolerance=tol,
-        l2=l2_norm(state),
-        h1=h1_norm(state),
-        lp=lp_norm(state, p),
+        l2=l2,
+        h1=h1,
+        lp=lp,
     )
 
 

@@ -62,12 +62,10 @@ from .errors import (
 from .field import (
     Field,
     Grid,
+    Quadrature,
     eigenmode,
     gaussian_bump,
-    h1_norm,
     l2_norm,
-    lp_norm,
-    trajectory_row,
     write_field_csv,
     write_trajectory_csv,
     zero_field,
@@ -83,7 +81,7 @@ from .noise import (
     shift,
     z_factor,
 )
-from .solver import SolverConfig, stored_states, worker_count
+from .solver import SolverConfig, stored_values, worker_count
 
 # ---------------------------------------------------------------------------
 # config resolution
@@ -292,11 +290,7 @@ def _resolve(raw, out_dir_override: str | None) -> _Plan:
 
 
 def _norms(state: Field, p: float) -> dict:
-    return {
-        "l2": l2_norm(state),
-        "h1": h1_norm(state),
-        f"l{p:g}": lp_norm(state, p),
-    }
+    return dict(zip(("l2", "h1", f"l{p:g}"), Quadrature(state.grid).norms(state.values, p=p)))
 
 
 def _parse_march(b: _Block) -> dict:
@@ -318,11 +312,13 @@ def _exec_simulate(plan: _Plan, path: Path):
     w = shift(path, -tau)
     v0 = u0.with_values(u0.values * z_factor(w, eps, tau))
     p = spec.nonlinearity.p
-    # each stored state is reduced to its CSV row as the march yields it
-    rows = [
-        trajectory_row(t, state.with_values(state.values / z_factor(w, eps, float(t))), p)
-        for t, state in stored_states(v0, tau, tau + horizon, w, spec, cfg)
-    ]
+    # each stored state is unconjugated into one buffer and reduced to its
+    # CSV row, in one checked pass, as the march yields it
+    quad, u = Quadrature(u0.grid), np.empty(u0.grid.shape)
+    rows = []
+    for t, v in stored_values(v0, tau, tau + horizon, w, spec, cfg):
+        np.divide(v, z_factor(w, eps, float(t)), out=u)
+        rows.append([float(t), *quad.norms(u, p=p)])
     names = ("l2", "h1", f"l{p:g}")
     results = {
         "initial_norms": dict(zip(names, rows[0][1:])),

@@ -46,7 +46,11 @@ it yields is valid only until the next step.  No array of a march grows
 with its number of steps: the kernel forms the clocks and z once per
 window of whole blocks, each column's z from one
 :func:`~pullbacklab.noise.z_series` call on its own stretch of its run
-(the bits of the whole run's series).
+(the bits of the whole run's series).  A window is as tall as the taller
+of a forcing block's rows for one column and ``_WINDOW_VALUES`` values
+over the stack's columns, so a lone 2D column at 65x65 takes 252-step
+windows of 7-step blocks, where a ten-column 1D stack at m=129 keeps its
+250-step windows of 25-step blocks.
 Columns never mix, and every BLAS call of a 1D product has a fixed width,
 so a column's bits do not depend on its lane or its neighbours: a column of
 a stack equals the same run marched alone, bit for bit.
@@ -56,11 +60,14 @@ on its path's lattice and inside the path's window, and its intensity and
 step by a z series of one value at its own start, a column with nothing to
 march included.  :func:`_strided` is the one stream of the states a run
 stores (the initial one, every ``store_stride``-th step's and the final
-one), and it alone holds that rule.  :func:`stored_states` wraps each
-streamed state in a :class:`Field`, keeps none of them and checks the final
-one for a boundary leak; :func:`integrate` collects it into a
-:class:`Trajectory`, and a caller that needs only a reduction of each state
-consumes it at constant memory.  :func:`difference_history` reduces the
+one), and it alone holds that rule.  :func:`stored_values` streams one
+run's stored states as the kernel's raw arrays and checks the final one
+for a boundary leak; a caller that reduces each state, such as the
+``simulate`` experiment through one
+:class:`~pullbacklab.field.Quadrature` pass, consumes it at constant
+memory with no copy.  :func:`stored_states` is the :class:`Field` view of
+that stream, each state checked and copied, and :func:`integrate` collects
+it into a :class:`Trajectory`.  :func:`difference_history` reduces the
 stream at its sample stride and :func:`energy_audit` at a stride of 1;
 :func:`energy_audit` alone keeps a per-step z series, as its result is per
 step.  :func:`final_states`, and so :func:`final_state`, keeps only the
@@ -84,6 +91,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import os
 import pickle
 import threading
@@ -135,6 +143,11 @@ _SPLIT_FLOOR = 1 << 20
 # than one matrix-vector product at m=129, where four lanes slowed a lone
 # march.
 _LANES = 2
+# The march's table of z (see _march) has room for at least this many
+# values, steps times columns, so a lone column on a large grid does not
+# pay a window's fixed cost (its clocks, a z_series call, the reaction and
+# forcing factors: about 39 us at 65x65) for every 7-step forcing block.
+_WINDOW_VALUES = 256
 
 
 def _grouped(rows: np.ndarray) -> np.ndarray:
@@ -198,7 +211,10 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.dt > 0.0 and np.isfinite(self.dt)):
             raise ConfigurationError(f"dt must be positive, got {self.dt!r}")
-        if not (isinstance(self.store_stride, int) and self.store_stride >= 1):
+        # a numpy integer is a stride; a bool is not
+        stride = self.store_stride
+        integral = isinstance(stride, numbers.Integral) and not isinstance(stride, bool)
+        if not (integral and stride >= 1):
             raise ConfigurationError(
                 f"store_stride must be a positive integer, got {self.store_stride!r}"
             )
@@ -444,8 +460,14 @@ def _march(
 
     No array of the march grows with n.  Its steps are prepared on two
     levels.  A window, the rows of ``z_buf`` cut to whole blocks and ended
-    where the next column joins, forms small (steps, columns) arrays: the
-    clocks, ``(step - admit)*dt + t_start`` per column; each column's z,
+    where the next column joins, forms small (steps, columns) arrays.
+    ``z_buf`` has the rows of a forcing block for one column
+    (``_FORCING_BLOCK // points``) or ``_WINDOW_VALUES // k`` rows,
+    whichever is more, so a lone column on a large grid does not prepare
+    a window per block: at 65x65 it takes 256 rows, 36 blocks of 7 steps,
+    where a window was one block.  At m=129 the windows keep their
+    length, 254 steps for one column and 250 for ten.  A window's arrays
+    are the clocks, ``(step - admit)*dt + t_start`` per column; each column's z,
     from one :func:`~pullbacklab.noise.z_series` call on its own stretch
     of the run (the bits of that stretch of the whole run's series); and
     the per-column factors of the reaction term (q or z) and of z*g
@@ -486,8 +508,10 @@ def _march(
     work_buf = np.empty(k * npts)
     block_size = min(max(_FORCING_BLOCK, k * npts), n * k * npts)
     w_buf, zg_buf = np.empty(block_size), np.empty(block_size)
-    # z of a window's steps, one column per column of the stack
-    height = max(1, _FORCING_BLOCK // npts)
+    # z of a window's steps, one column per column of the stack: as many
+    # rows as a forcing block has for one column, or as _WINDOW_VALUES
+    # values allow for k columns, whichever is more
+    height = max(1, _FORCING_BLOCK // npts, _WINDOW_VALUES // k)
     z_buf = np.empty((min(height, n), k))
     a = 0
     j = 0
@@ -667,16 +691,17 @@ def _strided(
     epsilons: Sequence[float],
     n: int,
 ):
-    """Yield (time, stack) for every state a run of n steps stores: the
-    initial ``stack``, every ``ctx.cfg.store_stride``-th step's and the
-    final one, each time stamp an exact multiple of dt from t_start.  This
-    is the one place that rule lives.  A stack after the first is the
-    kernel's, valid only until the next step."""
+    """Yield (time, stack, final) for every state a run of n steps stores:
+    the initial ``stack``, every ``ctx.cfg.store_stride``-th step's and the
+    final one, each time stamp an exact multiple of dt from t_start, and
+    ``final`` true for the last alone.  This is the one place that rule
+    lives.  A stack after the first is the kernel's, valid only until the
+    next step."""
     dt, stride = ctx.cfg.dt, ctx.cfg.store_stride
-    yield t_start, stack
+    yield t_start, stack, n == 0
     for j, v in enumerate(_march(ctx, stack, t_start, paths, epsilons, n), start=1):
         if j % stride == 0 or j == n:
-            yield t_start + j * dt, v
+            yield t_start + j * dt, v, j == n
 
 
 def step(v: Field, t: float, path: Path, spec: ProblemSpec, cfg: SolverConfig) -> Field:
@@ -684,6 +709,35 @@ def step(v: Field, t: float, path: Path, spec: ProblemSpec, cfg: SolverConfig) -
     ctx = _Context(v.grid, spec, cfg)
     out = next(_march(ctx, v.values[np.newaxis], t, (path,), (spec.epsilon,), 1))
     return Field(v.grid, out[0])
+
+
+def stored_values(
+    v0: Field,
+    t_start: float,
+    t_end: float,
+    path: Path,
+    spec: ProblemSpec,
+    cfg: SolverConfig,
+):
+    """Yield (time, values) for every state a run stores, as raw arrays.
+
+    The stored states are those :func:`_strided` streams at
+    ``cfg.store_stride``: the initial one, every ``cfg.store_stride``-th
+    step's and the final one.  The run is checked (:func:`_setup`) at the
+    first ``next``, and the final state for a boundary leak before it is
+    yielded.  The first array is ``v0.values``; every later one is the
+    kernel's own buffer, valid only until the next ``next``, and no
+    :class:`Field` has checked it, so a consumer copies what it keeps and
+    checks what it reduces (a :class:`~pullbacklab.field.Quadrature`
+    checks as a Field does).  A consumer that keeps nothing runs at
+    constant memory: a reduction over a long run consumes the march, not a
+    stored copy of it.
+    """
+    (n,), ctx = _setup(v0.grid, (t_start,), t_end, (path,), (spec.epsilon,), spec, cfg)
+    for t, v, final in _strided(ctx, v0.values[np.newaxis], t_start, (path,), (spec.epsilon,), n):
+        if final:
+            _warn_boundary_leak(v)
+        yield t, v[0]
 
 
 def stored_states(
@@ -694,27 +748,13 @@ def stored_states(
     spec: ProblemSpec,
     cfg: SolverConfig,
 ):
-    """Yield (time, state) for every state a run stores, without keeping any.
-
-    The stored states are those :func:`_strided` streams at
-    ``cfg.store_stride``: the initial one, every ``cfg.store_stride``-th
-    step's and the final one.  The run is checked (:func:`_setup`) at the
-    first ``next``.  The final state is checked for a boundary leak before
-    it is yielded.  The first state is ``v0`` itself and every later one a
-    :class:`Field` of its own, so a consumer may keep any of them, and one
-    that keeps none runs at constant memory: a reduction over a long run
-    consumes the march, not a stored copy of it.
-    """
-    (n,), ctx = _setup(v0.grid, (t_start,), t_end, (path,), (spec.epsilon,), spec, cfg)
-    states = _strided(ctx, v0.values[np.newaxis], t_start, (path,), (spec.epsilon,), n)
-    # the initial state is v0 itself, and each state is held back until the
-    # next one shows that it is not the final one
-    held = next(states)[0], v0
-    for t, v in states:
-        yield held
-        held = t, Field(v0.grid, v[0])
-    _warn_boundary_leak(held[1].values[np.newaxis])
-    yield held
+    """Yield (time, state) for every state :func:`stored_values` yields,
+    without keeping any: the first state is ``v0`` itself and every later
+    one a :class:`Field` of its own, so a consumer may keep any of them."""
+    states = stored_values(v0, t_start, t_end, path, spec, cfg)
+    yield next(states)[0], v0
+    for t, values in states:
+        yield t, Field(v0.grid, values)
 
 
 def integrate(
@@ -1049,7 +1089,7 @@ def difference_history(
     vol = v0_a.grid.cell_volume
     stack = np.stack([v0_a.values, v0_b.values])
     samples = _strided(ctx, stack, t_start, paths, epsilons, n)
-    times, norms = zip(*((t, vol * float(np.sum((v[0] - v[1]) ** 2))) for t, v in samples))
+    times, norms = zip(*((t, vol * float(np.sum((v[0] - v[1]) ** 2))) for t, v, _ in samples))
     return np.array(times), np.array(norms)
 
 
@@ -1194,7 +1234,7 @@ def energy_audit(
     zs = z_series(path, spec.epsilon, t_start, n, cfg.dt)
     g_sq = forcing_norms_sq(spec.forcing, v0.grid, t_start + np.arange(n) * cfg.dt)
     states = _strided(ctx, v0.values[np.newaxis], t_start, (path,), (spec.epsilon,), n)
-    norms = (vol * float(np.sum(v[0] ** 2)) for _, v in states)
+    norms = (vol * float(np.sum(v[0] ** 2)) for _, v, _ in states)
     norm_sq = next(norms)
     out = np.empty(n)
     for j, next_sq in enumerate(norms):

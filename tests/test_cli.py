@@ -12,12 +12,13 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import pullbacklab
 from pullbacklab import cli, solver
 from pullbacklab.errors import ConfigurationError
-from pullbacklab.field import Trajectory, write_trajectory_csv
+from pullbacklab.field import Trajectory, trajectory_row, write_trajectory_csv
 from pullbacklab.noise import refine, sample_path, shift, z_factor
 
 pytestmark = pytest.mark.filterwarnings("ignore::pullbacklab.errors.BoundaryLeakWarning")
@@ -664,3 +665,61 @@ def test_streamed_trajectory_csv_equals_the_collected_one(tmp_path, name):
     assert results["stored_states"] == len(states)
     assert results["initial_norms"] == cli._norms(states[0], p)
     assert results["final_norms"] == cli._norms(states[-1], p)
+
+
+@pytest.mark.parametrize("name", ["simulate", "simulate_2d"])
+def test_streamed_rows_equal_trajectory_rows_over_stored_states(tmp_path, name):
+    # a store stride of 7 divides neither 2,000 nor 500 steps, so the last
+    # row is the endpoint, off the stride
+    cfg = shipped(name)
+    cfg["solver"]["store_stride"] = 7
+    plan = cli._resolve(cfg, str(tmp_path))
+    path = cli._make_path(plan)
+    _, _, tables = cli._exec_simulate(plan, path)
+    b, spec = plan.block, plan.spec
+    eps, tau = spec.epsilon, b["tau"]
+    w = shift(path, -tau)
+    v0 = b["initial"].with_values(b["initial"].values * z_factor(w, eps, tau))
+    states = solver.stored_states(v0, tau, tau + b["horizon"], w, spec, plan.cfg)
+    p = spec.nonlinearity.p
+    want = [
+        trajectory_row(t, s.with_values(s.values / z_factor(w, eps, float(t))), p)
+        for t, s in states
+    ]
+    assert want[-1][0] == tau + b["horizon"] and (want[-1][0] - want[-2][0]) / plan.cfg.dt < 7
+    assert [list(map(repr, row)) for row in tables["trajectory"]] == [
+        list(map(repr, row)) for row in want
+    ]
+
+
+@pytest.mark.parametrize("name", ["simulate", "simulate_2d"])
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        ("centre", np.nan, "must be finite"),
+        ("centre", -np.inf, "must be finite"),
+        ("first corner", 1e-300, "identically zero"),
+        ("last edge", 1.0, "identically zero"),
+    ],
+)
+def test_a_bad_streamed_state_is_refused(tmp_path, monkeypatch, name, where, value, message):
+    # the march cannot make such a state; a stream that yields one after two
+    # good ones stands in for a kernel fault, which the reduction must catch
+    stream = solver.stored_values
+
+    def spoiled(*args):
+        for j, (t, v) in enumerate(stream(*args)):
+            if j == 2:
+                mid = len(v) // 2
+                v = v.copy()
+                v[{
+                    "centre": (mid,) * v.ndim,
+                    "first corner": (0,) * v.ndim,
+                    "last edge": (mid,) * (v.ndim - 1) + (-1,),
+                }[where]] = value
+            yield t, v
+
+    monkeypatch.setattr(cli, "stored_values", spoiled)
+    plan = cli._resolve(shipped(name), str(tmp_path))
+    with pytest.raises(ValueError, match=message):
+        cli._exec_simulate(plan, cli._make_path(plan))

@@ -16,6 +16,7 @@ from pullbacklab.errors import ConfigurationError, GridMismatchError
 from pullbacklab.field import (
     Field,
     Grid,
+    Quadrature,
     Trajectory,
     discrete_laplacian,
     eigenmode,
@@ -28,8 +29,10 @@ from pullbacklab.field import (
     lp_norm,
     superlevel_measure_integrand,
     tail_norm,
+    trajectory_row,
     write_field_csv,
     write_trajectory_csv,
+    zero_boundary,
     zero_field,
 )
 
@@ -103,6 +106,66 @@ def test_h1_norm_combines_mass_and_gradient():
     f = Field(g, np.array([0.0, 1.0, -2.0, 3.0, 0.0]))
     expected = math.sqrt((1.0 + 4.0 + 9.0) + (1.0 + 9.0 + 25.0 + 9.0))
     assert h1_norm(f) == pytest.approx(expected, rel=1e-14)
+
+
+def plain_norms(f: Field, p: float):
+    """L2, H1 and L^p, and the gradient table, written out with a temporary
+    for every operation: the arithmetic whose bits the fused pass keeps."""
+    v, h, cv = f.values, f.grid.spacing, f.grid.cell_volume
+    g = np.zeros_like(v)
+    if v.ndim == 1:
+        g[:-1] += ((v[1:] - v[:-1]) / h) ** 2
+    else:
+        g[:-1, :] += ((v[1:, :] - v[:-1, :]) / h) ** 2
+        g[:, :-1] += ((v[:, 1:] - v[:, :-1]) / h) ** 2
+    l2 = float(np.sqrt(cv * np.sum(v**2)))
+    h1 = float(np.sqrt(cv * (np.sum(v**2) + np.sum(g))))
+    lp = float((cv * np.sum(np.abs(v) ** p)) ** (1.0 / p))
+    return (l2, h1, lp), g
+
+
+@pytest.mark.parametrize("dimension, m", [(1, 129), (1, 35), (2, 65), (2, 17)])
+def test_fused_pass_has_the_bits_of_the_plain_quadratures(dimension, m):
+    grid = Grid(dimension, 8.0, m)
+    rng = np.random.default_rng(m)
+    quad = Quadrature(grid)  # one set of scratch buffers for every call
+    for scale in (1e-3, 1.0, 40.0):
+        f = Field(grid, zero_boundary(scale * rng.standard_normal(grid.shape)))
+        for p in (2.0, 2.5, 3.0, 4.0):
+            want, grad = plain_norms(f, p)
+            assert quad.norms(f.values, p=p) == want
+            assert (l2_norm(f), h1_norm(f), lp_norm(f, p)) == want
+            assert trajectory_row(0.5, f, p) == [0.5, *want]
+        assert quad.norms(f.values) == (want[0], want[1], None)
+        assert quad.norms(f.values, h1=False) == (want[0], None, None)
+        assert np.array_equal(gradient_energy_density(f), grad)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_fused_pass_checks_values_as_a_field_does(dimension):
+    grid = Grid(dimension, 4.0, 9)
+    quad = Quadrature(grid)
+    good = np.zeros(grid.shape)
+    good[(slice(1, -1),) * dimension] = 1.0
+    edges = [(0,), (-1,)] if dimension == 1 else [(0, 4), (-1, 4), (4, 0), (4, -1)]
+    for where in edges:
+        bad = good.copy()
+        bad[where] = 1e-300
+        for check in (lambda: Field(grid, bad), lambda: quad.norms(bad)):
+            with pytest.raises(ValueError, match="identically zero"):
+                check()
+    for value in (np.nan, np.inf, -np.inf):
+        bad = good.copy()
+        bad[(4,) * dimension] = value
+        for check in (lambda: Field(grid, bad), lambda: quad.norms(bad)):
+            with pytest.raises(ValueError, match="must be finite"):
+                check()
+    with pytest.raises(GridMismatchError):
+        quad.norms(np.zeros((7,) * dimension))
+    # finite values whose squares overflow are finite, in a Field and here
+    huge = good * 1e200
+    with np.errstate(over="ignore"):
+        assert l2_norm(Field(grid, huge)) == quad.norms(huge)[0] == math.inf
 
 
 def test_eigenmode_satisfies_the_discrete_eigen_identity():

@@ -211,12 +211,12 @@ def test_difference_history_contracts(desk_spec, desk_path, desk_cfg):
     assert sq[-1] < sq[0] * np.exp(-1.0)
 
 
-@pytest.mark.parametrize("stride", [0, -1, 2.5])
+@pytest.mark.parametrize("stride", [0, -1, 2.5, True])
 def test_difference_history_rejects_a_bad_sample_stride_before_any_step(
     monkeypatch, desk_spec, desk_path, desk_cfg, stride
 ):
-    # 0 divided by zero after the first step, -1 sampled every step and 2.5
-    # sampled by float modulo
+    # 0 divided by zero after the first step, -1 sampled every step, 2.5
+    # sampled by float modulo and True sampled every step as a stride of 1
     def no_march(*args, **kwargs):
         raise AssertionError("a rejected stride must not march")
 
@@ -225,6 +225,16 @@ def test_difference_history_rejects_a_bad_sample_stride_before_any_step(
     a, b = gaussian_bump(grid, 1.0, 1.5), zero_field(grid)
     with pytest.raises(ConfigurationError, match="must be a positive integer"):
         difference_history(a, b, 0.0, 0.01, desk_path, desk_spec, desk_cfg, stride)
+
+
+def test_difference_history_takes_a_numpy_integer_sample_stride(desk_spec, desk_path, desk_cfg):
+    grid = Grid(1, 8.0, 129)
+    a, b = gaussian_bump(grid, 1.0, 1.5), zero_field(grid)
+    want = difference_history(a, b, 0.0, 0.01, desk_path, desk_spec, desk_cfg, 4)
+    got = difference_history(a, b, 0.0, 0.01, desk_path, desk_spec, desk_cfg, np.int64(4))
+    # every 4th of the 10 steps, and the endpoint
+    assert np.array_equal(got[0], np.array([0, 4, 8, 10]) * desk_cfg.dt)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_temporal_self_convergence_is_first_order():

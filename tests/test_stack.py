@@ -766,6 +766,32 @@ def test_z_is_formed_once_per_column_per_window(monkeypatch):
     assert len(calls) <= len(runs) * (windows + 1) == 90
 
 
+def test_a_lone_2d_column_takes_windows_of_many_blocks(monkeypatch):
+    # trajectory-2d's march: one column of 4,000 steps at 65x65 takes blocks
+    # of 7 steps (_FORCING_BLOCK // 4225) but windows of 252 (whole blocks
+    # within the 256 rows of z's table), so z_series is called once for
+    # each of the 16 windows and once more by the check before the first
+    # step, not once per block (573 calls)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return z_series(*args)
+
+    monkeypatch.setattr(solver, "z_series", counted)
+    grid = Grid(2, 6.0, 65)
+    cfg = SolverConfig(dt=2e-3, store_stride=1000)
+    spec = spec_for(2)
+    path = sample_path(1, -1.0, 9.0, cfg.dt)
+    v0 = gaussian_bump(grid, 1.0, 1.5)
+    stored = [(t, state.values) for t, state in stored_states(v0, 0.0, 8.0, path, spec, cfg)]
+    assert len(calls) <= 17
+    assert [t for t, _ in stored] == [j * cfg.dt for j in range(0, 4001, 1000)]
+    for j in (1000, 4000):
+        want = hand_march(v0, 0.0, j, path, spec.epsilon, spec, cfg)
+        assert np.array_equal(stored[j // 1000][1], want)
+
+
 def test_forcing_that_ignores_the_shape_of_t_marches_like_the_hand_loop():
     grid = Grid(1, 8.0, 129)
     cfg = SolverConfig(dt=1e-3)
