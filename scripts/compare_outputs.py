@@ -4,8 +4,9 @@ Each tree holds one directory per config, named after the config file
 (``DIR/equilibrium/``, ``DIR/upper_semi/``, ...).  A tree that does not
 exist yet is first filled by running every ``configs/*.json`` into it with
 the package found under ``--src-a`` or ``--src-b`` (default: this
-checkout's ``src``), and each run's exit code and own peak RSS are
-printed; an existing tree is taken as it is.  Per config the script
+checkout's ``src``), and each run's exit code, own peak RSS and the
+number of ``BoundaryLeakWarning``s it wrote to stderr are printed; an
+existing tree is taken as it is.  Per config the script
 reports whether the CSV files are byte-identical and whether the
 summaries are equal once ``metadata`` (the timestamp) and
 ``config.output.directory`` are dropped, since those two differ between
@@ -40,7 +41,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def fill(tree: str, src: str, configs: list[str]) -> None:
     """Run every config into its own directory under ``tree``, one process
-    each, and print each run's exit code and peak RSS."""
+    each, and print each run's exit code, peak RSS and count of
+    ``BoundaryLeakWarning`` lines on stderr."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     for config in configs:
         out = os.path.join(tree, stem_of(config))
@@ -51,7 +53,9 @@ def fill(tree: str, src: str, configs: list[str]) -> None:
         )
         # exit 1 is also a failed check, which the summary records; a run
         # that wrote no summary (a traceback exits 1 too) shows its stderr
-        print(f"ran {stem_of(config)} into {tree} (exit {code}), peak RSS {peak_mb:.1f} MB")
+        leaks = stderr.count(": BoundaryLeakWarning: ")
+        print(f"ran {stem_of(config)} into {tree} (exit {code}), peak RSS {peak_mb:.1f} MB, "
+              f"{leaks} BoundaryLeakWarnings")
         if not any(name.endswith("_summary.json") for name in _listing(out)):
             print(stderr, file=sys.stderr)
 

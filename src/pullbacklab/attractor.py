@@ -36,10 +36,10 @@ from .field import (
     Field,
     Grid,
     Quadrature,
-    gradient_energy_density,
+    _check_values,
+    _gradient_energy,
     h1_norm,
     l2_norm,
-    superlevel_measure_integrand,
     tail_norm,
 )
 from .model import ProblemSpec, forcing_norms_sq
@@ -58,7 +58,7 @@ from .solver import (
     difference_history,
     final_state,
     steps_between,
-    stored_states,
+    stored_values,
 )
 from .cocycle import pullback_state, pullback_states
 
@@ -554,8 +554,11 @@ def truncation_diagnostics(
     window enters the integral, the earlier part just burns in the state.
     The run does not depend on the level, so it is marched once and every
     level is read off the same window, state by state as
-    :func:`~pullbacklab.solver.stored_states` yields it: no state is kept,
-    only each level's integrand and the window's largest amplitude.  Needs
+    :func:`~pullbacklab.solver.stored_values` yields it: no state is kept,
+    only each level's integrand and the window's largest amplitude.  Each
+    state is checked as a :class:`Field` is, and its |v|, taken once, serves
+    the maximum and every level's integrand, which keeps the bits of
+    :func:`~pullbacklab.field.superlevel_measure_integrand`.  Needs
     ``horizon >= 1``.
     """
     unit = lattice_steps(1.0, cfg.dt, "the unit window 1.0")
@@ -573,15 +576,20 @@ def truncation_diagnostics(
     else:
         v_burn = v0
     power = 2.0 * spec.nonlinearity.p - 4.0
+    if power <= 0.0:
+        raise ValueError(f"power must be positive, got {power}")
+    grid, cv = u0.grid, u0.grid.cell_volume
+    magnitude = np.empty(grid.shape)
     times, integrands, window_max = [], [[] for _ in levels], 0.0
-    window = stored_states(v_burn, burn_end, tau, w, spec_eps, replace(cfg, store_stride=1))
-    for s, state in window:
+    window = stored_values(v_burn, burn_end, tau, w, spec_eps, replace(cfg, store_stride=1))
+    for s, values in window:
+        top = _check_values(grid, values, lambda v: np.max(np.abs(v, out=magnitude)))
         times.append(s)
-        window_max = max(window_max, float(np.max(np.abs(state.values))))
+        window_max = max(window_max, float(top))
         for level, rho, integrand in zip(levels, rhos, integrands):
-            integrand.append(
-                math.exp(rho * (s - tau)) * superlevel_measure_integrand(state, level, power)
-            )
+            mask = magnitude >= level
+            mass = float(cv * np.sum(magnitude[mask] ** power)) if mask.any() else 0.0
+            integrand.append(math.exp(rho * (s - tau)) * mass)
     return tuple(
         TruncationDiagnostic(
             level=level,
@@ -725,13 +733,16 @@ def window_regularity_report(
 
     v = u0.with_values(u0.values * z_factor(w, epsilon, tau - horizon))
 
-    def h1_sq(f: Field) -> float:
-        return float(
-            vol * (np.sum(f.values**2) + np.sum(gradient_energy_density(f)))
-        )
+    # scratch made once: each state's squares, then its powers; its gradient
+    # table; a copy of the previous state, whose buffer the march reuses
+    m = grid.points_per_axis
+    buf, grad, prev = (np.empty(grid.shape) for _ in range(3))
+    dy = None if grid.dimension == 1 else np.empty((m, m - 1))
 
-    def power_mass(f: Field, q: float) -> float:
-        return float(vol * np.sum(np.abs(f.values) ** q))
+    def power_mass(values: np.ndarray, q: float) -> float:
+        magnitude = np.abs(values, out=buf)
+        magnitude **= q
+        return float(vol * np.sum(magnitude))
 
     # trapezoid accumulators; node weights are dt (half at the ends)
     dissipation = 0.0
@@ -739,36 +750,27 @@ def window_regularity_report(
     high_power = 0.0
     sup_h1_sq = 0.0
 
-    def dissipation_node(f: Field, k: int) -> float:
-        s = (k - n) * dt  # s - tau
-        return math.exp(spec.lam * s) * (
-            h1_sq(f) + float(zs[k]) ** (2.0 - p) * power_mass(f, p)
-        )
-
-    def high_power_node(f: Field, k: int) -> float:
-        s = (k - n) * dt
-        return math.exp(spec.lam * s) * float(zs[k]) ** (4.0 - 2.0 * p) * power_mass(
-            f, 2.0 * p - 2.0
-        )
-
     window_start = n - unit  # first node of [tau-1, tau]
 
-    prev_values = v.values
-    for k, (t_k, state) in enumerate(
-        stored_states(v, tau - horizon, tau, w, spec_eps, replace(cfg, store_stride=1))
+    for k, (t_k, values) in enumerate(
+        stored_values(v, tau - horizon, tau, w, spec_eps, replace(cfg, store_stride=1))
     ):
+        sum_sq = _check_values(grid, values, lambda x: np.sum(np.multiply(x, x, out=buf)))
+        h1_sq = float(vol * (sum_sq + np.sum(_gradient_energy(values, grid.spacing, grad, dy))))
+        s = (k - n) * dt  # s - tau
+        decay = math.exp(spec.lam * s)
         weight = 0.5 * dt if k in (0, n) else dt
-        dissipation += weight * dissipation_node(state, k)
+        node = decay * (h1_sq + float(zs[k]) ** (2.0 - p) * power_mass(values, p))
+        dissipation += weight * node
         if k >= window_start and k > 0:
-            s = (k - n) * dt
-            sup_h1_sq = max(sup_h1_sq, h1_sq(state))
-            deriv_sq = float(
-                vol * np.sum(((state.values - prev_values) / dt) ** 2)
-            )
+            sup_h1_sq = max(sup_h1_sq, h1_sq)
+            deriv_sq = float(vol * np.sum(((values - prev) / dt) ** 2))
             w_edge = 0.5 * dt if k in (window_start, n) else dt
-            deriv_integral += w_edge * math.exp(spec.lam * s) * deriv_sq
-            high_power += w_edge * high_power_node(state, k)
-        prev_values = state.values
+            deriv_integral += w_edge * decay * deriv_sq
+            high_power += w_edge * (
+                decay * float(zs[k]) ** (4.0 - 2.0 * p) * power_mass(values, 2.0 * p - 2.0)
+            )
+        np.copyto(prev, values)
 
     memory = _memory_integral(tau, path, epsilon, spec, grid, horizon, dt)
 

@@ -101,6 +101,16 @@ class _Plan:
     block: dict = field(default_factory=dict)
     snaps: list = field(default_factory=list)
 
+    def snapped(self) -> list[str]:
+        """The snaps, then how many times :func:`_make_path` bridge-refines
+        the path at the plan's dt, a retry's halved dt included."""
+        levels = 0 if self.noise is None else refine_levels(self.noise["dt"], self.cfg.dt)
+        if not levels:
+            return list(self.snaps)
+        dt = self.noise["dt"]
+        note = f"noise.dt: {dt!r} -> {dt / 2**levels!r} by {levels} bridge refinements"
+        return [*self.snaps, note]
+
     def resolved_config(self) -> dict:
         out: dict[str, Any] = {
             "experiment": self.experiment,
@@ -144,11 +154,7 @@ def _parse_noise(b: _Block) -> dict:
     lo, hi = (b.snapped(w, b.path(f"window[{i}]")) for i, w in enumerate(window))
     b.check(lo < hi, "window", f"must be increasing, got {window!r}")
     b.check(lo <= 0.0 <= hi, "window", "must contain time 0")
-    # _make_path refines the path this many times; the summary says so
-    levels = refine_levels(dt, b.plan.cfg.dt)
-    if levels:
-        refined = dt / 2**levels
-        b.plan.snaps.append(f"noise.dt: {dt!r} -> {refined!r} by {levels} bridge refinements")
+    refine_levels(dt, b.plan.cfg.dt)  # raises when no halving of dt divides solver.dt
     return {"seed": seed, "window": [lo, hi], "dt": dt}
 
 
@@ -784,7 +790,7 @@ def _emit(plan: _Plan, results, checks, tables, retried, say) -> str:
         "experiment": plan.experiment,
         "seed": seed,
         "config": plan.resolved_config(),
-        "snapped": list(plan.snaps),
+        "snapped": plan.snapped(),
         "retried_after_divergence": retried,
         "results": results,
         "checks": checks,
@@ -840,7 +846,7 @@ def run(config_path: str, output_dir: str | None = None, quiet: bool = False) ->
         print(f"config: {exc}", file=sys.stderr)
         return 2
 
-    for line in plan.snaps:
+    for line in plan.snapped():
         say(f"snapped {line}")
 
     execute = EXPERIMENTS[plan.experiment].execute

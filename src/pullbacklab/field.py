@@ -7,7 +7,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -84,6 +84,26 @@ def _boundary_is_zero(values: np.ndarray) -> bool:
     return not values[:: m - 1].any() and not values[:, :: m - 1].any()
 
 
+def _check_values(grid: Grid, values: np.ndarray, reduce: Callable | None = None) -> float | None:
+    """Raise unless ``values`` could be a :class:`Field`'s on ``grid``: of
+    its shape, finite and zero on the boundary.  ``reduce``, given, is a
+    reduction that any non-finite value makes non-finite, such as the sum
+    of squares or the largest |v|; it is taken once the shape holds and
+    returned, and each value is looked at only when it is not finite, so
+    finiteness costs no pass of its own (finite values whose squares
+    overflow pass)."""
+    if values.shape != grid.shape:
+        raise GridMismatchError(
+            f"values shape {values.shape} does not match grid shape {grid.shape}"
+        )
+    reduced = None if reduce is None else reduce(values)
+    if (reduced is None or not math.isfinite(reduced)) and not np.isfinite(values).all():
+        raise ValueError("field values must be finite")
+    if not _boundary_is_zero(values):
+        raise ValueError("field boundary values must be identically zero")
+    return reduced
+
+
 def zero_boundary(values: np.ndarray) -> np.ndarray:
     """Copy of ``values`` with the outermost layer forced to exactly zero."""
     out = np.array(values, dtype=float)
@@ -107,14 +127,7 @@ class Field:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.grid.shape:
-            raise GridMismatchError(
-                f"values shape {vals.shape} does not match grid shape {self.grid.shape}"
-            )
-        if not np.isfinite(vals).all():
-            raise ValueError("field values must be finite")
-        if not _boundary_is_zero(vals):
-            raise ValueError("field boundary values must be identically zero")
+        _check_values(self.grid, vals)
         vals = vals.copy() if vals.base is not None or vals.flags.writeable else vals
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -177,12 +190,10 @@ class Quadrature:
     Every expression keeps the order and grouping of the plain quadrature
     it replaces, ``sqrt(h^N * sum(v**2))``, ``sqrt(h^N * (sum(v**2) +
     sum(grad)))`` and ``(h^N * sum(|v|**p))**(1/p)``, so each norm has its
-    bits.  The values are checked as a :class:`Field` checks its own: their
-    shape, finite (from the sum of squares, which any non-finite value
-    makes non-finite; only then is each value looked at, so finite values
-    whose squares overflow pass) and zero on the boundary.  So the pass
-    reduces a state that no :class:`Field` wraps, such as one streamed from
-    a march, with no check skipped.
+    bits.  The values pass the check every :class:`Field` makes
+    (:func:`_check_values`), with the sum of squares as its reduction, so
+    the pass reduces a state that no :class:`Field` wraps, such as one
+    streamed from a march, with no check skipped.
     """
 
     def __init__(self, grid: Grid):
@@ -199,17 +210,9 @@ class Quadrature:
         L^p is None without a ``p``."""
         if p is not None and p < 1.0:
             raise ValueError(f"lp_norm needs p >= 1, got {p}")
-        if values.shape != self.grid.shape:
-            raise GridMismatchError(
-                f"values shape {values.shape} does not match grid shape {self.grid.shape}"
-            )
+        sq = self._sq
+        sum_sq = _check_values(self.grid, values, lambda v: np.sum(np.multiply(v, v, out=sq)))
         cv = self.grid.cell_volume
-        sq = np.multiply(values, values, out=self._sq)
-        sum_sq = np.sum(sq)
-        if not math.isfinite(sum_sq) and not np.isfinite(values).all():
-            raise ValueError("field values must be finite")
-        if not _boundary_is_zero(values):
-            raise ValueError("field boundary values must be identically zero")
         l2 = float(np.sqrt(cv * sum_sq))
         h1_value = lp = None
         if h1:

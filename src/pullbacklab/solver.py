@@ -62,13 +62,14 @@ march included.  :func:`_strided` is the one stream of the states a run
 stores (the initial one, every ``store_stride``-th step's and the final
 one), and it alone holds that rule.  :func:`stored_values` streams one
 run's stored states as the kernel's raw arrays and checks the final one
-for a boundary leak; a caller that reduces each state, such as the
-``simulate`` experiment through one
-:class:`~pullbacklab.field.Quadrature` pass, consumes it at constant
-memory with no copy.  :func:`stored_states` is the :class:`Field` view of
-that stream, each state checked and copied, and :func:`integrate` collects
-it into a :class:`Trajectory`.  :func:`difference_history` reduces the
-stream at its sample stride and :func:`energy_audit` at a stride of 1;
+for a boundary leak.  It is the one stream of a run's stored states: a
+caller that reduces each state, such as the ``simulate`` experiment
+through one :class:`~pullbacklab.field.Quadrature` pass or the truncation
+and H1 witnesses of :mod:`~pullbacklab.attractor`, checks it as a
+:class:`Field` would and consumes it at constant memory with no copy, and
+:func:`integrate`, the one place a stored state becomes a :class:`Field`,
+collects it into a :class:`Trajectory`.  :func:`difference_history` reduces
+the stream at its sample stride and :func:`energy_audit` at a stride of 1;
 :func:`energy_audit` alone keeps a per-step z series, as its result is per
 step.  :func:`final_states`, and so :func:`final_state`, keeps only the
 endpoints and has one driver, :func:`_march_split`: a large 1D stack is cut
@@ -728,8 +729,8 @@ def stored_values(
     yielded.  The first array is ``v0.values``; every later one is the
     kernel's own buffer, valid only until the next ``next``, and no
     :class:`Field` has checked it, so a consumer copies what it keeps and
-    checks what it reduces (a :class:`~pullbacklab.field.Quadrature`
-    checks as a Field does).  A consumer that keeps nothing runs at
+    checks what it reduces, with the check a Field makes
+    (``field._check_values``).  A consumer that keeps nothing runs at
     constant memory: a reduction over a long run consumes the march, not a
     stored copy of it.
     """
@@ -738,23 +739,6 @@ def stored_values(
         if final:
             _warn_boundary_leak(v)
         yield t, v[0]
-
-
-def stored_states(
-    v0: Field,
-    t_start: float,
-    t_end: float,
-    path: Path,
-    spec: ProblemSpec,
-    cfg: SolverConfig,
-):
-    """Yield (time, state) for every state :func:`stored_values` yields,
-    without keeping any: the first state is ``v0`` itself and every later
-    one a :class:`Field` of its own, so a consumer may keep any of them."""
-    states = stored_values(v0, t_start, t_end, path, spec, cfg)
-    yield next(states)[0], v0
-    for t, values in states:
-        yield t, Field(v0.grid, values)
 
 
 def integrate(
@@ -766,13 +750,16 @@ def integrate(
     cfg: SolverConfig,
 ) -> Trajectory:
     """March the conjugated state from t_start to t_end along the path and
-    keep what :func:`stored_states` yields: every store_stride-th state plus
-    the initial and the final one.
+    keep what :func:`stored_values` yields: every store_stride-th state plus
+    the initial and the final one.  The first state is ``v0`` itself and
+    every later one a checked copy, a :class:`Field` of its own.
 
     The duration must be a lattice multiple of cfg.dt and the path window
     must cover [t_start, t_end].
     """
-    times, states = zip(*stored_states(v0, t_start, t_end, path, spec, cfg))
+    stream = stored_values(v0, t_start, t_end, path, spec, cfg)
+    first = (next(stream)[0], v0)
+    times, states = zip(first, *((t, Field(v0.grid, values)) for t, values in stream))
     return Trajectory(times=np.array(times), states=states, stride=cfg.store_stride)
 
 

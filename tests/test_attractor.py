@@ -37,6 +37,7 @@ from pullbacklab.field import (
     Field,
     Grid,
     gaussian_bump,
+    gradient_energy_density,
     h1_norm,
     l2_norm,
     superlevel_measure_integrand,
@@ -49,8 +50,15 @@ from pullbacklab.model import (
     canonical_forcing,
     zero_forcing,
 )
-from pullbacklab.noise import flat_path, sample_path, shift, z_factor, z_window_bounds
-from pullbacklab.solver import SolverConfig, integrate
+from pullbacklab.noise import (
+    flat_path,
+    sample_path,
+    shift,
+    z_factor,
+    z_series,
+    z_window_bounds,
+)
+from pullbacklab.solver import SolverConfig, integrate, steps_between
 
 pytestmark = pytest.mark.filterwarnings("ignore::pullbacklab.errors.BoundaryLeakWarning")
 
@@ -452,6 +460,115 @@ def test_window_regularity_report_witnesses(desk_spec, desk_path, cfg):
     for witness in report.values():
         assert witness.observed > 0.0
         assert witness.fitted_constant == witness.observed / witness.integral
+
+
+def _reference_window_report(tau, path, epsilon, spec, cfg, u0, horizon):
+    """The four observed values of window_regularity_report, formed by its
+    former closures, one Field at a time, over the run integrate collects."""
+    w = shift(path, -tau)
+    vol, p, dt = u0.grid.cell_volume, spec.nonlinearity.p, cfg.dt
+    n = steps_between(tau - horizon, tau, dt)
+    unit = round(1.0 / dt)
+    zs = z_series(w, epsilon, tau - horizon, n + 1, dt)
+    v = u0.with_values(u0.values * z_factor(w, epsilon, tau - horizon))
+    traj = integrate(
+        v, tau - horizon, tau, w, replace(spec, epsilon=epsilon), replace(cfg, store_stride=1)
+    )
+
+    def h1_sq(f):
+        return float(vol * (np.sum(f.values**2) + np.sum(gradient_energy_density(f))))
+
+    def power_mass(f, q):
+        return float(vol * np.sum(np.abs(f.values) ** q))
+
+    def dissipation_node(f, k):
+        s = (k - n) * dt
+        return math.exp(spec.lam * s) * (h1_sq(f) + float(zs[k]) ** (2.0 - p) * power_mass(f, p))
+
+    def high_power_node(f, k):
+        s = (k - n) * dt
+        return math.exp(spec.lam * s) * float(zs[k]) ** (4.0 - 2.0 * p) * power_mass(
+            f, 2.0 * p - 2.0
+        )
+
+    dissipation = deriv_integral = high_power = sup_h1_sq = 0.0
+    window_start = n - unit
+    prev_values = v.values
+    for k, state in enumerate(traj.states):
+        weight = 0.5 * dt if k in (0, n) else dt
+        dissipation += weight * dissipation_node(state, k)
+        if k >= window_start and k > 0:
+            s = (k - n) * dt
+            sup_h1_sq = max(sup_h1_sq, h1_sq(state))
+            deriv_sq = float(vol * np.sum(((state.values - prev_values) / dt) ** 2))
+            w_edge = 0.5 * dt if k in (window_start, n) else dt
+            deriv_integral += w_edge * math.exp(spec.lam * s) * deriv_sq
+            high_power += w_edge * high_power_node(state, k)
+        prev_values = state.values
+    return {
+        "window_h1_sup": sup_h1_sq,
+        "dissipation_integral": dissipation,
+        "time_derivative_integral": deriv_integral,
+        "high_power_integral": high_power,
+    }
+
+
+@pytest.mark.parametrize(
+    "dimension, m, dt, seed",
+    [(1, 65, 1e-3, 1), (1, 129, 1e-3, 3), (2, 33, 2e-3, 1), (2, 65, 5e-3, 3)],
+)
+def test_window_regularity_report_has_the_bits_of_the_field_closures(
+    desk_spec, dimension, m, dt, seed
+):
+    spec = replace(desk_spec, dimension=dimension, domain_radius=6.0)
+    cfg = SolverConfig(dt=dt)
+    path = sample_path(seed, -4.0, 4.0, dt)
+    u0 = gaussian_bump(Grid(dimension, 6.0, m), 1.0, 1.5)
+    report = window_regularity_report(0.5, path, 0.5, spec, cfg, u0, 1.5)
+    want = _reference_window_report(0.5, path, 0.5, spec, cfg, u0, 1.5)
+    assert {name: witness.observed for name, witness in report.items()} == want
+
+
+SPOILS = [
+    ("centre", np.nan, "must be finite"),
+    ("centre", -np.inf, "must be finite"),
+    ("first corner", 1e-300, "identically zero"),
+    ("last edge", 1.0, "identically zero"),
+]
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("reduction", ["truncation_diagnostics", "window_regularity_report"])
+@pytest.mark.parametrize("where, value, message", SPOILS)
+def test_a_bad_streamed_state_is_refused(
+    desk_spec, monkeypatch, dimension, reduction, where, value, message
+):
+    # the march cannot make such a state; a stream that yields one after two
+    # good ones stands in for a kernel fault, which the reduction must catch
+    stream = attractor.stored_values
+
+    def spoiled(*args):
+        for j, (t, v) in enumerate(stream(*args)):
+            if j == 2:
+                mid = len(v) // 2
+                v = v.copy()
+                v[{
+                    "centre": (mid,) * v.ndim,
+                    "first corner": (0,) * v.ndim,
+                    "last edge": (mid,) * (v.ndim - 1) + (-1,),
+                }[where]] = value
+            yield t, v
+
+    monkeypatch.setattr(attractor, "stored_values", spoiled)
+    spec = replace(desk_spec, dimension=dimension, domain_radius=6.0)
+    cfg = SolverConfig(dt=5e-3)
+    path = sample_path(1, -4.0, 4.0, cfg.dt)
+    u0 = gaussian_bump(Grid(dimension, 6.0, 17), 1.0, 1.5)
+    with pytest.raises(ValueError, match=message):
+        if reduction == "truncation_diagnostics":
+            truncation_diagnostics(0.5, path, 0.5, spec, cfg, u0, 1.5, (0.05, 0.1))
+        else:
+            window_regularity_report(0.5, path, 0.5, spec, cfg, u0, 1.5)
 
 
 def test_window_regularity_report_validation(desk_spec, desk_grid, desk_path, cfg):

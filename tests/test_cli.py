@@ -18,7 +18,7 @@ import pytest
 import pullbacklab
 from pullbacklab import cli, solver
 from pullbacklab.errors import ConfigurationError
-from pullbacklab.field import Trajectory, trajectory_row, write_trajectory_csv
+from pullbacklab.field import Field, Trajectory, trajectory_row, write_trajectory_csv
 from pullbacklab.noise import refine, sample_path, shift, z_factor
 
 pytestmark = pytest.mark.filterwarnings("ignore::pullbacklab.errors.BoundaryLeakWarning")
@@ -358,6 +358,23 @@ def test_coarse_noise_is_bridge_refined_onto_the_solver_lattice(tmp_path, capsys
     assert not out.exists()
 
 
+def test_a_retry_reports_its_own_path_refinement(tmp_path):
+    # amplitude 45 diverges at dt = 1e-3; the retry at 5e-4 reads the path
+    # bridge-refined once, as a run configured at 5e-4 does, and says so
+    cfg = shipped("simulate")
+    cfg["simulate"]["initial"]["amplitude"] = 45.0
+    code, out = run_into(tmp_path, cfg)
+    cfg["solver"]["dt"] = 5e-4
+    code_direct, out_direct = run_into(tmp_path, cfg, subdir="direct")
+    assert code == code_direct == 0
+    retried, direct = load_summary(out, "simulate"), load_summary(out_direct, "simulate")
+    assert retried["retried_after_divergence"] is True
+    assert direct["retried_after_divergence"] is False
+    assert retried["results"] == direct["results"]
+    note = "noise.dt: 0.001 -> 0.0005 by 1 bridge refinements"
+    assert retried["snapped"] == direct["snapped"] == [note]
+
+
 def test_eigenmode_initial_data_runs(tmp_path):
     cfg = base_config()
     cfg["simulate"]["initial"] = {"kind": "eigenmode", "mode": 2, "amplitude": 0.1}
@@ -680,11 +697,11 @@ def test_streamed_rows_equal_trajectory_rows_over_stored_states(tmp_path, name):
     eps, tau = spec.epsilon, b["tau"]
     w = shift(path, -tau)
     v0 = b["initial"].with_values(b["initial"].values * z_factor(w, eps, tau))
-    states = solver.stored_states(v0, tau, tau + b["horizon"], w, spec, plan.cfg)
+    states = solver.stored_values(v0, tau, tau + b["horizon"], w, spec, plan.cfg)
     p = spec.nonlinearity.p
     want = [
-        trajectory_row(t, s.with_values(s.values / z_factor(w, eps, float(t))), p)
-        for t, s in states
+        trajectory_row(t, Field(plan.grid, v / z_factor(w, eps, float(t))), p)
+        for t, v in states
     ]
     assert want[-1][0] == tau + b["horizon"] and (want[-1][0] - want[-2][0]) / plan.cfg.dt < 7
     assert [list(map(repr, row)) for row in tables["trajectory"]] == [

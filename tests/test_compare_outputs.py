@@ -64,13 +64,17 @@ def test_report_names_the_largest_relative_difference(tmp_path, capsys):
 
 
 FAKE_CLI = '''
-import os, sys
+import os, sys, warnings
+class BoundaryLeakWarning(UserWarning):
+    pass
 config, out = sys.argv[sys.argv.index("--config") + 1], sys.argv[sys.argv.index("--output-dir") + 1]
 if config.endswith("crash.json"):
     raise RuntimeError("traceback of the crashed run")
 os.makedirs(out)
 open(os.path.join(out, "failed_summary.json"), "w").write("{}")
 print("stderr of a run that wrote its summary", file=sys.stderr)
+for magnitude in ("1e-7", "2e-7"):
+    warnings.warn(f"solution magnitude {magnitude}", BoundaryLeakWarning)
 sys.exit(1)
 '''
 
@@ -86,6 +90,10 @@ def test_fill_shows_stderr_of_runs_that_wrote_no_summary(tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"ran crash into {tmp_path / 'tree'} (exit 1)" in captured.out
     assert f"ran failed into {tmp_path / 'tree'} (exit 1)" in captured.out
+    # each run's count of the warnings it wrote to stderr
+    crash, failed = captured.out.splitlines()
+    assert crash.endswith(", 0 BoundaryLeakWarnings")
+    assert failed.endswith(", 2 BoundaryLeakWarnings")
     assert "RuntimeError: traceback of the crashed run" in captured.err
     assert "wrote its summary" not in captured.err
 

@@ -35,7 +35,7 @@ from pullbacklab.solver import (
     self_convergence,
     spatial_convergence,
     steps_between,
-    stored_states,
+    stored_values,
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore::pullbacklab.errors.BoundaryLeakWarning")
@@ -187,16 +187,16 @@ def test_store_stride_subsamples_the_full_trajectory(desk_spec, desk_path):
     assert strided.times[-1] == full.times[-1]
 
 
-def test_stored_states_at_stride_one_matches_integrate_bitwise(desk_spec, desk_path, desk_cfg):
+def test_stored_values_at_stride_one_match_integrate_bitwise(desk_spec, desk_path, desk_cfg):
     grid = Grid(1, 8.0, 129)
     v0 = gaussian_bump(grid, 1.0, 1.5)
     traj = integrate(v0, 0.0, 0.05, desk_path, desk_spec, desk_cfg)
     cfg = replace(desk_cfg, store_stride=1)
-    streamed = list(stored_states(v0, 0.0, 0.05, desk_path, desk_spec, cfg))
+    streamed = [(t, v.copy()) for t, v in stored_values(v0, 0.0, 0.05, desk_path, desk_spec, cfg)]
     assert len(streamed) == len(traj.states)
-    for (t_s, state_s), (t_t, state_t) in zip(streamed, zip(traj.times, traj.states)):
+    for (t_s, values_s), (t_t, state_t) in zip(streamed, zip(traj.times, traj.states)):
         assert t_s == t_t
-        assert np.array_equal(state_s.values, state_t.values)
+        assert np.array_equal(values_s, state_t.values)
 
 
 def test_difference_history_contracts(desk_spec, desk_path, desk_cfg):

@@ -46,7 +46,7 @@ from pullbacklab.solver import (
     final_states,
     integrate,
     integrate_deterministic,
-    stored_states,
+    stored_values,
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore::pullbacklab.errors.BoundaryLeakWarning")
@@ -102,7 +102,7 @@ def test_stack_columns_equal_single_runs_bitwise(dimension):
     ends = final_states(v0s, [t0] * len(v0s), t1, paths, epsilons, spec, cfg)
     for i, (v0, path, eps) in enumerate(zip(v0s, paths, epsilons)):
         spec_i = replace(spec, epsilon=eps)
-        alone = [s.values for _, s in stored_states(v0, t0, t1, path, spec_i, every)]
+        alone = [v.copy() for _, v in stored_values(v0, t0, t1, path, spec_i, every)]
         assert len(alone) == len(stacks)
         for got, want in zip(stacks, alone):
             assert np.array_equal(got[i], want)
@@ -333,7 +333,7 @@ def traced_peak_mb(call) -> float:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("reduction", ["final_states", "stored_states", "difference_history"])
+@pytest.mark.parametrize("reduction", ["final_states", "stored_values", "difference_history"])
 def test_march_memory_does_not_grow_with_the_horizon(monkeypatch, reduction):
     # z and the clocks are formed a block at a time.  A table of each for
     # the whole march, 16,000 steps x 6 columns x 8 bytes, grew the
@@ -354,8 +354,8 @@ def test_march_memory_does_not_grow_with_the_horizon(monkeypatch, reduction):
         if reduction == "final_states":
             starts = [-horizon * c for c in fractions]
             final_states(v0s, starts, 0.0, [path] * 6, epsilons, spec, cfg)
-        elif reduction == "stored_states":
-            for _ in stored_states(v0s[0], -horizon, 0.0, path, spec, cfg):
+        elif reduction == "stored_values":
+            for _ in stored_values(v0s[0], -horizon, 0.0, path, spec, cfg):
                 pass
         else:
             difference_history(v0s[0], v0s[1], -horizon, 0.0, path, spec, cfg, 1000)
@@ -465,7 +465,7 @@ def test_stack_columns_equal_single_runs_property(m, draws):
     for i, (v0, path, eps) in enumerate(zip(v0s, paths, epsilons)):
         spec_i = replace(spec, epsilon=eps)
         every = replace(cfg, store_stride=1)
-        alone = [s.values for _, s in stored_states(v0, -0.2, -0.185, path, spec_i, every)]
+        alone = [v.copy() for _, v in stored_values(v0, -0.2, -0.185, path, spec_i, every)]
         for got, want in zip(stacks, alone):
             assert np.array_equal(got[i], want)
         traj = integrate(v0, -0.2, -0.185, path, spec_i, cfg)
@@ -655,14 +655,14 @@ def test_reused_buffers_never_leak_into_results(dimension):
     cfg = SolverConfig(dt=dt)
     t0, t1 = -0.25, -0.25 + steps * dt
     traj = integrate(v0, t0, t1, path, spec, cfg)
-    # every yielded Field is kept until the march is over
-    yielded = list(stored_states(v0, t0, t1, path, spec, cfg))
+    # a copy of every yielded state is kept until the march is over
+    yielded = [(t, v.copy()) for t, v in stored_values(v0, t0, t1, path, spec, cfg)]
     assert len(traj.states) == len(yielded) == steps + 1
-    for j, (stored, (t, state)) in enumerate(zip(traj.states, yielded)):
+    for j, (stored, (t, values)) in enumerate(zip(traj.states, yielded)):
         assert t == traj.times[j]
         fresh = final_state(v0, t0, t, path, spec, cfg)
         assert np.array_equal(stored.values, fresh.values)
-        assert np.array_equal(state.values, fresh.values)
+        assert np.array_equal(values, fresh.values)
 
 
 def counted(forcing):
@@ -784,7 +784,7 @@ def test_a_lone_2d_column_takes_windows_of_many_blocks(monkeypatch):
     spec = spec_for(2)
     path = sample_path(1, -1.0, 9.0, cfg.dt)
     v0 = gaussian_bump(grid, 1.0, 1.5)
-    stored = [(t, state.values) for t, state in stored_states(v0, 0.0, 8.0, path, spec, cfg)]
+    stored = [(t, v.copy()) for t, v in stored_values(v0, 0.0, 8.0, path, spec, cfg)]
     assert len(calls) <= 17
     assert [t for t, _ in stored] == [j * cfg.dt for j in range(0, 4001, 1000)]
     for j in (1000, 4000):
