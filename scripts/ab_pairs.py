@@ -8,7 +8,7 @@ takes run.py's own default duration.  Then, for every end-to-end metric
 that this repository's ``BENCHMARK.json`` declares, it prints each
 checkout's median and quartiles (``statistics.quantiles(values, n=4)``) and
 the number of pairs in which the second checkout's value is better, in the
-metric's own direction.
+metric's own direction, and a verdict on the metric (:func:`verdict`).
 
 Usage:
     python3 scripts/ab_pairs.py PARENT_CHECKOUT CHANGED_CHECKOUT WORKLOAD SEED [SEED ...]
@@ -21,6 +21,7 @@ before it), and 2 when a checkout has no ``benchmarks/run.py``.
 from __future__ import annotations
 
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -44,22 +45,65 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def wins(metric: dict, a: list[float], b: list[float]) -> int:
+    """The pairs (a[i], b[i]) in which b is better, in the metric's own
+    direction; a tie is no win."""
+    lower = metric["better"] == "lower"
+    return sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+
+
+def relative(gap: float, base: float) -> float:
+    """``gap`` as a fraction of ``|base|``; any nonzero gap on a zero base
+    is infinite."""
+    if base:
+        return gap / abs(base)
+    return math.inf if gap else 0.0
+
+
+def verdict(metric: dict, a: list[float], b: list[float]) -> str:
+    """The verdict on the change's runs ``b`` against the parent's ``a``,
+    paired by position, the first rule that holds:
+
+    - "gain shown": b wins at least 9 of every 10 pairs and its median is
+      better than a's by more than a's quartile spread (q3 - q1);
+    - "worse beyond bound": b's median is worse than a's by more than the
+      metric's relative ``bound``;
+    - "unresolved": either side's quartile spread, relative to its median,
+      is wider than the bound, and some run of b is no better than some
+      run of a;
+    - "within bound".
+    """
+    lower = metric["better"] == "lower"
+    (p1, pm, p3), (c1, cm, c3) = quartiles(a), quartiles(b)
+    gain = pm - cm if lower else cm - pm
+    if 10 * wins(metric, a, b) >= 9 * len(a) and gain > p3 - p1:
+        return "gain shown"
+    if relative(-gain, pm) > metric["bound"]:
+        return "worse beyond bound"
+    spread = max(relative(p3 - p1, pm), relative(c3 - c1, cm))
+    every_run_better = max(b) < min(a) if lower else min(b) > max(a)
+    if spread > metric["bound"] and not every_run_better:
+        return "unresolved"
+    return "within bound"
+
+
 def report(declared: list[dict], before: list[dict], after: list[dict]) -> list[str]:
     """One block of lines per declared metric: the medians and quartiles of
     the runs ``before`` and ``after`` (one dict of values per seed, paired
-    by position) and the pairs that ``after`` won."""
-    lines = []
+    by position) and the pairs that ``after`` won; then one verdict line
+    per metric."""
+    lines, verdicts = [], ["verdicts"]
     for metric in declared:
-        name, lower = metric["name"], metric["better"] == "lower"
+        name = metric["name"]
         a = [run[name] for run in before]
         b = [run[name] for run in after]
-        wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
         lines.append(f"{name} ({metric['unit']}, {metric['better']} is better)")
         for label, values in (("parent", a), ("change", b)):
             q1, median, q3 = quartiles(values)
             lines.append(f"  {label}  median {median:.6g}  q1 {q1:.6g}  q3 {q3:.6g}")
-        lines.append(f"  change better in {wins} of {len(a)} pairs")
-    return lines
+        lines.append(f"  change better in {wins(metric, a, b)} of {len(a)} pairs")
+        verdicts.append(f"  {name}: {verdict(metric, a, b)}")
+    return lines + verdicts
 
 
 def run(checkout: str, workload: str, seed: int) -> tuple[bool, dict[str, float]]:

@@ -491,12 +491,15 @@ def tail_profile(
 class TruncationDiagnostic:
     """Damped integral of the superlevel mass over the trailing unit window.
 
-    ``value`` is the trapezoid of exp(rho * (s - tau)) times the integral of
-    (|v| - level)^2 |v|^(2p - 4) over {|v| > level}, taken over s in
-    [tau - 1, tau].  ``rho`` grows like level^(p - 2), so raising the level
-    damps the history harder while the superlevel set itself shrinks; the
-    value must fall on any ladder of levels that climbs past the solution's
-    amplitude, hitting exactly zero once the level clears it.
+    ``value`` is the trapezoid, over the stored times s in [tau - 1, tau],
+    of exp(rho * (s - tau)) times the superlevel mass of the conjugated
+    state v at s: h^N times the sum of |v|^(2p - 4) over the grid points
+    where |v| >= level, as
+    :func:`~pullbacklab.field.superlevel_measure_integrand` sums it.
+    ``rho`` grows like level^(p - 2), so raising the level damps the
+    history harder while the superlevel set itself shrinks; the value must
+    fall on any ladder of levels that climbs past the solution's amplitude,
+    hitting exactly zero once the level clears it.
     """
 
     level: float

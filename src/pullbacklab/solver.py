@@ -35,22 +35,14 @@ canonical forcing z*g is (z*a(t))*p(x), with the profile p read once per
 march and no call of g.  Any other f is called on v/z every step, and any
 other g once per block of coming steps on the block's clocks.  z*g and a
 table of the reaction term's per-point factor (sc/z^2 or z) are formed
-per block, so each step's arithmetic is a few explicit ``out=`` ufunc
-calls on flat contiguous arrays with no broadcasting.  At z = 1 the
-structured forms have the general forms' bits.  A step allocates no array
-of its own other than a general reaction's result; the march writes into
-two ping-pong state buffers, one right-hand-side buffer and one work
-buffer, binds their views and the solves into them once per admitted
-column (the 2D solve runs through two reused scratch stacks), and a stack
-it yields is valid only until the next step.  No array of a march grows
-with its number of steps: the kernel forms the clocks and z once per
-window of whole blocks, each column's z from one
-:func:`~pullbacklab.noise.z_series` call on its own stretch of its run
-(the bits of the whole run's series).  A window is as tall as the taller
-of a forcing block's rows for one column and ``_WINDOW_VALUES`` values
-over the stack's columns, so a lone 2D column at 65x65 takes 252-step
-windows of 7-step blocks, where a ten-column 1D stack at m=129 keeps its
-250-step windows of 25-step blocks.
+per block, so each step's arithmetic is a few ufunc calls on flat
+contiguous arrays with no broadcasting, each output passed positionally.
+At z = 1 the structured forms have the general forms' bits.  A step
+allocates no array of its own other than a general reaction's result, and
+a stack the march yields is valid only until the next step; no array of a
+march grows with its number of steps, as the clocks and z are formed once
+per window of whole blocks (see :func:`_march` for its buffers, windows
+and blocks).
 Columns never mix, and every BLAS call of a 1D product has a fixed width,
 so a column's bits do not depend on its lane or its neighbours: a column of
 a stack equals the same run marched alone, bit for bit.
@@ -324,29 +316,30 @@ class _Context:
         past each interior, onto a full state's boundary, as zero.  Other
         stacks are one dense product of the (k/_LANES, _LANES, m-2) views.
         A zero row of ``src`` solves to a zero row."""
+        matmul = np.matmul
         if self.grid.dimension == 1:
             s, d = _grouped(src), _grouped(dst)
             blocks = self._band
             if blocks is None:
                 ainv_t = self._ainv_t
-                return lambda: np.matmul(s, ainv_t, out=d)
+                return lambda: matmul(s, ainv_t, d)
             nb, b = len(blocks), blocks.shape[-1]
             if nb * b * dst.itemsize > dst.strides[0]:
                 raise ValueError("the banded solve needs a full state's row for each interior")
             windows = _view(src, -b, (nb, *s.shape[:2], 3 * b), (b * src.itemsize, *s.strides))
             ends = _view(dst, 0, (nb, *d.shape[:2], b), (b * dst.itemsize, *d.strides))
-            return lambda: np.matmul(windows, blocks, out=ends)
-        q, inv = self._q, self._inv
+            return lambda: matmul(windows, blocks, ends)
+        q, inv, mul = self._q, self._inv, np.multiply
         t1, t2 = np.empty(src.shape), np.empty(src.shape)
 
         def solve() -> None:
             # _diagonalised's products in its order, through two scratch
             # stacks, the last one written straight into dst
-            np.matmul(q, src, out=t1)
-            np.matmul(t1, q, out=t2)
-            np.multiply(t2, inv, out=t2)
-            np.matmul(q, t2, out=t1)
-            np.matmul(t1, q, out=dst)
+            matmul(q, src, t1)
+            matmul(t1, q, t2)
+            mul(t2, inv, t2)
+            matmul(q, t2, t1)
+            matmul(t1, q, dst)
 
         return solve
 
@@ -444,7 +437,10 @@ def _march(
     forms have the bits of the general ones.
 
     A step allocates no array of its own (a general reaction makes its
-    result) and makes few numpy calls, each on flat contiguous arrays.  The
+    result) and makes few numpy calls, each on flat contiguous arrays.  Each
+    callable a step makes is bound to a local once per march and given its
+    output positionally (``mul(v, v, work)``): at m=129 a keyword ``out=``
+    cost about 0.2 us more per call.  The
     march keeps two ping-pong state buffers, whose boundaries stay zero, one
     right-hand-side buffer and one work buffer (v/z or the cubic term).  In
     1D the three stack buffers have ``solve_rows(k)`` rows, all zeroed, so
@@ -477,7 +473,8 @@ def _march(
     factor at every grid point of its column and z*g, so no step
     broadcasts.  Finiteness is one reduction over
     the stack; :func:`_nonfinite_column` runs only when it fails, and a
-    divergence is raised at the failing column's clock after the step.  A
+    divergence is raised at the failing column's clock after the step, read
+    from the window's clocks only then.  A
     yielded stack is a view of a buffer that later steps overwrite: it is
     valid only until the next step, so a caller that keeps a state copies it
     (a :class:`Field` does).
@@ -495,6 +492,8 @@ def _march(
     # scalar operands as 0-d arrays: a ufunc converts a Python float on every
     # call, 0.64 against 0.50 us per multiply at m=129 (x *= dt took 0.71)
     dt0 = np.array(dt)
+    mul, sub, add, div = np.multiply, np.subtract, np.add, np.divide
+    vdot, isfinite = np.vdot, math.isfinite
     a3 = None if cubic is None else np.array(cubic.a3)
     inner = (slice(None),) + (slice(1, -1),) * ctx.grid.dimension
     spread = (1,) * ctx.grid.dimension
@@ -531,7 +530,7 @@ def _march(
             block = max(1, _FORCING_BLOCK // (a * npts))
         # a window: the steps up to the next admission, at most as many
         # whole blocks as z_buf has rows
-        span = min(n, j + height // block * block, int(admit[a]) if a < k else n) - j
+        top, span = j, min(n, j + height // block * block, int(admit[a]) if a < k else n) - j
         # every admitted column's own clock at each step of the window: the
         # same bits as the sum a run marched alone forms
         clocks = (np.arange(j, j + span)[:, None] - admit[:a]) * dt + starts[:a]
@@ -554,34 +553,33 @@ def _march(
             zg_rows = zg_buf[: w_rows.size].reshape(blocked)
             g = profile if separable is not None else ctx.forcing_values(clocks[lo:hi])
             np.multiply(za[lo:hi].reshape(blocked[:2] + spread), g, out=zg_rows)
-            rows = zip(clocks[lo:hi], w_rows.reshape(hi - lo, -1), zg_rows.reshape(hi - lo, -1))
-            for clock, w, zg in rows:
+            for w, zg in zip(w_rows.reshape(hi - lo, -1), zg_rows.reshape(hi - lo, -1)):
                 v = flats[j % 2]
                 # v + dt*(z*f(v/z) + z*g), formed in place in that order so the
                 # bits are those of the expression
                 if cubic is None:
-                    np.divide(v, w, out=work)
+                    div(v, w, work)
                     reaction = np.asarray(f(pts_a, work), dtype=float)
                     if reaction.shape != work.shape:
                         # a reaction of the wrong size raises here rather than broadcast
                         reaction = reaction.reshape(work.shape)
-                    np.multiply(w, reaction, out=rhs_flat)
+                    mul(w, reaction, rhs_flat)
                 else:
                     # z*f(v/z) = a3*v - q*(v*v*v)
-                    np.multiply(v, v, out=work)
-                    np.multiply(work, v, out=work)
-                    np.multiply(work, w, out=work)
-                    np.multiply(a3, v, out=rhs_flat)
-                    np.subtract(rhs_flat, work, out=rhs_flat)
-                np.add(rhs_flat, zg, out=rhs_flat)
-                np.multiply(rhs_flat, dt0, out=rhs_flat)
-                np.add(rhs_flat, v, out=rhs_flat)
+                    mul(v, v, work)
+                    mul(work, v, work)
+                    mul(work, w, work)
+                    mul(a3, v, rhs_flat)
+                    sub(rhs_flat, work, rhs_flat)
+                add(rhs_flat, zg, rhs_flat)
+                mul(rhs_flat, dt0, rhs_flat)
+                add(rhs_flat, v, rhs_flat)
                 # an overflowing reaction term must surface as a divergence; the
                 # solve is a contraction, so its result needs no check of its own
-                if not math.isfinite(np.vdot(rhs_flat, rhs_flat)):
+                if not isfinite(vdot(rhs_flat, rhs_flat)):
                     bad = _nonfinite_column(rhs)
                     if bad is not None:
-                        raise DivergenceError(float(clock[bad]) + dt)
+                        raise DivergenceError(float(clocks[j - top, bad]) + dt)
                 solves[1 - j % 2]()
                 j += 1
                 yield stacks[j % 2]

@@ -12,6 +12,7 @@ step early or late, would fail here too.
 import functools
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -572,6 +573,49 @@ def test_late_column_diverges_at_its_own_time():
     # the stack's clock from 0.0 names that step with other bits
     step = round(alone.value.t / cfg.dt)
     assert 0.0 + step * cfg.dt != alone.value.t
+
+
+def forcing_from(t_on, value):
+    """A general forcing: 0 before ``t_on``, ``value`` everywhere from it."""
+    return Forcing(
+        g=lambda t, pts: np.where(np.asarray(t) >= t_on, value, 0.0) * np.ones(len(pts)),
+        delta=0.0,
+    )
+
+
+def test_late_column_diverges_mid_block_in_a_later_window():
+    # at m=129 the calm column runs alone for 300 steps; the late one joins
+    # at 3.0, and from then on the pair takes 254-step windows of 127-step
+    # blocks.  The forcing turns infinite at the late column's clock of its
+    # step 397, step 697 of the stack: row 143 of the window from step 554,
+    # row 16 of its second block.  The calm column's clock there is one ulp
+    # lower, so only the late column's right-hand side is infinite
+    grid, cfg = Grid(1, 8.0, 129), SolverConfig(dt=0.01)
+    t_on = 3.0 + 397 * cfg.dt
+    assert 0.0 + 697 * cfg.dt < t_on
+    spec = replace(spec_for(1, epsilon=0.0), forcing=forcing_from(t_on, np.inf))
+    calm, late = gaussian_bump(grid, 0.5, 1.5), gaussian_bump(grid, 0.3, 1.5)
+    path = flat_path(-1.0, 11.0, cfg.dt)
+    with pytest.raises(DivergenceError) as alone:
+        final_state(late, 3.0, 10.0, path, spec, cfg)
+    with pytest.raises(DivergenceError) as stacked:
+        final_states([calm, late], [0.0, 3.0], 10.0, [path] * 2, [0.0] * 2, spec, cfg)
+    assert alone.value.t == t_on + cfg.dt
+    assert stacked.value.t == alone.value.t
+
+
+def test_a_finite_state_whose_squared_norm_overflows_diverges_without_warning():
+    # from 0.5 the forcing lifts every value of the right-hand side to about
+    # 1e160, finite, while its square alone is past the largest float
+    spec = replace(spec_for(1, epsilon=0.0), forcing=forcing_from(0.5, 1e162))
+    grid, cfg = Grid(1, 8.0, 129), SolverConfig(dt=0.01)
+    v0 = gaussian_bump(grid, 0.5, 1.5)
+    path = flat_path(-1.0, 2.0, cfg.dt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError) as exc_info:
+            final_state(v0, 0.0, 1.0, path, spec, cfg)
+    assert exc_info.value.t == 50 * cfg.dt + cfg.dt
 
 
 def test_a_late_column_on_a_coarse_path_is_refused_before_the_first_step(monkeypatch):
