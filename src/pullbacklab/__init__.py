@@ -7,7 +7,7 @@ PDE solve.  The subpackages split along that seam:
 
 - ``noise``     two-sided Wiener paths, the time-shift group, conjugation factors
 - ``model``     problem data (damping, nonlinearity, forcing) and its certification
-- ``field``     grids, discrete fields, norms and the discrete Laplacian
+- ``field``     grids, discrete fields, norms, quadratures and eigenmodes
 - ``solver``    semi-implicit time stepping of the conjugated equation
 - ``cocycle``   the solution cocycle and its algebraic checks
 - ``attractor`` pullback experiments: equilibria, attraction, tails, truncation

@@ -48,8 +48,6 @@ from .noise import (
     flat_path,
     lattice_steps,
     sample_path,
-    shift,
-    z_factor,
     z_series,
     z_window_bounds,
 )
@@ -60,7 +58,7 @@ from .solver import (
     steps_between,
     stored_values,
 )
-from .cocycle import pullback_state, pullback_states
+from .cocycle import _rebased, pullback_state, pullback_states
 
 
 def _require_contractive(spec: ProblemSpec, what: str) -> float:
@@ -178,10 +176,14 @@ def fit_decay_rate(
 ) -> DecayFitResult:
     """Measure the contraction rate of the conjugated equation.
 
-    Two runs from distinct data along the same path; the squared L2 gap is
-    fitted on [tau + fit_start, tau + window] where the transient has died
-    off.  Theory puts the slope at or below ``-(lambda - alpha3)`` up to
-    time-stepping error; the caller compares ``slope`` against ``bound``.
+    Two runs from distinct data along the same path, both forward runs from
+    time ``tau`` as :func:`~pullbacklab.cocycle.phi` takes them: ``u0_a``
+    and ``u0_b`` are the data at ``tau``, conjugated there, and the path is
+    re-based at ``tau`` (shift(path, -tau)).  The squared L2 gap of the
+    conjugated runs is fitted on [tau + fit_start, tau + window] where the
+    transient has died off.  Theory puts the slope at or below
+    ``-(lambda - alpha3)`` up to time-stepping error; the caller compares
+    ``slope`` against ``bound``.
 
     If the gap underflows to exactly zero inside the window the slope is
     reported as ``-inf`` with ``underflow`` set, which still certifies
@@ -198,8 +200,10 @@ def fit_decay_rate(
     spec = replace(spec, epsilon=epsilon)
     n = steps_between(tau, tau + window, cfg.dt)
     stride = max(1, n // 512)
+    w, v0_a = _rebased(path, epsilon, tau, tau, u0_a)
+    _, v0_b = _rebased(path, epsilon, tau, tau, u0_b)
     times, sq = difference_history(
-        u0_a, u0_b, tau, tau + window, path, spec, cfg, sample_stride=stride
+        v0_a, v0_b, tau, tau + window, w, spec, cfg, sample_stride=stride
     )
     if np.any(sq == 0.0):
         return DecayFitResult(
@@ -571,13 +575,9 @@ def truncation_diagnostics(
         )
     rhos = _truncation_rates(path, epsilon, spec, tau, levels)
     spec_eps = replace(spec, epsilon=epsilon)
-    w = shift(path, -tau)
-    v0 = u0.with_values(u0.values * z_factor(w, epsilon, tau - horizon))
+    w, v0 = _rebased(path, epsilon, tau, tau - horizon, u0)
     burn_end = tau - 1.0
-    if steps_between(tau - horizon, burn_end, cfg.dt) > 0:
-        v_burn = final_state(v0, tau - horizon, burn_end, w, spec_eps, cfg)
-    else:
-        v_burn = v0
+    v_burn = final_state(v0, tau - horizon, burn_end, w, spec_eps, cfg)
     power = 2.0 * spec.nonlinearity.p - 4.0
     if power <= 0.0:
         raise ValueError(f"power must be positive, got {power}")
@@ -726,15 +726,13 @@ def window_regularity_report(
         )
     lattice_steps(tau, cfg.dt, f"tau={tau!r}")
     spec_eps = replace(spec, epsilon=epsilon)
-    w = shift(path, -tau)
+    w, v = _rebased(path, epsilon, tau, tau - horizon, u0)
     grid = u0.grid
     vol = grid.cell_volume
     p = spec.nonlinearity.p
     dt = cfg.dt
     n = steps_between(tau - horizon, tau, dt)
     zs = z_series(w, epsilon, tau - horizon, n + 1, dt)
-
-    v = u0.with_values(u0.values * z_factor(w, epsilon, tau - horizon))
 
     # scratch made once: each state's squares, then its powers; its gradient
     # table; a copy of the previous state, whose buffer the march reuses

@@ -52,7 +52,7 @@ from .attractor import (
     truncation_diagnostics,
     upper_semicontinuity_sweep,
 )
-from .cocycle import pullback_state, pullback_states, verify_cocycle_property
+from .cocycle import _rebased, pullback_state, pullback_states, verify_cocycle_property
 from .errors import (
     ConfigurationError,
     DivergenceError,
@@ -78,7 +78,6 @@ from .noise import (
     refine,
     refine_levels,
     sample_path,
-    shift,
     z_factor,
 )
 from .solver import SolverConfig, stored_values, worker_count
@@ -315,8 +314,7 @@ def _exec_simulate(plan: _Plan, path: Path):
     eps = spec.epsilon
     tau, horizon = b["tau"], b["horizon"]
     u0 = b["initial"]
-    w = shift(path, -tau)
-    v0 = u0.with_values(u0.values * z_factor(w, eps, tau))
+    w, v0 = _rebased(path, eps, tau, tau, u0)
     p = spec.nonlinearity.p
     # each stored state is unconjugated into one buffer and reduced to its
     # CSV row, in one checked pass, as the march yields it
@@ -398,10 +396,11 @@ def _parse_decay_rate(b: _Block) -> dict:
 
 
 def _exec_decay_rate(plan: _Plan, path: Path):
-    """decay-rate: run two initial states in lockstep along one path and fit the
-    slope of log squared-gap against time.  The slope must not exceed
-    -(lambda - alpha3) plus the configured tolerance.  Emits slope, bound and a
-    fit-history CSV (columns: t, log_sq_gap)."""
+    """decay-rate: run two initial states, given at time tau, in lockstep from tau
+    along one path re-based at tau (as simulate does) and fit the slope of log
+    squared-gap against time.  The slope must not exceed -(lambda - alpha3) plus
+    the configured tolerance.  Emits slope, bound and a fit-history CSV
+    (columns: t, log_sq_gap)."""
     b = plan.block
     spec, cfg = plan.spec, plan.cfg
     fit = fit_decay_rate(

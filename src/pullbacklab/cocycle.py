@@ -6,23 +6,28 @@ For noise intensity eps and a two-sided path omega, the solution operator
 
 advances initial data u0 given at time tau by a duration t >= 0.  It is
 computed pathwise: conjugate the data with z = exp(-eps * omega), march the
-conjugated equation along the shifted path (the shift re-bases the path so
-the driving increments are read relative to the start of the run), then
-unconjugate at the end time.  Written out, with ``w = shift(omega, -tau)``:
+conjugated equation along the shifted path, then unconjugate at the end
+time.  Written out, with ``w = shift(omega, -tau)``:
 
     phi(t, tau, omega, u0) = v(tau + t) / z_w(tau + t),
     v solves the conjugated equation on [tau, tau + t] along w,
     v(tau) = z_w(tau) * u0,
 
-where z_w(s) = exp(-eps * w(s)).  Two algebraic identities are load-bearing
-and tested bitwise: phi(0, ...) is the identity, and the pullback state
-phi(t, tau - t, shift(omega, -t), u0) equals the direct right-hand evaluation
+where z_w(s) = exp(-eps * w(s)).  Every run of the stochastic equation
+enters this change of variables one way, :func:`_rebased`: the path is
+re-based at tau, the cocycle's own time, and the data conjugated at the
+run's start.  For a forward run (``phi``, the ``simulate`` and
+``decay-rate`` experiments) tau is the start; for a pullback run, which
+starts at tau - t, it is the observation time at the run's end, since
+phi(t, tau - t, shift(omega, -t), u0) is re-based at tau too.  Two
+algebraic identities are load-bearing and tested bitwise: phi(0, ...) is the
+identity, and that pullback state equals the direct right-hand evaluation
 :func:`pullback_state` because nested shifts collapse to one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +36,7 @@ from .errors import ConfigurationError
 from .field import Field, l2_norm
 from .model import ProblemSpec
 from .noise import Path, lattice_steps, shift, z_factor
-from .solver import SolverConfig, final_state, final_states, steps_between
+from .solver import SolverConfig, final_states, steps_between
 
 
 @dataclass(frozen=True)
@@ -57,17 +62,46 @@ class CocycleQuery:
         lattice_steps(self.tau, self.cfg.dt, f"tau={self.tau!r}")
 
 
+def _rebased(
+    path: Path, epsilon: float, tau: float, start: float, u0: Field
+) -> tuple[Path, Field]:
+    """The path re-based at ``tau``, ``w = shift(path, -tau)``, and ``u0``
+    conjugated at the run's ``start``, ``z_w(start) * u0``: the one way into
+    the conjugated equation, for every run of the stochastic one."""
+    w = shift(path, -tau)
+    return w, u0.with_values(u0.values * z_factor(w, epsilon, start))
+
+
+def _endpoints(
+    starts: Sequence[float],
+    end: float,
+    tau: float,
+    paths: Sequence[Path],
+    epsilons: Sequence[float],
+    u0s: Sequence[Field],
+    spec: ProblemSpec,
+    cfg: SolverConfig,
+) -> tuple[Field, ...]:
+    """phi for every column, marched as one stack: column i from ``u0s[i]``
+    at ``starts[i]`` to the shared ``end`` along ``paths[i]`` re-based at
+    ``tau``, at intensity ``epsilons[i]``, and unconjugated at ``end``.  A
+    column with nothing to march hands its data back as given."""
+    marched = [i for i, start in enumerate(starts) if steps_between(start, end, cfg.dt)]
+    if not marched:
+        return tuple(u0s)
+    ws, v0s = zip(*(_rebased(paths[i], epsilons[i], tau, starts[i], u0s[i]) for i in marched))
+    eps = [epsilons[i] for i in marched]
+    ends = final_states(v0s, [starts[i] for i in marched], end, ws, eps, spec, cfg)
+    out = list(u0s)
+    for i, w, e, v_end in zip(marched, ws, eps, ends):
+        out[i] = v_end.with_values(v_end.values / z_factor(w, e, end))
+    return tuple(out)
+
+
 def phi(q: CocycleQuery) -> Field:
     """Evaluate the cocycle.  phi(0, ...) returns u0 itself, bit for bit."""
-    n = steps_between(0.0, q.t, q.cfg.dt)
-    if n == 0:
-        return q.u0
-    spec = replace(q.spec, epsilon=q.epsilon)
-    w = shift(q.path, -q.tau)
-    v0 = q.u0.with_values(q.u0.values * z_factor(w, q.epsilon, q.tau))
-    v_end = final_state(v0, q.tau, q.tau + q.t, w, spec, q.cfg)
-    z_end = z_factor(w, q.epsilon, q.tau + q.t)
-    return v_end.with_values(v_end.values / z_end)
+    cols = ((q.path,), (q.epsilon,), (q.u0,))
+    return _endpoints((q.tau,), q.tau + q.t, q.tau, *cols, q.spec, q.cfg)[0]
 
 
 def pullback_states(
@@ -94,27 +128,7 @@ def pullback_states(
             "need one horizon, one path and one intensity per initial state"
         )
     lattice_steps(tau, cfg.dt, f"tau={tau!r}")
-    marched = [i for i, t in enumerate(ts) if steps_between(0.0, t, cfg.dt)]
-    if not marched:
-        return tuple(u0s)
-    ws = {i: shift(paths[i], -tau) for i in marched}
-    v0s = [
-        u0s[i].with_values(u0s[i].values * z_factor(ws[i], epsilons[i], tau - ts[i]))
-        for i in marched
-    ]
-    ends = final_states(
-        v0s,
-        [tau - ts[i] for i in marched],
-        tau,
-        [ws[i] for i in marched],
-        [epsilons[i] for i in marched],
-        spec,
-        cfg,
-    )
-    out = list(u0s)
-    for i, v_end in zip(marched, ends):
-        out[i] = v_end.with_values(v_end.values / z_factor(ws[i], epsilons[i], tau))
-    return tuple(out)
+    return _endpoints([tau - t for t in ts], tau, tau, paths, epsilons, u0s, spec, cfg)
 
 
 def pullback_state(

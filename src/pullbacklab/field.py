@@ -302,30 +302,6 @@ def superlevel_measure_integrand(f: Field, level: float, power: float) -> float:
     return float(f.grid.cell_volume * np.sum(np.abs(f.values[mask]) ** power))
 
 
-# -- operators --------------------------------------------------------------
-
-
-def discrete_laplacian(f: Field) -> Field:
-    """Central 3/5-point Laplacian with zero Dirichlet data outside the box.
-
-    Output boundary entries are zero: boundary points are not unknowns.
-    """
-    v = f.values
-    h2 = f.grid.spacing**2
-    out = np.zeros_like(v)
-    if v.ndim == 1:
-        out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / h2
-    else:
-        out[1:-1, 1:-1] = (
-            v[:-2, 1:-1]
-            + v[2:, 1:-1]
-            + v[1:-1, :-2]
-            + v[1:-1, 2:]
-            - 4.0 * v[1:-1, 1:-1]
-        ) / h2
-    return Field(f.grid, out)
-
-
 # -- trajectories -----------------------------------------------------------
 
 

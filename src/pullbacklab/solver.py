@@ -52,10 +52,12 @@ on its path's lattice and inside the path's window, and its intensity and
 step by a z series of one value at its own start, a column with nothing to
 march included.  :func:`_strided` is the one stream of the states a run
 stores (the initial one, every ``store_stride``-th step's and the final
-one), and it alone holds that rule.  :func:`stored_values` streams one
-run's stored states as the kernel's raw arrays and checks the final one
-for a boundary leak.  It is the one stream of a run's stored states: a
-caller that reduces each state, such as the ``simulate`` experiment
+one), and it alone holds that rule.  It is also every stream's one exit:
+it checks the final state for a boundary leak before it yields it, and
+places each warning at the code that asked for the run.
+:func:`stored_values` streams one run's stored states as the kernel's raw
+arrays.  It is the one stream of a run's stored states: a caller that
+reduces each state, such as the ``simulate`` experiment
 through one :class:`~pullbacklab.field.Quadrature` pass or the truncation
 and H1 witnesses of :mod:`~pullbacklab.attractor`, checks it as a
 :class:`Field` would and consumes it at constant memory with no copy, and
@@ -64,10 +66,11 @@ collects it into a :class:`Trajectory`.  :func:`difference_history` reduces
 the stream at its sample stride and :func:`energy_audit` at a stride of 1;
 :func:`energy_audit` alone keeps a per-step z series, as its result is per
 step.  :func:`final_states`, and so :func:`final_state`, keeps only the
-endpoints and has one driver, :func:`_march_split`: a large 1D stack is cut
-into contiguous chunks of columns, all but the first marched in forked
-children, one per CPU, each forming its own columns' z, and any other stack
-is one chunk marched in this process.  Since columns never mix, the split
+endpoints, checks them for a leak itself, and has one driver,
+:func:`_march_split`: a large 1D stack is cut into contiguous chunks of
+columns, all but the first marched in forked children, one per CPU, each
+forming its own columns' z, and any other stack is one chunk marched in
+this process.  Since columns never mix, the split
 changes no bit.
 
 :func:`integrate_deterministic` marches the original, unconjugated equation
@@ -628,8 +631,9 @@ def _check_finite(v: np.ndarray, t: float) -> None:
         raise DivergenceError(t)
 
 
-def _warn_boundary_leak(v: np.ndarray) -> None:
-    """Warn once for every column of the stack ``v`` that leaks."""
+def _warn_boundary_leak(v: np.ndarray, stacklevel: int = 3) -> None:
+    """Warn once for every column of the stack ``v`` that leaks;
+    ``stacklevel`` counts frames from this function, as in ``warnings.warn``."""
     for col in v:
         if col.ndim == 1:
             ring = max(abs(float(col[1])), abs(float(col[-2])))
@@ -645,7 +649,7 @@ def _warn_boundary_leak(v: np.ndarray) -> None:
                 f"solution magnitude {ring:.3e} adjacent to the artificial boundary "
                 f"exceeds {_BOUNDARY_TRUST:.0e}; enlarge the domain radius",
                 BoundaryLeakWarning,
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
 
 
@@ -690,17 +694,23 @@ def _strided(
     epsilons: Sequence[float],
     n: int,
 ):
-    """Yield (time, stack, final) for every state a run of n steps stores:
-    the initial ``stack``, every ``ctx.cfg.store_stride``-th step's and the
-    final one, each time stamp an exact multiple of dt from t_start, and
-    ``final`` true for the last alone.  This is the one place that rule
-    lives.  A stack after the first is the kernel's, valid only until the
-    next step."""
+    """Yield (time, stack) for every state a run of n steps stores: the
+    initial ``stack``, every ``ctx.cfg.store_stride``-th step's and the
+    final one, each time stamp an exact multiple of dt from t_start.  This
+    is the one place that rule lives, and the one exit of every streamed
+    run: the final state is checked for a boundary leak before it is
+    yielded, each warning placed at the code that called the function
+    iterating this stream (:func:`stored_values`, :func:`difference_history`
+    or :func:`energy_audit`, each iterating it in its own frame, not in a
+    generator expression).  A stack after the first is the kernel's, valid
+    only until the next step."""
     dt, stride = ctx.cfg.dt, ctx.cfg.store_stride
-    yield t_start, stack, n == 0
-    for j, v in enumerate(_march(ctx, stack, t_start, paths, epsilons, n), start=1):
+    states = itertools.chain((stack,), _march(ctx, stack, t_start, paths, epsilons, n))
+    for j, v in enumerate(states):
+        if j == n:
+            _warn_boundary_leak(v, stacklevel=4)
         if j % stride == 0 or j == n:
-            yield t_start + j * dt, v, j == n
+            yield t_start + j * dt, v
 
 
 def step(v: Field, t: float, path: Path, spec: ProblemSpec, cfg: SolverConfig) -> Field:
@@ -723,8 +733,8 @@ def stored_values(
     The stored states are those :func:`_strided` streams at
     ``cfg.store_stride``: the initial one, every ``cfg.store_stride``-th
     step's and the final one.  The run is checked (:func:`_setup`) at the
-    first ``next``, and the final state for a boundary leak before it is
-    yielded.  The first array is ``v0.values``; every later one is the
+    first ``next``, and :func:`_strided` checks the final state for a
+    boundary leak.  The first array is ``v0.values``; every later one is the
     kernel's own buffer, valid only until the next ``next``, and no
     :class:`Field` has checked it, so a consumer copies what it keeps and
     checks what it reduces, with the check a Field makes
@@ -733,9 +743,7 @@ def stored_values(
     stored copy of it.
     """
     (n,), ctx = _setup(v0.grid, (t_start,), t_end, (path,), (spec.epsilon,), spec, cfg)
-    for t, v, final in _strided(ctx, v0.values[np.newaxis], t_start, (path,), (spec.epsilon,), n):
-        if final:
-            _warn_boundary_leak(v)
+    for t, v in _strided(ctx, v0.values[np.newaxis], t_start, (path,), (spec.epsilon,), n):
         yield t, v[0]
 
 
@@ -1073,8 +1081,10 @@ def difference_history(
     (n, _), ctx = _setup(v0_a.grid, (t_start,) * 2, t_end, paths, epsilons, spec, cfg)
     vol = v0_a.grid.cell_volume
     stack = np.stack([v0_a.values, v0_b.values])
-    samples = _strided(ctx, stack, t_start, paths, epsilons, n)
-    times, norms = zip(*((t, vol * float(np.sum((v[0] - v[1]) ** 2))) for t, v, _ in samples))
+    times, norms = [], []
+    for t, v in _strided(ctx, stack, t_start, paths, epsilons, n):
+        times.append(t)
+        norms.append(vol * float(np.sum((v[0] - v[1]) ** 2)))
     return np.array(times), np.array(norms)
 
 
@@ -1219,13 +1229,13 @@ def energy_audit(
     zs = z_series(path, spec.epsilon, t_start, n, cfg.dt)
     g_sq = forcing_norms_sq(spec.forcing, v0.grid, t_start + np.arange(n) * cfg.dt)
     states = _strided(ctx, v0.values[np.newaxis], t_start, (path,), (spec.epsilon,), n)
-    norms = (vol * float(np.sum(v[0] ** 2)) for _, v, _ in states)
-    norm_sq = next(norms)
     out = np.empty(n)
-    for j, next_sq in enumerate(norms):
-        z = float(zs[j])
-        allowance = c * cfg.dt * z**2 * (float(g_sq[j]) + psi1_mass)
-        out[j] = next_sq - norm_sq + cfg.dt * spec.lam * next_sq - allowance
+    for j, (_, v) in enumerate(states, start=-1):
+        next_sq = vol * float(np.sum(v[0] ** 2))
+        if j >= 0:
+            z = float(zs[j])
+            allowance = c * cfg.dt * z**2 * (float(g_sq[j]) + psi1_mass)
+            out[j] = next_sq - norm_sq + cfg.dt * spec.lam * next_sq - allowance
         norm_sq = next_sq
     return EnergyAudit(
         violations=out,

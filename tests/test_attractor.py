@@ -31,7 +31,7 @@ from pullbacklab.attractor import (
     upper_semicontinuity_sweep,
     window_regularity_report,
 )
-from pullbacklab.cocycle import pullback_state
+from pullbacklab.cocycle import CocycleQuery, phi, pullback_state
 from pullbacklab.errors import ConfigurationError, GridMismatchError
 from pullbacklab.field import (
     Field,
@@ -184,6 +184,22 @@ def test_decay_fit_reports_underflow(desk_grid, desk_path, cfg):
     assert fit.underflow
     assert fit.slope == float("-inf")
     assert fit.log_sq_gaps == ()
+
+
+def test_decay_fit_runs_forward_from_tau_as_phi_does(desk_spec, desk_grid, desk_path, cfg):
+    # at tau = 0.5 both runs start from their data conjugated at tau, along
+    # the path re-based at tau: the first gap is z_w(tau)^2 times the data's,
+    # the last one that of phi's endpoints, conjugated again at tau + window
+    tau, window, eps = 0.5, 1.0, 1.0
+    a, b = gaussian_bump(desk_grid, 1.0, 1.5), zero_field(desk_grid)
+    fit = fit_decay_rate(tau, desk_path, eps, desk_spec, cfg, a, b, window, fit_start=0.0)
+    w, vol = shift(desk_path, -tau), desk_grid.cell_volume
+    first = vol * np.sum((z_factor(w, eps, tau) * (a.values - b.values)) ** 2)
+    ends = [phi(CocycleQuery(window, tau, desk_path, eps, u, desk_spec, cfg)) for u in (a, b)]
+    gap = z_factor(w, eps, tau + window) * (ends[0].values - ends[1].values)
+    assert fit.times[0] == tau and fit.times[-1] == tau + window
+    assert fit.log_sq_gaps[0] == pytest.approx(math.log(first), abs=1e-12)
+    assert fit.log_sq_gaps[-1] == pytest.approx(math.log(vol * np.sum(gap**2)), abs=1e-9)
 
 
 def test_decay_fit_validation(desk_spec, desk_grid, desk_path, cfg):

@@ -8,6 +8,7 @@ exact factor 1/(1 + dt*(lam + mu)) per step, where mu is the hand-computed
 eigenvalue.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -329,8 +330,8 @@ def test_energy_audit_inequality_holds(desk_spec, desk_path):
     assert audit.max_violation <= 0.0
 
 
-def test_boundary_leak_warning_fires_on_contact():
-    spec = ProblemSpec(
+def leak_spec() -> ProblemSpec:
+    return ProblemSpec(
         lam=2.0,
         epsilon=0.0,
         dimension=1,
@@ -338,12 +339,47 @@ def test_boundary_leak_warning_fires_on_contact():
         nonlinearity=canonical_cubic(1.0),
         forcing=zero_forcing(),
     )
+
+
+def test_boundary_leak_warning_fires_on_contact():
     grid = Grid(1, 8.0, 129)
     # wide profile with visible mass next to the boundary from the start
     v0 = gaussian_bump(grid, 1.0, 6.0)
     path = flat_path(-1.0, 1.0, 1e-3)
     with pytest.warns(BoundaryLeakWarning):
-        integrate(v0, 0.0, 0.01, path, spec, SolverConfig(dt=1e-3))
+        integrate(v0, 0.0, 0.01, path, leak_spec(), SolverConfig(dt=1e-3))
+
+
+def leak_warnings(run) -> list:
+    """The BoundaryLeakWarnings ``run()`` raises, each placed at this file,
+    the code that asked for the run."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run()
+    leaks = [w for w in caught if issubclass(w.category, BoundaryLeakWarning)]
+    assert all(w.filename == __file__ for w in leaks)
+    return leaks
+
+
+def leak_inputs():
+    grid = Grid(1, 8.0, 129)
+    wide, other = gaussian_bump(grid, 1.0, 6.0), gaussian_bump(grid, 0.5, 6.0)
+    narrow = gaussian_bump(grid, 1.0, 1.0)
+    return wide, other, narrow, flat_path(-1.0, 1.0, 1e-3), leak_spec(), SolverConfig(dt=1e-3)
+
+
+def test_difference_history_checks_its_final_stack_for_a_leak():
+    # one warning per leaking column of the final pair, as every other run
+    wide, other, narrow, path, spec, cfg = leak_inputs()
+    for a, b, leaking in ((wide, other, 2), (wide, narrow, 1), (narrow, narrow, 0)):
+        run = lambda: difference_history(a, b, 0.0, 0.01, path, spec, cfg, 4)
+        assert len(leak_warnings(run)) == leaking
+
+
+def test_energy_audit_checks_its_final_state_for_a_leak():
+    wide, _, narrow, path, spec, cfg = leak_inputs()
+    for v0, leaking in ((wide, 1), (narrow, 0)):
+        assert len(leak_warnings(lambda: energy_audit(v0, 0.0, 0.01, path, spec, cfg))) == leaking
 
 
 def test_integration_window_is_validated(desk_spec, desk_cfg):
