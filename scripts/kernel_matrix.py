@@ -1,16 +1,17 @@
 """Run the bitwise suites once per OpenBLAS kernel set.
 
 The bitwise identities (a column of a stack equals the run alone, a split
-march equals the unsplit one, criterion 09, cocycle composition) rest on the
+march equals the unsplit one, criterion 09, cocycle composition, the
+equilibrium and Hausdorff gaps against their plain formulas) rest on the
 bits of the BLAS products.  A DYNAMIC_ARCH OpenBLAS picks its kernels by the
 CPU it finds, and ``OPENBLAS_CORETYPE`` forces one set for one process.
 This script runs ``tests/test_stack.py``, ``tests/test_split.py``,
-``tests/test_acceptance.py`` and ``tests/test_cocycle.py`` in one child
-pytest process per kernel set.  An unknown name, or one that OpenBLAS does
-not take, falls back silently to the CPU's own set, so each child's set is
-checked against the running core that the pytest header prints
-(``tests/conftest.py``).  A set newer than the CPU
-can die of an illegal instruction; that counts as a failure.
+``tests/test_acceptance.py``, ``tests/test_cocycle.py`` and
+``tests/test_attractor.py`` in one child pytest process per kernel set.
+An unknown name, or one that OpenBLAS does not take, falls back silently
+to the CPU's own set, so each child's set is checked against the running
+core that the pytest header prints (``tests/conftest.py``).  A set newer
+than the CPU can die of an illegal instruction; that counts as a failure.
 
 Usage:
     python3 scripts/kernel_matrix.py
@@ -33,6 +34,7 @@ SUITES = (
     "tests/test_split.py",
     "tests/test_acceptance.py",
     "tests/test_cocycle.py",
+    "tests/test_attractor.py",
 )
 CORES = ("SkylakeX", "Haswell", "Sandybridge", "Nehalem", "Katmai")
 

@@ -27,21 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError
-from .field import (
-    Field,
-    Grid,
-    Quadrature,
-    _check_values,
-    _gradient_energy,
-    h1_norm,
-    l2_norm,
-    tail_norm,
-)
+from .field import Field, Grid, Quadrature, tail_norm
 from .model import ProblemSpec, forcing_norms_sq
 from .noise import (
     Path,
@@ -128,13 +119,14 @@ def compute_equilibrium(
     states = pullback_states(
         horizons, tau, (path,) * k, (epsilon,) * k, (u0,) * k, spec, cfg
     )
+    quad = Quadrature(u0.grid)
     history: list[tuple[float, float]] = []
     for t_n, prev, cur in zip(horizons[1:], states, states[1:]):
-        gap = l2_norm(cur.with_values(cur.values - prev.values))
-        history.append((t_n, gap / (1.0 + l2_norm(cur))))
+        gap = quad.norms(cur.values - prev.values, h1=False)[0]
+        history.append((t_n, gap / (1.0 + quad.norms(cur.values, h1=False)[0])))
     state = states[-1]
     converged = history[-1][1] <= tol
-    l2, h1, lp = Quadrature(state.grid).norms(state.values, p=spec.nonlinearity.p)
+    l2, h1, lp = quad.norms(state.values, p=spec.nonlinearity.p)
     return EquilibriumResult(
         state=state,
         tau=tau,
@@ -260,13 +252,11 @@ def approximate_attractor(
     members = pullback_states(
         (horizon,) * k, tau, (path,) * k, (epsilon,) * k, ensemble, spec, cfg
     )
+    quad = Quadrature(ensemble[0].grid)
     diameter = 0.0
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            d = l2_norm(
-                members[i].with_values(members[i].values - members[j].values)
-            )
-            diameter = max(diameter, d)
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            diameter = max(diameter, quad.norms(a.values - b.values, h1=False)[0])
     return AttractorSample(
         tau=tau,
         epsilon=epsilon,
@@ -311,12 +301,12 @@ def hausdorff_semidistance(
     for member in (*a_members, *b_members):
         if member.grid != grid:
             raise GridMismatchError("samples live on different grids")
-    norm: Callable[[Field], float] = l2_norm if which == "l2" else h1_norm
+    quad, h1 = Quadrature(grid), which == "h1"
     worst = 0.0
     for a in a_members:
         best = math.inf
         for b in b_members:
-            best = min(best, norm(a.with_values(a.values - b.values)))
+            best = min(best, quad.norms(a.values - b.values, h1)[1 if h1 else 0])
         worst = max(worst, best)
     return worst
 
@@ -476,6 +466,7 @@ def tail_profile(
     if not radii:
         raise ConfigurationError("radii must not be empty")
     state = pullback_state(horizon, tau, path, epsilon, u0, spec, cfg)
+    full_l2, full_h1, _ = Quadrature(state.grid).norms(state.values)
     rows = tuple(
         (float(k), tail_norm(state, float(k), "l2"), tail_norm(state, float(k), "h1"))
         for k in radii
@@ -484,8 +475,8 @@ def tail_profile(
         tau=tau,
         epsilon=epsilon,
         horizon=horizon,
-        full_l2=l2_norm(state),
-        full_h1=h1_norm(state),
+        full_l2=full_l2,
+        full_h1=full_h1,
         rows=rows,
         state=state,
     )
@@ -563,10 +554,9 @@ def truncation_diagnostics(
     level is read off the same window, state by state as
     :func:`~pullbacklab.solver.stored_values` yields it: no state is kept,
     only each level's integrand and the window's largest amplitude.  Each
-    state is checked as a :class:`Field` is, and its |v|, taken once, serves
-    the maximum and every level's integrand, which keeps the bits of
-    :func:`~pullbacklab.field.superlevel_measure_integrand`.  Needs
-    ``horizon >= 1``.
+    state goes through one :meth:`~pullbacklab.field.Quadrature.superlevel`
+    pass, which checks it as a :class:`Field` is and takes its |v| once for
+    the maximum and every level's mass.  Needs ``horizon >= 1``.
     """
     unit = lattice_steps(1.0, cfg.dt, "the unit window 1.0")
     if lattice_steps(horizon, cfg.dt, f"horizon={horizon!r}") < unit:
@@ -581,17 +571,14 @@ def truncation_diagnostics(
     power = 2.0 * spec.nonlinearity.p - 4.0
     if power <= 0.0:
         raise ValueError(f"power must be positive, got {power}")
-    grid, cv = u0.grid, u0.grid.cell_volume
-    magnitude = np.empty(grid.shape)
+    quad = Quadrature(u0.grid)
     times, integrands, window_max = [], [[] for _ in levels], 0.0
     window = stored_values(v_burn, burn_end, tau, w, spec_eps, replace(cfg, store_stride=1))
     for s, values in window:
-        top = _check_values(grid, values, lambda v: np.max(np.abs(v, out=magnitude)))
+        top, masses = quad.superlevel(values, levels, power)
         times.append(s)
-        window_max = max(window_max, float(top))
-        for level, rho, integrand in zip(levels, rhos, integrands):
-            mask = magnitude >= level
-            mass = float(cv * np.sum(magnitude[mask] ** power)) if mask.any() else 0.0
+        window_max = max(window_max, top)
+        for rho, integrand, mass in zip(rhos, integrands, masses):
             integrand.append(math.exp(rho * (s - tau)) * mass)
     return tuple(
         TruncationDiagnostic(
@@ -715,7 +702,9 @@ def window_regularity_report(
     * ``high_power_integral``  -- weighted integral over [tau-1, tau] of
       z^(4-2p) times the (2p-2)-nd power mass.
 
-    Each is divided by the memory integral to report a fitted constant;
+    Each streamed state and each time difference is one
+    :meth:`~pullbacklab.field.Quadrature.squares` pass.  Each witness is
+    divided by the memory integral to report a fitted constant;
     rerunning with a deeper horizon or another path moves the observed and
     the integral together, not the constant's order of magnitude.
     """
@@ -728,22 +717,12 @@ def window_regularity_report(
     spec_eps = replace(spec, epsilon=epsilon)
     w, v = _rebased(path, epsilon, tau, tau - horizon, u0)
     grid = u0.grid
-    vol = grid.cell_volume
     p = spec.nonlinearity.p
     dt = cfg.dt
     n = steps_between(tau - horizon, tau, dt)
     zs = z_series(w, epsilon, tau - horizon, n + 1, dt)
-
-    # scratch made once: each state's squares, then its powers; its gradient
-    # table; a copy of the previous state, whose buffer the march reuses
-    m = grid.points_per_axis
-    buf, grad, prev = (np.empty(grid.shape) for _ in range(3))
-    dy = None if grid.dimension == 1 else np.empty((m, m - 1))
-
-    def power_mass(values: np.ndarray, q: float) -> float:
-        magnitude = np.abs(values, out=buf)
-        magnitude **= q
-        return float(vol * np.sum(magnitude))
+    # a copy of the previous state, whose buffer the march reuses
+    quad, prev = Quadrature(grid), np.empty(grid.shape)
 
     # trapezoid accumulators; node weights are dt (half at the ends)
     dissipation = 0.0
@@ -753,24 +732,23 @@ def window_regularity_report(
 
     window_start = n - unit  # first node of [tau-1, tau]
 
-    for k, (t_k, values) in enumerate(
+    for k, (_, values) in enumerate(
         stored_values(v, tau - horizon, tau, w, spec_eps, replace(cfg, store_stride=1))
     ):
-        sum_sq = _check_values(grid, values, lambda x: np.sum(np.multiply(x, x, out=buf)))
-        h1_sq = float(vol * (sum_sq + np.sum(_gradient_energy(values, grid.spacing, grad, dy))))
+        in_window = k >= window_start and k > 0
+        powers = (p, 2.0 * p - 2.0) if in_window else (p,)
+        _, h1_sq, masses = quad.squares(values, powers=powers)
         s = (k - n) * dt  # s - tau
         decay = math.exp(spec.lam * s)
         weight = 0.5 * dt if k in (0, n) else dt
-        node = decay * (h1_sq + float(zs[k]) ** (2.0 - p) * power_mass(values, p))
+        node = decay * (h1_sq + float(zs[k]) ** (2.0 - p) * masses[0])
         dissipation += weight * node
-        if k >= window_start and k > 0:
+        if in_window:
             sup_h1_sq = max(sup_h1_sq, h1_sq)
-            deriv_sq = float(vol * np.sum(((values - prev) / dt) ** 2))
+            deriv_sq = quad.squares((values - prev) / dt, h1=False)[0]
             w_edge = 0.5 * dt if k in (window_start, n) else dt
             deriv_integral += w_edge * decay * deriv_sq
-            high_power += w_edge * (
-                decay * float(zs[k]) ** (4.0 - 2.0 * p) * power_mass(values, 2.0 * p - 2.0)
-            )
+            high_power += w_edge * (decay * float(zs[k]) ** (4.0 - 2.0 * p) * masses[1])
         np.copyto(prev, values)
 
     memory = _memory_integral(tau, path, epsilon, spec, grid, horizon, dt)

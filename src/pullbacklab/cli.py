@@ -248,6 +248,8 @@ def _resolve(raw, out_dir_override: str | None) -> _Plan:
                     "direct, so there is no tolerance to set; delete the key"
                 )
             cfg = r.made(SolverConfig, r.number("dt"), r.integer("store_stride", 1))
+            r.check(exp.stores or cfg.store_stride == 1, "store_stride",
+                    f"must be 1 for {experiment!r}, which stores nothing, got {cfg.store_stride}")
 
         with ConfigSection(root.get("output", {}), "output") as r:
             out_dir = r.get("directory", ".")
@@ -705,15 +707,17 @@ class Experiment:
     ``describe`` text.  A table is a (header, rows) pair, a Field or a
     trajectory's norm rows (a list, see ``field.trajectory_row``).  Only an
     experiment that ``needs_path`` marches along the configured noise path,
-    so only its config has a noise section."""
+    so only its config has a noise section, and only one that ``stores`` a
+    trajectory reads ``solver.store_stride``: any other takes only 1."""
 
     parse: Callable[[_Block], dict]
     execute: Callable[[_Plan, Path | None], tuple]
     needs_path: bool = True
+    stores: bool = False
 
 
 EXPERIMENTS: dict[str, Experiment] = {
-    "simulate": Experiment(_parse_march, _exec_simulate),
+    "simulate": Experiment(_parse_march, _exec_simulate, stores=True),
     "pullback": Experiment(_parse_march, _exec_pullback),
     "equilibrium": Experiment(_parse_equilibrium, _exec_equilibrium),
     "decay-rate": Experiment(_parse_decay_rate, _exec_decay_rate),

@@ -30,10 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ConfigurationError
-from .field import Field, l2_norm
+from .field import Field, Quadrature
 from .model import ProblemSpec
 from .noise import Path, lattice_steps, shift, z_factor
 from .solver import SolverConfig, final_states, steps_between
@@ -84,17 +82,17 @@ def _endpoints(
 ) -> tuple[Field, ...]:
     """phi for every column, marched as one stack: column i from ``u0s[i]``
     at ``starts[i]`` to the shared ``end`` along ``paths[i]`` re-based at
-    ``tau``, at intensity ``epsilons[i]``, and unconjugated at ``end``.  A
-    column with nothing to march hands its data back as given."""
-    marched = [i for i, start in enumerate(starts) if steps_between(start, end, cfg.dt)]
-    if not marched:
-        return tuple(u0s)
-    ws, v0s = zip(*(_rebased(paths[i], epsilons[i], tau, starts[i], u0s[i]) for i in marched))
-    eps = [epsilons[i] for i in marched]
-    ends = final_states(v0s, [starts[i] for i in marched], end, ws, eps, spec, cfg)
-    out = list(u0s)
-    for i, w, e, v_end in zip(marched, ws, eps, ends):
-        out[i] = v_end.with_values(v_end.values / z_factor(w, e, end))
+    ``tau``, at intensity ``epsilons[i]``, and unconjugated at ``end``.
+    Every column is checked (:func:`~pullbacklab.solver.final_states`); one
+    with nothing to march hands its data back as given."""
+    columns = zip(paths, epsilons, starts, u0s, strict=True)
+    rebased = [_rebased(path, eps, tau, start, u0) for path, eps, start, u0 in columns]
+    ws = [w for w, _ in rebased]
+    ends = final_states([v0 for _, v0 in rebased], starts, end, ws, epsilons, spec, cfg)
+    out = []
+    for u0, start, w, eps, v in zip(u0s, starts, ws, epsilons, ends):
+        marched = steps_between(start, end, cfg.dt)
+        out.append(v.with_values(v.values / z_factor(w, eps, end)) if marched else u0)
     return tuple(out)
 
 
@@ -119,7 +117,8 @@ def pullback_states(
     shared time ``tau`` along ``paths[i]`` at intensity ``epsilons[i]``.
     All columns end at ``tau``, so a column joins the stack when its own
     start time ``tau - ts[i]`` comes (:func:`~pullbacklab.solver.final_states`);
-    a column with a zero horizon hands its data back untouched.  Every
+    a column with a zero horizon is checked as any other (its intensity,
+    and its path's window at ``tau``) and hands its data back untouched.  Every
     column equals its own :func:`pullback_state` bit for bit; a divergence
     raises at the own time of the first column to diverge.
     """
@@ -175,7 +174,6 @@ def verify_cocycle_property(
     lhs = phi(CocycleQuery(t + s, tau, path, epsilon, u0, spec, cfg))
     mid = phi(CocycleQuery(s, tau, path, epsilon, u0, spec, cfg))
     rhs = phi(CocycleQuery(t, tau + s, shift(path, s), epsilon, mid, spec, cfg))
-    num = float(
-        np.sqrt(u0.grid.cell_volume * np.sum((lhs.values - rhs.values) ** 2))
-    )
-    return num / max(1.0, l2_norm(lhs))
+    quad = Quadrature(u0.grid)
+    num = quad.norms(lhs.values - rhs.values, h1=False)[0]
+    return num / max(1.0, quad.norms(lhs.values, h1=False)[0])

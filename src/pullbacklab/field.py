@@ -181,19 +181,23 @@ def eigenmode_rate(grid: Grid, mode: int = 1) -> float:
 
 
 class Quadrature:
-    """The L2, H1 and L^p norms of field values on one grid, reduced in one
-    pass through scratch buffers made once per instance.
+    """Every quadrature of state values on one grid, through scratch buffers
+    made once per instance; no other code sums state values into one.
 
-    The pass squares the values once into a buffer and sums them, and L2
-    and H1 share that sum; it builds the gradient table in place
-    (:func:`_gradient_energy`), then takes |v|^p in the first buffer.
-    Every expression keeps the order and grouping of the plain quadrature
-    it replaces, ``sqrt(h^N * sum(v**2))``, ``sqrt(h^N * (sum(v**2) +
-    sum(grad)))`` and ``(h^N * sum(|v|**p))**(1/p)``, so each norm has its
-    bits.  The values pass the check every :class:`Field` makes
-    (:func:`_check_values`), with the sum of squares as its reduction, so
-    the pass reduces a state that no :class:`Field` wraps, such as one
-    streamed from a march, with no check skipped.
+    :meth:`squares` gives h^N*sum(v**2), h^N*(sum(v**2) + sum(grad)) and
+    h^N*sum(|v|**q) per power q, squaring the values once for both sums and
+    building the gradient table in place (:func:`_gradient_energy`);
+    :meth:`norms` roots them, and :meth:`superlevel` takes |v| once for
+    max|v| and every level's superlevel mass.  Each expression keeps the
+    order and grouping of the plain formula, so each value has its bits, and
+    the values pass a :class:`Field`'s check (:func:`_check_values`) with
+    that sum or maximum as its reduction, so a raw streamed state or a
+    difference ``a - b`` skips no check.  It serves the norms here,
+    :func:`trajectory_row` and :func:`superlevel_measure_integrand`;
+    ``solver``'s difference history, energy audit and convergence gaps;
+    ``cocycle``'s composition residual; ``attractor``'s equilibrium
+    increments, sample diameter, Hausdorff distances, tail profile norms,
+    truncation ladder and window witnesses; and ``cli``'s state norms.
     """
 
     def __init__(self, grid: Grid):
@@ -203,6 +207,26 @@ class Quadrature:
         self._grad = np.empty(grid.shape)
         self._dy = None if grid.dimension == 1 else np.empty((m, m - 1))
 
+    def squares(
+        self, values: np.ndarray, h1: bool = True, powers: Sequence[float] = ()
+    ) -> tuple[float, float | None, list[float]]:
+        """h^N * sum(v**2), h^N * (sum(v**2) + sum(grad)) and, for each q in
+        ``powers``, h^N * sum(|v|**q) of ``values``; the second is None when
+        ``h1`` is false."""
+        sq = self._sq
+        sum_sq = _check_values(self.grid, values, lambda v: np.sum(np.multiply(v, v, out=sq)))
+        cv = self.grid.cell_volume
+        h1_sq = None
+        if h1:
+            grad = _gradient_energy(values, self.grid.spacing, self._grad, self._dy)
+            h1_sq = float(cv * (sum_sq + np.sum(grad)))
+        masses = []
+        for q in powers:
+            np.abs(values, out=sq)
+            sq **= q
+            masses.append(float(cv * np.sum(sq)))
+        return float(cv * sum_sq), h1_sq, masses
+
     def norms(
         self, values: np.ndarray, h1: bool = True, p: float | None = None
     ) -> tuple[float, float | None, float | None]:
@@ -210,19 +234,28 @@ class Quadrature:
         L^p is None without a ``p``."""
         if p is not None and p < 1.0:
             raise ValueError(f"lp_norm needs p >= 1, got {p}")
-        sq = self._sq
-        sum_sq = _check_values(self.grid, values, lambda v: np.sum(np.multiply(v, v, out=sq)))
+        l2_sq, h1_sq, masses = self.squares(values, h1, () if p is None else (p,))
+        h1_value = None if h1_sq is None else float(np.sqrt(h1_sq))
+        return float(np.sqrt(l2_sq)), h1_value, None if p is None else masses[0] ** (1.0 / p)
+
+    def superlevel(
+        self, values: np.ndarray, levels: Sequence[float], power: float
+    ) -> tuple[float, list[float]]:
+        """max |v| of ``values`` and, for each of ``levels``, h^N times the
+        sum of |v|**power over the points where |v| >= level (0.0 where
+        there are none)."""
+        if min(levels, default=1.0) <= 0.0:
+            raise ValueError(f"level must be positive, got {min(levels)}")
+        if power <= 0.0:
+            raise ValueError(f"power must be positive, got {power}")
+        magnitude = self._sq
+        top = _check_values(self.grid, values, lambda v: np.max(np.abs(v, out=magnitude)))
         cv = self.grid.cell_volume
-        l2 = float(np.sqrt(cv * sum_sq))
-        h1_value = lp = None
-        if h1:
-            grad = _gradient_energy(values, self.grid.spacing, self._grad, self._dy)
-            h1_value = float(np.sqrt(cv * (sum_sq + np.sum(grad))))
-        if p is not None:
-            np.abs(values, out=sq)
-            sq **= p
-            lp = float((cv * np.sum(sq)) ** (1.0 / p))
-        return l2, h1_value, lp
+        masses = []
+        for level in levels:
+            mask = magnitude >= level
+            masses.append(float(cv * np.sum(magnitude[mask] ** power)) if mask.any() else 0.0)
+        return float(top), masses
 
 
 def l2_norm(f: Field) -> float:
@@ -292,14 +325,7 @@ def tail_norm(f: Field, k: float, which: str = "l2") -> float:
 
 def superlevel_measure_integrand(f: Field, level: float, power: float) -> float:
     """h^N * sum of |v|^power over points where |v| >= level."""
-    if level <= 0.0:
-        raise ValueError(f"level must be positive, got {level}")
-    if power <= 0.0:
-        raise ValueError(f"power must be positive, got {power}")
-    mask = np.abs(f.values) >= level
-    if not mask.any():
-        return 0.0
-    return float(f.grid.cell_volume * np.sum(np.abs(f.values[mask]) ** power))
+    return Quadrature(f.grid).superlevel(f.values, (level,), power)[1][0]
 
 
 # -- trajectories -----------------------------------------------------------

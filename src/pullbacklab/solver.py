@@ -63,7 +63,8 @@ and H1 witnesses of :mod:`~pullbacklab.attractor`, checks it as a
 :class:`Field` would and consumes it at constant memory with no copy, and
 :func:`integrate`, the one place a stored state becomes a :class:`Field`,
 collects it into a :class:`Trajectory`.  :func:`difference_history` reduces
-the stream at its sample stride and :func:`energy_audit` at a stride of 1;
+the stream at its sample stride and :func:`energy_audit` at a stride of 1,
+each state through one :class:`~pullbacklab.field.Quadrature` pass;
 :func:`energy_audit` alone keeps a per-step z series, as its result is per
 step.  :func:`final_states`, and so :func:`final_state`, keeps only the
 endpoints, checks them for a leak itself, and has one driver,
@@ -104,7 +105,7 @@ from .errors import (
     OutOfWindowError,
     WorkerError,
 )
-from .field import Field, Grid, Trajectory, field_from_function, l2_norm
+from .field import Field, Grid, Quadrature, Trajectory, field_from_function
 from .model import (
     _FORCING_BLOCK,
     CubicReaction,
@@ -289,9 +290,11 @@ class _Context:
         In 1D ``rhs_interior`` is one vector or a (k, m-2) stack of rows,
         copied into a :meth:`solve_source` stack and solved by the product
         :meth:`stack_solver` makes (a lone row beside a zero lane); in 2D it
-        is one field or a stack of them, solved by fast diagonalisation."""
+        is one field or a stack of them, solved by the same bound product."""
         if self.grid.dimension == 2:
-            return self._diagonalised(rhs_interior)
+            sol = np.empty(np.shape(rhs_interior))
+            self.stack_solver(rhs_interior, sol)()
+            return sol
         rows = np.atleast_2d(rhs_interior)
         src = self.solve_source(len(rows))
         dst = np.zeros(src.shape)
@@ -336,8 +339,8 @@ class _Context:
         t1, t2 = np.empty(src.shape), np.empty(src.shape)
 
         def solve() -> None:
-            # _diagonalised's products in its order, through two scratch
-            # stacks, the last one written straight into dst
+            # Q ((Q R Q) * inv) Q through two scratch stacks, into dst; matmul
+            # takes a stack one field at a time, so no bit depends on k
             matmul(q, src, t1)
             matmul(t1, q, t2)
             mul(t2, inv, t2)
@@ -345,12 +348,6 @@ class _Context:
             matmul(t1, q, dst)
 
         return solve
-
-    def _diagonalised(self, rhs: np.ndarray) -> np.ndarray:
-        """The 2D solve of one interior field or of a stack of them; matmul
-        takes a stack one field at a time, so the bits do not depend on k."""
-        q = self._q
-        return q @ ((q @ rhs @ q) * self._inv) @ q
 
     def forcing_values(self, t: float | np.ndarray) -> np.ndarray:
         """g at time t shaped like a field.  An array of times gives one
@@ -737,8 +734,8 @@ def stored_values(
     boundary leak.  The first array is ``v0.values``; every later one is the
     kernel's own buffer, valid only until the next ``next``, and no
     :class:`Field` has checked it, so a consumer copies what it keeps and
-    checks what it reduces, with the check a Field makes
-    (``field._check_values``).  A consumer that keeps nothing runs at
+    reduces it through a :class:`~pullbacklab.field.Quadrature` pass, which
+    checks it as a Field would.  A consumer that keeps nothing runs at
     constant memory: a reduction over a long run consumes the march, not a
     stored copy of it.
     """
@@ -1079,12 +1076,12 @@ def difference_history(
     cfg = replace(cfg, store_stride=sample_stride)
     paths, epsilons = (path, path), (spec.epsilon,) * 2
     (n, _), ctx = _setup(v0_a.grid, (t_start,) * 2, t_end, paths, epsilons, spec, cfg)
-    vol = v0_a.grid.cell_volume
+    quad = Quadrature(v0_a.grid)
     stack = np.stack([v0_a.values, v0_b.values])
     times, norms = [], []
     for t, v in _strided(ctx, stack, t_start, paths, epsilons, n):
         times.append(t)
-        norms.append(vol * float(np.sum((v[0] - v[1]) ** 2)))
+        norms.append(quad.squares(v[0] - v[1], h1=False)[0])
     return np.array(times), np.array(norms)
 
 
@@ -1126,10 +1123,8 @@ def self_convergence(
     for dt in dt_ladder:
         cfg = SolverConfig(dt=dt, store_stride=10**9)
         finals.append(final_state(v0, 0.0, horizon, path, spec, cfg))
-    diffs = [
-        l2_norm(Field(v0.grid, a.values - b.values))
-        for a, b in zip(finals, finals[1:])
-    ]
+    quad = Quadrature(v0.grid)
+    diffs = [quad.norms(a.values - b.values, h1=False)[0] for a, b in zip(finals, finals[1:])]
     ratios = [d0 / d1 for d0, d1 in zip(diffs, diffs[1:])]
     orders = [float(np.log2(r)) for r in ratios]
     return ConvergenceReport(
@@ -1175,9 +1170,8 @@ def spatial_convergence(
             else end.values[::stride, ::stride]
         )
         restricted.append(vals)
-    diffs = [
-        l2_norm(Field(coarse, a - b)) for a, b in zip(restricted, restricted[1:])
-    ]
+    quad = Quadrature(coarse)
+    diffs = [quad.norms(a - b, h1=False)[0] for a, b in zip(restricted, restricted[1:])]
     ratios = [d0 / d1 for d0, d1 in zip(diffs, diffs[1:])]
     orders = [float(np.log2(r)) for r in ratios]
     return ConvergenceReport(
@@ -1222,16 +1216,15 @@ def energy_audit(
 ) -> EnergyAudit:
     cfg = replace(cfg, store_stride=1)
     (n,), ctx = _setup(v0.grid, (t_start,), t_end, (path,), (spec.epsilon,), spec, cfg)
-    vol = v0.grid.cell_volume
-    psi1_mass = float(vol * np.sum(spec.nonlinearity.psi1(v0.grid.points)))
+    psi1_mass = float(v0.grid.cell_volume * np.sum(spec.nonlinearity.psi1(v0.grid.points)))
     c = 2.0 * max(1.0, 1.0 / spec.lam)
     # the result is per step, so the z and forcing series are too
     zs = z_series(path, spec.epsilon, t_start, n, cfg.dt)
     g_sq = forcing_norms_sq(spec.forcing, v0.grid, t_start + np.arange(n) * cfg.dt)
     states = _strided(ctx, v0.values[np.newaxis], t_start, (path,), (spec.epsilon,), n)
-    out = np.empty(n)
+    quad, out = Quadrature(v0.grid), np.empty(n)
     for j, (_, v) in enumerate(states, start=-1):
-        next_sq = vol * float(np.sum(v[0] ** 2))
+        next_sq = quad.squares(v[0], h1=False)[0]
         if j >= 0:
             z = float(zs[j])
             allowance = c * cfg.dt * z**2 * (float(g_sq[j]) + psi1_mass)

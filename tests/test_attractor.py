@@ -37,10 +37,9 @@ from pullbacklab.field import (
     Field,
     Grid,
     gaussian_bump,
-    gradient_energy_density,
     h1_norm,
     l2_norm,
-    superlevel_measure_integrand,
+    zero_boundary,
     zero_field,
 )
 from pullbacklab.model import (
@@ -66,6 +65,24 @@ pytestmark = pytest.mark.filterwarnings("ignore::pullbacklab.errors.BoundaryLeak
 def _diff_norm(a, b, which="l2"):
     norm = l2_norm if which == "l2" else h1_norm
     return norm(a.with_values(a.values - b.values))
+
+
+def _plain_grad(v, h):
+    """The forward-difference gradient table, written out with temporaries."""
+    g = np.zeros_like(v)
+    g[:-1] += ((v[1:] - v[:-1]) / h) ** 2
+    if v.ndim == 2:
+        g[:, :-1] += ((v[:, 1:] - v[:, :-1]) / h) ** 2
+    return g
+
+
+def _plain_norm(v, grid, which="l2"):
+    """sqrt(h^N * sum(v**2)), with the gradient table's sum added inside
+    for "h1": the quadrature the gap reductions replaced, written out."""
+    total = np.sum(v**2)
+    if which == "h1":
+        total = total + np.sum(_plain_grad(v, grid.spacing))
+    return float(np.sqrt(grid.cell_volume * total))
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +129,24 @@ def test_equilibrium_forgets_initial_data(equilibrium_pair):
     res, res_other = equilibrium_pair
     gap = _diff_norm(res.state, res_other.state)
     assert gap <= 1e-5 * (1.0 + res.l2)
+
+
+def test_equilibrium_increments_have_the_bits_of_the_plain_quadrature(
+    desk_spec, desk_grid, deep_path, cfg
+):
+    # each increment is the plain L2 gap of two horizons' states over one
+    # plus the newer state's plain L2 norm, each state pulled back alone
+    schedule = [0.5, 1.0, 1.5]
+    u0 = gaussian_bump(desk_grid, 1.0, 1.5)
+    res = compute_equilibrium(0.5, deep_path, 0.5, desk_spec, cfg, u0, schedule)
+    states = [
+        pullback_state(t, 0.5, deep_path, 0.5, u0, desk_spec, cfg).values for t in schedule
+    ]
+    want = tuple(
+        (t, _plain_norm(cur - prev, desk_grid) / (1.0 + _plain_norm(cur, desk_grid)))
+        for t, prev, cur in zip(schedule[1:], states, states[1:])
+    )
+    assert res.history == want
 
 
 def test_equilibrium_validation(desk_spec, desk_grid, desk_path, cfg):
@@ -231,6 +266,19 @@ def test_hausdorff_semidistance_hand_oracle():
     assert hausdorff_semidistance([a, b], [a]) == pytest.approx(math.sqrt(5.0))
     diff = a.with_values(a.values - b.values)
     assert hausdorff_semidistance([a], [b], which="h1") == pytest.approx(h1_norm(diff))
+
+
+@pytest.mark.parametrize("dimension, m", [(1, 129), (2, 17)])
+def test_hausdorff_gaps_have_the_bits_of_the_plain_quadratures(dimension, m):
+    grid = Grid(dimension, 4.0, m)
+    rng = np.random.default_rng(m)
+    a, b = (
+        [Field(grid, zero_boundary(rng.standard_normal(grid.shape))) for _ in range(k)]
+        for k in (3, 4)
+    )
+    for which in ("l2", "h1"):
+        want = max(min(_plain_norm(x.values - y.values, grid, which) for y in b) for x in a)
+        assert hausdorff_semidistance(a, b, which) == want
 
 
 def test_hausdorff_semidistance_validation():
@@ -438,18 +486,23 @@ def test_truncation_window_is_reduced_as_it_is_marched(desk_spec, desk_grid):
 
 def test_truncation_values_equal_the_collected_window(desk_spec, desk_grid, desk_path, cfg):
     # the integrals read off the stream have the bits of ones read off the
-    # window that integrate collects
+    # window that integrate collects, each superlevel mass by the formula
+    # the pass replaced
     u0 = gaussian_bump(desk_grid, 1.0, 1.5)
-    levels = (0.02, 0.05, 0.1)
+    levels = (0.02, 0.05, 0.1, 1e6)
     streamed = truncation_diagnostics(0.5, desk_path, 0.5, desk_spec, cfg, u0, 1.0, levels)
     w = shift(desk_path, -0.5)
     v0 = u0.with_values(u0.values * z_factor(w, 0.5, -0.5))
     traj = integrate(v0, -0.5, 0.5, w, replace(desk_spec, epsilon=0.5), cfg)
-    p = desk_spec.nonlinearity.p
+    power, vol = 2.0 * desk_spec.nonlinearity.p - 4.0, desk_grid.cell_volume
+
+    def mass(v, level):
+        mask = np.abs(v) >= level
+        return float(vol * np.sum(np.abs(v[mask]) ** power)) if mask.any() else 0.0
+
     for diag in streamed:
         integrand = [
-            math.exp(diag.rho * (s - 0.5))
-            * superlevel_measure_integrand(state, diag.level, 2.0 * p - 4.0)
+            math.exp(diag.rho * (s - 0.5)) * mass(state.values, diag.level)
             for s, state in zip(traj.times, traj.states)
         ]
         assert diag.value == float(np.trapezoid(np.array(integrand), traj.times))
@@ -492,7 +545,7 @@ def _reference_window_report(tau, path, epsilon, spec, cfg, u0, horizon):
     )
 
     def h1_sq(f):
-        return float(vol * (np.sum(f.values**2) + np.sum(gradient_energy_density(f))))
+        return float(vol * (np.sum(f.values**2) + np.sum(_plain_grad(f.values, f.grid.spacing))))
 
     def power_mass(f, q):
         return float(vol * np.sum(np.abs(f.values) ** q))

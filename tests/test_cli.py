@@ -551,6 +551,21 @@ def test_tail_fraction_radius_needs_fraction_bound(tmp_path, capsys):
     assert "missing key 'fraction_bound' in config.tail" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", sorted(set(SHIPPED) - {"simulate", "simulate_2d"}))
+def test_store_stride_rejected_where_no_trajectory_is_stored(tmp_path, capsys, name):
+    # only simulate stores a trajectory; elsewhere a stride other than the
+    # 1 the summary echoes would be ignored, so it is refused while parsing
+    # and nothing marches or is written
+    cfg = shipped(name)
+    cfg["solver"]["store_stride"] = 7
+    code, out = run_into(tmp_path, cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"solver.store_stride must be 1 for {cfg['experiment']!r}" in err
+    assert "stores nothing, got 7" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["upper_semi", "check_hypotheses"])
 def test_noise_section_rejected_where_no_path_is_read(tmp_path, capsys, name):
     cfg = shipped(name)

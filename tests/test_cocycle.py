@@ -8,13 +8,15 @@ conjugation factors, so the floating-point sequences coincide.
 import numpy as np
 import pytest
 
+from pullbacklab import cocycle
 from pullbacklab.cocycle import (
     CocycleQuery,
     phi,
     pullback_state,
+    pullback_states,
     verify_cocycle_property,
 )
-from pullbacklab.errors import ConfigurationError
+from pullbacklab.errors import ConfigurationError, OutOfWindowError
 from pullbacklab.field import Grid, gaussian_bump, l2_norm, zero_field
 from pullbacklab.noise import sample_path, shift
 
@@ -55,6 +57,61 @@ def test_composition_residual_vanishes(desk_spec, desk_cfg, wide_path):
     )
     # the two routes see identical lattice samples and conjugation factors
     assert residual <= 1e-13
+
+
+def test_composition_residual_has_the_bits_of_the_plain_quadrature(
+    monkeypatch, desk_spec, desk_cfg, wide_path
+):
+    # the oracle is the formula the residual replaced, sqrt(h^N * sum(d**2))
+    # over the two routes' states, relative to the left one's L2 norm; the
+    # routes can agree to the last bit, so the right one is moved off by a
+    # small bump to make the numerator nonzero whatever the BLAS kernels
+    grid = Grid(1, 8.0, 129)
+    u0 = gaussian_bump(grid, 1.0, 1.5)
+    states = []
+
+    def recorded(q):
+        out = phi(q)
+        if len(states) == 2:  # the right route's second leg
+            out = out.with_values(out.values + 1e-9 * u0.values)
+        states.append(out)
+        return out
+
+    monkeypatch.setattr(cocycle, "phi", recorded)
+    residual = verify_cocycle_property(0.5, 0.25, 0.0, wide_path, 0.5, u0, desk_spec, desk_cfg)
+    lhs, _, rhs = states
+    vol = grid.cell_volume
+    num = float(np.sqrt(vol * np.sum((lhs.values - rhs.values) ** 2)))
+    den = max(1.0, float(np.sqrt(vol * np.sum(lhs.values**2))))
+    assert residual > 0.0
+    assert residual == num / den
+
+
+def test_a_zero_horizon_column_is_checked_as_any_other(desk_spec, desk_cfg, wide_path):
+    # an intensity of 5 is refused on a column with nothing to march, alone
+    # or beside one that marches, and a good one comes back as u0 itself
+    u0 = gaussian_bump(Grid(1, 8.0, 129), 1.0, 1.5)
+    with pytest.raises(ConfigurationError, match="intensity"):
+        pullback_states((0.0,), 0.0, (wide_path,), (5.0,), (u0,), desk_spec, desk_cfg)
+    with pytest.raises(ConfigurationError, match="intensity"):
+        pullback_states(
+            (0.5, 0.0), 0.0, (wide_path,) * 2, (0.5, 5.0), (u0, u0), desk_spec, desk_cfg
+        )
+    out = pullback_states(
+        (0.5, 0.0), 0.0, (wide_path,) * 2, (0.5, 0.5), (u0, u0), desk_spec, desk_cfg
+    )
+    assert out[1] is u0
+
+
+def test_a_zero_horizon_column_must_lie_in_its_path_window(desk_spec, desk_cfg):
+    # the path's window [-0.5, 0.5] does not reach tau = 3, where the column
+    # is re-based, whether it pulls back over nothing or runs for no time
+    short = sample_path(3, -0.5, 0.5, 1e-3)
+    u0 = gaussian_bump(Grid(1, 8.0, 129), 1.0, 1.5)
+    with pytest.raises(OutOfWindowError):
+        pullback_states((0.0,), 3.0, (short,), (0.5,), (u0,), desk_spec, desk_cfg)
+    with pytest.raises(OutOfWindowError):
+        phi(CocycleQuery(0.0, 3.0, short, 0.5, u0, desk_spec, desk_cfg))
 
 
 def test_composition_with_zero_legs_is_exact(desk_spec, desk_cfg, wide_path):

@@ -138,6 +138,19 @@ def test_fused_pass_has_the_bits_of_the_plain_quadratures(dimension, m):
         assert quad.norms(f.values) == (want[0], want[1], None)
         assert quad.norms(f.values, h1=False) == (want[0], None, None)
         assert np.array_equal(gradient_energy_density(f), grad)
+        # the weighted squares and masses the norms are rooted from
+        v, cv = f.values, grid.cell_volume
+        masses = [float(cv * np.sum(np.abs(v) ** q)) for q in (4.0, 6.0)]
+        want_sq = (float(cv * np.sum(v**2)), float(cv * (np.sum(v**2) + np.sum(grad))), masses)
+        assert quad.squares(v, powers=(4.0, 6.0)) == want_sq
+        assert quad.squares(v, h1=False) == (want_sq[0], None, [])
+        # the superlevel pass: max |v| and each level's mass, 0.0 above it
+        top = float(np.max(np.abs(v)))
+        levels = (0.5 * top, top, 2.0 * top)
+        plain = [
+            float(cv * np.sum(np.abs(v[np.abs(v) >= level]) ** 4.0)) for level in levels[:2]
+        ]
+        assert quad.superlevel(v, levels, 4.0) == (top, [*plain, 0.0])
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
@@ -161,6 +174,20 @@ def test_fused_pass_checks_values_as_a_field_does(dimension):
                 check()
     with pytest.raises(GridMismatchError):
         quad.norms(np.zeros((7,) * dimension))
+    # every pass checks as a Field does: the squares and the superlevel pass
+    spoiled = good.copy()
+    spoiled[(4,) * dimension] = np.nan
+    passes = (
+        lambda: quad.squares(spoiled, h1=False),
+        lambda: quad.superlevel(spoiled, (1.0,), 2.0),
+    )
+    for check in passes:
+        with pytest.raises(ValueError, match="must be finite"):
+            check()
+    with pytest.raises(ValueError, match="level must be positive"):
+        quad.superlevel(good, (1.0, 0.0), 2.0)
+    with pytest.raises(ValueError, match="power must be positive"):
+        quad.superlevel(good, (1.0,), 0.0)
     # finite values whose squares overflow are finite, in a Field and here
     huge = good * 1e200
     with np.errstate(over="ignore"):

@@ -23,8 +23,14 @@ from pullbacklab.errors import (
     DivergenceError,
 )
 from pullbacklab.field import Field, Grid, eigenmode, gaussian_bump, l2_norm, zero_field
-from pullbacklab.model import Nonlinearity, ProblemSpec, canonical_cubic, zero_forcing
-from pullbacklab.noise import flat_path, refine, sample_path
+from pullbacklab.model import (
+    Nonlinearity,
+    ProblemSpec,
+    canonical_cubic,
+    forcing_norms_sq,
+    zero_forcing,
+)
+from pullbacklab.noise import flat_path, refine, sample_path, z_series
 from pullbacklab.solver import (
     SolverConfig,
     _Context,
@@ -126,6 +132,18 @@ def test_direct_2d_solve_residual_property(m, dt, lam, seed):
     assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(rhs))
 
 
+def test_2d_solve_has_the_bits_of_the_fast_diagonalisation_formula():
+    # one field, a stack and a strided interior view, each against
+    # Q ((Q R Q) * inv) Q written out with temporaries
+    grid = Grid(2, 6.0, 17)
+    ctx = _Context(grid, linear_spec(2, 6.0), SolverConfig(dt=1e-3))
+    q, inv = ctx._q, ctx._inv
+    rng = np.random.default_rng(9)
+    full = rng.standard_normal(grid.shape)
+    for rhs in (rng.standard_normal((15, 15)), rng.standard_normal((3, 15, 15)), full[1:-1, 1:-1]):
+        assert np.array_equal(ctx.solve_implicit(rhs), q @ ((q @ rhs @ q) * inv) @ q)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     m=st.integers(min_value=2, max_value=20).map(lambda h: 2 * h + 1),
@@ -210,6 +228,25 @@ def test_difference_history_contracts(desk_spec, desk_path, desk_cfg):
     assert sq[-1] < sq[0]
     # effective damping lam - alpha3 = 1 forces at least e^{-2} over 2 units
     assert sq[-1] < sq[0] * np.exp(-1.0)
+
+
+@pytest.mark.parametrize("dimension, m", [(1, 129), (2, 33)])
+def test_difference_history_has_the_bits_of_the_plain_squared_gaps(
+    desk_spec, desk_path, desk_cfg, dimension, m
+):
+    # the oracle is the formula the squared gaps replaced, h^N * sum((a - b)**2),
+    # over each run collected alone at the sample stride
+    spec = replace(desk_spec, dimension=dimension, domain_radius=6.0)
+    grid = Grid(dimension, 6.0, m)
+    a, b = gaussian_bump(grid, 1.0, 1.5), gaussian_bump(grid, -0.5, 2.0)
+    times, sq = difference_history(a, b, 0.0, 0.1, desk_path, spec, desk_cfg, 7)
+    stored = replace(desk_cfg, store_stride=7)
+    runs = [integrate(v0, 0.0, 0.1, desk_path, spec, stored) for v0 in (a, b)]
+    vol = grid.cell_volume
+    pairs = zip(runs[0].states, runs[1].states)
+    want = [vol * float(np.sum((x.values - y.values) ** 2)) for x, y in pairs]
+    assert np.array_equal(times, runs[0].times)
+    assert sq.tolist() == want
 
 
 @pytest.mark.parametrize("stride", [0, -1, 2.5, True])
@@ -328,6 +365,26 @@ def test_energy_audit_inequality_holds(desk_spec, desk_path):
     assert audit.violations.shape == (1000,)
     # the discrete estimate holds with slack on the desk instance
     assert audit.max_violation <= 0.0
+
+
+def test_energy_audit_has_the_bits_of_the_plain_squared_norms(desk_spec, desk_path, desk_cfg):
+    # the oracle is the formula the squared norms replaced, h^N * sum(v**2),
+    # over the run integrate collects at every step
+    grid = Grid(1, 8.0, 129)
+    v0 = gaussian_bump(grid, 1.0, 1.5)
+    dt, lam, n = desk_cfg.dt, desk_spec.lam, 100
+    audit = energy_audit(v0, 0.0, n * dt, desk_path, desk_spec, desk_cfg)
+    traj = integrate(v0, 0.0, n * dt, desk_path, desk_spec, desk_cfg)
+    sq = [grid.cell_volume * float(np.sum(state.values**2)) for state in traj.states]
+    zs = z_series(desk_path, desk_spec.epsilon, 0.0, n, dt)
+    g_sq = forcing_norms_sq(desk_spec.forcing, grid, np.arange(n) * dt)
+    c, psi1 = audit.constant, audit.psi1_mass
+    want = [
+        sq[j + 1] - sq[j] + dt * lam * sq[j + 1]
+        - c * dt * float(zs[j]) ** 2 * (float(g_sq[j]) + psi1)
+        for j in range(n)
+    ]
+    assert audit.violations.tolist() == want
 
 
 def leak_spec() -> ProblemSpec:
