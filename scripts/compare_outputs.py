@@ -5,8 +5,10 @@ Each tree holds one directory per config, named after the config file
 exist yet is first filled by running every ``configs/*.json`` into it with
 the package found under ``--src-a`` or ``--src-b`` (default: this
 checkout's ``src``), and each run's exit code, own peak RSS and the
-number of ``BoundaryLeakWarning``s it wrote to stderr are printed; an
-existing tree is taken as it is.  Per config the script
+number of ``BoundaryLeakWarning``s it wrote to stderr are printed, then
+on a line of their own the places those warnings name (``file:line ×count``),
+so a warning that moves shows in every comparison; an existing tree is
+taken as it is.  Per config the script
 reports whether the CSV files are byte-identical and whether the
 summaries are equal once ``metadata`` (the timestamp) and
 ``config.output.directory`` are dropped, since those two differ between
@@ -27,11 +29,13 @@ tree with.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import glob
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -42,7 +46,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def fill(tree: str, src: str, configs: list[str]) -> None:
     """Run every config into its own directory under ``tree``, one process
     each, and print each run's exit code, peak RSS and count of
-    ``BoundaryLeakWarning`` lines on stderr."""
+    ``BoundaryLeakWarning`` lines on stderr, then where they point."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     for config in configs:
         out = os.path.join(tree, stem_of(config))
@@ -56,8 +60,18 @@ def fill(tree: str, src: str, configs: list[str]) -> None:
         leaks = stderr.count(": BoundaryLeakWarning: ")
         print(f"ran {stem_of(config)} into {tree} (exit {code}), peak RSS {peak_mb:.1f} MB, "
               f"{leaks} BoundaryLeakWarnings")
+        print(f"  {stem_of(config)} leak warnings at: {leak_places(stderr)}")
         if not any(name.endswith("_summary.json") for name in _listing(out)):
             print(stderr, file=sys.stderr)
+
+
+def leak_places(stderr: str) -> str:
+    """Each distinct place a ``BoundaryLeakWarning`` on ``stderr`` names,
+    as ``file:line ×count`` in order of first appearance (the file by its
+    base name, so two checkouts compare); "none" without one."""
+    found = re.findall(r"^(.+):(\d+): BoundaryLeakWarning: ", stderr, re.MULTILINE)
+    places = collections.Counter(f"{os.path.basename(f)}:{line}" for f, line in found)
+    return ", ".join(f"{place} ×{count}" for place, count in places.items()) or "none"
 
 
 def run_measured(argv: list[str], env: dict) -> tuple[int, str, float]:

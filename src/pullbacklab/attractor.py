@@ -465,6 +465,10 @@ def tail_profile(
     """Pull ``u0`` back over ``horizon`` and measure the mass beyond each radius."""
     if not radii:
         raise ConfigurationError("radii must not be empty")
+    if max(radii) > u0.grid.radius:
+        raise ConfigurationError(
+            f"tail radius {max(radii)!r} exceeds the domain radius {u0.grid.radius!r}"
+        )
     state = pullback_state(horizon, tau, path, epsilon, u0, spec, cfg)
     full_l2, full_h1, _ = Quadrature(state.grid).norms(state.values)
     rows = tuple(
@@ -563,14 +567,14 @@ def truncation_diagnostics(
         raise ConfigurationError(
             f"horizon must cover the unit window, got {horizon!r}"
         )
+    power = 2.0 * spec.nonlinearity.p - 4.0
+    if power <= 0.0:
+        raise ConfigurationError(f"power 2p - 4 must be positive, got {power}")
     rhos = _truncation_rates(path, epsilon, spec, tau, levels)
     spec_eps = replace(spec, epsilon=epsilon)
     w, v0 = _rebased(path, epsilon, tau, tau - horizon, u0)
     burn_end = tau - 1.0
     v_burn = final_state(v0, tau - horizon, burn_end, w, spec_eps, cfg)
-    power = 2.0 * spec.nonlinearity.p - 4.0
-    if power <= 0.0:
-        raise ValueError(f"power must be positive, got {power}")
     quad = Quadrature(u0.grid)
     times, integrands, window_max = [], [[] for _ in levels], 0.0
     window = stored_values(v_burn, burn_end, tau, w, spec_eps, replace(cfg, store_stride=1))

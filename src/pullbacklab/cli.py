@@ -52,7 +52,8 @@ from .attractor import (
     truncation_diagnostics,
     upper_semicontinuity_sweep,
 )
-from .cocycle import _rebased, pullback_state, pullback_states, verify_cocycle_property
+from .cocycle import CocycleQuery, phi_states, pullback_state, pullback_states
+from .cocycle import verify_cocycle_property
 from .errors import (
     ConfigurationError,
     DivergenceError,
@@ -67,20 +68,12 @@ from .field import (
     gaussian_bump,
     l2_norm,
     write_field_csv,
-    write_trajectory_csv,
+    write_table_csv,
     zero_field,
 )
 from .model import ConfigSection, ProblemSpec, check_hypotheses, grid_for, spec_from_config
-from .noise import (
-    Path,
-    flat_path,
-    lattice_steps,
-    refine,
-    refine_levels,
-    sample_path,
-    z_factor,
-)
-from .solver import SolverConfig, stored_values, worker_count
+from .noise import Path, flat_path, lattice_steps, refine, refine_levels, sample_path
+from .solver import SolverConfig, worker_count
 
 # ---------------------------------------------------------------------------
 # config resolution
@@ -242,11 +235,6 @@ def _resolve(raw, out_dir_override: str | None) -> _Plan:
             grid = r.made(grid_for, spec, r.integer("points_per_axis"))
 
         with ConfigSection(root.get("solver"), "solver") as r:
-            if "linear_solver_tol" in r.raw:
-                raise ConfigurationError(
-                    "solver.linear_solver_tol was removed: both implicit solves are now "
-                    "direct, so there is no tolerance to set; delete the key"
-                )
             cfg = r.made(SolverConfig, r.number("dt"), r.integer("store_stride", 1))
             r.check(exp.stores or cfg.store_stride == 1, "store_stride",
                     f"must be 1 for {experiment!r}, which stores nothing, got {cfg.store_stride}")
@@ -311,27 +299,19 @@ def _exec_simulate(plan: _Plan, path: Path):
     """simulate: march the equation forward from time tau over a horizon along one
     noise path and record the state's norms.  Emits final and initial L2/H1/Lp
     norms in the summary and a trajectory CSV (columns: t, l2, h1, l{p})."""
-    b = plan.block
-    spec, cfg = plan.spec, plan.cfg
-    eps = spec.epsilon
-    tau, horizon = b["tau"], b["horizon"]
-    u0 = b["initial"]
-    w, v0 = _rebased(path, eps, tau, tau, u0)
-    p = spec.nonlinearity.p
-    # each stored state is unconjugated into one buffer and reduced to its
-    # CSV row, in one checked pass, as the march yields it
-    quad, u = Quadrature(u0.grid), np.empty(u0.grid.shape)
-    rows = []
-    for t, v in stored_values(v0, tau, tau + horizon, w, spec, cfg):
-        np.divide(v, z_factor(w, eps, float(t)), out=u)
-        rows.append([float(t), *quad.norms(u, p=p)])
+    b, spec = plan.block, plan.spec
+    query = CocycleQuery(b["horizon"], b["tau"], path, spec.epsilon, b["initial"], spec, plan.cfg)
+    # each stored state is reduced to its CSV row, in one checked pass, as
+    # the run yields it
+    quad, p = Quadrature(plan.grid), spec.nonlinearity.p
+    rows = [[float(t), *quad.norms(u, p=p)] for t, u in phi_states(query)]
     names = ("l2", "h1", f"l{p:g}")
     results = {
         "initial_norms": dict(zip(names, rows[0][1:])),
         "final_norms": dict(zip(names, rows[-1][1:])),
         "stored_states": len(rows),
     }
-    return results, {"completed": True}, {"trajectory": rows}
+    return results, {"completed": True}, {"trajectory": (["t", *names], rows)}
 
 
 def _exec_pullback(plan: _Plan, path: Path):
@@ -704,8 +684,7 @@ def _exec_absorbing(plan: _Plan, path: Path):
 class Experiment:
     """``parse`` reads the config block into ``plan.block``; ``execute(plan,
     path)`` returns (results, checks, tables), and its docstring is the
-    ``describe`` text.  A table is a (header, rows) pair, a Field or a
-    trajectory's norm rows (a list, see ``field.trajectory_row``).  Only an
+    ``describe`` text.  A table is a (header, rows) pair or a Field.  Only an
     experiment that ``needs_path`` marches along the configured noise path,
     so only its config has a noise section, and only one that ``stores`` a
     trajectory reads ``solver.store_stride``: any other takes only 1."""
@@ -752,7 +731,7 @@ def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -761,30 +740,18 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _write_table_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [repr(c) if isinstance(c, float) else str(c) for c in row]
-        lines.append(",".join(cells))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
 def _emit(plan: _Plan, results, checks, tables, retried, say) -> str:
     os.makedirs(plan.out_dir, exist_ok=True)
     stem = plan.experiment
     if "csv" in plan.formats:
         for name, table in tables.items():
             target = os.path.join(plan.out_dir, f"{stem}_{name}.csv")
-            if isinstance(table, tuple):
-                header, rows = table
-                _write_table_csv(target, header, rows)
+            buf = io.StringIO()
+            if isinstance(table, Field):
+                write_field_csv(table, buf)
             else:
-                buf = io.StringIO()
-                if isinstance(table, Field):
-                    write_field_csv(table, buf)
-                else:
-                    write_trajectory_csv(table, buf, p=plan.spec.nonlinearity.p)
-                _atomic_write(target, buf.getvalue())
+                write_table_csv(*table, buf)
+            _atomic_write(target, buf.getvalue())
             say(f"wrote {target}")
     seed = plan.noise["seed"] if plan.noise is not None else None
     summary = {

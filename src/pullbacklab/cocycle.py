@@ -16,10 +16,12 @@ time.  Written out, with ``w = shift(omega, -tau)``:
 where z_w(s) = exp(-eps * w(s)).  Every run of the stochastic equation
 enters this change of variables one way, :func:`_rebased`: the path is
 re-based at tau, the cocycle's own time, and the data conjugated at the
-run's start.  For a forward run (``phi``, the ``simulate`` and
-``decay-rate`` experiments) tau is the start; for a pullback run, which
-starts at tau - t, it is the observation time at the run's end, since
-phi(t, tau - t, shift(omega, -t), u0) is re-based at tau too.  Two
+run's start.  A run that reports u leaves it here too, divided by z_w:
+:func:`phi` and :func:`pullback_states` at their end, :func:`phi_states` at
+every state it stores.  For a forward run (``phi``, ``phi_states`` and so
+``simulate``, and the ``decay-rate`` fit) tau is the start; for a pullback
+run, which starts at tau - t, it is the observation time at the run's end,
+since phi(t, tau - t, shift(omega, -t), u0) is re-based at tau too.  Two
 algebraic identities are load-bearing and tested bitwise: phi(0, ...) is the
 identity, and that pullback state equals the direct right-hand evaluation
 :func:`pullback_state` because nested shifts collapse to one.
@@ -27,14 +29,16 @@ identity, and that pullback state equals the direct right-hand evaluation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
+
+import numpy as np
 
 from .errors import ConfigurationError
 from .field import Field, Quadrature
 from .model import ProblemSpec
 from .noise import Path, lattice_steps, shift, z_factor
-from .solver import SolverConfig, final_states, steps_between
+from .solver import SolverConfig, final_states, steps_between, stored_values
 
 
 @dataclass(frozen=True)
@@ -100,6 +104,21 @@ def phi(q: CocycleQuery) -> Field:
     """Evaluate the cocycle.  phi(0, ...) returns u0 itself, bit for bit."""
     cols = ((q.path,), (q.epsilon,), (q.u0,))
     return _endpoints((q.tau,), q.tau + q.t, q.tau, *cols, q.spec, q.cfg)[0]
+
+
+def phi_states(q: CocycleQuery):
+    """Yield (time, values) for every state the run of :func:`phi` stores,
+    as :func:`~pullbacklab.solver.stored_values` streams them at
+    ``q.cfg.store_stride``, each unconjugated into one reused buffer that is
+    valid until the next ``next``; for t > 0 the last values are
+    ``phi(q).values`` bit for bit.  No :class:`Field` has checked them, so
+    a consumer reduces them through a :class:`~pullbacklab.field.Quadrature`
+    pass, which checks them as a Field would."""
+    w, v0 = _rebased(q.path, q.epsilon, q.tau, q.tau, q.u0)
+    spec, u = replace(q.spec, epsilon=q.epsilon), np.empty(q.u0.grid.shape)
+    for t, v in stored_values(v0, q.tau, q.tau + q.t, w, spec, q.cfg):
+        np.divide(v, z_factor(w, q.epsilon, float(t)), out=u)
+        yield t, u
 
 
 def pullback_states(

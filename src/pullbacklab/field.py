@@ -355,16 +355,20 @@ class Trajectory:
 # -- serialization ----------------------------------------------------------
 
 
+def write_table_csv(header: Sequence[str], rows: Iterable[Sequence], fp: IO[str]) -> None:
+    """The header, then one line per row, each cell as ``str`` gives it (a
+    float's shortest round-trip form, also for a numpy scalar), and every
+    line ended by a bare ``\n``."""
+    w = csv.writer(fp, lineterminator="\n")
+    w.writerow(header)
+    w.writerows([str(c) for c in row] for row in rows)
+
+
 def write_field_csv(f: Field, fp: IO[str]) -> None:
-    w = csv.writer(fp)
-    if f.grid.dimension == 1:
-        w.writerow(["x", "value"])
-        for x, v in zip(f.grid.points[:, 0], f.values.ravel()):
-            w.writerow([repr(float(x)), repr(float(v))])
-    else:
-        w.writerow(["x", "y", "value"])
-        for (x, y), v in zip(f.grid.points, f.values.ravel()):
-            w.writerow([repr(float(x)), repr(float(y)), repr(float(v))])
+    """One row per grid point: its coordinates, then the value."""
+    axes = ["x", "value"] if f.grid.dimension == 1 else ["x", "y", "value"]
+    points = f.grid.points.tolist()
+    write_table_csv(axes, (p + [v] for p, v in zip(points, f.values.ravel().tolist())), fp)
 
 
 def trajectory_row(t: float, state: Field, p: float | None = None) -> list[float]:
@@ -377,12 +381,10 @@ def trajectory_row(t: float, state: Field, p: float | None = None) -> list[float
 def write_trajectory_csv(
     traj: Trajectory | Iterable[Sequence[float]], fp: IO[str], p: float | None = None
 ) -> None:
-    """One row per stored state: time, l2, h1 and optional lp, each a repr.
+    """One row per stored state: time, l2, h1 and optional lp.
 
     ``traj`` is a :class:`Trajectory`, or the rows :func:`trajectory_row`
     made (with the same p) from a stream of states that nothing kept."""
     if isinstance(traj, Trajectory):
         traj = (trajectory_row(t, state, p) for t, state in zip(traj.times, traj.states))
-    w = csv.writer(fp)
-    w.writerow(["t", "l2", "h1"] + ([] if p is None else [f"l{p:g}"]))
-    w.writerows([repr(c) for c in row] for row in traj)
+    write_table_csv(["t", "l2", "h1"] + ([] if p is None else [f"l{p:g}"]), traj, fp)

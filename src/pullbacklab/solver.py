@@ -53,12 +53,12 @@ step by a z series of one value at its own start, a column with nothing to
 march included.  :func:`_strided` is the one stream of the states a run
 stores (the initial one, every ``store_stride``-th step's and the final
 one), and it alone holds that rule.  It is also every stream's one exit:
-it checks the final state for a boundary leak before it yields it, and
-places each warning at the code that asked for the run.
+it checks the final state for a boundary leak before it yields it;
+:func:`_warn_boundary_leak` places each warning where the run was asked for.
 :func:`stored_values` streams one run's stored states as the kernel's raw
 arrays.  It is the one stream of a run's stored states: a caller that
-reduces each state, such as the ``simulate`` experiment
-through one :class:`~pullbacklab.field.Quadrature` pass or the truncation
+reduces each state, such as :func:`~pullbacklab.cocycle.phi_states` (and
+so the ``simulate`` experiment) or the truncation
 and H1 witnesses of :mod:`~pullbacklab.attractor`, checks it as a
 :class:`Field` would and consumes it at constant memory with no copy, and
 :func:`integrate`, the one place a stored state becomes a :class:`Field`,
@@ -91,6 +91,7 @@ import math
 import numbers
 import os
 import pickle
+import sys
 import threading
 import warnings
 from dataclasses import dataclass, replace
@@ -628,9 +629,18 @@ def _check_finite(v: np.ndarray, t: float) -> None:
         raise DivergenceError(t)
 
 
-def _warn_boundary_leak(v: np.ndarray, stacklevel: int = 3) -> None:
-    """Warn once for every column of the stack ``v`` that leaks;
-    ``stacklevel`` counts frames from this function, as in ``warnings.warn``."""
+# the modules between the code that asks for a run and its leak check
+_RUN_MODULES = frozenset(f"{__package__}.{name}" for name in ("solver", "cocycle", "attractor"))
+
+
+def _warn_boundary_leak(v: np.ndarray) -> None:
+    """Warn once for every column of the stack ``v`` that leaks, each
+    warning placed at the first frame whose module is not ``solver``,
+    ``cocycle`` or ``attractor``: the code that asked for the run, however
+    many calls and streams of the run lie between."""
+    frame, level = sys._getframe(), 1
+    while frame.f_globals.get("__name__") in _RUN_MODULES:
+        frame, level = frame.f_back, level + 1
     for col in v:
         if col.ndim == 1:
             ring = max(abs(float(col[1])), abs(float(col[-2])))
@@ -646,7 +656,7 @@ def _warn_boundary_leak(v: np.ndarray, stacklevel: int = 3) -> None:
                 f"solution magnitude {ring:.3e} adjacent to the artificial boundary "
                 f"exceeds {_BOUNDARY_TRUST:.0e}; enlarge the domain radius",
                 BoundaryLeakWarning,
-                stacklevel=stacklevel,
+                stacklevel=level,
             )
 
 
@@ -696,16 +706,13 @@ def _strided(
     final one, each time stamp an exact multiple of dt from t_start.  This
     is the one place that rule lives, and the one exit of every streamed
     run: the final state is checked for a boundary leak before it is
-    yielded, each warning placed at the code that called the function
-    iterating this stream (:func:`stored_values`, :func:`difference_history`
-    or :func:`energy_audit`, each iterating it in its own frame, not in a
-    generator expression).  A stack after the first is the kernel's, valid
-    only until the next step."""
+    yielded (:func:`_warn_boundary_leak`).  A stack after the first is the
+    kernel's, valid only until the next step."""
     dt, stride = ctx.cfg.dt, ctx.cfg.store_stride
     states = itertools.chain((stack,), _march(ctx, stack, t_start, paths, epsilons, n))
     for j, v in enumerate(states):
         if j == n:
-            _warn_boundary_leak(v, stacklevel=4)
+            _warn_boundary_leak(v)
         if j % stride == 0 or j == n:
             yield t_start + j * dt, v
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pullbacklab import attractor
+from pullbacklab import attractor, solver
 from pullbacklab.attractor import (
     SweepResult,
     absorbing_radius,
@@ -404,6 +404,31 @@ def test_tail_profile_decays_in_radius(desk_spec, desk_grid, desk_path, cfg):
     assert tails_l2[-1] <= 1e-2 * profile.full_l2
     with pytest.raises(ConfigurationError, match="radii"):
         tail_profile(0.5, desk_path, 0.5, desk_spec, cfg, profile.state, 2.0, [])
+
+
+def refuse_to_march(*args):
+    raise AssertionError("marched before the inputs were checked")
+
+
+def test_tail_profile_checks_its_radii_before_the_march(
+    monkeypatch, desk_spec, desk_grid, desk_path, cfg
+):
+    # a radius beyond the 8-unit box; a ValueError too, as tail_norm's is
+    monkeypatch.setattr(solver, "_march", refuse_to_march)
+    u0 = gaussian_bump(desk_grid, 1.0, 1.5)
+    with pytest.raises(ConfigurationError, match="exceeds the domain radius"):
+        tail_profile(0.5, desk_path, 0.5, desk_spec, cfg, u0, 2.0, [1.0, 9.0])
+
+
+def test_truncation_checks_its_power_before_the_burn_in(
+    monkeypatch, desk_spec, desk_grid, desk_path, cfg
+):
+    # p = 2 makes the superlevel power 2p - 4 zero; the burn-in is 0.5 long
+    monkeypatch.setattr(solver, "_march", refuse_to_march)
+    spec = replace(desk_spec, nonlinearity=replace(desk_spec.nonlinearity, p=2.0))
+    u0 = gaussian_bump(desk_grid, 1.0, 1.5)
+    with pytest.raises(ConfigurationError, match="power 2p - 4 must be positive"):
+        truncation_diagnostics(0.5, desk_path, 0.5, spec, cfg, u0, 1.5, (0.05, 0.1))
 
 
 def test_truncation_rate_closed_form(desk_spec, desk_path):

@@ -16,9 +16,15 @@ import numpy as np
 import pytest
 
 import pullbacklab
-from pullbacklab import cli, solver
+from pullbacklab import cli, cocycle, solver
 from pullbacklab.errors import ConfigurationError
-from pullbacklab.field import Field, Trajectory, trajectory_row, write_trajectory_csv
+from pullbacklab.field import (
+    Field,
+    Trajectory,
+    trajectory_row,
+    write_table_csv,
+    write_trajectory_csv,
+)
 from pullbacklab.noise import refine, sample_path, shift, z_factor
 
 pytestmark = pytest.mark.filterwarnings("ignore::pullbacklab.errors.BoundaryLeakWarning")
@@ -346,7 +352,7 @@ def test_coarse_noise_is_bridge_refined_onto_the_solver_lattice(tmp_path, capsys
     assert json.loads(json.dumps(cli._sanitize(results))) == summary["results"]
     assert checks == summary["checks"]
     buf = io.StringIO()
-    write_trajectory_csv(tables["trajectory"], buf, p=plan.spec.nonlinearity.p)
+    write_table_csv(*tables["trajectory"], buf)
     assert buf.getvalue().encode() == (out / "simulate_trajectory.csv").read_bytes()
 
     # no number of halvings of 0.01 divides 0.001
@@ -418,9 +424,8 @@ def test_removed_linear_solver_tol_key_exits_two(tmp_path, capsys):
     cfg["solver"]["linear_solver_tol"] = 1e-10
     code, out = run_into(tmp_path, cfg)
     assert code == 2
-    err = capsys.readouterr().err
-    assert "solver.linear_solver_tol was removed" in err
-    assert "direct" in err
+    # no section reads the key, so it is unknown, as any other
+    assert "unknown key(s) ['linear_solver_tol'] in solver;" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -482,6 +487,15 @@ def test_shipped_config_rejects_an_unknown_block_key(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert f"['bogus'] in config.{cfg['experiment']};" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_config_csvs_end_lines_with_a_bare_newline(tmp_path, name):
+    code, out = run_into(tmp_path, shipped(name))
+    assert code == 0
+    for csv_path in out.glob("*.csv"):
+        text = csv_path.read_bytes()
+        assert text.endswith(b"\n") and b"\r" not in text, csv_path.name
 
 
 def _put(section, key, value):
@@ -719,7 +733,9 @@ def test_streamed_rows_equal_trajectory_rows_over_stored_states(tmp_path, name):
         for t, v in states
     ]
     assert want[-1][0] == tau + b["horizon"] and (want[-1][0] - want[-2][0]) / plan.cfg.dt < 7
-    assert [list(map(repr, row)) for row in tables["trajectory"]] == [
+    header, rows = tables["trajectory"]
+    assert header == ["t", "l2", "h1", f"l{p:g}"]
+    assert [list(map(repr, row)) for row in rows] == [
         list(map(repr, row)) for row in want
     ]
 
@@ -751,7 +767,7 @@ def test_a_bad_streamed_state_is_refused(tmp_path, monkeypatch, name, where, val
                 }[where]] = value
             yield t, v
 
-    monkeypatch.setattr(cli, "stored_values", spoiled)
+    monkeypatch.setattr(cocycle, "stored_values", spoiled)
     plan = cli._resolve(shipped(name), str(tmp_path))
     with pytest.raises(ValueError, match=message):
         cli._exec_simulate(plan, cli._make_path(plan))

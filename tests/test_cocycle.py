@@ -5,10 +5,12 @@ both sides of each law traverse the same base-path samples and the same
 conjugation factors, so the floating-point sequences coincide.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from pullbacklab import cocycle
+from pullbacklab import cocycle, solver
 from pullbacklab.cocycle import (
     CocycleQuery,
     phi,
@@ -18,7 +20,9 @@ from pullbacklab.cocycle import (
 )
 from pullbacklab.errors import ConfigurationError, OutOfWindowError
 from pullbacklab.field import Grid, gaussian_bump, l2_norm, zero_field
+from pullbacklab.model import grid_for
 from pullbacklab.noise import sample_path, shift
+from pullbacklab.solver import SolverConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore::pullbacklab.errors.BoundaryLeakWarning")
 
@@ -47,6 +51,24 @@ def test_identity_at_t_zero_is_bitwise(desk_spec, desk_cfg, wide_path):
     q = make_query(desk_spec, desk_cfg, wide_path, t=0.0)
     out = phi(q)
     assert out is q.u0
+
+
+@pytest.mark.parametrize("dimension, m, t", [(1, 129, 0.5), (2, 33, 0.06)])
+def test_phi_states_ends_at_phi_and_stores_as_stored_values(
+    desk_spec, wide_path, dimension, m, t
+):
+    # a stride of 7 divides neither 500 nor 60 steps, so the last state is
+    # the endpoint, off the stride; the intensity is not the spec's
+    spec = replace(desk_spec, dimension=dimension)
+    cfg = SolverConfig(dt=1e-3, store_stride=7)
+    u0 = gaussian_bump(grid_for(spec, m), 1.0, 1.5)
+    q = CocycleQuery(t, 0.25, wide_path, 0.3, u0, spec, cfg)
+    stream = [(s, u.copy()) for s, u in cocycle.phi_states(q)]
+    assert stream[-1][1].tobytes() == phi(q).values.tobytes()
+    w, v0 = cocycle._rebased(wide_path, 0.3, 0.25, 0.25, u0)
+    stored = solver.stored_values(v0, 0.25, 0.25 + t, w, replace(spec, epsilon=0.3), cfg)
+    assert [s for s, _ in stream] == [s for s, _ in stored]
+    assert len(stream) == round(t / 1e-3) // 7 + 2
 
 
 def test_composition_residual_vanishes(desk_spec, desk_cfg, wide_path):

@@ -90,10 +90,14 @@ def test_fill_shows_stderr_of_runs_that_wrote_no_summary(tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"ran crash into {tmp_path / 'tree'} (exit 1)" in captured.out
     assert f"ran failed into {tmp_path / 'tree'} (exit 1)" in captured.out
-    # each run's count of the warnings it wrote to stderr
-    crash, failed = captured.out.splitlines()
+    # each run's count of the warnings it wrote to stderr, then their places
+    crash, crash_places, failed, failed_places = captured.out.splitlines()
     assert crash.endswith(", 0 BoundaryLeakWarnings")
     assert failed.endswith(", 2 BoundaryLeakWarnings")
+    assert crash_places == "  crash leak warnings at: none"
+    warn = '    warnings.warn(f"solution magnitude {magnitude}", BoundaryLeakWarning)'
+    line = 1 + FAKE_CLI.splitlines().index(warn)
+    assert failed_places == f"  failed leak warnings at: cli.py:{line} ×2"
     assert "RuntimeError: traceback of the crashed run" in captured.err
     assert "wrote its summary" not in captured.err
 

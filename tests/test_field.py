@@ -30,6 +30,7 @@ from pullbacklab.field import (
     tail_norm,
     trajectory_row,
     write_field_csv,
+    write_table_csv,
     write_trajectory_csv,
     zero_boundary,
     zero_field,
@@ -303,6 +304,17 @@ def test_field_csv_roundtrip():
     parsed = np.array([float(line.split(",")[-1]) for line in lines[1:]])
     # repr-format floats round-trip exactly
     assert np.array_equal(parsed, f.values)
+
+
+def test_table_csv_writes_each_cell_as_str_and_ends_lines_with_a_bare_newline():
+    # a numpy scalar as a float, though its repr names its type under numpy 2
+    buf = io.StringIO()
+    write_table_csv(["epsilon", "seed", "dist"], [[np.float64(0.1), 3, 1.0 / 3.0]], buf)
+    assert buf.getvalue() == "epsilon,seed,dist\n0.1,3,0.3333333333333333\n"
+    buf = io.StringIO()
+    write_field_csv(Field(small_grid(), np.array([0.0, 0.5, -0.25, 0.1, 0.0])), buf)
+    assert buf.getvalue().startswith("x,value\n-2.0,0.0\n-1.0,0.5\n")
+    assert "\r" not in buf.getvalue()
 
 
 def test_trajectory_csv_has_norm_columns():

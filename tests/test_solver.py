@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pullbacklab import solver
+from pullbacklab.attractor import compute_equilibrium, truncation_diagnostics
+from pullbacklab.cocycle import CocycleQuery, phi, pullback_states
 from pullbacklab.errors import (
     BoundaryLeakWarning,
     ConfigurationError,
@@ -437,6 +439,29 @@ def test_energy_audit_checks_its_final_state_for_a_leak():
     wide, _, narrow, path, spec, cfg = leak_inputs()
     for v0, leaking in ((wide, 1), (narrow, 0)):
         assert len(leak_warnings(lambda: energy_audit(v0, 0.0, 0.01, path, spec, cfg))) == leaking
+
+
+# each run's leaking columns, and the run; the path spans every run's window
+LEAK_RUNS = {
+    "final_state": (1, lambda u0, path, spec, cfg: final_state(u0, 0.0, 0.01, path, spec, cfg)),
+    "phi": (1, lambda u0, path, spec, cfg: phi(CocycleQuery(0.01, 0.5, path, 0.0, u0, spec, cfg))),
+    "pullback_states": (2, lambda u0, path, spec, cfg: pullback_states(
+        (0.01, 0.005), 0.5, (path, path), (0.0, 0.0), (u0, u0), spec, cfg)),
+    "compute_equilibrium": (2, lambda u0, path, spec, cfg: compute_equilibrium(
+        0.5, path, 0.0, spec, cfg, u0, (0.005, 0.01))),
+    # the burn-in's endpoint and the unit window's last state
+    "truncation_diagnostics": (2, lambda u0, path, spec, cfg: truncation_diagnostics(
+        0.5, path, 0.0, spec, cfg, u0, 1.5, (0.05, 0.1))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEAK_RUNS))
+def test_a_leak_warning_names_the_code_that_asked_for_the_run(name):
+    # however many calls of cocycle, attractor and solver lie between
+    wide, _, _, _, spec, cfg = leak_inputs()
+    leaking, run = LEAK_RUNS[name]
+    path = flat_path(-2.0, 2.0, 1e-3)
+    assert len(leak_warnings(lambda: run(wide, path, spec, cfg))) == leaking
 
 
 def test_integration_window_is_validated(desk_spec, desk_cfg):
