@@ -2,12 +2,14 @@
 
 The bitwise identities (a column of a stack equals the run alone, a split
 march equals the unsplit one, criterion 09, cocycle composition, the
-equilibrium and Hausdorff gaps against their plain formulas) rest on the
-bits of the BLAS products.  A DYNAMIC_ARCH OpenBLAS picks its kernels by the
+equilibrium and Hausdorff gaps against their plain formulas, a strided
+stream against ``integrate`` and the difference history's gaps) rest on
+the bits of the BLAS products.  A DYNAMIC_ARCH OpenBLAS picks its kernels by the
 CPU it finds, and ``OPENBLAS_CORETYPE`` forces one set for one process.
 This script runs ``tests/test_stack.py``, ``tests/test_split.py``,
-``tests/test_acceptance.py``, ``tests/test_cocycle.py`` and
-``tests/test_attractor.py`` in one child pytest process per kernel set.
+``tests/test_acceptance.py``, ``tests/test_cocycle.py``,
+``tests/test_attractor.py`` and ``tests/test_solver.py`` in one child
+pytest process per kernel set.
 An unknown name, or one that OpenBLAS does not take, falls back silently
 to the CPU's own set, so each child's set is checked against the running
 core that the pytest header prints (``tests/conftest.py``).  A set newer
@@ -35,6 +37,7 @@ SUITES = (
     "tests/test_acceptance.py",
     "tests/test_cocycle.py",
     "tests/test_attractor.py",
+    "tests/test_solver.py",
 )
 CORES = ("SkylakeX", "Haswell", "Sandybridge", "Nehalem", "Katmai")
 

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError
-from .field import Field, Grid, Quadrature, tail_norm
+from .field import Field, Grid, Quadrature
 from .model import ProblemSpec, forcing_norms_sq
 from .noise import (
     Path,
@@ -45,7 +45,7 @@ from .noise import (
 from .solver import (
     SolverConfig,
     difference_history,
-    final_state,
+    final_states,
     steps_between,
     stored_values,
 )
@@ -276,16 +276,8 @@ def _check_ensemble(ensemble: Sequence[Field]) -> None:
             raise GridMismatchError("ensemble members live on different grids")
 
 
-def _member_list(sample: AttractorSample | Sequence[Field]) -> Sequence[Field]:
-    if isinstance(sample, AttractorSample):
-        return sample.members
-    return sample
-
-
 def hausdorff_semidistance(
-    sample_a: AttractorSample | Sequence[Field],
-    sample_b: AttractorSample | Sequence[Field],
-    which: str = "l2",
+    sample_a: Sequence[Field], sample_b: Sequence[Field], which: str = "l2"
 ) -> float:
     """sup over a in A of the distance from a to the set B.
 
@@ -293,19 +285,17 @@ def hausdorff_semidistance(
     """
     if which not in ("l2", "h1"):
         raise ConfigurationError(f'which must be "l2" or "h1", got {which!r}')
-    a_members = _member_list(sample_a)
-    b_members = _member_list(sample_b)
-    if not a_members or not b_members:
+    if not sample_a or not sample_b:
         raise ConfigurationError("both samples must be non-empty")
-    grid = a_members[0].grid
-    for member in (*a_members, *b_members):
+    grid = sample_a[0].grid
+    for member in (*sample_a, *sample_b):
         if member.grid != grid:
             raise GridMismatchError("samples live on different grids")
     quad, h1 = Quadrature(grid), which == "h1"
     worst = 0.0
-    for a in a_members:
+    for a in sample_a:
         best = math.inf
-        for b in b_members:
+        for b in sample_b:
             best = min(best, quad.norms(a.values - b.values, h1)[1 if h1 else 0])
         worst = max(worst, best)
     return worst
@@ -470,11 +460,10 @@ def tail_profile(
             f"tail radius {max(radii)!r} exceeds the domain radius {u0.grid.radius!r}"
         )
     state = pullback_state(horizon, tau, path, epsilon, u0, spec, cfg)
-    full_l2, full_h1, _ = Quadrature(state.grid).norms(state.values)
-    rows = tuple(
-        (float(k), tail_norm(state, float(k), "l2"), tail_norm(state, float(k), "h1"))
-        for k in radii
-    )
+    quad = Quadrature(state.grid)
+    full_l2, full_h1, _ = quad.norms(state.values)
+    radii = [float(k) for k in radii]
+    rows = tuple((k, *tail) for k, tail in zip(radii, quad.tails(state.values, radii)))
     return TailProfile(
         tau=tau,
         epsilon=epsilon,
@@ -571,15 +560,14 @@ def truncation_diagnostics(
     if power <= 0.0:
         raise ConfigurationError(f"power 2p - 4 must be positive, got {power}")
     rhos = _truncation_rates(path, epsilon, spec, tau, levels)
-    spec_eps = replace(spec, epsilon=epsilon)
     w, v0 = _rebased(path, epsilon, tau, tau - horizon, u0)
     burn_end = tau - 1.0
-    v_burn = final_state(v0, tau - horizon, burn_end, w, spec_eps, cfg)
+    (v_burn,) = final_states((v0,), (tau - horizon,), burn_end, (w,), (epsilon,), spec, cfg)
     quad = Quadrature(u0.grid)
     times, integrands, window_max = [], [[] for _ in levels], 0.0
-    window = stored_values(v_burn, burn_end, tau, w, spec_eps, replace(cfg, store_stride=1))
-    for s, values in window:
-        top, masses = quad.superlevel(values, levels, power)
+    window = stored_values((v_burn,), burn_end, tau, (w,), (epsilon,), spec, cfg, 1)
+    for s, v in window:
+        top, masses = quad.superlevel(v[0], levels, power)
         times.append(s)
         window_max = max(window_max, top)
         for rho, integrand, mass in zip(rhos, integrands, masses):
@@ -718,8 +706,7 @@ def window_regularity_report(
             f"horizon must exceed the unit window, got {horizon!r}"
         )
     lattice_steps(tau, cfg.dt, f"tau={tau!r}")
-    spec_eps = replace(spec, epsilon=epsilon)
-    w, v = _rebased(path, epsilon, tau, tau - horizon, u0)
+    w, v0 = _rebased(path, epsilon, tau, tau - horizon, u0)
     grid = u0.grid
     p = spec.nonlinearity.p
     dt = cfg.dt
@@ -736,9 +723,9 @@ def window_regularity_report(
 
     window_start = n - unit  # first node of [tau-1, tau]
 
-    for k, (_, values) in enumerate(
-        stored_values(v, tau - horizon, tau, w, spec_eps, replace(cfg, store_stride=1))
-    ):
+    run = stored_values((v0,), tau - horizon, tau, (w,), (epsilon,), spec, cfg, 1)
+    for k, (_, v) in enumerate(run):
+        values = v[0]
         in_window = k >= window_start and k > 0
         powers = (p, 2.0 * p - 2.0) if in_window else (p,)
         _, h1_sq, masses = quad.squares(values, powers=powers)

@@ -36,7 +36,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping
 
@@ -728,10 +727,15 @@ def _sanitize(obj):
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    """Write ``text`` to ``path`` through a file beside it, renamed over it
+    once written.  That file is made by ``open``, so the umask sets its
+    mode as for any new file (``tempfile.mkstemp`` makes it owner-only),
+    and exclusively (``"x"``), under a random name: a name that another
+    writer holds raises rather than being shared."""
+    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{os.urandom(8).hex()}~")
+    handle = open(tmp, "x", newline="")
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
+        with handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

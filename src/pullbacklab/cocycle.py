@@ -29,7 +29,7 @@ identity, and that pullback state equals the direct right-hand evaluation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -108,16 +108,16 @@ def phi(q: CocycleQuery) -> Field:
 
 def phi_states(q: CocycleQuery):
     """Yield (time, values) for every state the run of :func:`phi` stores,
-    as :func:`~pullbacklab.solver.stored_values` streams them at
+    as :func:`~pullbacklab.solver.stored_values` streams its one column at
     ``q.cfg.store_stride``, each unconjugated into one reused buffer that is
     valid until the next ``next``; for t > 0 the last values are
     ``phi(q).values`` bit for bit.  No :class:`Field` has checked them, so
     a consumer reduces them through a :class:`~pullbacklab.field.Quadrature`
     pass, which checks them as a Field would."""
     w, v0 = _rebased(q.path, q.epsilon, q.tau, q.tau, q.u0)
-    spec, u = replace(q.spec, epsilon=q.epsilon), np.empty(q.u0.grid.shape)
-    for t, v in stored_values(v0, q.tau, q.tau + q.t, w, spec, q.cfg):
-        np.divide(v, z_factor(w, q.epsilon, float(t)), out=u)
+    column, u = ((v0,), q.tau, q.tau + q.t, (w,), (q.epsilon,)), np.empty(q.u0.grid.shape)
+    for t, v in stored_values(*column, q.spec, q.cfg, q.cfg.store_stride):
+        np.divide(v[0], z_factor(w, q.epsilon, float(t)), out=u)
         yield t, u
 
 

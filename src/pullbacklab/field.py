@@ -187,16 +187,19 @@ class Quadrature:
     :meth:`squares` gives h^N*sum(v**2), h^N*(sum(v**2) + sum(grad)) and
     h^N*sum(|v|**q) per power q, squaring the values once for both sums and
     building the gradient table in place (:func:`_gradient_energy`);
-    :meth:`norms` roots them, and :meth:`superlevel` takes |v| once for
-    max|v| and every level's superlevel mass.  Each expression keeps the
+    :meth:`norms` roots them, :meth:`superlevel` takes |v| once for
+    max|v| and every level's superlevel mass, and :meth:`tails` squares the
+    values and builds the gradient table once for every radius's L2 and H1
+    tail.  Each expression keeps the
     order and grouping of the plain formula, so each value has its bits, and
     the values pass a :class:`Field`'s check (:func:`_check_values`) with
     that sum or maximum as its reduction, so a raw streamed state or a
-    difference ``a - b`` skips no check.  It serves the norms here,
-    :func:`trajectory_row` and :func:`superlevel_measure_integrand`;
+    difference ``a - b`` skips no check.  It serves the norms and tail
+    norms here, :func:`trajectory_row` and
+    :func:`superlevel_measure_integrand`;
     ``solver``'s difference history, energy audit and convergence gaps;
     ``cocycle``'s composition residual; ``attractor``'s equilibrium
-    increments, sample diameter, Hausdorff distances, tail profile norms,
+    increments, sample diameter, Hausdorff distances, tail profile,
     truncation ladder and window witnesses; and ``cli``'s state norms.
     """
 
@@ -257,6 +260,27 @@ class Quadrature:
             masses.append(float(cv * np.sum(magnitude[mask] ** power)) if mask.any() else 0.0)
         return float(top), masses
 
+    def tails(self, values: np.ndarray, radii: Sequence[float]) -> list[tuple[float, float]]:
+        """For each of ``radii``, the L2 and H1 norms of ``values`` over the
+        grid points with |x| >= radius, a cell's gradient energy counted
+        where its lower corner lies; the values are squared and the gradient
+        table built once for every radius."""
+        if max(radii, default=0.0) > self.grid.radius:
+            raise ValueError(
+                f"tail radius k={max(radii)} exceeds the domain radius {self.grid.radius}"
+            )
+        sq = self._sq
+        _check_values(self.grid, values, lambda v: np.sum(np.multiply(v, v, out=sq)))
+        h1_density = _gradient_energy(values, self.grid.spacing, self._grad, self._dy)
+        np.add(sq, h1_density, out=h1_density)
+        cv, radial = self.grid.cell_volume, self.grid.radial
+        rows = []
+        for k in radii:
+            mask = radial >= k
+            l2_sq, h1_sq = cv * np.sum(sq[mask]), cv * np.sum(h1_density[mask])
+            rows.append((float(np.sqrt(l2_sq)), float(np.sqrt(h1_sq))))
+        return rows
+
 
 def l2_norm(f: Field) -> float:
     return Quadrature(f.grid).norms(f.values, h1=False)[0]
@@ -310,17 +334,10 @@ def tail_norm(f: Field, k: float, which: str = "l2") -> float:
     For the h1 flavour the gradient energy of a cell counts when the cell's
     lower corner lies in the tail region.
     """
-    if k > f.grid.radius:
-        raise ValueError(
-            f"tail radius k={k} exceeds the domain radius {f.grid.radius}"
-        )
-    mask = f.grid.radial >= k
-    density = f.values**2
-    if which == "h1":
-        density = density + gradient_energy_density(f)
-    elif which != "l2":
+    if which not in ("l2", "h1"):
         raise ValueError(f"which must be 'l2' or 'h1', got {which!r}")
-    return float(np.sqrt(f.grid.cell_volume * np.sum(density[mask])))
+    l2, h1 = Quadrature(f.grid).tails(f.values, (k,))[0]
+    return l2 if which == "l2" else h1
 
 
 def superlevel_measure_integrand(f: Field, level: float, power: float) -> float:

@@ -208,16 +208,13 @@ def sample_path(seed: int, t_min: float, t_max: float, dt: float) -> WienerPath:
     )
 
 
-def flat_path(t_min: float, t_max: float, dt: float, value: float = 0.0) -> WienerPath:
-    """A constant injected path, mainly for tests and deterministic runs.
-
-    ``value=0.0`` (the default) is a legitimate noise-free path; any other
-    constant breaks omega(0)=0 and is for probing formulas only.
-    """
+def flat_path(t_min: float, t_max: float, dt: float) -> WienerPath:
+    """The zero path on [t_min, t_max]: the noise-free path, for
+    deterministic runs and tests."""
     _check_positive_step(dt)
     origin = lattice_steps(-t_min, dt, f"the window start {t_min!r}")
     n = lattice_steps(t_max - t_min, dt, "the window length") + 1
-    values = np.full(n, float(value))
+    values = np.zeros(n)
     return WienerPath(
         seed=None, t_min=t_min, t_max=t_max, dt=dt, values=values, origin_index=origin
     )

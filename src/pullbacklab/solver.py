@@ -46,33 +46,31 @@ and blocks).
 Columns never mix, and every BLAS call of a 1D product has a fixed width,
 so a column's bits do not depend on its lane or its neighbours: a column of
 a stack equals the same run marched alone, bit for bit.
-Every reduction over it enters it one way.  :func:`_setup` checks each
-column before any step: its duration on the dt lattice, both ends of its run
-on its path's lattice and inside the path's window, and its intensity and
-step by a z series of one value at its own start, a column with nothing to
-march included.  :func:`_strided` is the one stream of the states a run
-stores (the initial one, every ``store_stride``-th step's and the final
-one), and it alone holds that rule.  It is also every stream's one exit:
-it checks the final state for a boundary leak before it yields it;
-:func:`_warn_boundary_leak` places each warning where the run was asked for.
-:func:`stored_values` streams one run's stored states as the kernel's raw
-arrays.  It is the one stream of a run's stored states: a caller that
-reduces each state, such as :func:`~pullbacklab.cocycle.phi_states` (and
-so the ``simulate`` experiment) or the truncation
-and H1 witnesses of :mod:`~pullbacklab.attractor`, checks it as a
-:class:`Field` would and consumes it at constant memory with no copy, and
-:func:`integrate`, the one place a stored state becomes a :class:`Field`,
-collects it into a :class:`Trajectory`.  :func:`difference_history` reduces
-the stream at its sample stride and :func:`energy_audit` at a stride of 1,
-each state through one :class:`~pullbacklab.field.Quadrature` pass;
+The kernel has two doors, both taking each column's initial state, path
+and intensity (never ``spec.epsilon``), and both enter through
+:func:`_setup`, which checks every column before any step, a column with
+nothing to march included: one grid, its duration on the dt lattice, its
+run inside its path's window, and its intensity and step.
+:func:`stored_values` streams a stack that starts at one time: the initial
+stack, every ``stride``-th step's and the final one, as the kernel's raw
+arrays.  It alone holds that rule, and it is every stream's one exit: it
+checks the final stack for a boundary leak before it yields it.  Its
+reductions, :func:`~pullbacklab.cocycle.phi_states` (and so ``simulate``),
+the truncation and H1 witnesses of :mod:`~pullbacklab.attractor`,
+:func:`difference_history` and :func:`energy_audit`, take each state
+through one :class:`~pullbacklab.field.Quadrature` pass at constant
+memory, and :func:`integrate`, the one place a stored state becomes a
+:class:`Field`, collects it into a :class:`Trajectory`;
 :func:`energy_audit` alone keeps a per-step z series, as its result is per
-step.  :func:`final_states`, and so :func:`final_state`, keeps only the
-endpoints, checks them for a leak itself, and has one driver,
+step.  :func:`final_states`, and so :func:`final_state` and :func:`step`,
+keeps the endpoints of a stack whose columns may start at different
+times, checks them for a leak itself, and marches through one function,
 :func:`_march_split`: a large 1D stack is cut into contiguous chunks of
 columns, all but the first marched in forked children, one per CPU, each
 forming its own columns' z, and any other stack is one chunk marched in
-this process.  Since columns never mix, the split
-changes no bit.
+this process.  Since columns never mix, the split changes no bit.
+:func:`_warn_boundary_leak` places each warning where the run was asked
+for.
 
 :func:`integrate_deterministic` marches the original, unconjugated equation
 with its own step, its own store loop and a one-column solve (the same
@@ -94,7 +92,7 @@ import pickle
 import sys
 import threading
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NoReturn, Sequence
 
 import numpy as np
@@ -201,6 +199,14 @@ def _view(a: np.ndarray, start: int, shape: tuple, strides: tuple) -> np.ndarray
     return np.ndarray(shape, a.dtype, buffer=owner, offset=offset, strides=strides)
 
 
+def _check_stride(stride, name: str) -> None:
+    """Raise unless ``stride`` is a positive integer: a numpy integer is
+    one, a bool or a whole float is not."""
+    integral = isinstance(stride, numbers.Integral) and not isinstance(stride, bool)
+    if not (integral and stride >= 1):
+        raise ConfigurationError(f"{name} must be a positive integer, got {stride!r}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float
@@ -209,13 +215,7 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.dt > 0.0 and np.isfinite(self.dt)):
             raise ConfigurationError(f"dt must be positive, got {self.dt!r}")
-        # a numpy integer is a stride; a bool is not
-        stride = self.store_stride
-        integral = isinstance(stride, numbers.Integral) and not isinstance(stride, bool)
-        if not (integral and stride >= 1):
-            raise ConfigurationError(
-                f"store_stride must be a positive integer, got {self.store_stride!r}"
-            )
+        _check_stride(self.store_stride, "store_stride")
 
 
 def steps_between(t_start: float, t_end: float, dt: float) -> int:
@@ -661,7 +661,7 @@ def _warn_boundary_leak(v: np.ndarray) -> None:
 
 
 def _setup(
-    grid: Grid,
+    v0s: Sequence[Field],
     t_starts: Sequence[float],
     t_end: float,
     paths: Sequence[Path],
@@ -672,12 +672,21 @@ def _setup(
     """Each column's step count and the march's context, after checking
     every column before any step, one with nothing to march included.
 
-    Column i runs from ``t_starts[i]`` to ``t_end`` along ``paths[i]`` at
-    intensity ``epsilons[i]``.  Its duration must sit on the dt lattice,
-    both ends of its run on the path's lattice and inside the path's
-    window, and a z series of one value at its own start checks the
-    intensity and that dt is a whole number of path steps.
+    Column i runs from ``v0s[i]`` at ``t_starts[i]`` to ``t_end`` along
+    ``paths[i]`` at intensity ``epsilons[i]``, every state on one grid.
+    Its duration must sit on the dt lattice, both ends of its run on the
+    path's lattice and inside the path's window, and a z series of one
+    value at its own start checks the intensity and that dt is a whole
+    number of path steps.
     """
+    if not v0s or not len(v0s) == len(t_starts) == len(paths) == len(epsilons):
+        raise ConfigurationError(
+            "need one start time, one path and one intensity per initial state, "
+            "and at least one state"
+        )
+    grid = v0s[0].grid
+    if any(v.grid != grid for v in v0s[1:]):
+        raise ConfigurationError("all initial states must live on one grid")
     counts = []
     for t_start, path, eps in zip(t_starts, paths, epsilons, strict=True):
         n = steps_between(t_start, t_end, cfg.dt)
@@ -693,62 +702,44 @@ def _setup(
     return counts, _Context(grid, spec, cfg)
 
 
-def _strided(
-    ctx: _Context,
-    stack: np.ndarray,
+def stored_values(
+    v0s: Sequence[Field],
     t_start: float,
+    t_end: float,
     paths: Sequence[Path],
     epsilons: Sequence[float],
-    n: int,
+    spec: ProblemSpec,
+    cfg: SolverConfig,
+    stride: int,
 ):
-    """Yield (time, stack) for every state a run of n steps stores: the
-    initial ``stack``, every ``ctx.cfg.store_stride``-th step's and the
-    final one, each time stamp an exact multiple of dt from t_start.  This
-    is the one place that rule lives, and the one exit of every streamed
-    run: the final state is checked for a boundary leak before it is
-    yielded (:func:`_warn_boundary_leak`).  A stack after the first is the
-    kernel's, valid only until the next step."""
-    dt, stride = ctx.cfg.dt, ctx.cfg.store_stride
+    """Yield (time, stack) for every state a stack's run stores: the
+    initial one, every ``stride``-th step's and the final one, each time an
+    exact multiple of dt from the shared ``t_start``.  Column i starts from
+    ``v0s[i]`` along ``paths[i]`` at intensity ``epsilons[i]``, as in
+    :func:`final_states`; neither ``spec.epsilon`` nor ``cfg.store_stride``
+    is read.  The stride and every column (:func:`_setup`) are checked at
+    the first ``next``, before any step, and the final stack is checked for
+    a boundary leak before it is yielded.  Every stack after the first is
+    the kernel's buffer, valid until the next ``next`` and checked by no
+    :class:`Field`: a consumer copies what it keeps and reduces each state
+    through a :class:`~pullbacklab.field.Quadrature` pass, which checks it
+    as a Field would, so one that keeps nothing runs at constant memory.
+    """
+    _check_stride(stride, "stride")
+    (n, *_), ctx = _setup(v0s, (t_start,) * len(v0s), t_end, paths, epsilons, spec, cfg)
+    stack = np.stack([v0.values for v0 in v0s])
     states = itertools.chain((stack,), _march(ctx, stack, t_start, paths, epsilons, n))
     for j, v in enumerate(states):
         if j == n:
             _warn_boundary_leak(v)
         if j % stride == 0 or j == n:
-            yield t_start + j * dt, v
+            yield t_start + j * cfg.dt, v
 
 
 def step(v: Field, t: float, path: Path, spec: ProblemSpec, cfg: SolverConfig) -> Field:
-    """One semi-implicit step from time t to t + dt."""
-    ctx = _Context(v.grid, spec, cfg)
-    out = next(_march(ctx, v.values[np.newaxis], t, (path,), (spec.epsilon,), 1))
-    return Field(v.grid, out[0])
-
-
-def stored_values(
-    v0: Field,
-    t_start: float,
-    t_end: float,
-    path: Path,
-    spec: ProblemSpec,
-    cfg: SolverConfig,
-):
-    """Yield (time, values) for every state a run stores, as raw arrays.
-
-    The stored states are those :func:`_strided` streams at
-    ``cfg.store_stride``: the initial one, every ``cfg.store_stride``-th
-    step's and the final one.  The run is checked (:func:`_setup`) at the
-    first ``next``, and :func:`_strided` checks the final state for a
-    boundary leak.  The first array is ``v0.values``; every later one is the
-    kernel's own buffer, valid only until the next ``next``, and no
-    :class:`Field` has checked it, so a consumer copies what it keeps and
-    reduces it through a :class:`~pullbacklab.field.Quadrature` pass, which
-    checks it as a Field would.  A consumer that keeps nothing runs at
-    constant memory: a reduction over a long run consumes the march, not a
-    stored copy of it.
-    """
-    (n,), ctx = _setup(v0.grid, (t_start,), t_end, (path,), (spec.epsilon,), spec, cfg)
-    for t, v in _strided(ctx, v0.values[np.newaxis], t_start, (path,), (spec.epsilon,), n):
-        yield t, v[0]
+    """One semi-implicit step from time t to t + dt: :func:`final_state`
+    over one step."""
+    return final_state(v, t, t + cfg.dt, path, spec, cfg)
 
 
 def integrate(
@@ -767,9 +758,10 @@ def integrate(
     The duration must be a lattice multiple of cfg.dt and the path window
     must cover [t_start, t_end].
     """
-    stream = stored_values(v0, t_start, t_end, path, spec, cfg)
+    column = ((v0,), t_start, t_end, (path,), (spec.epsilon,))
+    stream = stored_values(*column, spec, cfg, cfg.store_stride)
     first = (next(stream)[0], v0)
-    times, states = zip(first, *((t, Field(v0.grid, values)) for t, values in stream))
+    times, states = zip(first, *((t, Field(v0.grid, v[0])) for t, v in stream))
     return Trajectory(times=np.array(times), states=states, stride=cfg.store_stride)
 
 
@@ -1014,15 +1006,7 @@ def final_states(
     child's warnings are raised again here, its exception is raised here,
     and a child that ends without an answer raises :class:`WorkerError`.
     """
-    if not v0s or not len(v0s) == len(t_starts) == len(paths) == len(epsilons):
-        raise ConfigurationError(
-            "need one start time, one path and one intensity per initial state, "
-            "and at least one state"
-        )
-    grid = v0s[0].grid
-    if any(v.grid != grid for v in v0s[1:]):
-        raise ConfigurationError("all initial states must live on one grid")
-    counts, ctx = _setup(grid, t_starts, t_end, paths, epsilons, spec, cfg)
+    counts, ctx = _setup(v0s, t_starts, t_end, paths, epsilons, spec, cfg)
     # longest march first, so the admitted columns are always a prefix
     order = sorted((i for i, n in enumerate(counts) if n), key=lambda i: -counts[i])
     if not order:
@@ -1041,7 +1025,7 @@ def final_states(
     _warn_boundary_leak(v)
     ends = list(v0s)
     for i, col in zip(order, v):
-        ends[i] = Field(grid, col)
+        ends[i] = Field(ctx.grid, col)
     return tuple(ends)
 
 
@@ -1073,20 +1057,16 @@ def difference_history(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run two solutions in lockstep along one path; record ||difference||^2.
 
-    Returns (times, squared L2 norms of a - b), sampled as :func:`_strided`
-    streams the states at a stride of ``sample_stride`` (a positive
-    integer): the initial pair, every ``sample_stride``-th step's and the
-    endpoint.  This is the raw material for contraction-rate fits.
+    Returns (times, squared L2 norms of a - b), sampled as
+    :func:`stored_values` streams the pair at a stride of ``sample_stride``
+    (a positive integer): the initial pair, every ``sample_stride``-th
+    step's and the endpoint.  This is the raw material for contraction-rate
+    fits.
     """
-    if v0_a.grid != v0_b.grid:
-        raise ConfigurationError("both initial states must live on one grid")
-    cfg = replace(cfg, store_stride=sample_stride)
-    paths, epsilons = (path, path), (spec.epsilon,) * 2
-    (n, _), ctx = _setup(v0_a.grid, (t_start,) * 2, t_end, paths, epsilons, spec, cfg)
+    pair = ((v0_a, v0_b), t_start, t_end, (path, path), (spec.epsilon,) * 2)
     quad = Quadrature(v0_a.grid)
-    stack = np.stack([v0_a.values, v0_b.values])
     times, norms = [], []
-    for t, v in _strided(ctx, stack, t_start, paths, epsilons, n):
+    for t, v in stored_values(*pair, spec, cfg, sample_stride):
         times.append(t)
         norms.append(quad.squares(v[0] - v[1], h1=False)[0])
     return np.array(times), np.array(norms)
@@ -1221,21 +1201,21 @@ def energy_audit(
     spec: ProblemSpec,
     cfg: SolverConfig,
 ) -> EnergyAudit:
-    cfg = replace(cfg, store_stride=1)
-    (n,), ctx = _setup(v0.grid, (t_start,), t_end, (path,), (spec.epsilon,), spec, cfg)
+    states = stored_values((v0,), t_start, t_end, (path,), (spec.epsilon,), spec, cfg, 1)
+    quad = Quadrature(v0.grid)
+    # the first next checks the run before any series is formed
+    norm_sq = quad.squares(next(states)[1][0], h1=False)[0]
+    n = steps_between(t_start, t_end, cfg.dt)
     psi1_mass = float(v0.grid.cell_volume * np.sum(spec.nonlinearity.psi1(v0.grid.points)))
     c = 2.0 * max(1.0, 1.0 / spec.lam)
     # the result is per step, so the z and forcing series are too
     zs = z_series(path, spec.epsilon, t_start, n, cfg.dt)
     g_sq = forcing_norms_sq(spec.forcing, v0.grid, t_start + np.arange(n) * cfg.dt)
-    states = _strided(ctx, v0.values[np.newaxis], t_start, (path,), (spec.epsilon,), n)
-    quad, out = Quadrature(v0.grid), np.empty(n)
-    for j, (_, v) in enumerate(states, start=-1):
+    out = np.empty(n)
+    for j, (_, v) in enumerate(states):
         next_sq = quad.squares(v[0], h1=False)[0]
-        if j >= 0:
-            z = float(zs[j])
-            allowance = c * cfg.dt * z**2 * (float(g_sq[j]) + psi1_mass)
-            out[j] = next_sq - norm_sq + cfg.dt * spec.lam * next_sq - allowance
+        allowance = c * cfg.dt * float(zs[j]) ** 2 * (float(g_sq[j]) + psi1_mass)
+        out[j] = next_sq - norm_sq + cfg.dt * spec.lam * next_sq - allowance
         norm_sq = next_sq
     return EnergyAudit(
         violations=out,

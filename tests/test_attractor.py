@@ -644,12 +644,13 @@ def test_a_bad_streamed_state_is_refused(
     def spoiled(*args):
         for j, (t, v) in enumerate(stream(*args)):
             if j == 2:
-                mid = len(v) // 2
                 v = v.copy()
-                v[{
-                    "centre": (mid,) * v.ndim,
-                    "first corner": (0,) * v.ndim,
-                    "last edge": (mid,) * (v.ndim - 1) + (-1,),
+                col = v[0]
+                mid = len(col) // 2
+                col[{
+                    "centre": (mid,) * col.ndim,
+                    "first corner": (0,) * col.ndim,
+                    "last edge": (mid,) * (col.ndim - 1) + (-1,),
                 }[where]] = value
             yield t, v
 

@@ -8,6 +8,7 @@ import glob
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -88,6 +89,33 @@ def test_simulate_zero_horizon_is_the_identity(tmp_path):
     assert summary["passed"] is True
     csv_lines = (out / "simulate_trajectory.csv").read_text().splitlines()
     assert len(csv_lines) == 2  # header plus the single stored state
+
+
+def test_outputs_take_the_mode_the_umask_gives(tmp_path):
+    # a file made by tempfile.mkstemp is 0600 whatever the umask, and the
+    # rename kept that mode for every output
+    old = os.umask(0o022)
+    try:
+        code, out = run_into(tmp_path, base_config())
+    finally:
+        os.umask(old)
+    assert code == 0
+    for name in ("simulate_summary.json", "simulate_trajectory.csv"):
+        assert stat.S_IMODE(os.stat(out / name).st_mode) == 0o644
+
+
+def test_a_failed_write_leaves_the_old_file_and_no_temporary_one(tmp_path, monkeypatch):
+    target = tmp_path / "out.csv"
+    target.write_text("old\n")
+
+    def refused(src, dst):
+        raise OSError("refused")
+
+    monkeypatch.setattr(cli.os, "replace", refused)
+    with pytest.raises(OSError, match="refused"):
+        cli._atomic_write(str(target), "new\n")
+    assert os.listdir(tmp_path) == ["out.csv"]
+    assert target.read_text() == "old\n"
 
 
 def test_cocycle_zero_leg_residual_is_exactly_zero(tmp_path):
@@ -726,10 +754,11 @@ def test_streamed_rows_equal_trajectory_rows_over_stored_states(tmp_path, name):
     eps, tau = spec.epsilon, b["tau"]
     w = shift(path, -tau)
     v0 = b["initial"].with_values(b["initial"].values * z_factor(w, eps, tau))
-    states = solver.stored_values(v0, tau, tau + b["horizon"], w, spec, plan.cfg)
+    column = ((v0,), tau, tau + b["horizon"], (w,), (eps,))
+    states = solver.stored_values(*column, spec, plan.cfg, plan.cfg.store_stride)
     p = spec.nonlinearity.p
     want = [
-        trajectory_row(t, Field(plan.grid, v / z_factor(w, eps, float(t))), p)
+        trajectory_row(t, Field(plan.grid, v[0] / z_factor(w, eps, float(t))), p)
         for t, v in states
     ]
     assert want[-1][0] == tau + b["horizon"] and (want[-1][0] - want[-2][0]) / plan.cfg.dt < 7
@@ -758,12 +787,13 @@ def test_a_bad_streamed_state_is_refused(tmp_path, monkeypatch, name, where, val
     def spoiled(*args):
         for j, (t, v) in enumerate(stream(*args)):
             if j == 2:
-                mid = len(v) // 2
                 v = v.copy()
-                v[{
-                    "centre": (mid,) * v.ndim,
-                    "first corner": (0,) * v.ndim,
-                    "last edge": (mid,) * (v.ndim - 1) + (-1,),
+                col = v[0]
+                mid = len(col) // 2
+                col[{
+                    "centre": (mid,) * col.ndim,
+                    "first corner": (0,) * col.ndim,
+                    "last edge": (mid,) * (col.ndim - 1) + (-1,),
                 }[where]] = value
             yield t, v
 

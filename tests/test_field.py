@@ -263,6 +263,25 @@ def test_tail_norm_full_radius_recovers_the_norm():
     assert tail_norm(f, 0.0, "h1") <= h1_norm(f) + 1e-15
 
 
+@pytest.mark.parametrize("dimension, m", [(1, 129), (1, 257), (2, 33)])
+def test_tails_have_the_bits_of_the_plain_masked_formula(dimension, m):
+    # the oracle is tail_norm's formula before the one pass: the squared
+    # values, plus the gradient energy for H1, summed over the mask
+    g = Grid(dimension, 6.0, m)
+    f = Field(g, gaussian_bump(g, 1.0, 1.5).values + 0.2 * eigenmode(g, 3).values)
+    radii = (0.0, 0.5, 1.25, 3.0, 6.0)
+    got = Quadrature(g).tails(f.values, radii)
+    h = g.cell_volume
+    for k, (l2, h1) in zip(radii, got):
+        mask = g.radial >= k
+        density = f.values**2
+        assert l2 == float(np.sqrt(h * np.sum(density[mask])))
+        assert h1 == float(np.sqrt(h * np.sum((density + gradient_energy_density(f))[mask])))
+        assert (l2, h1) == (tail_norm(f, k, "l2"), tail_norm(f, k, "h1"))
+    with pytest.raises(ValueError, match="exceeds the domain radius"):
+        Quadrature(g).tails(f.values, (1.0, 6.5))
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     width=st.floats(min_value=0.5, max_value=3.0),

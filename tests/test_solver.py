@@ -39,10 +39,12 @@ from pullbacklab.solver import (
     difference_history,
     energy_audit,
     final_state,
+    final_states,
     integrate,
     integrate_deterministic,
     self_convergence,
     spatial_convergence,
+    step,
     steps_between,
     stored_values,
 )
@@ -212,8 +214,8 @@ def test_stored_values_at_stride_one_match_integrate_bitwise(desk_spec, desk_pat
     grid = Grid(1, 8.0, 129)
     v0 = gaussian_bump(grid, 1.0, 1.5)
     traj = integrate(v0, 0.0, 0.05, desk_path, desk_spec, desk_cfg)
-    cfg = replace(desk_cfg, store_stride=1)
-    streamed = [(t, v.copy()) for t, v in stored_values(v0, 0.0, 0.05, desk_path, desk_spec, cfg)]
+    column = ((v0,), 0.0, 0.05, (desk_path,), (desk_spec.epsilon,))
+    streamed = [(t, v[0].copy()) for t, v in stored_values(*column, desk_spec, desk_cfg, 1)]
     assert len(streamed) == len(traj.states)
     for (t_s, values_s), (t_t, state_t) in zip(streamed, zip(traj.times, traj.states)):
         assert t_s == t_t
@@ -275,6 +277,49 @@ def test_difference_history_takes_a_numpy_integer_sample_stride(desk_spec, desk_
     # every 4th of the 10 steps, and the endpoint
     assert np.array_equal(got[0], np.array([0, 4, 8, 10]) * desk_cfg.dt)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("stride", [0, -1, 2.5, True])
+def test_stored_values_rejects_a_bad_stride_before_any_step(
+    monkeypatch, desk_spec, desk_path, desk_cfg, stride
+):
+    def no_march(*args, **kwargs):
+        raise AssertionError("a rejected stride must not march")
+
+    monkeypatch.setattr(solver, "_march", no_march)
+    v0 = gaussian_bump(Grid(1, 8.0, 129), 1.0, 1.5)
+    column = ((v0,), 0.0, 0.01, (desk_path,), (0.5,))
+    with pytest.raises(ConfigurationError, match="stride must be a positive integer"):
+        next(stored_values(*column, desk_spec, desk_cfg, stride))
+
+
+@pytest.mark.parametrize("door", ["final_states", "stored_values"])
+def test_both_doors_reject_states_on_grids_of_one_shape_but_two_radii(
+    monkeypatch, desk_spec, desk_path, desk_cfg, door
+):
+    # both grids are 129 points, so only the radius, and so h, tells them apart
+    def no_march(*args, **kwargs):
+        raise AssertionError("a rejected stack must not march")
+
+    monkeypatch.setattr(solver, "_march", no_march)
+    v0s = (gaussian_bump(Grid(1, 8.0, 129), 1.0, 1.5), gaussian_bump(Grid(1, 6.0, 129), 1.0, 1.5))
+    paths, epsilons = (desk_path,) * 2, (0.5,) * 2
+    with pytest.raises(ConfigurationError, match="one grid"):
+        if door == "final_states":
+            final_states(v0s, (0.0,) * 2, 0.01, paths, epsilons, desk_spec, desk_cfg)
+        else:
+            next(stored_values(v0s, 0.0, 0.01, paths, epsilons, desk_spec, desk_cfg, 1))
+
+
+@pytest.mark.parametrize("dimension, m", [(1, 129), (2, 17)])
+def test_step_is_the_one_step_final_state_bitwise(desk_spec, desk_path, desk_cfg, dimension, m):
+    spec = replace(desk_spec, dimension=dimension)
+    v = gaussian_bump(Grid(dimension, 8.0, m), 1.0, 1.5)
+    for t in (0.0, 0.25):
+        got = step(v, t, desk_path, spec, desk_cfg)
+        want = final_state(v, t, t + desk_cfg.dt, desk_path, spec, desk_cfg)
+        assert got.values.tobytes() == want.values.tobytes()
+        v = got
 
 
 def test_temporal_self_convergence_is_first_order():
@@ -443,6 +488,7 @@ def test_energy_audit_checks_its_final_state_for_a_leak():
 
 # each run's leaking columns, and the run; the path spans every run's window
 LEAK_RUNS = {
+    "step": (1, lambda u0, path, spec, cfg: step(u0, 0.0, path, spec, cfg)),
     "final_state": (1, lambda u0, path, spec, cfg: final_state(u0, 0.0, 0.01, path, spec, cfg)),
     "phi": (1, lambda u0, path, spec, cfg: phi(CocycleQuery(0.01, 0.5, path, 0.0, u0, spec, cfg))),
     "pullback_states": (2, lambda u0, path, spec, cfg: pullback_states(
@@ -475,5 +521,8 @@ def test_integration_window_is_validated(desk_spec, desk_cfg):
 def test_solver_config_validation():
     with pytest.raises(ConfigurationError):
         SolverConfig(dt=0.0)
-    with pytest.raises(ConfigurationError):
-        SolverConfig(dt=1e-3, store_stride=0)
+    # the stream's own stride rule: a numpy integer is a stride, a bool is not
+    for stride in (0, -1, 2.5, True):
+        with pytest.raises(ConfigurationError, match="store_stride must be a positive integer"):
+            SolverConfig(dt=1e-3, store_stride=stride)
+    assert SolverConfig(dt=1e-3, store_stride=np.int64(4)).store_stride == 4

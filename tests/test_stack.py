@@ -41,7 +41,6 @@ from pullbacklab.solver import (
     _check_finite,
     _Context,
     _march,
-    _setup,
     difference_history,
     final_state,
     final_states,
@@ -66,9 +65,14 @@ def spec_for(dimension: int, epsilon: float = 0.5) -> ProblemSpec:
 
 def march_stack(v0s, t_start, t_end, paths, epsilons, spec, cfg):
     """Every stack the kernel yields, with the stacked initial data first."""
-    (n, *_), ctx = _setup(v0s[0].grid, [t_start] * len(v0s), t_end, paths, epsilons, spec, cfg)
-    stack = np.stack([v0.values for v0 in v0s])
-    return [stack] + [v.copy() for v in _march(ctx, stack, t_start, paths, epsilons, n)]
+    stream = stored_values(v0s, t_start, t_end, paths, epsilons, spec, cfg, 1)
+    return [v.copy() for _, v in stream]
+
+
+def stream_alone(v0, t_start, t_end, path, epsilon, spec, cfg, stride):
+    """(time, values) for every state one column's stream stores, copied."""
+    stream = stored_values((v0,), t_start, t_end, (path,), (epsilon,), spec, cfg, stride)
+    return [(t, v[0].copy()) for t, v in stream]
 
 
 # (grid, dt, steps) per dimension; 2D stays small because every column is
@@ -97,13 +101,12 @@ def test_stack_columns_equal_single_runs_bitwise(dimension):
     v0s, paths, epsilons = columns(grid)
     t0, t1 = -0.25, -0.25 + steps * dt
     cfg = SolverConfig(dt=dt, store_stride=5)
-    every = replace(cfg, store_stride=1)
     stacks = march_stack(v0s, t0, t1, paths, epsilons, spec, cfg)
     assert len(stacks) == steps + 1
     ends = final_states(v0s, [t0] * len(v0s), t1, paths, epsilons, spec, cfg)
     for i, (v0, path, eps) in enumerate(zip(v0s, paths, epsilons)):
         spec_i = replace(spec, epsilon=eps)
-        alone = [v.copy() for _, v in stored_values(v0, t0, t1, path, spec_i, every)]
+        alone = [v for _, v in stream_alone(v0, t0, t1, path, eps, spec, cfg, 1)]
         assert len(alone) == len(stacks)
         for got, want in zip(stacks, alone):
             assert np.array_equal(got[i], want)
@@ -115,6 +118,18 @@ def test_stack_columns_equal_single_runs_bitwise(dimension):
         end = final_state(v0, t0, t1, path, spec_i, cfg)
         assert np.array_equal(stacks[-1][i], end.values)
         assert np.array_equal(ends[i].values, end.values)
+    # a stream of three columns with distinct paths and intensities, at a
+    # stride that divides neither step count, stores each column's states
+    # with the bits of that column streamed alone
+    three = slice(1, 4)
+    stream = stored_values(v0s[three], t0, t1, paths[three], epsilons[three], spec, cfg, 7)
+    stored = [(t, v.copy()) for t, v in stream]
+    assert [t for t, _ in stored][-1] == t1 and len(stored) == steps // 7 + 2
+    for i, (v0, path, eps) in enumerate(zip(v0s[three], paths[three], epsilons[three])):
+        alone = stream_alone(v0, t0, t1, path, eps, spec, cfg, 7)
+        assert [t for t, _ in stored] == [t for t, _ in alone]
+        for (_, got), (_, want) in zip(stored, alone):
+            assert np.array_equal(got[i], want)
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
@@ -356,7 +371,7 @@ def test_march_memory_does_not_grow_with_the_horizon(monkeypatch, reduction):
             starts = [-horizon * c for c in fractions]
             final_states(v0s, starts, 0.0, [path] * 6, epsilons, spec, cfg)
         elif reduction == "stored_values":
-            for _ in stored_values(v0s[0], -horizon, 0.0, path, spec, cfg):
+            for _ in stored_values(v0s[:1], -horizon, 0.0, [path], epsilons[:1], spec, cfg, 1000):
                 pass
         else:
             difference_history(v0s[0], v0s[1], -horizon, 0.0, path, spec, cfg, 1000)
@@ -465,8 +480,7 @@ def test_stack_columns_equal_single_runs_property(m, draws):
     stacks = march_stack(v0s, -0.2, -0.185, paths, epsilons, spec, cfg)
     for i, (v0, path, eps) in enumerate(zip(v0s, paths, epsilons)):
         spec_i = replace(spec, epsilon=eps)
-        every = replace(cfg, store_stride=1)
-        alone = [v.copy() for _, v in stored_values(v0, -0.2, -0.185, path, spec_i, every)]
+        alone = [v for _, v in stream_alone(v0, -0.2, -0.185, path, eps, spec, cfg, 1)]
         for got, want in zip(stacks, alone):
             assert np.array_equal(got[i], want)
         traj = integrate(v0, -0.2, -0.185, path, spec_i, cfg)
@@ -700,7 +714,7 @@ def test_reused_buffers_never_leak_into_results(dimension):
     t0, t1 = -0.25, -0.25 + steps * dt
     traj = integrate(v0, t0, t1, path, spec, cfg)
     # a copy of every yielded state is kept until the march is over
-    yielded = [(t, v.copy()) for t, v in stored_values(v0, t0, t1, path, spec, cfg)]
+    yielded = stream_alone(v0, t0, t1, path, spec.epsilon, spec, cfg, cfg.store_stride)
     assert len(traj.states) == len(yielded) == steps + 1
     for j, (stored, (t, values)) in enumerate(zip(traj.states, yielded)):
         assert t == traj.times[j]
@@ -828,7 +842,7 @@ def test_a_lone_2d_column_takes_windows_of_many_blocks(monkeypatch):
     spec = spec_for(2)
     path = sample_path(1, -1.0, 9.0, cfg.dt)
     v0 = gaussian_bump(grid, 1.0, 1.5)
-    stored = [(t, v.copy()) for t, v in stored_values(v0, 0.0, 8.0, path, spec, cfg)]
+    stored = stream_alone(v0, 0.0, 8.0, path, spec.epsilon, spec, cfg, cfg.store_stride)
     assert len(calls) <= 17
     assert [t for t, _ in stored] == [j * cfg.dt for j in range(0, 4001, 1000)]
     for j in (1000, 4000):
