@@ -68,7 +68,6 @@ def main() -> None:
 
     spec = ProblemSpec(
         lam=2.0,
-        epsilon=0.5,
         dimension=1,
         domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
@@ -79,7 +78,7 @@ def main() -> None:
     path = flat_path(-1.0, args.horizon + 1.0, 5e-4)
 
     temporal = self_convergence(
-        u0, args.horizon, path, spec, [8e-3, 4e-3, 2e-3, 1e-3, 5e-4]
+        u0, args.horizon, path, 0.5, spec, [8e-3, 4e-3, 2e-3, 1e-3, 5e-4]
     )
     print("temporal self-convergence")
     for dt, diff in zip(temporal.parameters, temporal.differences):
@@ -88,7 +87,7 @@ def main() -> None:
 
     spatial = spatial_convergence(
         lambda pts: np.exp(-(pts**2).sum(axis=1) / 4.0),
-        0.5, path, spec, SolverConfig(dt=5e-4), [33, 65, 129, 257],
+        0.5, path, 0.5, spec, SolverConfig(dt=5e-4), [33, 65, 129, 257],
     )
     print("spatial self-convergence")
     for m, diff in zip(spatial.parameters, spatial.differences):
@@ -96,7 +95,7 @@ def main() -> None:
     print(f"  observed orders: {[round(o, 3) for o in spatial.orders]}")
 
     lin_spec = ProblemSpec(
-        lam=2.0, epsilon=0.0, dimension=1, domain_radius=8.0,
+        lam=2.0, dimension=1, domain_radius=8.0,
         nonlinearity=zero_reaction(), forcing=zero_forcing(),
     )
     print("eigenmode recurrence error (reaction switched off)")

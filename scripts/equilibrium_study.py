@@ -15,7 +15,7 @@ import os
 import warnings
 
 from pullbacklab.attractor import compute_equilibrium
-from pullbacklab.cocycle import CocycleQuery, phi, pullback_state
+from pullbacklab.cocycle import phi, pullback_state
 from pullbacklab.errors import BoundaryLeakWarning
 from pullbacklab.field import gaussian_bump, l2_norm, h1_norm
 from pullbacklab.model import ProblemSpec, canonical_cubic, canonical_forcing, grid_for
@@ -38,7 +38,6 @@ def main() -> None:
 
     spec = ProblemSpec(
         lam=args.lam,
-        epsilon=args.epsilon,
         dimension=1,
         domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
@@ -64,10 +63,7 @@ def main() -> None:
         # push the fixed point forward one unit; the result must match the
         # fixed point observed at tau + 1 along the unit-shifted path, no
         # matter which initial data seeded that second pullback
-        pushed = phi(CocycleQuery(
-            t=1.0, tau=tau, path=path, epsilon=args.epsilon,
-            u0=res.state, spec=spec, cfg=cfg,
-        ))
+        pushed = phi(1.0, tau, path, args.epsilon, res.state, spec, cfg)
         target = pullback_state(
             schedule[-1], tau + 1.0, shift(path, 1.0), args.epsilon,
             u0_other, spec, cfg,

@@ -26,7 +26,7 @@ the laboratory measures its size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -189,13 +189,12 @@ def fit_decay_rate(
     if np.array_equal(u0_a.values, u0_b.values):
         raise ConfigurationError("u0_a and u0_b must differ somewhere")
     first = lattice_steps(fit_start, cfg.dt, f"fit_start={fit_start!r}")
-    spec = replace(spec, epsilon=epsilon)
     n = steps_between(tau, tau + window, cfg.dt)
     stride = max(1, n // 512)
     w, v0_a = _rebased(path, epsilon, tau, tau, u0_a)
     _, v0_b = _rebased(path, epsilon, tau, tau, u0_b)
     times, sq = difference_history(
-        v0_a, v0_b, tau, tau + window, w, spec, cfg, sample_stride=stride
+        v0_a, v0_b, tau, tau + window, w, epsilon, spec, cfg, sample_stride=stride
     )
     if np.any(sq == 0.0):
         return DecayFitResult(

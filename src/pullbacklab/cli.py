@@ -51,7 +51,7 @@ from .attractor import (
     truncation_diagnostics,
     upper_semicontinuity_sweep,
 )
-from .cocycle import CocycleQuery, phi_states, pullback_state, pullback_states
+from .cocycle import phi_states, pullback_state, pullback_states
 from .cocycle import verify_cocycle_property
 from .errors import (
     ConfigurationError,
@@ -82,6 +82,7 @@ from .solver import SolverConfig, worker_count
 class _Plan:
     experiment: str
     spec: ProblemSpec
+    epsilon: float
     grid: Grid
     cfg: SolverConfig
     noise: dict | None
@@ -107,7 +108,7 @@ class _Plan:
             "experiment": self.experiment,
             "spec": {
                 "lambda": self.spec.lam,
-                "epsilon": self.spec.epsilon,
+                "epsilon": self.epsilon,
                 "dimension": self.spec.dimension,
                 "domain_radius": self.spec.domain_radius,
                 "nonlinearity": self.raw_spec["nonlinearity"],
@@ -227,7 +228,11 @@ def _resolve(raw, out_dir_override: str | None) -> _Plan:
                 )
         exp = EXPERIMENTS[experiment]
 
-        spec_section = root.get("spec")
+        # the spec section also carries the runs' intensity, which is no problem data
+        spec_section = ConfigSection(root.get("spec"), "spec")
+        epsilon = spec_section.number("epsilon")
+        if not 0.0 <= epsilon <= 1.0:
+            raise ConfigurationError(f"spec: epsilon must lie in [0, 1], got {epsilon!r}")
         spec = spec_from_config(spec_section)
 
         with ConfigSection(root.get("grid"), "grid") as r:
@@ -252,10 +257,11 @@ def _resolve(raw, out_dir_override: str | None) -> _Plan:
         plan = _Plan(
             experiment=experiment,
             spec=spec,
+            epsilon=epsilon,
             grid=grid,
             cfg=cfg,
             noise=None,
-            raw_spec=spec_section,
+            raw_spec=spec_section.raw,
             raw_block=root.get(experiment, {}),
             out_dir=out_dir if out_dir_override is None else out_dir_override,
             formats=tuple(formats),
@@ -299,11 +305,11 @@ def _exec_simulate(plan: _Plan, path: Path):
     noise path and record the state's norms.  Emits final and initial L2/H1/Lp
     norms in the summary and a trajectory CSV (columns: t, l2, h1, l{p})."""
     b, spec = plan.block, plan.spec
-    query = CocycleQuery(b["horizon"], b["tau"], path, spec.epsilon, b["initial"], spec, plan.cfg)
+    run = (b["horizon"], b["tau"], path, plan.epsilon, b["initial"], spec, plan.cfg)
     # each stored state is reduced to its CSV row, in one checked pass, as
     # the run yields it
     quad, p = Quadrature(plan.grid), spec.nonlinearity.p
-    rows = [[float(t), *quad.norms(u, p=p)] for t, u in phi_states(query)]
+    rows = [[float(t), *quad.norms(u, p=p)] for t, u in phi_states(*run)]
     names = ("l2", "h1", f"l{p:g}")
     results = {
         "initial_norms": dict(zip(names, rows[0][1:])),
@@ -320,7 +326,7 @@ def _exec_pullback(plan: _Plan, path: Path):
     b = plan.block
     spec, cfg = plan.spec, plan.cfg
     state = pullback_state(
-        b["horizon"], b["tau"], path, spec.epsilon, b["initial"], spec, cfg
+        b["horizon"], b["tau"], path, plan.epsilon, b["initial"], spec, cfg
     )
     p = spec.nonlinearity.p
     results = {"norms": _norms(state, p), "tau": b["tau"], "horizon": b["horizon"]}
@@ -347,7 +353,7 @@ def _exec_equilibrium(plan: _Plan, path: Path):
     b = plan.block
     spec, cfg = plan.spec, plan.cfg
     res = compute_equilibrium(
-        b["tau"], path, spec.epsilon, spec, cfg, b["initial"], b["t_schedule"], b["tol"]
+        b["tau"], path, plan.epsilon, spec, cfg, b["initial"], b["t_schedule"], b["tol"]
     )
     results = {
         "converged": res.converged,
@@ -385,15 +391,8 @@ def _exec_decay_rate(plan: _Plan, path: Path):
     b = plan.block
     spec, cfg = plan.spec, plan.cfg
     fit = fit_decay_rate(
-        b["tau"],
-        path,
-        spec.epsilon,
-        spec,
-        cfg,
-        b["initial_a"],
-        b["initial_b"],
-        b["window"],
-        b["fit_start"],
+        b["tau"], path, plan.epsilon, spec, cfg,
+        b["initial_a"], b["initial_b"], b["window"], b["fit_start"],
     )
     ok = fit.underflow or fit.slope <= fit.bound + b["tolerance"]
     results = {
@@ -435,7 +434,7 @@ def _exec_tail(plan: _Plan, path: Path):
     b = plan.block
     spec, cfg = plan.spec, plan.cfg
     prof = tail_profile(
-        b["tau"], path, spec.epsilon, spec, cfg, b["initial"], b["horizon"], b["radii"]
+        b["tau"], path, plan.epsilon, spec, cfg, b["initial"], b["horizon"], b["radii"]
     )
     rows = []
     for radius, t2, t1 in prof.rows:
@@ -471,7 +470,8 @@ def _parse_truncation(b: _Block) -> dict:
     }
     # in steps, as truncation_diagnostics counts them: 49 * (1/49) < 1.0
     dt = b.plan.cfg.dt
-    covers = round(out["horizon"] / dt) >= round(1.0 / dt)
+    unit = lattice_steps(1.0, dt, "the unit window 1.0")
+    covers = lattice_steps(out["horizon"], dt, b.path("horizon")) >= unit
     b.check(covers, "horizon", "must cover the unit window: at least 1")
     b.check(out["levels"][0] > 0.0, "levels", "must hold positive levels")
     return out
@@ -485,7 +485,7 @@ def _exec_truncation(plan: _Plan, path: Path):
     b = plan.block
     spec, cfg = plan.spec, plan.cfg
     diags = truncation_diagnostics(
-        b["tau"], path, spec.epsilon, spec, cfg, b["initial"], b["horizon"], b["levels"]
+        b["tau"], path, plan.epsilon, spec, cfg, b["initial"], b["horizon"], b["levels"]
     )
     values = [d.value for d in diags]
     decreasing = all(v2 < v1 for v1, v2 in zip(values, values[1:]))
@@ -588,7 +588,7 @@ def _exec_cocycle_test(plan: _Plan, path: Path):
     b = plan.block
     spec, cfg = plan.spec, plan.cfg
     residual = verify_cocycle_property(
-        b["t"], b["s"], b["tau"], path, spec.epsilon, b["initial"], spec, cfg
+        b["t"], b["s"], b["tau"], path, plan.epsilon, b["initial"], spec, cfg
     )
     results = {"residual": residual, "bound": b["residual_bound"]}
     return results, {"residual_small": residual <= b["residual_bound"]}, {}
@@ -644,7 +644,7 @@ def _exec_absorbing(plan: _Plan, path: Path):
     band."""
     b = plan.block
     spec, cfg, grid = plan.spec, plan.cfg, plan.grid
-    eps = spec.epsilon
+    eps = plan.epsilon
     tau = b["tau"]
     t1 = b["pullback_horizon"]
     # both pullbacks end at tau along one path, so they march as one stack

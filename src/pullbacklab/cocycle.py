@@ -29,7 +29,6 @@ identity, and that pullback state equals the direct right-hand evaluation
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -41,29 +40,6 @@ from .noise import Path, lattice_steps, shift, z_factor
 from .solver import SolverConfig, final_states, steps_between, stored_values
 
 
-@dataclass(frozen=True)
-class CocycleQuery:
-    """One cocycle evaluation: duration, start time, path, intensity, data."""
-
-    t: float
-    tau: float
-    path: Path
-    epsilon: float
-    u0: Field
-    spec: ProblemSpec
-    cfg: SolverConfig
-
-    def __post_init__(self):
-        if self.t < 0.0:
-            raise ConfigurationError(f"duration t must be nonnegative, got {self.t!r}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigurationError(
-                f"epsilon must lie in [0, 1], got {self.epsilon!r}"
-            )
-        lattice_steps(self.t, self.cfg.dt, f"t={self.t!r}")
-        lattice_steps(self.tau, self.cfg.dt, f"tau={self.tau!r}")
-
-
 def _rebased(
     path: Path, epsilon: float, tau: float, start: float, u0: Field
 ) -> tuple[Path, Field]:
@@ -72,6 +48,19 @@ def _rebased(
     the conjugated equation, for every run of the stochastic one."""
     w = shift(path, -tau)
     return w, u0.with_values(u0.values * z_factor(w, epsilon, start))
+
+
+def _columns(
+    tau: float, starts: Sequence[float], paths: Sequence[Path], epsilons: Sequence[float],
+    u0s: Sequence[Field], cfg: SolverConfig,
+) -> tuple[list[Path], list[Field]]:
+    """Every column's path and conjugated data (:func:`_rebased`), after
+    checking that ``tau`` sits on the dt lattice: the way in of :func:`phi`,
+    :func:`phi_states` and :func:`pullback_states`."""
+    lattice_steps(tau, cfg.dt, f"tau={tau!r}")
+    columns = zip(paths, epsilons, starts, u0s, strict=True)
+    rebased = [_rebased(path, eps, tau, start, u0) for path, eps, start, u0 in columns]
+    return [w for w, _ in rebased], [v0 for _, v0 in rebased]
 
 
 def _endpoints(
@@ -89,10 +78,8 @@ def _endpoints(
     ``tau``, at intensity ``epsilons[i]``, and unconjugated at ``end``.
     Every column is checked (:func:`~pullbacklab.solver.final_states`); one
     with nothing to march hands its data back as given."""
-    columns = zip(paths, epsilons, starts, u0s, strict=True)
-    rebased = [_rebased(path, eps, tau, start, u0) for path, eps, start, u0 in columns]
-    ws = [w for w, _ in rebased]
-    ends = final_states([v0 for _, v0 in rebased], starts, end, ws, epsilons, spec, cfg)
+    ws, v0s = _columns(tau, starts, paths, epsilons, u0s, cfg)
+    ends = final_states(v0s, starts, end, ws, epsilons, spec, cfg)
     out = []
     for u0, start, w, eps, v in zip(u0s, starts, ws, epsilons, ends):
         marched = steps_between(start, end, cfg.dt)
@@ -100,25 +87,35 @@ def _endpoints(
     return tuple(out)
 
 
-def phi(q: CocycleQuery) -> Field:
-    """Evaluate the cocycle.  phi(0, ...) returns u0 itself, bit for bit."""
-    cols = ((q.path,), (q.epsilon,), (q.u0,))
-    return _endpoints((q.tau,), q.tau + q.t, q.tau, *cols, q.spec, q.cfg)[0]
+def phi(
+    t: float, tau: float, path: Path, epsilon: float,
+    u0: Field, spec: ProblemSpec, cfg: SolverConfig,
+) -> Field:
+    """Evaluate the cocycle phi(t, tau, path, u0) at intensity ``epsilon``.
+    Before any step it rejects a negative or off-lattice ``t``, an
+    intensity outside [0, 1] and an off-lattice ``tau``.  phi(0, ...)
+    returns u0 itself, bit for bit."""
+    return _endpoints((tau,), tau + t, tau, (path,), (epsilon,), (u0,), spec, cfg)[0]
 
 
-def phi_states(q: CocycleQuery):
+def phi_states(
+    t: float, tau: float, path: Path, epsilon: float,
+    u0: Field, spec: ProblemSpec, cfg: SolverConfig,
+):
     """Yield (time, values) for every state the run of :func:`phi` stores,
     as :func:`~pullbacklab.solver.stored_values` streams its one column at
-    ``q.cfg.store_stride``, each unconjugated into one reused buffer that is
+    ``cfg.store_stride``, each unconjugated into one reused buffer that is
     valid until the next ``next``; for t > 0 the last values are
-    ``phi(q).values`` bit for bit.  No :class:`Field` has checked them, so
-    a consumer reduces them through a :class:`~pullbacklab.field.Quadrature`
-    pass, which checks them as a Field would."""
-    w, v0 = _rebased(q.path, q.epsilon, q.tau, q.tau, q.u0)
-    column, u = ((v0,), q.tau, q.tau + q.t, (w,), (q.epsilon,)), np.empty(q.u0.grid.shape)
-    for t, v in stored_values(*column, q.spec, q.cfg, q.cfg.store_stride):
-        np.divide(v[0], z_factor(w, q.epsilon, float(t)), out=u)
-        yield t, u
+    ``phi(...).values`` bit for bit.  The first ``next`` checks what
+    :func:`phi` checks, before any step.  No :class:`Field` has checked the
+    values, so a consumer reduces them through a
+    :class:`~pullbacklab.field.Quadrature` pass, which checks them as a
+    Field would."""
+    (w,), (v0,) = _columns(tau, (tau,), (path,), (epsilon,), (u0,), cfg)
+    column, u = ((v0,), tau, tau + t, (w,), (epsilon,)), np.empty(u0.grid.shape)
+    for s, v in stored_values(*column, spec, cfg, cfg.store_stride):
+        np.divide(v[0], z_factor(w, epsilon, float(s)), out=u)
+        yield s, u
 
 
 def pullback_states(
@@ -145,7 +142,6 @@ def pullback_states(
         raise ConfigurationError(
             "need one horizon, one path and one intensity per initial state"
         )
-    lattice_steps(tau, cfg.dt, f"tau={tau!r}")
     return _endpoints([tau - t for t in ts], tau, tau, paths, epsilons, u0s, spec, cfg)
 
 
@@ -190,9 +186,9 @@ def verify_cocycle_property(
         raise ConfigurationError("durations t and s must be nonnegative")
     for name, value in (("t", t), ("s", s), ("tau", tau)):
         lattice_steps(value, cfg.dt, f"{name}={value!r}")
-    lhs = phi(CocycleQuery(t + s, tau, path, epsilon, u0, spec, cfg))
-    mid = phi(CocycleQuery(s, tau, path, epsilon, u0, spec, cfg))
-    rhs = phi(CocycleQuery(t, tau + s, shift(path, s), epsilon, mid, spec, cfg))
+    lhs = phi(t + s, tau, path, epsilon, u0, spec, cfg)
+    mid = phi(s, tau, path, epsilon, u0, spec, cfg)
+    rhs = phi(t, tau + s, shift(path, s), epsilon, mid, spec, cfg)
     quad = Quadrature(u0.grid)
     num = quad.norms(lhs.values - rhs.values, h1=False)[0]
     return num / max(1.0, quad.norms(lhs.values, h1=False)[0])

@@ -357,7 +357,8 @@ class Trajectory:
     stride: int
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
+        # a copy of its own: freezing the caller's array would freeze theirs
+        times = np.array(self.times, dtype=float)
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", tuple(self.states))

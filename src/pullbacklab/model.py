@@ -92,10 +92,10 @@ class Forcing:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Everything that defines one problem instance, solver aside."""
+    """Everything that defines one problem instance, solver and noise aside:
+    the noise intensity is an argument of every run, not problem data."""
 
     lam: float
-    epsilon: float
     dimension: int
     domain_radius: float
     nonlinearity: Nonlinearity
@@ -104,10 +104,6 @@ class ProblemSpec:
     def __post_init__(self):
         if not (self.lam > 0.0 and np.isfinite(self.lam)):
             raise ConfigurationError(f"lambda must be positive, got {self.lam!r}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigurationError(
-                f"epsilon must lie in [0, 1], got {self.epsilon!r}"
-            )
         if self.dimension not in (1, 2):
             raise ConfigurationError(f"dimension must be 1 or 2, got {self.dimension}")
         if not (self.domain_radius > 0.0):
@@ -476,13 +472,14 @@ def forcing_from_config(section: Mapping, where: str = "forcing") -> Forcing:
         )
 
 
-def spec_from_config(config: Mapping) -> ProblemSpec:
-    """Assemble a ProblemSpec from a plain mapping; unknown keys are rejected."""
-    with ConfigSection(config, "spec") as r:
+def spec_from_config(config: Mapping | ConfigSection) -> ProblemSpec:
+    """Assemble a ProblemSpec from a plain mapping, or from a section whose
+    other keys the caller has read; unknown keys are rejected."""
+    section = config if isinstance(config, ConfigSection) else ConfigSection(config, "spec")
+    with section as r:
         return r.made(
             ProblemSpec,
             lam=r.number("lambda"),
-            epsilon=r.number("epsilon"),
             dimension=r.integer("dimension"),
             domain_radius=r.number("domain_radius"),
             nonlinearity=nonlinearity_from_config(r.get("nonlinearity"), "spec.nonlinearity"),

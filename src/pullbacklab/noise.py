@@ -70,7 +70,8 @@ class WienerPath:
 
     def __post_init__(self):
         _check_positive_step(self.dt)
-        vals = np.asarray(self.values, dtype=float)
+        # a copy of its own: freezing the caller's array would freeze theirs
+        vals = np.array(self.values, dtype=float)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1:

@@ -47,10 +47,10 @@ Columns never mix, and every BLAS call of a 1D product has a fixed width,
 so a column's bits do not depend on its lane or its neighbours: a column of
 a stack equals the same run marched alone, bit for bit.
 The kernel has two doors, both taking each column's initial state, path
-and intensity (never ``spec.epsilon``), and both enter through
-:func:`_setup`, which checks every column before any step, a column with
-nothing to march included: one grid, its duration on the dt lattice, its
-run inside its path's window, and its intensity and step.
+and intensity, and both enter through :func:`_setup`, which checks every
+column before any step, a column with nothing to march included: one grid,
+its duration on the dt lattice, its run inside its path's window, and its
+intensity and step.
 :func:`stored_values` streams a stack that starts at one time: the initial
 stack, every ``stride``-th step's and the final one, as the kernel's raw
 arrays.  It alone holds that rule, and it is every stream's one exit: it
@@ -716,14 +716,14 @@ def stored_values(
     initial one, every ``stride``-th step's and the final one, each time an
     exact multiple of dt from the shared ``t_start``.  Column i starts from
     ``v0s[i]`` along ``paths[i]`` at intensity ``epsilons[i]``, as in
-    :func:`final_states`; neither ``spec.epsilon`` nor ``cfg.store_stride``
-    is read.  The stride and every column (:func:`_setup`) are checked at
-    the first ``next``, before any step, and the final stack is checked for
-    a boundary leak before it is yielded.  Every stack after the first is
-    the kernel's buffer, valid until the next ``next`` and checked by no
-    :class:`Field`: a consumer copies what it keeps and reduces each state
-    through a :class:`~pullbacklab.field.Quadrature` pass, which checks it
-    as a Field would, so one that keeps nothing runs at constant memory.
+    :func:`final_states`; ``cfg.store_stride`` is not read.  The stride and
+    every column (:func:`_setup`) are checked at the first ``next``, before
+    any step, and the final stack is checked for a boundary leak before it
+    is yielded.  Every stack after the first is the kernel's buffer, valid
+    until the next ``next`` and checked by no :class:`Field`: a consumer
+    copies what it keeps and reduces each state through a
+    :class:`~pullbacklab.field.Quadrature` pass, which checks it as a Field
+    would, so one that keeps nothing runs at constant memory.
     """
     _check_stride(stride, "stride")
     (n, *_), ctx = _setup(v0s, (t_start,) * len(v0s), t_end, paths, epsilons, spec, cfg)
@@ -736,10 +736,12 @@ def stored_values(
             yield t_start + j * cfg.dt, v
 
 
-def step(v: Field, t: float, path: Path, spec: ProblemSpec, cfg: SolverConfig) -> Field:
+def step(
+    v: Field, t: float, path: Path, epsilon: float, spec: ProblemSpec, cfg: SolverConfig
+) -> Field:
     """One semi-implicit step from time t to t + dt: :func:`final_state`
     over one step."""
-    return final_state(v, t, t + cfg.dt, path, spec, cfg)
+    return final_state(v, t, t + cfg.dt, path, epsilon, spec, cfg)
 
 
 def integrate(
@@ -747,18 +749,20 @@ def integrate(
     t_start: float,
     t_end: float,
     path: Path,
+    epsilon: float,
     spec: ProblemSpec,
     cfg: SolverConfig,
 ) -> Trajectory:
-    """March the conjugated state from t_start to t_end along the path and
-    keep what :func:`stored_values` yields: every store_stride-th state plus
-    the initial and the final one.  The first state is ``v0`` itself and
-    every later one a checked copy, a :class:`Field` of its own.
+    """March the conjugated state from t_start to t_end along the path at
+    intensity ``epsilon`` and keep what :func:`stored_values` yields:
+    every store_stride-th state plus the initial and the final one.  The
+    first state is ``v0`` itself and every later one a checked copy, a
+    :class:`Field` of its own.
 
     The duration must be a lattice multiple of cfg.dt and the path window
     must cover [t_start, t_end].
     """
-    column = ((v0,), t_start, t_end, (path,), (spec.epsilon,))
+    column = ((v0,), t_start, t_end, (path,), (epsilon,))
     stream = stored_values(*column, spec, cfg, cfg.store_stride)
     first = (next(stream)[0], v0)
     times, states = zip(first, *((t, Field(v0.grid, v[0])) for t, v in stream))
@@ -983,13 +987,12 @@ def final_states(
 
     Column i starts from ``v0s[i]`` at ``t_starts[i]`` and is driven along
     ``paths[i]`` at intensity ``epsilons[i]`` up to the shared ``t_end``;
-    everything else is shared, and ``spec``'s own epsilon is ignored.  The
-    columns are admitted longest first, each at the step where its own run
-    begins, and a column with nothing to march comes back as given.  Each
-    endpoint equals :func:`final_state` of that column alone, bit for bit.
-    A divergence raises at the own time of the first column to diverge,
-    counted in steps of the stack (columns that diverge on the same step
-    are taken longest first).
+    everything else is shared.  The columns are admitted longest first,
+    each at the step where its own run begins, and a column with nothing to
+    march comes back as given.  Each endpoint equals :func:`final_state` of
+    that column alone, bit for bit.  A divergence raises at the own time of
+    the first column to diverge, counted in steps of the stack (columns that
+    diverge on the same step are taken longest first).
 
     A large 1D stack is split across processes.  When :func:`worker_count`
     and the number of columns both reach two or more, and the stack holds
@@ -1034,6 +1037,7 @@ def final_state(
     t_start: float,
     t_end: float,
     path: Path,
+    epsilon: float,
     spec: ProblemSpec,
     cfg: SolverConfig,
 ) -> Field:
@@ -1042,7 +1046,7 @@ def final_state(
     Same step sequence, same bits, constant memory; the one-column case of
     :func:`final_states`.
     """
-    return final_states((v0,), (t_start,), t_end, (path,), (spec.epsilon,), spec, cfg)[0]
+    return final_states((v0,), (t_start,), t_end, (path,), (epsilon,), spec, cfg)[0]
 
 
 def difference_history(
@@ -1051,11 +1055,13 @@ def difference_history(
     t_start: float,
     t_end: float,
     path: Path,
+    epsilon: float,
     spec: ProblemSpec,
     cfg: SolverConfig,
     sample_stride: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run two solutions in lockstep along one path; record ||difference||^2.
+    """Run two solutions in lockstep along one path at intensity ``epsilon``;
+    record ||difference||^2.
 
     Returns (times, squared L2 norms of a - b), sampled as
     :func:`stored_values` streams the pair at a stride of ``sample_stride``
@@ -1063,7 +1069,7 @@ def difference_history(
     step's and the endpoint.  This is the raw material for contraction-rate
     fits.
     """
-    pair = ((v0_a, v0_b), t_start, t_end, (path, path), (spec.epsilon,) * 2)
+    pair = ((v0_a, v0_b), t_start, t_end, (path, path), (epsilon,) * 2)
     quad = Quadrature(v0_a.grid)
     times, norms = [], []
     for t, v in stored_values(*pair, spec, cfg, sample_stride):
@@ -1085,10 +1091,20 @@ class ConvergenceReport:
     orders: tuple[float, ...]
 
 
+def _convergence_report(parameters, quad: Quadrature, ends: list) -> ConvergenceReport:
+    """The L2 differences of successive ``ends`` (value arrays on ``quad``'s
+    grid), their ratios and the orders log2(ratio) they witness."""
+    diffs = tuple(quad.norms(a - b, h1=False)[0] for a, b in zip(ends, ends[1:]))
+    ratios = tuple(d0 / d1 for d0, d1 in zip(diffs, diffs[1:]))
+    orders = tuple(float(np.log2(r)) for r in ratios)
+    return ConvergenceReport(tuple(parameters), diffs, ratios, orders)
+
+
 def self_convergence(
     v0: Field,
     horizon: float,
     path: Path,
+    epsilon: float,
     spec: ProblemSpec,
     dt_ladder: list[float],
 ) -> ConvergenceReport:
@@ -1109,23 +1125,15 @@ def self_convergence(
     finals = []
     for dt in dt_ladder:
         cfg = SolverConfig(dt=dt, store_stride=10**9)
-        finals.append(final_state(v0, 0.0, horizon, path, spec, cfg))
-    quad = Quadrature(v0.grid)
-    diffs = [quad.norms(a.values - b.values, h1=False)[0] for a, b in zip(finals, finals[1:])]
-    ratios = [d0 / d1 for d0, d1 in zip(diffs, diffs[1:])]
-    orders = [float(np.log2(r)) for r in ratios]
-    return ConvergenceReport(
-        parameters=tuple(dt_ladder),
-        differences=tuple(diffs),
-        ratios=tuple(ratios),
-        orders=tuple(orders),
-    )
+        finals.append(final_state(v0, 0.0, horizon, path, epsilon, spec, cfg).values)
+    return _convergence_report(dt_ladder, Quadrature(v0.grid), finals)
 
 
 def spatial_convergence(
     profile_fn,
     horizon: float,
     path: Path,
+    epsilon: float,
     spec: ProblemSpec,
     cfg: SolverConfig,
     m_ladder: list[int],
@@ -1144,29 +1152,15 @@ def spatial_convergence(
             raise ConfigurationError(
                 f"grid ladder must nest (next = 2*m - 1), got {a} -> {b}"
             )
-    coarse = Grid(spec.dimension, spec.domain_radius, m_ladder[0])
     restricted = []
     for i, m in enumerate(m_ladder):
         grid = Grid(spec.dimension, spec.domain_radius, m)
         v0 = field_from_function(grid, profile_fn)
-        end = final_state(v0, 0.0, horizon, path, spec, cfg)
-        stride = 2**i
-        vals = (
-            end.values[::stride]
-            if spec.dimension == 1
-            else end.values[::stride, ::stride]
-        )
-        restricted.append(vals)
-    quad = Quadrature(coarse)
-    diffs = [quad.norms(a - b, h1=False)[0] for a, b in zip(restricted, restricted[1:])]
-    ratios = [d0 / d1 for d0, d1 in zip(diffs, diffs[1:])]
-    orders = [float(np.log2(r)) for r in ratios]
-    return ConvergenceReport(
-        parameters=tuple(float(m) for m in m_ladder),
-        differences=tuple(diffs),
-        ratios=tuple(ratios),
-        orders=tuple(orders),
-    )
+        end = final_state(v0, 0.0, horizon, path, epsilon, spec, cfg)
+        # every 2^i-th point of the finer grid is a point of the coarsest
+        restricted.append(end.values[(slice(None, None, 2**i),) * spec.dimension])
+    coarse = Grid(spec.dimension, spec.domain_radius, m_ladder[0])
+    return _convergence_report([float(m) for m in m_ladder], Quadrature(coarse), restricted)
 
 
 # -- energy audit ------------------------------------------------------------
@@ -1198,10 +1192,11 @@ def energy_audit(
     t_start: float,
     t_end: float,
     path: Path,
+    epsilon: float,
     spec: ProblemSpec,
     cfg: SolverConfig,
 ) -> EnergyAudit:
-    states = stored_values((v0,), t_start, t_end, (path,), (spec.epsilon,), spec, cfg, 1)
+    states = stored_values((v0,), t_start, t_end, (path,), (epsilon,), spec, cfg, 1)
     quad = Quadrature(v0.grid)
     # the first next checks the run before any series is formed
     norm_sq = quad.squares(next(states)[1][0], h1=False)[0]
@@ -1209,7 +1204,7 @@ def energy_audit(
     psi1_mass = float(v0.grid.cell_volume * np.sum(spec.nonlinearity.psi1(v0.grid.points)))
     c = 2.0 * max(1.0, 1.0 / spec.lam)
     # the result is per step, so the z and forcing series are too
-    zs = z_series(path, spec.epsilon, t_start, n, cfg.dt)
+    zs = z_series(path, epsilon, t_start, n, cfg.dt)
     g_sq = forcing_norms_sq(spec.forcing, v0.grid, t_start + np.arange(n) * cfg.dt)
     out = np.empty(n)
     for j, (_, v) in enumerate(states):

@@ -76,7 +76,6 @@ def no_child_left_behind():
 def desk_spec() -> ProblemSpec:
     return ProblemSpec(
         lam=2.0,
-        epsilon=0.5,
         dimension=1,
         domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),

@@ -22,7 +22,7 @@ from pullbacklab.attractor import (
     truncation_diagnostic,
     upper_semicontinuity_sweep,
 )
-from pullbacklab.cocycle import CocycleQuery, phi, pullback_state, verify_cocycle_property
+from pullbacklab.cocycle import phi, pullback_state, verify_cocycle_property
 from pullbacklab.field import (
     Grid,
     eigenmode,
@@ -52,10 +52,9 @@ from pullbacklab.solver import (
 pytestmark = pytest.mark.filterwarnings("ignore::pullbacklab.errors.BoundaryLeakWarning")
 
 
-def _desk_spec(lam=2.0, epsilon=0.5, alpha3=1.0, scale=1.0, forcing=(0.5, 0.5, 1.0)):
+def _desk_spec(lam=2.0, alpha3=1.0, scale=1.0, forcing=(0.5, 0.5, 1.0)):
     return ProblemSpec(
         lam=lam,
-        epsilon=epsilon,
         dimension=1,
         domain_radius=8.0,
         nonlinearity=canonical_cubic(alpha3, scale),
@@ -92,12 +91,11 @@ def test_criterion_01_cocycle_identity_and_composition():
         # the window must hold the integration range and the re-basing
         # points at -tau and -(tau + s)
         path = sample_path(100 + case, -1.5, 1.5, dt)
-        held = phi(CocycleQuery(t=0.0, tau=tau, path=path, epsilon=eps, u0=u0, spec=spec, cfg=CFG))
+        held = phi(0.0, tau, path, eps, u0, spec, CFG)
         assert held is u0
         worst = max(worst, verify_cocycle_property(t, s, tau, path, eps, u0, spec, CFG))
     spec2d = ProblemSpec(
         lam=2.0,
-        epsilon=0.5,
         dimension=2,
         domain_radius=6.0,
         nonlinearity=canonical_cubic(1.0),
@@ -139,7 +137,7 @@ def test_criterion_02_contraction_rate_beats_the_gap():
 
 
 def test_criterion_03_equilibrium_unique_across_initial_data():
-    spec = _desk_spec(lam=1.5, epsilon=0.25, scale=0.05, forcing=(0.5, 0.5, 2.0))
+    spec = _desk_spec(lam=1.5, scale=0.05, forcing=(0.5, 0.5, 2.0))
     path = sample_path(7, -42.0, 3.0, 1e-3)
     schedule = [1.0, 2.0, 4.0, 8.0, 16.0, 24.0, 32.0, 40.0]
     res_a = compute_equilibrium(
@@ -165,9 +163,7 @@ def test_criterion_04_equilibrium_invariance_under_the_flow():
         ustar = pullback_state(
             depth, tau, path, 0.5, gaussian_bump(GRID, 1.0, 1.5), spec, CFG
         )
-        pushed = phi(
-            CocycleQuery(t=hop, tau=tau, path=path, epsilon=0.5, u0=ustar, spec=spec, cfg=CFG)
-        )
+        pushed = phi(hop, tau, path, 0.5, ustar, spec, CFG)
         target = pullback_state(
             depth, tau + hop, shift(path, hop), 0.5,
             gaussian_bump(GRID, -0.5, 2.0), spec, CFG,
@@ -219,7 +215,7 @@ def test_criterion_06_tail_fraction_small_and_monotone():
 
 
 def test_criterion_07_truncation_values_fall_to_zero():
-    spec = _desk_spec(epsilon=0.1, forcing=(200.0, 0.5, 1.0))
+    spec = _desk_spec(forcing=(200.0, 0.5, 1.0))
     path = sample_path(11, -6.0, 1.0, 1e-3)
     u0 = gaussian_bump(GRID, 1.0, 1.5)
     values = [
@@ -253,11 +249,11 @@ def test_criterion_08_attractor_distance_shrinks_with_the_noise():
 
 
 def test_criterion_09_zero_noise_matches_deterministic_bitwise():
-    spec0 = replace(_desk_spec(), epsilon=0.0)
+    spec0 = _desk_spec()
     v0 = gaussian_bump(GRID, 1.0, 1.5)
     reference = integrate_deterministic(v0, 0.0, 1.0, spec0, CFG).final
-    still = integrate(v0, 0.0, 1.0, flat_path(-1.0, 2.0, 1e-3), spec0, CFG).final
-    noisy = integrate(v0, 0.0, 1.0, sample_path(9, -1.0, 2.0, 1e-3), spec0, CFG).final
+    still = integrate(v0, 0.0, 1.0, flat_path(-1.0, 2.0, 1e-3), 0.0, spec0, CFG).final
+    noisy = integrate(v0, 0.0, 1.0, sample_path(9, -1.0, 2.0, 1e-3), 0.0, spec0, CFG).final
     ok = np.array_equal(still.values, reference.values) and np.array_equal(
         noisy.values, reference.values
     )
@@ -280,7 +276,6 @@ def _zero_reaction():
 def test_criterion_10_scheme_orders_and_eigenmode_recurrence():
     spec = ProblemSpec(
         lam=2.0,
-        epsilon=0.5,
         dimension=1,
         domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
@@ -288,17 +283,17 @@ def test_criterion_10_scheme_orders_and_eigenmode_recurrence():
     )
     path = flat_path(-1.0, 2.0, 5e-4)
     temporal = self_convergence(
-        gaussian_bump(GRID, 1.0, 2.0), 1.0, path, spec, [8e-3, 4e-3, 2e-3, 1e-3, 5e-4]
+        gaussian_bump(GRID, 1.0, 2.0), 1.0, path, 0.5, spec, [8e-3, 4e-3, 2e-3, 1e-3, 5e-4]
     )
     spatial = spatial_convergence(
         lambda pts: np.exp(-(pts**2).sum(axis=1) / 4.0),
-        0.5, path, spec, SolverConfig(dt=5e-4), [33, 65, 129, 257],
+        0.5, path, 0.5, spec, SolverConfig(dt=5e-4), [33, 65, 129, 257],
     )
     t_ok = all(abs(o - 1.0) <= 0.3 for o in temporal.orders)
     s_ok = all(abs(o - 2.0) <= 0.6 for o in spatial.orders)
 
     lin1 = ProblemSpec(
-        lam=2.0, epsilon=0.0, dimension=1, domain_radius=8.0,
+        lam=2.0, dimension=1, domain_radius=8.0,
         nonlinearity=_zero_reaction(), forcing=zero_forcing(),
     )
     v1 = eigenmode(GRID, 3)

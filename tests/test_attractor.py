@@ -31,7 +31,7 @@ from pullbacklab.attractor import (
     upper_semicontinuity_sweep,
     window_regularity_report,
 )
-from pullbacklab.cocycle import CocycleQuery, phi, pullback_state
+from pullbacklab.cocycle import phi, pullback_state
 from pullbacklab.errors import ConfigurationError, GridMismatchError
 from pullbacklab.field import (
     Field,
@@ -161,7 +161,6 @@ def test_equilibrium_validation(desk_spec, desk_grid, desk_path, cfg):
         compute_equilibrium(0.0, desk_path, 0.5, desk_spec, cfg, u0, [1.0, 2.0], tol=0.0)
     marginal = ProblemSpec(
         lam=1.0,
-        epsilon=0.5,
         dimension=1,
         domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
@@ -200,7 +199,6 @@ def test_decay_fit_beats_the_linear_bound(desk_spec, desk_grid, desk_path, cfg):
 def test_decay_fit_reports_underflow(desk_grid, desk_path, cfg):
     stiff = ProblemSpec(
         lam=200.0,
-        epsilon=0.5,
         dimension=1,
         domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
@@ -230,7 +228,7 @@ def test_decay_fit_runs_forward_from_tau_as_phi_does(desk_spec, desk_grid, desk_
     fit = fit_decay_rate(tau, desk_path, eps, desk_spec, cfg, a, b, window, fit_start=0.0)
     w, vol = shift(desk_path, -tau), desk_grid.cell_volume
     first = vol * np.sum((z_factor(w, eps, tau) * (a.values - b.values)) ** 2)
-    ends = [phi(CocycleQuery(window, tau, desk_path, eps, u, desk_spec, cfg)) for u in (a, b)]
+    ends = [phi(window, tau, desk_path, eps, u, desk_spec, cfg) for u in (a, b)]
     gap = z_factor(w, eps, tau + window) * (ends[0].values - ends[1].values)
     assert fit.times[0] == tau and fit.times[-1] == tau + window
     assert fit.log_sq_gaps[0] == pytest.approx(math.log(first), abs=1e-12)
@@ -518,7 +516,7 @@ def test_truncation_values_equal_the_collected_window(desk_spec, desk_grid, desk
     streamed = truncation_diagnostics(0.5, desk_path, 0.5, desk_spec, cfg, u0, 1.0, levels)
     w = shift(desk_path, -0.5)
     v0 = u0.with_values(u0.values * z_factor(w, 0.5, -0.5))
-    traj = integrate(v0, -0.5, 0.5, w, replace(desk_spec, epsilon=0.5), cfg)
+    traj = integrate(v0, -0.5, 0.5, w, 0.5, desk_spec, cfg)
     power, vol = 2.0 * desk_spec.nonlinearity.p - 4.0, desk_grid.cell_volume
 
     def mass(v, level):
@@ -565,9 +563,7 @@ def _reference_window_report(tau, path, epsilon, spec, cfg, u0, horizon):
     unit = round(1.0 / dt)
     zs = z_series(w, epsilon, tau - horizon, n + 1, dt)
     v = u0.with_values(u0.values * z_factor(w, epsilon, tau - horizon))
-    traj = integrate(
-        v, tau - horizon, tau, w, replace(spec, epsilon=epsilon), replace(cfg, store_stride=1)
-    )
+    traj = integrate(v, tau - horizon, tau, w, epsilon, spec, replace(cfg, store_stride=1))
 
     def h1_sq(f):
         return float(vol * (np.sum(f.values**2) + np.sum(_plain_grad(f.values, f.grid.spacing))))
@@ -684,7 +680,6 @@ def test_absorbing_radius_closed_forms():
     still = flat_path(-20.0, 0.0, 1e-3)
     quiet = ProblemSpec(
         lam=lam,
-        epsilon=0.0,
         dimension=1,
         domain_radius=2.0,
         nonlinearity=canonical_cubic(1.0),
@@ -698,7 +693,6 @@ def test_absorbing_radius_closed_forms():
     c = math.sqrt(3.0 / 5.0)  # five unit cells
     steady = ProblemSpec(
         lam=lam,
-        epsilon=0.0,
         dimension=1,
         domain_radius=2.0,
         nonlinearity=canonical_cubic(1.0),

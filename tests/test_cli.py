@@ -505,6 +505,41 @@ def shipped(name):
         return json.load(handle)
 
 
+def no_path(*args, **kwargs):
+    raise AssertionError("a rejected config must not sample a path")
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_an_intensity_outside_the_unit_interval_exits_two_before_any_path(
+    tmp_path, capsys, monkeypatch, name
+):
+    # the spec section carries the runs' intensity; the plan reads it, and
+    # the config is refused while parsing
+    monkeypatch.setattr(cli, "sample_path", no_path)
+    cfg = shipped(name)
+    cfg["spec"]["epsilon"] = 1.5
+    code, out = run_into(tmp_path, cfg)
+    assert code == 2
+    assert "spec: epsilon must lie in [0, 1], got 1.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_truncation_unit_window_is_counted_on_the_lattice_at_parse_time(
+    tmp_path, capsys, monkeypatch
+):
+    # 3.0 and the noise window sit on the lattice of dt = 0.003; the unit
+    # window 1.0 does not, which the parser says before any path is sampled
+    monkeypatch.setattr(cli, "sample_path", no_path)
+    cfg = shipped("truncation")
+    cfg["solver"]["dt"] = 0.003
+    cfg["noise"].update(window=[-6.0, 0.999], dt=0.003)
+    cfg["truncation"]["horizon"] = 3.0
+    code, out = run_into(tmp_path, cfg)
+    assert code == 2
+    assert "the unit window 1.0 is not a multiple of dt=0.003" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_config_rejects_an_unknown_block_key(tmp_path, capsys, name):
     # rejected while parsing, so nothing marches and nothing is written
@@ -713,10 +748,10 @@ def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
 def _old_trajectory_csv(plan, path):
     """The trajectory CSV and norms as written from a collected trajectory."""
     b, spec = plan.block, plan.spec
-    eps, tau = spec.epsilon, b["tau"]
+    eps, tau = plan.epsilon, b["tau"]
     w = shift(path, -tau)
     v0 = b["initial"].with_values(b["initial"].values * z_factor(w, eps, tau))
-    traj = solver.integrate(v0, tau, tau + b["horizon"], w, spec, plan.cfg)
+    traj = solver.integrate(v0, tau, tau + b["horizon"], w, eps, spec, plan.cfg)
     states = tuple(
         s.with_values(s.values / z_factor(w, eps, float(t)))
         for t, s in zip(traj.times, traj.states)
@@ -751,7 +786,7 @@ def test_streamed_rows_equal_trajectory_rows_over_stored_states(tmp_path, name):
     path = cli._make_path(plan)
     _, _, tables = cli._exec_simulate(plan, path)
     b, spec = plan.block, plan.spec
-    eps, tau = spec.epsilon, b["tau"]
+    eps, tau = plan.epsilon, b["tau"]
     w = shift(path, -tau)
     v0 = b["initial"].with_values(b["initial"].values * z_factor(w, eps, tau))
     column = ((v0,), tau, tau + b["horizon"], (w,), (eps,))

@@ -12,7 +12,6 @@ import pytest
 
 from pullbacklab import cocycle, solver
 from pullbacklab.cocycle import (
-    CocycleQuery,
     phi,
     pullback_state,
     pullback_states,
@@ -32,7 +31,8 @@ def wide_path():
     return sample_path(2, -6.0, 6.0, 1e-3)
 
 
-def make_query(desk_spec, desk_cfg, path, **overrides):
+def phi_args(desk_spec, desk_cfg, path, **overrides):
+    """The arguments of :func:`phi`, in its order."""
     grid = Grid(1, 8.0, 129)
     defaults = dict(
         t=0.5,
@@ -44,13 +44,13 @@ def make_query(desk_spec, desk_cfg, path, **overrides):
         cfg=desk_cfg,
     )
     defaults.update(overrides)
-    return CocycleQuery(**defaults)
+    return tuple(defaults.values())
 
 
 def test_identity_at_t_zero_is_bitwise(desk_spec, desk_cfg, wide_path):
-    q = make_query(desk_spec, desk_cfg, wide_path, t=0.0)
-    out = phi(q)
-    assert out is q.u0
+    q = phi_args(desk_spec, desk_cfg, wide_path, t=0.0)
+    out = phi(*q)
+    assert out is q[4]
 
 
 @pytest.mark.parametrize("dimension, m, t", [(1, 129, 0.5), (2, 33, 0.06)])
@@ -58,13 +58,13 @@ def test_phi_states_ends_at_phi_and_stores_as_stored_values(
     desk_spec, wide_path, dimension, m, t
 ):
     # a stride of 7 divides neither 500 nor 60 steps, so the last state is
-    # the endpoint, off the stride; the intensity is not the spec's
+    # the endpoint, off the stride
     spec = replace(desk_spec, dimension=dimension)
     cfg = SolverConfig(dt=1e-3, store_stride=7)
     u0 = gaussian_bump(grid_for(spec, m), 1.0, 1.5)
-    q = CocycleQuery(t, 0.25, wide_path, 0.3, u0, spec, cfg)
-    stream = [(s, u.copy()) for s, u in cocycle.phi_states(q)]
-    assert stream[-1][1].tobytes() == phi(q).values.tobytes()
+    q = (t, 0.25, wide_path, 0.3, u0, spec, cfg)
+    stream = [(s, u.copy()) for s, u in cocycle.phi_states(*q)]
+    assert stream[-1][1].tobytes() == phi(*q).values.tobytes()
     w, v0 = cocycle._rebased(wide_path, 0.3, 0.25, 0.25, u0)
     stored = solver.stored_values((v0,), 0.25, 0.25 + t, (w,), (0.3,), spec, cfg, 7)
     assert [s for s, _ in stream] == [s for s, _ in stored]
@@ -92,8 +92,8 @@ def test_composition_residual_has_the_bits_of_the_plain_quadrature(
     u0 = gaussian_bump(grid, 1.0, 1.5)
     states = []
 
-    def recorded(q):
-        out = phi(q)
+    def recorded(*q):
+        out = phi(*q)
         if len(states) == 2:  # the right route's second leg
             out = out.with_values(out.values + 1e-9 * u0.values)
         states.append(out)
@@ -133,7 +133,7 @@ def test_a_zero_horizon_column_must_lie_in_its_path_window(desk_spec, desk_cfg):
     with pytest.raises(OutOfWindowError):
         pullback_states((0.0,), 3.0, (short,), (0.5,), (u0,), desk_spec, desk_cfg)
     with pytest.raises(OutOfWindowError):
-        phi(CocycleQuery(0.0, 3.0, short, 0.5, u0, desk_spec, desk_cfg))
+        phi(0.0, 3.0, short, 0.5, u0, desk_spec, desk_cfg)
 
 
 def test_composition_with_zero_legs_is_exact(desk_spec, desk_cfg, wide_path):
@@ -151,17 +151,7 @@ def test_pullback_agrees_with_the_direct_route(desk_spec, desk_cfg, wide_path):
     u0 = gaussian_bump(grid, 1.0, 1.5)
     t, tau, eps = 2.0, 0.5, 0.5
     pulled = pullback_state(t, tau, wide_path, eps, u0, desk_spec, desk_cfg)
-    direct = phi(
-        CocycleQuery(
-            t=t,
-            tau=tau - t,
-            path=shift(wide_path, -t),
-            epsilon=eps,
-            u0=u0,
-            spec=desk_spec,
-            cfg=desk_cfg,
-        )
-    )
+    direct = phi(t, tau - t, shift(wide_path, -t), eps, u0, desk_spec, desk_cfg)
     assert np.array_equal(pulled.values, direct.values)
 
 
@@ -169,22 +159,39 @@ def test_cocycle_contracts_initial_data(desk_spec, desk_cfg, wide_path):
     grid = Grid(1, 8.0, 129)
     a = gaussian_bump(grid, 1.0, 1.5)
     b = zero_field(grid)
-    qa = make_query(desk_spec, desk_cfg, wide_path, t=2.0, u0=a)
-    qb = make_query(desk_spec, desk_cfg, wide_path, t=2.0, u0=b)
-    out_gap = l2_norm(phi(qa).with_values(phi(qa).values - phi(qb).values))
+    qa = phi_args(desk_spec, desk_cfg, wide_path, t=2.0, u0=a)
+    qb = phi_args(desk_spec, desk_cfg, wide_path, t=2.0, u0=b)
+    out_gap = l2_norm(phi(*qa).with_values(phi(*qa).values - phi(*qb).values))
     in_gap = l2_norm(a)
     assert out_gap < in_gap
 
 
-def test_query_validation(desk_spec, desk_cfg, wide_path):
-    with pytest.raises(ConfigurationError):
-        make_query(desk_spec, desk_cfg, wide_path, t=-1.0)
-    with pytest.raises(ConfigurationError):
-        make_query(desk_spec, desk_cfg, wide_path, t=0.0015)  # off the dt lattice
-    with pytest.raises(ConfigurationError):
-        make_query(desk_spec, desk_cfg, wide_path, tau=0.00025)
-    with pytest.raises(ConfigurationError):
-        make_query(desk_spec, desk_cfg, wide_path, epsilon=1.0001)
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"t": -1.0}, "is negative"),
+        ({"t": 0.0015}, "off the lattice"),  # off the dt lattice
+        ({"tau": 0.00025}, "tau=0.00025 is not a multiple"),
+        ({"epsilon": 1.0001}, r"intensity must lie in \[0, 1\]"),
+        ({"epsilon": 1.5}, r"intensity must lie in \[0, 1\]"),
+    ],
+)
+@pytest.mark.parametrize("route", ["phi", "phi_states"])
+def test_query_validation(monkeypatch, desk_spec, desk_cfg, wide_path, override, message, route):
+    # phi and its stream refuse each bad argument before any step
+    def no_march(*args, **kwargs):
+        raise AssertionError("the kernel was entered")
+
+    monkeypatch.setattr(solver, "_march", no_march)
+    q = phi_args(desk_spec, desk_cfg, wide_path, **override)
+    with pytest.raises(ConfigurationError, match=message):
+        if route == "phi":
+            phi(*q)
+        else:
+            next(cocycle.phi_states(*q))
+    # nothing to march: phi hands the data back as given
+    q = phi_args(desk_spec, desk_cfg, wide_path, t=0.0)
+    assert phi(*q) is q[4]
 
 
 def test_pullback_epsilon_zero_ignores_the_path(desk_spec, desk_cfg, wide_path):
@@ -206,17 +213,7 @@ def test_pushed_pullback_limit_tracks_shifted_driving(desk_spec, desk_cfg):
     u0 = gaussian_bump(grid, 1.0, 1.5)
     other = gaussian_bump(grid, -0.5, 2.0)
     ustar = pullback_state(depth, tau, path, 0.5, u0, desk_spec, desk_cfg)
-    pushed = phi(
-        CocycleQuery(
-            t=s,
-            tau=tau,
-            path=path,
-            epsilon=0.5,
-            u0=ustar,
-            spec=desk_spec,
-            cfg=desk_cfg,
-        )
-    )
+    pushed = phi(s, tau, path, 0.5, ustar, desk_spec, desk_cfg)
     target = pullback_state(
         depth, tau + s, shift(path, s), 0.5, other, desk_spec, desk_cfg
     )

@@ -313,6 +313,17 @@ def test_trajectory_final_and_stride():
     assert len(traj.times) == len(traj.states)
 
 
+def test_a_trajectory_freezes_a_copy_of_the_callers_times():
+    # the caller's array stays writeable, and writing into it afterwards
+    # leaves the trajectory's times as they were given
+    g = small_grid()
+    times = np.array([0.0, 0.5])
+    traj = Trajectory(times=times, states=(zero_field(g),) * 2, stride=1)
+    assert times.flags.writeable and not traj.times.flags.writeable
+    times[:] = 9.0
+    assert traj.times.tolist() == [0.0, 0.5]
+
+
 def test_field_csv_roundtrip():
     g = small_grid()
     f = Field(g, np.array([0.0, 1.0 / 3.0, -2.0 / 7.0, 0.1, 0.0]))

@@ -137,7 +137,6 @@ def test_canonical_forcing_is_its_expression_bitwise(amplitude, width, t, x, dim
 def test_check_hypotheses_certifies_every_canonical_cubic(alpha3, scale):
     spec = ProblemSpec(
         lam=alpha3 + 1.0,
-        epsilon=0.5,
         dimension=1,
         domain_radius=8.0,
         nonlinearity=canonical_cubic(alpha3, scale),
@@ -165,7 +164,6 @@ def test_check_hypotheses_reports_a_violated_slope_bound():
     )
     spec = ProblemSpec(
         lam=2.0,
-        epsilon=0.0,
         dimension=1,
         domain_radius=8.0,
         nonlinearity=lying,
@@ -260,7 +258,6 @@ def test_zero_and_constant_forcings_broadcast_over_a_stack():
     # march a staggered stack column by column
     spec = ProblemSpec(
         lam=2.0,
-        epsilon=0.0,
         dimension=1,
         domain_radius=2.0,
         nonlinearity=canonical_cubic(1.0),
@@ -271,14 +268,13 @@ def test_zero_and_constant_forcings_broadcast_over_a_stack():
     v0s = [gaussian_bump(grid, 0.2, 0.5), gaussian_bump(grid, 0.4, 1.0)]
     ends = final_states(v0s, [-0.5, -0.2], 0.0, [path] * 2, [0.0] * 2, spec, cfg)
     for v0, t0, end in zip(v0s, [-0.5, -0.2], ends):
-        assert np.array_equal(end.values, final_state(v0, t0, 0.0, path, spec, cfg).values)
+        assert np.array_equal(end.values, final_state(v0, t0, 0.0, path, 0.0, spec, cfg).values)
 
 
 def test_problem_spec_validation():
     nl = canonical_cubic(1.0)
     good = dict(
         lam=2.0,
-        epsilon=0.5,
         dimension=1,
         domain_radius=8.0,
         nonlinearity=nl,
@@ -287,8 +283,6 @@ def test_problem_spec_validation():
     ProblemSpec(**good)
     with pytest.raises(ConfigurationError):
         ProblemSpec(**{**good, "lam": 0.0})
-    with pytest.raises(ConfigurationError):
-        ProblemSpec(**{**good, "epsilon": 1.5})
     with pytest.raises(ConfigurationError):
         ProblemSpec(**{**good, "dimension": 3})
     with pytest.raises(ConfigurationError):
@@ -329,7 +323,6 @@ def test_blocked_forcing_norms_equal_per_node_quadrature_bitwise(dimension, m):
 def test_spec_from_config_roundtrip():
     section = {
         "lambda": 2.0,
-        "epsilon": 0.5,
         "dimension": 1,
         "domain_radius": 8.0,
         "nonlinearity": {"kind": "cubic", "alpha3": 1.0},
@@ -340,6 +333,9 @@ def test_spec_from_config_roundtrip():
     assert spec.nonlinearity.alpha3 == 1.0
     assert spec.forcing.delta == 0.5
     assert grid_for(spec, 129).shape == (129,)
+    # the noise intensity is an argument of each run, not problem data
+    with pytest.raises(ConfigurationError, match=r"unknown key\(s\) \['epsilon'\]"):
+        spec_from_config({**section, "epsilon": 0.5})
 
 
 def test_config_errors_carry_field_paths():

@@ -338,6 +338,18 @@ def test_path_window_validation():
         )
 
 
+def test_a_path_freezes_a_copy_of_the_callers_samples():
+    # the caller's array stays writeable, and writing into it afterwards
+    # leaves the path's samples as they were given
+    given = np.array([0.0, 0.25, -0.5, 1.0, 0.5])
+    path = WienerPath(
+        seed=None, t_min=-1.0, t_max=1.0, dt=0.5, values=given, origin_index=2
+    )
+    assert given.flags.writeable and not path.values.flags.writeable
+    given[:] = 9.0
+    assert path.values.tolist() == [0.0, 0.25, -0.5, 1.0, 0.5]
+
+
 def test_sublinearity_report_shape_and_flat_case():
     path = sample_path(13, -40.0, 40.0, 0.01)
     report = sublinearity_report(path)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from pullbacklab import solver
 from pullbacklab.attractor import compute_equilibrium, truncation_diagnostics
-from pullbacklab.cocycle import CocycleQuery, phi, pullback_states
+from pullbacklab.cocycle import phi, pullback_states
 from pullbacklab.errors import (
     BoundaryLeakWarning,
     ConfigurationError,
@@ -66,7 +66,6 @@ def zero_reaction() -> Nonlinearity:
 def linear_spec(dimension: int, radius: float) -> ProblemSpec:
     return ProblemSpec(
         lam=2.0,
-        epsilon=0.0,
         dimension=dimension,
         domain_radius=radius,
         nonlinearity=zero_reaction(),
@@ -178,20 +177,18 @@ def test_direct_1d_solve_residual_and_contraction_property(m, dt, lam, seed):
 def test_zero_step_integration_returns_input_bitwise(desk_spec, desk_path, desk_cfg):
     grid = Grid(1, 8.0, 129)
     v0 = gaussian_bump(grid, 1.0, 1.5)
-    traj = integrate(v0, 0.5, 0.5, desk_path, desk_spec, desk_cfg)
+    traj = integrate(v0, 0.5, 0.5, desk_path, 0.5, desk_spec, desk_cfg)
     assert len(traj.states) == 1
     assert traj.states[0] is v0
-    assert final_state(v0, 0.5, 0.5, desk_path, desk_spec, desk_cfg) is v0
+    assert final_state(v0, 0.5, 0.5, desk_path, 0.5, desk_spec, desk_cfg) is v0
 
 
 def test_epsilon_zero_matches_deterministic_solver_bitwise(desk_spec, desk_cfg):
-    from dataclasses import replace
-
-    spec0 = replace(desk_spec, epsilon=0.0)
+    spec0 = desk_spec
     grid = Grid(1, 8.0, 129)
     v0 = gaussian_bump(grid, 1.0, 1.5)
     path = flat_path(-1.0, 2.0, desk_cfg.dt)
-    a = integrate(v0, 0.0, 1.0, path, spec0, desk_cfg)
+    a = integrate(v0, 0.0, 1.0, path, 0.0, spec0, desk_cfg)
     b = integrate_deterministic(v0, 0.0, 1.0, spec0, desk_cfg)
     assert np.array_equal(a.final.values, b.final.values)
 
@@ -199,9 +196,9 @@ def test_epsilon_zero_matches_deterministic_solver_bitwise(desk_spec, desk_cfg):
 def test_store_stride_subsamples_the_full_trajectory(desk_spec, desk_path):
     grid = Grid(1, 8.0, 129)
     v0 = gaussian_bump(grid, 1.0, 1.5)
-    full = integrate(v0, 0.0, 0.1, desk_path, desk_spec, SolverConfig(dt=1e-3))
+    full = integrate(v0, 0.0, 0.1, desk_path, 0.5, desk_spec, SolverConfig(dt=1e-3))
     strided = integrate(
-        v0, 0.0, 0.1, desk_path, desk_spec, SolverConfig(dt=1e-3, store_stride=20)
+        v0, 0.0, 0.1, desk_path, 0.5, desk_spec, SolverConfig(dt=1e-3, store_stride=20)
     )
     assert np.array_equal(np.asarray(strided.times), np.asarray(full.times)[::20])
     for s, f in zip(strided.states, full.states[::20]):
@@ -213,8 +210,8 @@ def test_store_stride_subsamples_the_full_trajectory(desk_spec, desk_path):
 def test_stored_values_at_stride_one_match_integrate_bitwise(desk_spec, desk_path, desk_cfg):
     grid = Grid(1, 8.0, 129)
     v0 = gaussian_bump(grid, 1.0, 1.5)
-    traj = integrate(v0, 0.0, 0.05, desk_path, desk_spec, desk_cfg)
-    column = ((v0,), 0.0, 0.05, (desk_path,), (desk_spec.epsilon,))
+    traj = integrate(v0, 0.0, 0.05, desk_path, 0.5, desk_spec, desk_cfg)
+    column = ((v0,), 0.0, 0.05, (desk_path,), (0.5,))
     streamed = [(t, v[0].copy()) for t, v in stored_values(*column, desk_spec, desk_cfg, 1)]
     assert len(streamed) == len(traj.states)
     for (t_s, values_s), (t_t, state_t) in zip(streamed, zip(traj.times, traj.states)):
@@ -226,7 +223,7 @@ def test_difference_history_contracts(desk_spec, desk_path, desk_cfg):
     grid = Grid(1, 8.0, 129)
     a = gaussian_bump(grid, 1.0, 1.5)
     b = zero_field(grid)
-    times, sq = difference_history(a, b, 0.0, 2.0, desk_path, desk_spec, desk_cfg, 100)
+    times, sq = difference_history(a, b, 0.0, 2.0, desk_path, 0.5, desk_spec, desk_cfg, 100)
     assert times[0] == 0.0
     assert sq[0] == pytest.approx(l2_norm(a) ** 2, rel=1e-12)
     assert sq[-1] < sq[0]
@@ -243,9 +240,9 @@ def test_difference_history_has_the_bits_of_the_plain_squared_gaps(
     spec = replace(desk_spec, dimension=dimension, domain_radius=6.0)
     grid = Grid(dimension, 6.0, m)
     a, b = gaussian_bump(grid, 1.0, 1.5), gaussian_bump(grid, -0.5, 2.0)
-    times, sq = difference_history(a, b, 0.0, 0.1, desk_path, spec, desk_cfg, 7)
+    times, sq = difference_history(a, b, 0.0, 0.1, desk_path, 0.5, spec, desk_cfg, 7)
     stored = replace(desk_cfg, store_stride=7)
-    runs = [integrate(v0, 0.0, 0.1, desk_path, spec, stored) for v0 in (a, b)]
+    runs = [integrate(v0, 0.0, 0.1, desk_path, 0.5, spec, stored) for v0 in (a, b)]
     vol = grid.cell_volume
     pairs = zip(runs[0].states, runs[1].states)
     want = [vol * float(np.sum((x.values - y.values) ** 2)) for x, y in pairs]
@@ -266,14 +263,14 @@ def test_difference_history_rejects_a_bad_sample_stride_before_any_step(
     grid = Grid(1, 8.0, 129)
     a, b = gaussian_bump(grid, 1.0, 1.5), zero_field(grid)
     with pytest.raises(ConfigurationError, match="must be a positive integer"):
-        difference_history(a, b, 0.0, 0.01, desk_path, desk_spec, desk_cfg, stride)
+        difference_history(a, b, 0.0, 0.01, desk_path, 0.5, desk_spec, desk_cfg, stride)
 
 
 def test_difference_history_takes_a_numpy_integer_sample_stride(desk_spec, desk_path, desk_cfg):
     grid = Grid(1, 8.0, 129)
     a, b = gaussian_bump(grid, 1.0, 1.5), zero_field(grid)
-    want = difference_history(a, b, 0.0, 0.01, desk_path, desk_spec, desk_cfg, 4)
-    got = difference_history(a, b, 0.0, 0.01, desk_path, desk_spec, desk_cfg, np.int64(4))
+    want = difference_history(a, b, 0.0, 0.01, desk_path, 0.5, desk_spec, desk_cfg, 4)
+    got = difference_history(a, b, 0.0, 0.01, desk_path, 0.5, desk_spec, desk_cfg, np.int64(4))
     # every 4th of the 10 steps, and the endpoint
     assert np.array_equal(got[0], np.array([0, 4, 8, 10]) * desk_cfg.dt)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -312,12 +309,32 @@ def test_both_doors_reject_states_on_grids_of_one_shape_but_two_radii(
 
 
 @pytest.mark.parametrize("dimension, m", [(1, 129), (2, 17)])
+def test_every_run_takes_its_intensity_as_an_argument_bitwise(
+    desk_spec, desk_path, desk_cfg, dimension, m
+):
+    # one spec, one path, one intensity: every door to the endpoint gives
+    # the same bits, and another intensity gives other bits
+    spec = replace(desk_spec, dimension=dimension)
+    v0 = gaussian_bump(Grid(dimension, 8.0, m), 1.0, 1.5)
+    run = (v0, 0.0, 0.05, desk_path, 0.3, spec, desk_cfg)
+    want = final_state(*run).values.tobytes()
+    assert integrate(*run).final.values.tobytes() == want
+    (end,) = final_states((v0,), (0.0,), 0.05, (desk_path,), (0.3,), spec, desk_cfg)
+    assert end.values.tobytes() == want
+    for t, v in stored_values((v0,), 0.0, 0.05, (desk_path,), (0.3,), spec, desk_cfg, 7):
+        last = (t, v[0].tobytes())
+    assert last == (0.05, want)
+    other = final_state(v0, 0.0, 0.05, desk_path, 0.5, spec, desk_cfg)
+    assert other.values.tobytes() != want
+
+
+@pytest.mark.parametrize("dimension, m", [(1, 129), (2, 17)])
 def test_step_is_the_one_step_final_state_bitwise(desk_spec, desk_path, desk_cfg, dimension, m):
     spec = replace(desk_spec, dimension=dimension)
     v = gaussian_bump(Grid(dimension, 8.0, m), 1.0, 1.5)
     for t in (0.0, 0.25):
-        got = step(v, t, desk_path, spec, desk_cfg)
-        want = final_state(v, t, t + desk_cfg.dt, desk_path, spec, desk_cfg)
+        got = step(v, t, desk_path, 0.5, spec, desk_cfg)
+        want = final_state(v, t, t + desk_cfg.dt, desk_path, 0.5, spec, desk_cfg)
         assert got.values.tobytes() == want.values.tobytes()
         v = got
 
@@ -325,7 +342,6 @@ def test_step_is_the_one_step_final_state_bitwise(desk_spec, desk_path, desk_cfg
 def test_temporal_self_convergence_is_first_order():
     spec = ProblemSpec(
         lam=2.0,
-        epsilon=0.5,
         dimension=1,
         domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
@@ -336,7 +352,7 @@ def test_temporal_self_convergence_is_first_order():
     # noise-free run: coarse rungs on a sampled path pick up the local
     # z-increment fluctuation, which only averages out at finer dt
     path = flat_path(-0.5, 1.0, 1e-2)
-    report = self_convergence(v0, 0.5, path, spec, [1e-2, 5e-3, 2.5e-3, 1.25e-3])
+    report = self_convergence(v0, 0.5, path, 0.5, spec, [1e-2, 5e-3, 2.5e-3, 1.25e-3])
     assert len(report.orders) == 2
     for order in report.orders:
         assert 0.8 <= order <= 1.2
@@ -345,7 +361,6 @@ def test_temporal_self_convergence_is_first_order():
 def test_spatial_self_convergence_is_second_order():
     spec = ProblemSpec(
         lam=2.0,
-        epsilon=0.5,
         dimension=1,
         domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
@@ -356,6 +371,7 @@ def test_spatial_self_convergence_is_second_order():
         lambda pts: np.exp(-(pts**2).sum(axis=1) / 4.0),
         0.25,
         path,
+        0.5,
         spec,
         SolverConfig(dt=1e-3),
         [17, 33, 65, 129],
@@ -369,14 +385,15 @@ def test_convergence_ladder_validation(desk_spec):
     v0 = gaussian_bump(grid, 1.0, 2.0)
     path = flat_path(-0.5, 1.0, 1e-3)
     with pytest.raises(ConfigurationError):
-        self_convergence(v0, 0.5, path, desk_spec, [8e-3, 4e-3])
+        self_convergence(v0, 0.5, path, 0.5, desk_spec, [8e-3, 4e-3])
     with pytest.raises(ConfigurationError):
-        self_convergence(v0, 0.5, path, desk_spec, [8e-3, 4e-3, 3e-3])
+        self_convergence(v0, 0.5, path, 0.5, desk_spec, [8e-3, 4e-3, 3e-3])
     with pytest.raises(ConfigurationError):
         spatial_convergence(
             lambda pts: np.zeros(len(pts)),
             0.5,
             path,
+            0.5,
             desk_spec,
             SolverConfig(dt=1e-3),
             [17, 33, 64],
@@ -386,7 +403,6 @@ def test_convergence_ladder_validation(desk_spec):
 def test_divergence_raises_with_the_failure_time():
     spec = ProblemSpec(
         lam=2.0,
-        epsilon=0.0,
         dimension=1,
         domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
@@ -397,16 +413,16 @@ def test_divergence_raises_with_the_failure_time():
     path = flat_path(-1.0, 8.0, 0.5)
     cfg = SolverConfig(dt=0.5)
     with pytest.raises(DivergenceError) as exc_info:
-        integrate(v0, 0.0, 6.0, path, spec, cfg)
+        integrate(v0, 0.0, 6.0, path, 0.0, spec, cfg)
     assert 0.0 < exc_info.value.t <= 6.0
     # halving dt stabilizes the same run, read on the path refined to dt
-    integrate(v0, 0.0, 6.0, refine(path), spec, SolverConfig(dt=0.25))
+    integrate(v0, 0.0, 6.0, refine(path), 0.0, spec, SolverConfig(dt=0.25))
 
 
 def test_energy_audit_inequality_holds(desk_spec, desk_path):
     grid = Grid(1, 8.0, 129)
     v0 = gaussian_bump(grid, 1.0, 1.5)
-    audit = energy_audit(v0, 0.0, 1.0, desk_path, desk_spec, SolverConfig(dt=1e-3))
+    audit = energy_audit(v0, 0.0, 1.0, desk_path, 0.5, desk_spec, SolverConfig(dt=1e-3))
     assert audit.constant == pytest.approx(2.0)
     assert audit.psi1_mass > 0.0
     assert audit.violations.shape == (1000,)
@@ -420,10 +436,10 @@ def test_energy_audit_has_the_bits_of_the_plain_squared_norms(desk_spec, desk_pa
     grid = Grid(1, 8.0, 129)
     v0 = gaussian_bump(grid, 1.0, 1.5)
     dt, lam, n = desk_cfg.dt, desk_spec.lam, 100
-    audit = energy_audit(v0, 0.0, n * dt, desk_path, desk_spec, desk_cfg)
-    traj = integrate(v0, 0.0, n * dt, desk_path, desk_spec, desk_cfg)
+    audit = energy_audit(v0, 0.0, n * dt, desk_path, 0.5, desk_spec, desk_cfg)
+    traj = integrate(v0, 0.0, n * dt, desk_path, 0.5, desk_spec, desk_cfg)
     sq = [grid.cell_volume * float(np.sum(state.values**2)) for state in traj.states]
-    zs = z_series(desk_path, desk_spec.epsilon, 0.0, n, dt)
+    zs = z_series(desk_path, 0.5, 0.0, n, dt)
     g_sq = forcing_norms_sq(desk_spec.forcing, grid, np.arange(n) * dt)
     c, psi1 = audit.constant, audit.psi1_mass
     want = [
@@ -437,7 +453,6 @@ def test_energy_audit_has_the_bits_of_the_plain_squared_norms(desk_spec, desk_pa
 def leak_spec() -> ProblemSpec:
     return ProblemSpec(
         lam=2.0,
-        epsilon=0.0,
         dimension=1,
         domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
@@ -451,7 +466,7 @@ def test_boundary_leak_warning_fires_on_contact():
     v0 = gaussian_bump(grid, 1.0, 6.0)
     path = flat_path(-1.0, 1.0, 1e-3)
     with pytest.warns(BoundaryLeakWarning):
-        integrate(v0, 0.0, 0.01, path, leak_spec(), SolverConfig(dt=1e-3))
+        integrate(v0, 0.0, 0.01, path, 0.0, leak_spec(), SolverConfig(dt=1e-3))
 
 
 def leak_warnings(run) -> list:
@@ -476,21 +491,23 @@ def test_difference_history_checks_its_final_stack_for_a_leak():
     # one warning per leaking column of the final pair, as every other run
     wide, other, narrow, path, spec, cfg = leak_inputs()
     for a, b, leaking in ((wide, other, 2), (wide, narrow, 1), (narrow, narrow, 0)):
-        run = lambda: difference_history(a, b, 0.0, 0.01, path, spec, cfg, 4)
+        run = lambda: difference_history(a, b, 0.0, 0.01, path, 0.0, spec, cfg, 4)
         assert len(leak_warnings(run)) == leaking
 
 
 def test_energy_audit_checks_its_final_state_for_a_leak():
     wide, _, narrow, path, spec, cfg = leak_inputs()
     for v0, leaking in ((wide, 1), (narrow, 0)):
-        assert len(leak_warnings(lambda: energy_audit(v0, 0.0, 0.01, path, spec, cfg))) == leaking
+        audit = lambda: energy_audit(v0, 0.0, 0.01, path, 0.0, spec, cfg)
+        assert len(leak_warnings(audit)) == leaking
 
 
 # each run's leaking columns, and the run; the path spans every run's window
 LEAK_RUNS = {
-    "step": (1, lambda u0, path, spec, cfg: step(u0, 0.0, path, spec, cfg)),
-    "final_state": (1, lambda u0, path, spec, cfg: final_state(u0, 0.0, 0.01, path, spec, cfg)),
-    "phi": (1, lambda u0, path, spec, cfg: phi(CocycleQuery(0.01, 0.5, path, 0.0, u0, spec, cfg))),
+    "step": (1, lambda u0, path, spec, cfg: step(u0, 0.0, path, 0.0, spec, cfg)),
+    "final_state": (1, lambda u0, path, spec, cfg: final_state(
+        u0, 0.0, 0.01, path, 0.0, spec, cfg)),
+    "phi": (1, lambda u0, path, spec, cfg: phi(0.01, 0.5, path, 0.0, u0, spec, cfg)),
     "pullback_states": (2, lambda u0, path, spec, cfg: pullback_states(
         (0.01, 0.005), 0.5, (path, path), (0.0, 0.0), (u0, u0), spec, cfg)),
     "compute_equilibrium": (2, lambda u0, path, spec, cfg: compute_equilibrium(
@@ -515,7 +532,7 @@ def test_integration_window_is_validated(desk_spec, desk_cfg):
     v0 = gaussian_bump(grid, 1.0, 1.5)
     short = sample_path(1, -0.5, 0.5, 1e-3)
     with pytest.raises(Exception):
-        integrate(v0, 0.0, 1.0, short, desk_spec, desk_cfg)
+        integrate(v0, 0.0, 1.0, short, 0.5, desk_spec, desk_cfg)
 
 
 def test_solver_config_validation():

@@ -58,7 +58,6 @@ def in_process(call, *args):
 def spec_for(dimension, forcing=None):
     return ProblemSpec(
         lam=2.0,
-        epsilon=0.5,
         dimension=dimension,
         domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
@@ -131,7 +130,6 @@ def test_more_chunks_than_cpus_equal_the_in_process_march_bitwise(split, monkeyp
 
 DIVERGING = ProblemSpec(
     lam=2.0,
-    epsilon=0.0,
     dimension=1,
     domain_radius=8.0,
     nonlinearity=canonical_cubic(1.0),

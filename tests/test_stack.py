@@ -52,10 +52,9 @@ from pullbacklab.solver import (
 pytestmark = pytest.mark.filterwarnings("ignore::pullbacklab.errors.BoundaryLeakWarning")
 
 
-def spec_for(dimension: int, epsilon: float = 0.5) -> ProblemSpec:
+def spec_for(dimension: int) -> ProblemSpec:
     return ProblemSpec(
         lam=2.0,
-        epsilon=epsilon,
         dimension=dimension,
         domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
@@ -105,17 +104,16 @@ def test_stack_columns_equal_single_runs_bitwise(dimension):
     assert len(stacks) == steps + 1
     ends = final_states(v0s, [t0] * len(v0s), t1, paths, epsilons, spec, cfg)
     for i, (v0, path, eps) in enumerate(zip(v0s, paths, epsilons)):
-        spec_i = replace(spec, epsilon=eps)
         alone = [v for _, v in stream_alone(v0, t0, t1, path, eps, spec, cfg, 1)]
         assert len(alone) == len(stacks)
         for got, want in zip(stacks, alone):
             assert np.array_equal(got[i], want)
-        traj = integrate(v0, t0, t1, path, spec_i, cfg)
+        traj = integrate(v0, t0, t1, path, eps, spec, cfg)
         stored = [0] + [j for j in range(1, steps + 1) if j % 5 == 0 or j == steps]
         assert len(traj.states) == len(stored)
         for j, state in zip(stored, traj.states):
             assert np.array_equal(stacks[j][i], state.values)
-        end = final_state(v0, t0, t1, path, spec_i, cfg)
+        end = final_state(v0, t0, t1, path, eps, spec, cfg)
         assert np.array_equal(stacks[-1][i], end.values)
         assert np.array_equal(ends[i].values, end.values)
     # a stream of three columns with distinct paths and intensities, at a
@@ -141,7 +139,7 @@ def test_zero_noise_column_matches_the_deterministic_oracle(dimension):
     stacks = march_stack(v0s, 0.0, steps * dt, paths, epsilons, spec, cfg)
     i = epsilons.index(0.0)
     oracle = integrate_deterministic(
-        v0s[i], 0.0, steps * dt, replace(spec, epsilon=0.0), cfg
+        v0s[i], 0.0, steps * dt, spec, cfg
     )
     assert len(oracle.states) == len(stacks)
     for got, want in zip(stacks, oracle.states):
@@ -374,7 +372,7 @@ def test_march_memory_does_not_grow_with_the_horizon(monkeypatch, reduction):
             for _ in stored_values(v0s[:1], -horizon, 0.0, [path], epsilons[:1], spec, cfg, 1000):
                 pass
         else:
-            difference_history(v0s[0], v0s[1], -horizon, 0.0, path, spec, cfg, 1000)
+            difference_history(v0s[0], v0s[1], -horizon, 0.0, path, 0.5, spec, cfg, 1000)
 
     peaks = [traced_peak_mb(lambda: march(horizon)) for horizon in (4.0, 16.0)]
     assert abs(peaks[1] - peaks[0]) < 0.1
@@ -394,7 +392,7 @@ def test_reaction_of_the_wrong_size_raises(bad_f):
     path = flat_path(-1.0, 1.0, 0.01)
     cfg = SolverConfig(dt=0.01)
     with pytest.raises(ValueError) as alone:
-        final_state(v0, 0.0, 0.1, path, spec, cfg)
+        final_state(v0, 0.0, 0.1, path, 0.5, spec, cfg)
     with pytest.raises(ValueError) as stacked:
         final_states([v0, v0], [0.0, 0.05], 0.1, [path] * 2, [0.5, 0.0], spec, cfg)
     assert alone.type is stacked.type is ValueError  # not a ConfigurationError
@@ -404,7 +402,6 @@ def test_one_diverging_column_raises_at_its_own_time():
     # amplitude 3.5 at dt = 0.5 overflows the cubic; amplitude 0.5 does not
     spec = ProblemSpec(
         lam=2.0,
-        epsilon=0.0,
         dimension=1,
         domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
@@ -414,9 +411,9 @@ def test_one_diverging_column_raises_at_its_own_time():
     calm, wild = gaussian_bump(grid, 0.5, 1.5), gaussian_bump(grid, 3.5, 1.5)
     path = flat_path(-1.0, 8.0, 0.5)
     cfg = SolverConfig(dt=0.5)
-    final_state(calm, 0.0, 6.0, path, spec, cfg)
+    final_state(calm, 0.0, 6.0, path, 0.0, spec, cfg)
     with pytest.raises(DivergenceError) as alone:
-        final_state(wild, 0.0, 6.0, path, spec, cfg)
+        final_state(wild, 0.0, 6.0, path, 0.0, spec, cfg)
     with pytest.raises(DivergenceError) as stacked:
         final_states([calm, wild, calm], [0.0] * 3, 6.0, [path] * 3, [0.0] * 3, spec, cfg)
     assert 0.0 < alone.value.t <= 6.0
@@ -479,11 +476,10 @@ def test_stack_columns_equal_single_runs_property(m, draws):
     v0s = [gaussian_bump(grid, amp, width) for _, _, amp, width in draws]
     stacks = march_stack(v0s, -0.2, -0.185, paths, epsilons, spec, cfg)
     for i, (v0, path, eps) in enumerate(zip(v0s, paths, epsilons)):
-        spec_i = replace(spec, epsilon=eps)
         alone = [v for _, v in stream_alone(v0, -0.2, -0.185, path, eps, spec, cfg, 1)]
         for got, want in zip(stacks, alone):
             assert np.array_equal(got[i], want)
-        traj = integrate(v0, -0.2, -0.185, path, spec_i, cfg)
+        traj = integrate(v0, -0.2, -0.185, path, eps, spec, cfg)
         for state, got in zip(traj.states, stacks[::4] + [stacks[-1]]):
             assert np.array_equal(got[i], state.values)
 
@@ -543,7 +539,7 @@ def test_staggered_zero_noise_column_matches_the_deterministic_oracle(dimension)
     assert all(0.0 < horizons[i] < max(horizons) for i in zero_noise)
     for i in zero_noise:
         oracle = integrate_deterministic(
-            u0s[i], TAU - horizons[i], TAU, replace(spec, epsilon=0.0), cfg
+            u0s[i], TAU - horizons[i], TAU, spec, cfg
         )
         assert np.array_equal(got[i].values, oracle.states[-1].values)
 
@@ -568,7 +564,6 @@ def test_late_column_diverges_at_its_own_time():
     # calm column runs from 0.0, the wild one joins at 2.3 on its own clock
     spec = ProblemSpec(
         lam=2.0,
-        epsilon=0.0,
         dimension=1,
         domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
@@ -579,7 +574,7 @@ def test_late_column_diverges_at_its_own_time():
     path = flat_path(-1.0, 8.0, 0.1)
     cfg = SolverConfig(dt=0.1)
     with pytest.raises(DivergenceError) as alone:
-        final_state(wild, 2.3, 6.0, path, spec, cfg)
+        final_state(wild, 2.3, 6.0, path, 0.0, spec, cfg)
     with pytest.raises(DivergenceError) as stacked:
         final_states([calm, wild], [0.0, 2.3], 6.0, [path] * 2, [0.0] * 2, spec, cfg)
     assert 2.3 < alone.value.t < 6.0
@@ -607,11 +602,11 @@ def test_late_column_diverges_mid_block_in_a_later_window():
     grid, cfg = Grid(1, 8.0, 129), SolverConfig(dt=0.01)
     t_on = 3.0 + 397 * cfg.dt
     assert 0.0 + 697 * cfg.dt < t_on
-    spec = replace(spec_for(1, epsilon=0.0), forcing=forcing_from(t_on, np.inf))
+    spec = replace(spec_for(1), forcing=forcing_from(t_on, np.inf))
     calm, late = gaussian_bump(grid, 0.5, 1.5), gaussian_bump(grid, 0.3, 1.5)
     path = flat_path(-1.0, 11.0, cfg.dt)
     with pytest.raises(DivergenceError) as alone:
-        final_state(late, 3.0, 10.0, path, spec, cfg)
+        final_state(late, 3.0, 10.0, path, 0.0, spec, cfg)
     with pytest.raises(DivergenceError) as stacked:
         final_states([calm, late], [0.0, 3.0], 10.0, [path] * 2, [0.0] * 2, spec, cfg)
     assert alone.value.t == t_on + cfg.dt
@@ -621,14 +616,14 @@ def test_late_column_diverges_mid_block_in_a_later_window():
 def test_a_finite_state_whose_squared_norm_overflows_diverges_without_warning():
     # from 0.5 the forcing lifts every value of the right-hand side to about
     # 1e160, finite, while its square alone is past the largest float
-    spec = replace(spec_for(1, epsilon=0.0), forcing=forcing_from(0.5, 1e162))
+    spec = replace(spec_for(1), forcing=forcing_from(0.5, 1e162))
     grid, cfg = Grid(1, 8.0, 129), SolverConfig(dt=0.01)
     v0 = gaussian_bump(grid, 0.5, 1.5)
     path = flat_path(-1.0, 2.0, cfg.dt)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DivergenceError) as exc_info:
-            final_state(v0, 0.0, 1.0, path, spec, cfg)
+            final_state(v0, 0.0, 1.0, path, 0.0, spec, cfg)
     assert exc_info.value.t == 50 * cfg.dt + cfg.dt
 
 
@@ -640,7 +635,6 @@ def test_a_late_column_on_a_coarse_path_is_refused_before_the_first_step(monkeyp
     monkeypatch.setattr(solver, "_SPLIT_FLOOR", float("inf"))
     spec = ProblemSpec(
         lam=2.0,
-        epsilon=0.0,
         dimension=1,
         domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
@@ -712,13 +706,13 @@ def test_reused_buffers_never_leak_into_results(dimension):
     v0 = gaussian_bump(grid, 1.0, 1.5)
     cfg = SolverConfig(dt=dt)
     t0, t1 = -0.25, -0.25 + steps * dt
-    traj = integrate(v0, t0, t1, path, spec, cfg)
+    traj = integrate(v0, t0, t1, path, 0.5, spec, cfg)
     # a copy of every yielded state is kept until the march is over
-    yielded = stream_alone(v0, t0, t1, path, spec.epsilon, spec, cfg, cfg.store_stride)
+    yielded = stream_alone(v0, t0, t1, path, 0.5, spec, cfg, cfg.store_stride)
     assert len(traj.states) == len(yielded) == steps + 1
     for j, (stored, (t, values)) in enumerate(zip(traj.states, yielded)):
         assert t == traj.times[j]
-        fresh = final_state(v0, t0, t, path, spec, cfg)
+        fresh = final_state(v0, t0, t, path, 0.5, spec, cfg)
         assert np.array_equal(stored.values, fresh.values)
         assert np.array_equal(values, fresh.values)
 
@@ -776,13 +770,13 @@ def test_forcing_is_called_per_block_not_per_step():
     path = sample_path(4, -1.5, 0.5, cfg.dt)
     v0 = gaussian_bump(grid, 1.0, 1.5)
     n = 1000
-    end = final_state(v0, -1.0, 0.0, path, spec, cfg)
+    end = final_state(v0, -1.0, 0.0, path, 0.5, spec, cfg)
     block = _FORCING_BLOCK // len(grid.points)
     assert len(shapes) <= math.ceil(n / block) + 1
     # one row per step, none twice, every call on a (steps, 1) clock array
     assert sum(s[0] for s in shapes) == n and all(s[1:] == (1,) for s in shapes)
     shapes.clear()
-    want = hand_march(v0, -1.0, n, path, spec.epsilon, spec, cfg)
+    want = hand_march(v0, -1.0, n, path, 0.5, spec, cfg)
     assert len(shapes) == n
     assert np.array_equal(end.values, want)
 
@@ -842,11 +836,11 @@ def test_a_lone_2d_column_takes_windows_of_many_blocks(monkeypatch):
     spec = spec_for(2)
     path = sample_path(1, -1.0, 9.0, cfg.dt)
     v0 = gaussian_bump(grid, 1.0, 1.5)
-    stored = stream_alone(v0, 0.0, 8.0, path, spec.epsilon, spec, cfg, cfg.store_stride)
+    stored = stream_alone(v0, 0.0, 8.0, path, 0.5, spec, cfg, cfg.store_stride)
     assert len(calls) <= 17
     assert [t for t, _ in stored] == [j * cfg.dt for j in range(0, 4001, 1000)]
     for j in (1000, 4000):
-        want = hand_march(v0, 0.0, j, path, spec.epsilon, spec, cfg)
+        want = hand_march(v0, 0.0, j, path, 0.5, spec, cfg)
         assert np.array_equal(stored[j // 1000][1], want)
 
 
@@ -857,7 +851,7 @@ def test_forcing_that_ignores_the_shape_of_t_marches_like_the_hand_loop():
     spec = replace(spec_for(1), forcing=constant)
     path = sample_path(5, -1.5, 0.5, cfg.dt)
     v0 = gaussian_bump(grid, 1.0, 1.5)
-    end = final_state(v0, -1.0, 0.0, path, spec, cfg)
+    end = final_state(v0, -1.0, 0.0, path, 0.5, spec, cfg)
     assert np.array_equal(end.values, hand_march(v0, -1.0, 1000, path, 0.5, spec, cfg))
     ends = final_states([v0, v0], [-1.0, -0.4], 0.0, [path] * 2, [0.5, 0.0], spec, cfg)
     assert np.array_equal(ends[0].values, end.values)
@@ -959,7 +953,7 @@ def test_structured_march_is_the_written_out_algebra_without_calls(dimension):
     # a large state on a coarse step, where the cubic term dominates the
     # step, so the order of the cubic's products shows in the bits
     big, coarse = gaussian_bump(grid, 3.0, 1.5), SolverConfig(dt=0.01)
-    end = final_state(big, -0.1, 0.0, paths[0], uncalled, coarse)
+    end = final_state(big, -0.1, 0.0, paths[0], 0.5, uncalled, coarse)
     assert np.array_equal(end.values, hand_march(big, -0.1, 10, paths[0], 0.5, spec, coarse))
 
 
@@ -980,7 +974,7 @@ def test_the_kernel_looks_through_functools_wraps_only():
         calls.append("g")
         return g(t, pts)
 
-    structured = final_state(v0, -0.3, 0.0, path, bare, cfg).values
+    structured = final_state(v0, -0.3, 0.0, path, 0.5, bare, cfg).values
     assert np.array_equal(structured, hand_march(v0, -0.3, 300, path, 0.5, bare, cfg))
     # the large bump of the test above on a coarser step, where the cubic
     # term dominates each step: z != 1 moves the general form's bits at 36
@@ -989,7 +983,7 @@ def test_the_kernel_looks_through_functools_wraps_only():
     # and at dt = 0.01, the contraction rounds the few moved bits away under
     # some of those kernel sets
     big, coarse = gaussian_bump(grid, 3.0, 1.5), SolverConfig(dt=0.25)
-    big_structured = final_state(big, -1.0, 0.0, path, bare, coarse).values
+    big_structured = final_state(big, -1.0, 0.0, path, 0.5, bare, coarse).values
     # a plain wrapper is called, and the march takes the general form
     for spec, called in (
         (with_callables(bare, f=plain_f), {"f"}),
@@ -997,11 +991,11 @@ def test_the_kernel_looks_through_functools_wraps_only():
         (with_callables(bare, plain_f, plain_g), {"f", "g"}),
     ):
         calls.clear()
-        got = final_state(v0, -0.3, 0.0, path, spec, cfg).values
+        got = final_state(v0, -0.3, 0.0, path, 0.5, spec, cfg).values
         assert set(calls) == called
         assert np.array_equal(got, hand_march(v0, -0.3, 300, path, 0.5, spec, cfg))
         if "f" in called:
-            got = final_state(big, -1.0, 0.0, path, spec, coarse).values
+            got = final_state(big, -1.0, 0.0, path, 0.5, spec, coarse).values
             assert np.array_equal(got, hand_march(big, -1.0, 4, path, 0.5, spec, coarse))
             assert not np.array_equal(got, big_structured)
     # a functools.wraps wrapper, even two deep, keeps the structured path
@@ -1022,6 +1016,6 @@ def test_the_kernel_looks_through_functools_wraps_only():
         return inner_g(t, pts)
 
     calls.clear()
-    got = final_state(v0, -0.3, 0.0, path, with_callables(bare, wrapped_f, wrapped_g), cfg)
+    got = final_state(v0, -0.3, 0.0, path, 0.5, with_callables(bare, wrapped_f, wrapped_g), cfg)
     assert not calls
     assert np.array_equal(got.values, structured)

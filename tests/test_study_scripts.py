@@ -39,7 +39,7 @@ def test_convergence_study_loads_and_matches_the_recurrence():
     study = load_script("convergence_study")
     assert callable(study.main)
     spec = ProblemSpec(
-        lam=2.0, epsilon=0.0, dimension=1, domain_radius=8.0,
+        lam=2.0, dimension=1, domain_radius=8.0,
         nonlinearity=study.zero_reaction(), forcing=zero_forcing(),
     )
     with warnings.catch_warnings():
