@@ -6,9 +6,10 @@ exist yet is first filled by running every ``configs/*.json`` into it with
 the package found under ``--src-a`` or ``--src-b`` (default: this
 checkout's ``src``), and each run's exit code, own peak RSS and the
 number of ``BoundaryLeakWarning``s it wrote to stderr are printed, then
-on a line of their own the places those warnings name (``file:line ×count``),
-so a warning that moves shows in every comparison; an existing tree is
-taken as it is.  Per config the script
+on a line of their own the places those warnings name and the magnitudes
+they print (``file:line ×count [magnitude ...]``), so a warning that moves,
+or a boundary ring that changes, shows in every comparison; an existing
+tree is taken as it is.  Per config the script
 reports whether the CSV files are byte-identical and whether the
 summaries are equal once ``metadata`` (the timestamp) and
 ``config.output.directory`` are dropped, since those two differ between
@@ -29,7 +30,6 @@ tree with.
 from __future__ import annotations
 
 import argparse
-import collections
 import csv
 import glob
 import json
@@ -46,7 +46,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def fill(tree: str, src: str, configs: list[str]) -> None:
     """Run every config into its own directory under ``tree``, one process
     each, and print each run's exit code, peak RSS and count of
-    ``BoundaryLeakWarning`` lines on stderr, then where they point."""
+    ``BoundaryLeakWarning`` lines on stderr, then where they point and the
+    magnitudes they print."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     for config in configs:
         out = os.path.join(tree, stem_of(config))
@@ -67,11 +68,20 @@ def fill(tree: str, src: str, configs: list[str]) -> None:
 
 def leak_places(stderr: str) -> str:
     """Each distinct place a ``BoundaryLeakWarning`` on ``stderr`` names,
-    as ``file:line ×count`` in order of first appearance (the file by its
-    base name, so two checkouts compare); "none" without one."""
-    found = re.findall(r"^(.+):(\d+): BoundaryLeakWarning: ", stderr, re.MULTILINE)
-    places = collections.Counter(f"{os.path.basename(f)}:{line}" for f, line in found)
-    return ", ".join(f"{place} ×{count}" for place, count in places.items()) or "none"
+    as ``file:line ×count [magnitude ...]`` in order of first appearance
+    (the file by its base name, so two checkouts compare), the magnitudes
+    being what its warnings print after ``solution magnitude``, in order;
+    "none" without one."""
+    found = re.findall(
+        r"^(.+):(\d+): BoundaryLeakWarning: (?:solution magnitude (\S+))?", stderr, re.MULTILINE
+    )
+    places = {}
+    for f, line, magnitude in found:
+        places.setdefault(f"{os.path.basename(f)}:{line}", []).append(magnitude)
+    return ", ".join(
+        f"{place} ×{len(magnitudes)} [{' '.join(filter(None, magnitudes))}]"
+        for place, magnitudes in places.items()
+    ) or "none"
 
 
 def run_measured(argv: list[str], env: dict) -> tuple[int, str, float]:

@@ -191,8 +191,8 @@ def fit_decay_rate(
     first = lattice_steps(fit_start, cfg.dt, f"fit_start={fit_start!r}")
     n = steps_between(tau, tau + window, cfg.dt)
     stride = max(1, n // 512)
-    w, v0_a = _rebased(path, epsilon, tau, tau, u0_a)
-    _, v0_b = _rebased(path, epsilon, tau, tau, u0_b)
+    w, v0_a = _rebased(path, epsilon, tau, tau, u0_a, cfg.dt)
+    _, v0_b = _rebased(path, epsilon, tau, tau, u0_b, cfg.dt)
     times, sq = difference_history(
         v0_a, v0_b, tau, tau + window, w, epsilon, spec, cfg, sample_stride=stride
     )
@@ -559,7 +559,7 @@ def truncation_diagnostics(
     if power <= 0.0:
         raise ConfigurationError(f"power 2p - 4 must be positive, got {power}")
     rhos = _truncation_rates(path, epsilon, spec, tau, levels)
-    w, v0 = _rebased(path, epsilon, tau, tau - horizon, u0)
+    w, v0 = _rebased(path, epsilon, tau, tau - horizon, u0, cfg.dt)
     burn_end = tau - 1.0
     (v_burn,) = final_states((v0,), (tau - horizon,), burn_end, (w,), (epsilon,), spec, cfg)
     quad = Quadrature(u0.grid)
@@ -704,8 +704,7 @@ def window_regularity_report(
         raise ConfigurationError(
             f"horizon must exceed the unit window, got {horizon!r}"
         )
-    lattice_steps(tau, cfg.dt, f"tau={tau!r}")
-    w, v0 = _rebased(path, epsilon, tau, tau - horizon, u0)
+    w, v0 = _rebased(path, epsilon, tau, tau - horizon, u0, cfg.dt)
     grid = u0.grid
     p = spec.nonlinearity.p
     dt = cfg.dt

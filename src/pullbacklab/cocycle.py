@@ -37,30 +37,20 @@ from .errors import ConfigurationError
 from .field import Field, Quadrature
 from .model import ProblemSpec
 from .noise import Path, lattice_steps, shift, z_factor
-from .solver import SolverConfig, final_states, steps_between, stored_values
+from .solver import SolverConfig, final_states, stored_values
 
 
 def _rebased(
-    path: Path, epsilon: float, tau: float, start: float, u0: Field
+    path: Path, epsilon: float, tau: float, start: float, u0: Field, dt: float
 ) -> tuple[Path, Field]:
     """The path re-based at ``tau``, ``w = shift(path, -tau)``, and ``u0``
     conjugated at the run's ``start``, ``z_w(start) * u0``: the one way into
-    the conjugated equation, for every run of the stochastic one."""
+    the conjugated equation, for every run of the stochastic one.  It holds
+    the one rule on ``tau``, which must sit on the lattice of the solver
+    step ``dt``, so every run refuses an off-lattice tau before any step."""
+    lattice_steps(tau, dt, f"tau={tau!r}")
     w = shift(path, -tau)
     return w, u0.with_values(u0.values * z_factor(w, epsilon, start))
-
-
-def _columns(
-    tau: float, starts: Sequence[float], paths: Sequence[Path], epsilons: Sequence[float],
-    u0s: Sequence[Field], cfg: SolverConfig,
-) -> tuple[list[Path], list[Field]]:
-    """Every column's path and conjugated data (:func:`_rebased`), after
-    checking that ``tau`` sits on the dt lattice: the way in of :func:`phi`,
-    :func:`phi_states` and :func:`pullback_states`."""
-    lattice_steps(tau, cfg.dt, f"tau={tau!r}")
-    columns = zip(paths, epsilons, starts, u0s, strict=True)
-    rebased = [_rebased(path, eps, tau, start, u0) for path, eps, start, u0 in columns]
-    return [w for w, _ in rebased], [v0 for _, v0 in rebased]
 
 
 def _endpoints(
@@ -77,14 +67,16 @@ def _endpoints(
     at ``starts[i]`` to the shared ``end`` along ``paths[i]`` re-based at
     ``tau``, at intensity ``epsilons[i]``, and unconjugated at ``end``.
     Every column is checked (:func:`~pullbacklab.solver.final_states`); one
-    with nothing to march hands its data back as given."""
-    ws, v0s = _columns(tau, starts, paths, epsilons, u0s, cfg)
-    ends = final_states(v0s, starts, end, ws, epsilons, spec, cfg)
-    out = []
-    for u0, start, w, eps, v in zip(u0s, starts, ws, epsilons, ends):
-        marched = steps_between(start, end, cfg.dt)
-        out.append(v.with_values(v.values / z_factor(w, eps, end)) if marched else u0)
-    return tuple(out)
+    with nothing to march, which ``final_states`` hands back as its own
+    object, hands its data back as given."""
+    columns = zip(paths, epsilons, starts, u0s, strict=True)
+    rebased = [_rebased(path, eps, tau, start, u0, cfg.dt) for path, eps, start, u0 in columns]
+    v0s = [v0 for _, v0 in rebased]
+    ends = final_states(v0s, starts, end, [w for w, _ in rebased], epsilons, spec, cfg)
+    return tuple(
+        u0 if v is v0 else v.with_values(v.values / z_factor(w, eps, end))
+        for u0, (w, v0), eps, v in zip(u0s, rebased, epsilons, ends)
+    )
 
 
 def phi(
@@ -111,7 +103,7 @@ def phi_states(
     values, so a consumer reduces them through a
     :class:`~pullbacklab.field.Quadrature` pass, which checks them as a
     Field would."""
-    (w,), (v0,) = _columns(tau, (tau,), (path,), (epsilon,), (u0,), cfg)
+    w, v0 = _rebased(path, epsilon, tau, tau, u0, cfg.dt)
     column, u = ((v0,), tau, tau + t, (w,), (epsilon,)), np.empty(u0.grid.shape)
     for s, v in stored_values(*column, spec, cfg, cfg.store_stride):
         np.divide(v[0], z_factor(w, epsilon, float(s)), out=u)
@@ -184,7 +176,7 @@ def verify_cocycle_property(
     """
     if t < 0.0 or s < 0.0:
         raise ConfigurationError("durations t and s must be nonnegative")
-    for name, value in (("t", t), ("s", s), ("tau", tau)):
+    for name, value in (("t", t), ("s", s)):
         lattice_steps(value, cfg.dt, f"{name}={value!r}")
     lhs = phi(t + s, tau, path, epsilon, u0, spec, cfg)
     mid = phi(s, tau, path, epsilon, u0, spec, cfg)

@@ -1,4 +1,5 @@
-"""Grids on a centered box, discrete fields with zero boundary, and the
+"""Grids on a centered box and the box's geometry (a state's interior and
+the ring inside its boundary), discrete fields with zero boundary, and the
 quadratures and stencils everything downstream is measured with."""
 
 from __future__ import annotations
@@ -55,11 +56,7 @@ class Grid:
     @cached_property
     def points(self) -> np.ndarray:
         """All grid coordinates, shape (points_per_axis**dimension, dimension)."""
-        if self.dimension == 1:
-            pts = self.axis[:, None]
-        else:
-            xx, yy = np.meshgrid(self.axis, self.axis, indexing="ij")
-            pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
+        pts = lattice_points(self.axis, self.dimension)
         pts.setflags(write=False)
         return pts
 
@@ -73,6 +70,30 @@ class Grid:
     @property
     def cell_volume(self) -> float:
         return self.spacing**self.dimension
+
+
+def lattice_points(axis: np.ndarray, dimension: int) -> np.ndarray:
+    """Every point of the lattice ``axis``^dimension as a row, shape
+    (len(axis)**dimension, dimension), in the order of a C-ordered field's
+    values (the last coordinate varying fastest)."""
+    mesh = np.meshgrid(*(axis,) * dimension, indexing="ij")
+    return np.stack([coordinate.ravel() for coordinate in mesh], axis=1)
+
+
+def interior(v: np.ndarray, first: int = 0) -> np.ndarray:
+    """The view of ``v`` without its boundary layer on each axis from
+    ``first`` on: a state's interior, or with ``first=1`` the interior of
+    every state of a stack."""
+    return v[(slice(None),) * first + (slice(1, -1),) * (v.ndim - first)]
+
+
+def ring(stack: np.ndarray) -> np.ndarray:
+    """For each state of the stack (k, *shape), the largest |v| on the layer
+    just inside its boundary: the points at index 1 or -2 on some axis,
+    over the whole range of the others.  The box truncates R^N, so this is
+    where a run's truncation error shows."""
+    axes = tuple(range(1, stack.ndim))
+    return np.max([np.abs(stack.take((1, -2), axis=ax)).max(axis=axes) for ax in axes], axis=0)
 
 
 def _boundary_is_zero(values: np.ndarray) -> bool:
@@ -106,15 +127,9 @@ def _check_values(grid: Grid, values: np.ndarray, reduce: Callable | None = None
 
 def zero_boundary(values: np.ndarray) -> np.ndarray:
     """Copy of ``values`` with the outermost layer forced to exactly zero."""
-    out = np.array(values, dtype=float)
-    if out.ndim == 1:
-        out[0] = 0.0
-        out[-1] = 0.0
-    else:
-        out[0, :] = 0.0
-        out[-1, :] = 0.0
-        out[:, 0] = 0.0
-        out[:, -1] = 0.0
+    values = np.asarray(values, dtype=float)
+    out = np.zeros(values.shape)
+    interior(out)[...] = interior(values)
     return out
 
 
@@ -396,13 +411,8 @@ def trajectory_row(t: float, state: Field, p: float | None = None) -> list[float
     return [float(t), l2, h1] + ([] if lp is None else [lp])
 
 
-def write_trajectory_csv(
-    traj: Trajectory | Iterable[Sequence[float]], fp: IO[str], p: float | None = None
-) -> None:
-    """One row per stored state: time, l2, h1 and optional lp.
-
-    ``traj`` is a :class:`Trajectory`, or the rows :func:`trajectory_row`
-    made (with the same p) from a stream of states that nothing kept."""
-    if isinstance(traj, Trajectory):
-        traj = (trajectory_row(t, state, p) for t, state in zip(traj.times, traj.states))
-    write_table_csv(["t", "l2", "h1"] + ([] if p is None else [f"l{p:g}"]), traj, fp)
+def write_trajectory_csv(traj: Trajectory, fp: IO[str], p: float | None = None) -> None:
+    """One row per stored state of ``traj`` (:func:`trajectory_row`): time,
+    l2, h1 and optional lp."""
+    rows = (trajectory_row(t, state, p) for t, state in zip(traj.times, traj.states))
+    write_table_csv(["t", "l2", "h1"] + ([] if p is None else [f"l{p:g}"]), rows, fp)

@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import ConfigurationError
-from .field import Grid
+from .field import Grid, lattice_points
 
 Pointwise = Callable[[np.ndarray], np.ndarray]
 
@@ -323,11 +323,7 @@ def check_hypotheses(
         raise ConfigurationError("s_range must be positive")
     nl = spec.nonlinearity
     ax = np.linspace(-spec.domain_radius, spec.domain_radius, n_samples)
-    if spec.dimension == 1:
-        xpts = ax[:, None]
-    else:
-        xx, yy = np.meshgrid(ax, ax, indexing="ij")
-        xpts = np.stack([xx.ravel(), yy.ravel()], axis=1)
+    xpts = lattice_points(ax, spec.dimension)
     svals = np.linspace(-s_range, s_range, n_samples)
 
     # All (x, s) pairs, flattened.

@@ -104,7 +104,7 @@ from .errors import (
     OutOfWindowError,
     WorkerError,
 )
-from .field import Field, Grid, Quadrature, Trajectory, field_from_function
+from .field import Field, Grid, Quadrature, Trajectory, field_from_function, interior, ring
 from .model import (
     _FORCING_BLOCK,
     CubicReaction,
@@ -390,10 +390,6 @@ def _tridiagonal_inverse(diag: float, off: float, n: int) -> np.ndarray:
     return x
 
 
-def _interior(v: np.ndarray) -> np.ndarray:
-    return v[1:-1] if v.ndim == 1 else v[1:-1, 1:-1]
-
-
 def _structure(fn: Callable, kind: type):
     """The innermost callable under ``fn``'s ``__wrapped__`` chain if it is
     a ``kind``, else None.  A wrapper without ``__wrapped__`` hides it."""
@@ -496,7 +492,6 @@ def _march(
     mul, sub, add, div = np.multiply, np.subtract, np.add, np.divide
     vdot, isfinite = np.vdot, math.isfinite
     a3 = None if cubic is None else np.array(cubic.a3)
-    inner = (slice(None),) + (slice(1, -1),) * ctx.grid.dimension
     spread = (1,) * ctx.grid.dimension
     # step j reads the state from buffer j % 2 and writes the next one into
     # the other; only interiors are ever written, so boundaries stay zero.
@@ -519,14 +514,15 @@ def _march(
     while j < n:
         if a < k and admit[a] == j:
             b = int(np.searchsorted(admit, j, side="right"))
-            bufs[j % 2][a:b][inner] = v0[a:b][inner]
+            interior(bufs[j % 2][a:b], 1)[...] = interior(v0[a:b], 1)
             a = b
             stacks = [buf[:a] for buf in bufs]
             flats = [stack.ravel() for stack in stacks]
             rhs = rhs_buf[:a]
             rhs_flat, work, pts_a = rhs.ravel(), work_buf[: a * npts], pts[: a * npts]
             c = ctx.solve_rows(a)
-            solves = [ctx.stack_solver(rhs_buf[:c][inner], buf[:c][inner]) for buf in bufs]
+            src = interior(rhs_buf[:c], 1)
+            solves = [ctx.stack_solver(src, interior(buf[:c], 1)) for buf in bufs]
             # a block's steps: at most a forcing block of values
             block = max(1, _FORCING_BLOCK // (a * npts))
         # a window: the steps up to the next admission, at most as many
@@ -595,11 +591,7 @@ def _advance_plain(v: np.ndarray, t: float, ctx: _Context) -> np.ndarray:
     rhs = v + dt * (fv + ctx.forcing_values(t))
     _check_finite(rhs[np.newaxis], t + dt)
     out = np.zeros_like(v)
-    sol = ctx.solve_implicit(_interior(rhs))
-    if v.ndim == 1:
-        out[1:-1] = sol
-    else:
-        out[1:-1, 1:-1] = sol
+    interior(out)[...] = ctx.solve_implicit(interior(rhs))
     return out
 
 
@@ -634,26 +626,18 @@ _RUN_MODULES = frozenset(f"{__package__}.{name}" for name in ("solver", "cocycle
 
 
 def _warn_boundary_leak(v: np.ndarray) -> None:
-    """Warn once for every column of the stack ``v`` that leaks, each
+    """Warn once for every column of the stack ``v`` that leaks, its ring
+    (:func:`~pullbacklab.field.ring`) above ``_BOUNDARY_TRUST``, each
     warning placed at the first frame whose module is not ``solver``,
     ``cocycle`` or ``attractor``: the code that asked for the run, however
     many calls and streams of the run lie between."""
     frame, level = sys._getframe(), 1
     while frame.f_globals.get("__name__") in _RUN_MODULES:
         frame, level = frame.f_back, level + 1
-    for col in v:
-        if col.ndim == 1:
-            ring = max(abs(float(col[1])), abs(float(col[-2])))
-        else:
-            ring = max(
-                float(np.abs(col[1, :]).max()),
-                float(np.abs(col[-2, :]).max()),
-                float(np.abs(col[:, 1]).max()),
-                float(np.abs(col[:, -2]).max()),
-            )
-        if ring > _BOUNDARY_TRUST:
+    for magnitude in ring(v).tolist():
+        if magnitude > _BOUNDARY_TRUST:
             warnings.warn(
-                f"solution magnitude {ring:.3e} adjacent to the artificial boundary "
+                f"solution magnitude {magnitude:.3e} adjacent to the artificial boundary "
                 f"exceeds {_BOUNDARY_TRUST:.0e}; enlarge the domain radius",
                 BoundaryLeakWarning,
                 stacklevel=level,

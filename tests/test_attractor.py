@@ -672,6 +672,26 @@ def test_window_regularity_report_validation(desk_spec, desk_grid, desk_path, cf
         window_regularity_report(0.5005e-3, desk_path, 0.5, desk_spec, cfg, u0, 2.0)
 
 
+@pytest.mark.parametrize("reduction", ["fit_decay_rate", "truncation_diagnostics"])
+def test_an_off_lattice_tau_is_refused_before_any_step(
+    desk_spec, desk_grid, monkeypatch, reduction
+):
+    # tau = 0.0005 lies on the path's lattice (step 5e-4) but not on the
+    # solver's (dt 1e-3): refused where the path is re-based, as every run
+    def no_march(*args):
+        raise AssertionError("marched from an off-lattice tau")
+
+    monkeypatch.setattr(solver, "_march", no_march)
+    cfg = SolverConfig(dt=1e-3)
+    path = sample_path(3, -2.0, 3.0, 5e-4)
+    u0 = gaussian_bump(desk_grid, 1.0, 1.5)
+    with pytest.raises(ConfigurationError, match=r"^tau=0\.0005 is not a multiple of dt=0\.001"):
+        if reduction == "fit_decay_rate":
+            fit_decay_rate(0.0005, path, 0.5, desk_spec, cfg, u0, zero_field(desk_grid), 2.0)
+        else:
+            truncation_diagnostics(0.0005, path, 0.5, desk_spec, cfg, u0, 1.5, (0.05, 0.1))
+
+
 def test_absorbing_radius_closed_forms():
     # with epsilon = 0 on a flat path the z factors are 1, so the memory
     # integral is the exponential quadrature of ||g||^2 + 1 alone

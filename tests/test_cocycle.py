@@ -65,7 +65,7 @@ def test_phi_states_ends_at_phi_and_stores_as_stored_values(
     q = (t, 0.25, wide_path, 0.3, u0, spec, cfg)
     stream = [(s, u.copy()) for s, u in cocycle.phi_states(*q)]
     assert stream[-1][1].tobytes() == phi(*q).values.tobytes()
-    w, v0 = cocycle._rebased(wide_path, 0.3, 0.25, 0.25, u0)
+    w, v0 = cocycle._rebased(wide_path, 0.3, 0.25, 0.25, u0, cfg.dt)
     stored = solver.stored_values((v0,), 0.25, 0.25 + t, (w,), (0.3,), spec, cfg, 7)
     assert [s for s, _ in stream] == [s for s, _ in stored]
     assert len(stream) == round(t / 1e-3) // 7 + 2

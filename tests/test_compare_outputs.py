@@ -97,9 +97,29 @@ def test_fill_shows_stderr_of_runs_that_wrote_no_summary(tmp_path, capsys):
     assert crash_places == "  crash leak warnings at: none"
     warn = '    warnings.warn(f"solution magnitude {magnitude}", BoundaryLeakWarning)'
     line = 1 + FAKE_CLI.splitlines().index(warn)
-    assert failed_places == f"  failed leak warnings at: cli.py:{line} ×2"
+    assert failed_places == f"  failed leak warnings at: cli.py:{line} ×2 [1e-7 2e-7]"
     assert "RuntimeError: traceback of the crashed run" in captured.err
     assert "wrote its summary" not in captured.err
+
+
+def test_leak_places_print_each_places_magnitudes_in_order():
+    # a ring that moves changes the line even where count and place hold
+    trail = " adjacent to the artificial boundary exceeds 1e-08; enlarge the domain radius"
+    stderr = "".join([
+        f"/x/a/cli.py:12: BoundaryLeakWarning: solution magnitude 1.234e-07{trail}\n",
+        "  warnings.warn(\n",
+        f"/x/b/cli.py:30: BoundaryLeakWarning: solution magnitude 5.000e-08{trail}\n",
+        f"/x/a/cli.py:12: BoundaryLeakWarning: solution magnitude 2.000e-07{trail}\n",
+        "/x/a/cli.py:40: BoundaryLeakWarning: a message without a magnitude\n",
+        "/x/a/cli.py:50: UserWarning: solution magnitude 1.000e+00\n",
+    ])
+    script = load_script()
+    assert script.leak_places(stderr) == (
+        "cli.py:12 ×2 [1.234e-07 2.000e-07], cli.py:30 ×1 [5.000e-08], cli.py:40 ×1 []"
+    )
+    moved = stderr.replace("2.000e-07", "2.001e-07")
+    assert script.leak_places(moved) != script.leak_places(stderr)
+    assert script.leak_places("no warnings\n") == "none"
 
 
 PEAKS_PROBE = """

@@ -24,8 +24,11 @@ from pullbacklab.field import (
     gaussian_bump,
     gradient_energy_density,
     h1_norm,
+    interior,
     l2_norm,
+    lattice_points,
     lp_norm,
+    ring,
     superlevel_measure_integrand,
     tail_norm,
     trajectory_row,
@@ -243,6 +246,90 @@ def test_field_from_function_zeroes_the_boundary():
     f = field_from_function(g, lambda pts: np.ones(len(pts)))
     assert f.values[0] == 0.0 and f.values[-1] == 0.0
     assert np.all(f.values[1:-1] == 1.0)
+
+
+def _plain_zero_boundary(values):
+    """The boundary zeroed by one assignment per edge, as written out before
+    ``interior`` held the box's geometry."""
+    out = np.array(values, dtype=float)
+    if out.ndim == 1:
+        out[0] = 0.0
+        out[-1] = 0.0
+    else:
+        out[0, :] = 0.0
+        out[-1, :] = 0.0
+        out[:, 0] = 0.0
+        out[:, -1] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("shape", [(3,), (5,), (129,), (3, 3), (5, 5), (65, 65)])
+def test_zero_boundary_has_the_bits_of_the_plain_assignments(shape):
+    rng = np.random.default_rng(sum(shape))
+    values = rng.standard_normal(shape)
+    values[(0,) * len(shape)] = np.nan  # a corner, overwritten
+    values[(-1,) * len(shape)] = -np.inf
+    values[(1,) * len(shape)] = -0.0  # an interior sign, kept
+    for given in (values, values.tolist()):
+        want, got = _plain_zero_boundary(given), zero_boundary(given)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_interior_is_the_view_without_the_boundary_layer():
+    stack = np.arange(2 * 5 * 5, dtype=float).reshape(2, 5, 5)
+    assert interior(stack[0]).tobytes() == stack[0, 1:-1, 1:-1].tobytes()
+    assert interior(stack, 1).tobytes() == stack[:, 1:-1, 1:-1].tobytes()
+    assert interior(stack[0, 0]).tobytes() == stack[0, 0, 1:-1].tobytes()
+    assert interior(stack[:, 0], 1).tobytes() == stack[:, 0, 1:-1].tobytes()
+    interior(stack, 1)[...] = -1.0  # a view: writes reach the stack
+    assert (stack[:, 1:-1, 1:-1] == -1.0).all() and (stack[:, 0] >= 0.0).all()
+
+
+def _plain_ring(col):
+    """One state's largest |v| next to the boundary, as the solver's leak
+    check formed it column by column."""
+    if col.ndim == 1:
+        return max(abs(float(col[1])), abs(float(col[-2])))
+    return max(
+        float(np.abs(col[1, :]).max()),
+        float(np.abs(col[-2, :]).max()),
+        float(np.abs(col[:, 1]).max()),
+        float(np.abs(col[:, -2]).max()),
+    )
+
+
+@pytest.mark.parametrize("dimension, m", [(1, 3), (1, 5), (1, 129), (2, 5), (2, 65)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_ring_has_the_bits_of_the_per_column_formula(dimension, m, k):
+    rng = np.random.default_rng(10 * m + k)
+    scales = 10.0 ** -np.arange(k)
+    stacks = [
+        rng.standard_normal((k,) + (m,) * dimension),
+        np.stack([s * zero_boundary(rng.standard_normal((m,) * dimension)) for s in scales]),
+    ]
+    # the largest |v| of the first column lies next to the boundary, negative
+    stacks[1][(0, 1) + (m // 2,) * (dimension - 1)] = -7.0
+    for stack in stacks:
+        want = np.array([_plain_ring(col) for col in stack])
+        got = ring(stack)
+        assert got.shape == (k,) and got.tobytes() == want.tobytes()
+    assert ring(stacks[1])[0] == 7.0
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("n", [2, 4, 5, 17, 64, 65])
+def test_lattice_points_have_the_bits_of_the_meshgrid_stack(dimension, n):
+    axis = np.linspace(-3.0, 3.0, n)
+    if dimension == 1:
+        want = axis[:, None]
+    else:
+        xx, yy = np.meshgrid(axis, axis, indexing="ij")
+        want = np.stack([xx.ravel(), yy.ravel()], axis=1)
+    got = lattice_points(axis, dimension)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if n % 2:  # a grid's axis has an odd count
+        points = Grid(dimension, 3.0, n).points
+        assert points.tobytes() == want.tobytes() and not points.flags.writeable
 
 
 def test_tail_norm_hand_oracle():

@@ -502,6 +502,34 @@ def test_energy_audit_checks_its_final_state_for_a_leak():
         assert len(leak_warnings(audit)) == leaking
 
 
+@pytest.mark.parametrize("dimension, m", [(1, 129), (2, 33)])
+def test_a_leak_warning_prints_the_magnitude_of_the_per_column_formula(dimension, m):
+    # each column's largest |v| next to the boundary, formed as the leak
+    # check did column by column, is the magnitude its warning prints
+    grid = Grid(dimension, 8.0, m)
+    v0s = (gaussian_bump(grid, 1.0, 6.0), gaussian_bump(grid, -0.5, 6.0))
+    spec, cfg = replace(leak_spec(), dimension=dimension), SolverConfig(dt=1e-3)
+    path = flat_path(-1.0, 1.0, 1e-3)
+    ends = []
+    columns = (v0s, (0.0,) * 2, 0.01, (path,) * 2, (0.0,) * 2)
+    leaks = leak_warnings(lambda: ends.extend(final_states(*columns, spec, cfg)))
+    want = []
+    for end in ends:
+        col = end.values
+        if col.ndim == 1:
+            ring = max(abs(float(col[1])), abs(float(col[-2])))
+        else:
+            ring = max(
+                float(np.abs(col[1, :]).max()),
+                float(np.abs(col[-2, :]).max()),
+                float(np.abs(col[:, 1]).max()),
+                float(np.abs(col[:, -2]).max()),
+            )
+        want.append(f"solution magnitude {ring:.3e} adjacent to the artificial boundary")
+    assert len(leaks) == 2
+    assert [str(w.message).split(" exceeds")[0].rstrip() for w in leaks] == want
+
+
 # each run's leaking columns, and the run; the path spans every run's window
 LEAK_RUNS = {
     "step": (1, lambda u0, path, spec, cfg: step(u0, 0.0, path, 0.0, spec, cfg)),
