@@ -7,9 +7,10 @@ the package found under ``--src-a`` or ``--src-b`` (default: this
 checkout's ``src``), and each run's exit code, own peak RSS and the
 number of ``BoundaryLeakWarning``s it wrote to stderr are printed, then
 on a line of their own the places those warnings name and the magnitudes
-they print (``file:line ×count [magnitude ...]``), so a warning that moves,
-or a boundary ring that changes, shows in every comparison; an existing
-tree is taken as it is.  Per config the script
+they print (``file:function ×count [magnitude ...]``), so a warning that
+moves to another function, or a boundary ring that changes, shows in every
+comparison, and an edit that only shifts lines does not; an existing tree
+is taken as it is.  Per config the script
 reports whether the CSV files are byte-identical and whether the
 summaries are equal once ``metadata`` (the timestamp) and
 ``config.output.directory`` are dropped, since those two differ between
@@ -30,6 +31,7 @@ tree with.
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import glob
 import json
@@ -66,18 +68,38 @@ def fill(tree: str, src: str, configs: list[str]) -> None:
             print(stderr, file=sys.stderr)
 
 
+def enclosing_function(path: str, line: int) -> str:
+    """The name of the innermost function in the file ``path`` whose lines
+    hold ``line``, ``<module>`` outside every function, or the line number
+    itself where the file cannot be read or parsed."""
+    try:
+        with open(path) as handle:
+            tree = ast.parse(handle.read())
+    except (OSError, SyntaxError, ValueError):
+        return str(line)
+    name = "<module>"
+    # breadth first, so a nested function that holds the line comes last
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.lineno <= line <= node.end_lineno:
+                name = node.name
+    return name
+
+
 def leak_places(stderr: str) -> str:
     """Each distinct place a ``BoundaryLeakWarning`` on ``stderr`` names,
-    as ``file:line ×count [magnitude ...]`` in order of first appearance
-    (the file by its base name, so two checkouts compare), the magnitudes
-    being what its warnings print after ``solution magnitude``, in order;
-    "none" without one."""
+    as ``file:function ×count [magnitude ...]`` in order of first
+    appearance (the file by its base name, so two checkouts compare; the
+    function as :func:`enclosing_function` finds it in the file the warning
+    names), the magnitudes being what its warnings print after ``solution
+    magnitude``, in order; "none" without one."""
     found = re.findall(
         r"^(.+):(\d+): BoundaryLeakWarning: (?:solution magnitude (\S+))?", stderr, re.MULTILINE
     )
     places = {}
     for f, line, magnitude in found:
-        places.setdefault(f"{os.path.basename(f)}:{line}", []).append(magnitude)
+        place = f"{os.path.basename(f)}:{enclosing_function(f, int(line))}"
+        places.setdefault(place, []).append(magnitude)
     return ", ".join(
         f"{place} ×{len(magnitudes)} [{' '.join(filter(None, magnitudes))}]"
         for place, magnitudes in places.items()

@@ -51,7 +51,7 @@ def eigenmode_error(spec: ProblemSpec, points: int, mode: int, dt: float, steps:
     grid = grid_for(spec, points)
     v0 = eigenmode(grid, mode)
     mu = eigenmode_rate(grid, mode)
-    cfg = SolverConfig(dt=dt, store_stride=10**9)
+    cfg = SolverConfig(dt=dt)
     traj = integrate_deterministic(v0, 0.0, steps * dt, spec, cfg)
     factor = (1.0 + dt * (spec.lam + mu)) ** (-steps)
     return float(np.max(np.abs(traj.final.values - factor * v0.values)))

@@ -75,11 +75,8 @@ class EquilibriumResult:
     """
 
     state: Field
-    tau: float
-    epsilon: float
     history: tuple[tuple[float, float], ...]
     converged: bool
-    tolerance: float
     l2: float
     h1: float
     lp: float
@@ -128,15 +125,7 @@ def compute_equilibrium(
     converged = history[-1][1] <= tol
     l2, h1, lp = quad.norms(state.values, p=spec.nonlinearity.p)
     return EquilibriumResult(
-        state=state,
-        tau=tau,
-        epsilon=epsilon,
-        history=tuple(history),
-        converged=converged,
-        tolerance=tol,
-        l2=l2,
-        h1=h1,
-        lp=lp,
+        state=state, history=tuple(history), converged=converged, l2=l2, h1=h1, lp=lp
     )
 
 
@@ -225,10 +214,6 @@ def fit_decay_rate(
 class AttractorSample:
     """Pullback images of a finite ensemble at one observation time."""
 
-    tau: float
-    epsilon: float
-    seed: int | None
-    horizon: float
     members: tuple[Field, ...]
     diameter: float
 
@@ -256,14 +241,7 @@ def approximate_attractor(
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
             diameter = max(diameter, quad.norms(a.values - b.values, h1=False)[0])
-    return AttractorSample(
-        tau=tau,
-        epsilon=epsilon,
-        seed=getattr(path, "seed", None),
-        horizon=horizon,
-        members=members,
-        diameter=diameter,
-    )
+    return AttractorSample(members=members, diameter=diameter)
 
 
 def _check_ensemble(ensemble: Sequence[Field]) -> None:
@@ -312,8 +290,6 @@ class SweepRow:
 class SweepResult:
     """Distances to the zero-noise attractor sample, per intensity and seed."""
 
-    tau: float
-    horizon: float
     epsilon_ladder: tuple[float, ...]
     rows: tuple[SweepRow, ...]
     mean_l2: tuple[float, ...]
@@ -385,8 +361,6 @@ def upper_semicontinuity_sweep(
         mean_l2.append(sum(dists_l2) / len(dists_l2))
         mean_h1.append(sum(dists_h1) / len(dists_h1))
     return SweepResult(
-        tau=tau,
-        horizon=horizon,
         epsilon_ladder=tuple(ladder),
         rows=tuple(rows),
         mean_l2=tuple(mean_l2),
@@ -432,9 +406,6 @@ def sweep_shrinks(result: SweepResult, ratio_bound: float = 0.2) -> dict:
 class TailProfile:
     """Mass of the pullback state outside centred balls of growing radius."""
 
-    tau: float
-    epsilon: float
-    horizon: float
     full_l2: float
     full_h1: float
     rows: tuple[tuple[float, float, float], ...]  # (radius, tail_l2, tail_h1)
@@ -463,15 +434,7 @@ def tail_profile(
     full_l2, full_h1, _ = quad.norms(state.values)
     radii = [float(k) for k in radii]
     rows = tuple((k, *tail) for k, tail in zip(radii, quad.tails(state.values, radii)))
-    return TailProfile(
-        tau=tau,
-        epsilon=epsilon,
-        horizon=horizon,
-        full_l2=full_l2,
-        full_h1=full_h1,
-        rows=rows,
-        state=state,
-    )
+    return TailProfile(full_l2=full_l2, full_h1=full_h1, rows=rows, state=state)
 
 
 @dataclass(frozen=True)
@@ -611,7 +574,6 @@ class BoundWitness:
     existence of a finite constant, the laboratory reports its size.
     """
 
-    name: str
     observed: float
     integral: float
     fitted_constant: float
@@ -663,12 +625,7 @@ def absorbing_radius(
         tau, path, epsilon, spec, grid, quadrature_horizon, path.dt
     )
     fitted = observed_norm / math.sqrt(integral) if not math.isnan(observed_norm) else float("nan")
-    return BoundWitness(
-        name="absorbing_radius",
-        observed=observed_norm,
-        integral=integral,
-        fitted_constant=fitted,
-    )
+    return BoundWitness(observed=observed_norm, integral=integral, fitted_constant=fitted)
 
 
 def window_regularity_report(
@@ -742,17 +699,10 @@ def window_regularity_report(
 
     memory = _memory_integral(tau, path, epsilon, spec, grid, horizon, dt)
 
-    def witness(name: str, observed: float) -> BoundWitness:
-        return BoundWitness(
-            name=name,
-            observed=observed,
-            integral=memory,
-            fitted_constant=observed / memory,
-        )
-
-    return {
-        "window_h1_sup": witness("window_h1_sup", sup_h1_sq),
-        "dissipation_integral": witness("dissipation_integral", dissipation),
-        "time_derivative_integral": witness("time_derivative_integral", deriv_integral),
-        "high_power_integral": witness("high_power_integral", high_power),
+    observed = {
+        "window_h1_sup": sup_h1_sq,
+        "dissipation_integral": dissipation,
+        "time_derivative_integral": deriv_integral,
+        "high_power_integral": high_power,
     }
+    return {name: BoundWitness(value, memory, value / memory) for name, value in observed.items()}

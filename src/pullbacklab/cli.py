@@ -85,6 +85,7 @@ class _Plan:
     epsilon: float
     grid: Grid
     cfg: SolverConfig
+    stride: int
     noise: dict | None
     raw_spec: Mapping
     raw_block: Mapping
@@ -115,10 +116,7 @@ class _Plan:
                 "forcing": self.raw_spec["forcing"],
             },
             "grid": {"points_per_axis": self.grid.points_per_axis},
-            "solver": {
-                "dt": self.cfg.dt,
-                "store_stride": self.cfg.store_stride,
-            },
+            "solver": {"dt": self.cfg.dt, "store_stride": self.stride},
             "output": {"directory": self.out_dir, "formats": list(self.formats)},
         }
         if self.noise is not None:
@@ -239,9 +237,10 @@ def _resolve(raw, out_dir_override: str | None) -> _Plan:
             grid = r.made(grid_for, spec, r.integer("points_per_axis"))
 
         with ConfigSection(root.get("solver"), "solver") as r:
-            cfg = r.made(SolverConfig, r.number("dt"), r.integer("store_stride", 1))
-            r.check(exp.stores or cfg.store_stride == 1, "store_stride",
-                    f"must be 1 for {experiment!r}, which stores nothing, got {cfg.store_stride}")
+            cfg = r.made(SolverConfig, r.number("dt"))
+            stride = r.integer("store_stride", 1, least=1)
+            r.check(exp.stores or stride == 1, "store_stride",
+                    f"must be 1 for {experiment!r}, which stores nothing, got {stride}")
 
         with ConfigSection(root.get("output", {}), "output") as r:
             out_dir = r.get("directory", ".")
@@ -260,6 +259,7 @@ def _resolve(raw, out_dir_override: str | None) -> _Plan:
             epsilon=epsilon,
             grid=grid,
             cfg=cfg,
+            stride=stride,
             noise=None,
             raw_spec=spec_section.raw,
             raw_block=root.get(experiment, {}),
@@ -305,7 +305,7 @@ def _exec_simulate(plan: _Plan, path: Path):
     noise path and record the state's norms.  Emits final and initial L2/H1/Lp
     norms in the summary and a trajectory CSV (columns: t, l2, h1, l{p})."""
     b, spec = plan.block, plan.spec
-    run = (b["horizon"], b["tau"], path, plan.epsilon, b["initial"], spec, plan.cfg)
+    run = (b["horizon"], b["tau"], path, plan.epsilon, b["initial"], spec, plan.cfg, plan.stride)
     # each stored state is reduced to its CSV row, in one checked pass, as
     # the run yields it
     quad, p = Quadrature(plan.grid), spec.nonlinearity.p
@@ -357,7 +357,7 @@ def _exec_equilibrium(plan: _Plan, path: Path):
     )
     results = {
         "converged": res.converged,
-        "tolerance": res.tolerance,
+        "tolerance": b["tol"],
         "history": [[t, inc] for t, inc in res.history],
         "norms": {"l2": res.l2, "h1": res.h1, f"l{spec.nonlinearity.p:g}": res.lp},
     }
@@ -420,6 +420,7 @@ def _parse_tail(b: _Block) -> dict:
     # the optional check at one radius takes both keys
     if "fraction_bound" in b or "fraction_radius" in b:
         out["fraction_bound"] = b.number("fraction_bound")
+        b.check(out["fraction_bound"] >= 0.0, "fraction_bound", "must be nonnegative")
         at = out["fraction_radius"] = b.number("fraction_radius")
         if at not in out["radii"]:
             raise ConfigurationError(f"{b.where}.fraction_radius={at!r} is not one of the radii")
@@ -474,6 +475,7 @@ def _parse_truncation(b: _Block) -> dict:
     covers = lattice_steps(out["horizon"], dt, b.path("horizon")) >= unit
     b.check(covers, "horizon", "must cover the unit window: at least 1")
     b.check(out["levels"][0] > 0.0, "levels", "must hold positive levels")
+    b.check(out["final_bound"] >= 0.0, "final_bound", "must be nonnegative")
     return out
 
 
@@ -517,8 +519,9 @@ def _parse_upper_semi(b: _Block) -> dict:
         "epsilon_ladder": b.items("epsilon_ladder", b.as_number, "must be a non-empty list", 1),
         "ensemble": b.items("ensemble", b.field, "must be a non-empty list", 1),
         "ratio_bound": b.number("ratio_bound", 0.2),
-        "max_inversions": b.integer("max_inversions", 1),
+        "max_inversions": b.integer("max_inversions", 1, least=0),
     }
+    b.check(out["ratio_bound"] >= 0.0, "ratio_bound", "must be nonnegative")
     ladder = out["epsilon_ladder"]
     b.check(all(hi > lo for hi, lo in zip(ladder, ladder[1:])), "epsilon_ladder",
             "must be strictly decreasing")
@@ -576,7 +579,7 @@ def _parse_cocycle_test(b: _Block) -> dict:
         "residual_bound": b.number("residual_bound", 1e-10),
         "initial": b.initial("initial"),
     }
-    for key in ("t", "s"):
+    for key in ("t", "s", "residual_bound"):
         b.check(out[key] >= 0.0, key, "must be nonnegative")
     return out
 
@@ -611,13 +614,11 @@ def _exec_check_hypotheses(plan: _Plan, path: Path | None):
     nonnegative up to the tolerance."""
     b = plan.block
     report = check_hypotheses(plan.spec, b["n_samples"], b["s_range"], b["tolerance"])
-    checks = {
-        name: slack >= -report.tolerance for name, slack in report.slacks.items()
-    }
+    checks = {name: slack >= -b["tolerance"] for name, slack in report.slacks.items()}
     results = {
         "slacks": report.slacks,
         "worst_points": {k: list(v) for k, v in report.worst_points.items()},
-        "tolerance": report.tolerance,
+        "tolerance": b["tolerance"],
     }
     return results, checks, {}
 
@@ -633,6 +634,8 @@ def _parse_absorbing(b: _Block) -> dict:
     }
     for key in ("quadrature_horizon", "pullback_horizon"):
         b.check(out[key] > 0.0, key, "must be positive")
+    for key in ("stability_bound", "constant_band"):
+        b.check(out[key] >= 0.0, key, "must be nonnegative")
     return out
 
 

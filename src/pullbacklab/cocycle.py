@@ -92,20 +92,20 @@ def phi(
 
 def phi_states(
     t: float, tau: float, path: Path, epsilon: float,
-    u0: Field, spec: ProblemSpec, cfg: SolverConfig,
+    u0: Field, spec: ProblemSpec, cfg: SolverConfig, stride: int,
 ):
     """Yield (time, values) for every state the run of :func:`phi` stores,
     as :func:`~pullbacklab.solver.stored_values` streams its one column at
-    ``cfg.store_stride``, each unconjugated into one reused buffer that is
-    valid until the next ``next``; for t > 0 the last values are
+    ``stride``, each unconjugated into one reused buffer that is valid
+    until the next ``next``; for t > 0 the last values are
     ``phi(...).values`` bit for bit.  The first ``next`` checks what
-    :func:`phi` checks, before any step.  No :class:`Field` has checked the
-    values, so a consumer reduces them through a
+    :func:`phi` checks, and the stride, before any step.  No :class:`Field`
+    has checked the values, so a consumer reduces them through a
     :class:`~pullbacklab.field.Quadrature` pass, which checks them as a
     Field would."""
     w, v0 = _rebased(path, epsilon, tau, tau, u0, cfg.dt)
     column, u = ((v0,), tau, tau + t, (w,), (epsilon,)), np.empty(u0.grid.shape)
-    for s, v in stored_values(*column, spec, cfg, cfg.store_stride):
+    for s, v in stored_values(*column, spec, cfg, stride):
         np.divide(v[0], z_factor(w, epsilon, float(s)), out=u)
         yield s, u
 

@@ -365,11 +365,10 @@ def superlevel_measure_integrand(f: Field, level: float, power: float) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States stored along a run: every stride-th step plus the final one."""
+    """States stored along a run, each with its time."""
 
     times: np.ndarray
     states: tuple[Field, ...]
-    stride: int
 
     def __post_init__(self):
         # a copy of its own: freezing the caller's array would freeze theirs

@@ -306,7 +306,6 @@ class HypothesisReport:
 
     slacks: dict[str, float]
     worst_points: dict[str, tuple[float, ...]]
-    tolerance: float
     passed: bool
 
 
@@ -356,9 +355,7 @@ def check_hypotheses(
         slacks[name] = float(arr[i])
         worst[name] = tuple(float(c) for c in X[i]) + (float(S[i]),)
     passed = all(v >= -tolerance for v in slacks.values())
-    return HypothesisReport(
-        slacks=slacks, worst_points=worst, tolerance=tolerance, passed=passed
-    )
+    return HypothesisReport(slacks=slacks, worst_points=worst, passed=passed)
 
 
 # -- configuration parsing ---------------------------------------------------

@@ -73,7 +73,7 @@ this process.  Since columns never mix, the split changes no bit.
 for.
 
 :func:`integrate_deterministic` marches the original, unconjugated equation
-with its own step, its own store loop and a one-column solve (the same
+with its own step, keeping every state, and a one-column solve (the same
 banded two-lane product in 1D, the same fast diagonalisation in 2D); it is
 the independent zero-noise oracle the kernel is held to; it calls the
 plain f and g, so at zero noise it also checks the structured forms'
@@ -199,23 +199,16 @@ def _view(a: np.ndarray, start: int, shape: tuple, strides: tuple) -> np.ndarray
     return np.ndarray(shape, a.dtype, buffer=owner, offset=offset, strides=strides)
 
 
-def _check_stride(stride, name: str) -> None:
-    """Raise unless ``stride`` is a positive integer: a numpy integer is
-    one, a bool or a whole float is not."""
-    integral = isinstance(stride, numbers.Integral) and not isinstance(stride, bool)
-    if not (integral and stride >= 1):
-        raise ConfigurationError(f"{name} must be a positive integer, got {stride!r}")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
+    """The time step, which every column of a stack shares; which states a
+    run keeps is its caller's choice (:func:`stored_values`)."""
+
     dt: float
-    store_stride: int = 1
 
     def __post_init__(self):
         if not (self.dt > 0.0 and np.isfinite(self.dt)):
             raise ConfigurationError(f"dt must be positive, got {self.dt!r}")
-        _check_stride(self.store_stride, "store_stride")
 
 
 def steps_between(t_start: float, t_end: float, dt: float) -> int:
@@ -288,21 +281,18 @@ class _Context:
     def solve_implicit(self, rhs_interior: np.ndarray) -> np.ndarray:
         """The interior solve of one right-hand side or of a stack of them.
 
-        In 1D ``rhs_interior`` is one vector or a (k, m-2) stack of rows,
-        copied into a :meth:`solve_source` stack and solved by the product
-        :meth:`stack_solver` makes (a lone row beside a zero lane); in 2D it
-        is one field or a stack of them, solved by the same bound product."""
-        if self.grid.dimension == 2:
-            sol = np.empty(np.shape(rhs_interior))
-            self.stack_solver(rhs_interior, sol)()
-            return sol
-        rows = np.atleast_2d(rhs_interior)
+        ``rhs_interior`` is one state's interior or a (k, ...) stack of
+        them, copied into the interiors of a :meth:`solve_source` stack and
+        solved by the product :meth:`stack_solver` binds (in 1D a lone row
+        beside a zero lane)."""
+        one = np.ndim(rhs_interior) == self.grid.dimension
+        rows = rhs_interior[np.newaxis] if one else rhs_interior
         src = self.solve_source(len(rows))
         dst = np.zeros(src.shape)
-        src[: len(rows), 1:-1] = rows
-        self.stack_solver(src[:, 1:-1], dst[:, 1:-1])()
-        sol = dst[: len(rows), 1:-1]
-        return sol if np.ndim(rhs_interior) == 2 else sol[0]
+        interior(src[: len(rows)], 1)[...] = rows
+        self.stack_solver(interior(src, 1), interior(dst, 1))()
+        sol = interior(dst[: len(rows)], 1)
+        return sol[0] if one else sol
 
     def stack_solver(self, src: np.ndarray, dst: np.ndarray) -> Callable[[], None]:
         """The interior solve of the (k, ...) stack ``src`` into ``dst``, bound
@@ -700,16 +690,20 @@ def stored_values(
     initial one, every ``stride``-th step's and the final one, each time an
     exact multiple of dt from the shared ``t_start``.  Column i starts from
     ``v0s[i]`` along ``paths[i]`` at intensity ``epsilons[i]``, as in
-    :func:`final_states`; ``cfg.store_stride`` is not read.  The stride and
-    every column (:func:`_setup`) are checked at the first ``next``, before
-    any step, and the final stack is checked for a boundary leak before it
-    is yielded.  Every stack after the first is the kernel's buffer, valid
+    :func:`final_states`.  It holds the one store rule and the one stride
+    check: the stride must be a positive integer (a numpy integer is one, a
+    bool or a whole float is not).  The stride and every column
+    (:func:`_setup`) are checked at the first ``next``, before any step,
+    and the final stack is checked for a boundary leak before it is
+    yielded.  Every stack after the first is the kernel's buffer, valid
     until the next ``next`` and checked by no :class:`Field`: a consumer
     copies what it keeps and reduces each state through a
     :class:`~pullbacklab.field.Quadrature` pass, which checks it as a Field
     would, so one that keeps nothing runs at constant memory.
     """
-    _check_stride(stride, "stride")
+    integral = isinstance(stride, numbers.Integral) and not isinstance(stride, bool)
+    if not (integral and stride >= 1):
+        raise ConfigurationError(f"stride must be a positive integer, got {stride!r}")
     (n, *_), ctx = _setup(v0s, (t_start,) * len(v0s), t_end, paths, epsilons, spec, cfg)
     stack = np.stack([v0.values for v0 in v0s])
     states = itertools.chain((stack,), _march(ctx, stack, t_start, paths, epsilons, n))
@@ -738,19 +732,18 @@ def integrate(
     cfg: SolverConfig,
 ) -> Trajectory:
     """March the conjugated state from t_start to t_end along the path at
-    intensity ``epsilon`` and keep what :func:`stored_values` yields:
-    every store_stride-th state plus the initial and the final one.  The
-    first state is ``v0`` itself and every later one a checked copy, a
-    :class:`Field` of its own.
+    intensity ``epsilon`` and keep every state :func:`stored_values`
+    yields at stride 1.  The first state is ``v0`` itself and every later
+    one a checked copy, a :class:`Field` of its own.
 
     The duration must be a lattice multiple of cfg.dt and the path window
     must cover [t_start, t_end].
     """
     column = ((v0,), t_start, t_end, (path,), (epsilon,))
-    stream = stored_values(*column, spec, cfg, cfg.store_stride)
+    stream = stored_values(*column, spec, cfg, 1)
     first = (next(stream)[0], v0)
     times, states = zip(first, *((t, Field(v0.grid, v[0])) for t, v in stream))
-    return Trajectory(times=np.array(times), states=states, stride=cfg.store_stride)
+    return Trajectory(times=np.array(times), states=states)
 
 
 def integrate_deterministic(
@@ -760,7 +753,8 @@ def integrate_deterministic(
 
     This is the zero-intensity reference: with eps = 0 the conjugated
     stepper must reproduce it bit for bit.  It keeps its own step and the
-    one-column solve so that the comparison is with independent code.
+    one-column solve so that the comparison is with independent code, and
+    every state, as :func:`integrate` does.
     """
     n = steps_between(t_start, t_end, cfg.dt)
     ctx = _Context(u0.grid, spec, cfg)
@@ -770,11 +764,10 @@ def integrate_deterministic(
     for k in range(n):
         v = _advance_plain(v, t_start + k * cfg.dt, ctx)
         _check_finite(v[np.newaxis], t_start + (k + 1) * cfg.dt)
-        if (k + 1) % cfg.store_stride == 0 or k + 1 == n:
-            times.append(t_start + (k + 1) * cfg.dt)
-            states.append(Field(u0.grid, v))
+        times.append(t_start + (k + 1) * cfg.dt)
+        states.append(Field(u0.grid, v))
     _warn_boundary_leak(v[np.newaxis])
-    return Trajectory(times=np.array(times), states=tuple(states), stride=cfg.store_stride)
+    return Trajectory(times=np.array(times), states=tuple(states))
 
 
 # -- an endpoint march split across processes ---------------------------------
@@ -1106,10 +1099,10 @@ def self_convergence(
             raise ConfigurationError("dt ladder must halve at each rung")
     for _ in range(refine_levels(path.dt, dt_ladder[-1])):
         path = refine(path)
-    finals = []
-    for dt in dt_ladder:
-        cfg = SolverConfig(dt=dt, store_stride=10**9)
-        finals.append(final_state(v0, 0.0, horizon, path, epsilon, spec, cfg).values)
+    finals = [
+        final_state(v0, 0.0, horizon, path, epsilon, spec, SolverConfig(dt)).values
+        for dt in dt_ladder
+    ]
     return _convergence_report(dt_ladder, Quadrature(v0.grid), finals)
 
 

@@ -299,7 +299,7 @@ def test_criterion_10_scheme_orders_and_eigenmode_recurrence():
     v1 = eigenmode(GRID, 3)
     mu1 = eigenmode_rate(GRID, 3)
     got1 = integrate_deterministic(
-        v1, 0.0, 0.2, lin1, SolverConfig(dt=1e-3, store_stride=10**9)
+        v1, 0.0, 0.2, lin1, SolverConfig(dt=1e-3)
     ).final
     err1 = float(np.max(np.abs(got1.values - v1.values * (1.0 + 1e-3 * (2.0 + mu1)) ** -200)))
 
@@ -308,7 +308,7 @@ def test_criterion_10_scheme_orders_and_eigenmode_recurrence():
     v2 = eigenmode(grid2, 2)
     mu2 = eigenmode_rate(grid2, 2)
     got2 = integrate_deterministic(
-        v2, 0.0, 0.1, lin2, SolverConfig(dt=2e-3, store_stride=10**9)
+        v2, 0.0, 0.1, lin2, SolverConfig(dt=2e-3)
     ).final
     err2 = float(np.max(np.abs(got2.values - v2.values * (1.0 + 2e-3 * (2.0 + mu2)) ** -50)))
 

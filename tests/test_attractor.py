@@ -298,7 +298,6 @@ def test_approximate_attractor_matches_manual_pullbacks(desk_spec, desk_path, cf
     manual = [
         pullback_state(0.5, 0.5, desk_path, 0.5, u0, desk_spec, cfg) for u0 in ensemble
     ]
-    assert sample.seed == 1
     assert all(
         np.array_equal(m.values, s.values) for m, s in zip(manual, sample.members)
     )
@@ -345,8 +344,6 @@ def test_sweep_validation(desk_spec, desk_grid, cfg):
 def _synthetic_sweep(mean_l2, mean_h1):
     ladder = tuple(1.0 / (i + 1) for i in range(len(mean_l2)))
     return SweepResult(
-        tau=0.0,
-        horizon=1.0,
         epsilon_ladder=ladder,
         rows=(),
         mean_l2=tuple(mean_l2),
@@ -563,7 +560,7 @@ def _reference_window_report(tau, path, epsilon, spec, cfg, u0, horizon):
     unit = round(1.0 / dt)
     zs = z_series(w, epsilon, tau - horizon, n + 1, dt)
     v = u0.with_values(u0.values * z_factor(w, epsilon, tau - horizon))
-    traj = integrate(v, tau - horizon, tau, w, epsilon, spec, replace(cfg, store_stride=1))
+    traj = integrate(v, tau - horizon, tau, w, epsilon, spec, cfg)
 
     def h1_sq(f):
         return float(vol * (np.sum(f.values**2) + np.sum(_plain_grad(f.values, f.grid.spacing))))

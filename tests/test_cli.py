@@ -643,6 +643,27 @@ def test_store_stride_rejected_where_no_trajectory_is_stored(tmp_path, capsys, n
     assert not out.exists()
 
 
+@pytest.mark.parametrize("stride", [0, -3])
+def test_a_store_stride_below_one_exits_two_before_any_path(tmp_path, capsys, monkeypatch, stride):
+    monkeypatch.setattr(cli, "sample_path", no_path)
+    cfg = shipped("simulate")
+    cfg["solver"]["store_stride"] = stride
+    code, out = run_into(tmp_path, cfg)
+    assert code == 2
+    assert f"solver.store_stride must be an integer >= 1, got {stride}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_the_resolved_config_echoes_the_store_stride(tmp_path, name):
+    # the stride is the plan's, not the solver config's, and the summary
+    # still echoes it where it did
+    want = {"simulate": 100, "simulate_2d": 50}.get(name, 1)
+    plan = cli._resolve(shipped(name), str(tmp_path))
+    assert plan.stride == want
+    assert plan.resolved_config()["solver"] == {"dt": plan.cfg.dt, "store_stride": want}
+
+
 @pytest.mark.parametrize("name", ["upper_semi", "check_hypotheses"])
 def test_noise_section_rejected_where_no_path_is_read(tmp_path, capsys, name):
     cfg = shipped(name)
@@ -674,6 +695,15 @@ def test_noise_section_rejected_where_no_path_is_read(tmp_path, capsys, name):
         ("cocycle_test", "s", -0.5, "must be nonnegative"),
         ("check_hypotheses", "n_samples", 1, "must be an integer >= 2, got 1"),
         ("check_hypotheses", "s_range", 0.0, "must be positive"),
+        # each bound is compared with a quantity >= 0, so a negative one
+        # could only fail after the whole march
+        ("cocycle_test", "residual_bound", -1e-10, "must be nonnegative"),
+        ("absorbing", "stability_bound", -0.01, "must be nonnegative"),
+        ("absorbing", "constant_band", -0.2, "must be nonnegative"),
+        ("truncation", "final_bound", -1e-8, "must be nonnegative"),
+        ("tail", "fraction_bound", -0.5, "must be nonnegative"),
+        ("upper_semi", "ratio_bound", -0.2, "must be nonnegative"),
+        ("upper_semi", "max_inversions", -1, "must be an integer >= 0, got -1"),
     ],
 )
 def test_block_value_rules_name_the_key_before_any_march(
@@ -746,18 +776,21 @@ def test_simulate_memory_does_not_grow_with_the_horizon(tmp_path):
 
 
 def _old_trajectory_csv(plan, path):
-    """The trajectory CSV and norms as written from a collected trajectory."""
+    """The trajectory CSV and norms as written from a collected trajectory:
+    every ``solver.store_stride``-th state and the final one."""
     b, spec = plan.block, plan.spec
     eps, tau = plan.epsilon, b["tau"]
     w = shift(path, -tau)
     v0 = b["initial"].with_values(b["initial"].values * z_factor(w, eps, tau))
     traj = solver.integrate(v0, tau, tau + b["horizon"], w, eps, spec, plan.cfg)
+    n = len(traj.states) - 1
+    kept = [*range(0, n, plan.stride), n]
     states = tuple(
-        s.with_values(s.values / z_factor(w, eps, float(t)))
-        for t, s in zip(traj.times, traj.states)
+        traj.states[j].with_values(traj.states[j].values / z_factor(w, eps, float(traj.times[j])))
+        for j in kept
     )
     buf = io.StringIO()
-    write_trajectory_csv(Trajectory(traj.times, states, traj.stride), buf, p=spec.nonlinearity.p)
+    write_trajectory_csv(Trajectory(traj.times[kept], states), buf, p=spec.nonlinearity.p)
     return buf.getvalue(), states
 
 
@@ -790,7 +823,7 @@ def test_streamed_rows_equal_trajectory_rows_over_stored_states(tmp_path, name):
     w = shift(path, -tau)
     v0 = b["initial"].with_values(b["initial"].values * z_factor(w, eps, tau))
     column = ((v0,), tau, tau + b["horizon"], (w,), (eps,))
-    states = solver.stored_values(*column, spec, plan.cfg, plan.cfg.store_stride)
+    states = solver.stored_values(*column, spec, plan.cfg, plan.stride)
     p = spec.nonlinearity.p
     want = [
         trajectory_row(t, Field(plan.grid, v[0] / z_factor(w, eps, float(t))), p)

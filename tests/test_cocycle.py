@@ -60,10 +60,10 @@ def test_phi_states_ends_at_phi_and_stores_as_stored_values(
     # a stride of 7 divides neither 500 nor 60 steps, so the last state is
     # the endpoint, off the stride
     spec = replace(desk_spec, dimension=dimension)
-    cfg = SolverConfig(dt=1e-3, store_stride=7)
+    cfg = SolverConfig(dt=1e-3)
     u0 = gaussian_bump(grid_for(spec, m), 1.0, 1.5)
     q = (t, 0.25, wide_path, 0.3, u0, spec, cfg)
-    stream = [(s, u.copy()) for s, u in cocycle.phi_states(*q)]
+    stream = [(s, u.copy()) for s, u in cocycle.phi_states(*q, 7)]
     assert stream[-1][1].tobytes() == phi(*q).values.tobytes()
     w, v0 = cocycle._rebased(wide_path, 0.3, 0.25, 0.25, u0, cfg.dt)
     stored = solver.stored_values((v0,), 0.25, 0.25 + t, (w,), (0.3,), spec, cfg, 7)
@@ -188,10 +188,23 @@ def test_query_validation(monkeypatch, desk_spec, desk_cfg, wide_path, override,
         if route == "phi":
             phi(*q)
         else:
-            next(cocycle.phi_states(*q))
+            next(cocycle.phi_states(*q, 1))
     # nothing to march: phi hands the data back as given
     q = phi_args(desk_spec, desk_cfg, wide_path, t=0.0)
     assert phi(*q) is q[4]
+
+
+@pytest.mark.parametrize("stride", [0, -1, 2.5, True])
+def test_phi_states_refuses_a_bad_stride_before_any_step(
+    monkeypatch, desk_spec, desk_cfg, wide_path, stride
+):
+    def no_march(*args, **kwargs):
+        raise AssertionError("a rejected stride must not march")
+
+    monkeypatch.setattr(solver, "_march", no_march)
+    q = phi_args(desk_spec, desk_cfg, wide_path)
+    with pytest.raises(ConfigurationError, match="stride must be a positive integer"):
+        next(cocycle.phi_states(*q, stride))
 
 
 def test_pullback_epsilon_zero_ignores_the_path(desk_spec, desk_cfg, wide_path):

@@ -95,27 +95,51 @@ def test_fill_shows_stderr_of_runs_that_wrote_no_summary(tmp_path, capsys):
     assert crash.endswith(", 0 BoundaryLeakWarnings")
     assert failed.endswith(", 2 BoundaryLeakWarnings")
     assert crash_places == "  crash leak warnings at: none"
-    warn = '    warnings.warn(f"solution magnitude {magnitude}", BoundaryLeakWarning)'
-    line = 1 + FAKE_CLI.splitlines().index(warn)
-    assert failed_places == f"  failed leak warnings at: cli.py:{line} ×2 [1e-7 2e-7]"
+    # the fake cli warns at module level
+    assert failed_places == "  failed leak warnings at: cli.py:<module> ×2 [1e-7 2e-7]"
     assert "RuntimeError: traceback of the crashed run" in captured.err
     assert "wrote its summary" not in captured.err
 
 
-def test_leak_places_print_each_places_magnitudes_in_order():
-    # a ring that moves changes the line even where count and place hold
+LEAKY = """import warnings
+
+
+def _exec_simulate():
+    warnings.warn("a")
+    warnings.warn("b")
+
+
+def outer():
+    def inner():
+        warnings.warn("c")
+    return inner
+"""
+
+
+def test_leak_places_print_each_places_magnitudes_in_order(tmp_path):
+    # a place is the file and the function around the warned line, read
+    # from the file the warning names: lines 5 and 6 are one place, so an
+    # edit that only shifts lines keeps it.  A ring that moves changes the
+    # magnitudes even where count and place hold
+    for tree in ("a", "b"):
+        (tmp_path / tree).mkdir()
+        (tmp_path / tree / "cli.py").write_text(LEAKY)
+    a, b, gone = tmp_path / "a" / "cli.py", tmp_path / "b" / "cli.py", tmp_path / "gone.py"
     trail = " adjacent to the artificial boundary exceeds 1e-08; enlarge the domain radius"
     stderr = "".join([
-        f"/x/a/cli.py:12: BoundaryLeakWarning: solution magnitude 1.234e-07{trail}\n",
+        f"{a}:5: BoundaryLeakWarning: solution magnitude 1.234e-07{trail}\n",
         "  warnings.warn(\n",
-        f"/x/b/cli.py:30: BoundaryLeakWarning: solution magnitude 5.000e-08{trail}\n",
-        f"/x/a/cli.py:12: BoundaryLeakWarning: solution magnitude 2.000e-07{trail}\n",
-        "/x/a/cli.py:40: BoundaryLeakWarning: a message without a magnitude\n",
-        "/x/a/cli.py:50: UserWarning: solution magnitude 1.000e+00\n",
+        f"{b}:11: BoundaryLeakWarning: solution magnitude 5.000e-08{trail}\n",
+        f"{a}:6: BoundaryLeakWarning: solution magnitude 2.000e-07{trail}\n",
+        f"{a}:1: BoundaryLeakWarning: a message without a magnitude\n",
+        f"{gone}:40: BoundaryLeakWarning: solution magnitude 3.000e-08{trail}\n",
+        f"{a}:5: UserWarning: solution magnitude 1.000e+00\n",
     ])
     script = load_script()
+    # a file that cannot be read keeps its line number
     assert script.leak_places(stderr) == (
-        "cli.py:12 ×2 [1.234e-07 2.000e-07], cli.py:30 ×1 [5.000e-08], cli.py:40 ×1 []"
+        "cli.py:_exec_simulate ×2 [1.234e-07 2.000e-07], cli.py:inner ×1 [5.000e-08], "
+        "cli.py:<module> ×1 [], gone.py:40 ×1 [3.000e-08]"
     )
     moved = stderr.replace("2.000e-07", "2.001e-07")
     assert script.leak_places(moved) != script.leak_places(stderr)

@@ -392,10 +392,10 @@ def test_superlevel_measure_integrand_hand_oracle():
     assert superlevel_measure_integrand(f, 10.0, q) == 0.0
 
 
-def test_trajectory_final_and_stride():
+def test_trajectory_final():
     g = small_grid()
     states = tuple(Field(g, np.array([0.0, float(k), 0.0, 0.0, 0.0])) for k in range(3))
-    traj = Trajectory(times=(0.0, 0.5, 1.0), states=states, stride=500)
+    traj = Trajectory(times=(0.0, 0.5, 1.0), states=states)
     assert traj.final is states[-1]
     assert len(traj.times) == len(traj.states)
 
@@ -405,7 +405,7 @@ def test_a_trajectory_freezes_a_copy_of_the_callers_times():
     # leaves the trajectory's times as they were given
     g = small_grid()
     times = np.array([0.0, 0.5])
-    traj = Trajectory(times=times, states=(zero_field(g),) * 2, stride=1)
+    traj = Trajectory(times=times, states=(zero_field(g),) * 2)
     assert times.flags.writeable and not traj.times.flags.writeable
     times[:] = 9.0
     assert traj.times.tolist() == [0.0, 0.5]
@@ -439,7 +439,7 @@ def test_trajectory_csv_has_norm_columns():
     states = tuple(
         Field(g, np.array([0.0, 1.0, float(k), 1.0, 0.0])) for k in range(3)
     )
-    traj = Trajectory(times=(0.0, 1.0, 2.0), states=states, stride=1)
+    traj = Trajectory(times=(0.0, 1.0, 2.0), states=states)
     buf = io.StringIO()
     write_trajectory_csv(traj, buf, p=4.0)
     lines = buf.getvalue().splitlines()

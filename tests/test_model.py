@@ -71,7 +71,7 @@ def test_check_hypotheses_passes_the_canonical_instance(desk_spec):
         "slope_growth",
     }
     for name, slack in report.slacks.items():
-        assert slack >= -report.tolerance, name
+        assert slack >= -1e-12, name
     # worst points carry (x..., s) coordinates
     for point in report.worst_points.values():
         assert len(point) == 2

@@ -9,7 +9,7 @@ eigenvalue.
 """
 
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -89,7 +89,7 @@ def test_eigenmode_recurrence_oracle_1d():
     dt = 1e-3
     steps = 200
     h = grid.spacing
-    cfg = SolverConfig(dt=dt, store_stride=10**9)
+    cfg = SolverConfig(dt=dt)
     for mode in (1, 3, 7):
         v0 = eigenmode(grid, mode)
         # eigenvalue of the second-difference stencil, derived by hand
@@ -105,7 +105,7 @@ def test_eigenmode_recurrence_oracle_2d():
     dt = 2e-3
     steps = 50
     h = grid.spacing
-    cfg = SolverConfig(dt=dt, store_stride=10**9)
+    cfg = SolverConfig(dt=dt)
     v0 = eigenmode(grid, 2)
     mu = 2.0 * (4.0 / h**2) * np.sin(np.pi * 2 / (2.0 * (65 - 1))) ** 2
     expected = v0.values * (1.0 + dt * (spec.lam + mu)) ** (-steps)
@@ -193,18 +193,17 @@ def test_epsilon_zero_matches_deterministic_solver_bitwise(desk_spec, desk_cfg):
     assert np.array_equal(a.final.values, b.final.values)
 
 
-def test_store_stride_subsamples_the_full_trajectory(desk_spec, desk_path):
+def test_store_stride_subsamples_the_full_trajectory(desk_spec, desk_path, desk_cfg):
+    # 20 does not divide the 110 steps, so the endpoint is stored off the stride
     grid = Grid(1, 8.0, 129)
     v0 = gaussian_bump(grid, 1.0, 1.5)
-    full = integrate(v0, 0.0, 0.1, desk_path, 0.5, desk_spec, SolverConfig(dt=1e-3))
-    strided = integrate(
-        v0, 0.0, 0.1, desk_path, 0.5, desk_spec, SolverConfig(dt=1e-3, store_stride=20)
-    )
-    assert np.array_equal(np.asarray(strided.times), np.asarray(full.times)[::20])
-    for s, f in zip(strided.states, full.states[::20]):
-        assert np.array_equal(s.values, f.values)
-    # the endpoint is always stored
-    assert strided.times[-1] == full.times[-1]
+    full = integrate(v0, 0.0, 0.11, desk_path, 0.5, desk_spec, desk_cfg)
+    column = ((v0,), 0.0, 0.11, (desk_path,), (0.5,))
+    strided = [(t, v[0].copy()) for t, v in stored_values(*column, desk_spec, desk_cfg, 20)]
+    kept = [*range(0, 110, 20), 110]
+    assert [t for t, _ in strided] == [full.times[j] for j in kept]
+    for (_, values), j in zip(strided, kept, strict=True):
+        assert values.tobytes() == full.states[j].values.tobytes()
 
 
 def test_stored_values_at_stride_one_match_integrate_bitwise(desk_spec, desk_path, desk_cfg):
@@ -241,12 +240,12 @@ def test_difference_history_has_the_bits_of_the_plain_squared_gaps(
     grid = Grid(dimension, 6.0, m)
     a, b = gaussian_bump(grid, 1.0, 1.5), gaussian_bump(grid, -0.5, 2.0)
     times, sq = difference_history(a, b, 0.0, 0.1, desk_path, 0.5, spec, desk_cfg, 7)
-    stored = replace(desk_cfg, store_stride=7)
-    runs = [integrate(v0, 0.0, 0.1, desk_path, 0.5, spec, stored) for v0 in (a, b)]
+    runs = [integrate(v0, 0.0, 0.1, desk_path, 0.5, spec, desk_cfg) for v0 in (a, b)]
+    kept = [*range(0, 100, 7), 100]
     vol = grid.cell_volume
-    pairs = zip(runs[0].states, runs[1].states)
+    pairs = ((runs[0].states[j], runs[1].states[j]) for j in kept)
     want = [vol * float(np.sum((x.values - y.values) ** 2)) for x, y in pairs]
-    assert np.array_equal(times, runs[0].times)
+    assert np.array_equal(times, runs[0].times[kept])
     assert sq.tolist() == want
 
 
@@ -566,8 +565,5 @@ def test_integration_window_is_validated(desk_spec, desk_cfg):
 def test_solver_config_validation():
     with pytest.raises(ConfigurationError):
         SolverConfig(dt=0.0)
-    # the stream's own stride rule: a numpy integer is a stride, a bool is not
-    for stride in (0, -1, 2.5, True):
-        with pytest.raises(ConfigurationError, match="store_stride must be a positive integer"):
-            SolverConfig(dt=1e-3, store_stride=stride)
-    assert SolverConfig(dt=1e-3, store_stride=np.int64(4)).store_stride == 4
+    # the time step is all a config holds; the stride is the stream's argument
+    assert [f.name for f in fields(SolverConfig)] == ["dt"]

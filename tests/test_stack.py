@@ -99,7 +99,7 @@ def test_stack_columns_equal_single_runs_bitwise(dimension):
     spec = spec_for(dimension)
     v0s, paths, epsilons = columns(grid)
     t0, t1 = -0.25, -0.25 + steps * dt
-    cfg = SolverConfig(dt=dt, store_stride=5)
+    cfg = SolverConfig(dt=dt)
     stacks = march_stack(v0s, t0, t1, paths, epsilons, spec, cfg)
     assert len(stacks) == steps + 1
     ends = final_states(v0s, [t0] * len(v0s), t1, paths, epsilons, spec, cfg)
@@ -109,10 +109,9 @@ def test_stack_columns_equal_single_runs_bitwise(dimension):
         for got, want in zip(stacks, alone):
             assert np.array_equal(got[i], want)
         traj = integrate(v0, t0, t1, path, eps, spec, cfg)
-        stored = [0] + [j for j in range(1, steps + 1) if j % 5 == 0 or j == steps]
-        assert len(traj.states) == len(stored)
-        for j, state in zip(stored, traj.states):
-            assert np.array_equal(stacks[j][i], state.values)
+        assert len(traj.states) == len(stacks)
+        for stack, state in zip(stacks, traj.states):
+            assert np.array_equal(stack[i], state.values)
         end = final_state(v0, t0, t1, path, eps, spec, cfg)
         assert np.array_equal(stacks[-1][i], end.values)
         assert np.array_equal(ends[i].values, end.values)
@@ -358,7 +357,7 @@ def test_march_memory_does_not_grow_with_the_horizon(monkeypatch, reduction):
     monkeypatch.setattr(solver, "_SPLIT_FLOOR", float("inf"))
     grid = Grid(1, 8.0, 129)
     spec = spec_for(1)
-    cfg = SolverConfig(dt=1e-3, store_stride=1000)
+    cfg = SolverConfig(dt=1e-3)
     path = sample_path(3, -16.0, 0.0, cfg.dt)
     v0s = [gaussian_bump(grid, a, 1.5) for a in (1.0, 0.8, 0.6, 0.4, 0.2, 0.1)]
     epsilons = [0.5, 0.25, 0.5, 0.0, 0.5, 0.25]
@@ -470,7 +469,7 @@ def test_pullback_states_equal_single_pullbacks_bitwise(desk_spec, desk_cfg):
 def test_stack_columns_equal_single_runs_property(m, draws):
     grid = Grid(1, 8.0, m)
     spec = spec_for(1)
-    cfg = SolverConfig(dt=1e-3, store_stride=4)
+    cfg = SolverConfig(dt=1e-3)
     paths = [sample_path(seed, -0.5, 0.5, 1e-3) for _, seed, _, _ in draws]
     epsilons = [eps for eps, _, _, _ in draws]
     v0s = [gaussian_bump(grid, amp, width) for _, _, amp, width in draws]
@@ -480,7 +479,8 @@ def test_stack_columns_equal_single_runs_property(m, draws):
         for got, want in zip(stacks, alone):
             assert np.array_equal(got[i], want)
         traj = integrate(v0, -0.2, -0.185, path, eps, spec, cfg)
-        for state, got in zip(traj.states, stacks[::4] + [stacks[-1]]):
+        assert len(traj.states) == len(stacks)
+        for state, got in zip(traj.states, stacks):
             assert np.array_equal(got[i], state.values)
 
 
@@ -708,7 +708,7 @@ def test_reused_buffers_never_leak_into_results(dimension):
     t0, t1 = -0.25, -0.25 + steps * dt
     traj = integrate(v0, t0, t1, path, 0.5, spec, cfg)
     # a copy of every yielded state is kept until the march is over
-    yielded = stream_alone(v0, t0, t1, path, 0.5, spec, cfg, cfg.store_stride)
+    yielded = stream_alone(v0, t0, t1, path, 0.5, spec, cfg, 1)
     assert len(traj.states) == len(yielded) == steps + 1
     for j, (stored, (t, values)) in enumerate(zip(traj.states, yielded)):
         assert t == traj.times[j]
@@ -832,11 +832,11 @@ def test_a_lone_2d_column_takes_windows_of_many_blocks(monkeypatch):
 
     monkeypatch.setattr(solver, "z_series", counted)
     grid = Grid(2, 6.0, 65)
-    cfg = SolverConfig(dt=2e-3, store_stride=1000)
+    cfg = SolverConfig(dt=2e-3)
     spec = spec_for(2)
     path = sample_path(1, -1.0, 9.0, cfg.dt)
     v0 = gaussian_bump(grid, 1.0, 1.5)
-    stored = stream_alone(v0, 0.0, 8.0, path, 0.5, spec, cfg, cfg.store_stride)
+    stored = stream_alone(v0, 0.0, 8.0, path, 0.5, spec, cfg, 1000)
     assert len(calls) <= 17
     assert [t for t, _ in stored] == [j * cfg.dt for j in range(0, 4001, 1000)]
     for j in (1000, 4000):
