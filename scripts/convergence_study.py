@@ -17,12 +17,11 @@ import warnings
 import numpy as np
 
 from pullbacklab.errors import BoundaryLeakWarning
-from pullbacklab.field import eigenmode, eigenmode_rate, gaussian_bump
+from pullbacklab.field import Grid, eigenmode, eigenmode_rate, gaussian_bump
 from pullbacklab.model import (
     Nonlinearity,
     ProblemSpec,
     canonical_cubic,
-    grid_for,
     zero_forcing,
 )
 from pullbacklab.noise import flat_path
@@ -46,9 +45,8 @@ def zero_reaction() -> Nonlinearity:
     )
 
 
-def eigenmode_error(spec: ProblemSpec, points: int, mode: int, dt: float, steps: int) -> float:
+def eigenmode_error(spec: ProblemSpec, grid: Grid, mode: int, dt: float, steps: int) -> float:
     """Max abs gap between the marched eigenmode and the exact recurrence."""
-    grid = grid_for(spec, points)
     v0 = eigenmode(grid, mode)
     mu = eigenmode_rate(grid, mode)
     cfg = SolverConfig(dt=dt)
@@ -68,12 +66,10 @@ def main() -> None:
 
     spec = ProblemSpec(
         lam=2.0,
-        dimension=1,
-        domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
         forcing=zero_forcing(),
     )
-    grid = grid_for(spec, args.points)
+    grid = Grid(1, 8.0, args.points)
     u0 = gaussian_bump(grid, 1.0, 2.0)
     path = flat_path(-1.0, args.horizon + 1.0, 5e-4)
 
@@ -87,7 +83,7 @@ def main() -> None:
 
     spatial = spatial_convergence(
         lambda pts: np.exp(-(pts**2).sum(axis=1) / 4.0),
-        0.5, path, 0.5, spec, SolverConfig(dt=5e-4), [33, 65, 129, 257],
+        0.5, path, 0.5, spec, SolverConfig(dt=5e-4), Grid(1, 8.0, 33), 4,
     )
     print("spatial self-convergence")
     for m, diff in zip(spatial.parameters, spatial.differences):
@@ -95,12 +91,11 @@ def main() -> None:
     print(f"  observed orders: {[round(o, 3) for o in spatial.orders]}")
 
     lin_spec = ProblemSpec(
-        lam=2.0, dimension=1, domain_radius=8.0,
-        nonlinearity=zero_reaction(), forcing=zero_forcing(),
+        lam=2.0, nonlinearity=zero_reaction(), forcing=zero_forcing(),
     )
     print("eigenmode recurrence error (reaction switched off)")
     for mode in (1, 3, 7):
-        err = eigenmode_error(lin_spec, args.points, mode, 1e-3, 200)
+        err = eigenmode_error(lin_spec, grid, mode, 1e-3, 200)
         print(f"  mode={mode}  max abs err={err:.3e}")
 
 

@@ -17,8 +17,8 @@ import warnings
 from pullbacklab.attractor import compute_equilibrium
 from pullbacklab.cocycle import phi, pullback_state
 from pullbacklab.errors import BoundaryLeakWarning
-from pullbacklab.field import gaussian_bump, l2_norm, h1_norm
-from pullbacklab.model import ProblemSpec, canonical_cubic, canonical_forcing, grid_for
+from pullbacklab.field import Grid, gaussian_bump, l2_norm, h1_norm
+from pullbacklab.model import ProblemSpec, canonical_cubic, canonical_forcing
 from pullbacklab.noise import sample_path, shift
 from pullbacklab.solver import SolverConfig
 
@@ -38,12 +38,10 @@ def main() -> None:
 
     spec = ProblemSpec(
         lam=args.lam,
-        dimension=1,
-        domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
         forcing=canonical_forcing(0.5, 0.5, 1.0),
     )
-    grid = grid_for(spec, args.points)
+    grid = Grid(1, 8.0, args.points)
     cfg = SolverConfig(dt=args.dt)
     u0 = gaussian_bump(grid, 1.0, 1.5)
     u0_other = gaussian_bump(grid, -0.5, 2.0)

@@ -70,7 +70,7 @@ from .field import (
     write_table_csv,
     zero_field,
 )
-from .model import ConfigSection, ProblemSpec, check_hypotheses, grid_for, spec_from_config
+from .model import ConfigSection, ProblemSpec, check_hypotheses, spec_from_config
 from .noise import Path, flat_path, lattice_steps, refine, refine_levels, sample_path
 from .solver import SolverConfig, worker_count
 
@@ -110,8 +110,8 @@ class _Plan:
             "spec": {
                 "lambda": self.spec.lam,
                 "epsilon": self.epsilon,
-                "dimension": self.spec.dimension,
-                "domain_radius": self.spec.domain_radius,
+                "dimension": self.grid.dimension,
+                "domain_radius": self.grid.radius,
                 "nonlinearity": self.raw_spec["nonlinearity"],
                 "forcing": self.raw_spec["forcing"],
             },
@@ -226,15 +226,23 @@ def _resolve(raw, out_dir_override: str | None) -> _Plan:
                 )
         exp = EXPERIMENTS[experiment]
 
-        # the spec section also carries the runs' intensity, which is no problem data
+        # the spec section also carries the runs' intensity and box: no problem data
         spec_section = ConfigSection(root.get("spec"), "spec")
         epsilon = spec_section.number("epsilon")
         if not 0.0 <= epsilon <= 1.0:
             raise ConfigurationError(f"spec: epsilon must lie in [0, 1], got {epsilon!r}")
+        box = spec_section.integer("dimension"), spec_section.number("domain_radius")
         spec = spec_from_config(spec_section)
 
         with ConfigSection(root.get("grid"), "grid") as r:
-            grid = r.made(grid_for, spec, r.integer("points_per_axis"))
+            points = r.integer("points_per_axis")
+            try:
+                grid = Grid(*box, points)
+            except ConfigurationError as exc:
+                # Grid's message starts with the field it refuses: name its key
+                name, rule = str(exc).split(" ", 1)
+                key = {"dimension": "spec: dimension", "radius": "spec: domain_radius"}
+                raise ConfigurationError(f"{key.get(name, 'grid: ' + name)} {rule}") from None
 
         with ConfigSection(root.get("solver"), "solver") as r:
             cfg = r.made(SolverConfig, r.number("dt"))
@@ -415,7 +423,7 @@ def _parse_tail(b: _Block) -> dict:
         "radii": b.increasing("radii", "must be a non-empty list", 1),
         "initial": b.initial("initial"),
     }
-    radius = b.plan.spec.domain_radius
+    radius = b.plan.grid.radius
     b.check(out["radii"][-1] <= radius, "radii", f"must not exceed spec.domain_radius={radius!r}")
     # the optional check at one radius takes both keys
     if "fraction_bound" in b or "fraction_radius" in b:
@@ -613,7 +621,7 @@ def _exec_check_hypotheses(plan: _Plan, path: Path | None):
     deterministic lattice and report the worst slack of each; all must be
     nonnegative up to the tolerance."""
     b = plan.block
-    report = check_hypotheses(plan.spec, b["n_samples"], b["s_range"], b["tolerance"])
+    report = check_hypotheses(plan.spec, plan.grid, b["n_samples"], b["s_range"], b["tolerance"])
     checks = {name: slack >= -b["tolerance"] for name, slack in report.slacks.items()}
     results = {
         "slacks": report.slacks,

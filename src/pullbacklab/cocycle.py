@@ -37,7 +37,7 @@ from .errors import ConfigurationError
 from .field import Field, Quadrature
 from .model import ProblemSpec
 from .noise import Path, lattice_steps, shift, z_factor
-from .solver import SolverConfig, final_states, stored_values
+from .solver import SolverConfig, _warn_boundary_leak, final_states, stored_values
 
 
 def _rebased(
@@ -172,15 +172,25 @@ def verify_cocycle_property(
         phi(t + s, tau, omega, u0)  vs  phi(t, tau + s, shift(omega, s), phi(s, tau, omega, u0)).
 
     Exactly 0.0 when s == 0 or t == 0; otherwise pure floating-point noise,
-    since both routes traverse the same lattice of path samples.
+    since both routes traverse the same lattice of path samples.  phi(s, ...)
+    and phi(t + s, ...) are one run, streamed once: the two calls' bits and leaks.
     """
     if t < 0.0 or s < 0.0:
         raise ConfigurationError("durations t and s must be nonnegative")
-    for name, value in (("t", t), ("s", s)):
-        lattice_steps(value, cfg.dt, f"{name}={value!r}")
-    lhs = phi(t + s, tau, path, epsilon, u0, spec, cfg)
-    mid = phi(s, tau, path, epsilon, u0, spec, cfg)
+    n_t = lattice_steps(t, cfg.dt, f"t={t!r}")
+    n_s = lattice_steps(s, cfg.dt, f"s={s!r}")
+    lhs, mid = u0.values, u0  # phi(0, ...) is u0 itself
+    if n_t + n_s:
+        w, v0 = _rebased(path, epsilon, tau, tau, u0, cfg.dt)
+        column = ((v0,), tau, tau + (t + s), (w,), (epsilon,))
+        for j, (_, v) in enumerate(stored_values(*column, spec, cfg, n_s or n_t)):
+            if j == 1:
+                v_s = v.copy()  # at tau + s, or at the end when s == 0
+        lhs = v[0] / z_factor(w, epsilon, tau + (t + s))
+        if n_s:
+            _warn_boundary_leak(v_s)  # the end of phi(s, tau, ...)'s run
+            mid = u0.with_values(v_s[0] / z_factor(w, epsilon, tau + s))
     rhs = phi(t, tau + s, shift(path, s), epsilon, mid, spec, cfg)
     quad = Quadrature(u0.grid)
-    num = quad.norms(lhs.values - rhs.values, h1=False)[0]
-    return num / max(1.0, quad.norms(lhs.values, h1=False)[0])
+    num = quad.norms(lhs - rhs.values, h1=False)[0]
+    return num / max(1.0, quad.norms(lhs, h1=False)[0])

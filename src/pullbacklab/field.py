@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Callable, Iterable, Sequence
@@ -19,7 +20,9 @@ from .errors import ConfigurationError, GridMismatchError
 class Grid:
     """Uniform grid on [-radius, radius]^dimension, including the boundary.
 
-    points_per_axis must be odd so the origin is a grid point.
+    dimension and points_per_axis are integers, never a bool or a float,
+    and points_per_axis is odd so the origin is a grid point.  A broken
+    rule raises a ConfigurationError whose message starts with the field.
     """
 
     dimension: int
@@ -27,6 +30,10 @@ class Grid:
     points_per_axis: int
 
     def __post_init__(self):
+        for name in ("dimension", "points_per_axis"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.dimension not in (1, 2):
             raise ConfigurationError(f"dimension must be 1 or 2, got {self.dimension}")
         if not (self.radius > 0.0 and np.isfinite(self.radius)):

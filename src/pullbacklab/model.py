@@ -4,7 +4,7 @@ The continuous model is
 
     du + (lam * u - Laplace u) dt = f(x, u) dt + g(t, x) dt + eps * u o dW
 
-on the whole space, truncated for computation to a centered box.  This module
+on the whole space, truncated for computation to a grid's centered box.  This module
 holds the structural data (damping, nonlinearity, forcing), canonical
 instances used throughout tests and experiments, and a certifier that scans
 the structural growth/dissipativity conditions the estimates rely on.
@@ -93,32 +93,21 @@ class Forcing:
 @dataclass(frozen=True)
 class ProblemSpec:
     """Everything that defines one problem instance, solver and noise aside:
-    the noise intensity is an argument of every run, not problem data."""
+    the noise intensity is an argument of every run, and the box that
+    truncates the whole space is the grid's; neither is problem data."""
 
     lam: float
-    dimension: int
-    domain_radius: float
     nonlinearity: Nonlinearity
     forcing: Forcing
 
     def __post_init__(self):
         if not (self.lam > 0.0 and np.isfinite(self.lam)):
             raise ConfigurationError(f"lambda must be positive, got {self.lam!r}")
-        if self.dimension not in (1, 2):
-            raise ConfigurationError(f"dimension must be 1 or 2, got {self.dimension}")
-        if not (self.domain_radius > 0.0):
-            raise ConfigurationError(
-                f"domain_radius must be positive, got {self.domain_radius!r}"
-            )
         if not 0.0 <= self.forcing.delta < self.lam:
             raise ConfigurationError(
                 f"forcing delta must lie in [0, lambda)="
                 f"[0, {self.lam}), got {self.forcing.delta!r}"
             )
-
-
-def grid_for(spec: ProblemSpec, points_per_axis: int) -> Grid:
-    return Grid(spec.dimension, spec.domain_radius, points_per_axis)
 
 
 # -- canonical instances ----------------------------------------------------
@@ -313,16 +302,17 @@ _CONDITIONS = ("dissipativity", "growth", "slope_bound", "space_gradient", "slop
 
 
 def check_hypotheses(
-    spec: ProblemSpec, n_samples: int = 17, s_range: float = 5.0, tolerance: float = 1e-12
+    spec: ProblemSpec, grid: Grid, n_samples: int = 17, s_range: float = 5.0,
+    tolerance: float = 1e-12,
 ) -> HypothesisReport:
-    """Scan the five structure conditions on a lattice over box x [-s_range, s_range]."""
+    """Scan the five structure conditions on a lattice over grid's box x [-s_range, s_range]."""
     if n_samples < 2:
         raise ConfigurationError("n_samples must be at least 2")
     if s_range <= 0.0:
         raise ConfigurationError("s_range must be positive")
     nl = spec.nonlinearity
-    ax = np.linspace(-spec.domain_radius, spec.domain_radius, n_samples)
-    xpts = lattice_points(ax, spec.dimension)
+    ax = np.linspace(-grid.radius, grid.radius, n_samples)
+    xpts = lattice_points(ax, grid.dimension)
     svals = np.linspace(-s_range, s_range, n_samples)
 
     # All (x, s) pairs, flattened.
@@ -473,8 +463,6 @@ def spec_from_config(config: Mapping | ConfigSection) -> ProblemSpec:
         return r.made(
             ProblemSpec,
             lam=r.number("lambda"),
-            dimension=r.integer("dimension"),
-            domain_radius=r.number("domain_radius"),
             nonlinearity=nonlinearity_from_config(r.get("nonlinearity"), "spec.nonlinearity"),
             forcing=forcing_from_config(r.get("forcing"), "spec.forcing"),
         )

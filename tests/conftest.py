@@ -13,11 +13,11 @@ import os
 
 import pytest
 
+from pullbacklab.field import Grid
 from pullbacklab.model import (
     ProblemSpec,
     canonical_cubic,
     canonical_forcing,
-    grid_for,
 )
 from pullbacklab.noise import sample_path
 from pullbacklab.solver import SolverConfig
@@ -76,16 +76,14 @@ def no_child_left_behind():
 def desk_spec() -> ProblemSpec:
     return ProblemSpec(
         lam=2.0,
-        dimension=1,
-        domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
         forcing=canonical_forcing(0.5, 0.5, 1.0),
     )
 
 
 @pytest.fixture(scope="session")
-def desk_grid(desk_spec):
-    return grid_for(desk_spec, 129)
+def desk_grid():
+    return Grid(1, 8.0, 129)
 
 
 @pytest.fixture()

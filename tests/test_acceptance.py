@@ -7,7 +7,6 @@ claim is not met, not that the bracket needs widening.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +36,6 @@ from pullbacklab.model import (
     ProblemSpec,
     canonical_cubic,
     canonical_forcing,
-    grid_for,
     zero_forcing,
 )
 from pullbacklab.noise import flat_path, sample_path, shift
@@ -55,8 +53,6 @@ pytestmark = pytest.mark.filterwarnings("ignore::pullbacklab.errors.BoundaryLeak
 def _desk_spec(lam=2.0, alpha3=1.0, scale=1.0, forcing=(0.5, 0.5, 1.0)):
     return ProblemSpec(
         lam=lam,
-        dimension=1,
-        domain_radius=8.0,
         nonlinearity=canonical_cubic(alpha3, scale),
         forcing=canonical_forcing(*forcing),
     )
@@ -96,8 +92,6 @@ def test_criterion_01_cocycle_identity_and_composition():
         worst = max(worst, verify_cocycle_property(t, s, tau, path, eps, u0, spec, CFG))
     spec2d = ProblemSpec(
         lam=2.0,
-        dimension=2,
-        domain_radius=6.0,
         nonlinearity=canonical_cubic(1.0),
         forcing=canonical_forcing(0.5, 0.5, 1.0),
     )
@@ -276,8 +270,6 @@ def _zero_reaction():
 def test_criterion_10_scheme_orders_and_eigenmode_recurrence():
     spec = ProblemSpec(
         lam=2.0,
-        dimension=1,
-        domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
         forcing=zero_forcing(),
     )
@@ -287,14 +279,13 @@ def test_criterion_10_scheme_orders_and_eigenmode_recurrence():
     )
     spatial = spatial_convergence(
         lambda pts: np.exp(-(pts**2).sum(axis=1) / 4.0),
-        0.5, path, 0.5, spec, SolverConfig(dt=5e-4), [33, 65, 129, 257],
+        0.5, path, 0.5, spec, SolverConfig(dt=5e-4), Grid(1, 8.0, 33), 4,
     )
     t_ok = all(abs(o - 1.0) <= 0.3 for o in temporal.orders)
     s_ok = all(abs(o - 2.0) <= 0.6 for o in spatial.orders)
 
     lin1 = ProblemSpec(
-        lam=2.0, dimension=1, domain_radius=8.0,
-        nonlinearity=_zero_reaction(), forcing=zero_forcing(),
+        lam=2.0, nonlinearity=_zero_reaction(), forcing=zero_forcing(),
     )
     v1 = eigenmode(GRID, 3)
     mu1 = eigenmode_rate(GRID, 3)
@@ -303,12 +294,11 @@ def test_criterion_10_scheme_orders_and_eigenmode_recurrence():
     ).final
     err1 = float(np.max(np.abs(got1.values - v1.values * (1.0 + 1e-3 * (2.0 + mu1)) ** -200)))
 
-    lin2 = replace(lin1, dimension=2, domain_radius=6.0)
     grid2 = Grid(2, 6.0, 65)
     v2 = eigenmode(grid2, 2)
     mu2 = eigenmode_rate(grid2, 2)
     got2 = integrate_deterministic(
-        v2, 0.0, 0.1, lin2, SolverConfig(dt=2e-3)
+        v2, 0.0, 0.1, lin1, SolverConfig(dt=2e-3)
     ).final
     err2 = float(np.max(np.abs(got2.values - v2.values * (1.0 + 2e-3 * (2.0 + mu2)) ** -50)))
 

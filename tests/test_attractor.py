@@ -161,8 +161,6 @@ def test_equilibrium_validation(desk_spec, desk_grid, desk_path, cfg):
         compute_equilibrium(0.0, desk_path, 0.5, desk_spec, cfg, u0, [1.0, 2.0], tol=0.0)
     marginal = ProblemSpec(
         lam=1.0,
-        dimension=1,
-        domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
         forcing=canonical_forcing(0.5, 0.5, 1.0),
     )
@@ -199,8 +197,6 @@ def test_decay_fit_beats_the_linear_bound(desk_spec, desk_grid, desk_path, cfg):
 def test_decay_fit_reports_underflow(desk_grid, desk_path, cfg):
     stiff = ProblemSpec(
         lam=200.0,
-        dimension=1,
-        domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
         forcing=canonical_forcing(0.5, 0.5, 1.0),
     )
@@ -607,12 +603,11 @@ def _reference_window_report(tau, path, epsilon, spec, cfg, u0, horizon):
 def test_window_regularity_report_has_the_bits_of_the_field_closures(
     desk_spec, dimension, m, dt, seed
 ):
-    spec = replace(desk_spec, dimension=dimension, domain_radius=6.0)
     cfg = SolverConfig(dt=dt)
     path = sample_path(seed, -4.0, 4.0, dt)
     u0 = gaussian_bump(Grid(dimension, 6.0, m), 1.0, 1.5)
-    report = window_regularity_report(0.5, path, 0.5, spec, cfg, u0, 1.5)
-    want = _reference_window_report(0.5, path, 0.5, spec, cfg, u0, 1.5)
+    report = window_regularity_report(0.5, path, 0.5, desk_spec, cfg, u0, 1.5)
+    want = _reference_window_report(0.5, path, 0.5, desk_spec, cfg, u0, 1.5)
     assert {name: witness.observed for name, witness in report.items()} == want
 
 
@@ -648,15 +643,14 @@ def test_a_bad_streamed_state_is_refused(
             yield t, v
 
     monkeypatch.setattr(attractor, "stored_values", spoiled)
-    spec = replace(desk_spec, dimension=dimension, domain_radius=6.0)
     cfg = SolverConfig(dt=5e-3)
     path = sample_path(1, -4.0, 4.0, cfg.dt)
     u0 = gaussian_bump(Grid(dimension, 6.0, 17), 1.0, 1.5)
     with pytest.raises(ValueError, match=message):
         if reduction == "truncation_diagnostics":
-            truncation_diagnostics(0.5, path, 0.5, spec, cfg, u0, 1.5, (0.05, 0.1))
+            truncation_diagnostics(0.5, path, 0.5, desk_spec, cfg, u0, 1.5, (0.05, 0.1))
         else:
-            window_regularity_report(0.5, path, 0.5, spec, cfg, u0, 1.5)
+            window_regularity_report(0.5, path, 0.5, desk_spec, cfg, u0, 1.5)
 
 
 def test_window_regularity_report_validation(desk_spec, desk_grid, desk_path, cfg):
@@ -697,8 +691,6 @@ def test_absorbing_radius_closed_forms():
     still = flat_path(-20.0, 0.0, 1e-3)
     quiet = ProblemSpec(
         lam=lam,
-        dimension=1,
-        domain_radius=2.0,
         nonlinearity=canonical_cubic(1.0),
         forcing=zero_forcing(),
     )
@@ -710,8 +702,6 @@ def test_absorbing_radius_closed_forms():
     c = math.sqrt(3.0 / 5.0)  # five unit cells
     steady = ProblemSpec(
         lam=lam,
-        dimension=1,
-        domain_radius=2.0,
         nonlinearity=canonical_cubic(1.0),
         forcing=Forcing(g=lambda t, pts: np.full(len(pts), c), delta=0.0),
     )

@@ -664,6 +664,36 @@ def test_the_resolved_config_echoes_the_store_stride(tmp_path, name):
     assert plan.resolved_config()["solver"] == {"dt": plan.cfg.dt, "store_stride": want}
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("dimension", 3, "spec: dimension must be 1 or 2, got 3"),
+        ("dimension", True, "spec.dimension must be an integer, got True"),
+        ("domain_radius", 0.0, "spec: domain_radius must be positive, got 0.0"),
+        ("domain_radius", -1.0, "spec: domain_radius must be positive, got -1.0"),
+    ],
+)
+def test_a_bad_box_exits_two_before_any_path(tmp_path, capsys, monkeypatch, key, value, message):
+    # the box is the grid's, though its keys sit in the spec section: a rule
+    # that Grid refuses names the key whose value breaks it
+    monkeypatch.setattr(cli, "_make_path", no_path)
+    cfg = shipped("simulate")
+    cfg["spec"][key] = value
+    code, out = run_into(tmp_path, cfg)
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_the_resolved_config_echoes_the_box(tmp_path, name):
+    cfg = shipped(name)
+    plan = cli._resolve(cfg, str(tmp_path))
+    keys = ("dimension", "domain_radius")
+    echoed = [plan.resolved_config()["spec"][key] for key in keys]
+    assert echoed == [cfg["spec"][key] for key in keys] == [plan.grid.dimension, plan.grid.radius]
+
+
 @pytest.mark.parametrize("name", ["upper_semi", "check_hypotheses"])
 def test_noise_section_rejected_where_no_path_is_read(tmp_path, capsys, name):
     cfg = shipped(name)

@@ -5,7 +5,7 @@ both sides of each law traverse the same base-path samples and the same
 conjugation factors, so the floating-point sequences coincide.
 """
 
-from dataclasses import replace
+import warnings
 
 import numpy as np
 import pytest
@@ -18,8 +18,7 @@ from pullbacklab.cocycle import (
     verify_cocycle_property,
 )
 from pullbacklab.errors import ConfigurationError, OutOfWindowError
-from pullbacklab.field import Grid, gaussian_bump, l2_norm, zero_field
-from pullbacklab.model import grid_for
+from pullbacklab.field import Grid, Quadrature, gaussian_bump, l2_norm, zero_field
 from pullbacklab.noise import sample_path, shift
 from pullbacklab.solver import SolverConfig
 
@@ -59,9 +58,8 @@ def test_phi_states_ends_at_phi_and_stores_as_stored_values(
 ):
     # a stride of 7 divides neither 500 nor 60 steps, so the last state is
     # the endpoint, off the stride
-    spec = replace(desk_spec, dimension=dimension)
-    cfg = SolverConfig(dt=1e-3)
-    u0 = gaussian_bump(grid_for(spec, m), 1.0, 1.5)
+    spec, cfg = desk_spec, SolverConfig(dt=1e-3)
+    u0 = gaussian_bump(Grid(dimension, 8.0, m), 1.0, 1.5)
     q = (t, 0.25, wide_path, 0.3, u0, spec, cfg)
     stream = [(s, u.copy()) for s, u in cocycle.phi_states(*q, 7)]
     assert stream[-1][1].tobytes() == phi(*q).values.tobytes()
@@ -93,15 +91,15 @@ def test_composition_residual_has_the_bits_of_the_plain_quadrature(
     states = []
 
     def recorded(*q):
-        out = phi(*q)
-        if len(states) == 2:  # the right route's second leg
-            out = out.with_values(out.values + 1e-9 * u0.values)
+        out = phi(*q)  # the right route's second leg, the one phi call
+        out = out.with_values(out.values + 1e-9 * u0.values)
         states.append(out)
         return out
 
     monkeypatch.setattr(cocycle, "phi", recorded)
     residual = verify_cocycle_property(0.5, 0.25, 0.0, wide_path, 0.5, u0, desk_spec, desk_cfg)
-    lhs, _, rhs = states
+    (rhs,) = states
+    lhs = phi(0.75, 0.0, wide_path, 0.5, u0, desk_spec, desk_cfg)
     vol = grid.cell_volume
     num = float(np.sqrt(vol * np.sum((lhs.values - rhs.values) ** 2)))
     den = max(1.0, float(np.sqrt(vol * np.sum(lhs.values**2))))
@@ -141,6 +139,41 @@ def test_composition_with_zero_legs_is_exact(desk_spec, desk_cfg, wide_path):
     u0 = gaussian_bump(grid, 1.0, 1.5)
     assert verify_cocycle_property(0.0, 0.5, 0.0, wide_path, 0.5, u0, desk_spec, desk_cfg) == 0.0
     assert verify_cocycle_property(0.5, 0.0, 0.0, wide_path, 0.5, u0, desk_spec, desk_cfg) == 0.0
+
+
+@pytest.mark.parametrize("t, s, marches", [(1.0, 0.5, 2), (0.0, 0.5, 1), (1.0, 0.0, 2)])
+def test_composition_marches_its_shared_leg_once(
+    monkeypatch, desk_spec, desk_cfg, wide_path, t, s, marches
+):
+    # phi(s, tau, ...) and phi(t + s, tau, ...) are one run, read off one
+    # stream; the residual has the bits, and the leak warnings the order and
+    # magnitudes, of the three phi calls
+    u0 = gaussian_bump(Grid(1, 8.0, 129), 1.0, 3.0)
+    tau = 0.25
+    with warnings.catch_warnings(record=True) as three:
+        warnings.simplefilter("always")
+        lhs = phi(t + s, tau, wide_path, 0.5, u0, desk_spec, desk_cfg)
+        mid = phi(s, tau, wide_path, 0.5, u0, desk_spec, desk_cfg)
+        rhs = phi(t, tau + s, shift(wide_path, s), 0.5, mid, desk_spec, desk_cfg)
+    quad = Quadrature(u0.grid)
+    num = quad.norms(lhs.values - rhs.values, h1=False)[0]
+    want = num / max(1.0, quad.norms(lhs.values, h1=False)[0])
+    calls = []
+    march = solver._march
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_march", counted)
+    with warnings.catch_warnings(record=True) as one:
+        warnings.simplefilter("always")
+        got = verify_cocycle_property(t, s, tau, wide_path, 0.5, u0, desk_spec, desk_cfg)
+    assert got == want
+    assert [str(w.message) for w in one] == [str(w.message) for w in three]
+    assert len(three) == 1 + (s > 0.0) + (t > 0.0)  # every march leaks
+    assert got == 0.0 or (t > 0.0 and s > 0.0)
+    assert len(calls) == marches
 
 
 def test_pullback_agrees_with_the_direct_route(desk_spec, desk_cfg, wide_path):

@@ -67,6 +67,30 @@ def test_grid_validation():
         Grid(dimension=1, radius=8.0, points_per_axis=2)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1, 8.0, 65.0), "points_per_axis must be an integer, got 65.0"),
+        ((1.0, 8.0, 65), "dimension must be an integer, got 1.0"),
+        ((True, 8.0, 65), "dimension must be an integer, got True"),
+        ((1, 8.0, np.bool_(True)), "points_per_axis must be an integer"),
+        ((2, 8.0, np.float64(17.0)), "points_per_axis must be an integer"),
+    ],
+)
+def test_grid_takes_integers_only(args, message):
+    # a whole float or a bool would pass the value checks and fail later,
+    # when a field is built on the grid, or be read as 1D
+    with pytest.raises(ConfigurationError) as exc_info:
+        Grid(*args)
+    assert str(exc_info.value).startswith(message)
+
+
+def test_grid_accepts_numpy_integers():
+    g = Grid(np.int64(2), 8.0, np.int32(17))
+    assert g == Grid(2, 8.0, 17)
+    assert zero_field(g).values.shape == (17, 17)
+
+
 def test_field_requires_matching_shape_and_zero_boundary():
     g = small_grid()
     with pytest.raises(GridMismatchError):

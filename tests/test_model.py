@@ -2,6 +2,7 @@
 and config parsing."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from pullbacklab.model import (
     forcing_memory_integral,
     forcing_norm_sq,
     forcing_norms_sq,
-    grid_for,
     nonlinearity_from_config,
     spec_from_config,
     zero_forcing,
@@ -60,8 +60,8 @@ def test_canonical_cubic_rejects_bad_constants():
         canonical_cubic(1.0, scale=-2.0)
 
 
-def test_check_hypotheses_passes_the_canonical_instance(desk_spec):
-    report = check_hypotheses(desk_spec)
+def test_check_hypotheses_passes_the_canonical_instance(desk_spec, desk_grid):
+    report = check_hypotheses(desk_spec, desk_grid)
     assert report.passed
     assert set(report.slacks) == {
         "dissipativity",
@@ -137,12 +137,10 @@ def test_canonical_forcing_is_its_expression_bitwise(amplitude, width, t, x, dim
 def test_check_hypotheses_certifies_every_canonical_cubic(alpha3, scale):
     spec = ProblemSpec(
         lam=alpha3 + 1.0,
-        dimension=1,
-        domain_radius=8.0,
         nonlinearity=canonical_cubic(alpha3, scale),
         forcing=zero_forcing(),
     )
-    assert check_hypotheses(spec).passed
+    assert check_hypotheses(spec, Grid(1, 8.0, 129)).passed
 
 
 def test_check_hypotheses_reports_a_violated_slope_bound():
@@ -164,12 +162,10 @@ def test_check_hypotheses_reports_a_violated_slope_bound():
     )
     spec = ProblemSpec(
         lam=2.0,
-        dimension=1,
-        domain_radius=8.0,
         nonlinearity=lying,
         forcing=zero_forcing(),
     )
-    report = check_hypotheses(spec)
+    report = check_hypotheses(spec, Grid(1, 8.0, 129))
     assert not report.passed
     assert report.slacks["slope_bound"] < 0.0
     # the scan lattice contains s=0 where the violation is largest
@@ -258,8 +254,6 @@ def test_zero_and_constant_forcings_broadcast_over_a_stack():
     # march a staggered stack column by column
     spec = ProblemSpec(
         lam=2.0,
-        dimension=1,
-        domain_radius=2.0,
         nonlinearity=canonical_cubic(1.0),
         forcing=Forcing(g=lambda t, pts: np.full(len(pts), 3.0), delta=0.0),
     )
@@ -271,20 +265,29 @@ def test_zero_and_constant_forcings_broadcast_over_a_stack():
         assert np.array_equal(end.values, final_state(v0, t0, 0.0, path, 0.0, spec, cfg).values)
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_check_hypotheses_scans_the_grids_box(desk_spec, dimension):
+    report = check_hypotheses(desk_spec, Grid(dimension, 4.0, 65))
+    for point in report.worst_points.values():
+        assert len(point) == dimension + 1
+        assert all(-4.0 <= c <= 4.0 for c in point[:-1])
+    # the canonical cubic does not depend on x, so each worst slack is first
+    # met at the lattice's first point, the box's corner
+    assert {point[:-1] for point in report.worst_points.values()} == {(-4.0,) * dimension}
+
+
 def test_problem_spec_validation():
     nl = canonical_cubic(1.0)
     good = dict(
         lam=2.0,
-        dimension=1,
-        domain_radius=8.0,
         nonlinearity=nl,
         forcing=zero_forcing(),
     )
     ProblemSpec(**good)
+    # problem data only: the box is the grid's
+    assert [f.name for f in fields(ProblemSpec)] == ["lam", "nonlinearity", "forcing"]
     with pytest.raises(ConfigurationError):
         ProblemSpec(**{**good, "lam": 0.0})
-    with pytest.raises(ConfigurationError):
-        ProblemSpec(**{**good, "dimension": 3})
     with pytest.raises(ConfigurationError):
         # memory weight must stay below the damping
         ProblemSpec(**{**good, "forcing": zero_forcing(delta=2.0)})
@@ -323,8 +326,6 @@ def test_blocked_forcing_norms_equal_per_node_quadrature_bitwise(dimension, m):
 def test_spec_from_config_roundtrip():
     section = {
         "lambda": 2.0,
-        "dimension": 1,
-        "domain_radius": 8.0,
         "nonlinearity": {"kind": "cubic", "alpha3": 1.0},
         "forcing": {"kind": "tanh_gaussian", "amplitude": 0.5, "delta": 0.5},
     }
@@ -332,10 +333,11 @@ def test_spec_from_config_roundtrip():
     assert spec.lam == 2.0
     assert spec.nonlinearity.alpha3 == 1.0
     assert spec.forcing.delta == 0.5
-    assert grid_for(spec, 129).shape == (129,)
-    # the noise intensity is an argument of each run, not problem data
-    with pytest.raises(ConfigurationError, match=r"unknown key\(s\) \['epsilon'\]"):
-        spec_from_config({**section, "epsilon": 0.5})
+    # the noise intensity is an argument of each run, and the box is the
+    # grid's: none of them is problem data
+    for key, value in (("epsilon", 0.5), ("dimension", 1), ("domain_radius", 8.0)):
+        with pytest.raises(ConfigurationError, match=rf"unknown key\(s\) \['{key}'\]"):
+            spec_from_config({**section, key: value})
 
 
 def test_config_errors_carry_field_paths():
@@ -343,8 +345,6 @@ def test_config_errors_carry_field_paths():
         spec_from_config(
             {
                 "epsilon": 0.5,
-                "dimension": 1,
-                "domain_radius": 8.0,
                 "nonlinearity": {"kind": "cubic", "alpha3": 1.0},
                 "forcing": {"kind": "zero"},
             }
@@ -358,8 +358,6 @@ def test_config_errors_carry_field_paths():
             {
                 "lambda": 2.0,
                 "epsilon": 0.5,
-                "dimension": 1,
-                "domain_radius": 8.0,
                 "nonlinearity": {"kind": "cubic", "alpha3": 1.0},
                 "forcing": {"kind": "zero"},
                 "extra_knob": 1,

@@ -63,11 +63,9 @@ def zero_reaction() -> Nonlinearity:
     )
 
 
-def linear_spec(dimension: int, radius: float) -> ProblemSpec:
+def linear_spec() -> ProblemSpec:
     return ProblemSpec(
         lam=2.0,
-        dimension=dimension,
-        domain_radius=radius,
         nonlinearity=zero_reaction(),
         forcing=zero_forcing(),
     )
@@ -84,7 +82,7 @@ def test_steps_between_counts_lattice_intervals():
 
 
 def test_eigenmode_recurrence_oracle_1d():
-    spec = linear_spec(1, 8.0)
+    spec = linear_spec()
     grid = Grid(1, 8.0, 129)
     dt = 1e-3
     steps = 200
@@ -100,7 +98,7 @@ def test_eigenmode_recurrence_oracle_1d():
 
 
 def test_eigenmode_recurrence_oracle_2d():
-    spec = linear_spec(2, 6.0)
+    spec = linear_spec()
     grid = Grid(2, 6.0, 65)
     dt = 2e-3
     steps = 50
@@ -125,7 +123,7 @@ def test_direct_2d_solve_residual_property(m, dt, lam, seed):
     # the solve is direct, so it meets the 5-point operator, applied here by
     # slicing, to rounding whatever the data
     grid = Grid(2, 6.0, m)
-    ctx = _Context(grid, replace(linear_spec(2, 6.0), lam=lam), SolverConfig(dt=dt))
+    ctx = _Context(grid, replace(linear_spec(), lam=lam), SolverConfig(dt=dt))
     rhs = np.random.default_rng(seed).standard_normal((m - 2, m - 2))
     x = np.zeros(grid.shape)
     x[1:-1, 1:-1] = ctx.solve_implicit(rhs)
@@ -139,7 +137,7 @@ def test_2d_solve_has_the_bits_of_the_fast_diagonalisation_formula():
     # one field, a stack and a strided interior view, each against
     # Q ((Q R Q) * inv) Q written out with temporaries
     grid = Grid(2, 6.0, 17)
-    ctx = _Context(grid, linear_spec(2, 6.0), SolverConfig(dt=1e-3))
+    ctx = _Context(grid, linear_spec(), SolverConfig(dt=1e-3))
     q, inv = ctx._q, ctx._inv
     rng = np.random.default_rng(9)
     full = rng.standard_normal(grid.shape)
@@ -159,7 +157,7 @@ def test_direct_1d_solve_residual_and_contraction_property(m, dt, lam, seed):
     # rounding; and it is a contraction in the max norm, which is why the
     # march checks only the right-hand side for overflow, not the solution
     grid = Grid(1, 8.0, m)
-    ctx = _Context(grid, replace(linear_spec(1, 8.0), lam=lam), SolverConfig(dt=dt))
+    ctx = _Context(grid, replace(linear_spec(), lam=lam), SolverConfig(dt=dt))
     rhs = np.random.default_rng(seed).standard_normal(m - 2)
     x = np.zeros(grid.shape)
     x[1:-1] = ctx.solve_implicit(rhs)
@@ -236,11 +234,10 @@ def test_difference_history_has_the_bits_of_the_plain_squared_gaps(
 ):
     # the oracle is the formula the squared gaps replaced, h^N * sum((a - b)**2),
     # over each run collected alone at the sample stride
-    spec = replace(desk_spec, dimension=dimension, domain_radius=6.0)
     grid = Grid(dimension, 6.0, m)
     a, b = gaussian_bump(grid, 1.0, 1.5), gaussian_bump(grid, -0.5, 2.0)
-    times, sq = difference_history(a, b, 0.0, 0.1, desk_path, 0.5, spec, desk_cfg, 7)
-    runs = [integrate(v0, 0.0, 0.1, desk_path, 0.5, spec, desk_cfg) for v0 in (a, b)]
+    times, sq = difference_history(a, b, 0.0, 0.1, desk_path, 0.5, desk_spec, desk_cfg, 7)
+    runs = [integrate(v0, 0.0, 0.1, desk_path, 0.5, desk_spec, desk_cfg) for v0 in (a, b)]
     kept = [*range(0, 100, 7), 100]
     vol = grid.cell_volume
     pairs = ((runs[0].states[j], runs[1].states[j]) for j in kept)
@@ -313,27 +310,25 @@ def test_every_run_takes_its_intensity_as_an_argument_bitwise(
 ):
     # one spec, one path, one intensity: every door to the endpoint gives
     # the same bits, and another intensity gives other bits
-    spec = replace(desk_spec, dimension=dimension)
     v0 = gaussian_bump(Grid(dimension, 8.0, m), 1.0, 1.5)
-    run = (v0, 0.0, 0.05, desk_path, 0.3, spec, desk_cfg)
+    run = (v0, 0.0, 0.05, desk_path, 0.3, desk_spec, desk_cfg)
     want = final_state(*run).values.tobytes()
     assert integrate(*run).final.values.tobytes() == want
-    (end,) = final_states((v0,), (0.0,), 0.05, (desk_path,), (0.3,), spec, desk_cfg)
+    (end,) = final_states((v0,), (0.0,), 0.05, (desk_path,), (0.3,), desk_spec, desk_cfg)
     assert end.values.tobytes() == want
-    for t, v in stored_values((v0,), 0.0, 0.05, (desk_path,), (0.3,), spec, desk_cfg, 7):
+    for t, v in stored_values((v0,), 0.0, 0.05, (desk_path,), (0.3,), desk_spec, desk_cfg, 7):
         last = (t, v[0].tobytes())
     assert last == (0.05, want)
-    other = final_state(v0, 0.0, 0.05, desk_path, 0.5, spec, desk_cfg)
+    other = final_state(v0, 0.0, 0.05, desk_path, 0.5, desk_spec, desk_cfg)
     assert other.values.tobytes() != want
 
 
 @pytest.mark.parametrize("dimension, m", [(1, 129), (2, 17)])
 def test_step_is_the_one_step_final_state_bitwise(desk_spec, desk_path, desk_cfg, dimension, m):
-    spec = replace(desk_spec, dimension=dimension)
     v = gaussian_bump(Grid(dimension, 8.0, m), 1.0, 1.5)
     for t in (0.0, 0.25):
-        got = step(v, t, desk_path, 0.5, spec, desk_cfg)
-        want = final_state(v, t, t + desk_cfg.dt, desk_path, 0.5, spec, desk_cfg)
+        got = step(v, t, desk_path, 0.5, desk_spec, desk_cfg)
+        want = final_state(v, t, t + desk_cfg.dt, desk_path, 0.5, desk_spec, desk_cfg)
         assert got.values.tobytes() == want.values.tobytes()
         v = got
 
@@ -341,8 +336,6 @@ def test_step_is_the_one_step_final_state_bitwise(desk_spec, desk_path, desk_cfg
 def test_temporal_self_convergence_is_first_order():
     spec = ProblemSpec(
         lam=2.0,
-        dimension=1,
-        domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
         forcing=zero_forcing(),
     )
@@ -360,8 +353,6 @@ def test_temporal_self_convergence_is_first_order():
 def test_spatial_self_convergence_is_second_order():
     spec = ProblemSpec(
         lam=2.0,
-        dimension=1,
-        domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
         forcing=zero_forcing(),
     )
@@ -373,7 +364,8 @@ def test_spatial_self_convergence_is_second_order():
         0.5,
         spec,
         SolverConfig(dt=1e-3),
-        [17, 33, 65, 129],
+        Grid(1, 8.0, 17),
+        4,
     )
     for order in report.orders:
         assert 1.4 <= order <= 2.6
@@ -395,15 +387,14 @@ def test_convergence_ladder_validation(desk_spec):
             0.5,
             desk_spec,
             SolverConfig(dt=1e-3),
-            [17, 33, 64],
+            Grid(1, 8.0, 17),
+            2,
         )
 
 
 def test_divergence_raises_with_the_failure_time():
     spec = ProblemSpec(
         lam=2.0,
-        dimension=1,
-        domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
         forcing=zero_forcing(),
     )
@@ -416,6 +407,21 @@ def test_divergence_raises_with_the_failure_time():
     assert 0.0 < exc_info.value.t <= 6.0
     # halving dt stabilizes the same run, read on the path refined to dt
     integrate(v0, 0.0, 6.0, refine(path), 0.0, spec, SolverConfig(dt=0.25))
+
+
+@pytest.mark.parametrize("dimension, m", [(1, 129), (2, 33)])
+def test_the_oracle_diverges_when_the_kernel_does(dimension, m):
+    # at zero noise the oracle checks each step's right-hand side as the
+    # kernel does, and the solve is a contraction: both raise at one time
+    spec = ProblemSpec(lam=2.0, nonlinearity=canonical_cubic(1.0), forcing=zero_forcing())
+    v0 = gaussian_bump(Grid(dimension, 8.0, m), 6.0, 1.5)
+    cfg = SolverConfig(dt=0.1)
+    with pytest.raises(DivergenceError) as oracle:
+        integrate_deterministic(v0, 0.0, 2.0, spec, cfg)
+    with pytest.raises(DivergenceError) as kernel:
+        final_state(v0, 0.0, 2.0, flat_path(-1.0, 3.0, 0.1), 0.0, spec, cfg)
+    assert 0.1 < oracle.value.t < 2.0
+    assert oracle.value.t == kernel.value.t
 
 
 def test_energy_audit_inequality_holds(desk_spec, desk_path):
@@ -452,8 +458,6 @@ def test_energy_audit_has_the_bits_of_the_plain_squared_norms(desk_spec, desk_pa
 def leak_spec() -> ProblemSpec:
     return ProblemSpec(
         lam=2.0,
-        dimension=1,
-        domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
         forcing=zero_forcing(),
     )
@@ -507,7 +511,7 @@ def test_a_leak_warning_prints_the_magnitude_of_the_per_column_formula(dimension
     # check did column by column, is the magnitude its warning prints
     grid = Grid(dimension, 8.0, m)
     v0s = (gaussian_bump(grid, 1.0, 6.0), gaussian_bump(grid, -0.5, 6.0))
-    spec, cfg = replace(leak_spec(), dimension=dimension), SolverConfig(dt=1e-3)
+    spec, cfg = leak_spec(), SolverConfig(dt=1e-3)
     path = flat_path(-1.0, 1.0, 1e-3)
     ends = []
     columns = (v0s, (0.0,) * 2, 0.01, (path,) * 2, (0.0,) * 2)

@@ -55,11 +55,9 @@ def in_process(call, *args):
         return call(*args)
 
 
-def spec_for(dimension, forcing=None):
+def spec_for(forcing=None):
     return ProblemSpec(
         lam=2.0,
-        dimension=dimension,
-        domain_radius=8.0,
         nonlinearity=canonical_cubic(1.0),
         forcing=forcing or canonical_forcing(0.5, 0.5, 1.0),
     )
@@ -92,7 +90,7 @@ SHAPES = {
 def test_split_endpoints_equal_the_in_process_march_bitwise(shape, split):
     grid, dt, counts = SHAPES[shape]
     v0s, starts, paths, epsilons = stack_inputs(grid, counts, dt)
-    args = (v0s, starts, 0.0, paths, epsilons, spec_for(grid.dimension), SolverConfig(dt))
+    args = (v0s, starts, 0.0, paths, epsilons, spec_for(), SolverConfig(dt))
     want = in_process(final_states, *args)
     assert not split
     got = final_states(*args)
@@ -104,7 +102,7 @@ def test_split_endpoints_equal_the_in_process_march_bitwise(shape, split):
 def test_a_2d_stack_is_marched_in_process(split):
     grid, dt = Grid(2, 8.0, 17), 2e-3
     v0s, starts, paths, epsilons = stack_inputs(grid, [12] * 4, dt)
-    args = (v0s, starts, 0.0, paths, epsilons, spec_for(2), SolverConfig(dt))
+    args = (v0s, starts, 0.0, paths, epsilons, spec_for(), SolverConfig(dt))
     want = in_process(final_states, *args)
     got = final_states(*args)
     assert not split
@@ -115,7 +113,7 @@ def test_a_2d_stack_is_marched_in_process(split):
 def test_more_chunks_than_cpus_equal_the_in_process_march_bitwise(split, monkeypatch):
     grid, dt, counts = SHAPES["staggered-1d"]
     v0s, starts, paths, epsilons = stack_inputs(grid, counts, dt)
-    args = (v0s, starts, 0.0, paths, epsilons, spec_for(1), SolverConfig(dt))
+    args = (v0s, starts, 0.0, paths, epsilons, spec_for(), SolverConfig(dt))
     want = in_process(final_states, *args)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     got = final_states(*args)
@@ -130,8 +128,6 @@ def test_more_chunks_than_cpus_equal_the_in_process_march_bitwise(split, monkeyp
 
 DIVERGING = ProblemSpec(
     lam=2.0,
-    dimension=1,
-    domain_radius=8.0,
     nonlinearity=canonical_cubic(1.0),
     forcing=zero_forcing(),
 )
@@ -214,7 +210,7 @@ def test_a_childs_warning_reaches_the_caller(split):
 
     grid, dt, counts = SHAPES["sweep-1d"]
     v0s, starts, paths, epsilons = stack_inputs(grid, counts, dt)
-    spec = spec_for(1, replace(forcing, g=g))
+    spec = spec_for(replace(forcing, g=g))
     with pytest.warns(UserWarning, match="raised in the child"):
         final_states(v0s, starts, 0.0, paths, epsilons, spec, SolverConfig(dt))
     assert split
@@ -257,7 +253,7 @@ def test_a_failing_child_raises_in_the_caller(fail, error, match, split):
 
     grid, dt, counts = SHAPES["sweep-1d"]
     v0s, starts, paths, epsilons = stack_inputs(grid, counts, dt)
-    spec = spec_for(1, replace(forcing, g=g))
+    spec = spec_for(replace(forcing, g=g))
     with pytest.raises(error, match=match):
         final_states(v0s, starts, 0.0, paths, epsilons, spec, SolverConfig(dt))
     assert split
@@ -274,7 +270,7 @@ def test_an_interrupted_parent_kills_and_reaps_its_children(split):
 
     grid, dt, counts = SHAPES["sweep-1d"]
     v0s, starts, paths, epsilons = stack_inputs(grid, counts, dt)
-    spec = spec_for(1, replace(forcing, g=g))
+    spec = spec_for(replace(forcing, g=g))
     with pytest.raises(KeyboardInterrupt):
         final_states(v0s, starts, 0.0, paths, epsilons, spec, SolverConfig(dt))
     assert split
@@ -284,7 +280,7 @@ def test_an_interrupted_parent_kills_and_reaps_its_children(split):
 def test_no_fork_with_a_second_thread_alive(split):
     grid, dt, counts = SHAPES["sweep-1d"]
     v0s, starts, paths, epsilons = stack_inputs(grid, counts, dt)
-    spec, cfg = spec_for(1), SolverConfig(dt)
+    spec, cfg = spec_for(), SolverConfig(dt)
     alone = final_states(v0s, starts, 0.0, paths, epsilons, spec, cfg)
     split.clear()
     done = threading.Event()

@@ -10,6 +10,7 @@ import sys
 import warnings
 
 from pullbacklab.errors import BoundaryLeakWarning
+from pullbacklab.field import Grid
 from pullbacklab.model import ProblemSpec, zero_forcing
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -39,10 +40,9 @@ def test_convergence_study_loads_and_matches_the_recurrence():
     study = load_script("convergence_study")
     assert callable(study.main)
     spec = ProblemSpec(
-        lam=2.0, dimension=1, domain_radius=8.0,
-        nonlinearity=study.zero_reaction(), forcing=zero_forcing(),
+        lam=2.0, nonlinearity=study.zero_reaction(), forcing=zero_forcing(),
     )
     with warnings.catch_warnings():
         # a sine mode reaches the ring next to the boundary by construction
         warnings.simplefilter("ignore", BoundaryLeakWarning)
-        assert study.eigenmode_error(spec, 17, 1, 1e-3, 20) < 1e-12
+        assert study.eigenmode_error(spec, Grid(1, 8.0, 17), 1, 1e-3, 20) < 1e-12
