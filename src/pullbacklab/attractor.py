@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError
-from .field import Field, Grid, Quadrature
+from .field import Field, Grid, Quadrature, check_tail_radii
 from .model import ProblemSpec, forcing_norms_sq
 from .noise import (
     Path,
@@ -106,9 +106,11 @@ def compute_equilibrium(
     _require_contractive(spec, "compute_equilibrium")
     horizons = [float(t) for t in t_schedule]
     if len(horizons) < 2:
-        raise ConfigurationError("t_schedule needs at least two horizons")
-    if any(b <= a for a, b in zip(horizons, horizons[1:])) or horizons[0] <= 0.0:
-        raise ConfigurationError("t_schedule must be positive and strictly increasing")
+        raise ConfigurationError("t_schedule must list at least two horizons")
+    if any(b <= a for a, b in zip(horizons, horizons[1:])):
+        raise ConfigurationError("t_schedule must be strictly increasing")
+    if horizons[0] <= 0.0:
+        raise ConfigurationError("t_schedule must hold positive horizons")
     if tol <= 0.0:
         raise ConfigurationError(f"tol must be positive, got {tol!r}")
 
@@ -173,7 +175,7 @@ def fit_decay_rate(
     gap = _require_contractive(spec, "fit_decay_rate")
     if not 0.0 <= fit_start < window:
         raise ConfigurationError(
-            f"need 0 <= fit_start < window, got {fit_start!r}, {window!r}"
+            f"fit_start must lie in [0, window={window!r}), got {fit_start!r}"
         )
     if np.array_equal(u0_a.values, u0_b.values):
         raise ConfigurationError("u0_a and u0_b must differ somewhere")
@@ -246,7 +248,7 @@ def approximate_attractor(
 
 def _check_ensemble(ensemble: Sequence[Field]) -> None:
     if not ensemble:
-        raise ConfigurationError("ensemble must not be empty")
+        raise ConfigurationError("ensemble must be a non-empty list")
     grid = ensemble[0].grid
     for member in ensemble[1:]:
         if member.grid != grid:
@@ -314,17 +316,19 @@ def upper_semicontinuity_sweep(
     zero-noise reference included, are marched together as one stack; a
     divergence anywhere raises at the first time some column diverges.
     """
+    if not seeds:
+        raise ConfigurationError("seeds must be a non-empty list of integers")
     ladder = [float(e) for e in epsilon_ladder]
     if not ladder:
-        raise ConfigurationError("epsilon_ladder must not be empty")
+        raise ConfigurationError("epsilon_ladder must be a non-empty list")
     if any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise ConfigurationError("epsilon_ladder must be strictly decreasing")
     if ladder[-1] < 0.0 or ladder[0] > 1.0:
         raise ConfigurationError("epsilon_ladder must stay inside [0, 1]")
-    if not seeds:
-        raise ConfigurationError("seeds must not be empty")
-
     _check_ensemble(ensemble)
+    # over no time each sample would be the ensemble itself, at every intensity
+    if horizon <= 0.0:
+        raise ConfigurationError(f"horizon must be positive, got {horizon!r}")
 
     lo = min(-horizon, -tau, 0.0)
     hi = max(0.0, -tau)
@@ -424,11 +428,10 @@ def tail_profile(
 ) -> TailProfile:
     """Pull ``u0`` back over ``horizon`` and measure the mass beyond each radius."""
     if not radii:
-        raise ConfigurationError("radii must not be empty")
-    if max(radii) > u0.grid.radius:
-        raise ConfigurationError(
-            f"tail radius {max(radii)!r} exceeds the domain radius {u0.grid.radius!r}"
-        )
+        raise ConfigurationError("radii must be a non-empty list")
+    check_tail_radii(u0.grid, radii)
+    if horizon < 0.0:
+        raise ConfigurationError(f"horizon must be nonnegative, got {horizon!r}")
     state = pullback_state(horizon, tau, path, epsilon, u0, spec, cfg)
     quad = Quadrature(state.grid)
     full_l2, full_h1, _ = quad.norms(state.values)
@@ -481,7 +484,7 @@ def _truncation_rates(
     product's leading factors are computed once."""
     for level in levels:
         if level <= 0.0:
-            raise ConfigurationError(f"level must be positive, got {level!r}")
+            raise ConfigurationError(f"levels must hold positive levels, got {level!r}")
     if len(levels) == 0:
         return []
     nl = spec.nonlinearity
@@ -516,7 +519,7 @@ def truncation_diagnostics(
     unit = lattice_steps(1.0, cfg.dt, "the unit window 1.0")
     if lattice_steps(horizon, cfg.dt, f"horizon={horizon!r}") < unit:
         raise ConfigurationError(
-            f"horizon must cover the unit window, got {horizon!r}"
+            f"horizon must cover the unit window: at least 1, got {horizon!r}"
         )
     power = 2.0 * spec.nonlinearity.p - 4.0
     if power <= 0.0:

@@ -15,12 +15,18 @@ key so two runs of the same config are byte-identical outside it.  Files
 are written to a temp name and renamed into place.
 
 Each experiment is one ``Experiment`` record in ``EXPERIMENTS``.  Its parser
-reads each key of its block once, and a key it never read is unknown, so a
-bad block exits 2 before any march.  Every other section is read the same
-way, through ``model.ConfigSection``.
+reads each key of its block once, and a key it never read is unknown.  It
+checks types, list shapes and the rules only the experiment knows, so such
+a bad block exits 2 before any path is sampled.  Every other rule on a
+value is the run function's: its refusal starts with the argument it
+refuses, and ``run`` reports it under the block's key (``_keyed``), after
+the path is sampled but still before any march.  Every other section is
+read the same way, through ``model.ConfigSection``.
 
 Exit codes: 0 all named checks passed, 1 some check failed (including a run
-that diverged after the single dt-halving retry), 2 configuration problem.
+that diverged after the single dt-halving retry), 2 configuration problem
+or an output that cannot be written (an output directory that cannot be
+made is refused before any march).
 
 Sweep cells are assembled in seed order.  A large 1D endpoint march may be
 split across forked workers (``solver.final_states``), but no output depends
@@ -36,6 +42,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping
 
@@ -72,6 +79,7 @@ from .field import (
 )
 from .model import ConfigSection, ProblemSpec, check_hypotheses, spec_from_config
 from .noise import Path, flat_path, lattice_steps, refine, refine_levels, sample_path
+from .noise import _check_intensity
 from .solver import SolverConfig, worker_count
 
 # ---------------------------------------------------------------------------
@@ -176,16 +184,16 @@ class _Block(ConfigSection):
     def initial(self, key: str) -> Field:
         return self.field(self.get(key), self.path(key))
 
-    def items(self, key: str, read: Callable, rule: str, least: int = 0) -> list:
-        """A list of at least ``least`` entries, each read by ``read(entry, where)``."""
+    def items(self, key: str, read: Callable, rule: str) -> list:
+        """A list, each entry read by ``read(entry, where)``."""
         entries = self.get(key)
-        self.check(isinstance(entries, (list, tuple)) and len(entries) >= least, key, rule)
+        self.check(isinstance(entries, (list, tuple)), key, rule)
         return [read(e, f"{self.path(key)}[{i}]") for i, e in enumerate(entries)]
 
-    def increasing(
-        self, key: str, rule: str, least: int, read: Callable = ConfigSection.as_number
-    ) -> list:
-        values = self.items(key, read, rule, least)
+    def increasing(self, key: str, rule: str, least: int = 0) -> list:
+        """A strictly increasing list of at least ``least`` numbers."""
+        values = self.items(key, self.as_number, rule)
+        self.check(len(values) >= least, key, rule)
         ok = all(a < b for a, b in zip(values, values[1:]))
         self.check(ok, key, "must be strictly increasing")
         return values
@@ -211,6 +219,29 @@ class _Block(ConfigSection):
             return base.with_values(base.values * amp)
 
 
+@contextmanager
+def _keyed(keys: Mapping[str, str]):
+    """Report a ConfigurationError whose message starts with one of
+    ``keys`` under that key's config name.  A run function or constructor
+    names the argument it refuses first, and ``keys`` maps each argument
+    to the key it was read from; any other error passes as it is."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        name, _, rule = str(exc).partition(" ")
+        if name not in keys:
+            raise
+        raise ConfigurationError(f"{keys[name]} {rule}") from None
+
+
+# the box's keys sit in the spec section, its points in the grid's
+_BOX_KEYS = {
+    "dimension": "spec: dimension",
+    "radius": "spec: domain_radius",
+    "points_per_axis": "grid: points_per_axis",
+}
+
+
 def _resolve(raw, out_dir_override: str | None) -> _Plan:
     with ConfigSection(raw, "config") as root:
         experiment = root.get("experiment")
@@ -229,20 +260,12 @@ def _resolve(raw, out_dir_override: str | None) -> _Plan:
         # the spec section also carries the runs' intensity and box: no problem data
         spec_section = ConfigSection(root.get("spec"), "spec")
         epsilon = spec_section.number("epsilon")
-        if not 0.0 <= epsilon <= 1.0:
-            raise ConfigurationError(f"spec: epsilon must lie in [0, 1], got {epsilon!r}")
+        _check_intensity(epsilon, "spec: epsilon")
         box = spec_section.integer("dimension"), spec_section.number("domain_radius")
         spec = spec_from_config(spec_section)
 
-        with ConfigSection(root.get("grid"), "grid") as r:
-            points = r.integer("points_per_axis")
-            try:
-                grid = Grid(*box, points)
-            except ConfigurationError as exc:
-                # Grid's message starts with the field it refuses: name its key
-                name, rule = str(exc).split(" ", 1)
-                key = {"dimension": "spec: dimension", "radius": "spec: domain_radius"}
-                raise ConfigurationError(f"{key.get(name, 'grid: ' + name)} {rule}") from None
+        with ConfigSection(root.get("grid"), "grid") as r, _keyed(_BOX_KEYS):
+            grid = Grid(*box, r.integer("points_per_axis"))
 
         with ConfigSection(root.get("solver"), "solver") as r:
             cfg = r.made(SolverConfig, r.number("dt"))
@@ -342,15 +365,12 @@ def _exec_pullback(plan: _Plan, path: Path):
 
 
 def _parse_equilibrium(b: _Block) -> dict:
-    out = {
+    return {
         "tau": b.time("tau", 0.0),
-        "t_schedule": b.increasing("t_schedule", "must list at least two horizons", 2, b.snapped),
+        "t_schedule": b.items("t_schedule", b.snapped, "must be a list"),
         "tol": b.number("tol", 1e-6),
         "initial": b.initial("initial"),
     }
-    b.check(out["t_schedule"][0] > 0.0, "t_schedule", "must hold positive horizons")
-    b.check(out["tol"] > 0.0, "tol", "must be positive")
-    return out
 
 
 def _exec_equilibrium(plan: _Plan, path: Path):
@@ -377,7 +397,7 @@ def _exec_equilibrium(plan: _Plan, path: Path):
 
 
 def _parse_decay_rate(b: _Block) -> dict:
-    out = {
+    return {
         "tau": b.time("tau", 0.0),
         "window": b.time("window"),
         "fit_start": b.time("fit_start", 1.0),
@@ -385,16 +405,13 @@ def _parse_decay_rate(b: _Block) -> dict:
         "initial_a": b.initial("initial_a"),
         "initial_b": b.initial("initial_b"),
     }
-    window = out["window"]
-    b.check(0.0 <= out["fit_start"] < window, "fit_start", f"must lie in [0, window={window!r})")
-    return out
 
 
 def _exec_decay_rate(plan: _Plan, path: Path):
     """decay-rate: run two initial states, given at time tau, in lockstep from tau
     along one path re-based at tau (as simulate does) and fit the slope of log
-    squared-gap against time.  The slope must not exceed -(lambda - alpha3) plus
-    the configured tolerance.  Emits slope, bound and a fit-history CSV
+    squared-gap against time.  The slope must lie at or below -(lambda - alpha3)
+    plus the configured tolerance.  Emits slope, bound and a fit-history CSV
     (columns: t, log_sq_gap)."""
     b = plan.block
     spec, cfg = plan.spec, plan.cfg
@@ -420,11 +437,9 @@ def _parse_tail(b: _Block) -> dict:
     out = {
         "tau": b.time("tau", 0.0),
         "horizon": b.time("horizon"),
-        "radii": b.increasing("radii", "must be a non-empty list", 1),
+        "radii": b.increasing("radii", "must be a list"),
         "initial": b.initial("initial"),
     }
-    radius = b.plan.grid.radius
-    b.check(out["radii"][-1] <= radius, "radii", f"must not exceed spec.domain_radius={radius!r}")
     # the optional check at one radius takes both keys
     if "fraction_bound" in b or "fraction_radius" in b:
         out["fraction_bound"] = b.number("fraction_bound")
@@ -477,12 +492,9 @@ def _parse_truncation(b: _Block) -> dict:
         "final_bound": b.number("final_bound", 1e-8),
         "initial": b.initial("initial"),
     }
-    # in steps, as truncation_diagnostics counts them: 49 * (1/49) < 1.0
-    dt = b.plan.cfg.dt
-    unit = lattice_steps(1.0, dt, "the unit window 1.0")
-    covers = lattice_steps(out["horizon"], dt, b.path("horizon")) >= unit
-    b.check(covers, "horizon", "must cover the unit window: at least 1")
-    b.check(out["levels"][0] > 0.0, "levels", "must hold positive levels")
+    # the unit window is counted on the lattice, as truncation_diagnostics
+    # counts it, before any path is sampled
+    lattice_steps(1.0, b.plan.cfg.dt, "the unit window 1.0")
     b.check(out["final_bound"] >= 0.0, "final_bound", "must be nonnegative")
     return out
 
@@ -523,17 +535,13 @@ def _parse_upper_semi(b: _Block) -> dict:
     out = {
         "tau": b.time("tau", 0.0),
         "horizon": b.time("horizon"),
-        "seeds": b.items("seeds", _seed, "must be a non-empty list of integers", 1),
-        "epsilon_ladder": b.items("epsilon_ladder", b.as_number, "must be a non-empty list", 1),
-        "ensemble": b.items("ensemble", b.field, "must be a non-empty list", 1),
+        "seeds": b.items("seeds", _seed, "must be a list of integers"),
+        "epsilon_ladder": b.items("epsilon_ladder", b.as_number, "must be a list"),
+        "ensemble": b.items("ensemble", b.field, "must be a list"),
         "ratio_bound": b.number("ratio_bound", 0.2),
         "max_inversions": b.integer("max_inversions", 1, least=0),
     }
     b.check(out["ratio_bound"] >= 0.0, "ratio_bound", "must be nonnegative")
-    ladder = out["epsilon_ladder"]
-    b.check(all(hi > lo for hi, lo in zip(ladder, ladder[1:])), "epsilon_ladder",
-            "must be strictly decreasing")
-    b.check(0.0 <= ladder[-1] and ladder[0] <= 1.0, "epsilon_ladder", "must stay inside [0, 1]")
     return out
 
 
@@ -587,8 +595,7 @@ def _parse_cocycle_test(b: _Block) -> dict:
         "residual_bound": b.number("residual_bound", 1e-10),
         "initial": b.initial("initial"),
     }
-    for key in ("t", "s", "residual_bound"):
-        b.check(out[key] >= 0.0, key, "must be nonnegative")
+    b.check(out["residual_bound"] >= 0.0, "residual_bound", "must be nonnegative")
     return out
 
 
@@ -606,13 +613,11 @@ def _exec_cocycle_test(plan: _Plan, path: Path):
 
 
 def _parse_check_hypotheses(b: _Block) -> dict:
-    out = {
-        "n_samples": b.integer("n_samples", 17, least=2),
+    return {
+        "n_samples": b.integer("n_samples", 17),
         "s_range": b.number("s_range", 5.0),
         "tolerance": b.number("tolerance", 1e-12),
     }
-    b.check(out["s_range"] > 0.0, "s_range", "must be positive")
-    return out
 
 
 def _exec_check_hypotheses(plan: _Plan, path: Path | None):
@@ -640,6 +645,7 @@ def _parse_absorbing(b: _Block) -> dict:
         "constant_band": b.number("constant_band", 0.2),
         "initial": b.initial("initial"),
     }
+    # absorbing_radius refuses a quadrature horizon only after the march
     for key in ("quadrature_horizon", "pullback_horizon"):
         b.check(out[key] > 0.0, key, "must be positive")
     for key in ("stability_bound", "constant_band"):
@@ -755,6 +761,16 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _blocking_file(directory: str) -> str | None:
+    """The nearest existing ancestor of ``directory``, itself included,
+    when it is not a directory, so that no directory can be made there;
+    None otherwise."""
+    probe = os.path.abspath(directory)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    return None if os.path.isdir(probe) else probe
+
+
 def _emit(plan: _Plan, results, checks, tables, retried, say) -> str:
     os.makedirs(plan.out_dir, exist_ok=True)
     stem = plan.experiment
@@ -831,19 +847,27 @@ def run(config_path: str, output_dir: str | None = None, quiet: bool = False) ->
         print(f"config: {exc}", file=sys.stderr)
         return 2
 
+    blocker = _blocking_file(plan.out_dir)
+    if blocker is not None:
+        print(f"output: cannot make {plan.out_dir}: {blocker} is not a directory", file=sys.stderr)
+        return 2
+
     for line in plan.snapped():
         say(f"snapped {line}")
 
     execute = EXPERIMENTS[plan.experiment].execute
+    # the run functions check their own arguments, named as the block's keys
+    keys = {key: f"config.{plan.experiment}.{key}" for key in plan.block}
     retried = False
     try:
-        try:
-            results, checks, tables = execute(plan, _make_path(plan))
-        except DivergenceError as exc:
-            say(f"run diverged at t={exc.t}; halving dt and retrying once")
-            retried = True
-            plan.cfg = replace(plan.cfg, dt=plan.cfg.dt / 2.0)
-            results, checks, tables = execute(plan, _make_path(plan))
+        with _keyed(keys):
+            try:
+                results, checks, tables = execute(plan, _make_path(plan))
+            except DivergenceError as exc:
+                say(f"run diverged at t={exc.t}; halving dt and retrying once")
+                retried = True
+                plan.cfg = replace(plan.cfg, dt=plan.cfg.dt / 2.0)
+                results, checks, tables = execute(plan, _make_path(plan))
     except (ConfigurationError, OutOfWindowError, GridMismatchError) as exc:
         print(f"config: {exc}", file=sys.stderr)
         return 2
@@ -852,7 +876,11 @@ def run(config_path: str, output_dir: str | None = None, quiet: bool = False) ->
         checks = {"completed": False}
         tables = {}
 
-    _emit(plan, results, checks, tables, retried, say)
+    try:
+        _emit(plan, results, checks, tables, retried, say)
+    except OSError as exc:
+        print(f"output: {exc}", file=sys.stderr)
+        return 2
     for name, ok in checks.items():
         say(f"{name}: {'PASS' if ok else 'FAIL'}")
     return 0 if all(checks.values()) else 1

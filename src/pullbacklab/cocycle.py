@@ -175,8 +175,9 @@ def verify_cocycle_property(
     since both routes traverse the same lattice of path samples.  phi(s, ...)
     and phi(t + s, ...) are one run, streamed once: the two calls' bits and leaks.
     """
-    if t < 0.0 or s < 0.0:
-        raise ConfigurationError("durations t and s must be nonnegative")
+    for name, duration in (("t", t), ("s", s)):
+        if duration < 0.0:
+            raise ConfigurationError(f"{name} must be nonnegative, got {duration!r}")
     n_t = lattice_steps(t, cfg.dt, f"t={t!r}")
     n_s = lattice_steps(s, cfg.dt, f"s={s!r}")
     lhs, mid = u0.values, u0  # phi(0, ...) is u0 itself

@@ -202,6 +202,17 @@ def eigenmode_rate(grid: Grid, mode: int = 1) -> float:
 # -- quadratures ------------------------------------------------------------
 
 
+def check_tail_radii(grid: Grid, radii: Sequence[float]) -> None:
+    """The rule on tail radii: none may exceed the box's radius, so each
+    ball whose outside a tail measures fits in the box.  A broken rule
+    raises a ConfigurationError (a ValueError) whose message starts with
+    ``radii``."""
+    if max(radii, default=0.0) > grid.radius:
+        raise ConfigurationError(
+            f"radii must not exceed the domain radius {grid.radius!r}, got {max(radii)!r}"
+        )
+
+
 class Quadrature:
     """Every quadrature of state values on one grid, through scratch buffers
     made once per instance; no other code sums state values into one.
@@ -287,10 +298,7 @@ class Quadrature:
         grid points with |x| >= radius, a cell's gradient energy counted
         where its lower corner lies; the values are squared and the gradient
         table built once for every radius."""
-        if max(radii, default=0.0) > self.grid.radius:
-            raise ValueError(
-                f"tail radius k={max(radii)} exceeds the domain radius {self.grid.radius}"
-            )
+        check_tail_radii(self.grid, radii)
         sq = self._sq
         _check_values(self.grid, values, lambda v: np.sum(np.multiply(v, v, out=sq)))
         h1_density = _gradient_energy(values, self.grid.spacing, self._grad, self._dy)

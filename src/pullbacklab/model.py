@@ -307,9 +307,9 @@ def check_hypotheses(
 ) -> HypothesisReport:
     """Scan the five structure conditions on a lattice over grid's box x [-s_range, s_range]."""
     if n_samples < 2:
-        raise ConfigurationError("n_samples must be at least 2")
+        raise ConfigurationError(f"n_samples must be an integer >= 2, got {n_samples!r}")
     if s_range <= 0.0:
-        raise ConfigurationError("s_range must be positive")
+        raise ConfigurationError(f"s_range must be positive, got {s_range!r}")
     nl = spec.nonlinearity
     ax = np.linspace(-grid.radius, grid.radius, n_samples)
     xpts = lattice_points(ax, grid.dimension)

@@ -291,9 +291,10 @@ def shift(path: Path, s: float) -> ShiftedPath:
 # -- conjugation ------------------------------------------------------------
 
 
-def _check_intensity(eps: float) -> None:
+def _check_intensity(eps: float, what: str = "noise intensity") -> None:
+    """The rule on a noise intensity, in whose message ``what`` names it."""
     if not (0.0 <= eps <= 1.0):
-        raise ConfigurationError(f"noise intensity must lie in [0, 1], got {eps!r}")
+        raise ConfigurationError(f"{what} must lie in [0, 1], got {eps!r}")
 
 
 def z_factor(path: Path, eps: float, t: float) -> float:

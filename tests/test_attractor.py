@@ -155,7 +155,7 @@ def test_equilibrium_validation(desk_spec, desk_grid, desk_path, cfg):
         compute_equilibrium(0.0, desk_path, 0.5, desk_spec, cfg, u0, [1.0])
     with pytest.raises(ConfigurationError, match="strictly increasing"):
         compute_equilibrium(0.0, desk_path, 0.5, desk_spec, cfg, u0, [2.0, 1.0])
-    with pytest.raises(ConfigurationError, match="strictly increasing"):
+    with pytest.raises(ConfigurationError, match="positive horizons"):
         compute_equilibrium(0.0, desk_path, 0.5, desk_spec, cfg, u0, [-1.0, 1.0])
     with pytest.raises(ConfigurationError, match="tol"):
         compute_equilibrium(0.0, desk_path, 0.5, desk_spec, cfg, u0, [1.0, 2.0], tol=0.0)
@@ -407,7 +407,7 @@ def test_tail_profile_checks_its_radii_before_the_march(
     # a radius beyond the 8-unit box; a ValueError too, as tail_norm's is
     monkeypatch.setattr(solver, "_march", refuse_to_march)
     u0 = gaussian_bump(desk_grid, 1.0, 1.5)
-    with pytest.raises(ConfigurationError, match="exceeds the domain radius"):
+    with pytest.raises(ConfigurationError, match="must not exceed the domain radius"):
         tail_profile(0.5, desk_path, 0.5, desk_spec, cfg, u0, 2.0, [1.0, 9.0])
 
 

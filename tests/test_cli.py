@@ -5,6 +5,7 @@ config under configs/ gets one full run to keep it honest.
 """
 
 import glob
+import inspect
 import io
 import json
 import os
@@ -12,19 +13,24 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import pullbacklab
-from pullbacklab import cli, cocycle, solver
+from pullbacklab import attractor, cli, cocycle, model, solver
 from pullbacklab.errors import ConfigurationError
 from pullbacklab.field import (
     Field,
+    Grid,
     Trajectory,
+    check_tail_radii,
+    gaussian_bump,
     trajectory_row,
     write_table_csv,
     write_trajectory_csv,
+    zero_field,
 )
 from pullbacklab.noise import refine, sample_path, shift, z_factor
 
@@ -718,7 +724,7 @@ def test_noise_section_rejected_where_no_path_is_read(tmp_path, capsys, name):
         ("decay_rate", "fit_start", 6.0, "must lie in [0, window=6.0)"),
         ("decay_rate", "fit_start", -0.5, "must lie in [0, window=6.0)"),
         ("upper_semi", "seeds[1]", [0, -2], "must be an integer >= 0, got -2"),
-        ("tail", "radii", [0.0, 4.0, 100.0], "must not exceed spec.domain_radius=8.0"),
+        ("tail", "radii", [0.0, 4.0, 100.0], "must not exceed the domain radius 8.0"),
         ("truncation", "levels", [-1.0, 2.0], "must hold positive levels"),
         ("truncation", "horizon", 0.5, "must cover the unit window: at least 1"),
         ("cocycle_test", "t", -0.5, "must be nonnegative"),
@@ -734,6 +740,11 @@ def test_noise_section_rejected_where_no_path_is_read(tmp_path, capsys, name):
         ("tail", "fraction_bound", -0.5, "must be nonnegative"),
         ("upper_semi", "ratio_bound", -0.2, "must be nonnegative"),
         ("upper_semi", "max_inversions", -1, "must be an integer >= 0, got -1"),
+        # over no time each sample is the ensemble itself, so every check
+        # would pass without a pullback
+        ("upper_semi", "horizon", 0.0, "must be positive"),
+        ("upper_semi", "horizon", -1.0, "must be positive"),
+        ("tail", "horizon", -1.0, "must be nonnegative"),
     ],
 )
 def test_block_value_rules_name_the_key_before_any_march(
@@ -750,6 +761,179 @@ def test_block_value_rules_name_the_key_before_any_march(
     assert code == 2
     assert f"config.{cfg['experiment']}.{key} {rule}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def no_march(*args, **kwargs):
+    raise AssertionError("a refused run must not march")
+
+
+@pytest.mark.parametrize(
+    "name, changes, key, rule",
+    [
+        ("equilibrium", {"t_schedule": [1.0]}, "t_schedule", "must list at least two horizons"),
+        ("equilibrium", {"t_schedule": [2.0, 1.0]}, "t_schedule", "must be strictly increasing"),
+        ("equilibrium", {"t_schedule": [0.0, 1.0]}, "t_schedule", "must hold positive horizons"),
+        ("equilibrium", {"tol": 0.0}, "tol", "must be positive"),
+        ("decay_rate", {"fit_start": 6.0}, "fit_start", "must lie in [0, window=6.0)"),
+        ("decay_rate", {"fit_start": -0.5}, "fit_start", "must lie in [0, window=6.0)"),
+        # the fraction keys name one of the radii, so an empty list goes without them
+        ("tail", {"radii": [], "fraction_bound": None, "fraction_radius": None}, "radii",
+         "must be a non-empty list"),
+        ("tail", {"radii": [0.0, 4.0, 100.0]}, "radii", "must not exceed the domain radius 8.0"),
+        ("tail", {"horizon": -1.0}, "horizon", "must be nonnegative"),
+        ("truncation", {"horizon": 0.5}, "horizon", "must cover the unit window: at least 1"),
+        ("truncation", {"levels": [-1.0, 2.0]}, "levels", "must hold positive levels"),
+        ("upper_semi", {"seeds": []}, "seeds", "must be a non-empty list of integers"),
+        ("upper_semi", {"epsilon_ladder": []}, "epsilon_ladder", "must be a non-empty list"),
+        ("upper_semi", {"epsilon_ladder": [0.1, 0.5]}, "epsilon_ladder",
+         "must be strictly decreasing"),
+        ("upper_semi", {"epsilon_ladder": [1.5, 0.5]}, "epsilon_ladder", "must stay inside [0, 1]"),
+        ("upper_semi", {"ensemble": []}, "ensemble", "must be a non-empty list"),
+        ("upper_semi", {"horizon": 0.0}, "horizon", "must be positive"),
+        ("cocycle_test", {"t": -0.5}, "t", "must be nonnegative"),
+        ("cocycle_test", {"s": -0.5}, "s", "must be nonnegative"),
+        ("check_hypotheses", {"n_samples": 1}, "n_samples", "must be an integer >= 2, got 1"),
+        ("check_hypotheses", {"s_range": 0.0}, "s_range", "must be positive"),
+    ],
+)
+def test_a_run_function_owns_its_value_rules(
+    tmp_path, capsys, monkeypatch, name, changes, key, rule
+):
+    # the parser reads the bad value as it is, and the run refuses it under
+    # the block's key before any step; None deletes a key
+    monkeypatch.setattr(solver, "_march", no_march)
+    cfg = shipped(name)
+    block = cfg[cfg["experiment"]]
+    block.update(changes)
+    for dropped in [k for k, v in changes.items() if v is None]:
+        del block[dropped]
+    cli._resolve(cfg, str(tmp_path))
+    code, out = run_into(tmp_path, cfg)
+    assert code == 2
+    assert f"config.{cfg['experiment']}.{key} {rule}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _refusal_cases():
+    """(function, the argument it refuses, its call) for each value rule a
+    run function owns; each call takes the desk problem as a namespace."""
+
+    def equilibrium(d, schedule, tol=1e-6):
+        return attractor.compute_equilibrium(0.0, d.path, 0.5, d.spec, d.cfg, d.u0, schedule, tol)
+
+    def sweep(d, seeds=(0,), ladder=(0.5,), ensemble=None, horizon=1.0):
+        ensemble = [d.u0] if ensemble is None else ensemble
+        return attractor.upper_semicontinuity_sweep(
+            0.0, seeds, ladder, d.spec, d.cfg, ensemble, horizon
+        )
+
+    def tail(d, horizon, radii):
+        return attractor.tail_profile(0.0, d.path, 0.5, d.spec, d.cfg, d.u0, horizon, radii)
+
+    def truncation(d, horizon, levels):
+        return attractor.truncation_diagnostics(
+            0.0, d.path, 0.5, d.spec, d.cfg, d.u0, horizon, levels
+        )
+
+    def decay(d):
+        bump = gaussian_bump(d.u0.grid, 1.0, 1.5)
+        return attractor.fit_decay_rate(0.0, d.path, 0.5, d.spec, d.cfg, d.u0, bump, 2.0, 2.0)
+
+    def cocycle_law(d, t, s):
+        return cocycle.verify_cocycle_property(t, s, 0.0, d.path, 0.5, d.u0, d.spec, d.cfg)
+
+    E, S = attractor.compute_equilibrium, attractor.upper_semicontinuity_sweep
+    T, D = attractor.tail_profile, attractor.truncation_diagnostics
+    H = model.check_hypotheses
+    cases = [
+        (E, "t_schedule", lambda d: equilibrium(d, [1.0])),
+        (E, "t_schedule", lambda d: equilibrium(d, [2.0, 1.0])),
+        (E, "t_schedule", lambda d: equilibrium(d, [0.0, 1.0])),
+        (E, "tol", lambda d: equilibrium(d, [1.0, 2.0], tol=0.0)),
+        (attractor.fit_decay_rate, "fit_start", decay),
+        (T, "radii", lambda d: tail(d, 1.0, [])),
+        (T, "radii", lambda d: tail(d, 1.0, [9.0])),
+        (T, "horizon", lambda d: tail(d, -1.0, [1.0])),
+        (D, "horizon", lambda d: truncation(d, 0.5, [1.0, 2.0])),
+        (D, "levels", lambda d: truncation(d, 2.0, [-1.0, 2.0])),
+        (S, "seeds", lambda d: sweep(d, seeds=[])),
+        (S, "epsilon_ladder", lambda d: sweep(d, ladder=[])),
+        (S, "epsilon_ladder", lambda d: sweep(d, ladder=[0.1, 0.5])),
+        (S, "epsilon_ladder", lambda d: sweep(d, ladder=[1.5, 0.5])),
+        (S, "ensemble", lambda d: sweep(d, ensemble=[])),
+        (S, "horizon", lambda d: sweep(d, horizon=0.0)),
+        (cocycle.verify_cocycle_property, "t", lambda d: cocycle_law(d, -0.5, 1.0)),
+        (cocycle.verify_cocycle_property, "s", lambda d: cocycle_law(d, 1.0, -0.5)),
+        (H, "n_samples", lambda d: H(d.spec, d.u0.grid, n_samples=1)),
+        (H, "s_range", lambda d: H(d.spec, d.u0.grid, s_range=0.0)),
+        (attractor.absorbing_radius, "quadrature_horizon",
+         lambda d: attractor.absorbing_radius(0.0, d.path, 0.5, d.spec, d.u0.grid, 0.0)),
+        (check_tail_radii, "radii", lambda d: check_tail_radii(d.u0.grid, [9.0])),
+        (Grid, "dimension", lambda d: Grid(3, 8.0, 65)),
+        (Grid, "radius", lambda d: Grid(1, 0.0, 65)),
+        (Grid, "points_per_axis", lambda d: Grid(1, 8.0, 64)),
+    ]
+    return [
+        pytest.param(fn, argument, call, id=f"{fn.__name__}-{argument}-{i}")
+        for i, (fn, argument, call) in enumerate(cases)
+    ]
+
+
+@pytest.mark.parametrize("fn, argument, call", _refusal_cases())
+def test_a_refusal_starts_with_the_argument_it_refuses(
+    monkeypatch, desk_spec, desk_grid, desk_cfg, desk_path, fn, argument, call
+):
+    # the convention the CLI's key mapping rests on: the first word of a
+    # run function's refusal is one of its parameters, and no step is taken
+    monkeypatch.setattr(solver, "_march", no_march)
+    desk = SimpleNamespace(spec=desk_spec, cfg=desk_cfg, path=desk_path, u0=zero_field(desk_grid))
+    with pytest.raises(ConfigurationError) as refused:
+        call(desk)
+    assert str(refused.value).split(" ")[0] == argument
+    assert argument in inspect.signature(fn).parameters
+
+
+def test_a_deeper_refusal_is_printed_unkeyed(tmp_path, capsys, monkeypatch):
+    # only a first word that is one of the block's keys is keyed: tau=0.0005
+    # is no key, so the message is printed as the library wrote it
+    message = "tau=0.0005 is not a multiple of dt=0.001: off the lattice"
+
+    def off_lattice(*args, **kwargs):
+        raise ConfigurationError(message)
+
+    monkeypatch.setattr(cli, "compute_equilibrium", off_lattice)
+    code, out = run_into(tmp_path, shipped("equilibrium"))
+    assert code == 2
+    assert capsys.readouterr().err == f"config: {message}\n"
+    assert not out.exists()
+
+
+def test_an_output_dir_under_a_file_exits_two_before_any_march(tmp_path, capsys, monkeypatch):
+    # os.makedirs could not make it, which the run would learn only after
+    # the whole march
+    monkeypatch.setattr(solver, "_march", no_march)
+    blocker = tmp_path / "afile"
+    blocker.write_text("kept\n")
+    target = blocker / "sub"
+    code = cli.run(write_config(tmp_path, shipped("pullback")), output_dir=str(target), quiet=True)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"output: cannot make {target}: {blocker} is not a directory\n"
+    assert blocker.read_text() == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["afile", "cfg.json"]
+
+
+def test_a_failed_write_exits_two_with_an_output_message(tmp_path, capsys):
+    # a directory where the summary goes: the rename over it fails after the
+    # run, and the error is reported, not raised
+    out = tmp_path / "out"
+    (out / "simulate_summary.json").mkdir(parents=True)
+    code = cli.run(write_config(tmp_path, base_config()), output_dir=str(out), quiet=True)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output: ") and "simulate_summary.json" in err
+    assert "Traceback" not in err
+    assert sorted(os.listdir(out)) == ["simulate_summary.json", "simulate_trajectory.csv"]
 
 
 @pytest.mark.parametrize(

@@ -389,7 +389,7 @@ def test_tails_have_the_bits_of_the_plain_masked_formula(dimension, m):
         assert l2 == float(np.sqrt(h * np.sum(density[mask])))
         assert h1 == float(np.sqrt(h * np.sum((density + gradient_energy_density(f))[mask])))
         assert (l2, h1) == (tail_norm(f, k, "l2"), tail_norm(f, k, "h1"))
-    with pytest.raises(ValueError, match="exceeds the domain radius"):
+    with pytest.raises(ValueError, match="must not exceed the domain radius"):
         Quadrature(g).tails(f.values, (1.0, 6.5))
 
 
