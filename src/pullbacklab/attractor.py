@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError
-from .field import Field, Grid, Quadrature, check_tail_radii
+from .field import Field, Grid, Quadrature, check_levels, check_tail_radii
 from .model import ProblemSpec, forcing_norms_sq
 from .noise import (
     Path,
@@ -256,28 +256,26 @@ def _check_ensemble(ensemble: Sequence[Field]) -> None:
 
 
 def hausdorff_semidistance(
-    sample_a: Sequence[Field], sample_b: Sequence[Field], which: str = "l2"
-) -> float:
-    """sup over a in A of the distance from a to the set B.
-
-    Not symmetric.  ``which`` picks the norm, "l2" or "h1".
-    """
-    if which not in ("l2", "h1"):
-        raise ConfigurationError(f'which must be "l2" or "h1", got {which!r}')
+    sample_a: Sequence[Field], sample_b: Sequence[Field]
+) -> tuple[float, float]:
+    """sup over a in A of the distance from a to the set B, as (L2, H1) from
+    one ``Quadrature.norms`` pass per pair; not symmetric, and each norm
+    takes its own nearest member of B."""
     if not sample_a or not sample_b:
         raise ConfigurationError("both samples must be non-empty")
     grid = sample_a[0].grid
     for member in (*sample_a, *sample_b):
         if member.grid != grid:
             raise GridMismatchError("samples live on different grids")
-    quad, h1 = Quadrature(grid), which == "h1"
-    worst = 0.0
+    quad = Quadrature(grid)
+    worst_l2 = worst_h1 = 0.0
     for a in sample_a:
-        best = math.inf
+        best_l2 = best_h1 = math.inf
         for b in sample_b:
-            best = min(best, quad.norms(a.values - b.values, h1)[1 if h1 else 0])
-        worst = max(worst, best)
-    return worst
+            l2, h1, _ = quad.norms(a.values - b.values)
+            best_l2, best_h1 = min(best_l2, l2), min(best_h1, h1)
+        worst_l2, worst_h1 = max(worst_l2, best_l2), max(worst_h1, best_h1)
+    return worst_l2, worst_h1
 
 
 @dataclass(frozen=True)
@@ -357,8 +355,7 @@ def upper_semicontinuity_sweep(
         dists_h1 = []
         for seed in seeds:
             sample = next(samples)
-            d2 = hausdorff_semidistance(sample, reference, "l2")
-            d1 = hausdorff_semidistance(sample, reference, "h1")
+            d2, d1 = hausdorff_semidistance(sample, reference)
             rows.append(SweepRow(epsilon=eps, seed=seed, dist_l2=d2, dist_h1=d1))
             dists_l2.append(d2)
             dists_h1.append(d1)
@@ -482,9 +479,7 @@ def _truncation_rates(
     """:func:`truncation_rate` at each of ``levels``, bit for bit.  The window
     scan for E and omega(-tau) do not depend on the level, so they and the
     product's leading factors are computed once."""
-    for level in levels:
-        if level <= 0.0:
-            raise ConfigurationError(f"levels must hold positive levels, got {level!r}")
+    check_levels(levels)
     if len(levels) == 0:
         return []
     nl = spec.nonlinearity

@@ -645,7 +645,7 @@ def _parse_absorbing(b: _Block) -> dict:
         "constant_band": b.number("constant_band", 0.2),
         "initial": b.initial("initial"),
     }
-    # absorbing_radius refuses a quadrature horizon only after the march
+    # absorbing_radius takes the marched norm, so its own check fires only after the march
     for key in ("quadrature_horizon", "pullback_horizon"):
         b.check(out[key] > 0.0, key, "must be positive")
     for key in ("stability_bound", "constant_band"):

@@ -70,7 +70,7 @@ class Grid:
     @cached_property
     def radial(self) -> np.ndarray:
         """Euclidean distance from the origin, shaped like a field."""
-        r = np.sqrt((self.points**2).sum(axis=1)).reshape(self.shape)
+        r = np.sqrt(radius_sq(self.points)).reshape(self.shape)
         r.setflags(write=False)
         return r
 
@@ -85,6 +85,12 @@ def lattice_points(axis: np.ndarray, dimension: int) -> np.ndarray:
     values (the last coordinate varying fastest)."""
     mesh = np.meshgrid(*(axis,) * dimension, indexing="ij")
     return np.stack([coordinate.ravel() for coordinate in mesh], axis=1)
+
+
+def radius_sq(pts: np.ndarray) -> np.ndarray:
+    """|x|^2 of each row, coordinate by coordinate: the bits of a sum along
+    axis 1, which numpy takes about ten times slower on short rows."""
+    return sum(pts.T**2)
 
 
 def interior(v: np.ndarray, first: int = 0) -> np.ndarray:
@@ -168,14 +174,25 @@ def field_from_function(grid: Grid, fn) -> Field:
     return Field(grid, zero_boundary(vals))
 
 
-def gaussian_bump(grid: Grid, amplitude: float = 1.0, width: float = 1.0) -> Field:
-    if width <= 0.0:
+def gaussian_width_sq(width: float) -> float:
+    """width^2 under the width rule (positive, with a finite square); a broken
+    rule raises a ConfigurationError whose message starts with ``width``."""
+    if not width > 0.0:  # NaN too
         raise ConfigurationError("width must be positive")
     try:
-        w2 = width**2
+        return float(width) ** 2
     except OverflowError:  # a float power raises where a product gives inf
         raise ConfigurationError(f"width is too large: width^2 overflows, got {width!r}") from None
-    return field_from_function(grid, lambda pts: amplitude * np.exp(-(pts**2).sum(axis=1) / w2))
+
+
+def gaussian(pts: np.ndarray, w2: float) -> np.ndarray:
+    """exp(-|x|^2 / w2) at each row of ``pts``."""
+    return np.exp(-radius_sq(pts) / w2)
+
+
+def gaussian_bump(grid: Grid, amplitude: float = 1.0, width: float = 1.0) -> Field:
+    w2 = gaussian_width_sq(width)
+    return field_from_function(grid, lambda pts: amplitude * gaussian(pts, w2))
 
 
 def eigenmode(grid: Grid, mode: int = 1) -> Field:
@@ -211,6 +228,14 @@ def check_tail_radii(grid: Grid, radii: Sequence[float]) -> None:
         raise ConfigurationError(
             f"radii must not exceed the domain radius {grid.radius!r}, got {max(radii)!r}"
         )
+
+
+def check_levels(levels: Sequence[float]) -> None:
+    """The rule on superlevel thresholds, each positive; a broken rule raises
+    a ConfigurationError whose message starts with ``levels``."""
+    for level in levels:
+        if not level > 0.0:  # NaN too
+            raise ConfigurationError(f"levels must hold positive levels, got {level!r}")
 
 
 class Quadrature:
@@ -280,8 +305,7 @@ class Quadrature:
         """max |v| of ``values`` and, for each of ``levels``, h^N times the
         sum of |v|**power over the points where |v| >= level (0.0 where
         there are none)."""
-        if min(levels, default=1.0) <= 0.0:
-            raise ValueError(f"level must be positive, got {min(levels)}")
+        check_levels(levels)
         if power <= 0.0:
             raise ValueError(f"power must be positive, got {power}")
         magnitude = self._sq

@@ -56,8 +56,8 @@ def _check_positive_step(dt: float) -> None:
 class WienerPath:
     """A two-sided Wiener path sampled on a uniform grid containing 0.
 
-    ``values[origin_index]`` is omega(0) and equals 0.0 exactly for sampled
-    paths.  ``seed`` is None for injected (non-random) test paths.
+    omega(0) equals 0.0 exactly for sampled paths.  ``seed`` is None for
+    injected (non-random) test paths.
     """
 
     seed: int | None
@@ -65,7 +65,6 @@ class WienerPath:
     t_max: float
     dt: float
     values: np.ndarray
-    origin_index: int
     level: int = 0  # number of bridge refinements applied since sampling
 
     def __post_init__(self):
@@ -82,8 +81,6 @@ class WienerPath:
                 f"path holds {len(vals)} samples but the window "
                 f"[{self.t_min}, {self.t_max}] at dt={self.dt} needs {steps + 1}"
             )
-        if not 0 <= self.origin_index < len(vals):
-            raise ConfigurationError("origin_index outside the sample table")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -204,21 +201,16 @@ def sample_path(seed: int, t_min: float, t_max: float, dt: float) -> WienerPath:
     if n_back:
         inc = _stream(seed, (2,)).standard_normal(n_back) * scale
         values[:n_back] = -np.cumsum(inc)[::-1]
-    return WienerPath(
-        seed=seed, t_min=t_min, t_max=t_max, dt=dt, values=values, origin_index=n_back
-    )
+    return WienerPath(seed=seed, t_min=t_min, t_max=t_max, dt=dt, values=values)
 
 
 def flat_path(t_min: float, t_max: float, dt: float) -> WienerPath:
     """The zero path on [t_min, t_max]: the noise-free path, for
     deterministic runs and tests."""
     _check_positive_step(dt)
-    origin = lattice_steps(-t_min, dt, f"the window start {t_min!r}")
+    lattice_steps(-t_min, dt, f"the window start {t_min!r}")  # the lattice must hold t = 0
     n = lattice_steps(t_max - t_min, dt, "the window length") + 1
-    values = np.zeros(n)
-    return WienerPath(
-        seed=None, t_min=t_min, t_max=t_max, dt=dt, values=values, origin_index=origin
-    )
+    return WienerPath(seed=None, t_min=t_min, t_max=t_max, dt=dt, values=np.zeros(n))
 
 
 def refine(path: WienerPath) -> WienerPath:
@@ -250,7 +242,6 @@ def refine(path: WienerPath) -> WienerPath:
         t_max=path.t_max,
         dt=path.dt / 2.0,
         values=out,
-        origin_index=2 * path.origin_index,
         level=path.level + 1,
     )
 

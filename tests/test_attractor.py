@@ -36,9 +36,11 @@ from pullbacklab.errors import ConfigurationError, GridMismatchError
 from pullbacklab.field import (
     Field,
     Grid,
+    Quadrature,
     gaussian_bump,
     h1_norm,
     l2_norm,
+    superlevel_measure_integrand,
     zero_boundary,
     zero_field,
 )
@@ -252,14 +254,20 @@ def test_hausdorff_semidistance_hand_oracle():
     b = Field(g, np.array([0.0, 0.0, 2.0, 0.0, 0.0]))
     c = Field(g, np.array([0.0, 1.0, 0.5, 0.0, 0.0]))
     # h = 1, so the masses are plain sums of squares
-    assert hausdorff_semidistance([a], [b]) == pytest.approx(math.sqrt(5.0))
-    # nearest member wins: c is sqrt(0.25) from a, sqrt(3.25) from b
-    assert hausdorff_semidistance([c], [a, b]) == pytest.approx(0.5)
-    # not symmetric: every member of [a] lies inside [a, b]
-    assert hausdorff_semidistance([a], [a, b]) == 0.0
-    assert hausdorff_semidistance([a, b], [a]) == pytest.approx(math.sqrt(5.0))
     diff = a.with_values(a.values - b.values)
-    assert hausdorff_semidistance([a], [b], which="h1") == pytest.approx(h1_norm(diff))
+    assert hausdorff_semidistance([a], [b]) == pytest.approx((math.sqrt(5.0), h1_norm(diff)))
+    # nearest member wins: c is sqrt(0.25) from a, sqrt(3.25) from b
+    assert hausdorff_semidistance([c], [a, b])[0] == pytest.approx(0.5)
+    # not symmetric: every member of [a] lies inside [a, b]
+    assert hausdorff_semidistance([a], [a, b]) == (0.0, 0.0)
+    assert hausdorff_semidistance([a, b], [a])[0] == pytest.approx(math.sqrt(5.0))
+    # each norm takes its own nearest member: the zero state is nearer the
+    # oscillation in L2 (3 against 3.63) and the plateau in H1 (6.05 against 13)
+    zero = zero_field(g)
+    wiggle = Field(g, np.array([0.0, 1.0, -1.0, 1.0, 0.0]))
+    plateau = Field(g, np.array([0.0, 1.1, 1.1, 1.1, 0.0]))
+    pair = hausdorff_semidistance([zero], [wiggle, plateau])
+    assert pair == pytest.approx((math.sqrt(3.0), math.sqrt(6.05)))
 
 
 @pytest.mark.parametrize("dimension, m", [(1, 129), (2, 17)])
@@ -270,17 +278,23 @@ def test_hausdorff_gaps_have_the_bits_of_the_plain_quadratures(dimension, m):
         [Field(grid, zero_boundary(rng.standard_normal(grid.shape))) for _ in range(k)]
         for k in (3, 4)
     )
-    for which in ("l2", "h1"):
-        want = max(min(_plain_norm(x.values - y.values, grid, which) for y in b) for x in a)
-        assert hausdorff_semidistance(a, b, which) == want
+    quad = Quadrature(grid)
+
+    def plain(which):
+        return max(min(_plain_norm(x.values - y.values, grid, which) for y in b) for x in a)
+
+    def single_pass(h1):
+        # one single-norm pass per pair, as the sweep would take for each norm
+        return max(min(quad.norms(x.values - y.values, h1)[h1] for y in b) for x in a)
+
+    pair = hausdorff_semidistance(a, b)
+    assert pair == (plain("l2"), plain("h1")) == (single_pass(False), single_pass(True))
 
 
 def test_hausdorff_semidistance_validation():
     g = Grid(1, 2.0, 5)
     a = Field(g, np.array([0.0, 1.0, 0.0, 0.0, 0.0]))
     other = Field(Grid(1, 2.0, 9), np.zeros(9))
-    with pytest.raises(ConfigurationError, match="which"):
-        hausdorff_semidistance([a], [a], which="sup")
     with pytest.raises(ConfigurationError, match="non-empty"):
         hausdorff_semidistance([], [a])
     with pytest.raises(GridMismatchError):
@@ -420,6 +434,28 @@ def test_truncation_checks_its_power_before_the_burn_in(
     u0 = gaussian_bump(desk_grid, 1.0, 1.5)
     with pytest.raises(ConfigurationError, match="power 2p - 4 must be positive"):
         truncation_diagnostics(0.5, desk_path, 0.5, spec, cfg, u0, 1.5, (0.05, 0.1))
+
+
+def test_one_level_rule_serves_the_superlevel_pass_and_the_ladder(
+    monkeypatch, desk_spec, desk_grid, desk_path, cfg
+):
+    # field.check_levels: one type and one message from each caller, and the
+    # ladder refuses before its burn-in marches
+    monkeypatch.setattr(solver, "_march", refuse_to_march)
+    u0 = gaussian_bump(desk_grid, 1.0, 1.5)
+    refusals = (
+        lambda: Quadrature(desk_grid).superlevel(u0.values, (0.05, -1.0), 2.0),
+        lambda: superlevel_measure_integrand(u0, -1.0, 2.0),
+        lambda: truncation_rate(desk_path, 0.5, desk_spec, 0.5, -1.0),
+        lambda: truncation_diagnostics(
+            0.5, desk_path, 0.5, desk_spec, cfg, u0, 1.5, (0.05, -1.0)
+        ),
+    )
+    for refuse in refusals:
+        with pytest.raises(ConfigurationError) as caught:
+            refuse()
+        assert type(caught.value) is ConfigurationError
+        assert str(caught.value) == "levels must hold positive levels, got -1.0"
 
 
 def test_truncation_rate_closed_form(desk_spec, desk_path):

@@ -954,6 +954,8 @@ def test_a_failed_write_exits_two_with_an_output_message(tmp_path, capsys):
          "spec.forcing: width is too large: width^2 overflows, got 1e+300"),
         (("simulate", "initial"), "width", 1e300,
          "config.simulate.initial: width is too large: width^2 overflows, got 1e+300"),
+        # the spec holds delta's rule for every forcing kind
+        (("spec", "forcing"), "delta", -0.5, "spec: forcing delta must lie in [0, lambda)"),
     ],
 )
 def test_library_value_rules_name_their_section(tmp_path, capsys, section, key, value, message):

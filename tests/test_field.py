@@ -38,6 +38,7 @@ from pullbacklab.field import (
     zero_boundary,
     zero_field,
 )
+from pullbacklab.model import canonical_forcing
 
 
 def small_grid() -> Grid:
@@ -212,8 +213,10 @@ def test_fused_pass_checks_values_as_a_field_does(dimension):
     for check in passes:
         with pytest.raises(ValueError, match="must be finite"):
             check()
-    with pytest.raises(ValueError, match="level must be positive"):
-        quad.superlevel(good, (1.0, 0.0), 2.0)
+    for bad in (0.0, math.nan):
+        want = f"^levels must hold positive levels, got {bad}$"
+        with pytest.raises(ConfigurationError, match=want):
+            quad.superlevel(good, (1.0, bad), 2.0)
     with pytest.raises(ValueError, match="power must be positive"):
         quad.superlevel(good, (1.0,), 0.0)
     # finite values whose squares overflow are finite, in a Field and here
@@ -263,6 +266,23 @@ def test_gaussian_bump_peak_and_symmetry():
     assert f.values[64] == pytest.approx(2.5, rel=1e-14)
     assert np.allclose(f.values, f.values[::-1], rtol=0.0, atol=0.0)
     assert f.values[0] == 0.0 and f.values[-1] == 0.0
+
+
+@pytest.mark.parametrize(
+    "width, words",
+    [(0.0, "must be positive"), (-1.0, "must be positive"), (math.nan, "must be positive"),
+     (1e300, "is too large: width^2 overflows")],
+)
+def test_one_width_rule_serves_the_bump_and_the_forcing(width, words):
+    # field.gaussian_width_sq, NaN included: the same refusal from both
+    # Gaussians of the problem
+    for make in (
+        lambda: gaussian_bump(small_grid(), 1.0, width),
+        lambda: canonical_forcing(1.0, 0.5, width),
+    ):
+        with pytest.raises(ConfigurationError) as caught:
+            make()
+        assert str(caught.value).startswith(f"width {words}")
 
 
 def test_field_from_function_zeroes_the_boundary():

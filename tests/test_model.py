@@ -291,6 +291,12 @@ def test_problem_spec_validation():
     with pytest.raises(ConfigurationError):
         # memory weight must stay below the damping
         ProblemSpec(**{**good, "forcing": zero_forcing(delta=2.0)})
+    # the spec owns delta's rule for every forcing kind: the canonical
+    # forcing builds with a negative delta and the spec refuses it
+    negative = canonical_forcing(1.0, -0.5)
+    for forcing in (negative, zero_forcing(delta=-0.5)):
+        with pytest.raises(ConfigurationError, match=r"^forcing delta must lie in \[0, lambda\)"):
+            ProblemSpec(**{**good, "forcing": forcing})
 
 
 def test_forcing_norm_sq_hand_oracle():

@@ -333,18 +333,18 @@ def test_path_window_validation():
         sample_path(0, -1.0, 1.0, 0.0)
     with pytest.raises(ConfigurationError):
         # sample table too short for the declared window
-        WienerPath(
-            seed=0, t_min=0.0, t_max=1.0, dt=DT, values=np.zeros(100), origin_index=0
-        )
+        WienerPath(seed=0, t_min=0.0, t_max=1.0, dt=DT, values=np.zeros(100))
+    # a window whose lattice misses t = 0 has no sample for omega(0)
+    for make in (lambda: sample_path(0, -0.25, 0.75, 0.5), lambda: flat_path(-0.25, 0.75, 0.5)):
+        with pytest.raises(ConfigurationError, match="^the window start -0.25 is not a multiple"):
+            make()
 
 
 def test_a_path_freezes_a_copy_of_the_callers_samples():
     # the caller's array stays writeable, and writing into it afterwards
     # leaves the path's samples as they were given
     given = np.array([0.0, 0.25, -0.5, 1.0, 0.5])
-    path = WienerPath(
-        seed=None, t_min=-1.0, t_max=1.0, dt=0.5, values=given, origin_index=2
-    )
+    path = WienerPath(seed=None, t_min=-1.0, t_max=1.0, dt=0.5, values=given)
     assert given.flags.writeable and not path.values.flags.writeable
     given[:] = 9.0
     assert path.values.tolist() == [0.0, 0.25, -0.5, 1.0, 0.5]

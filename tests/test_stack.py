@@ -24,7 +24,14 @@ from pullbacklab import solver
 from pullbacklab.attractor import compute_equilibrium
 from pullbacklab.cocycle import pullback_state, pullback_states
 from pullbacklab.errors import ConfigurationError, DivergenceError
-from pullbacklab.field import Grid, eigenmode, gaussian_bump, l2_norm, zero_field
+from pullbacklab.field import (
+    Grid,
+    eigenmode,
+    field_from_function,
+    gaussian_bump,
+    l2_norm,
+    zero_field,
+)
 from pullbacklab.model import (
     _FORCING_BLOCK,
     CubicReaction,
@@ -899,6 +906,25 @@ def test_separable_forcing_agrees_with_the_general_form(amplitude, width, t, z, 
     assert np.all(np.abs(got - want) <= 4 * _EPS * np.abs(want) + 4 * _TINY * (1.0 + z))
     if z == 1.0:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("dimension, m", [(1, 129), (2, 65)])
+def test_the_gaussians_and_the_radial_table_keep_their_written_out_bits(dimension, m):
+    # field.radius_sq sums |x|^2 row by row over the coordinates; the bump,
+    # the forcing profile the kernel reads and the radial table keep the bits
+    # of the expressions each wrote out before
+    grid = Grid(dimension, 8.0, m)
+    pts = grid.points
+    radial = np.sqrt((pts**2).sum(axis=1)).reshape(grid.shape)
+    assert np.array_equal(grid.radial.view(np.uint64), radial.view(np.uint64))
+    for width in (0.7, 1, 1.5, 3.0):
+        w2 = width**2
+        bump = gaussian_bump(grid, 2.5, width).values
+        want = field_from_function(grid, lambda p: 2.5 * np.exp(-(p**2).sum(axis=1) / w2))
+        assert np.array_equal(bump.view(np.uint64), want.values.view(np.uint64))
+        profile = canonical_forcing(0.5, 0.5, width).g.profile(pts)
+        want = np.exp(-sum(pts.T**2) / w2)
+        assert np.array_equal(profile.view(np.uint64), want.view(np.uint64))
 
 
 class UncalledCubic(CubicReaction):
