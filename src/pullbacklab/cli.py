@@ -172,7 +172,8 @@ def _make_path(plan: _Plan) -> Path | None:
 class _Block(ConfigSection):
     """A config section that also reads what the plan gives meaning to:
     times, snapped onto the dt lattice; initial data, materialized into
-    Fields; and lists of values, each entry named by its index."""
+    Fields; a check's bounds, which must be nonnegative; and lists of
+    values, each entry named by its index."""
 
     def __init__(self, raw, plan: _Plan, where: str):
         super().__init__(raw, where)
@@ -183,6 +184,12 @@ class _Block(ConfigSection):
 
     def initial(self, key: str) -> Field:
         return self.field(self.get(key), self.path(key))
+
+    def bound(self, key: str, default: float | None = None) -> float:
+        """A number that must be nonnegative: a check's bound or band."""
+        value = self.number(key, default)
+        self.check(value >= 0.0, key, "must be nonnegative")
+        return value
 
     def items(self, key: str, read: Callable, rule: str) -> list:
         """A list, each entry read by ``read(entry, where)``."""
@@ -442,8 +449,7 @@ def _parse_tail(b: _Block) -> dict:
     }
     # the optional check at one radius takes both keys
     if "fraction_bound" in b or "fraction_radius" in b:
-        out["fraction_bound"] = b.number("fraction_bound")
-        b.check(out["fraction_bound"] >= 0.0, "fraction_bound", "must be nonnegative")
+        out["fraction_bound"] = b.bound("fraction_bound")
         at = out["fraction_radius"] = b.number("fraction_radius")
         if at not in out["radii"]:
             raise ConfigurationError(f"{b.where}.fraction_radius={at!r} is not one of the radii")
@@ -489,13 +495,12 @@ def _parse_truncation(b: _Block) -> dict:
         "tau": b.time("tau", 0.0),
         "horizon": b.time("horizon"),
         "levels": b.increasing("levels", "must list at least two levels", 2),
-        "final_bound": b.number("final_bound", 1e-8),
+        "final_bound": b.bound("final_bound", 1e-8),
         "initial": b.initial("initial"),
     }
     # the unit window is counted on the lattice, as truncation_diagnostics
     # counts it, before any path is sampled
     lattice_steps(1.0, b.plan.cfg.dt, "the unit window 1.0")
-    b.check(out["final_bound"] >= 0.0, "final_bound", "must be nonnegative")
     return out
 
 
@@ -532,17 +537,15 @@ def _seed(value, where: str) -> int:
 
 
 def _parse_upper_semi(b: _Block) -> dict:
-    out = {
+    return {
         "tau": b.time("tau", 0.0),
         "horizon": b.time("horizon"),
         "seeds": b.items("seeds", _seed, "must be a list of integers"),
         "epsilon_ladder": b.items("epsilon_ladder", b.as_number, "must be a list"),
         "ensemble": b.items("ensemble", b.field, "must be a list"),
-        "ratio_bound": b.number("ratio_bound", 0.2),
+        "ratio_bound": b.bound("ratio_bound", 0.2),
         "max_inversions": b.integer("max_inversions", 1, least=0),
     }
-    b.check(out["ratio_bound"] >= 0.0, "ratio_bound", "must be nonnegative")
-    return out
 
 
 def _exec_upper_semi(plan: _Plan, path: Path | None):
@@ -588,15 +591,13 @@ def _exec_upper_semi(plan: _Plan, path: Path | None):
 
 
 def _parse_cocycle_test(b: _Block) -> dict:
-    out = {
+    return {
         "tau": b.time("tau", 0.0),
         "t": b.time("t"),
         "s": b.time("s"),
-        "residual_bound": b.number("residual_bound", 1e-10),
+        "residual_bound": b.bound("residual_bound", 1e-10),
         "initial": b.initial("initial"),
     }
-    b.check(out["residual_bound"] >= 0.0, "residual_bound", "must be nonnegative")
-    return out
 
 
 def _exec_cocycle_test(plan: _Plan, path: Path):
@@ -626,7 +627,7 @@ def _exec_check_hypotheses(plan: _Plan, path: Path | None):
     deterministic lattice and report the worst slack of each; all must be
     nonnegative up to the tolerance."""
     b = plan.block
-    report = check_hypotheses(plan.spec, plan.grid, b["n_samples"], b["s_range"], b["tolerance"])
+    report = check_hypotheses(plan.spec, plan.grid, b["n_samples"], b["s_range"])
     checks = {name: slack >= -b["tolerance"] for name, slack in report.slacks.items()}
     results = {
         "slacks": report.slacks,
@@ -641,15 +642,13 @@ def _parse_absorbing(b: _Block) -> dict:
         "tau": b.time("tau", 0.0),
         "quadrature_horizon": b.time("quadrature_horizon"),
         "pullback_horizon": b.time("pullback_horizon"),
-        "stability_bound": b.number("stability_bound", 0.01),
-        "constant_band": b.number("constant_band", 0.2),
+        "stability_bound": b.bound("stability_bound", 0.01),
+        "constant_band": b.bound("constant_band", 0.2),
         "initial": b.initial("initial"),
     }
     # absorbing_radius takes the marched norm, so its own check fires only after the march
     for key in ("quadrature_horizon", "pullback_horizon"):
         b.check(out[key] > 0.0, key, "must be positive")
-    for key in ("stability_bound", "constant_band"):
-        b.check(out[key] >= 0.0, key, "must be nonnegative")
     return out
 
 

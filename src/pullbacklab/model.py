@@ -173,7 +173,7 @@ def canonical_cubic(alpha3: float, scale: float = 1.0) -> Nonlinearity:
     the growth bound uses alpha2 = scale + 1 with psi2 absorbing the linear
     part; the slope growth bound is exact with alpha4 = 3*scale, psi4 = alpha3.
     """
-    if alpha3 <= 0.0 or scale <= 0.0:
+    if not alpha3 > 0.0 or not scale > 0.0:  # NaN included
         raise ConfigurationError("alpha3 and scale must be positive")
     a3 = float(alpha3)
     sc = float(scale)
@@ -212,7 +212,10 @@ def canonical_forcing(amplitude: float, delta: float, width: float = 1.0) -> For
     in place between calls is read as it is now; the marching kernel reads
     the profile once per march instead (:class:`Forcing`).
     """
-    return Forcing(g=TanhGaussian(float(amplitude), gaussian_width_sq(width)), delta=float(delta))
+    amp = float(amplitude)
+    if not np.isfinite(amp):
+        raise ConfigurationError(f"amplitude must be finite, got {amp!r}")
+    return Forcing(g=TanhGaussian(amp, gaussian_width_sq(width)), delta=float(delta))
 
 
 def zero_forcing(delta: float = 0.0) -> Forcing:
@@ -278,22 +281,20 @@ def forcing_memory_integral(
 class HypothesisReport:
     """Worst slack per structure condition over a deterministic scan lattice.
 
-    Slack is (bound - quantity); negative slack beyond the tolerance means
-    the condition fails at the recorded point.  Violations are reported, not
-    thrown: the caller decides what a failed certificate means.
+    Slack is (bound - quantity); negative slack means the condition fails at
+    the recorded point.  Violations are reported, not thrown: the caller
+    judges each slack against its own tolerance.
     """
 
     slacks: dict[str, float]
     worst_points: dict[str, tuple[float, ...]]
-    passed: bool
 
 
 _CONDITIONS = ("dissipativity", "growth", "slope_bound", "space_gradient", "slope_growth")
 
 
 def check_hypotheses(
-    spec: ProblemSpec, grid: Grid, n_samples: int = 17, s_range: float = 5.0,
-    tolerance: float = 1e-12,
+    spec: ProblemSpec, grid: Grid, n_samples: int = 17, s_range: float = 5.0
 ) -> HypothesisReport:
     """Scan the five structure conditions on a lattice over grid's box x [-s_range, s_range]."""
     if n_samples < 2:
@@ -334,8 +335,7 @@ def check_hypotheses(
         i = int(np.argmin(arr))
         slacks[name] = float(arr[i])
         worst[name] = tuple(float(c) for c in X[i]) + (float(S[i]),)
-    passed = all(v >= -tolerance for v in slacks.values())
-    return HypothesisReport(slacks=slacks, worst_points=worst, passed=passed)
+    return HypothesisReport(slacks=slacks, worst_points=worst)
 
 
 # -- configuration parsing ---------------------------------------------------

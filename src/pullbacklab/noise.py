@@ -289,16 +289,17 @@ def _check_intensity(eps: float, what: str = "noise intensity") -> None:
 
 
 def z_factor(path: Path, eps: float, t: float) -> float:
-    """Conjugation factor ``z(t) = exp(-eps * omega(t))``."""
-    _check_intensity(eps)
-    return float(np.exp(-eps * path.value_at(t)))
+    """Conjugation factor ``z(t) = exp(-eps * omega(t))``: one term of
+    :func:`z_series`."""
+    return float(z_series(path, eps, t, 1, path.dt)[0])
 
 
 def z_series(path: Path, eps: float, t_start: float, n: int, step: float) -> np.ndarray:
     """``z`` at ``t_start + k*step`` for k in range(n).
 
-    Elementwise identical to n calls of :func:`z_factor`; exists so the
-    stepper can hoist path evaluation out of its inner loop.
+    The one place the conjugation formula and the intensity rule are
+    written; a whole series lets the stepper hoist path evaluation out of
+    its inner loop.
     """
     _check_intensity(eps)
     return np.exp(-eps * path.sample_series(t_start, n, step))
@@ -311,9 +312,8 @@ def z_window_bounds(path: Path, eps: float) -> tuple[float, float]:
     truncation diagnostic needs: a positive floor and a finite cap for z just
     before the observation time.
     """
-    _check_intensity(eps)
     n = lattice_steps(1.0, path.dt, "the unit window 1.0")
-    z = np.exp(-eps * path.sample_series(-1.0, n + 1, path.dt))
+    z = z_series(path, eps, -1.0, n + 1, path.dt)
     return float(z.min()), float(z.max())
 
 

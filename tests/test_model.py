@@ -58,11 +58,14 @@ def test_canonical_cubic_rejects_bad_constants():
         canonical_cubic(0.0)
     with pytest.raises(ConfigurationError):
         canonical_cubic(1.0, scale=-2.0)
+    # NaN fails the positivity rule, not the overflow one
+    for alpha3, scale in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ConfigurationError, match="^alpha3 and scale must be positive$"):
+            canonical_cubic(alpha3, scale)
 
 
 def test_check_hypotheses_passes_the_canonical_instance(desk_spec, desk_grid):
     report = check_hypotheses(desk_spec, desk_grid)
-    assert report.passed
     assert set(report.slacks) == {
         "dissipativity",
         "growth",
@@ -140,7 +143,8 @@ def test_check_hypotheses_certifies_every_canonical_cubic(alpha3, scale):
         nonlinearity=canonical_cubic(alpha3, scale),
         forcing=zero_forcing(),
     )
-    assert check_hypotheses(spec, Grid(1, 8.0, 129)).passed
+    slacks = check_hypotheses(spec, Grid(1, 8.0, 129)).slacks
+    assert all(slack >= -1e-12 for slack in slacks.values())
 
 
 def test_check_hypotheses_reports_a_violated_slope_bound():
@@ -166,8 +170,7 @@ def test_check_hypotheses_reports_a_violated_slope_bound():
         forcing=zero_forcing(),
     )
     report = check_hypotheses(spec, Grid(1, 8.0, 129))
-    assert not report.passed
-    assert report.slacks["slope_bound"] < 0.0
+    assert report.slacks["slope_bound"] < -1e-12
     # the scan lattice contains s=0 where the violation is largest
     assert report.worst_points["slope_bound"][-1] == pytest.approx(0.0, abs=1e-12)
 
@@ -297,6 +300,10 @@ def test_problem_spec_validation():
     for forcing in (negative, zero_forcing(delta=-0.5)):
         with pytest.raises(ConfigurationError, match=r"^forcing delta must lie in \[0, lambda\)"):
             ProblemSpec(**{**good, "forcing": forcing})
+    # the amplitude's rule is the canonical forcing's own
+    for amplitude in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigurationError, match=f"^amplitude must be finite, got {amplitude}$"):
+            canonical_forcing(amplitude, 0.5)
 
 
 def test_forcing_norm_sq_hand_oracle():
