@@ -152,21 +152,21 @@ def fit_decay_rate(
     epsilon: float,
     spec: ProblemSpec,
     cfg: SolverConfig,
-    u0_a: Field,
-    u0_b: Field,
+    initial_a: Field,
+    initial_b: Field,
     window: float,
     fit_start: float = 1.0,
 ) -> DecayFitResult:
     """Measure the contraction rate of the conjugated equation.
 
     Two runs from distinct data along the same path, both forward runs from
-    time ``tau`` as :func:`~pullbacklab.cocycle.phi` takes them: ``u0_a``
-    and ``u0_b`` are the data at ``tau``, conjugated there, and the path is
-    re-based at ``tau`` (shift(path, -tau)).  The squared L2 gap of the
-    conjugated runs is fitted on [tau + fit_start, tau + window] where the
-    transient has died off.  Theory puts the slope at or below
-    ``-(lambda - alpha3)`` up to time-stepping error; the caller compares
-    ``slope`` against ``bound``.
+    time ``tau`` as :func:`~pullbacklab.cocycle.phi` takes them:
+    ``initial_a`` and ``initial_b`` are the data at ``tau``, conjugated
+    there, and the path is re-based at ``tau`` (shift(path, -tau)).  The
+    squared L2 gap of the conjugated runs is fitted on [tau + fit_start,
+    tau + window] where the transient has died off.  Theory puts the slope
+    at or below ``-(lambda - alpha3)`` up to time-stepping error; the
+    caller compares ``slope`` against ``bound``.
 
     If the gap underflows to exactly zero inside the window the slope is
     reported as ``-inf`` with ``underflow`` set, which still certifies
@@ -177,13 +177,13 @@ def fit_decay_rate(
         raise ConfigurationError(
             f"fit_start must lie in [0, window={window!r}), got {fit_start!r}"
         )
-    if np.array_equal(u0_a.values, u0_b.values):
-        raise ConfigurationError("u0_a and u0_b must differ somewhere")
+    if np.array_equal(initial_a.values, initial_b.values):
+        raise ConfigurationError("initial_a and initial_b must differ somewhere")
     first = lattice_steps(fit_start, cfg.dt, f"fit_start={fit_start!r}")
     n = steps_between(tau, tau + window, cfg.dt)
     stride = max(1, n // 512)
-    w, v0_a = _rebased(path, epsilon, tau, tau, u0_a, cfg.dt)
-    _, v0_b = _rebased(path, epsilon, tau, tau, u0_b, cfg.dt)
+    w, v0_a = _rebased(path, epsilon, tau, tau, initial_a, cfg.dt)
+    _, v0_b = _rebased(path, epsilon, tau, tau, initial_b, cfg.dt)
     times, sq = difference_history(
         v0_a, v0_b, tau, tau + window, w, epsilon, spec, cfg, sample_stride=stride
     )

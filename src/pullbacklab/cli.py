@@ -44,7 +44,8 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping
+from functools import partial
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -95,8 +96,7 @@ class _Plan:
     cfg: SolverConfig
     stride: int
     noise: dict | None
-    raw_spec: Mapping
-    raw_block: Mapping
+    read: dict
     out_dir: str
     formats: tuple[str, ...]
     block: dict = field(default_factory=dict)
@@ -113,47 +113,28 @@ class _Plan:
         return [*self.snaps, note]
 
     def resolved_config(self) -> dict:
-        out: dict[str, Any] = {
-            "experiment": self.experiment,
-            "spec": {
-                "lambda": self.spec.lam,
-                "epsilon": self.epsilon,
-                "dimension": self.grid.dimension,
-                "domain_radius": self.grid.radius,
-                "nonlinearity": self.raw_spec["nonlinearity"],
-                "forcing": self.raw_spec["forcing"],
-            },
-            "grid": {"points_per_axis": self.grid.points_per_axis},
-            "solver": {"dt": self.cfg.dt, "store_stride": self.stride},
-            "output": {"directory": self.out_dir, "formats": list(self.formats)},
-        }
-        if self.noise is not None:
-            out["noise"] = dict(self.noise)
-        # initial data was materialized into Fields (an ensemble into a list
-        # of them); embed the raw entries they came from instead
-        out[self.experiment] = {
-            k: self.raw_block[k]
-            if isinstance(v, Field) or (isinstance(v, list) and v and isinstance(v[0], Field))
-            else v
-            for k, v in self.block.items()
-        }
+        """Each section's record of what it read, with the dt a divergence
+        retry halves and the directory that ``--output-dir`` overrides."""
+        out = dict(self.read)
+        out["solver"] = {**out["solver"], "dt": self.cfg.dt}
+        out["output"] = {**out["output"], "directory": self.out_dir}
         return out
 
 
 def _parse_noise(b: _Block) -> dict:
-    seed = b.get("seed")
-    if seed is not None:
-        seed = b.integer("seed", least=0)
+    """The section's record: the seed, the snapped window and the dt."""
+    if b.get("seed") is not None:
+        b.integer("seed", least=0)
     window = b.get("window")
     b.check(isinstance(window, (list, tuple)) and len(window) == 2, "window",
             "must be [t_min, t_max]")
     dt = b.number("dt")
     b.check(dt > 0.0, "dt", f"must be positive, got {dt!r}")
-    lo, hi = (b.snapped(w, b.path(f"window[{i}]")) for i, w in enumerate(window))
+    lo, hi = b.items("window", b.snapped, "must be [t_min, t_max]")
     b.check(lo < hi, "window", f"must be increasing, got {window!r}")
     b.check(lo <= 0.0 <= hi, "window", "must contain time 0")
     refine_levels(dt, b.plan.cfg.dt)  # raises when no halving of dt divides solver.dt
-    return {"seed": seed, "window": [lo, hi], "dt": dt}
+    return b.read
 
 
 def _make_path(plan: _Plan) -> Path | None:
@@ -173,17 +154,24 @@ class _Block(ConfigSection):
     """A config section that also reads what the plan gives meaning to:
     times, snapped onto the dt lattice; initial data, materialized into
     Fields; a check's bounds, which must be nonnegative; and lists of
-    values, each entry named by its index."""
+    values, each entry named by its index.  A time and a list are recorded
+    as read, initial data as given."""
 
     def __init__(self, raw, plan: _Plan, where: str):
         super().__init__(raw, where)
         self.plan = plan
 
     def time(self, key: str, default: float | None = None) -> float:
-        return self.snapped(self.get(key, default), self.path(key))
+        self.read[key] = self.snapped(self.get(key, default), self.path(key))
+        return self.read[key]
 
     def initial(self, key: str) -> Field:
         return self.field(self.get(key), self.path(key))
+
+    def ensemble(self, key: str) -> list[Field]:
+        fields = self.items(key, self.field, "must be a list")
+        self.read[key] = self.raw[key]
+        return fields
 
     def bound(self, key: str, default: float | None = None) -> float:
         """A number that must be nonnegative: a check's bound or band."""
@@ -195,7 +183,8 @@ class _Block(ConfigSection):
         """A list, each entry read by ``read(entry, where)``."""
         entries = self.get(key)
         self.check(isinstance(entries, (list, tuple)), key, rule)
-        return [read(e, f"{self.path(key)}[{i}]") for i, e in enumerate(entries)]
+        self.read[key] = [read(e, f"{self.path(key)}[{i}]") for i, e in enumerate(entries)]
+        return self.read[key]
 
     def increasing(self, key: str, rule: str, least: int = 0) -> list:
         """A strictly increasing list of at least ``least`` numbers."""
@@ -265,22 +254,22 @@ def _resolve(raw, out_dir_override: str | None) -> _Plan:
         exp = EXPERIMENTS[experiment]
 
         # the spec section also carries the runs' intensity and box: no problem data
-        spec_section = ConfigSection(root.get("spec"), "spec")
+        spec_section = root.section("spec")
         epsilon = spec_section.number("epsilon")
         _check_intensity(epsilon, "spec: epsilon")
         box = spec_section.integer("dimension"), spec_section.number("domain_radius")
         spec = spec_from_config(spec_section)
 
-        with ConfigSection(root.get("grid"), "grid") as r, _keyed(_BOX_KEYS):
+        with root.section("grid") as r, _keyed(_BOX_KEYS):
             grid = Grid(*box, r.integer("points_per_axis"))
 
-        with ConfigSection(root.get("solver"), "solver") as r:
+        with root.section("solver") as r:
             cfg = r.made(SolverConfig, r.number("dt"))
             stride = r.integer("store_stride", 1, least=1)
             r.check(exp.stores or stride == 1, "store_stride",
                     f"must be 1 for {experiment!r}, which stores nothing, got {stride}")
 
-        with ConfigSection(root.get("output", {}), "output") as r:
+        with root.section("output", {}) as r:
             out_dir = r.get("directory", ".")
             r.check(isinstance(out_dir, str), "directory", f"must be a string, got {out_dir!r}")
             formats = r.get("formats", ["json", "csv"])
@@ -299,8 +288,7 @@ def _resolve(raw, out_dir_override: str | None) -> _Plan:
             cfg=cfg,
             stride=stride,
             noise=None,
-            raw_spec=spec_section.raw,
-            raw_block=root.get(experiment, {}),
+            read=root.read,
             out_dir=out_dir if out_dir_override is None else out_dir_override,
             formats=tuple(formats),
         )
@@ -309,7 +297,7 @@ def _resolve(raw, out_dir_override: str | None) -> _Plan:
             if "noise" not in root:
                 raise ConfigurationError(f"noise: required for experiment {experiment!r}")
             with _Block(root.get("noise"), plan, "noise") as b:
-                plan.noise = _parse_noise(b)
+                root.read["noise"] = plan.noise = _parse_noise(b)
         elif "noise" in root:
             raise ConfigurationError(
                 f"noise: experiment {experiment!r} reads no configured noise path; "
@@ -317,8 +305,9 @@ def _resolve(raw, out_dir_override: str | None) -> _Plan:
             )
 
         # every key is read once, so a bad block fails before any integration
-        with _Block(plan.raw_block, plan, f"config.{experiment}") as b:
+        with _Block(root.get(experiment, {}), plan, f"config.{experiment}") as b:
             plan.block = exp.parse(b)
+        root.read[experiment] = b.read
     return plan
 
 
@@ -532,17 +521,13 @@ def _exec_truncation(plan: _Plan, path: Path):
     return results, checks, {"truncation": table}
 
 
-def _seed(value, where: str) -> int:
-    return ConfigSection.as_integer(value, where, least=0)
-
-
 def _parse_upper_semi(b: _Block) -> dict:
     return {
         "tau": b.time("tau", 0.0),
         "horizon": b.time("horizon"),
-        "seeds": b.items("seeds", _seed, "must be a list of integers"),
+        "seeds": b.items("seeds", partial(b.as_integer, least=0), "must be a list of integers"),
         "epsilon_ladder": b.items("epsilon_ladder", b.as_number, "must be a list"),
-        "ensemble": b.items("ensemble", b.field, "must be a list"),
+        "ensemble": b.ensemble("ensemble"),
         "ratio_bound": b.bound("ratio_bound", 0.2),
         "max_inversions": b.integer("max_inversions", 1, least=0),
     }
@@ -760,14 +745,16 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _blocking_file(directory: str) -> str | None:
-    """The nearest existing ancestor of ``directory``, itself included,
-    when it is not a directory, so that no directory can be made there;
-    None otherwise."""
+def _unmakeable(directory: str) -> str | None:
+    """Why ``os.makedirs`` cannot make ``directory``, or None: an empty
+    name or a NUL byte, which no ``os`` call takes, or a nearest existing
+    ancestor, ``directory`` itself included, that is not a directory."""
+    if not directory or "\0" in directory:
+        return f"cannot make {directory!r}: no os call takes an empty name or a NUL byte"
     probe = os.path.abspath(directory)
     while not os.path.exists(probe):
         probe = os.path.dirname(probe)
-    return None if os.path.isdir(probe) else probe
+    return None if os.path.isdir(probe) else f"cannot make {directory}: {probe} is not a directory"
 
 
 def _emit(plan: _Plan, results, checks, tables, retried, say) -> str:
@@ -846,9 +833,9 @@ def run(config_path: str, output_dir: str | None = None, quiet: bool = False) ->
         print(f"config: {exc}", file=sys.stderr)
         return 2
 
-    blocker = _blocking_file(plan.out_dir)
-    if blocker is not None:
-        print(f"output: cannot make {plan.out_dir}: {blocker} is not a directory", file=sys.stderr)
+    why = _unmakeable(plan.out_dir)
+    if why is not None:
+        print(f"output: {why}", file=sys.stderr)
         return 2
 
     for line in plan.snapped():

@@ -345,10 +345,12 @@ class ConfigSection:
     """A config section, read key by key.
 
     Each read checks its value, names the key's path in any error and
-    records the key, as does a membership test.  Used as a context manager,
-    the section rejects the keys it was never asked for once it is read,
-    so the first bad key in reading order is reported, and an unknown key
-    only after every known one.
+    records the key, as does a membership test.  ``read`` records what each
+    read returned: the raw value or its default, or the number that
+    ``number`` and ``integer`` make of it.  Used as a context manager, the
+    section rejects the keys it was never asked for once it is read, so the
+    first bad key in reading order is reported, and an unknown key only
+    after every known one.
     """
 
     def __init__(self, raw, where: str):
@@ -356,6 +358,7 @@ class ConfigSection:
             raise ConfigurationError(f"{where} must be a mapping, got {raw!r}")
         self.raw, self.where = raw, where
         self.asked: set[str] = set()
+        self.read: dict = {}
 
     def __enter__(self) -> ConfigSection:
         return self
@@ -378,17 +381,24 @@ class ConfigSection:
     def get(self, key: str, default=None):
         """The key's raw value; without a default the key is required."""
         self.asked.add(key)
-        if key in self.raw:
-            return self.raw[key]
-        if default is None:
+        if key not in self.raw and default is None:
             raise ConfigurationError(f"missing key '{key}' in {self.where}")
-        return default
+        self.read[key] = self.raw.get(key, default)
+        return self.read[key]
+
+    def section(self, key: str, default=None) -> ConfigSection:
+        """The key's value read as a section, whose record is the key's."""
+        section = ConfigSection(self.get(key, default), key)
+        self.read[key] = section.read
+        return section
 
     def number(self, key: str, default: float | None = None) -> float:
-        return self.as_number(self.get(key, default), self.path(key))
+        self.read[key] = self.as_number(self.get(key, default), self.path(key))
+        return self.read[key]
 
     def integer(self, key: str, default: int | None = None, least: int | None = None) -> int:
-        return self.as_integer(self.get(key, default), self.path(key), least)
+        self.read[key] = self.as_integer(self.get(key, default), self.path(key), least)
+        return self.read[key]
 
     def kind(self, *kinds: str) -> str:
         kind = self.get("kind")

@@ -4,6 +4,7 @@ Configs are written into tmp_path and outputs land there too; the seeded
 config under configs/ gets one full run to keep it honest.
 """
 
+import copy
 import glob
 import inspect
 import io
@@ -660,6 +661,64 @@ def test_a_store_stride_below_one_exits_two_before_any_path(tmp_path, capsys, mo
     assert not out.exists()
 
 
+def _key_paths(tree, prefix=()):
+    for key, value in tree.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _key_paths(value, (*prefix, key))
+
+
+def _whole_as_int(value):
+    if isinstance(value, list):
+        return [_whole_as_int(v) for v in value]
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_the_resolved_config_is_the_record_of_what_was_read(monkeypatch, name):
+    # every key the config sets is in the record, and a block key holds
+    # what the parser returned, except initial data, which stays as given;
+    # whole numbers written as integers show a number recorded as given
+    monkeypatch.setattr(solver, "_march", no_march)
+    cfg = shipped(name)
+    cfg[cfg["experiment"]] = {k: _whole_as_int(v) for k, v in cfg[cfg["experiment"]].items()}
+    plan = cli._resolve(cfg, None)
+    resolved = plan.resolved_config()
+    for path in _key_paths(cfg):
+        node = resolved
+        for key in path:
+            assert key in node, f"{'.'.join(path)} is not recorded"
+            node = node[key]
+    block, given = resolved[plan.experiment], cfg[plan.experiment]
+    assert block.keys() == plan.block.keys()
+    for key, value in plan.block.items():
+        initial = isinstance(value, Field) or (
+            isinstance(value, list) and all(isinstance(v, Field) for v in value)
+        )
+        assert json.dumps(block[key]) == json.dumps(given[key] if initial else value), key
+
+
+@pytest.mark.parametrize(
+    "name, defaults",
+    [
+        ("decay_rate", {"tau": 0.0, "fit_start": 1.0, "tolerance": 0.1}),
+        ("check_hypotheses", {"n_samples": 17, "s_range": 5.0, "tolerance": 1e-12}),
+    ],
+)
+def test_an_optional_key_at_its_default_resolves_as_if_left_out(name, defaults):
+    sparse = shipped(name)
+    for key in defaults:
+        sparse[sparse["experiment"]].pop(key, None)
+    sparse["solver"].pop("store_stride", None)
+    sparse.pop("output")
+    full = copy.deepcopy(sparse)
+    full[full["experiment"]].update(defaults)
+    full["solver"]["store_stride"] = 1
+    full["output"] = {"directory": ".", "formats": ["json", "csv"]}
+    want = cli._resolve(sparse, None).resolved_config()
+    assert cli._resolve(full, None).resolved_config() == want
+
+
 @pytest.mark.parametrize("name", SHIPPED)
 def test_the_resolved_config_echoes_the_store_stride(tmp_path, name):
     # the stride is the plan's, not the solver config's, and the summary
@@ -794,6 +853,8 @@ def no_march(*args, **kwargs):
         ("cocycle_test", {"s": -0.5}, "s", "must be nonnegative"),
         ("check_hypotheses", {"n_samples": 1}, "n_samples", "must be an integer >= 2, got 1"),
         ("check_hypotheses", {"s_range": 0.0}, "s_range", "must be positive"),
+        ("decay_rate", {"initial_b": {"kind": "gaussian_bump", "amplitude": 1.0, "width": 1.5}},
+         "initial_a", "and initial_b must differ somewhere"),
     ],
 )
 def test_a_run_function_owns_its_value_rules(
@@ -872,6 +933,8 @@ def _refusal_cases():
         (Grid, "dimension", lambda d: Grid(3, 8.0, 65)),
         (Grid, "radius", lambda d: Grid(1, 0.0, 65)),
         (Grid, "points_per_axis", lambda d: Grid(1, 8.0, 64)),
+        (attractor.fit_decay_rate, "initial_a", lambda d: attractor.fit_decay_rate(
+            0.0, d.path, 0.5, d.spec, d.cfg, d.u0, d.u0, 2.0)),
     ]
     return [
         pytest.param(fn, argument, call, id=f"{fn.__name__}-{argument}-{i}")
@@ -921,6 +984,35 @@ def test_an_output_dir_under_a_file_exits_two_before_any_march(tmp_path, capsys,
     assert err == f"output: cannot make {target}: {blocker} is not a directory\n"
     assert blocker.read_text() == "kept\n"
     assert sorted(os.listdir(tmp_path)) == ["afile", "cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "name, directory, shown",
+    [
+        pytest.param("pullback", "", "''", id="empty"),
+        pytest.param("check_hypotheses", "out\0put", "'out\\x00put'", id="nul"),
+    ],
+)
+@pytest.mark.parametrize("given_by", ["output.directory", "--output-dir"])
+def test_an_output_dir_no_os_call_takes_exits_two_before_any_march(
+    tmp_path, capsys, monkeypatch, name, directory, shown, given_by
+):
+    # os.makedirs refuses both names, which the run would learn only after
+    # the whole march
+    monkeypatch.setattr(solver, "_march", no_march)
+    monkeypatch.setattr(cli, "_make_path", no_path)
+    monkeypatch.chdir(tmp_path)
+    cfg = shipped(name)
+    argv = ["run", "--config", write_config(tmp_path, cfg), "--quiet"]
+    if given_by == "output.directory":
+        cfg["output"]["directory"] = directory
+        write_config(tmp_path, cfg)
+    else:
+        argv += ["--output-dir", directory]
+    assert cli.main(argv) == 2
+    why = "no os call takes an empty name or a NUL byte"
+    assert capsys.readouterr().err == f"output: cannot make {shown}: {why}\n"
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_a_failed_write_exits_two_with_an_output_message(tmp_path, capsys):

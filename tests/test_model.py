@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from pullbacklab.errors import ConfigurationError
 from pullbacklab.field import Grid, gaussian_bump
 from pullbacklab.model import (
+    ConfigSection,
     Forcing,
     Nonlinearity,
     ProblemSpec,
@@ -381,3 +382,17 @@ def test_config_errors_carry_field_paths():
 def test_zero_forcing_from_config_rejects_amplitude():
     with pytest.raises(ConfigurationError):
         forcing_from_config({"kind": "zero", "amplitude": 1.0})
+
+
+def test_a_section_records_what_each_read_returned():
+    # a raw value or its default as it stands, a number or an integer as
+    # parsed, a membership test not at all; a sub-section's record is the
+    # record of its key
+    raw = {"a": [1, 2], "n": 3, "k": 4, "asked": 5, "sub": {"x": 1}}
+    with ConfigSection(raw, "top") as r:
+        assert "asked" in r
+        r.get("a"), r.get("d", "fallback"), r.number("n"), r.integer("k")
+        r.number("m", 0.5)
+        r.section("sub").number("x")
+    assert r.read == {"a": [1, 2], "d": "fallback", "n": 3.0, "k": 4, "m": 0.5, "sub": {"x": 1.0}}
+    assert type(r.read["n"]) is float
