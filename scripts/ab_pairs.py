@@ -10,8 +10,17 @@ checkout's median and quartiles (``statistics.quantiles(values, n=4)``) and
 the number of pairs in which the second checkout's value is better, in the
 metric's own direction, and a verdict on the metric (:func:`verdict`).
 
+Checkouts that run the same march can read apart: a change that left
+``equilibrium-1d``'s march untouched won 9 of 10 ``wall_s`` pairs, and a
+byte-identical ``cp -r`` copy of a checkout read 0.35 MB more
+``peak_rss_mb`` in every pair.  So a verdict alone shows no gain: before
+quoting one, run an A/A pass, the parent against a ``cp -r`` copy of
+itself, and quote it beside the claim.
+
 Usage:
     python3 scripts/ab_pairs.py PARENT_CHECKOUT CHANGED_CHECKOUT WORKLOAD SEED [SEED ...]
+    cp -r PARENT_CHECKOUT PARENT_COPY   # the A/A pass
+    python3 scripts/ab_pairs.py PARENT_CHECKOUT PARENT_COPY WORKLOAD SEED [SEED ...]
 
 Exits 0 when every run succeeded and reported every output correct, 1 when
 a run failed or reported a failed output (the report covers the pairs

@@ -17,7 +17,9 @@ summaries are equal once ``metadata`` (the timestamp) and
 identical runs.  For a config that differs it also reports the largest
 relative difference, |a - b| / max(|a|, |b|), over the numbers that both
 trees hold at the same place (CSV cells, summary numbers) and where it
-occurs, so a change that moves bits can say by how much.
+occurs, so a change that moves bits can say by how much, and it names each
+summary key that only one tree holds (``config.spec.nonlinearity.scale
+only in B``), so a change that adds or drops a key shows which.
 
 Usage:
     python3 scripts/compare_outputs.py DIR_A DIR_B
@@ -158,17 +160,30 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+MISSING = object()
+
+
+def json_leaves(a, b, where: str = ""):
+    """(place, a, b) for every place that two JSON values share, down to
+    where their structure differs, and for every key that only one of them
+    holds, with ``MISSING`` on the other side."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            yield from json_leaves(a.get(key, MISSING), b.get(key, MISSING),
+                                   f"{where}.{key}" if where else key)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (item_a, item_b) in enumerate(zip(a, b)):
+            yield from json_leaves(item_a, item_b, f"{where}[{i}]")
+    else:
+        yield where, a, b
+
+
 def json_pairs(a, b, where: str = ""):
     """(place, a, b) for every number that two JSON values hold at the same
     place; parts whose structure differs are skipped."""
-    if _is_number(a) and _is_number(b):
-        yield where, float(a), float(b)
-    elif isinstance(a, dict) and isinstance(b, dict):
-        for key in sorted(a.keys() & b.keys()):
-            yield from json_pairs(a[key], b[key], f"{where}.{key}" if where else key)
-    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        for i, (item_a, item_b) in enumerate(zip(a, b)):
-            yield from json_pairs(item_a, item_b, f"{where}[{i}]")
+    for place, x, y in json_leaves(a, b, where):
+        if _is_number(x) and _is_number(y):
+            yield place, float(x), float(y)
 
 
 def _float(cell: str) -> float | None:
@@ -190,6 +205,19 @@ def csv_pairs(path_a: str, path_b: str):
             if a is not None and b is not None:
                 name = header[col] if col < len(header) else str(col + 1)
                 yield f"line {line}, column {name}", a, b
+
+
+def one_sided_keys(dir_a: str, dir_b: str) -> list[str]:
+    """``place only in A`` (or ``B``) for each key that one directory's
+    summary holds and the other's lacks, ``metadata`` aside."""
+    found = []
+    for name in sorted(set(_listing(dir_a)) & set(_listing(dir_b))):
+        if name.endswith("_summary.json"):
+            with open(os.path.join(dir_a, name)) as fa, open(os.path.join(dir_b, name)) as fb:
+                leaves = json_leaves(comparable(json.load(fa)), comparable(json.load(fb)))
+            found += [f"{place} only in {'B' if a is MISSING else 'A'}"
+                      for place, a, b in leaves if MISSING in (a, b)]
+    return found
 
 
 def largest_difference(dir_a: str, dir_b: str) -> tuple[float, str] | None:
@@ -262,16 +290,17 @@ def main(argv: list[str] | None = None) -> int:
     differing = 0
     for config in configs:
         stem = stem_of(config)
-        problems = compare(os.path.join(args.dir_a, stem), os.path.join(args.dir_b, stem))
+        dir_a, dir_b = os.path.join(args.dir_a, stem), os.path.join(args.dir_b, stem)
+        problems = compare(dir_a, dir_b)
         if problems:
             differing += 1
             print(f"{stem}: DIFFERENT: " + "; ".join(problems))
-            worst = largest_difference(os.path.join(args.dir_a, stem),
-                                       os.path.join(args.dir_b, stem))
+            worst = largest_difference(dir_a, dir_b)
             if worst is None:
-                print(f"{stem}: no number differs")
+                found = ["no number differs"]
             else:
-                print(f"{stem}: largest relative difference {worst[0]:.2g} in {worst[1]}")
+                found = [f"largest relative difference {worst[0]:.2g} in {worst[1]}"]
+            print(f"{stem}: " + "; ".join(found + one_sided_keys(dir_a, dir_b)))
         else:
             print(f"{stem}: CSVs byte-identical, summaries equal outside metadata")
     print(f"{len(configs) - differing} of {len(configs)} configs match")

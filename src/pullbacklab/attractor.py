@@ -393,7 +393,6 @@ def sweep_shrinks(result: SweepResult, ratio_bound: float = 0.2) -> dict:
         "inversions_h1": inversions_h1,
         "ratio_l2": r2,
         "ratio_h1": r1,
-        "ratio_bound": ratio_bound,
         "ok_l2": r2 <= ratio_bound,
         "ok_h1": r1 <= ratio_bound,
     }

@@ -19,9 +19,10 @@ reads each key of its block once, and a key it never read is unknown.  It
 checks types, list shapes and the rules only the experiment knows, so such
 a bad block exits 2 before any path is sampled.  Every other rule on a
 value is the run function's: its refusal starts with the argument it
-refuses, and ``run`` reports it under the block's key (``_keyed``), after
-the path is sampled but still before any march.  Every other section is
-read the same way, through ``model.ConfigSection``.
+refuses, and ``run`` reports it under the key's path (``model.Keyed``),
+after the path is sampled but still before any march.  Every other section
+is read the same way, through ``model.ConfigSection``, and every value is
+named by its path from ``config`` alike.
 
 Exit codes: 0 all named checks passed, 1 some check failed (including a run
 that diverged after the single dt-halving retry), 2 configuration problem
@@ -42,10 +43,9 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -78,7 +78,7 @@ from .field import (
     write_table_csv,
     zero_field,
 )
-from .model import ConfigSection, ProblemSpec, check_hypotheses, spec_from_config
+from .model import ConfigSection, Keyed, ProblemSpec, check_hypotheses, spec_from_config
 from .noise import Path, flat_path, lattice_steps, refine, refine_levels, sample_path
 from .noise import _check_intensity
 from .solver import SolverConfig, worker_count
@@ -100,6 +100,7 @@ class _Plan:
     out_dir: str
     formats: tuple[str, ...]
     block: dict = field(default_factory=dict)
+    paths: dict = field(default_factory=dict)
     snaps: list = field(default_factory=list)
 
     def snapped(self) -> list[str]:
@@ -109,7 +110,7 @@ class _Plan:
         if not levels:
             return list(self.snaps)
         dt = self.noise["dt"]
-        note = f"noise.dt: {dt!r} -> {dt / 2**levels!r} by {levels} bridge refinements"
+        note = f"config.noise.dt: {dt!r} -> {dt / 2**levels!r} by {levels} bridge refinements"
         return [*self.snaps, note]
 
     def resolved_config(self) -> dict:
@@ -151,27 +152,28 @@ def _make_path(plan: _Plan) -> Path | None:
 
 
 class _Block(ConfigSection):
-    """A config section that also reads what the plan gives meaning to:
-    times, snapped onto the dt lattice; initial data, materialized into
-    Fields; a check's bounds, which must be nonnegative; and lists of
-    values, each entry named by its index.  A time and a list are recorded
-    as read, initial data as given."""
+    """A config section, read from its parent by :meth:`ConfigSection.section`,
+    that also reads what the plan gives meaning to: times, snapped onto the
+    dt lattice; initial data, materialized into Fields; a check's bounds,
+    which must be nonnegative; and lists of values, each entry named by its
+    index.  A time and a list are recorded as read, initial data as the
+    section it was read from, its defaults included."""
 
-    def __init__(self, raw, plan: _Plan, where: str):
-        super().__init__(raw, where)
-        self.plan = plan
+    def __init__(self, section: ConfigSection, plan: _Plan):
+        super().__init__(section.raw, section.where)
+        self.read, self.plan = section.read, plan
 
     def time(self, key: str, default: float | None = None) -> float:
         self.read[key] = self.snapped(self.get(key, default), self.path(key))
         return self.read[key]
 
     def initial(self, key: str) -> Field:
-        return self.field(self.get(key), self.path(key))
+        return self.field(self.section(key))
 
     def ensemble(self, key: str) -> list[Field]:
-        fields = self.items(key, self.field, "must be a list")
-        self.read[key] = self.raw[key]
-        return fields
+        members = self.items(key, ConfigSection, "must be a list")
+        self.read[key] = [member.read for member in members]
+        return [self.field(member) for member in members]
 
     def bound(self, key: str, default: float | None = None) -> float:
         """A number that must be nonnegative: a check's bound or band."""
@@ -202,69 +204,45 @@ class _Block(ConfigSection):
             self.plan.snaps.append(f"{where}: {value!r} -> {snapped!r}")
         return snapped
 
-    def field(self, value, where: str) -> Field:
+    def field(self, section: ConfigSection) -> Field:
         grid = self.plan.grid
-        with ConfigSection(value, where) as r:
+        with section as r:
             kind = r.kind("zero", "gaussian_bump", "eigenmode")
             if kind == "zero":
                 return zero_field(grid)
             if kind == "gaussian_bump":
-                return r.made(gaussian_bump, grid, r.number("amplitude"), r.number("width", 1.0))
+                return gaussian_bump(grid, r.number("amplitude"), r.number("width", 1.0))
             mode, amp = r.integer("mode"), r.number("amplitude", 1.0)
-            base = r.made(eigenmode, grid, mode)
+            base = eigenmode(grid, mode)
             return base.with_values(base.values * amp)
 
 
-@contextmanager
-def _keyed(keys: Mapping[str, str]):
-    """Report a ConfigurationError whose message starts with one of
-    ``keys`` under that key's config name.  A run function or constructor
-    names the argument it refuses first, and ``keys`` maps each argument
-    to the key it was read from; any other error passes as it is."""
-    try:
-        yield
-    except ConfigurationError as exc:
-        name, _, rule = str(exc).partition(" ")
-        if name not in keys:
-            raise
-        raise ConfigurationError(f"{keys[name]} {rule}") from None
-
-
-# the box's keys sit in the spec section, its points in the grid's
-_BOX_KEYS = {
-    "dimension": "spec: dimension",
-    "radius": "spec: domain_radius",
-    "points_per_axis": "grid: points_per_axis",
-}
+# Grid's names for the box's values, which sit in the spec section
+_BOX_KEYS = {"dimension": "config.spec.dimension", "radius": "config.spec.domain_radius"}
 
 
 def _resolve(raw, out_dir_override: str | None) -> _Plan:
     with ConfigSection(raw, "config") as root:
         experiment = root.get("experiment")
-        if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
-            raise ConfigurationError(
-                f"config.experiment: unknown experiment {experiment!r}; "
-                f"known: {list(EXPERIMENTS)}"
-            )
+        root.check(isinstance(experiment, str) and experiment in EXPERIMENTS, "experiment",
+                   f"names an unknown experiment {experiment!r}; known: {list(EXPERIMENTS)}")
         for name in EXPERIMENTS:
-            if name in root and name != experiment:
-                raise ConfigurationError(
-                    f"config.{name}: block present but experiment={experiment!r}"
-                )
+            root.check(name not in root or name == experiment, name,
+                       f"must be left out: experiment is {experiment!r}")
         exp = EXPERIMENTS[experiment]
 
         # the spec section also carries the runs' intensity and box: no problem data
-        spec_section = root.section("spec")
-        epsilon = spec_section.number("epsilon")
-        _check_intensity(epsilon, "spec: epsilon")
-        box = spec_section.integer("dimension"), spec_section.number("domain_radius")
-        spec = spec_from_config(spec_section)
+        with root.section("spec") as r:
+            epsilon = r.number("epsilon")
+            _check_intensity(epsilon, "epsilon")
+            box = r.integer("dimension"), r.number("domain_radius")
+            spec = spec_from_config(r)
 
-        with root.section("grid") as r, _keyed(_BOX_KEYS):
+        with root.section("grid") as r, Keyed(_BOX_KEYS):
             grid = Grid(*box, r.integer("points_per_axis"))
 
         with root.section("solver") as r:
-            cfg = r.made(SolverConfig, r.number("dt"))
+            cfg = SolverConfig(r.number("dt"))
             stride = r.integer("store_stride", 1, least=1)
             r.check(exp.stores or stride == 1, "store_stride",
                     f"must be 1 for {experiment!r}, which stores nothing, got {stride}")
@@ -275,10 +253,10 @@ def _resolve(raw, out_dir_override: str | None) -> _Plan:
             formats = r.get("formats", ["json", "csv"])
             r.check(isinstance(formats, list), "formats", f"must be a list, got {formats!r}")
             for fmt in formats:
-                if fmt not in ("json", "csv"):
-                    raise ConfigurationError(f"output.formats: unknown format {fmt!r}")
+                r.check(fmt in ("json", "csv"), "formats", f"names an unknown format {fmt!r}")
             r.check("json" in formats, "formats",
                     f"must include \"json\", got {formats!r}: every run writes its summary")
+            r.read["formats"] = list(formats)
 
         plan = _Plan(
             experiment=experiment,
@@ -294,20 +272,15 @@ def _resolve(raw, out_dir_override: str | None) -> _Plan:
         )
 
         if exp.needs_path:
-            if "noise" not in root:
-                raise ConfigurationError(f"noise: required for experiment {experiment!r}")
-            with _Block(root.get("noise"), plan, "noise") as b:
-                root.read["noise"] = plan.noise = _parse_noise(b)
-        elif "noise" in root:
-            raise ConfigurationError(
-                f"noise: experiment {experiment!r} reads no configured noise path; "
-                "delete the section"
-            )
+            with _Block(root.section("noise"), plan) as b:
+                plan.noise = _parse_noise(b)
+        else:
+            root.check("noise" not in root, "noise",
+                       f"must be left out: experiment {experiment!r} reads no configured noise path")
 
         # every key is read once, so a bad block fails before any integration
-        with _Block(root.get(experiment, {}), plan, f"config.{experiment}") as b:
-            plan.block = exp.parse(b)
-        root.read[experiment] = b.read
+        with _Block(root.section(experiment, {}), plan) as b:
+            plan.block, plan.paths = exp.parse(b), b.keys
     return plan
 
 
@@ -440,8 +413,7 @@ def _parse_tail(b: _Block) -> dict:
     if "fraction_bound" in b or "fraction_radius" in b:
         out["fraction_bound"] = b.bound("fraction_bound")
         at = out["fraction_radius"] = b.number("fraction_radius")
-        if at not in out["radii"]:
-            raise ConfigurationError(f"{b.where}.fraction_radius={at!r} is not one of the radii")
+        b.check(at in out["radii"], "fraction_radius", f"must be one of the radii, got {at!r}")
     return out
 
 
@@ -559,7 +531,7 @@ def _exec_upper_semi(plan: _Plan, path: Path | None):
         "ratio_h1": sh["ratio_h1"],
         "inversions_l2": sh["inversions_l2"],
         "inversions_h1": sh["inversions_h1"],
-        "ratio_bound": sh["ratio_bound"],
+        "ratio_bound": b["ratio_bound"],
     }
     sweep_table = (
         ["epsilon", "seed", "dist_l2", "dist_h1"],
@@ -843,10 +815,9 @@ def run(config_path: str, output_dir: str | None = None, quiet: bool = False) ->
 
     execute = EXPERIMENTS[plan.experiment].execute
     # the run functions check their own arguments, named as the block's keys
-    keys = {key: f"config.{plan.experiment}.{key}" for key in plan.block}
     retried = False
     try:
-        with _keyed(keys):
+        with Keyed(plan.paths):
             try:
                 results, checks, tables = execute(plan, _make_path(plan))
             except DivergenceError as exc:

@@ -341,38 +341,61 @@ def check_hypotheses(
 # -- configuration parsing ---------------------------------------------------
 
 
-class ConfigSection:
+class Keyed:
+    """A context that reports a ConfigurationError whose message starts with
+    one of ``keys`` under that key's config path.  A run function or
+    constructor names the argument it refuses first, and ``keys`` maps each
+    argument to the path of the value it was read from; any other error
+    passes as it is."""
+
+    def __init__(self, keys: Mapping[str, str]):
+        self.keys = keys
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if isinstance(exc, ConfigurationError):
+            name, _, rule = str(exc).partition(" ")
+            if name in self.keys:
+                raise ConfigurationError(f"{self.keys[name]} {rule}") from None
+
+
+class ConfigSection(Keyed):
     """A config section, read key by key.
 
-    Each read checks its value, names the key's path in any error and
-    records the key, as does a membership test.  ``read`` records what each
-    read returned: the raw value or its default, or the number that
-    ``number`` and ``integer`` make of it.  Used as a context manager, the
-    section rejects the keys it was never asked for once it is read, so the
-    first bad key in reading order is reported, and an unknown key only
-    after every known one.
+    Every value is named by its dotted path from the root, such as
+    ``config.spec.nonlinearity.scale`` or ``config.upper-semi.ensemble[1]``:
+    the path of a section read by :meth:`section` is its key's path.  Each
+    read checks its value, names that path in any error and records the
+    key, as does a membership test.  ``read`` records what each read
+    returned: the raw value or its default, the number that ``number`` and
+    ``integer`` make of it, or a sub-section's own record, so it holds every
+    default and none of the caller's dicts.  Used as a context manager, the
+    section reports a refusal that starts with one of its keys under that
+    key's path, as :class:`Keyed` does, and once it is read it rejects the
+    keys it was never asked for, so the first bad key in reading order is
+    reported, and an unknown key only after every known one.
     """
 
     def __init__(self, raw, where: str):
         if not isinstance(raw, Mapping):
             raise ConfigurationError(f"{where} must be a mapping, got {raw!r}")
+        super().__init__({})
         self.raw, self.where = raw, where
-        self.asked: set[str] = set()
         self.read: dict = {}
 
-    def __enter__(self) -> ConfigSection:
-        return self
-
     def __exit__(self, exc_type, exc, tb) -> None:
-        unknown = set(self.raw) - self.asked
+        super().__exit__(exc_type, exc, tb)
+        unknown = set(self.raw) - self.keys.keys()
         if exc_type is None and unknown:
             raise ConfigurationError(
                 f"unknown key(s) {sorted(unknown)} in {self.where}; "
-                f"allowed: {sorted(self.asked)}"
+                f"allowed: {sorted(self.keys)}"
             )
 
     def __contains__(self, key: str) -> bool:
-        self.asked.add(key)
+        self.keys[key] = self.path(key)
         return key in self.raw
 
     def path(self, key: str) -> str:
@@ -380,15 +403,15 @@ class ConfigSection:
 
     def get(self, key: str, default=None):
         """The key's raw value; without a default the key is required."""
-        self.asked.add(key)
-        if key not in self.raw and default is None:
-            raise ConfigurationError(f"missing key '{key}' in {self.where}")
+        if key not in self and default is None:
+            raise ConfigurationError(f"{self.path(key)} is required")
         self.read[key] = self.raw.get(key, default)
         return self.read[key]
 
     def section(self, key: str, default=None) -> ConfigSection:
-        """The key's value read as a section, whose record is the key's."""
-        section = ConfigSection(self.get(key, default), key)
+        """The key's value read as a section at the key's path, whose record
+        is the key's."""
+        section = ConfigSection(self.get(key, default), self.path(key))
         self.read[key] = section.read
         return section
 
@@ -402,24 +425,14 @@ class ConfigSection:
 
     def kind(self, *kinds: str) -> str:
         kind = self.get("kind")
-        if kind not in kinds:
-            raise ConfigurationError(
-                f"{self.path('kind')}: unknown kind {kind!r} (have: {', '.join(kinds)})"
-            )
+        self.check(kind in kinds, "kind",
+                   f"names an unknown kind {kind!r} (have: {', '.join(kinds)})")
         return kind
 
     def check(self, ok: bool, key: str, rule: str) -> None:
         """Reject the section unless ``ok``: the value of ``key`` breaks ``rule``."""
         if not ok:
             raise ConfigurationError(f"{self.path(key)} {rule}")
-
-    def made(self, make: Callable, *args, **kwargs):
-        """``make(*args, **kwargs)``; a rule that ``make`` checks itself is
-        reported with this section's path in front."""
-        try:
-            return make(*args, **kwargs)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{self.where}: {exc}") from None
 
     @staticmethod
     def as_number(value, where: str) -> float:
@@ -440,29 +453,31 @@ class ConfigSection:
         return value
 
 
-def nonlinearity_from_config(section: Mapping, where: str = "nonlinearity") -> Nonlinearity:
-    with ConfigSection(section, where) as r:
+def _section(config: Mapping | ConfigSection, where: str) -> ConfigSection:
+    return config if isinstance(config, ConfigSection) else ConfigSection(config, where)
+
+
+def nonlinearity_from_config(config: Mapping | ConfigSection) -> Nonlinearity:
+    """Read a nonlinearity from a plain mapping or from a section."""
+    with _section(config, "nonlinearity") as r:
         r.kind("cubic")
-        return r.made(canonical_cubic, r.number("alpha3"), r.number("scale", 1.0))
+        return canonical_cubic(r.number("alpha3"), r.number("scale", 1.0))
 
 
-def forcing_from_config(section: Mapping, where: str = "forcing") -> Forcing:
-    with ConfigSection(section, where) as r:
+def forcing_from_config(config: Mapping | ConfigSection) -> Forcing:
+    """Read a forcing from a plain mapping or from a section."""
+    with _section(config, "forcing") as r:
         if r.kind("tanh_gaussian", "zero") == "zero":
             return zero_forcing(r.number("delta", 0.0))
-        return r.made(
-            canonical_forcing, r.number("amplitude"), r.number("delta"), r.number("width", 1.0)
-        )
+        return canonical_forcing(r.number("amplitude"), r.number("delta"), r.number("width", 1.0))
 
 
 def spec_from_config(config: Mapping | ConfigSection) -> ProblemSpec:
     """Assemble a ProblemSpec from a plain mapping, or from a section whose
     other keys the caller has read; unknown keys are rejected."""
-    section = config if isinstance(config, ConfigSection) else ConfigSection(config, "spec")
-    with section as r:
-        return r.made(
-            ProblemSpec,
+    with _section(config, "spec") as r:
+        return ProblemSpec(
             lam=r.number("lambda"),
-            nonlinearity=nonlinearity_from_config(r.get("nonlinearity"), "spec.nonlinearity"),
-            forcing=forcing_from_config(r.get("forcing"), "spec.forcing"),
+            nonlinearity=nonlinearity_from_config(r.section("nonlinearity")),
+            forcing=forcing_from_config(r.section("forcing")),
         )

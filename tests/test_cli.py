@@ -378,7 +378,7 @@ def test_coarse_noise_is_bridge_refined_onto_the_solver_lattice(tmp_path, capsys
     code, out = run_into(tmp_path, cfg)
     assert code == 0
     summary = load_summary(out, "simulate")
-    assert summary["snapped"] == ["noise.dt: 0.008 -> 0.001 by 3 bridge refinements"]
+    assert summary["snapped"] == ["config.noise.dt: 0.008 -> 0.001 by 3 bridge refinements"]
     assert summary["config"]["noise"]["dt"] == 0.008
     # the run reads the sampled path refined three times, nothing else
     plan = cli._resolve(cfg, str(tmp_path / "direct"))
@@ -412,7 +412,7 @@ def test_a_retry_reports_its_own_path_refinement(tmp_path):
     assert retried["retried_after_divergence"] is True
     assert direct["retried_after_divergence"] is False
     assert retried["results"] == direct["results"]
-    note = "noise.dt: 0.001 -> 0.0005 by 1 bridge refinements"
+    note = "config.noise.dt: 0.001 -> 0.0005 by 1 bridge refinements"
     assert retried["snapped"] == direct["snapped"] == [note]
 
 
@@ -460,7 +460,7 @@ def test_removed_linear_solver_tol_key_exits_two(tmp_path, capsys):
     code, out = run_into(tmp_path, cfg)
     assert code == 2
     # no section reads the key, so it is unknown, as any other
-    assert "unknown key(s) ['linear_solver_tol'] in solver;" in capsys.readouterr().err
+    assert "unknown key(s) ['linear_solver_tol'] in config.solver;" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -527,7 +527,7 @@ def test_an_intensity_outside_the_unit_interval_exits_two_before_any_path(
     cfg["spec"]["epsilon"] = 1.5
     code, out = run_into(tmp_path, cfg)
     assert code == 2
-    assert "spec: epsilon must lie in [0, 1], got 1.5" in capsys.readouterr().err
+    assert "config.spec.epsilon must lie in [0, 1], got 1.5" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -573,6 +573,16 @@ def _put(section, key, value):
     return value
 
 
+def _from_config(case: str) -> str:
+    """A case's name for a value as a refusal gives it: its path from
+    config.  A case writes a top section by its key (``spec`` for
+    ``config.spec``) and may part a section from its key with ``: ``
+    (``grid: points_per_axis``), which keeps the ids pytest prints for the
+    cases stable."""
+    case = case.replace(": ", ".", 1)
+    return case if case.split(".")[0] == "config" else f"config.{case}"
+
+
 @pytest.mark.parametrize(
     "config, section, where",
     [
@@ -597,19 +607,20 @@ def _put(section, key, value):
 )
 def test_every_section_rejects_an_unknown_key(tmp_path, capsys, config, section, where):
     # the root, the spec and its two sections, grid, solver, noise, output,
-    # the experiment block and each kind of initial data, in and out of a list
+    # the experiment block and each kind of initial data, in and out of a
+    # list, each named by its path from config
     cfg = shipped(config)
     section(cfg)["bogus"] = 1
     code, out = run_into(tmp_path, cfg)
     assert code == 2
-    assert f"['bogus'] in {where};" in capsys.readouterr().err
+    assert f"['bogus'] in {_from_config(where)};" in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_config_resolves_to_a_fixed_point(tmp_path, name):
-    # the resolved config holds only config values (initial data as given,
-    # not Fields), and resolving it again changes nothing
+    # the resolved config holds only config values (initial data as its
+    # section read it, not Fields), and resolving it again changes nothing
     plan = cli._resolve(shipped(name), str(tmp_path))
     resolved = json.loads(json.dumps(plan.resolved_config()))
     assert cli._resolve(resolved, str(tmp_path)).resolved_config() == resolved
@@ -618,21 +629,22 @@ def test_shipped_config_resolves_to_a_fixed_point(tmp_path, name):
 def test_tail_fraction_radius_must_be_one_of_the_radii(tmp_path, capsys):
     cfg = shipped("tail")
     cfg["tail"]["fraction_radius"] = 3.0
-    with pytest.raises(ConfigurationError, match=r"fraction_radius=3.0 is not one of"):
+    with pytest.raises(ConfigurationError, match=r"fraction_radius must be one of the radii"):
         cli._resolve(cfg, str(tmp_path))
     code, _ = run_into(tmp_path, cfg)
     assert code == 2
-    assert "config.tail.fraction_radius=3.0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config.tail.fraction_radius must be one of the radii, got 3.0" in err
 
 
 def test_tail_fraction_radius_needs_fraction_bound(tmp_path, capsys):
     cfg = shipped("tail")
     del cfg["tail"]["fraction_bound"]
-    with pytest.raises(ConfigurationError, match="missing key 'fraction_bound'"):
+    with pytest.raises(ConfigurationError, match="fraction_bound is required"):
         cli._resolve(cfg, str(tmp_path))
     code, _ = run_into(tmp_path, cfg)
     assert code == 2
-    assert "missing key 'fraction_bound' in config.tail" in capsys.readouterr().err
+    assert "config.tail.fraction_bound is required" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", sorted(set(SHIPPED) - {"simulate", "simulate_2d"}))
@@ -669,19 +681,30 @@ def _key_paths(tree, prefix=()):
 
 
 def _whole_as_int(value):
+    if isinstance(value, dict):
+        return {k: _whole_as_int(v) for k, v in value.items()}
     if isinstance(value, list):
         return [_whole_as_int(v) for v in value]
     return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
+def _read_field(given: dict) -> dict:
+    """Initial data as its section records it: each number parsed, each
+    default filled in."""
+    defaults = {"gaussian_bump": {"width": 1.0}, "eigenmode": {"amplitude": 1.0}}
+    parsed = {k: v if k in ("kind", "mode") else float(v) for k, v in given.items()}
+    return {**defaults.get(given["kind"], {}), **parsed}
+
+
 @pytest.mark.parametrize("name", SHIPPED)
 def test_the_resolved_config_is_the_record_of_what_was_read(monkeypatch, name):
     # every key the config sets is in the record, and a block key holds
-    # what the parser returned, except initial data, which stays as given;
-    # whole numbers written as integers show a number recorded as given
+    # what the parser returned, except initial data, which holds what its
+    # section read, defaults included; whole numbers written as integers
+    # show a number recorded as given
     monkeypatch.setattr(solver, "_march", no_march)
     cfg = shipped(name)
-    cfg[cfg["experiment"]] = {k: _whole_as_int(v) for k, v in cfg[cfg["experiment"]].items()}
+    cfg[cfg["experiment"]] = _whole_as_int(cfg[cfg["experiment"]])
     plan = cli._resolve(cfg, None)
     resolved = plan.resolved_config()
     for path in _key_paths(cfg):
@@ -692,31 +715,72 @@ def test_the_resolved_config_is_the_record_of_what_was_read(monkeypatch, name):
     block, given = resolved[plan.experiment], cfg[plan.experiment]
     assert block.keys() == plan.block.keys()
     for key, value in plan.block.items():
-        initial = isinstance(value, Field) or (
-            isinstance(value, list) and all(isinstance(v, Field) for v in value)
-        )
-        assert json.dumps(block[key]) == json.dumps(given[key] if initial else value), key
+        if isinstance(value, Field):
+            value = _read_field(given[key])
+        elif isinstance(value, list) and value and isinstance(value[0], Field):
+            value = [_read_field(member) for member in given[key]]
+        assert json.dumps(block[key], sort_keys=True) == json.dumps(value, sort_keys=True), key
+
+
+def _node(tree, path):
+    for key in path:
+        tree = tree[int(key) if key.isdigit() else key]
+    return tree
 
 
 @pytest.mark.parametrize(
     "name, defaults",
     [
-        ("decay_rate", {"tau": 0.0, "fit_start": 1.0, "tolerance": 0.1}),
-        ("check_hypotheses", {"n_samples": 17, "s_range": 5.0, "tolerance": 1e-12}),
+        ("decay_rate", {"decay-rate.tau": 0.0, "decay-rate.fit_start": 1.0,
+                        "decay-rate.tolerance": 0.1}),
+        ("check_hypotheses", {"check-hypotheses.n_samples": 17, "check-hypotheses.s_range": 5.0,
+                              "check-hypotheses.tolerance": 1e-12}),
+        ("check_hypotheses", {"spec.nonlinearity.scale": 1.0}),
+        ("check_hypotheses", {"spec.forcing.width": 1.0}),
+        ("upper_semi", {"upper-semi.ensemble.1.width": 1.0}),
+        ("simulate", {"simulate.initial": {"kind": "eigenmode", "mode": 2},
+                      "simulate.initial.amplitude": 1.0}),
     ],
 )
 def test_an_optional_key_at_its_default_resolves_as_if_left_out(name, defaults):
+    # ``defaults`` maps a path from config to a value: a section goes into
+    # both configs, a default only into the full one
     sparse = shipped(name)
-    for key in defaults:
-        sparse[sparse["experiment"]].pop(key, None)
     sparse["solver"].pop("store_stride", None)
     sparse.pop("output")
     full = copy.deepcopy(sparse)
-    full[full["experiment"]].update(defaults)
+    for path, value in defaults.items():
+        *parents, key = path.split(".")
+        _node(sparse, parents).pop(key, None)
+        _node(full, parents)[key] = copy.deepcopy(value)
+        if isinstance(value, dict):
+            _node(sparse, parents)[key] = copy.deepcopy(value)
     full["solver"]["store_stride"] = 1
     full["output"] = {"directory": ".", "formats": ["json", "csv"]}
     want = cli._resolve(sparse, None).resolved_config()
     assert cli._resolve(full, None).resolved_config() == want
+
+
+def _edit_everywhere(tree):
+    """Add a key to every dict and an entry to every list in ``tree``."""
+    for value in list(tree.values() if isinstance(tree, dict) else tree):
+        if isinstance(value, (dict, list)):
+            _edit_everywhere(value)
+    if isinstance(tree, dict):
+        tree["edited"] = True
+    else:
+        tree.append("edited")
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_editing_the_config_after_resolving_changes_no_record(name):
+    # the record holds what was read, in its own objects: none of them is
+    # one of the caller's dicts or lists
+    cfg = shipped(name)
+    plan = cli._resolve(cfg, None)
+    want = copy.deepcopy(plan.resolved_config())
+    _edit_everywhere(cfg)
+    assert plan.resolved_config() == want
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -746,7 +810,7 @@ def test_a_bad_box_exits_two_before_any_path(tmp_path, capsys, monkeypatch, key,
     cfg["spec"][key] = value
     code, out = run_into(tmp_path, cfg)
     assert code == 2
-    assert message in capsys.readouterr().err
+    assert f"config: {_from_config(message)}\n" == capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1051,8 +1115,8 @@ def test_a_failed_write_exits_two_with_an_output_message(tmp_path, capsys):
     ],
 )
 def test_library_value_rules_name_their_section(tmp_path, capsys, section, key, value, message):
-    # the constructors check these rules; the config reader says where the
-    # offending value sits
+    # the constructors check these rules; the config reader names the
+    # offending value by its path from config
     cfg = shipped("simulate")
     target = cfg
     for name in section:
@@ -1060,7 +1124,7 @@ def test_library_value_rules_name_their_section(tmp_path, capsys, section, key, 
     target[key] = value
     code, out = run_into(tmp_path, cfg)
     assert code == 2
-    assert message in capsys.readouterr().err
+    assert f"config: {_from_config(message)}" in capsys.readouterr().err
     assert not out.exists()
 
 

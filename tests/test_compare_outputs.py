@@ -63,6 +63,25 @@ def test_report_names_the_largest_relative_difference(tmp_path, capsys):
     assert script.relative_difference(1.0, float("inf")) == float("inf")
 
 
+def test_report_names_the_summary_keys_only_one_tree_holds(tmp_path, capsys):
+    # a change that adds or drops a key moves no number, so the report
+    # says which keys moved; a key shows once, at the top of what it holds
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    (configs / "grown.json").write_text("{}")
+    csv_text = "x,value\n1.0,2.0\n"
+    plant(tmp_path / "a", "grown", csv_text, {"norms": {"l2": 1.0}, "gone": {"n": 1}}, "t0")
+    plant(tmp_path / "b", "grown", csv_text, {"norms": {"l2": 1.0, "h1": 2.0}}, "t1")
+    script = load_script()
+    code = script.main([str(tmp_path / "a"), str(tmp_path / "b"), "--configs", str(configs)])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "grown: DIFFERENT: grown_summary.json differs outside metadata",
+        "grown: no number differs; results.gone only in A; results.norms.h1 only in B",
+        "0 of 1 configs match",
+    ]
+
+
 FAKE_CLI = '''
 import os, sys, warnings
 class BoundaryLeakWarning(UserWarning):

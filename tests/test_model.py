@@ -355,7 +355,7 @@ def test_spec_from_config_roundtrip():
 
 
 def test_config_errors_carry_field_paths():
-    with pytest.raises(ConfigurationError, match="'lambda' in spec"):
+    with pytest.raises(ConfigurationError, match="^spec.lambda is required$"):
         spec_from_config(
             {
                 "epsilon": 0.5,
